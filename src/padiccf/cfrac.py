@@ -1,13 +1,20 @@
 """The expansion engine: fractional-map steps, the four algorithms,
-exact step inversion, convergents, and orbit classification.
+step evaluation in both directions, convergents, and orbit
+classification.
 
 One step of every algorithm has the same split shape: a fractional map F
 evaluated at the current remainder, then an invertible p-integral matrix A
 and a shift vector gamma with entries in pZ_p, giving the next remainder
-T(x) = A F(x) + gamma.  The recorded per-component parameters (unit factor,
-p-power exponent, shift) are enough to evaluate F forward at any point and
-to invert it in closed form, which is what convergents pull 0 back
-through.
+T(x) = A F(x) + gamma.  A step records the per-component parameters of F
+(unit factor, p-power exponent, shift) together with A and gamma.
+
+Every component of F is a ratio with the pivot coordinate x_j as its
+denominator, so T is projective-linear in (x, 1): a step is one
+(s+1) x (s+1) integer matrix M in homogeneous coordinates, and
+T(x) = (M (x, 1))[:s] / (M (x, 1))[s].  Both directions evaluate the same
+way, forward with M and backward with its inverse; a last homogeneous
+coordinate of 0 is the pole of that direction.  The integer matrices are
+derived from the recorded parameters on first use and never serialized.
 
 All remainders from index 1 on lie componentwise in pZ_p; remainders are
 compared structurally on canonical coefficient tuples, so cycle detection
@@ -17,13 +24,15 @@ is sound and complete up to the step limit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import PoleHit
+from .errors import PoleHit, RecordFormatError
 from .field import FieldElement, MinPoly, VectorElement, coeff_matrix, denom_z, height_z
 from .hensel import Embedding
 from .preduce import RationalMatrix, p_reduce
-from .rationals import ORD_INF, Q, QZERO, head_tail, qformat, qparse, qpow
+from .rationals import ORD_INF, Q, QONE, QZERO, head_tail, qformat, qparse, qpow
 
 
 def shift_matrix(s: int) -> RationalMatrix:
@@ -64,6 +73,36 @@ class CMapStep:
     shifts: tuple
     matrix: RationalMatrix
     gamma: tuple
+
+    @cached_property
+    def forward_matrix(self) -> tuple:
+        """The step as a projective integer matrix: rows of ints acting on
+        (x_1, .., x_s, 1), the pivot coordinate x_j becoming the new
+        homogeneous coordinate.  Defined up to a scalar; kept primitive.
+
+        With k_i = c_i p^e_i, F(x) ~ (k_i x_i - w_i x_j for i != j,
+        k_j - w_j x_j; x_j), so row r of A F + gamma is
+        (A_ri k_i for i != j, gamma_r - sum_i A_ri w_i at j, A_rj k_j)."""
+        s = len(self.gamma)
+        a = self.matrix.entries
+        if self.identity:
+            rows = [list(row) + [g] for row, g in zip(a, self.gamma)]
+            rows.append([QZERO] * s + [QONE])
+        else:
+            j = self.pivot - 1
+            k = [c * qpow(self.p, e) for c, e in zip(self.coeffs, self.exps)]
+            rows = []
+            for row, g in zip(a, self.gamma):
+                out = [arc * kc for arc, kc in zip(row, k)] + [row[j] * k[j]]
+                out[j] = g - sum((arc * w for arc, w in zip(row, self.shifts)), QZERO)
+                rows.append(out)
+            rows.append([QONE if i == j else QZERO for i in range(s + 1)])
+        return _integer_rows(rows)
+
+    @cached_property
+    def inverse_matrix(self) -> tuple:
+        """Projective integer matrix of the inverse step."""
+        return _integer_rows(RationalMatrix(self.forward_matrix).inverse().entries)
 
     def to_json(self):
         return {
@@ -150,6 +189,9 @@ class ExpansionRecord:
 
     @classmethod
     def from_json(cls, data) -> "ExpansionRecord":
+        fmt = data.get("format") if isinstance(data, dict) else None
+        if fmt != 1:
+            raise RecordFormatError(f"unsupported record format {fmt!r}; this version reads format 1")
         mp = MinPoly.from_json(data["minpoly"])
         return cls(
             algorithm=data["algorithm"],
@@ -331,42 +373,45 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
 # --- forward / inverse evaluation -------------------------------------------
 
 
-def _is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, FieldElement) else not x
+def _integer_rows(rows) -> tuple:
+    """Primitive integer multiple of a rational matrix, as rows of ints."""
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    ints = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
+    g = math.gcd(*(c for row in ints for c in row))
+    return tuple(tuple(c // g for c in row) for row in ints)
 
 
-def _invert_scalar_or_element(x):
-    if isinstance(x, FieldElement):
-        return x.inverse()
-    if not x:
-        raise ZeroDivisionError("division by zero")
-    return 1 / x
-
-
-def _fractional_forward(step: CMapStep, comps: tuple):
-    if step.identity:
-        return comps
-    j = step.pivot - 1
-    xj = comps[j]
-    if _is_zero(xj):
-        raise PoleHit("forward map undefined at zero pivot coordinate")
-    inv = _invert_scalar_or_element(xj)
-    out = []
-    for i, (c, e, w) in enumerate(zip(step.coeffs, step.exps, step.shifts)):
-        scale = c * qpow(step.p, e)
-        if i == j:
-            out.append(inv * scale - w)
-        else:
-            out.append(comps[i] * inv * scale - w)
-    return tuple(out)
+def _projective_apply(rows: tuple, x, pole: str):
+    """Evaluate a projective integer matrix at x, a VectorElement or a
+    tuple of rationals or field elements: multiply by (x, 1) and divide by
+    the last coordinate.  Rationals are first scaled to one integer
+    vector, which the projective map allows."""
+    comps = x.components if isinstance(x, VectorElement) else tuple(x)
+    field = next((c.minpoly for c in comps if isinstance(c, FieldElement)), None)
+    if field is None:
+        dens = [c.denominator for c in comps]
+        den = math.lcm(*dens)
+        vec = [c.numerator * (den // d) for c, d in zip(comps, dens)]
+        vec.append(den)
+        *h, last = [sum(map(operator.mul, row, vec)) for row in rows]
+        if not last:
+            raise PoleHit(pole)
+        return tuple(Q(v, last) for v in h)
+    vec = list(comps) + [field.one()]
+    *h, last = [sum((v * m for m, v in zip(row, vec) if m), field.zero()) for row in rows]
+    if last.is_zero():
+        raise PoleHit(pole)
+    inv = last.inverse()
+    out = tuple(v * inv for v in h)
+    return VectorElement(out) if isinstance(x, VectorElement) else out
 
 
 def forward_step(step: CMapStep, x):
-    """T(x) = A F(x) + gamma on a vector of field elements or rationals."""
-    comps = x.components if isinstance(x, VectorElement) else tuple(x)
-    mixed = step.matrix.apply(_fractional_forward(step, comps))
-    out = tuple(a + g for a, g in zip(mixed, step.gamma))
-    return VectorElement(out) if isinstance(x, VectorElement) else out
+    """T(x) = A F(x) + gamma on a vector of field elements or rationals.
+
+    Raises PoleHit when the pivot coordinate of x is zero.
+    """
+    return _projective_apply(step.forward_matrix, x, "forward map undefined at zero pivot coordinate")
 
 
 def inverse_step(step: CMapStep, y):
@@ -375,25 +420,7 @@ def inverse_step(step: CMapStep, y):
     Raises PoleHit when the pivot coordinate hits the pole of the
     inverse fractional map.
     """
-    comps = y.components if isinstance(y, VectorElement) else tuple(y)
-    shifted = tuple(a - g for a, g in zip(comps, step.gamma))
-    w = step.matrix.inverse().apply(shifted)
-    if step.identity:
-        out = w
-    else:
-        j = step.pivot - 1
-        denom = w[j] + step.shifts[j]
-        if _is_zero(denom):
-            raise PoleHit("inverse map evaluated at its pole")
-        xj = (step.coeffs[j] * qpow(step.p, step.exps[j])) / denom
-        out = []
-        for i, (c, e, ws) in enumerate(zip(step.coeffs, step.exps, step.shifts)):
-            if i == j:
-                out.append(xj)
-            else:
-                out.append((w[i] + ws) * xj / (c * qpow(step.p, e)))
-        out = tuple(out)
-    return VectorElement(out) if isinstance(y, VectorElement) else out
+    return _projective_apply(step.inverse_matrix, y, "inverse map evaluated at its pole")
 
 
 # --- expansion driver ---------------------------------------------------------

@@ -36,6 +36,10 @@ class NonSquare(PadiccfError, ValueError):
     """A square matrix was required."""
 
 
+class RecordFormatError(PadiccfError, ValueError):
+    """Serialized data carries a format this version does not read."""
+
+
 class PoleHit(PadiccfError, ArithmeticError):
     """An inverse fractional map was evaluated at a pole of its domain."""
 

@@ -21,7 +21,7 @@ import math
 from . import polys
 from .errors import HViolation, IrreducibilityUnknown, MixedField, Reducible
 from .preduce import RationalMatrix
-from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse
+from .rationals import Q, QONE, QZERO, check_prime, height, ordp, qformat, qparse
 
 
 class MinPoly:
@@ -409,16 +409,12 @@ def denom_z(value) -> int:
     return d
 
 
-def height_q(q) -> int:
-    return abs(int(q.numerator)) + int(q.denominator)
-
-
 def height_z(value) -> int:
     """Max over basis coefficients of |num| + den; vectors take the max
     over components.  The divergence gauge for the experiment harness."""
     if isinstance(value, VectorElement):
         return max(height_z(c) for c in value.components)
-    return max(height_q(c) for c in value.coeffs)
+    return max(height(c) for c in value.coeffs)
 
 
 def coeff_matrix(vec: "VectorElement"):

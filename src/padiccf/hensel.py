@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded
 from .field import FieldElement, MinPoly, VectorElement, denom_z, element_minpoly
+from .polys import ptrim, resultant
 from .rationals import (
     ORD_INF,
     Q,
@@ -127,9 +128,20 @@ class Embedding:
     def ord(self, a):
         """Valuation of a field element (ORD_INF for zero), exact.
 
-        Uses a doubling precision ladder with a sound stopping cap derived
-        from the exact inverse: ord(a) <= v_p(denom_z(1/a)), so the integer
-        combination for a cannot vanish past v_p(d) + that bound.
+        Write a = b(z)/d with b an integer polynomial of degree below n =
+        deg f.  The integer combination b(z0) at the embedded root z0 is
+        evaluated modulo p^m on a doubling precision ladder; it is nonzero
+        there as soon as m exceeds v_p(b(z0)), and then ord(a) is its
+        valuation minus v_p(d).
+
+        The ladder stops at a sound cap from the norm.  f is monic with
+        p-integral coefficients, so all its roots theta_1 = z0, ...,
+        theta_n are integral over Z_p and v(b(theta_i)) >= 0 for each.
+        Hence v_p(b(z0)) <= sum_i v(b(theta_i)) = v_p(Res(f, b)), since
+        Res(f, b) is the product of the b(theta_i) for monic f.  The
+        resultant vanishes only when b shares a root with f, which for
+        nonzero a of degree below n needs a reducible f: a zero divisor
+        of an uncertified ring, reported as ZeroDivisionError.
         """
         if isinstance(a, VectorElement):
             return min(self.ord(c) for c in a.components)
@@ -146,7 +158,10 @@ class Embedding:
             if val:
                 return vp_int(val, self.p) - t
             if cap is None:
-                cap = t + vp_int(denom_z(a.inverse()), self.p) + 1
+                norm = resultant(self.minpoly.ascending(), ptrim(nums))
+                if not norm:
+                    raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
+                cap = ordp(norm, self.p) + 1
                 m = max(m, cap)
                 continue
             if m >= cap:
@@ -184,10 +199,6 @@ class Embedding:
         mod = self.p ** (m + t + 1)
         val = self._combination_mod(nums, m + t + 1) * inv_mod(d // self.p ** t, mod) % mod
         return Q(val, self.p ** t)
-
-    def digits_field(self, a: FieldElement, m: int = 0):
-        """(omega, head-to-m) in one call."""
-        return self.omega(a), self.head(a, m)
 
     def in_pzp(self, a) -> bool:
         return self.ord(a) >= 1

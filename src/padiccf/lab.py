@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .cfrac import expand
-from .errors import Reducible, StreamExhausted
+from .errors import HViolation, Reducible, StreamExhausted
 from .field import MinPoly, VectorElement, independent_with_one, validate_minpoly
 from .hensel import Embedding
 from .rationals import Q, qformat, qparse
@@ -160,6 +160,8 @@ def build_z_set(p: int, degree: int, a_range=(1, 10), b_range=(-10, 10)):
     """All certified generators with defining polynomial x^deg + a x + b p,
     a in a_range with ord_p(a) = 0, b in b_range; deterministic (a, b)
     order.  b = 0 drops out via reducibility."""
+    if degree < 2:
+        raise HViolation("degree", "degree must be at least 2")
     out = []
     for a in range(a_range[0], a_range[1] + 1):
         if a % p == 0:

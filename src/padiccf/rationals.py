@@ -41,7 +41,11 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
         return _mpq(a, b)
 
     def _vp_pos(n: int, p: int) -> int:
+        # valuation of a nonzero integer: the lowest set bit for p = 2,
+        # otherwise one division at a time
         n = abs(int(n))
+        if p == 2:
+            return (n & -n).bit_length() - 1
         v = 0
         while n % p == 0:
             n //= p
@@ -143,10 +147,14 @@ def qformat(q) -> str:
 
 
 def qparse(s: str):
+    """Inverse of :func:`qformat`; a zero denominator is a ValueError."""
     s = s.strip()
     if "/" in s:
         num, den = s.split("/")
-        return Q(int(num), int(den))
+        den = int(den)
+        if not den:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Q(int(num), den)
     return Q(int(s))
 
 

@@ -6,6 +6,7 @@ bisection, lookahead indices from a plain recursive tree walk, and so on.
 Expected values frozen into tests were produced by these.
 """
 
+import math
 from fractions import Fraction
 
 from padiccf.field import denom_z
@@ -160,3 +161,117 @@ def hensel_root_search(minpoly, m):
         if acc == 0:
             hits.append(r)
     return hits
+
+
+def vp_by_division(n, p):
+    """Valuation of a nonzero integer, one division at a time."""
+    n = abs(n)
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def root_by_digits(minpoly, m):
+    """The root of f in pZ_p modulo p^m, digit by digit: each next digit is
+    the one digit keeping f(r) = 0 mod p^(k+1) (unique, since f' is a unit)."""
+    p = minpoly.p
+    asc = minpoly.ascending()
+    den = 1
+    for c in asc:
+        den *= int(c.denominator)
+    ints = [int(c * den) for c in asc]
+    r = 0
+    for k in range(1, m):
+        mod = p ** (k + 1)
+        hits = [d for d in range(p) if _eval_int(ints, r + d * p ** k) % mod == 0]
+        assert len(hits) == 1, "the root is not unique"
+        r += hits[0] * p ** k
+    return r
+
+
+def _eval_int(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def ord_by_digits(a, root, m):
+    """Valuation of a field element from its leading zero digits: clear the
+    denominators, evaluate at the root known modulo p^m and count.  Raises
+    when the value vanishes to that precision, i.e. m was too small."""
+    p = a.minpoly.p
+    den = math.lcm(*(c.denominator for c in a.coeffs))
+    val = _eval_int([int(c * den) for c in a.coeffs], root) % p ** m
+    if not val:
+        raise ValueError("root precision too low for this element")
+    return vp_by_division(val, p) - vp_by_division(den, p)
+
+
+def ord_with_inverse_cap(emb, a):
+    """The valuation ladder of ``Embedding.ord`` as it stood with its cap
+    taken from the field inverse: ord(a) <= v_p(denom_z(1/a))."""
+    nums, d = emb._integer_parts(a)
+    t = vp_by_division(d, emb.p)
+    m = emb._base_precision
+    cap = None
+    while True:
+        val = emb._combination_mod(nums, m)
+        if val:
+            return vp_by_division(val, emb.p) - t
+        if cap is None:
+            cap = t + vp_by_division(denom_z(a.inverse()), emb.p) + 1
+            m = max(m, cap)
+            continue
+        if m >= cap:
+            raise AssertionError("ladder passed its cap")
+        m = min(2 * m, cap)
+
+
+class ClosedFormPole(ArithmeticError):
+    """The closed-form step map met its pole."""
+
+
+def forward_step_closed_form(step, x):
+    """T(x) = A F(x) + gamma on rationals, straight from the fractional map
+    f_j = k_j / x_j - w_j, f_i = k_i x_i / x_j - w_i with k = c p^e."""
+    x = [Fraction(c) for c in x]
+    if step.identity:
+        f = x
+    else:
+        j = step.pivot - 1
+        if not x[j]:
+            raise ClosedFormPole("zero pivot coordinate")
+        f = []
+        for i, (c, e, w) in enumerate(zip(step.coeffs, step.exps, step.shifts)):
+            k = Fraction(c) * Fraction(step.p) ** e
+            f.append((k if i == j else k * x[i]) / x[j] - Fraction(w))
+    a = [[Fraction(c) for c in row] for row in step.matrix.entries]
+    return tuple(sum(r * v for r, v in zip(row, f)) + Fraction(g) for row, g in zip(a, step.gamma))
+
+
+def inverse_step_closed_form(step, y):
+    """Inverse of :func:`forward_step_closed_form`: undo gamma and A by
+    Gauss-Jordan elimination, then invert the fractional map in closed form."""
+    s = len(y)
+    aug = [[Fraction(c) for c in row] + [Fraction(v) - Fraction(g)]
+           for row, v, g in zip(step.matrix.entries, y, step.gamma)]
+    for col in range(s):
+        piv = next(r for r in range(col, s) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [c / aug[col][col] for c in aug[col]]
+        for r in range(s):
+            if r != col and aug[r][col]:
+                aug[r] = [u - aug[r][col] * v for u, v in zip(aug[r], aug[col])]
+    w = [row[s] for row in aug]
+    if step.identity:
+        return tuple(w)
+    j = step.pivot - 1
+    k = [Fraction(c) * Fraction(step.p) ** e for c, e in zip(step.coeffs, step.exps)]
+    denom = w[j] + Fraction(step.shifts[j])
+    if not denom:
+        raise ClosedFormPole("inverse map at its pole")
+    xj = k[j] / denom
+    return tuple(xj if i == j else (w[i] + Fraction(step.shifts[i])) * xj / k[i] for i in range(s))

@@ -17,12 +17,18 @@ from padiccf.cfrac import (
     step_phi2,
     step_phi3,
 )
-from padiccf.errors import PoleHit
+from padiccf.errors import PadiccfError, PoleHit, RecordFormatError
 from padiccf.field import MinPoly, VectorElement, independent_with_one, validate_minpoly
 from padiccf.hensel import Embedding
 from padiccf.preduce import RationalMatrix, is_p_reduced
 from padiccf.rationals import ORD_INF, Q, ordp
-from oracles import brute_phi2_index, schneider_orbit
+from oracles import (
+    ClosedFormPole,
+    brute_phi2_index,
+    forward_step_closed_form,
+    inverse_step_closed_form,
+    schneider_orbit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +252,8 @@ class TestPhi3:
 
 
 class TestInverse:
-    def _random_records(self, k3, emb3, rng, count=6):
+    @staticmethod
+    def _random_records(k3, emb3, rng, count=6):
         z = k3.gen()
         recs = []
         for algo, eps in (("phi0", 1), ("phi1", -1), ("phi2", 1), ("phi3", 1)):
@@ -287,6 +294,54 @@ class TestInverse:
         step, _ = step_phi1(emb2, k2.vector([k2.gen()]), 1)
         with pytest.raises(PoleHit):
             forward_step(step, (Q(0),))
+
+
+class TestProjectiveAgainstClosedForm:
+    """The projective integer matrices of a step against the fractional
+    map and its closed-form inverse, on rational points, poles included."""
+
+    @staticmethod
+    def outcome(fn, step, x, pole):
+        try:
+            return fn(step, x)
+        except pole:
+            return "pole"
+
+    def test_rational_points_and_poles(self, k3, emb3, rng):
+        def rand_q():
+            return Q(rng.randint(-30, 30), rng.randint(1, 30))
+
+        recs = TestInverse._random_records(k3, emb3, rng, count=3)
+        checked = {"forward": 0, "inverse": 0}
+        for rec in recs:
+            for step in rec.steps:
+                s = len(step.gamma)
+                points = [tuple(rand_q() for _ in range(s)) for _ in range(3)]
+                if not step.identity:
+                    j = step.pivot - 1
+                    # forward pole: zero pivot coordinate
+                    x = list(points[0])
+                    x[j] = Q(0)
+                    points.append(tuple(x))
+                    # inverse pole: A u + gamma with u_j + w_j = 0
+                    u = [rand_q() for _ in range(s)]
+                    u[j] = -step.shifts[j]
+                    points.append(tuple(a + g for a, g in zip(step.matrix.apply(u), step.gamma)))
+                for x in points:
+                    for name, new, old in (
+                        ("forward", forward_step, forward_step_closed_form),
+                        ("inverse", inverse_step, inverse_step_closed_form),
+                    ):
+                        got = self.outcome(new, step, x, PoleHit)
+                        want = self.outcome(old, step, x, ClosedFormPole)
+                        assert got == want, (name, step, x)
+                        checked[name] += got == "pole"
+        assert checked["forward"] and checked["inverse"]
+
+    def test_inverse_matrix_is_cached(self, k2, emb2):
+        step, _ = step_phi1(emb2, k2.vector([k2.gen()]), 1)
+        assert step.inverse_matrix is step.inverse_matrix
+        assert inverse_step(step, (Q(1, 3),)) == inverse_step_closed_form(step, (Q(1, 3),))
 
 
 class TestExpand:
@@ -428,3 +483,11 @@ class TestRecordJson:
     def test_format_field(self, k2):
         rec = expand(k2.vector([k2.gen()]), "phi1")
         assert rec.to_json()["format"] == 1
+
+    @pytest.mark.parametrize("data", [{"format": 2}, {"format": 2, "minpoly": {}}, {}, []])
+    def test_unknown_format_is_typed_error(self, data):
+        with pytest.raises(RecordFormatError, match="format") as info:
+            ExpansionRecord.from_json(data)
+        assert isinstance(info.value, PadiccfError) and isinstance(info.value, ValueError)
+        if data:
+            assert "2" in str(info.value)

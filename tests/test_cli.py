@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from padiccf.cli import main
 
 
@@ -114,3 +116,26 @@ def test_bad_json_exit_code(capsys):
         ]
     )
     assert code == 2
+
+
+def test_zero_denominator_exit_code(capsys):
+    code = main(
+        [
+            "expand",
+            "--p", "2",
+            "--minpoly", "1,2",
+            "--elem", '{"coeffs": ["1/0"]}',
+            "--algo", "phi1",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zero denominator" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_zset_degree_below_two_exit_code(degree, capsys):
+    assert main(["zset", "--p", "2", "--degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree" in captured.err

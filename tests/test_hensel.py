@@ -170,3 +170,75 @@ class TestGeneratorSearch:
     def test_satisfies_h_rejects_units(self, emb2, k2):
         assert not emb2.satisfies_H(k2.gen() + 1)
         assert not emb2.satisfies_H(k2.rational(Q(4)))
+
+
+class TestOrdNormCap:
+    """``Embedding.ord`` caps its precision ladder by v_p(Res(f, b)); its
+    values must match a digit-by-digit oracle and the former cap taken
+    from the field inverse, far above the base precision too."""
+
+    ROOT_DIGITS = 900
+
+    @staticmethod
+    def random_cubics(rng, p, count):
+        from padiccf.errors import IrreducibilityUnknown, Reducible
+        from padiccf.field import validate_minpoly
+
+        out = []
+        while len(out) < count:
+            a2 = rng.randint(-9, 9)
+            a1 = rng.choice([c for c in range(-9, 10) if c % p])
+            a0 = p * rng.choice([c for c in range(-9, 10) if c])
+            try:
+                out.append(validate_minpoly(p, [a2, a1, a0]))
+            except (Reducible, IrreducibilityUnknown):
+                continue
+        return out
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_digit_oracle_and_inverse_cap(self, p, rng):
+        from padiccf.hensel import Embedding
+        from oracles import ord_by_digits, ord_with_inverse_cap, root_by_digits
+
+        tall = 0
+        for mp in self.random_cubics(rng, p, 4):
+            emb = Embedding(mp)
+            root = root_by_digits(mp, self.ROOT_DIGITS)
+            for _ in range(4):
+                alpha = rand_elem(mp, rng)
+                cases = [alpha] + [alpha - emb.head(alpha, k) for k in (emb._base_precision, 60, 250)]
+                for a in cases:
+                    if a.is_zero() or a.is_rational():
+                        continue
+                    got = emb.ord(a)
+                    assert got == ord_with_inverse_cap(emb, a) == ord_by_digits(a, root, self.ROOT_DIGITS)
+                    tall += got > 4 * emb._base_precision
+        assert tall >= 8
+
+    def test_convergent_differences(self, k3, emb3):
+        from padiccf.cfrac import convergent, expand
+        from oracles import ord_by_digits, ord_with_inverse_cap, root_by_digits
+
+        root = root_by_digits(k3, self.ROOT_DIGITS)
+        z = k3.gen()
+        rec = expand(k3.vector([z, z * z + z]), "phi1", embedding=emb3, max_steps=30, detect_cycles=False)
+        for n in (5, 15, 30):
+            pi = convergent(rec, n)
+            for a, q in zip(rec.initial.components, pi):
+                diff = a - k3.rational(q)
+                assert emb3.ord(diff) == ord_with_inverse_cap(emb3, diff) == ord_by_digits(diff, root, self.ROOT_DIGITS)
+
+    def test_zero_divisor_in_reducible_ring(self, ring_cubic):
+        from padiccf.hensel import Embedding
+        from oracles import ord_with_inverse_cap
+
+        # x^3 + x + 2 = (x + 1)(x^2 - x + 2); the root in 2Z_2 is a root of
+        # the quadratic factor, so b = z^2 - z + 2 vanishes there exactly
+        emb = Embedding(ring_cubic)
+        z = ring_cubic.gen()
+        b = z * z - z + 2
+        with pytest.raises(ZeroDivisionError):
+            emb.ord(b)
+        with pytest.raises(ZeroDivisionError):
+            ord_with_inverse_cap(emb, b)
+        assert emb.ord(z + 1) == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from padiccf import lab
-from padiccf.errors import StreamExhausted
+from padiccf.errors import HViolation, StreamExhausted
 from padiccf.field import independent_with_one, validate_minpoly
 from padiccf.lab import (
     BitStream,
@@ -253,3 +253,10 @@ class TestTables:
     def test_byte_stable(self):
         rows = self._rows()
         assert emit_table(rows) == emit_table(self._rows())
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_z_set_rejects_degree_below_two(degree):
+    with pytest.raises(HViolation) as info:
+        build_z_set(2, degree)
+    assert info.value.clause == "degree"

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from padiccf.rationals import (
     ORD_INF,
     Q,
+    _vp_pos,
     absp,
     head_tail,
     height,
@@ -14,7 +15,7 @@ from padiccf.rationals import (
     qparse,
     qpow,
 )
-from oracles import digit_at, digit_stream, head_by_digits
+from oracles import digit_at, digit_stream, head_by_digits, vp_by_division
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**6
@@ -47,6 +48,14 @@ class TestOrd:
     def test_matches_digit_oracle(self, q, p):
         e, _ = digit_stream(q, p, 1)
         assert ordp(q, p) == e
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_vp_pos_matches_division_loop(p):
+    for unit in (1, -1, p + 1, -(p ** 9 + 1), (p + 1) ** 40):
+        for v in range(501):
+            n = unit * p ** v
+            assert _vp_pos(n, p) == vp_by_division(n, p) == v, (unit, v)
 
 
 class TestOmega:
@@ -124,6 +133,11 @@ class TestSerialization:
     @given(rationals)
     def test_round_trip(self, q):
         assert qparse(qformat(q)) == q
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+    def test_zero_denominator_is_value_error(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            qparse(text)
 
 
 def test_prime_checker():
