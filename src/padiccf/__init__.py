@@ -25,8 +25,6 @@ from .field import (
     element_minpoly,
     height_z,
     independent_with_one,
-    invert,
-    mul,
     validate_minpoly,
 )
 from .hensel import Embedding, EmbeddingContext, hensel_lift

@@ -31,7 +31,7 @@ from functools import cached_property
 from .errors import PoleHit, RecordFormatError
 from .field import FieldElement, MinPoly, VectorElement, coeff_matrix, denom_z, height_z
 from .hensel import Embedding
-from .preduce import RationalMatrix, p_reduce
+from .preduce import RationalMatrix, back_substitute, bareiss, p_reduce
 from .rationals import ORD_INF, Q, QONE, QZERO, head_tail, qformat, qparse, qpow
 
 
@@ -101,8 +101,16 @@ class CMapStep:
 
     @cached_property
     def inverse_matrix(self) -> tuple:
-        """Projective integer matrix of the inverse step."""
-        return _integer_rows(RationalMatrix(self.forward_matrix).inverse().entries)
+        """Projective integer matrix of the inverse step: +-adj(M) for M =
+        ``forward_matrix``, from one fraction-free elimination of [M | I],
+        made primitive."""
+        fwd = self.forward_matrix
+        n = len(fwd)
+        rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(fwd)]
+        pivots, _ = bareiss(rows, n)
+        if len(pivots) < n:
+            raise ZeroDivisionError("singular step matrix")
+        return _integer_rows(back_substitute(rows, pivots, n)[1])
 
     def to_json(self):
         return {
@@ -374,7 +382,8 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
 
 
 def _integer_rows(rows) -> tuple:
-    """Primitive integer multiple of a rational matrix, as rows of ints."""
+    """Primitive integer multiple of a rational (or integer) matrix, as rows
+    of ints."""
     den = math.lcm(*(c.denominator for row in rows for c in row))
     ints = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
     g = math.gcd(*(c for row in ints for c in row))

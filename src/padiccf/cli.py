@@ -25,12 +25,25 @@ def _parse_minpoly(p: int, text: str, force: bool = False) -> MinPoly:
     return validate_minpoly(p, coeffs, force=force)
 
 
-def _cmd_expand(args) -> int:
-    mp = _parse_minpoly(args.p, args.minpoly, force=args.force)
-    data = json.loads(args.elem)
+def _parse_elements(text: str):
+    """Coefficient lists from --elem: one {"coeffs": ["num/den", ..]}
+    object or a list of them."""
+    data = json.loads(text)
     if isinstance(data, dict):
         data = [data]
-    vec = mp.vector([[qparse(c) for c in comp["coeffs"]] for comp in data])
+    if not isinstance(data, list) or not all(
+        isinstance(comp, dict)
+        and isinstance(comp.get("coeffs"), list)
+        and all(isinstance(c, str) for c in comp["coeffs"])
+        for comp in data
+    ):
+        raise ValueError('--elem must be {"coeffs": ["num/den", ...]} or a list of such objects')
+    return [[qparse(c) for c in comp["coeffs"]] for comp in data]
+
+
+def _cmd_expand(args) -> int:
+    mp = _parse_minpoly(args.p, args.minpoly, force=args.force)
+    vec = mp.vector(_parse_elements(args.elem))
     rec = expand(
         vec,
         args.algo,

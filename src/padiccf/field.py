@@ -20,7 +20,7 @@ import math
 
 from . import polys
 from .errors import HViolation, IrreducibilityUnknown, MixedField, Reducible
-from .preduce import RationalMatrix
+from .preduce import RationalMatrix, back_substitute, bareiss, scale_rows
 from .rationals import Q, QONE, QZERO, check_prime, height, ordp, qformat, qparse
 
 
@@ -33,7 +33,8 @@ class MinPoly:
     degree-1 sentinel).
     """
 
-    __slots__ = ("p", "coeffs", "degree", "s", "certificate_prime", "is_rational_field", "_zpows", "_key")
+    __slots__ = ("p", "coeffs", "degree", "s", "certificate_prime", "is_rational_field", "_zpows", "_key",
+                 "_int_f")
 
     def __init__(self, p: int, coeffs, certificate_prime=None, _rational=False):
         self.p = check_prime(int(p))
@@ -58,6 +59,9 @@ class MinPoly:
             table[e] = tuple(shifted)
             cur = shifted
         self._zpows = table
+        # (D, (D a_n, .., D a_1)): the lower coefficients cleared by their lcm D
+        (low,), (den,) = scale_rows([self.coeffs[::-1]])
+        self._int_f = (den, tuple(low))
 
     @classmethod
     def rationals(cls, p: int) -> "MinPoly":
@@ -268,26 +272,32 @@ class FieldElement:
         return acc
 
     def inverse(self) -> "FieldElement":
-        """Extended Euclid of the coefficient polynomial against the
-        defining polynomial."""
+        """Cramer's rule on the multiplication matrix.
+
+        Write a = b(z)/d with integer b and let M be the integer matrix of
+        :func:`multiplication_rows`, whose column j is D^j (b z^j mod f).
+        The inverse c of b solves M_b c = e_0, where M_b = M diag(D^-j);
+        one fraction-free elimination of [M | e_0] gives det(M) and
+        adj(M) e_0, so c_j = D^j (adj(M) e_0)_j / det(M) and a^-1 = d c.
+        Rationals are built only for the result.  det(M) = 0 means b
+        shares a root with f: a zero divisor of a reducible f.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return self.minpoly.element((QONE / self.coeffs[0],))
-        f = polys.ptrim(self.coeffs)
-        g = self.minpoly.ascending()
-        # Bezout: u*f + v*g = gcd
-        r0, r1 = g, f
-        t0, t1 = (), (QONE,)
-        while r1:
-            q, r = polys.pdivmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, polys.psub(t0, polys.pmul(q, t1))
-        if polys.pdeg(r0) > 0:
+        mp = self.minpoly
+        n = mp.degree
+        nums, d = integer_parts(self)
+        rows = multiplication_rows(mp, nums)
+        for i, row in enumerate(rows):
+            row.append(0 if i else 1)
+        pivots, _ = bareiss(rows, n)
+        if len(pivots) < n:
             raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
-        inv = polys.pscale(t0, QONE / r0[0])
-        _, rem = polys.pdivmod(inv, g)
-        return self.minpoly.element(rem)
+        det, x = back_substitute(rows, pivots, n)
+        den = mp._int_f[0]
+        return FieldElement(mp, tuple(Q(d * den ** j * xj[0], det) for j, xj in enumerate(x)))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -337,13 +347,20 @@ def _mul(a: FieldElement, b: FieldElement) -> FieldElement:
     return FieldElement(mp, tuple(out))
 
 
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    a._check(b)
-    return _mul(a, b)
-
-
-def invert(a: FieldElement) -> FieldElement:
-    return a.inverse()
+def multiplication_rows(mp: MinPoly, nums):
+    """Integer matrix, as lists of rows, whose column j is D^j (b z^j mod f)
+    over the basis 1, z, .., z^(n-1), for b = sum nums_i z^i and D the lcm
+    of the denominators of f's coefficients.  Its determinant is
+    D^(n(n-1)/2) N(b), and N(b) = Res(f, b) as f is monic."""
+    den, low = mp._int_f
+    col = list(nums)
+    cols = [col]
+    for _ in range(mp.degree - 1):
+        # D z (col) mod f: shift up, then z^n = -(a_n + .. + a_1 z^(n-1))
+        top = col[-1]
+        col = [-top * low[0]] + [den * x - top * c for x, c in zip(col, low[1:])]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
 
 
 def element_minpoly(a: FieldElement):
@@ -366,33 +383,18 @@ def element_minpoly(a: FieldElement):
 
 
 def _solve(rows, target):
-    """Solve sum x_i rows[i] = target over Q; None when inconsistent."""
-    if not rows:
-        return () if not any(target) else None
+    """Solve sum x_i rows[i] = target over Q; None when inconsistent.
+
+    Unknowns off the pivot columns are set to 0."""
     m = len(rows)
-    width = len(target)
-    aug = [[rows[i][j] for i in range(m)] + [target[j]] for j in range(width)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, width) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = QONE / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(width):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, width):
-        if aug[i][m]:
-            return None
+    eqs, _ = scale_rows([[r[j] for r in rows] + [t] for j, t in enumerate(target)])
+    pivots, _ = bareiss(eqs, m)
+    if any(row[m] for row in eqs[len(pivots):]):
+        return None
+    d, x = back_substitute(eqs, pivots, m)
     sol = [QZERO] * m
-    for row_idx, c in enumerate(piv_cols):
-        sol[c] = aug[row_idx][m]
+    for c, xc in zip(pivots, x):
+        sol[c] = Q(xc[0], d)
     return tuple(sol)
 
 
@@ -403,10 +405,13 @@ def denom_z(value) -> int:
     """
     if isinstance(value, VectorElement):
         return max(denom_z(c) for c in value.components)
-    d = 1
-    for c in value.coeffs:
-        d = d * int(c.denominator) // math.gcd(d, int(c.denominator))
-    return d
+    return math.lcm(*(c.denominator for c in value.coeffs))
+
+
+def integer_parts(a: FieldElement):
+    """(b_i integers, d) with a = (1/d) sum b_i z^i and d = denom_z(a)."""
+    d = denom_z(a)
+    return [c.numerator * (d // c.denominator) for c in a.coeffs], d
 
 
 def height_z(value) -> int:

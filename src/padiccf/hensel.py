@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded
-from .field import FieldElement, MinPoly, VectorElement, denom_z, element_minpoly
-from .polys import ptrim, resultant
+from .field import FieldElement, MinPoly, VectorElement, element_minpoly, integer_parts, multiplication_rows
+from .preduce import bareiss
 from .rationals import (
     ORD_INF,
     Q,
@@ -111,11 +111,6 @@ class Embedding:
         return self.context(m).residue
 
     # --- integer-combination view -------------------------------------
-    def _integer_parts(self, a: FieldElement):
-        """(b_i integers, d) with a = (1/d) sum b_i z^i and d = denom_z(a)."""
-        d = denom_z(a)
-        return [int(c * d) for c in a.coeffs], d
-
     def _combination_mod(self, nums, m: int) -> int:
         r = self.residue(m)
         mod = self.p ** m
@@ -137,9 +132,14 @@ class Embedding:
         The ladder stops at a sound cap from the norm.  f is monic with
         p-integral coefficients, so all its roots theta_1 = z0, ...,
         theta_n are integral over Z_p and v(b(theta_i)) >= 0 for each.
-        Hence v_p(b(z0)) <= sum_i v(b(theta_i)) = v_p(Res(f, b)), since
-        Res(f, b) is the product of the b(theta_i) for monic f.  The
-        resultant vanishes only when b shares a root with f, which for
+        Hence v_p(b(z0)) <= sum_i v(b(theta_i)) = v_p(N(b)), where
+        N(b) = prod_i b(theta_i) = Res(f, b) (f monic) is the determinant
+        of the matrix of multiplication by b on 1, z, .., z^(n-1).  That
+        matrix is built over the integers with column j scaled by D^j, D
+        the p-free lcm of f's denominators, so its determinant
+        D^(n(n-1)/2) N(b) has the same valuation; one fraction-free
+        elimination gives it, and the cap is that valuation plus one.  The
+        determinant vanishes only when b shares a root with f, which for
         nonzero a of degree below n needs a reducible f: a zero divisor
         of an uncertified ring, reported as ZeroDivisionError.
         """
@@ -149,7 +149,7 @@ class Embedding:
             return ORD_INF
         if a.is_rational():
             return ordp(a.coeffs[0], self.p)
-        nums, d = self._integer_parts(a)
+        nums, d = integer_parts(a)
         t = vp_int(d, self.p)
         m = self._base_precision
         cap = None
@@ -158,10 +158,11 @@ class Embedding:
             if val:
                 return vp_int(val, self.p) - t
             if cap is None:
-                norm = resultant(self.minpoly.ascending(), ptrim(nums))
+                rows = multiplication_rows(self.minpoly, nums)
+                norm = bareiss(rows, len(rows))[1]
                 if not norm:
                     raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
-                cap = ordp(norm, self.p) + 1
+                cap = vp_int(norm, self.p) + 1
                 m = max(m, cap)
                 continue
             if m >= cap:
@@ -180,7 +181,7 @@ class Embedding:
             return 0
         if a.is_rational():
             return omega_q(a.coeffs[0], self.p)
-        nums, d = self._integer_parts(a)
+        nums, d = integer_parts(a)
         t = vp_int(d, self.p)
         mod = self.p ** (t + 1)
         val = self._combination_mod(nums, t + 1) * inv_mod(d // self.p ** t, mod) % mod
@@ -192,7 +193,7 @@ class Embedding:
             return QZERO
         if a.is_rational():
             return head_tail(a.coeffs[0], self.p, m)[0]
-        nums, d = self._integer_parts(a)
+        nums, d = integer_parts(a)
         t = vp_int(d, self.p)
         if m + t < 0:
             return QZERO

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+from .preduce import bareiss, scale_rows
 from .rationals import Q, QONE, QZERO, is_prime, inv_mod
 
 Poly = tuple
@@ -99,20 +100,17 @@ def pgcd(f: Poly, g: Poly) -> Poly:
 
 
 def resultant(f: Poly, g: Poly):
-    """res(f, g) via the Euclidean recurrence, exact over Q."""
+    """res(f, g) as the determinant of the Sylvester matrix, exact over Q.
+
+    f and g are first cleared to integer polynomials F = u f and G = v g,
+    so res(f, g) = det Syl(F, G) / (u^deg g v^deg f)."""
     if not f or not g:
         return QZERO
-    a, b = f, g
-    res = QONE
-    while pdeg(b) > 0:
-        r = pdivmod(a, b)[1]
-        if not r:
-            return QZERO
-        res *= b[-1] ** (pdeg(a) - pdeg(r))
-        if (pdeg(a) * pdeg(b)) % 2:
-            res = -res
-        a, b = b, r
-    return res * b[0] ** pdeg(a)
+    m, n = pdeg(f), pdeg(g)
+    (fd, gd), (u, v) = scale_rows((f[::-1], g[::-1]))
+    rows = [[0] * i + fd + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + gd + [0] * (m - 1 - i) for i in range(m)]
+    return Q(bareiss(rows, m + n)[1], u ** n * v ** m)
 
 
 def discriminant(f: Poly):
@@ -256,10 +254,7 @@ def rational_roots(f: Poly):
     f = ptrim(f)
     if not f or pdeg(f) == 0:
         return []
-    den = 1
-    for c in f:
-        den = den * int(c.denominator) // math.gcd(den, int(c.denominator))
-    ints = [int(c * den) for c in f]
+    (ints,), _ = scale_rows([f])
     roots = set()
     while ints and ints[0] == 0:
         ints = ints[1:]

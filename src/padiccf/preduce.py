@@ -1,4 +1,10 @@
-"""Rational matrices and the p-reduced row normal form.
+"""Rational matrices, fraction-free integer elimination and the p-reduced
+row normal form.
+
+``bareiss`` and ``back_substitute`` are the package's one exact
+elimination: determinants, ranks, matrix inverses, linear solves, field
+inverses, norms and resultants all scale their rationals to integers and
+go through them.
 
 The normal form is an echelon-like shape over Q whose pivots are powers of
 p and whose above-pivot entries keep only digits below the pivot's
@@ -10,6 +16,8 @@ exercises directly.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import NonSquare
 from .rationals import Q, QONE, QZERO, ordp, qpow, head_tail, qformat, qparse
@@ -82,62 +90,29 @@ class RationalMatrix:
         return tuple(out)
 
     def inverse(self) -> "RationalMatrix":
+        """Eliminating [A' | S], with A' = S A the row-scaled integer
+        matrix, gives d A'^-1 S = d A^-1."""
         if not self.is_square():
             raise NonSquare("inverse of non-square matrix")
         n = self.nrows
-        a = [list(row) + [QONE if i == j else QZERO for j in range(n)] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv = QONE / a[col][col]
-            a[col] = [c * inv for c in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return RationalMatrix([row[n:] for row in a])
+        rows, scales = scale_rows(self.entries)
+        for i, (row, s) in enumerate(zip(rows, scales)):
+            row.extend(s if j == i else 0 for j in range(n))
+        pivots, _ = bareiss(rows, n)
+        if len(pivots) < n:
+            raise ZeroDivisionError("singular matrix")
+        d, x = back_substitute(rows, pivots, n)
+        return RationalMatrix([[Q(v, d) for v in row] for row in x])
 
     def rank(self) -> int:
-        a = [list(row) for row in self.entries]
-        rank = 0
-        for col in range(self.ncols):
-            piv = next((r for r in range(rank, self.nrows) if a[r][col]), None)
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            inv = QONE / a[rank][col]
-            a[rank] = [c * inv for c in a[rank]]
-            for r in range(self.nrows):
-                if r != rank and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-            rank += 1
-            if rank == self.nrows:
-                break
-        return rank
+        rows, _ = scale_rows(self.entries)
+        return len(bareiss(rows, self.ncols)[0])
 
     def det(self):
         if not self.is_square():
             raise NonSquare("determinant of non-square matrix")
-        a = [list(row) for row in self.entries]
-        n = self.nrows
-        det = QONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return QZERO
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = QONE / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = a[r][col] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return det
+        rows, scales = scale_rows(self.entries)
+        return Q(bareiss(rows, self.ncols)[1], math.prod(scales))
 
     def to_json(self):
         return [[qformat(c) for c in row] for row in self.entries]
@@ -145,6 +120,79 @@ class RationalMatrix:
     @classmethod
     def from_json(cls, data) -> "RationalMatrix":
         return cls([[qparse(c) for c in row] for row in data])
+
+
+def scale_rows(rows):
+    """Each rational row times the lcm of its denominators: (integer rows
+    as lists, the scale of each row)."""
+    out, scales = [], []
+    for row in rows:
+        den = math.lcm(*(c.denominator for c in row))
+        out.append([c.numerator * (den // c.denominator) for c in row])
+        scales.append(den)
+    return out, scales
+
+
+def bareiss(rows, width: int):
+    """Fraction-free Gaussian elimination (Bareiss 1968) of integer rows,
+    in place; the package's one exact elimination.
+
+    Columns below ``width`` are eliminated, each on the first nonzero entry
+    at or below the current row (swapped up; a column without one is
+    skipped); later columns ride along as right-hand sides.  Each row
+    below a pivot becomes (pivot * row - entry * pivot_row) / previous
+    pivot, an exact division, since every entry stays a minor of the input.
+
+    Returns (pivots, det): the pivot column of each of the first
+    r = len(pivots) rows, r being the rank of the first ``width`` columns
+    (the rows below vanish in them), and, when every row has a pivot, the
+    last pivot times the sign of the row permutation, else 0; for square
+    A that is det(A).
+    """
+    n = len(rows)
+    pivots = []
+    prev, sign = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[c]
+        for i in range(r + 1, n):
+            f = rows[i][c]
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], top)]
+        pivots.append(c)
+        prev = pv
+    return pivots, (sign * prev if len(pivots) == n else 0)
+
+
+def back_substitute(rows, pivots, width: int):
+    """Fraction-free back substitution after :func:`bareiss`.
+
+    With S the pivot columns of the first r = len(pivots) rows and B' their
+    right-hand-side columns (``width`` on), returns (d, X) where d is the
+    last pivot and X = d S^-1 B', row i belonging to the unknown of column
+    pivots[i].  X is an integer matrix (d = +-det of the pivot minor, so
+    d S^-1 is +-adj of it), which makes every division exact; for square
+    nonsingular A with right-hand side B, X = +-adj(A) B.
+    """
+    r = len(pivots)
+    d = rows[r - 1][pivots[-1]] if r else 1
+    x = [None] * r
+    for i in range(r - 1, -1, -1):
+        row = rows[i]
+        later = [(row[pivots[t]], x[t]) for t in range(i + 1, r) if row[pivots[t]]]
+        x[i] = [
+            (d * b - sum(u * xt[k] for u, xt in later)) // row[pivots[i]]
+            for k, b in enumerate(row[width:])
+        ]
+    return d, x
 
 
 def p_reduce(matrix: RationalMatrix, p: int):

@@ -9,7 +9,7 @@ Expected values frozen into tests were produced by these.
 import math
 from fractions import Fraction
 
-from padiccf.field import denom_z
+from padiccf.field import denom_z, integer_parts
 from padiccf.rationals import Q
 
 
@@ -213,7 +213,7 @@ def ord_by_digits(a, root, m):
 def ord_with_inverse_cap(emb, a):
     """The valuation ladder of ``Embedding.ord`` as it stood with its cap
     taken from the field inverse: ord(a) <= v_p(denom_z(1/a))."""
-    nums, d = emb._integer_parts(a)
+    nums, d = integer_parts(a)
     t = vp_by_division(d, emb.p)
     m = emb._base_precision
     cap = None
@@ -275,3 +275,151 @@ def inverse_step_closed_form(step, y):
         raise ClosedFormPole("inverse map at its pole")
     xj = k[j] / denom
     return tuple(xj if i == j else (w[i] + Fraction(step.shifts[i])) * xj / k[i] for i in range(s))
+
+
+# --- Gauss-Jordan and Euclid over Fractions ---------------------------------
+# The elimination and resultant code the package ran before it moved to one
+# fraction-free integer routine; kept as references for it.
+
+
+def gauss_jordan_inverse(entries):
+    """Inverse of a square matrix of Fractions (rows); ZeroDivisionError
+    when singular."""
+    n = len(entries)
+    a = [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(entries)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [c * inv for c in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def gauss_det(entries):
+    a = [[Fraction(c) for c in row] for row in entries]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def gauss_rank(entries):
+    a = [[Fraction(c) for c in row] for row in entries]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col] / a[rank][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def gauss_solve(rows, target):
+    """Solve sum x_i rows[i] = target by Gauss-Jordan; unknowns off the
+    pivot columns are 0; None when inconsistent."""
+    m, width = len(rows), len(target)
+    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(target[j])] for j in range(width)]
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, width) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(width):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    if any(aug[i][m] for i in range(r, width)):
+        return None
+    sol = [Fraction(0)] * m
+    for row_idx, c in enumerate(piv_cols):
+        sol[c] = aug[row_idx][m]
+    return tuple(sol)
+
+
+def _ptrim(f):
+    f = [Fraction(c) for c in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _pdivmod(f, g):
+    r = list(f)
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    for k in range(len(r) - len(g), -1, -1):
+        c = r[k + len(g) - 1] / g[-1]
+        q[k] = c
+        for j, b in enumerate(g):
+            r[k + j] -= c * b
+    return _ptrim(q), _ptrim(r[: len(g) - 1])
+
+
+def euclid_inverse(minpoly, coeffs):
+    """Inverse of sum coeffs_i z^i modulo the (ascending) defining
+    polynomial by the extended Euclidean algorithm, as an ascending
+    coefficient list of length n; ZeroDivisionError for a zero divisor."""
+    g = _ptrim(minpoly.ascending())
+    n = len(g) - 1
+    r0, r1 = g, _ptrim(coeffs)
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        prod = [Fraction(0)] * max(len(q) + len(t1) - 1, 0)
+        for i, a in enumerate(q):
+            for j, b in enumerate(t1):
+                prod[i + j] += a * b
+        width = max(len(t0), len(prod))
+        t0, t1 = t1, _ptrim(
+            (t0[i] if i < len(t0) else 0) - (prod[i] if i < len(prod) else 0) for i in range(width)
+        )
+    if len(r0) > 1:
+        raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
+    rem = _pdivmod([c / r0[0] for c in t0], g)[1]
+    return rem + [Fraction(0)] * (n - len(rem))
+
+
+def euclid_resultant(f, g):
+    """res(f, g) of ascending coefficient lists via the Euclidean recurrence."""
+    a, b = _ptrim(f), _ptrim(g)
+    if not a or not b:
+        return Fraction(0)
+    res = Fraction(1)
+    while len(b) > 1:
+        r = _pdivmod(a, b)[1]
+        if not r:
+            return Fraction(0)
+        res *= b[-1] ** (len(a) - len(r))
+        if ((len(a) - 1) * (len(b) - 1)) % 2:
+            res = -res
+        a, b = b, r
+    return res * b[0] ** (len(a) - 1)

@@ -139,3 +139,15 @@ def test_zset_degree_below_two_exit_code(degree, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "degree" in captured.err
+
+
+@pytest.mark.parametrize(
+    "elem",
+    ['{"coeffs": [1]}', '{"x": 1}', '[{"coeffs": ["1"]}, 3]', '"1/2"', '{"coeffs": "1"}', "[]"],
+)
+def test_malformed_elem_exit_code(elem, capsys):
+    code = main(["expand", "--p", "2", "--minpoly", "1,2", "--elem", elem, "--algo", "phi1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
