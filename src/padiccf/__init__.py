@@ -27,7 +27,7 @@ from .field import (
     independent_with_one,
     validate_minpoly,
 )
-from .hensel import Embedding, EmbeddingContext, hensel_lift
+from .hensel import Embedding, hensel_lift
 from .preduce import RationalMatrix, is_p_reduced, p_reduce
 from .cfrac import (
     ALGORITHMS,

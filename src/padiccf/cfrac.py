@@ -259,7 +259,7 @@ def _unit_normalizer(elem: FieldElement, p: int) -> int:
     g = 0
     for c in elem.coeffs[1:]:
         if c:
-            g = math.gcd(g, abs(int(c.numerator)))
+            g = math.gcd(g, c.numerator)
     if g == 0:
         return 1
     while g % p == 0:

@@ -36,6 +36,10 @@ class NonSquare(PadiccfError, ValueError):
     """A square matrix was required."""
 
 
+class ConfigError(PadiccfError, ValueError):
+    """A batch config is malformed or asks for something that cannot run."""
+
+
 class RecordFormatError(PadiccfError, ValueError):
     """Serialized data carries a format this version does not read."""
 

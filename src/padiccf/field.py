@@ -33,8 +33,7 @@ class MinPoly:
     degree-1 sentinel).
     """
 
-    __slots__ = ("p", "coeffs", "degree", "s", "certificate_prime", "is_rational_field", "_zpows", "_key",
-                 "_int_f")
+    __slots__ = ("p", "coeffs", "degree", "s", "certificate_prime", "is_rational_field", "_key", "_int_f")
 
     def __init__(self, p: int, coeffs, certificate_prime=None, _rational=False):
         self.p = check_prime(int(p))
@@ -46,19 +45,6 @@ class MinPoly:
         self.certificate_prime = certificate_prime
         self.is_rational_field = _rational
         self._key = (self.p, self.coeffs, _rational)
-        # reduction table: z^e for e in [degree, 2*degree-2] as ascending vectors
-        n = self.degree
-        base = [-c for c in reversed(self.coeffs)]  # z^n = base . (1, z, .., z^(n-1))
-        table = {n: tuple(base)}
-        cur = list(base)
-        for e in range(n + 1, 2 * n - 1):
-            shifted = [QZERO] + cur[: n - 1]
-            top = cur[n - 1]
-            if top:
-                shifted = [a + top * b for a, b in zip(shifted, base)]
-            table[e] = tuple(shifted)
-            cur = shifted
-        self._zpows = table
         # (D, (D a_n, .., D a_1)): the lower coefficients cleared by their lcm D
         (low,), (den,) = scale_rows([self.coeffs[::-1]])
         self._int_f = (den, tuple(low))
@@ -131,7 +117,7 @@ class MinPoly:
                    certificate_prime=data.get("certificate_prime"))
 
 
-def validate_minpoly(p: int, coeffs, *, force: bool = False, tries: int = 25) -> MinPoly:
+def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     """Certify a candidate minimal polynomial x^n + a1 x^(n-1) + .. + an.
 
     Checks the admissibility clauses (p-integral coefficients, unit x^1
@@ -154,20 +140,19 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False, tries: int = 25) ->
     if a_n and ordp(a_n, p) <= 0:
         raise HViolation("divisible-constant", "constant term must lie in pZ_p")
     asc = mp.ascending()
-    cert = polys.certificate_prime(asc, p, tries=tries)
+    cert = polys.certificate_prime(asc, p)
     if cert is None:
         if not polys.is_irreducible_exact(asc):
             raise Reducible("polynomial factors over Q")
         if not force:
             raise IrreducibilityUnknown(
-                f"no certificate among the first {tries} candidate primes"
+                f"no certificate among the first {polys.CERTIFICATE_TRIES} candidate primes"
             )
     return MinPoly(p, coeffs, certificate_prime=cert)
 
 
 def _is_scalar(x) -> bool:
-    # ints, mpz, mpq, Fraction all expose numerator/denominator
-    return isinstance(x, int) or hasattr(x, "denominator")
+    return isinstance(x, (int, Q))
 
 
 class FieldElement:
@@ -325,26 +310,25 @@ class FieldElement:
 
 
 def _mul(a: FieldElement, b: FieldElement) -> FieldElement:
+    """a b as one integer matrix-vector product.
+
+    With a = b_a(z)/d_a and b = b_b(z)/d_b, column j of the matrix M of
+    :func:`multiplication_rows` for b_a is D^j (b_a z^j mod f), so
+    b_a b_b = sum_j b_b,j M e_j / D^j = M w / D^(n-1) with the integer
+    vector w_j = b_b,j D^(n-1-j); the product is M w over d_a d_b D^(n-1).
+    """
     mp = a.minpoly
     n = mp.degree
     if n == 1:
         return FieldElement(mp, (a.coeffs[0] * b.coeffs[0],))
-    conv = [QZERO] * (2 * n - 1)
-    for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j, y in enumerate(b.coeffs):
-            if y:
-                conv[i + j] += x * y
-    out = conv[:n]
-    for e in range(n, 2 * n - 1):
-        c = conv[e]
-        if c:
-            zp = mp._zpows[e]
-            for i in range(n):
-                if zp[i]:
-                    out[i] += c * zp[i]
-    return FieldElement(mp, tuple(out))
+    nums_a, d_a = integer_parts(a)
+    nums_b, d_b = integer_parts(b)
+    den = mp._int_f[0]
+    w = [x * den ** (n - 1 - j) for j, x in enumerate(nums_b)]
+    d = d_a * d_b * den ** (n - 1)
+    return FieldElement(mp, tuple(
+        Q(sum(x * y for x, y in zip(row, w)), d) for row in multiplication_rows(mp, nums_a)
+    ))
 
 
 def multiplication_rows(mp: MinPoly, nums):

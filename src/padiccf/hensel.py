@@ -8,14 +8,12 @@ write a = (1/d) * sum(b_i z^i) with integer b_i, evaluate the integer
 combination at the residue modulo a suitable power of p, and shift by the
 valuation of d.
 
-``Embedding`` is the workhorse used by the expansion engine; it keeps a
-single residue that grows on demand and hands out immutable
-``EmbeddingContext`` snapshots.
+``Embedding`` is the workhorse used by the expansion engine; it keeps one
+residue, an int, and lifts it again from scratch whenever a computation
+needs more digits than it holds.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded
 from .field import FieldElement, MinPoly, VectorElement, element_minpoly, integer_parts, multiplication_rows
@@ -33,19 +31,10 @@ from .rationals import (
 )
 
 
-@dataclass(frozen=True)
-class EmbeddingContext:
-    """Residue of z modulo p**precision, with f(residue) = 0 there."""
-
-    minpoly: MinPoly
-    precision: int
-    residue: int
-
-
 def _poly_mod(minpoly: MinPoly, mod: int):
     """Ascending integer coefficients of f and f' modulo ``mod``."""
     asc = minpoly.ascending()
-    f = [int(c.numerator) * inv_mod(c.denominator, mod) % mod for c in asc]
+    f = [c.numerator * inv_mod(c.denominator, mod) % mod for c in asc]
     fp = [i * c % mod for i, c in enumerate(f)][1:]
     return f, fp
 
@@ -57,21 +46,13 @@ def _eval_mod(coeffs, x, mod):
     return acc
 
 
-def hensel_lift(minpoly: MinPoly, m: int, start: EmbeddingContext | None = None) -> EmbeddingContext:
-    """Newton-lift the distinguished root (the one in pZ_p) to precision m.
-
-    Lifting is idempotent: extending an existing context and lifting from
-    scratch agree, because the root congruent to 0 mod p is unique.
-    """
+def hensel_lift(minpoly: MinPoly, m: int) -> int:
+    """Newton-lift the distinguished root (the one in pZ_p) to precision m:
+    the residue in [0, p^m) of the unique root congruent to 0 mod p."""
     if minpoly.is_rational_field:
         raise ValueError("the rational sentinel field has no residue")
     p = minpoly.p
-    if start is not None and start.minpoly == minpoly and start.precision >= m:
-        return EmbeddingContext(minpoly, m, start.residue % p ** m)
-    if start is not None and start.minpoly == minpoly:
-        x, prec = start.residue, start.precision
-    else:
-        x, prec = 0, 1  # f(0) = an = 0 mod p and f'(0) = a_{n-1} is a unit
+    x, prec = 0, 1  # f(0) = an = 0 mod p and f'(0) = a_{n-1} is a unit
     while prec < m:
         prec *= 2
         mod = p ** prec
@@ -79,41 +60,32 @@ def hensel_lift(minpoly: MinPoly, m: int, start: EmbeddingContext | None = None)
         fx = _eval_mod(f, x, mod)
         fpx = _eval_mod(fp, x, mod)
         x = (x - fx * inv_mod(fpx, mod)) % mod
-    return EmbeddingContext(minpoly, m, x % p ** m)
+    return x % p ** m
 
 
 class Embedding:
     """Extend-on-demand view of K inside Q_p.
 
-    Mutable only in its cached precision; ``context(m)`` returns immutable
-    snapshots, so concurrent readers can exchange snapshots freely.
+    Holds the residue of z modulo p^precision as an int; a request for more
+    digits lifts it again from scratch, which is as cheap as extending.
     """
 
-    def __init__(self, minpoly: MinPoly, initial_precision: int | None = None):
+    def __init__(self, minpoly: MinPoly):
         self.minpoly = minpoly
         self.p = minpoly.p
+        self._precision = self._residue = 0
         if minpoly.is_rational_field:
-            self._ctx = None
             self._base_precision = 1
         else:
             an_ord = ordp(minpoly.coeffs[-1], minpoly.p)
             self._base_precision = 2 * (1 + int(an_ord) * minpoly.degree)
-            m0 = initial_precision or self._base_precision
-            self._ctx = hensel_lift(minpoly, m0)
-
-    def context(self, m: int) -> EmbeddingContext:
-        if self._ctx is None:
-            raise ValueError("the rational sentinel field has no residue")
-        self._ctx = hensel_lift(self.minpoly, max(m, self._ctx.precision), self._ctx)
-        return EmbeddingContext(self.minpoly, m, self._ctx.residue % self.p ** m)
-
-    def residue(self, m: int) -> int:
-        return self.context(m).residue
 
     # --- integer-combination view -------------------------------------
     def _combination_mod(self, nums, m: int) -> int:
-        r = self.residue(m)
+        if m > self._precision:
+            self._residue, self._precision = hensel_lift(self.minpoly, m), m
         mod = self.p ** m
+        r = self._residue % mod
         acc = 0
         for b in reversed(nums):
             acc = (acc * r + b) % mod
@@ -169,12 +141,6 @@ class Embedding:
                 raise PrecisionCapExceeded(f"valuation ladder passed cap {cap}")
             m = min(2 * m, cap)
 
-    def absolute(self, a):
-        e = self.ord(a)
-        if e is ORD_INF:
-            return QZERO
-        return qpow(self.p, -e)
-
     def omega(self, a: FieldElement) -> int:
         """Digit c0 of the expansion of ``a``; 0 for the zero element."""
         if a.is_zero():
@@ -200,9 +166,6 @@ class Embedding:
         mod = self.p ** (m + t + 1)
         val = self._combination_mod(nums, m + t + 1) * inv_mod(d // self.p ** t, mod) % mod
         return Q(val, self.p ** t)
-
-    def in_pzp(self, a) -> bool:
-        return self.ord(a) >= 1
 
     def t_b(self, a: FieldElement) -> FieldElement:
         """One digit-stripping step: p^ord(a)/a minus its unit digit.
@@ -248,10 +211,3 @@ class Embedding:
                 return m, b
             b = self.t_b(b)
         raise CapExceeded(f"no admissible iterate within {cap} steps")
-
-    # --- componentwise vector views --------------------------------------
-    def ord_vector(self, vec: VectorElement):
-        return min(self.ord(c) for c in vec.components)
-
-    def head_vector(self, vec: VectorElement, m: int = 0):
-        return tuple(self.head(c, m) for c in vec.components)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .cfrac import expand
-from .errors import HViolation, Reducible, StreamExhausted
+from .cfrac import ALGORITHMS, expand
+from .errors import ConfigError, HViolation, Reducible, StreamExhausted
 from .field import MinPoly, VectorElement, independent_with_one, validate_minpoly
 from .hensel import Embedding
-from .rationals import Q, qformat, qparse
+from .rationals import Q, is_prime, qformat, qparse
 
 SELECTORS = {
     "x2+x-1": (1, 1),
@@ -36,7 +36,7 @@ class BitStream:
     has no usable digit stream and is rejected.
     """
 
-    __slots__ = ("b", "c", "_bits", "_n", "consumed")
+    __slots__ = ("b", "c", "_bits", "_n")
 
     def __init__(self, selector):
         if isinstance(selector, str):
@@ -51,7 +51,6 @@ class BitStream:
         self.b, self.c = b, c
         self._bits = []  # d_1, d_2, ... (1-based in the formulas)
         self._n = 0  # partial sum numerator: sum d_j 2^(k-j)
-        self.consumed = 0
 
     def _extend(self, upto: int):
         k = len(self._bits)
@@ -66,13 +65,11 @@ class BitStream:
     def bit(self, k: int) -> int:
         """d_k, 1-based."""
         self._extend(k)
-        self.consumed = max(self.consumed, k)
         return self._bits[k - 1]
 
     def byte(self, i: int) -> int:
         """e_i = sum 2^(k-1) d_(8i+k), least significant bit first."""
         self._extend(8 * i + 8)
-        self.consumed = max(self.consumed, 8 * i + 8)
         out = 0
         for k in range(1, 9):
             out |= self._bits[8 * i + k - 1] << (k - 1)
@@ -156,17 +153,21 @@ def build_test_set(minpoly: MinPoly, s: int, size: int = 100, max_index: int = 1
     return TestSuite(minpoly, s, tuple(chosen.values()), i, tuple(rejected))
 
 
-def build_z_set(p: int, degree: int, a_range=(1, 10), b_range=(-10, 10)):
+Z_A_RANGE = (1, 10)
+Z_B_RANGE = (-10, 10)
+
+
+def build_z_set(p: int, degree: int):
     """All certified generators with defining polynomial x^deg + a x + b p,
-    a in a_range with ord_p(a) = 0, b in b_range; deterministic (a, b)
+    a in Z_A_RANGE with ord_p(a) = 0, b in Z_B_RANGE; deterministic (a, b)
     order.  b = 0 drops out via reducibility."""
     if degree < 2:
         raise HViolation("degree", "degree must be at least 2")
     out = []
-    for a in range(a_range[0], a_range[1] + 1):
+    for a in range(Z_A_RANGE[0], Z_A_RANGE[1] + 1):
         if a % p == 0:
             continue
-        for b in range(b_range[0], b_range[1] + 1):
+        for b in range(Z_B_RANGE[0], Z_B_RANGE[1] + 1):
             if b == 0:
                 continue
             coeffs = [0] * (degree - 2) + [a, b * p]
@@ -196,6 +197,41 @@ def algo_label(algo: str, eps, lookahead) -> str:
     return f"{base}[{'+1' if eps == 1 else '-1'}]"
 
 
+# parameters each algorithm takes, all defaulting to 1
+_ALGO_PARAMS = {"phi0": ("eps",), "phi1": ("eps",), "phi2": ("eps", "lookahead"), "phi3": ()}
+
+
+def _int_at_least(value, low: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _algo_spec(entry) -> tuple:
+    """(algo, eps, lookahead) from one config entry, with the defaults
+    filled in and None for what the algorithm does not take."""
+    if not isinstance(entry, dict) or entry.get("algo") not in ALGORITHMS:
+        raise ConfigError(f"an algorithm is an object with \"algo\" one of {ALGORITHMS}, got {entry!r}")
+    algo = entry["algo"]
+    unknown = set(entry) - {"algo", "eps", "lookahead"}
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {entry!r}")
+    spec = [algo]
+    for key in ("eps", "lookahead"):
+        value = entry.get(key)
+        if key not in _ALGO_PARAMS[algo]:
+            if value is not None:
+                raise ConfigError(f"{algo} takes no {key}, got {entry!r}")
+        elif value is None:
+            value = 1
+        elif key == "lookahead":
+            _int_at_least(value, 1, key)
+        elif _int_at_least(value, -1, key) not in (1, -1):
+            raise ConfigError(f"eps must be 1 or -1, got {value!r}")
+        spec.append(value)
+    return tuple(spec)
+
+
 @dataclass
 class RunConfig:
     """Full description of one table run."""
@@ -211,17 +247,37 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data) -> "RunConfig":
+        """Validate a ``padiccf table`` config; every defect is a ConfigError.
+
+        eps defaults to +1 and phi2's lookahead to 1, so each column label
+        names what runs."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config is a JSON object, got {type(data).__name__}")
+        missing = {"primes", "degree", "algorithms"} - set(data)
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if missing or unknown:
+            raise ConfigError(f"config keys missing: {sorted(missing)}, unknown: {sorted(unknown)}")
+        primes, algos = data["primes"], data["algorithms"]
+        if not isinstance(primes, list) or not primes:
+            raise ConfigError(f"primes must be a non-empty list, got {primes!r}")
+        for q in primes:
+            if not is_prime(_int_at_least(q, 2, "a prime")):
+                raise ConfigError(f"{q} is not prime")
+        if not isinstance(algos, list) or not algos:
+            raise ConfigError(f"algorithms must be a non-empty list, got {algos!r}")
+        specs = tuple(_algo_spec(a) for a in algos)
+        if len(set(primes)) < len(primes) or len({algo_label(*s) for s in specs}) < len(specs):
+            raise ConfigError("primes and algorithm columns must not repeat")
+        z_limit = data.get("z_limit")
         return cls(
-            primes=tuple(data["primes"]),
-            degree=data["degree"],
-            algorithms=tuple(
-                (a.get("algo"), a.get("eps"), a.get("lookahead")) for a in data["algorithms"]
-            ),
-            suite_size=data.get("suite_size", 100),
-            max_steps=data.get("max_steps", 100_000),
-            height_exponent=data.get("height_exponent", 60),
-            jobs=data.get("jobs", 1),
-            z_limit=data.get("z_limit"),
+            primes=tuple(primes),
+            degree=_int_at_least(data["degree"], 2, "degree"),
+            algorithms=specs,
+            suite_size=_int_at_least(data.get("suite_size", 100), 1, "suite_size"),
+            max_steps=_int_at_least(data.get("max_steps", 100_000), 1, "max_steps"),
+            height_exponent=_int_at_least(data.get("height_exponent", 60), 0, "height_exponent"),
+            jobs=_int_at_least(data.get("jobs", 1), 1, "jobs"),
+            z_limit=None if z_limit is None else _int_at_least(z_limit, 1, "z_limit"),
         )
 
 
@@ -297,10 +353,11 @@ def run_batch(config: RunConfig):
                     config.height_exponent,
                 )
             )
-    if config.jobs > 1:
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
         import multiprocessing as mp_mod
 
-        with mp_mod.Pool(config.jobs) as pool:
+        with mp_mod.Pool(workers) as pool:
             results = pool.map(_z_task, tasks, chunksize=1)
     else:
         results = [_z_task(t) for t in tasks]

@@ -33,14 +33,6 @@ def padd(f: Poly, g: Poly) -> Poly:
     )
 
 
-def psub(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    return ptrim(
-        (f[i] if i < len(f) else QZERO) - (g[i] if i < len(g) else QZERO)
-        for i in range(n)
-    )
-
-
 def pmul(f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
@@ -210,9 +202,13 @@ def irreducible_mod_q(f_int, q: int) -> bool:
     return True
 
 
-def certificate_prime(f: Poly, p: int, tries: int = 25):
-    """Search a prime witness q != p, coprime to disc(f) and the
-    coefficient denominators, with f mod q irreducible.
+CERTIFICATE_TRIES = 25
+
+
+def certificate_prime(f: Poly, p: int):
+    """Search a prime witness q != p among the first CERTIFICATE_TRIES
+    candidates, coprime to disc(f) and the coefficient denominators, with
+    f mod q irreducible.
 
     Returns the witness or None.  Soundness is one-sided: a witness proves
     irreducibility over Q; absence proves nothing.
@@ -220,17 +216,17 @@ def certificate_prime(f: Poly, p: int, tries: int = 25):
     disc = discriminant(f)
     if not disc:
         return None
-    bad = abs(int(disc.numerator)) * int(disc.denominator)
+    bad = abs(disc.numerator) * disc.denominator
     for c in f:
-        bad *= int(c.denominator)
+        bad *= c.denominator
     q = 1
     seen = 0
-    while seen < tries:
+    while seen < CERTIFICATE_TRIES:
         q += 1
         if not is_prime(q) or q == p or bad % q == 0:
             continue
         seen += 1
-        f_int = [int(c.numerator) * inv_mod(c.denominator, q) % q for c in f]
+        f_int = [c.numerator * inv_mod(c.denominator, q) % q for c in f]
         if irreducible_mod_q(f_int, q):
             return q
     return None
@@ -294,7 +290,7 @@ def is_irreducible_exact(f: Poly) -> bool:
     from sympy.abc import x
 
     sym = sum(
-        SymRational(int(c.numerator), int(c.denominator)) * x ** i
+        SymRational(c.numerator, c.denominator) * x ** i
         for i, c in enumerate(f)
     )
     return SymPoly(sym, x).is_irreducible

@@ -72,9 +72,6 @@ class RationalMatrix:
             [[sum((a * b for a, b in zip(row, col)), QZERO) for col in ot] for row in self.entries]
         )
 
-    def __matmul__(self, other):
-        return self.matmul(other)
-
     def apply(self, vector):
         """Row-wise linear combination; works for any scalar-multipliable
         vector entries (rationals or field elements)."""

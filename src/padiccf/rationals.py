@@ -1,11 +1,9 @@
 """Exact p-adic digit arithmetic on arbitrary-precision rationals.
 
-Every scalar in the package is a rational in lowest terms with positive
-denominator.  ``gmpy2.mpq`` is used when available (it is markedly faster
-under the iteration loads of the expansion engine); ``fractions.Fraction``
-is a drop-in fallback.  Both share the canonical string form used for
-serialization: ``"num/den"`` with the denominator omitted when 1 and the
-sign carried by the numerator, e.g. ``"-5/7"``, ``"3"``.
+Every scalar in the package is a ``fractions.Fraction`` (``Q``) in lowest
+terms with positive denominator, or a plain int.  The canonical string
+form used for serialization is ``"num/den"`` with the denominator omitted
+when 1 and the sign carried by the numerator, e.g. ``"-5/7"``, ``"3"``.
 
 Valuations are plain ints with ``ORD_INF`` (``math.inf``) reserved for the
 zero input.
@@ -14,43 +12,22 @@ zero input.
 from __future__ import annotations
 
 import math
+from fractions import Fraction as Q
 
-try:
-    from gmpy2 import mpq as _mpq, mpz as _mpz, remove as _gmpy_remove
+BACKEND = "fractions"  # the one scalar type; stamped on benchmark results
 
-    BACKEND = "gmpy2"
 
-    def Q(a=0, b=None):
-        """Build a rational in lowest terms."""
-        if b is None:
-            return _mpq(a)
-        return _mpq(a, b)
-
-    def _vp_pos(n: int, p: int) -> int:
-        # valuation of a nonzero integer
-        return int(_gmpy_remove(_mpz(n), _mpz(p))[1])
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _mpq
-
-    BACKEND = "fractions"
-
-    def Q(a=0, b=None):
-        if b is None:
-            return _mpq(a)
-        return _mpq(a, b)
-
-    def _vp_pos(n: int, p: int) -> int:
-        # valuation of a nonzero integer: the lowest set bit for p = 2,
-        # otherwise one division at a time
-        n = abs(int(n))
-        if p == 2:
-            return (n & -n).bit_length() - 1
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
+def _vp_pos(n: int, p: int) -> int:
+    # valuation of a nonzero integer: the lowest set bit for p = 2,
+    # otherwise one division at a time
+    n = abs(n)
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 ORD_INF = math.inf
@@ -67,14 +44,14 @@ def qpow(p: int, e: int):
 
 
 def inv_mod(a, m: int) -> int:
-    return pow(int(a) % m, -1, m)
+    return pow(a, -1, m)
 
 
 def vp_int(n, p: int):
     """p-adic valuation of an integer; ORD_INF for 0."""
     if n == 0:
         return ORD_INF
-    return _vp_pos(int(n), p)
+    return _vp_pos(n, p)
 
 
 def ordp(q, p: int):
@@ -103,7 +80,7 @@ def omega(q, p: int) -> int:
     t = _vp_pos(den, p)
     pt = p ** t
     mod = pt * p
-    r = int(num) % mod * inv_mod(den // pt, mod) % mod
+    r = num % mod * inv_mod(den // pt, mod) % mod
     return r // pt
 
 
@@ -121,7 +98,7 @@ def head_tail(q, p: int, m: int):
     num, den = q.numerator, q.denominator
     t = _vp_pos(den, p)
     mod = p ** (m + t + 1)
-    r = int(num) % mod * inv_mod(den // p ** t, mod) % mod
+    r = num % mod * inv_mod(den // p ** t, mod) % mod
     head = Q(r, p ** t)
     return head, q - head
 
@@ -136,14 +113,14 @@ def tail(q, p: int, m: int = 0):
 
 def height(q) -> int:
     """|numerator| + denominator on the canonical form; height(0) = 1."""
-    return abs(int(q.numerator)) + int(q.denominator)
+    return abs(q.numerator) + q.denominator
 
 
 def qformat(q) -> str:
     """Canonical string: "num/den", den omitted when 1, sign on numerator."""
     if q.denominator == 1:
-        return str(int(q.numerator))
-    return f"{int(q.numerator)}/{int(q.denominator)}"
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
 
 
 def qparse(s: str):

@@ -423,3 +423,25 @@ def euclid_resultant(f, g):
             res = -res
         a, b = b, r
     return res * b[0] ** (len(a) - 1)
+
+
+def convolution_product(minpoly, a, b):
+    """a b for ascending coefficient lists of length n = deg f: the
+    schoolbook convolution over Fractions, then each z^e with e >= n
+    replaced by its reduced form from a table built from f."""
+    n = minpoly.degree
+    if n == 1:
+        return [Fraction(a[0]) * Fraction(b[0])]
+    base = [-Fraction(c) for c in reversed(minpoly.coeffs)]  # z^n over 1, .., z^(n-1)
+    zpows = {n: base}
+    for e in range(n + 1, 2 * n - 1):
+        cur = zpows[e - 1]
+        zpows[e] = [x + cur[-1] * y for x, y in zip([Fraction(0)] + cur[:-1], base)]
+    conv = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += Fraction(x) * Fraction(y)
+    out = conv[:n]
+    for e in range(n, 2 * n - 1):
+        out = [x + conv[e] * y for x, y in zip(out, zpows[e])]
+    return out

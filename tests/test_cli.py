@@ -151,3 +151,36 @@ def test_malformed_elem_exit_code(elem, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"primes": 2, "degree": 2, "algorithms": [{"algo": "phi1"}]},
+        {"primes": [2], "degree": "3", "algorithms": [{"algo": "phi1"}]},
+        {"degree": 2, "algorithms": [{"algo": "phi1"}]},
+        {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}], "jobs": "x"},
+        [{"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}]}],
+        {"primes": [2], "degree": 2, "algorithms": ["phi1"]},
+        {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}], "suite_size": -1},
+        {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi9"}]},
+        {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1", "eps": 5}]},
+    ],
+)
+def test_malformed_table_config_exit_code(config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["table", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_table_default_eps_label(tmp_path, capsys):
+    cfg = {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}, {"algo": "phi2"}],
+           "suite_size": 2, "max_steps": 200, "height_exponent": 30, "z_limit": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["table", "--config", str(path)]) == 0
+    head = capsys.readouterr().out.splitlines()[0]
+    assert head.startswith("prime,phi1[+1]:P,phi1[+1]:H,phi2(1)[+1]:P")

@@ -1,5 +1,6 @@
-"""The fraction-free elimination routine and everything built on it,
-against the Gauss-Jordan and Euclid references in ``oracles``."""
+"""The fraction-free elimination routine, the integer multiplication
+matrix and everything built on them, against the Gauss-Jordan, Euclid and
+convolution references in ``oracles``."""
 
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from padiccf.field import MinPoly, _solve, multiplication_rows
 from padiccf.preduce import RationalMatrix, back_substitute, bareiss
 from padiccf.rationals import Q
 from oracles import (
+    convolution_product,
     euclid_inverse,
     euclid_resultant,
     gauss_det,
@@ -183,6 +185,47 @@ class TestFieldInverse:
         det = bareiss(multiplication_rows(mp, nums), n)[1]
         den = mp._int_f[0]
         assert det == den ** (n * (n - 1) // 2) * euclid_resultant(mp.ascending(), nums)
+
+
+class TestFieldProduct:
+    """Products go through the integer multiplication matrix with the
+    D^(n-1-j) weights; the Fraction convolution is the reference."""
+
+    @CHECKS
+    @given(st.data())
+    def test_matches_convolution(self, data):
+        field = data.draw(st.sampled_from(["integral", "odd_denominator", "rationals", "ring_cubic"]))
+        if field == "rationals":
+            mp = MinPoly.rationals(2)
+        elif field == "ring_cubic":
+            mp = MinPoly(2, [0, 1, 2])  # (x + 1)(x^2 - x + 2): ring semantics
+        else:
+            n = data.draw(st.integers(2, 6))
+            kind = integral_coeffs if field == "integral" else odd_denominator_coeffs
+            mp = MinPoly(2, data.draw(st.lists(kind, min_size=n, max_size=n)))
+        n = mp.degree
+        operands = []
+        for _ in range(2):
+            shape = data.draw(st.sampled_from(["dense", "rational", "generator"]))
+            if shape == "generator" and n > 1:
+                operands.append([Q(0), Q(1)] + [Q(0)] * (n - 2))
+            elif shape == "rational":
+                operands.append([data.draw(entries)] + [Q(0)] * (n - 1))
+            else:
+                operands.append(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        a, b = (mp.element(c) for c in operands)
+        want = tuple(convolution_product(mp, *operands))
+        assert (a * b).coeffs == want
+        assert (b * a).coeffs == want
+
+    def test_non_integral_minpoly(self):
+        # D = 45 > 1, so every weight D^(n-1-j) with j < n - 1 matters
+        mp = MinPoly(2, [Q(1, 3), Q(-4, 5), 7, Q(2, 9)])
+        a = mp.element([Q(1, 2), -3, Q(5, 7), 11])
+        b = mp.element([2, Q(-1, 3), 0, Q(4, 9)])
+        assert mp._int_f[0] == 45
+        assert (a * b).coeffs == tuple(convolution_product(mp, a.coeffs, b.coeffs))
+        assert (a * b) * b.inverse() == a
 
 
 class TestResultant:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from padiccf import lab
-from padiccf.errors import HViolation, StreamExhausted
+from padiccf.errors import ConfigError, HViolation, StreamExhausted
 from padiccf.field import independent_with_one, validate_minpoly
 from padiccf.lab import (
     BitStream,
@@ -224,6 +224,92 @@ class TestBatch:
         assert cfg.primes == (2, 5)
         assert cfg.algorithms == (("phi3", None, None), ("phi2", -1, 2))
         assert cfg.suite_size == 7
+
+    def test_config_json_defaults_name_what_runs(self):
+        cfg = RunConfig.from_json(
+            {"primes": [2], "degree": 3, "algorithms": [{"algo": "phi1"}, {"algo": "phi2"}, {"algo": "phi0", "eps": -1}]}
+        )
+        assert cfg.algorithms == (("phi1", 1, None), ("phi2", 1, 1), ("phi0", -1, None))
+        assert [lab.algo_label(*spec) for spec in cfg.algorithms] == ["phi1[+1]", "phi2(1)[+1]", "phi0[-1]"]
+        # explicit nulls read as absent, as the benchmark's configs write them
+        again = RunConfig.from_json(
+            {"primes": [2], "degree": 3, "algorithms": [{"algo": "phi3", "eps": None, "lookahead": None}]}
+        )
+        assert again.algorithms == (("phi3", None, None),)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"primes": 2},
+            {"primes": []},
+            {"primes": [4]},
+            {"primes": [2, 2]},
+            {"primes": [True]},
+            {"degree": "3"},
+            {"degree": 1},
+            {"jobs": "x"},
+            {"jobs": 0},
+            {"suite_size": -1},
+            {"suite_size": 0},
+            {"max_steps": 0},
+            {"height_exponent": -1},
+            {"z_limit": 0},
+            {"z_limit": 1.5},
+            {"algorithms": ["phi1"]},
+            {"algorithms": []},
+            {"algorithms": [{"algo": "phi9"}]},
+            {"algorithms": [{"algo": ["phi1"]}]},
+            {"algorithms": [{"eps": 1}]},
+            {"algorithms": [{"algo": "phi1", "eps": 5}]},
+            {"algorithms": [{"algo": "phi1", "eps": 1.0}]},
+            {"algorithms": [{"algo": "phi1", "eps": True}]},
+            {"algorithms": [{"algo": "phi2", "lookahead": 0}]},
+            {"algorithms": [{"algo": "phi1", "lookahead": 2}]},
+            {"algorithms": [{"algo": "phi3", "eps": 1}]},
+            {"algorithms": [{"algo": "phi1", "epsilon": -1}]},
+            {"algorithms": [{"algo": "phi1"}, {"algo": "phi1", "eps": 1}]},
+            {"suite-size": 5},
+        ],
+    )
+    def test_config_json_rejects(self, change):
+        data = {"primes": [2], "degree": 3, "algorithms": [{"algo": "phi1", "eps": 1}], **change}
+        with pytest.raises(ConfigError):
+            RunConfig.from_json(data)
+
+    @pytest.mark.parametrize("data", [[{"primes": [2]}], "cfg", None, {"degree": 3, "algorithms": [{"algo": "phi3"}]}])
+    def test_config_json_rejects_shape(self, data):
+        with pytest.raises(ConfigError):
+            RunConfig.from_json(data)
+
+    @pytest.mark.parametrize("jobs,workers", [(1, None), (2, 2), (8, 3)])
+    def test_pool_size_capped_by_tasks(self, jobs, workers, monkeypatch):
+        """At most one worker per task, none for a single job; a stand-in
+        pool maps in this process, so no worker is ever started."""
+        import multiprocessing
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        cfg = RunConfig.from_json(
+            {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}], "suite_size": 2,
+             "max_steps": 200, "height_exponent": 30, "jobs": jobs, "z_limit": 3}
+        )
+        rows, errors = run_batch(cfg)
+        assert not errors and sum(rows[0].counts["phi1[+1]"].values()) == 3 * 2
+        assert started == ([] if workers is None else [workers])
 
 
 class TestTables:
