@@ -17,8 +17,9 @@ coordinate of 0 is the pole of that direction.  The integer matrices are
 derived from the recorded parameters on first use and never serialized.
 
 All remainders from index 1 on lie componentwise in pZ_p; remainders are
-compared structurally on canonical coefficient tuples, so cycle detection
-is sound and complete up to the step limit.
+compared structurally on their canonical integer numerators and
+denominators, so cycle detection is sound and complete up to the step
+limit.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     for c, w, g_img in zip(frag.coeffs, frag.shifts, frag.image):
         ap = _unit_normalizer(g_img, p)
         scaled = g_img / ap if ap != 1 else g_img
-        tl = head_tail(scaled.coeffs[0], p, 0)[1]
+        tl = head_tail(Q(scaled.nums[0], scaled.den), p, 0)[1]
         coeffs.append(c / ap)
         shifts.append(w / ap + tl)
         image.append(scaled - tl)
@@ -324,7 +325,7 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
     memo = memo if memo is not None else {}
 
     def images(vec):
-        key = ("img", vec.key())
+        key = ("img", vec)
         out = memo.get(key)
         if out is None:
             out = tuple(
@@ -336,7 +337,7 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
     def v(vec, depth):
         if depth == 0:
             return 1
-        key = (vec.key(), depth)
+        key = (vec, depth)
         out = memo.get(key)
         if out is None:
             out = min(denom_z(img) * v(img, depth - 1) for img in images(vec))
@@ -366,13 +367,15 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     ``g_variant`` runs the raw digit-subtracting map instead."""
     s = len(alpha)
     frag = (g_map if g_variant else h_map)(emb, alpha, 1, s)
-    beta = VectorElement(frag.image)
-    m_full, m_sq = coeff_matrix(beta)
-    _, a_mat = p_reduce(m_sq, emb.p)
-    ell = a_mat.matmul(m_full)
-    gamma = tuple(-head_tail(ell[i, s], emb.p, 0)[1] for i in range(s))
-    mixed = a_mat.apply(beta.components)
-    nxt = VectorElement(tuple(x + g for x, g in zip(mixed, gamma)))
+    m_full, m_sq = coeff_matrix(VectorElement(frag.image))
+    reduced, a_mat = p_reduce(m_sq, emb.p)
+    # A beta + gamma: z-parts from the reduced rows; gamma cuts the constant
+    # column A c down to its head
+    split = [head_tail(c, emb.p, 0) for c in a_mat.apply([row[s] for row in m_full.entries])]
+    gamma = tuple(-tl for _, tl in split)
+    nxt = VectorElement(tuple(
+        alpha.minpoly.element((hd,) + row[::-1]) for (hd, _), row in zip(split, reduced.entries)
+    ))
     step = CMapStep(emb.p, s, 1, frag.identity, frag.coeffs, frag.exps,
                     frag.shifts, a_mat, gamma)
     return step, nxt
@@ -463,6 +466,8 @@ def expand(
         raise ValueError("eps must be +1 or -1")
     if algorithm != "phi0" and alpha.minpoly.is_rational_field:
         raise ValueError(f"{algorithm} requires a proper extension field")
+    if height_exponent < 0:
+        raise ValueError("height_exponent must be >= 0")
     emb = embedding if embedding is not None else Embedding(alpha.minpoly)
     memo = {} if algorithm == "phi2" else None
 
@@ -478,7 +483,7 @@ def expand(
     cap = 10 ** height_exponent
     remainders = [alpha]
     steps: list = []
-    seen = {alpha.key(): 0}
+    seen = {alpha: 0}
     identity_steps = 0
     status = None
 
@@ -499,12 +504,12 @@ def expand(
         n = len(steps)
         if nxt.is_zero():
             status = Status("finite", n)
-        elif detect_cycles and nxt.key() in seen:
-            first = seen[nxt.key()]
+        elif detect_cycles and nxt in seen:
+            first = seen[nxt]
             status = Status("periodic", n, preperiod=first, period=n - first)
         else:
             if detect_cycles:
-                seen[nxt.key()] = n
+                seen[nxt] = n
             if height_z(nxt) > cap:
                 status = Status("height_exceeded", n)
 

@@ -7,11 +7,18 @@ constant term is not; under those clauses Hensel's lemma pins a unique
 root of the polynomial in pZ_p, which is the embedding K -> Q_p used
 throughout (see hensel.py).
 
-Field elements are coefficient vectors over the basis 1, z, ..., z^s in
-ascending order and always in lowest terms, so equality and hashing are
-structural.  The degenerate degree-1 case (K = Q, still with s = 1) is
-represented by the ``MinPoly.rationals`` sentinel; its elements carry a
-single coefficient.
+A field element is a vector of integer numerators over one positive
+denominator in the basis 1, z, ..., z^(n-1), ascending, with the content
+removed: gcd(den, *nums) = 1, so zero is (0, .., 0)/1, and equality and
+hashing are structural (Cohen, *A Course in Computational Algebraic
+Number Theory*, 4.2).  Products and inverses are one integer
+matrix-vector product or one fraction-free elimination on the
+multiplication matrix; sums follow Knuth, TAOCP vol. 2, 4.5.1, and
+reduce only by the gcd of the two denominators.  ``Fraction``
+coefficients are a derived view (``.coeffs``) for serialization,
+printing and the rational coefficient matrices.  The degenerate degree-1
+case (K = Q, still with s = 1) is represented by the
+``MinPoly.rationals`` sentinel; its elements carry a single coefficient.
 """
 
 from __future__ import annotations
@@ -73,14 +80,18 @@ class MinPoly:
 
     # element constructors ---------------------------------------------
     def element(self, coeffs) -> "FieldElement":
-        coeffs = tuple(Q(c) for c in coeffs)
+        """The element sum c_i z^i; canonical Fractions scaled by the lcm of
+        their denominators share no factor with it."""
+        coeffs = [Q(c) for c in coeffs]
         if len(coeffs) > self.degree:
             raise ValueError("too many coefficients")
-        coeffs = coeffs + (QZERO,) * (self.degree - len(coeffs))
-        return FieldElement(self, coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return FieldElement(self, tuple(nums) + (0,) * (self.degree - len(nums)), den)
 
     def rational(self, q) -> "FieldElement":
-        return self.element((Q(q),))
+        q = Q(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def zero(self) -> "FieldElement":
         return self.element(())
@@ -156,13 +167,24 @@ def _is_scalar(x) -> bool:
 
 
 class FieldElement:
-    """Element of K as the coefficient vector c0 + c1 z + ... + cs z^s."""
+    """Element of K as (nums_0 + nums_1 z + ... + nums_s z^s) / den.
 
-    __slots__ = ("minpoly", "coeffs")
+    ``nums`` is a tuple of ints and ``den`` an int > 0 with
+    gcd(den, *nums) = 1; callers of the constructor pass that canonical
+    form, :func:`_reduced` makes it from any nonzero denominator.
+    """
 
-    def __init__(self, minpoly: MinPoly, coeffs):
+    __slots__ = ("minpoly", "nums", "den")
+
+    def __init__(self, minpoly: MinPoly, nums, den: int):
         self.minpoly = minpoly
-        self.coeffs = coeffs  # trusted callers pass canonical tuples of Q
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The coefficients c0, .., cs as canonical Fractions."""
+        return tuple(Q(x, self.den) for x in self.nums)
 
     # helpers ------------------------------------------------------------
     def _check(self, other: "FieldElement"):
@@ -174,22 +196,22 @@ class FieldElement:
             self._check(other)
             return other
         if _is_scalar(other):
-            return self.minpoly.element((Q(other),))
+            return self.minpoly.rational(other)
         return None
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self):
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Q(self.nums[0], self.den)
 
     def key(self):
         return self.coeffs
@@ -199,32 +221,31 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.minpoly, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _sum(self, o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.minpoly, tuple(-a for a in self.coeffs))
+        return FieldElement(self.minpoly, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.minpoly, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _sum(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sum(o, self, -1)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             self._check(other)
             return _mul(self, other)
         if _is_scalar(other):
-            c = Q(other)
-            return FieldElement(self.minpoly, tuple(a * c for a in self.coeffs))
+            return _scale(self, Q(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -234,13 +255,12 @@ class FieldElement:
             self._check(other)
             return _mul(self, other.inverse())
         if _is_scalar(other):
-            c = Q(other)
-            return FieldElement(self.minpoly, tuple(a / c for a in self.coeffs))
+            return _scale(self, QONE / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if _is_scalar(other):
-            return self.inverse() * Q(other)
+            return _scale(self.inverse(), Q(other))
         return NotImplemented
 
     def __pow__(self, e: int):
@@ -264,17 +284,16 @@ class FieldElement:
         The inverse c of b solves M_b c = e_0, where M_b = M diag(D^-j);
         one fraction-free elimination of [M | e_0] gives det(M) and
         adj(M) e_0, so c_j = D^j (adj(M) e_0)_j / det(M) and a^-1 = d c.
-        Rationals are built only for the result.  det(M) = 0 means b
-        shares a root with f: a zero divisor of a reducible f.
+        det(M) = 0 means b shares a root with f: a zero divisor of a
+        reducible f.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return self.minpoly.element((QONE / self.coeffs[0],))
         mp = self.minpoly
+        if self.is_rational():
+            return mp.rational(Q(self.den, self.nums[0]))
         n = mp.degree
-        nums, d = integer_parts(self)
-        rows = multiplication_rows(mp, nums)
+        rows = multiplication_rows(mp, self.nums)
         for i, row in enumerate(rows):
             row.append(0 if i else 1)
         pivots, _ = bareiss(rows, n)
@@ -282,15 +301,15 @@ class FieldElement:
             raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
         det, x = back_substitute(rows, pivots, n)
         den = mp._int_f[0]
-        return FieldElement(mp, tuple(Q(d * den ** j * xj[0], det) for j, xj in enumerate(x)))
+        return _reduced(mp, tuple(self.den * den ** j * xj[0] for j, xj in enumerate(x)), det)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.minpoly == other.minpoly and self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den and self.minpoly == other.minpoly
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.minpoly._key, self.coeffs))
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         names = ["", "z"] + [f"z^{i}" for i in range(2, self.minpoly.degree)]
@@ -309,6 +328,37 @@ class FieldElement:
         return minpoly.element([qparse(c) for c in data["coeffs"]])
 
 
+def _reduced(mp: MinPoly, nums: tuple, den: int, bound: int | None = None) -> FieldElement:
+    """The canonical element nums/den for any nonzero int den; ``bound``,
+    when given, is a multiple of every factor nums and den can share."""
+    g = math.gcd(den if bound is None else bound, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = tuple(x // g for x in nums)
+        den //= g
+    return FieldElement(mp, nums, den)
+
+
+def _sum(a: FieldElement, b: FieldElement, sign: int) -> FieldElement:
+    """a + sign b after Knuth 4.5.1.  With g = gcd(d_a, d_b) the
+    numerators A (d_b/g) + sign B (d_a/g) over d_a d_b / g can share with
+    it only factors of g, since gcd(d_a, A) = gcd(d_b, B) = 1."""
+    da, db = a.den, b.den
+    g = math.gcd(da, db)
+    ka, kb = db // g, sign * (da // g)
+    return _reduced(a.minpoly, tuple(x * ka + y * kb for x, y in zip(a.nums, b.nums)), da * ka, g)
+
+
+def _scale(a: FieldElement, c) -> FieldElement:
+    """a c for a rational c = u/v in lowest terms: u can share factors
+    only with d_a, and v only with the numerators of a."""
+    g1 = math.gcd(c.numerator, a.den)
+    g2 = math.gcd(c.denominator, *a.nums)
+    u, v = c.numerator // g1, c.denominator // g2
+    return FieldElement(a.minpoly, tuple(x // g2 * u for x in a.nums), a.den // g1 * v)
+
+
 def _mul(a: FieldElement, b: FieldElement) -> FieldElement:
     """a b as one integer matrix-vector product.
 
@@ -319,16 +369,10 @@ def _mul(a: FieldElement, b: FieldElement) -> FieldElement:
     """
     mp = a.minpoly
     n = mp.degree
-    if n == 1:
-        return FieldElement(mp, (a.coeffs[0] * b.coeffs[0],))
-    nums_a, d_a = integer_parts(a)
-    nums_b, d_b = integer_parts(b)
     den = mp._int_f[0]
-    w = [x * den ** (n - 1 - j) for j, x in enumerate(nums_b)]
-    d = d_a * d_b * den ** (n - 1)
-    return FieldElement(mp, tuple(
-        Q(sum(x * y for x, y in zip(row, w)), d) for row in multiplication_rows(mp, nums_a)
-    ))
+    w = [x * den ** (n - 1 - j) for j, x in enumerate(b.nums)]
+    nums = tuple(sum(x * y for x, y in zip(row, w)) for row in multiplication_rows(mp, a.nums))
+    return _reduced(mp, nums, a.den * b.den * den ** (n - 1))
 
 
 def multiplication_rows(mp: MinPoly, nums):
@@ -383,19 +427,12 @@ def _solve(rows, target):
 
 
 def denom_z(value) -> int:
-    """Least positive integer clearing all basis-coefficient denominators.
-
-    Vectors take the max over components.
+    """Least positive integer clearing all basis-coefficient denominators:
+    the element's ``den``.  Vectors take the max over components.
     """
     if isinstance(value, VectorElement):
-        return max(denom_z(c) for c in value.components)
-    return math.lcm(*(c.denominator for c in value.coeffs))
-
-
-def integer_parts(a: FieldElement):
-    """(b_i integers, d) with a = (1/d) sum b_i z^i and d = denom_z(a)."""
-    d = denom_z(a)
-    return [c.numerator * (d // c.denominator) for c in a.coeffs], d
+        return max(c.den for c in value.components)
+    return value.den
 
 
 def height_z(value) -> int:
@@ -410,11 +447,8 @@ def coeff_matrix(vec: "VectorElement"):
     """(M, M') with row i the coefficients of component i in descending
     power order z^s, ..., z, 1; M' keeps the first s columns."""
     s = vec.s
-    rows = []
-    for comp in vec.components:
-        padded = list(comp.coeffs) + [QZERO] * (s + 1 - len(comp.coeffs))
-        rows.append(list(reversed(padded[: s + 1])))
-    m = RationalMatrix(rows)
+    pad = (QZERO,) * (s + 1 - vec.minpoly.degree)  # one for the degree-1 sentinel
+    m = RationalMatrix([(comp.coeffs + pad)[::-1] for comp in vec.components])
     msq = RationalMatrix([row[:s] for row in m.entries])
     return m, msq
 
@@ -425,10 +459,8 @@ def independent_with_one(elements) -> bool:
     if not elements:
         return True
     width = elements[0].minpoly.degree
-    rows = [[QONE] + [QZERO] * (width - 1)]
-    for t in elements:
-        rows.append(list(t.coeffs))
-    return RationalMatrix(rows).rank() == len(rows)
+    rows = [[1] + [0] * (width - 1)] + [list(t.nums) for t in elements]
+    return len(bareiss(rows, width)[0]) == len(rows)
 
 
 class VectorElement:
@@ -470,14 +502,10 @@ class VectorElement:
         return tuple(c.coeffs for c in self.components)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VectorElement)
-            and self.minpoly == other.minpoly
-            and self.key() == other.key()
-        )
+        return isinstance(other, VectorElement) and self.components == other.components
 
     def __hash__(self):
-        return hash((self.minpoly._key, self.key()))
+        return hash(self.components)
 
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.components) + ")"

@@ -4,9 +4,9 @@ The admissibility clauses of the defining polynomial guarantee a unique
 root in pZ_p with unit derivative; Newton iteration lifts it to any
 requested precision.  Valuations, digits and digit heads of arbitrary
 field elements are then exact integer computations against that residue:
-write a = (1/d) * sum(b_i z^i) with integer b_i, evaluate the integer
-combination at the residue modulo a suitable power of p, and shift by the
-valuation of d.
+for a = (1/d) * sum(b_i z^i), stored as its integer numerators b_i over
+d, evaluate the integer combination at the residue modulo a suitable
+power of p, and shift by the valuation of d.
 
 ``Embedding`` is the workhorse used by the expansion engine; it keeps one
 residue, an int, and lifts it again from scratch whenever a computation
@@ -15,8 +15,10 @@ needs more digits than it holds.
 
 from __future__ import annotations
 
+import math
+
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded
-from .field import FieldElement, MinPoly, VectorElement, element_minpoly, integer_parts, multiplication_rows
+from .field import FieldElement, MinPoly, VectorElement, element_minpoly, multiplication_rows
 from .preduce import bareiss
 from .rationals import (
     ORD_INF,
@@ -24,7 +26,6 @@ from .rationals import (
     QZERO,
     head_tail,
     inv_mod,
-    omega as omega_q,
     ordp,
     qpow,
     vp_int,
@@ -120,9 +121,9 @@ class Embedding:
         if a.is_zero():
             return ORD_INF
         if a.is_rational():
-            return ordp(a.coeffs[0], self.p)
-        nums, d = integer_parts(a)
-        t = vp_int(d, self.p)
+            return ordp(a.rational_value(), self.p)
+        nums = a.nums
+        t = vp_int(a.den, self.p)
         m = self._base_precision
         cap = None
         while True:
@@ -142,29 +143,22 @@ class Embedding:
             m = min(2 * m, cap)
 
     def omega(self, a: FieldElement) -> int:
-        """Digit c0 of the expansion of ``a``; 0 for the zero element."""
-        if a.is_zero():
-            return 0
-        if a.is_rational():
-            return omega_q(a.coeffs[0], self.p)
-        nums, d = integer_parts(a)
-        t = vp_int(d, self.p)
-        mod = self.p ** (t + 1)
-        val = self._combination_mod(nums, t + 1) * inv_mod(d // self.p ** t, mod) % mod
-        return val // self.p ** t
+        """Digit c0 of the expansion of ``a``: the floor of its head at
+        index 0; 0 for the zero element."""
+        return math.floor(self.head(a))
 
     def head(self, a: FieldElement, m: int = 0):
         """Digit head up to index m as an exact rational."""
         if a.is_zero():
             return QZERO
         if a.is_rational():
-            return head_tail(a.coeffs[0], self.p, m)[0]
-        nums, d = integer_parts(a)
+            return head_tail(a.rational_value(), self.p, m)[0]
+        d = a.den
         t = vp_int(d, self.p)
         if m + t < 0:
             return QZERO
         mod = self.p ** (m + t + 1)
-        val = self._combination_mod(nums, m + t + 1) * inv_mod(d // self.p ** t, mod) % mod
+        val = self._combination_mod(a.nums, m + t + 1) * inv_mod(d // self.p ** t, mod) % mod
         return Q(val, self.p ** t)
 
     def t_b(self, a: FieldElement) -> FieldElement:

@@ -146,7 +146,7 @@ def build_test_set(minpoly: MinPoly, s: int, size: int = 100, max_index: int = 1
             comps.append(minpoly.element(coeffs))
         if independent_with_one(comps):
             vec = VectorElement(tuple(comps))
-            chosen.setdefault(vec.key(), vec)
+            chosen.setdefault(vec, vec)
         else:
             rejected.append(i)
         i += 1

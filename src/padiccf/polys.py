@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .preduce import bareiss, scale_rows
-from .rationals import Q, QONE, QZERO, is_prime, inv_mod
+from .rationals import Q, QZERO, is_prime, inv_mod
 
 Poly = tuple
 
@@ -25,48 +25,6 @@ def pdeg(f: Poly) -> int:
     return len(f) - 1
 
 
-def padd(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    return ptrim(
-        (f[i] if i < len(f) else QZERO) + (g[i] if i < len(g) else QZERO)
-        for i in range(n)
-    )
-
-
-def pmul(f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return ()
-    out = [QZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return ptrim(out)
-
-
-def pscale(f: Poly, c) -> Poly:
-    if not c:
-        return ()
-    return tuple(a * c for a in f)
-
-
-def pdivmod(f: Poly, g: Poly):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(f)
-    q = [QZERO] * max(len(f) - len(g) + 1, 0)
-    inv_lead = QONE / g[-1]
-    for k in range(len(r) - len(g), -1, -1):
-        c = r[k + len(g) - 1] * inv_lead
-        if not c:
-            continue
-        q[k] = c
-        for j, b in enumerate(g):
-            r[k + j] -= c * b
-    return ptrim(q), ptrim(r[: len(g) - 1])
-
-
 def peval(f: Poly, x):
     acc = QZERO
     for c in reversed(f):
@@ -76,19 +34,6 @@ def peval(f: Poly, x):
 
 def pderiv(f: Poly) -> Poly:
     return ptrim(c * i for i, c in enumerate(f) if i)
-
-
-def pmonic(f: Poly) -> Poly:
-    if not f:
-        return ()
-    return pscale(f, QONE / f[-1])
-
-
-def pgcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Q by Euclid."""
-    while g:
-        f, g = g, pdivmod(f, g)[1]
-    return pmonic(f)
 
 
 def resultant(f: Poly, g: Poly):
@@ -280,7 +225,7 @@ def is_irreducible_exact(f: Poly) -> bool:
         return False
     if n == 1:
         return True
-    if pdeg(pgcd(f, pderiv(f))) > 0:
+    if not discriminant(f):  # a repeated root: gcd(f, f') is nontrivial
         return False
     if rational_roots(f):
         return False

@@ -9,7 +9,7 @@ Expected values frozen into tests were produced by these.
 import math
 from fractions import Fraction
 
-from padiccf.field import denom_z, integer_parts
+from padiccf.field import denom_z
 from padiccf.rationals import Q
 
 
@@ -213,7 +213,7 @@ def ord_by_digits(a, root, m):
 def ord_with_inverse_cap(emb, a):
     """The valuation ladder of ``Embedding.ord`` as it stood with its cap
     taken from the field inverse: ord(a) <= v_p(denom_z(1/a))."""
-    nums, d = integer_parts(a)
+    nums, d = a.nums, a.den
     t = vp_by_division(d, emb.p)
     m = emb._base_precision
     cap = None
@@ -445,3 +445,24 @@ def convolution_product(minpoly, a, b):
     for e in range(n, 2 * n - 1):
         out = [x + conv[e] * y for x, y in zip(out, zpows[e])]
     return out
+
+
+def fraction_tuple_op(minpoly, op, x, y=None):
+    """x op y on ascending coefficient lists of length n = deg f, all in
+    Fractions: "+", "-" and "neg" coefficientwise, "*" by the convolution,
+    "inv" and "/" through the Euclid inverse (ZeroDivisionError as there)."""
+    x = [Fraction(c) for c in x]
+    if op == "neg":
+        return [-c for c in x]
+    if op == "inv":
+        return euclid_inverse(minpoly, x)
+    y = [Fraction(c) for c in y]
+    if op == "+":
+        return [a + b for a, b in zip(x, y)]
+    if op == "-":
+        return [a - b for a, b in zip(x, y)]
+    if op == "*":
+        return convolution_product(minpoly, x, y)
+    if op == "/":
+        return convolution_product(minpoly, x, euclid_inverse(minpoly, y))
+    raise ValueError(f"unknown operation {op!r}")

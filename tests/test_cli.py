@@ -184,3 +184,21 @@ def test_table_default_eps_label(tmp_path, capsys):
     assert main(["table", "--config", str(path)]) == 0
     head = capsys.readouterr().out.splitlines()[0]
     assert head.startswith("prime,phi1[+1]:P,phi1[+1]:H,phi2(1)[+1]:P")
+
+
+def test_negative_height_exponent_exit_code(capsys):
+    # 10 ** -1 is the float 0.1: every orbit would end "height_exceeded at step 0"
+    code = main(
+        [
+            "expand",
+            "--p", "2",
+            "--minpoly", "1,2",
+            "--elem", '{"coeffs": ["0", "1"]}',
+            "--algo", "phi1",
+            "--height-exp", "-1",
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "height_exponent" in captured.err
+    assert "status:" not in captured.out

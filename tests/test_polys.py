@@ -9,23 +9,6 @@ def P(*coeffs):
 
 
 class TestArithmetic:
-    def test_divmod(self):
-        f = P(-1, 0, 1)  # x^2 - 1
-        g = P(-1, 1)  # x - 1
-        q, r = polys.pdivmod(f, g)
-        assert q == P(1, 1) and r == ()
-
-    def test_divmod_remainder(self):
-        q, r = polys.pdivmod(P(1, 0, 0, 1), P(1, 1))  # x^3+1 = (x+1)(x^2-x+1)
-        assert q == P(1, -1, 1) and r == ()
-        q, r = polys.pdivmod(P(3, 0, 1), P(1, 1))
-        assert polys.padd(polys.pmul(q, P(1, 1)), r) == P(3, 0, 1)
-
-    def test_gcd(self):
-        f = polys.pmul(P(-1, 1), P(1, 0, 1))
-        g = polys.pmul(P(-1, 1), P(2, 1))
-        assert polys.pgcd(f, g) == P(-1, 1)
-
     def test_eval_and_deriv(self):
         f = P(1, 2, 3)
         assert polys.peval(f, Q(2)) == Q(17)
@@ -99,6 +82,11 @@ class TestCertificates:
         assert not polys.is_irreducible_exact(P(-4, 0, 1))
         assert polys.is_irreducible_exact(P(4, 1, 0, 1))  # x^3+x+4
         assert not polys.is_irreducible_exact(P(2, 1, 0, 1))  # x^3+x+2 = (x+1)(x^2-x+2)
+
+    def test_non_squarefree_without_rational_root(self):
+        # (x^2+1)^2 and (x^2-2)^2: a repeated factor and no rational root
+        assert not polys.is_irreducible_exact(P(1, 0, 2, 0, 1))
+        assert not polys.is_irreducible_exact(P(4, 0, -4, 0, 1))
 
     def test_exact_agrees_with_certificates_on_trinomials(self):
         # every certified polynomial must also pass the exact route
