@@ -132,10 +132,12 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     """Certify a candidate minimal polynomial x^n + a1 x^(n-1) + .. + an.
 
     Checks the admissibility clauses (p-integral coefficients, unit x^1
-    coefficient, non-unit constant term) and searches an irreducibility
-    certificate prime.  When certification fails, reducible candidates
-    raise Reducible; irreducible-but-uncertified ones raise
-    IrreducibilityUnknown unless ``force`` is set.
+    coefficient, non-unit constant term), rejects a repeated factor or a
+    rational root as Reducible, and then searches an irreducibility
+    certificate prime.  Without one, the exact decision of
+    :func:`polys.is_irreducible_exact` over the primes tried raises
+    Reducible for reducible candidates; irreducible-but-uncertified ones
+    raise IrreducibilityUnknown unless ``force`` is set.
     """
     check_prime(p)
     mp = MinPoly(p, coeffs)
@@ -151,9 +153,12 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     if a_n and ordp(a_n, p) <= 0:
         raise HViolation("divisible-constant", "constant term must lie in pZ_p")
     asc = mp.ascending()
-    cert = polys.certificate_prime(asc, p)
+    if polys.has_root_or_repeated_factor(asc):
+        raise Reducible("polynomial factors over Q")
+    patterns = {}
+    cert = polys.certificate_prime(asc, p, patterns)
     if cert is None:
-        if not polys.is_irreducible_exact(asc):
+        if not polys.is_irreducible_exact(asc, patterns):
             raise Reducible("polynomial factors over Q")
         if not force:
             raise IrreducibilityUnknown(

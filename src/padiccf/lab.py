@@ -11,6 +11,7 @@ numerator, sign) byte triples per basis coefficient.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -157,10 +158,12 @@ Z_A_RANGE = (1, 10)
 Z_B_RANGE = (-10, 10)
 
 
+@functools.lru_cache(maxsize=32)
 def build_z_set(p: int, degree: int):
     """All certified generators with defining polynomial x^deg + a x + b p,
-    a in Z_A_RANGE with ord_p(a) = 0, b in Z_B_RANGE; deterministic (a, b)
-    order.  b = 0 drops out via reducibility."""
+    a in Z_A_RANGE with ord_p(a) = 0, b in Z_B_RANGE, as a tuple in
+    deterministic (a, b) order.  b = 0 drops out via reducibility.
+    Memoized per (p, degree): the ranges are module constants."""
     if degree < 2:
         raise HViolation("degree", "degree must be at least 2")
     out = []
@@ -175,7 +178,7 @@ def build_z_set(p: int, degree: int):
                 out.append(validate_minpoly(p, coeffs, force=True))
             except Reducible:
                 continue
-    return out
+    return tuple(out)
 
 
 # --- batch classification -----------------------------------------------------

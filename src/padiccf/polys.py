@@ -1,13 +1,44 @@
-"""Dense polynomial helpers over Q and irreducibility certification.
+"""Dense polynomials over Q and exact irreducibility certification.
 
 Polynomials are tuples of rationals in ascending order, trimmed so the
 leading coefficient is nonzero (the zero polynomial is the empty tuple).
+
+Certification works on the monic integer form G(y) = a^(n-1) A(y/a) of
+f, where A is f's cleared integer form and a its leading coefficient: G
+is irreducible exactly when f is, and its roots are a times those of f.
+A prime q is *good* when it does not divide disc(G); then G mod q is
+squarefree.  Deciding irreducibility runs, cheapest first:
+
+1. **squarefree**: disc(f) = 0 means a repeated factor;
+2. **rational roots**: the roots of G modulo the least good prime,
+   Newton-lifted past twice the Cauchy bound and tested exactly;
+3. **certificate**: one distinct-degree factorization of G mod q for each
+   of the first ``CERTIFICATE_TRIES`` good primes q != p, with x^(q^k)
+   from the Frobenius matrix of x^q (Cohen, *A Course in Computational
+   Algebraic Number Theory*, Alg. 3.4.3), records the degrees of the
+   factors mod q; a single factor of degree n proves f irreducible over
+   Q, and the first such q is the certificate;
+4. **sieve**: a factor of degree k over Q is a sub-multiset of degree k
+   in every pattern, so when no k in 2..n/2 is a subset sum of all of
+   them, f is irreducible (Musser 1978, *J. ACM* 25);
+5. **recombination**: otherwise G is factored modulo the odd tried prime
+   with the fewest factors (distinct-degree split, then Cantor-Zassenhaus
+   with a fixed seed), the factors are Hensel-lifted past twice the
+   Mignotte bound, and products of up to r/2 of them are trial divisors
+   (Zassenhaus 1969; von zur Gathen and Gerhard, *Modern Computer
+   Algebra*, ch. 15);
+6. **budget**: recombination examines at most ``RECOMBINATION_TRIES``
+   subsets and raises ``CapExceeded`` past that.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import random
 
+from .errors import CapExceeded
 from .preduce import bareiss, scale_rows
 from .rationals import Q, QZERO, is_prime, inv_mod
 
@@ -26,7 +57,7 @@ def pdeg(f: Poly) -> int:
 
 
 def peval(f: Poly, x):
-    acc = QZERO
+    acc = 0
     for c in reversed(f):
         acc = acc * x + c
     return acc
@@ -34,6 +65,17 @@ def peval(f: Poly, x):
 
 def pderiv(f: Poly) -> Poly:
     return ptrim(c * i for i, c in enumerate(f) if i)
+
+
+def _pdivmod(f: Poly, g: Poly):
+    """Quotient and remainder of f by g over Q."""
+    r = list(f)
+    quo = [QZERO] * max(len(f) - len(g) + 1, 0)
+    for k in range(len(f) - len(g), -1, -1):
+        c = quo[k] = Q(r[k + len(g) - 1]) / g[-1]
+        for j, b in enumerate(g):
+            r[k + j] -= c * b
+    return ptrim(quo), ptrim(r[: len(g) - 1])
 
 
 def resultant(f: Poly, g: Poly):
@@ -58,9 +100,17 @@ def discriminant(f: Poly):
     return d
 
 
-# --- monic integer polynomials modulo a prime -------------------------------
-# Support for the single-prime irreducibility certificate: a monic
-# polynomial that is irreducible over GF(q) is irreducible over Q.
+def _monic_form(f: Poly):
+    """(G, a, disc(G)) for f of degree >= 1: the monic integer
+    G(y) = a^(n-1) A(y/a), A the cleared form of f with leading
+    coefficient a."""
+    (ints,), _ = scale_rows([f])
+    n, a = len(ints) - 1, ints[-1]
+    G = tuple(c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])) + (1,)
+    return G, a, int(discriminant(G))
+
+
+# --- polynomials over GF(q): ascending int lists, reduced and trimmed ---------
 
 
 def _mtrim(f, q):
@@ -70,26 +120,36 @@ def _mtrim(f, q):
     return f
 
 
-def _mmul(f, g, q):
+def _zmul(f, g):
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % q
-    return _mtrim(out, q)
+                out[i + j] += a * b
+    return out
+
+
+def _mmul(f, g, q):
+    return _mtrim(_zmul(f, g), q)
+
+
+def _mdivmod(f, g, q):
+    f = list(f)
+    n = len(g) - 1
+    inv = inv_mod(g[-1], q)
+    quo = [0] * max(len(f) - n, 0)
+    for k in range(len(f) - 1 - n, -1, -1):
+        c = quo[k] = f[k + n] * inv % q
+        if c:
+            for j in range(n):
+                f[k + j] -= c * g[j]
+    return _mtrim(quo, q), _mtrim(f[:n], q)
 
 
 def _mrem(f, g, q):
-    f = list(f)
-    inv = inv_mod(g[-1], q)
-    for k in range(len(f) - len(g), -1, -1):
-        c = f[k + len(g) - 1] * inv % q
-        if c:
-            for j, b in enumerate(g):
-                f[k + j] = (f[k + j] - c * b) % q
-    return _mtrim(f[: len(g) - 1], q)
+    return _mdivmod(f, g, q)[1]
 
 
 def _msub(f, g, q):
@@ -109,115 +169,224 @@ def _mgcd(f, g, q):
     return _mtrim([c * inv % q for c in f], q)
 
 
-def _mpow_x(e, modpoly, q):
-    """x**e modulo (modpoly, q)."""
+def _minv(a, f, q):
+    """a^-1 modulo (f, q) for a coprime to f, by extended Euclid."""
+    r0, r1, s0, s1 = f, _mrem(a, f, q), [], [1]
+    while len(r1) > 1:
+        quo, rem = _mdivmod(r0, r1, q)
+        r0, r1, s0, s1 = r1, rem, s1, _msub(s0, _mmul(quo, s1, q), q)
+    inv = inv_mod(r1[0], q)
+    return [c * inv % q for c in s1]
+
+
+def _mpow(g, e, f, q):
+    """g**e modulo (f, q)."""
     result = [1]
-    base = _mrem([0, 1], modpoly, q)
-    while e:
-        if e & 1:
-            result = _mrem(_mmul(result, base, q), modpoly, q)
-        e >>= 1
-        if e:
-            base = _mrem(_mmul(base, base, q), modpoly, q)
+    for bit in bin(e)[2:]:
+        result = _mrem(_mmul(result, result, q), f, q)
+        if bit == "1":
+            result = _mrem(_mmul(result, g, q), f, q)
     return result
 
 
 _X = [0, 1]
 
 
-def irreducible_mod_q(f_int, q: int) -> bool:
-    """Distinct-degree criterion: monic integer f irreducible over GF(q).
+def _ddf(f, q):
+    """Distinct-degree factorization of monic f over GF(q): the pairs
+    (k, product of the irreducible factors of degree k), k ascending.
 
-    f irreducible of degree n iff x**(q**n) = x mod f and
-    gcd(x**(q**(n/r)) - x, f) = 1 for every prime r | n.
+    x^(q^k) mod f comes from x^(q^(k-1)) by the Frobenius matrix, whose
+    row i is x^(iq) mod f.  For squarefree f the products multiply to f;
+    for any f, [(n, f)] means f is irreducible, since a reducible f has a
+    factor of degree at most n/2 and the loop reaches that degree with
+    f whole.
     """
+    n = len(f) - 1
+    xq = _mpow(_X, q, f, q)
+    frob = [[1]]
+    for _ in range(n - 1):
+        frob.append(_mrem(_mmul(frob[-1], xq, q), f, q))
+    parts, rest, h, k = [], f, _X, 0
+    while 2 * (k + 1) <= len(rest) - 1:
+        k += 1
+        acc = [0] * n
+        for c, row in zip(h, frob):
+            if c:
+                for j, v in enumerate(row):
+                    acc[j] += c * v
+        h = _mtrim(acc, q)
+        g = _mgcd(rest, _msub(h, _X, q), q)
+        if len(g) > 1:
+            parts.append((k, g))
+            rest = _mdivmod(rest, g, q)[0]
+    if len(rest) > 1:
+        parts.append((len(rest) - 1, rest))
+    return parts
+
+
+def _pattern(parts):
+    """The degrees of the irreducible factors, from a _ddf result."""
+    return tuple(k for k, g in parts for _ in range((len(g) - 1) // k))
+
+
+def _edf(g, k, q, rng):
+    """The monic irreducible factors of g over GF(q), q odd, g a
+    squarefree product of factors of degree k (Cantor-Zassenhaus)."""
+    n = len(g) - 1
+    if n == k:
+        return [g]
+    e = (q ** k - 1) // 2
+    while True:
+        a = _mtrim([rng.randrange(q) for _ in range(n)], q)
+        d = _mgcd(g, _msub(_mpow(a, e, g, q), [1], q), q)
+        if 0 < len(d) - 1 < n:
+            return _edf(d, k, q, rng) + _edf(_mdivmod(g, d, q)[0], k, q, rng)
+
+
+def irreducible_mod_q(f_int, q: int) -> bool:
+    """Monic integer f irreducible over GF(q): distinct-degree
+    factorization finds no factor of degree below n."""
     f = _mtrim(list(f_int), q)
     n = len(f) - 1
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    if _msub(_mpow_x(q ** n, f, q), _X, q):
-        return False
-    for r in range(2, n + 1):
-        if n % r == 0 and is_prime(r):
-            g = _msub(_mpow_x(q ** (n // r), f, q), _X, q)
-            if not g or len(_mgcd(f, g, q)) > 1:
-                return False
-    return True
+    inv = inv_mod(f[-1], q)
+    return _pattern(_ddf([c * inv % q for c in f], q)) == (n,)
 
+
+# --- certification -------------------------------------------------------------
 
 CERTIFICATE_TRIES = 25
+RECOMBINATION_TRIES = 4096
 
 
-def certificate_prime(f: Poly, p: int):
+def certificate_prime(f: Poly, p, patterns=None):
     """Search a prime witness q != p among the first CERTIFICATE_TRIES
     candidates, coprime to disc(f) and the coefficient denominators, with
     f mod q irreducible.
 
     Returns the witness or None.  Soundness is one-sided: a witness proves
-    irreducibility over Q; absence proves nothing.
+    irreducibility over Q; absence proves nothing.  When ``patterns`` is
+    a dict, the factor degrees of f mod each prime tried are stored in
+    it, keyed by the prime, for :func:`is_irreducible_exact`.
     """
-    disc = discriminant(f)
+    f = ptrim(f)
+    if pdeg(f) < 1:
+        return None
+    G, _, disc = _monic_form(f)
     if not disc:
         return None
-    bad = abs(disc.numerator) * disc.denominator
-    for c in f:
-        bad *= c.denominator
+    n = pdeg(G)
     q = 1
     seen = 0
     while seen < CERTIFICATE_TRIES:
         q += 1
-        if not is_prime(q) or q == p or bad % q == 0:
+        if not is_prime(q) or q == p or disc % q == 0:
             continue
         seen += 1
-        f_int = [c.numerator * inv_mod(c.denominator, q) % q for c in f]
-        if irreducible_mod_q(f_int, q):
+        pattern = _pattern(_ddf(_mtrim(G, q), q))
+        if patterns is not None:
+            patterns[q] = pattern
+        if pattern == (n,):
             return q
     return None
 
 
-def _divisors(n: int):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _integer_roots(G, disc):
+    """The integer roots of a monic squarefree integer G: its roots modulo
+    the least prime q not dividing disc(G), Newton-lifted past twice the
+    Cauchy bound 1 + max |G_i| and tested exactly."""
+    q = 2
+    while not is_prime(q) or disc % q == 0:
+        q += 1
+    Gq, dG = _mtrim(G, q), pderiv(G)
+    bound = 1 + max(abs(c) for c in G[:-1])
+    roots = []
+    for r in range(q):
+        if peval(Gq, r) % q:
+            continue
+        m = q
+        while m <= 2 * bound:
+            m *= m
+            r = (r - peval(G, r) * inv_mod(peval(dG, r), m)) % m
+        if 2 * r > m:
+            r -= m
+        if not peval(G, r):
+            roots.append(r)
+    return roots
 
 
 def rational_roots(f: Poly):
-    """All rational roots, by the rational root test on the cleared form."""
+    """All rational roots, ascending: the integer roots of the monic
+    integer form of f's squarefree part, over a."""
     f = ptrim(f)
-    if not f or pdeg(f) == 0:
+    if pdeg(f) < 1:
         return []
-    (ints,), _ = scale_rows([f])
-    roots = set()
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        roots.add(Q(0))
-    if len(ints) <= 1:
-        return sorted(roots)
-    for r in _divisors(ints[0]):
-        for s in _divisors(ints[-1]):
-            if math.gcd(r, s) == 1:
-                for cand in (Q(r, s), Q(-r, s)):
-                    if not peval(f, cand):
-                        roots.add(cand)
-    return sorted(roots)
+    G, a, disc = _monic_form(f)
+    if not disc:  # f / gcd(f, f') has the same roots, each once
+        g, h = f, pderiv(f)
+        while h:
+            g, h = h, _pdivmod(g, h)[1]
+        G, a, disc = _monic_form(_pdivmod(f, g)[0])
+    return sorted(Q(y, a) for y in _integer_roots(G, disc))
 
 
-def is_irreducible_exact(f: Poly) -> bool:
-    """Exact irreducibility over Q for a monic polynomial.
+def has_root_or_repeated_factor(f: Poly) -> bool:
+    """The cheap rejections, for f of degree >= 2: disc(f) = 0 or a
+    rational root."""
+    G, _, disc = _monic_form(ptrim(f))
+    return not disc or bool(_integer_roots(G, disc))
 
-    Order: degree shortcuts, squarefree check, rational root test, then
-    sympy factorization as the complete fallback.  The certificate search
-    is the caller's fast path; some quartics (A4 Galois group) are
-    irreducible over Q yet reducible mod every prime and land here.
+
+def _recombine(G, q, degrees) -> bool:
+    """Zassenhaus: False when a product of at most r/2 of the r lifted
+    factors of G mod q, of a degree in ``degrees``, divides G."""
+    rng, Gq = random.Random(0), _mtrim(G, q)
+    factors = [u for k, g in _ddf(Gq, q) for u in _edf(g, k, q, rng)]
+    n = pdeg(G)
+    # every coefficient of a factor of degree < n is at most this in size
+    bound = math.comb(n - 1, (n - 1) // 2) * (math.isqrt(sum(c * c for c in G)) + 1)
+    # Hensel: sum e_i G/u_i = 1 mod q, so the error E = (G - prod u_i)/m
+    # is sum (E e_i mod u_i) G/u_i and each u_i gains m (E e_i mod u_i)
+    inverses = [_minv(_mdivmod(Gq, u, q)[0], u, q) for u in factors]
+    lifted, m = [list(u) for u in factors], q
+    while m <= 2 * bound:
+        prod = functools.reduce(_zmul, lifted)
+        err = [(c - d) // m for c, d in zip(G, prod)]
+        for u, e, v in zip(factors, inverses, lifted):
+            for j, c in enumerate(_mrem(_mmul(err, e, q), u, q)):
+                v[j] += m * c
+        m *= q
+    tries = 0
+    for size in range(1, len(factors) // 2 + 1):
+        for subset in itertools.combinations(range(len(factors)), size):
+            tries += 1
+            if tries > RECOMBINATION_TRIES:
+                raise CapExceeded(
+                    f"factor recombination passed {RECOMBINATION_TRIES} subsets undecided"
+                )
+            if sum(pdeg(factors[i]) for i in subset) not in degrees:
+                continue
+            g = [1]
+            for i in subset:
+                g = [c % m for c in _zmul(g, lifted[i])]
+            g = [c - m if 2 * c > m else c for c in g]
+            if not _pdivmod(G, g)[1]:
+                return False
+    return True
+
+
+def is_irreducible_exact(f: Poly, patterns=None) -> bool:
+    """Exact irreducibility over Q.
+
+    Order: degree shortcuts, squarefree check, rational roots, then the
+    factor degrees of f modulo the tried primes (``patterns`` as filled
+    by :func:`certificate_prime`, else found here), the degree sieve over
+    them, and Zassenhaus recombination, which raises CapExceeded past
+    ``RECOMBINATION_TRIES`` subsets.  Some quartics (A4 Galois group) are
+    irreducible over Q yet reducible mod every prime; the sieve settles
+    them.
     """
     f = ptrim(f)
     n = pdeg(f)
@@ -225,17 +394,22 @@ def is_irreducible_exact(f: Poly) -> bool:
         return False
     if n == 1:
         return True
-    if not discriminant(f):  # a repeated root: gcd(f, f') is nontrivial
-        return False
-    if rational_roots(f):
+    if has_root_or_repeated_factor(f):
         return False
     if n <= 3:
         return True
-    from sympy import Poly as SymPoly, Rational as SymRational
-    from sympy.abc import x
-
-    sym = sum(
-        SymRational(c.numerator, c.denominator) * x ** i
-        for i, c in enumerate(f)
-    )
-    return SymPoly(sym, x).is_irreducible
+    if not patterns:
+        patterns = {}
+        certificate_prime(f, None, patterns)
+    common = -1  # bit k: every pattern has a sub-multiset of degree k
+    for pattern in patterns.values():
+        sums = 1
+        for k in pattern:
+            sums |= sums << k
+        common &= sums
+    # no rational root, so a proper factor and its cofactor have degree >= 2
+    degrees = {k for k in range(2, n - 1) if common >> k & 1}
+    if not degrees:
+        return True
+    q = min((q for q in patterns if q % 2), key=lambda q: len(patterns[q]))
+    return _recombine(_monic_form(f)[0], q, degrees)

@@ -466,3 +466,168 @@ def fraction_tuple_op(minpoly, op, x, y=None):
     if op == "/":
         return convolution_product(minpoly, x, euclid_inverse(minpoly, y))
     raise ValueError(f"unknown operation {op!r}")
+
+
+# --- irreducibility: the single-prime criterion and sympy ---------------------
+# The certification before the distinct-degree rewrite: x^(q^n) and each
+# x^(q^(n/r)) by square-and-multiply from scratch, divisor-based rational
+# roots, and sympy's factorization as the complete decision.
+
+
+def _mtrim(f, q):
+    f = [c % q for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _mmul(f, g, q):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % q
+    return _mtrim(out, q)
+
+
+def _mrem(f, g, q):
+    f = list(f)
+    inv = pow(g[-1], -1, q)
+    for k in range(len(f) - len(g), -1, -1):
+        c = f[k + len(g) - 1] * inv % q
+        for j, b in enumerate(g):
+            f[k + j] = (f[k + j] - c * b) % q
+    return _mtrim(f[: len(g) - 1], q)
+
+
+def _mgcd(f, g, q):
+    while g:
+        f, g = g, _mrem(f, g, q)
+    return f
+
+
+def _mpow_x(e, modpoly, q):
+    """x**e modulo (modpoly, q)."""
+    result, base = [1], _mrem([0, 1], modpoly, q)
+    while e:
+        if e & 1:
+            result = _mrem(_mmul(result, base, q), modpoly, q)
+        e >>= 1
+        base = _mrem(_mmul(base, base, q), modpoly, q)
+    return result
+
+
+def _x_minus(h, q):
+    h = list(h) + [0] * max(0, 2 - len(h))
+    h[1] -= 1
+    return _mtrim(h, q)
+
+
+def irreducible_mod_q(f_int, q):
+    """Monic integer f irreducible over GF(q): x**(q**n) = x mod f and
+    gcd(x**(q**(n/r)) - x, f) = 1 for every prime r | n."""
+    f = _mtrim(list(f_int), q)
+    n = len(f) - 1
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    if _x_minus(_mpow_x(q ** n, f, q), q):
+        return False
+    for r in range(2, n + 1):
+        if n % r == 0 and all(r % d for d in range(2, r)):
+            g = _x_minus(_mpow_x(q ** (n // r), f, q), q)
+            if not g or len(_mgcd(f, g, q)) > 1:
+                return False
+    return True
+
+
+def discriminant(f):
+    """disc(f) = (-1)^(n(n-1)/2) res(f, f') / lead(f), by the Euclid resultant."""
+    n = len(f) - 1
+    deriv = [i * Fraction(c) for i, c in enumerate(f) if i]
+    return euclid_resultant(f, deriv) / Fraction(f[-1]) * (-1) ** (n * (n - 1) // 2)
+
+
+def certificate_prime(f, p, tries=25):
+    """The first of ``tries`` primes q != p coprime to disc(f) and the
+    coefficient denominators with f mod q irreducible, else None."""
+    disc = discriminant(f)
+    if not disc:
+        return None
+    bad = abs(disc.numerator) * disc.denominator
+    for c in f:
+        bad *= c.denominator
+    q, seen = 1, 0
+    while seen < tries:
+        q += 1
+        if any(q % d == 0 for d in range(2, q)) or q == p or bad % q == 0:
+            continue
+        seen += 1
+        if irreducible_mod_q([c.numerator * pow(c.denominator, -1, q) % q for c in f], q):
+            return q
+    return None
+
+
+def _divisors(n):
+    n = abs(n)
+    return [d for d in range(1, math.isqrt(n) + 1) if n % d == 0 for d in {d, n // d}]
+
+
+def has_rational_root(f):
+    """The rational root test on the cleared form: some +-r/s with r | a0
+    and s | an is a root (zero roots first)."""
+    def value(x):
+        return sum(Fraction(c) * x ** i for i, c in enumerate(f))
+
+    den = math.lcm(*(Fraction(c).denominator for c in f))
+    ints = [int(Fraction(c) * den) for c in f]
+    if not ints[0]:
+        return True
+    return any(
+        not value(Fraction(sign * r, s))
+        for r in _divisors(ints[0]) for s in _divisors(ints[-1]) for sign in (1, -1)
+    )
+
+
+def sympy_irreducible(f):
+    """Irreducibility over Q by sympy's factorization."""
+    from sympy import Poly as SymPoly, Rational as SymRational
+    from sympy.abc import x
+
+    sym = sum(SymRational(Fraction(c).numerator, Fraction(c).denominator) * x ** i for i, c in enumerate(f))
+    return SymPoly(sym, x).is_irreducible
+
+
+def is_irreducible_exact(f):
+    """Exact irreducibility over Q for a monic f of degree >= 2: squarefree
+    check, rational root test, then sympy."""
+    if not discriminant(f) or has_rational_root(f):
+        return False
+    return len(f) <= 4 or sympy_irreducible(f)
+
+
+def brute_factors(f, q):
+    """The monic irreducible factors of monic f over GF(q), with
+    multiplicity, by trial division with every monic polynomial of each
+    degree in turn."""
+    f = _mtrim(list(f), q)
+    factors, d = [], 1
+    while 2 * d <= len(f) - 1:
+        for code in range(q ** d):
+            g = [code // q ** i % q for i in range(d)] + [1]
+            while not _mrem(f, g, q):
+                f = _quo(f, g, q)
+                factors.append(tuple(g))
+        d += 1
+    return factors + [tuple(f)] * (len(f) > 1)
+
+
+def _quo(f, g, q):
+    f, quo = list(f), [0] * (len(f) - len(g) + 1)
+    for k in range(len(f) - len(g), -1, -1):
+        c = quo[k] = f[k + len(g) - 1] % q
+        for j, b in enumerate(g):
+            f[k + j] = (f[k + j] - c * b) % q
+    return _mtrim(quo, q)

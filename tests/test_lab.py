@@ -154,6 +154,11 @@ class TestZSet:
     def test_a_multiples_of_p_excluded(self):
         assert all(int(mp.coeffs[-2]) % 3 for mp in build_z_set(3, 2))
 
+    def test_memoized_per_prime_and_degree(self):
+        zs = build_z_set(2, 3)
+        assert isinstance(zs, tuple)
+        assert build_z_set(2, 3) is zs
+
 
 class TestBatch:
     def test_totals_invariant(self):
