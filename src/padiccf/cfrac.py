@@ -201,18 +201,26 @@ class ExpansionRecord:
         fmt = data.get("format") if isinstance(data, dict) else None
         if fmt != 1:
             raise RecordFormatError(f"unsupported record format {fmt!r}; this version reads format 1")
-        mp = MinPoly.from_json(data["minpoly"])
-        return cls(
-            algorithm=data["algorithm"],
-            eps=data["eps"],
-            lookahead=data["lookahead"],
-            g_variant=data["g_variant"],
-            initial=VectorElement.from_json(mp, data["initial"]),
-            steps=[CMapStep.from_json(s) for s in data["steps"]],
-            remainders=[VectorElement.from_json(mp, r) for r in data["remainders"]],
-            status=Status.from_json(data["status"]),
-            identity_steps=data.get("identity_steps", 0),
-        )
+        try:
+            mp = MinPoly.from_json(data["minpoly"])
+            steps, remainders = data["steps"], data["remainders"]
+            if not isinstance(steps, list) or not isinstance(remainders, list):
+                raise TypeError("'steps' and 'remainders' must be lists")
+            return cls(
+                algorithm=data["algorithm"],
+                eps=data["eps"],
+                lookahead=data["lookahead"],
+                g_variant=data["g_variant"],
+                initial=VectorElement.from_json(mp, data["initial"]),
+                steps=[CMapStep.from_json(s) for s in steps],
+                remainders=[VectorElement.from_json(mp, r) for r in remainders],
+                status=Status.from_json(data["status"]),
+                identity_steps=data.get("identity_steps", 0),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            # a missing key, a wrong type (qparse of a non-string has no
+            # .strip) or an unparsable value
+            raise RecordFormatError(f"malformed format-1 record: {exc!r}") from exc
 
 
 # --- fractional maps ---------------------------------------------------------
@@ -257,10 +265,9 @@ def _unit_normalizer(elem: FieldElement, p: int) -> int:
     """p-free part of the gcd of the z-coefficient numerators; 1 if the
     z-part vanishes.  Always a p-adic unit, so dividing by it keeps
     p-integrality."""
-    g = 0
-    for c in elem.coeffs[1:]:
-        if c:
-            g = math.gcd(g, c.numerator)
+    d, g = elem.den, 0
+    for x in elem.nums[1:]:
+        g = math.gcd(g, x // math.gcd(x, d))  # the numerator of x/d in lowest terms
     if g == 0:
         return 1
     while g % p == 0:
@@ -480,7 +487,19 @@ def expand(
             return step_phi2(emb, cur, eps, lookahead, memo)
         return step_phi3(emb, cur, g_variant=g_variant)
 
-    cap = 10 ** height_exponent
+    cap = None
+
+    def exceeds(vec) -> bool:
+        # a height of at most 3h bits is below 2^(3h) <= 10^h, so the cap
+        # itself, a huge int for a huge h, is built only past that
+        nonlocal cap
+        h = height_z(vec)
+        if h.bit_length() <= 3 * height_exponent:
+            return False
+        if cap is None:
+            cap = 10 ** height_exponent
+        return h > cap
+
     remainders = [alpha]
     steps: list = []
     seen = {alpha: 0}
@@ -489,7 +508,7 @@ def expand(
 
     if alpha.is_zero():
         status = Status("finite", 0)
-    elif height_z(alpha) > cap:
+    elif exceeds(alpha):
         status = Status("height_exceeded", 0)
 
     while status is None:
@@ -510,7 +529,7 @@ def expand(
         else:
             if detect_cycles:
                 seen[nxt] = n
-            if height_z(nxt) > cap:
+            if exceeds(nxt):
                 status = Status("height_exceeded", n)
 
     return ExpansionRecord(

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 
 from . import polys
-from .errors import HViolation, IrreducibilityUnknown, MixedField, Reducible
+from .errors import HViolation, IrreducibilityUnknown, MixedField
 from .preduce import RationalMatrix, back_substitute, bareiss, scale_rows
-from .rationals import Q, QONE, QZERO, check_prime, height, ordp, qformat, qparse
+from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse
 
 
 class MinPoly:
@@ -132,12 +132,11 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     """Certify a candidate minimal polynomial x^n + a1 x^(n-1) + .. + an.
 
     Checks the admissibility clauses (p-integral coefficients, unit x^1
-    coefficient, non-unit constant term), rejects a repeated factor or a
-    rational root as Reducible, and then searches an irreducibility
-    certificate prime.  Without one, the exact decision of
-    :func:`polys.is_irreducible_exact` over the primes tried raises
-    Reducible for reducible candidates; irreducible-but-uncertified ones
-    raise IrreducibilityUnknown unless ``force`` is set.
+    coefficient, non-unit constant term), then makes the irreducibility
+    decision with one call to :func:`polys.certify`, which raises
+    Reducible (or CapExceeded) and returns the certificate prime.  An
+    irreducible candidate without a certificate raises
+    IrreducibilityUnknown unless ``force`` is set.
     """
     check_prime(p)
     mp = MinPoly(p, coeffs)
@@ -152,18 +151,11 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
         raise HViolation("unit-subleading", "x^1 coefficient must be a p-adic unit")
     if a_n and ordp(a_n, p) <= 0:
         raise HViolation("divisible-constant", "constant term must lie in pZ_p")
-    asc = mp.ascending()
-    if polys.has_root_or_repeated_factor(asc):
-        raise Reducible("polynomial factors over Q")
-    patterns = {}
-    cert = polys.certificate_prime(asc, p, patterns)
-    if cert is None:
-        if not polys.is_irreducible_exact(asc, patterns):
-            raise Reducible("polynomial factors over Q")
-        if not force:
-            raise IrreducibilityUnknown(
-                f"no certificate among the first {polys.CERTIFICATE_TRIES} candidate primes"
-            )
+    cert = polys.certify(mp.ascending(), p)
+    if cert is None and not force:
+        raise IrreducibilityUnknown(
+            f"no certificate among the first {polys.CERTIFICATE_TRIES} candidate primes"
+        )
     return MinPoly(p, coeffs, certificate_prime=cert)
 
 
@@ -445,7 +437,8 @@ def height_z(value) -> int:
     over components.  The divergence gauge for the experiment harness."""
     if isinstance(value, VectorElement):
         return max(height_z(c) for c in value.components)
-    return max(height(c) for c in value.coeffs)
+    d = value.den  # x/d in lowest terms has height (|x| + d) / gcd(x, d)
+    return max((abs(x) + d) // math.gcd(x, d) for x in value.nums)
 
 
 def coeff_matrix(vec: "VectorElement"):

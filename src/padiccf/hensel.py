@@ -1,7 +1,8 @@
 """Embedding K = Q(z) into Q_p and p-adic functionals on field elements.
 
 The admissibility clauses of the defining polynomial guarantee a unique
-root in pZ_p with unit derivative; Newton iteration lifts it to any
+root in pZ_p with unit derivative; Newton iteration (the one of
+``polys.newton_lift``, shared with the rational-root test) lifts it to any
 requested precision.  Valuations, digits and digit heads of arbitrary
 field elements are then exact integer computations against that residue:
 for a = (1/d) * sum(b_i z^i), stored as its integer numerators b_i over
@@ -19,6 +20,7 @@ import math
 
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded
 from .field import FieldElement, MinPoly, VectorElement, element_minpoly, multiplication_rows
+from .polys import newton_lift
 from .preduce import bareiss
 from .rationals import (
     ORD_INF,
@@ -32,36 +34,20 @@ from .rationals import (
 )
 
 
-def _poly_mod(minpoly: MinPoly, mod: int):
-    """Ascending integer coefficients of f and f' modulo ``mod``."""
-    asc = minpoly.ascending()
-    f = [c.numerator * inv_mod(c.denominator, mod) % mod for c in asc]
-    fp = [i * c % mod for i, c in enumerate(f)][1:]
-    return f, fp
-
-
-def _eval_mod(coeffs, x, mod):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % mod
-    return acc
-
-
 def hensel_lift(minpoly: MinPoly, m: int) -> int:
-    """Newton-lift the distinguished root (the one in pZ_p) to precision m:
-    the residue in [0, p^m) of the unique root congruent to 0 mod p."""
+    """The distinguished root (the one in pZ_p) to precision m: the residue
+    in [0, p^m) of the unique root congruent to 0 mod p.
+
+    :func:`polys.newton_lift` lifts the root 0 of D f mod p, D the lcm of
+    f's coefficient denominators (``MinPoly._int_f``): admissibility makes
+    D prime to p, so D f is an integer polynomial with D f(0) = D an = 0
+    mod p and (D f)'(0) = D a_{n-1} a unit.
+    """
     if minpoly.is_rational_field:
         raise ValueError("the rational sentinel field has no residue")
-    p = minpoly.p
-    x, prec = 0, 1  # f(0) = an = 0 mod p and f'(0) = a_{n-1} is a unit
-    while prec < m:
-        prec *= 2
-        mod = p ** prec
-        f, fp = _poly_mod(minpoly, mod)
-        fx = _eval_mod(f, x, mod)
-        fpx = _eval_mod(fp, x, mod)
-        x = (x - fx * inv_mod(fpx, mod)) % mod
-    return x % p ** m
+    den, low = minpoly._int_f
+    mod = minpoly.p ** m
+    return newton_lift(low + (den,), 0, minpoly.p, mod - 1)[0] % mod
 
 
 class Embedding:

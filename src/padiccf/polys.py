@@ -7,11 +7,13 @@ Certification works on the monic integer form G(y) = a^(n-1) A(y/a) of
 f, where A is f's cleared integer form and a its leading coefficient: G
 is irreducible exactly when f is, and its roots are a times those of f.
 A prime q is *good* when it does not divide disc(G); then G mod q is
-squarefree.  Deciding irreducibility runs, cheapest first:
+squarefree.  :func:`certify` makes the whole decision: it builds G and
+disc(G) once per polynomial and runs, cheapest first:
 
 1. **squarefree**: disc(f) = 0 means a repeated factor;
 2. **rational roots**: the roots of G modulo the least good prime,
-   Newton-lifted past twice the Cauchy bound and tested exactly;
+   lifted by :func:`newton_lift` past twice the Cauchy bound and tested
+   exactly;
 3. **certificate**: one distinct-degree factorization of G mod q for each
    of the first ``CERTIFICATE_TRIES`` good primes q != p, with x^(q^k)
    from the Frobenius matrix of x^q (Cohen, *A Course in Computational
@@ -29,6 +31,10 @@ squarefree.  Deciding irreducibility runs, cheapest first:
    Algebra*, ch. 15);
 6. **budget**: recombination examines at most ``RECOMBINATION_TRIES``
    subsets and raises ``CapExceeded`` past that.
+
+:func:`certificate_prime` (stage 3 alone) and :func:`is_irreducible_exact`
+(the decision as a bool) are views of the same stages.
+:func:`newton_lift` is also the Hensel lift of ``hensel.hensel_lift``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import itertools
 import math
 import random
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Reducible
 from .preduce import bareiss, scale_rows
 from .rationals import Q, QZERO, is_prime, inv_mod
 
@@ -261,36 +267,95 @@ CERTIFICATE_TRIES = 25
 RECOMBINATION_TRIES = 4096
 
 
-def certificate_prime(f: Poly, p, patterns=None):
-    """Search a prime witness q != p among the first CERTIFICATE_TRIES
-    candidates, coprime to disc(f) and the coefficient denominators, with
-    f mod q irreducible.
+def _patterns(G, disc, p):
+    """(q, factor degrees of G mod q) for the first CERTIFICATE_TRIES
+    good primes q != p, in increasing order; disc = disc(G) is nonzero."""
+    q, seen = 1, 0
+    while seen < CERTIFICATE_TRIES:
+        q += 1
+        if not is_prime(q) or q == p or disc % q == 0:
+            continue
+        seen += 1
+        yield q, _pattern(_ddf(_mtrim(G, q), q))
 
-    Returns the witness or None.  Soundness is one-sided: a witness proves
-    irreducibility over Q; absence proves nothing.  When ``patterns`` is
-    a dict, the factor degrees of f mod each prime tried are stored in
-    it, keyed by the prime, for :func:`is_irreducible_exact`.
+
+def certify(f: Poly, p):
+    """Decide the irreducibility of f, of degree >= 1, over Q.
+
+    Builds the monic integer form G and disc(G) once and runs the stages
+    of the module docstring in order.  Returns the certificate prime: the
+    first good prime q != p with G mod q irreducible among the first
+    CERTIFICATE_TRIES; None when f is irreducible without one.  Raises
+    Reducible when f factors over Q, and CapExceeded past
+    RECOMBINATION_TRIES subsets.
     """
+    G, _, disc = _monic_form(ptrim(f))
+    n = pdeg(G)
+    if not disc or n > 1 and _integer_roots(G, disc):
+        raise Reducible("polynomial factors over Q")
+    patterns, common = {}, -1  # bit k of common: every pattern has a sub-multiset of degree k
+    for q, pattern in _patterns(G, disc, p):
+        if pattern == (n,):
+            return q
+        patterns[q] = pattern
+        sums = 1
+        for k in pattern:
+            sums |= sums << k
+        common &= sums
+    # no rational root, so a proper factor and its cofactor have degree >= 2
+    degrees = {k for k in range(2, n - 1) if common >> k & 1}
+    if degrees:
+        q = min((q for q in patterns if q % 2), key=lambda q: len(patterns[q]))
+        if not _recombine(G, q, degrees):
+            raise Reducible("polynomial factors over Q")
+    return None
+
+
+def certificate_prime(f: Poly, p):
+    """The certificate stage of :func:`certify` alone: the first of the
+    first CERTIFICATE_TRIES good primes q != p with f mod q irreducible,
+    or None.  Soundness is one-sided: a witness proves irreducibility over
+    Q; absence proves nothing."""
     f = ptrim(f)
     if pdeg(f) < 1:
         return None
     G, _, disc = _monic_form(f)
     if not disc:
         return None
-    n = pdeg(G)
-    q = 1
-    seen = 0
-    while seen < CERTIFICATE_TRIES:
-        q += 1
-        if not is_prime(q) or q == p or disc % q == 0:
-            continue
-        seen += 1
-        pattern = _pattern(_ddf(_mtrim(G, q), q))
-        if patterns is not None:
-            patterns[q] = pattern
-        if pattern == (n,):
-            return q
-    return None
+    return next((q for q, pattern in _patterns(G, disc, p) if pattern == (pdeg(G),)), None)
+
+
+def is_irreducible_exact(f: Poly) -> bool:
+    """Exact irreducibility over Q: :func:`certify` without an excluded
+    prime, so CapExceeded passes through.  Some quartics (A4 Galois
+    group) are irreducible over Q yet reducible mod every prime; the
+    sieve settles them."""
+    f = ptrim(f)
+    if pdeg(f) < 1:
+        return False
+    try:
+        certify(f, None)
+    except Reducible:
+        return False
+    return True
+
+
+def newton_lift(F, r, q, bound):
+    """Lift a simple root r of the integer polynomial F modulo q (F'(r) a
+    unit mod the prime q) by Newton's iteration, squaring the modulus m
+    until it exceeds ``bound``.  Returns (root in [0, m), m).
+
+    s = 1/F'(r) is carried along and refined by its own Newton step,
+    s (2 - F'(r) s), in place of a modular inversion per step: s correct
+    mod m and F(r) = 0 mod m make r - F(r) s correct mod m^2.
+    """
+    dF = pderiv(F)
+    m, s = q, inv_mod(peval(dF, r), q)
+    while m <= bound:
+        m *= m
+        r = (r - peval(F, r) * s) % m
+        s = s * (2 - peval(dF, r) * s) % m
+    return r, m
 
 
 def _integer_roots(G, disc):
@@ -300,16 +365,13 @@ def _integer_roots(G, disc):
     q = 2
     while not is_prime(q) or disc % q == 0:
         q += 1
-    Gq, dG = _mtrim(G, q), pderiv(G)
+    Gq = _mtrim(G, q)
     bound = 1 + max(abs(c) for c in G[:-1])
     roots = []
     for r in range(q):
         if peval(Gq, r) % q:
             continue
-        m = q
-        while m <= 2 * bound:
-            m *= m
-            r = (r - peval(G, r) * inv_mod(peval(dG, r), m)) % m
+        r, m = newton_lift(G, r, q, 2 * bound)
         if 2 * r > m:
             r -= m
         if not peval(G, r):
@@ -330,13 +392,6 @@ def rational_roots(f: Poly):
             g, h = h, _pdivmod(g, h)[1]
         G, a, disc = _monic_form(_pdivmod(f, g)[0])
     return sorted(Q(y, a) for y in _integer_roots(G, disc))
-
-
-def has_root_or_repeated_factor(f: Poly) -> bool:
-    """The cheap rejections, for f of degree >= 2: disc(f) = 0 or a
-    rational root."""
-    G, _, disc = _monic_form(ptrim(f))
-    return not disc or bool(_integer_roots(G, disc))
 
 
 def _recombine(G, q, degrees) -> bool:
@@ -375,41 +430,3 @@ def _recombine(G, q, degrees) -> bool:
             if not _pdivmod(G, g)[1]:
                 return False
     return True
-
-
-def is_irreducible_exact(f: Poly, patterns=None) -> bool:
-    """Exact irreducibility over Q.
-
-    Order: degree shortcuts, squarefree check, rational roots, then the
-    factor degrees of f modulo the tried primes (``patterns`` as filled
-    by :func:`certificate_prime`, else found here), the degree sieve over
-    them, and Zassenhaus recombination, which raises CapExceeded past
-    ``RECOMBINATION_TRIES`` subsets.  Some quartics (A4 Galois group) are
-    irreducible over Q yet reducible mod every prime; the sieve settles
-    them.
-    """
-    f = ptrim(f)
-    n = pdeg(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    if has_root_or_repeated_factor(f):
-        return False
-    if n <= 3:
-        return True
-    if not patterns:
-        patterns = {}
-        certificate_prime(f, None, patterns)
-    common = -1  # bit k: every pattern has a sub-multiset of degree k
-    for pattern in patterns.values():
-        sums = 1
-        for k in pattern:
-            sums |= sums << k
-        common &= sums
-    # no rational root, so a proper factor and its cofactor have degree >= 2
-    degrees = {k for k in range(2, n - 1) if common >> k & 1}
-    if not degrees:
-        return True
-    q = min((q for q in patterns if q % 2), key=lambda q: len(patterns[q]))
-    return _recombine(_monic_form(f)[0], q, degrees)

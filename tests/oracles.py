@@ -163,6 +163,25 @@ def hensel_root_search(minpoly, m):
     return hits
 
 
+def height_by_coeffs(a):
+    """``field.height_z`` of one element through its Fraction coefficients:
+    max |num| + den."""
+    return max(abs(c.numerator) + c.denominator for c in a.coeffs)
+
+
+def unit_normalizer_by_coeffs(a, p):
+    """``cfrac._unit_normalizer`` through the Fraction coefficients: the
+    p-free part of the gcd of the z-coefficient numerators, 1 if none."""
+    g = 0
+    for c in a.coeffs[1:]:
+        g = math.gcd(g, c.numerator)
+    if g == 0:
+        return 1
+    while g % p == 0:
+        g //= p
+    return g
+
+
 def vp_by_division(n, p):
     """Valuation of a nonzero integer, one division at a time."""
     n = abs(n)

@@ -354,6 +354,13 @@ class TestExpand:
         rec = expand(k2.vector([k2.gen() + Q(1, 3)]), "phi0", eps=1, height_exponent=10)
         assert rec.status.kind == "height_exceeded"
 
+    @pytest.mark.parametrize("h", [1, 5, 20, 200])
+    def test_height_cap_is_inclusive(self, k2, h):
+        # height |10^h - 1| + 1 = 10^h is at the cap, 10^h + 1 is past it
+        for top, kind in ((10**h - 1, "step_limit"), (10**h, "height_exceeded")):
+            rec = expand(k2.vector([k2.element([top, 1])]), "phi0", max_steps=0, height_exponent=h)
+            assert (rec.status.kind, rec.status.index) == (kind, 0), (h, top)
+
     def test_step_limit(self, k2):
         rec = expand(k2.vector([k2.gen() + Q(1, 3)]), "phi0", eps=1, max_steps=3, height_exponent=60)
         assert rec.status.kind == "step_limit" and rec.status.index == 3
@@ -483,6 +490,25 @@ class TestRecordJson:
     def test_format_field(self, k2):
         rec = expand(k2.vector([k2.gen()]), "phi1")
         assert rec.to_json()["format"] == 1
+
+    @pytest.mark.parametrize("case", ["missing key", "steps not a list", "remainders not a list",
+                                      "step without matrix", "int coefficient", "int matrix entry"])
+    def test_malformed_record_is_typed_error(self, k2, case):
+        data = expand(k2.vector([k2.gen()]), "phi1").to_json()
+        if case == "missing key":
+            data = {"format": 1}
+        elif case == "steps not a list":
+            data["steps"] = ""
+        elif case == "remainders not a list":
+            data["remainders"] = {}
+        elif case == "step without matrix":
+            del data["steps"][0]["matrix"]
+        elif case == "int coefficient":
+            data["initial"][0]["coeffs"][0] = 0
+        else:
+            data["steps"][0]["matrix"][0][0] = 1
+        with pytest.raises(RecordFormatError, match="malformed"):
+            ExpansionRecord.from_json(data)
 
     @pytest.mark.parametrize("data", [{"format": 2}, {"format": 2, "minpoly": {}}, {}, []])
     def test_unknown_format_is_typed_error(self, data):

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +207,16 @@ def test_negative_height_exponent_exit_code(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "height_exponent" in captured.err
     assert "status:" not in captured.out
+
+
+def test_huge_height_exponent_builds_no_giant_cap():
+    # the orbit is periodic at step 2 with heights of a few bits; 10**(10**8)
+    # alone would take minutes to build
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    args = ["expand", "--p", "2", "--minpoly", "1,2", "--elem", '{"coeffs":["0","1"]}', "--algo", "phi1"]
+    t0 = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "padiccf", *args, "--height-exp", "100000000"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 5
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[0] == "status: periodic at step 2 preperiod=0 period=2"

@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padiccf.errors import CapExceeded, NotPrimitive
-from padiccf.field import element_minpoly
+from padiccf.field import MinPoly, element_minpoly
 from padiccf.hensel import hensel_lift
 from padiccf.rationals import ORD_INF, Q, head_tail, ordp
-from oracles import hensel_root_search
+from oracles import hensel_root_search, root_by_digits
 
 
 def rand_elem(mp, rng, span=9):
@@ -50,6 +51,29 @@ class TestLifting:
         for entry in blob["entries"]:
             mp = MinPoly.from_json(entry["minpoly"])
             assert str(hensel_lift(mp, entry["precision"])) == entry["residue"]
+
+
+@st.composite
+def admissible_with_denominator(draw):
+    """An admissible monic f of degree 2-5 whose coefficient denominators
+    are prime to p with lcm D > 1, and a precision m <= 60."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 5))
+    dens = st.integers(1, 40).filter(lambda d: d % p)
+    coeffs = [Q(draw(st.integers(-50, 50)), draw(dens)) for _ in range(n - 2)]
+    coeffs.append(Q(draw(st.integers(-50, 50).filter(lambda a: a % p)), draw(dens)))  # a unit
+    coeffs.append(Q(p * draw(st.integers(-50, 50)), draw(dens)))  # in pZ_p
+    if all(c.denominator == 1 for c in coeffs):
+        coeffs[-2] += Q(p, draw(dens.filter(lambda d: d > 1)))  # still a unit, now over d
+    return MinPoly(p, coeffs), draw(st.integers(1, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_with_denominator())
+def test_lift_of_d_times_f_matches_digits(case):
+    mp, m = case
+    assert mp._int_f[0] > 1
+    assert hensel_lift(mp, m) == root_by_digits(mp, m)
 
 
 class TestOrd:

@@ -70,6 +70,21 @@ def test_z_set_candidates_match_the_criterion_and_sympy(p):
                     assert outcome(p, coeffs) == oracle_outcome(p, coeffs), (degree, a, b)
 
 
+@pytest.mark.parametrize("p, coeffs, result", [
+    (2, [1, 2], 3),  # certified at q = 3
+    (2, [3, 2], "reducible"),  # (x + 1)(x + 2): a rational root
+    (3, [0, 0, 8, 12], "unknown"),  # the A4 quartic: settled by the sieve
+    (3, [0, 0, 7, -12], "reducible"),  # (x^2 + x - 3)(x^2 - x + 4): by recombination
+])
+def test_one_monic_form_per_candidate(monkeypatch, p, coeffs, result):
+    # G and disc(G) are built once and shared by every stage
+    calls = []
+    monic_form = polys._monic_form
+    monkeypatch.setattr(polys, "_monic_form", lambda f: calls.append(f) or monic_form(f))
+    assert outcome(p, coeffs) == result
+    assert len(calls) == 1
+
+
 def _monic(draw, degree, bound):
     return [draw(st.integers(-bound, bound)) for _ in range(degree)] + [1]
 

@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padiccf.field import FieldElement, MinPoly, VectorElement
+from padiccf.cfrac import _unit_normalizer
+from padiccf.field import FieldElement, MinPoly, VectorElement, height_z
 from padiccf.rationals import Q
-from oracles import fraction_tuple_op
+from oracles import fraction_tuple_op, height_by_coeffs, unit_normalizer_by_coeffs
 
 CHECKS = settings(max_examples=150, deadline=None)
 
@@ -133,6 +134,20 @@ class TestAgainstFractionTuples:
         a = mp.element(x)
         assert_matches(-a, fraction_tuple_op(mp, "neg", x))
         check_op(mp, "inv", x, None, a.inverse)
+
+
+    @CHECKS
+    @given(st.data())
+    def test_gauges_read_nums_as_the_fractions_would(self, data):
+        # height_z and _unit_normalizer reduce each num_i/den by its own gcd
+        mp = data.draw(fields())
+        x, y = data.draw(operand_pairs(mp))
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        for a in (mp.element(x), mp.element(x) + mp.element(y)):
+            assert height_z(a) == height_by_coeffs(a)
+            assert _unit_normalizer(a, p) == unit_normalizer_by_coeffs(a, p)
+        vec = mp.vector([mp.element(x), mp.element(y)])
+        assert height_z(vec) == max(height_by_coeffs(c) for c in vec)
 
 
 class TestCanonicalForm:
