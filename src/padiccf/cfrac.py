@@ -487,18 +487,11 @@ def expand(
             return step_phi2(emb, cur, eps, lookahead, memo)
         return step_phi3(emb, cur, g_variant=g_variant)
 
-    cap = None
-
     def exceeds(vec) -> bool:
         # a height of at most 3h bits is below 2^(3h) <= 10^h, so the cap
         # itself, a huge int for a huge h, is built only past that
-        nonlocal cap
         h = height_z(vec)
-        if h.bit_length() <= 3 * height_exponent:
-            return False
-        if cap is None:
-            cap = 10 ** height_exponent
-        return h > cap
+        return h.bit_length() > 3 * height_exponent and h > 10 ** height_exponent
 
     remainders = [alpha]
     steps: list = []

@@ -347,14 +347,16 @@ def newton_lift(F, r, q, bound):
 
     s = 1/F'(r) is carried along and refined by its own Newton step,
     s (2 - F'(r) s), in place of a modular inversion per step: s correct
-    mod m and F(r) = 0 mod m make r - F(r) s correct mod m^2.
+    mod m and F(r) = 0 mod m make r - F(r) s correct mod m^2.  It is
+    refined at the top of each step after the first, so the last root
+    step pays for no refinement it would not use.
     """
     dF = pderiv(F)
-    m, s = q, inv_mod(peval(dF, r), q)
+    m, s = q, None
     while m <= bound:
+        s = inv_mod(peval(dF, r), q) if s is None else s * (2 - peval(dF, r) * s) % m
         m *= m
         r = (r - peval(F, r) * s) % m
-        s = s * (2 - peval(dF, r) * s) % m
     return r, m
 
 

@@ -4,7 +4,7 @@ A code line is a non-blank line that holds some token other than a
 comment and does not lie inside a docstring (the string that opens a
 module, class or function body).  Run from anywhere:
 
-    python tools/src_lines.py [PACKAGE_DIR]
+    python tools/src_lines.py
 
 It prints one ``<count> <module>`` line per module, sorted by name, then
 ``<count> total``.  Size claims about ``src/`` quote this total.
@@ -43,13 +43,12 @@ def code_lines(path: Path) -> int:
     return len(lines - _docstring_lines(ast.parse(text)))
 
 
-def counts(package: Path = PACKAGE) -> dict:
-    return {p.stem: code_lines(p) for p in sorted(package.glob("*.py"))}
+def counts() -> dict:
+    return {p.stem: code_lines(p) for p in sorted(PACKAGE.glob("*.py"))}
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    per_module = counts(Path(argv[0]) if argv else PACKAGE)
+def main() -> int:
+    per_module = counts()
     for name, n in per_module.items():
         print(f"{n:6d} {name}")
     print(f"{sum(per_module.values()):6d} total")
