@@ -28,7 +28,7 @@ from .field import (
     validate_minpoly,
 )
 from .hensel import Embedding, hensel_lift
-from .preduce import RationalMatrix, is_p_reduced, p_reduce
+from .preduce import RationalMatrix, p_reduce
 from .cfrac import (
     ALGORITHMS,
     CMapStep,

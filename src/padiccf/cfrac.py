@@ -33,7 +33,23 @@ from .errors import PoleHit, RecordFormatError
 from .field import FieldElement, MinPoly, VectorElement, coeff_matrix, denom_z, height_z
 from .hensel import Embedding
 from .preduce import RationalMatrix, back_substitute, bareiss, p_reduce
-from .rationals import ORD_INF, Q, QONE, QZERO, head_tail, qformat, qparse, qpow
+from .rationals import ORD_INF, Q, QONE, QZERO, head_tail, qformat, qparse_list, qpow
+
+
+def _checked(data, key, ok):
+    """data[key] if ``ok`` accepts it, else a RecordFormatError."""
+    value = data[key]
+    if not ok(value):
+        raise RecordFormatError(f"bad {key!r}: {value!r}")
+    return value
+
+
+def _is_eps(v) -> bool:
+    return type(v) is int and v in (1, -1)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(type(e) is int for e in v)
 
 
 def shift_matrix(s: int) -> RationalMatrix:
@@ -131,21 +147,24 @@ class CMapStep:
         return cls(
             p=data["p"],
             pivot=data["pivot"],
-            eps=data["eps"],
+            eps=_checked(data, "eps", _is_eps),
             identity=data["identity"],
-            coeffs=tuple(qparse(c) for c in data["coeffs"]),
-            exps=tuple(data["exps"]),
-            shifts=tuple(qparse(w) for w in data["shifts"]),
+            coeffs=tuple(qparse_list(data["coeffs"])),
+            exps=tuple(_checked(data, "exps", _is_int_list)),
+            shifts=tuple(qparse_list(data["shifts"])),
             matrix=RationalMatrix.from_json(data["matrix"]),
-            gamma=tuple(qparse(g) for g in data["gamma"]),
+            gamma=tuple(qparse_list(data["gamma"])),
         )
+
+
+KINDS = ("finite", "periodic", "height_exceeded", "step_limit")
 
 
 @dataclass(frozen=True)
 class Status:
     """Terminal classification of an expansion."""
 
-    kind: str  # "finite" | "periodic" | "height_exceeded" | "step_limit"
+    kind: str  # one of KINDS
     index: int
     preperiod: int | None = None
     period: int | None = None
@@ -159,7 +178,8 @@ class Status:
 
     @classmethod
     def from_json(cls, data) -> "Status":
-        return cls(data["kind"], data["index"], data.get("preperiod"), data.get("period"))
+        return cls(_checked(data, "kind", KINDS.__contains__), data["index"],
+                   data.get("preperiod"), data.get("period"))
 
 
 @dataclass
@@ -207,8 +227,8 @@ class ExpansionRecord:
             if not isinstance(steps, list) or not isinstance(remainders, list):
                 raise TypeError("'steps' and 'remainders' must be lists")
             return cls(
-                algorithm=data["algorithm"],
-                eps=data["eps"],
+                algorithm=_checked(data, "algorithm", ALGORITHMS.__contains__),
+                eps=_checked(data, "eps", _is_eps),
                 lookahead=data["lookahead"],
                 g_variant=data["g_variant"],
                 initial=VectorElement.from_json(mp, data["initial"]),
@@ -218,8 +238,8 @@ class ExpansionRecord:
                 identity_steps=data.get("identity_steps", 0),
             )
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            # a missing key, a wrong type (qparse of a non-string has no
-            # .strip) or an unparsable value
+            # a missing key, a wrong type, a value the checks reject (a
+            # RecordFormatError is a ValueError) or an unparsable one
             raise RecordFormatError(f"malformed format-1 record: {exc!r}") from exc
 
 

@@ -57,7 +57,7 @@ class CapExceeded(PadiccfError, RuntimeError):
 
 
 class PrecisionCapExceeded(PadiccfError, RuntimeError):
-    """Defensive guard: the valuation ladder passed its sound upper bound."""
+    """Defensive guard: a valuation still vanished at its sound precision cap."""
 
 
 class StreamExhausted(PadiccfError, RuntimeError):

@@ -28,7 +28,7 @@ import math
 from . import polys
 from .errors import HViolation, IrreducibilityUnknown, MixedField
 from .preduce import RationalMatrix, back_substitute, bareiss, scale_rows
-from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse
+from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
 
 
 class MinPoly:
@@ -37,12 +37,13 @@ class MinPoly:
     Instances created through :func:`validate_minpoly` carry an
     irreducibility certificate; direct construction skips certification
     and yields plain quotient-ring semantics (used by tests and by the
-    degree-1 sentinel).
+    degree-1 sentinel).  The polynomial x, coefficients (0,), is that
+    sentinel, K = Q, however it is built or loaded.
     """
 
     __slots__ = ("p", "coeffs", "degree", "s", "certificate_prime", "is_rational_field", "_key", "_int_f")
 
-    def __init__(self, p: int, coeffs, certificate_prime=None, _rational=False):
+    def __init__(self, p: int, coeffs, certificate_prime=None):
         self.p = check_prime(int(p))
         self.coeffs = tuple(Q(c) for c in coeffs)  # a1 .. an, descending powers
         self.degree = len(self.coeffs)
@@ -50,16 +51,16 @@ class MinPoly:
             raise ValueError("empty coefficient list")
         self.s = self.degree - 1 if self.degree >= 2 else 1
         self.certificate_prime = certificate_prime
-        self.is_rational_field = _rational
-        self._key = (self.p, self.coeffs, _rational)
+        self.is_rational_field = self.coeffs == (QZERO,)
+        self._key = (self.p, self.coeffs)
         # (D, (D a_n, .., D a_1)): the lower coefficients cleared by their lcm D
         (low,), (den,) = scale_rows([self.coeffs[::-1]])
         self._int_f = (den, tuple(low))
 
     @classmethod
     def rationals(cls, p: int) -> "MinPoly":
-        """Degree-1 sentinel: K = Q with s = 1 and no generator."""
-        return cls(p, (QZERO,), _rational=True)
+        """Degree-1 sentinel x: K = Q with s = 1 and no generator."""
+        return cls(p, (QZERO,))
 
     # polynomial views -------------------------------------------------
     def ascending(self):
@@ -124,7 +125,7 @@ class MinPoly:
 
     @classmethod
     def from_json(cls, data) -> "MinPoly":
-        return cls(data["p"], [qparse(c) for c in data["coeffs"]],
+        return cls(data["p"], qparse_list(data["coeffs"]),
                    certificate_prime=data.get("certificate_prime"))
 
 
@@ -322,7 +323,7 @@ class FieldElement:
 
     @classmethod
     def from_json(cls, minpoly: MinPoly, data) -> "FieldElement":
-        return minpoly.element([qparse(c) for c in data["coeffs"]])
+        return minpoly.element(qparse_list(data["coeffs"]))
 
 
 def _reduced(mp: MinPoly, nums: tuple, den: int, bound: int | None = None) -> FieldElement:

@@ -27,7 +27,6 @@ from .rationals import (
     Q,
     QZERO,
     head_tail,
-    inv_mod,
     ordp,
     qpow,
     vp_int,
@@ -84,13 +83,14 @@ class Embedding:
 
         Write a = b(z)/d with b an integer polynomial of degree below n =
         deg f.  The integer combination b(z0) at the embedded root z0 is
-        evaluated modulo p^m on a doubling precision ladder; it is nonzero
-        there as soon as m exceeds v_p(b(z0)), and then ord(a) is its
-        valuation minus v_p(d).
+        evaluated modulo p^m; it is nonzero there as soon as m exceeds
+        v_p(b(z0)), and then ord(a) is its valuation minus v_p(d).  The
+        first evaluation is at the base precision; if b(z0) vanishes there,
+        the second and last is at the larger of the base and a sound cap.
 
-        The ladder stops at a sound cap from the norm.  f is monic with
-        p-integral coefficients, so all its roots theta_1 = z0, ...,
-        theta_n are integral over Z_p and v(b(theta_i)) >= 0 for each.
+        The cap comes from the norm.  f is monic with p-integral
+        coefficients, so all its roots theta_1 = z0, ..., theta_n are
+        integral over Z_p and v(b(theta_i)) >= 0 for each.
         Hence v_p(b(z0)) <= sum_i v(b(theta_i)) = v_p(N(b)), where
         N(b) = prod_i b(theta_i) = Res(f, b) (f monic) is the determinant
         of the matrix of multiplication by b on 1, z, .., z^(n-1).  That
@@ -109,24 +109,18 @@ class Embedding:
         if a.is_rational():
             return ordp(a.rational_value(), self.p)
         nums = a.nums
-        t = vp_int(a.den, self.p)
-        m = self._base_precision
-        cap = None
-        while True:
-            val = self._combination_mod(nums, m)
-            if val:
-                return vp_int(val, self.p) - t
-            if cap is None:
-                rows = multiplication_rows(self.minpoly, nums)
-                norm = bareiss(rows, len(rows))[1]
-                if not norm:
-                    raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
-                cap = vp_int(norm, self.p) + 1
-                m = max(m, cap)
-                continue
-            if m >= cap:
-                raise PrecisionCapExceeded(f"valuation ladder passed cap {cap}")
-            m = min(2 * m, cap)
+        base = self._base_precision
+        val = self._combination_mod(nums, base)
+        if not val:
+            rows = multiplication_rows(self.minpoly, nums)
+            norm = bareiss(rows, len(rows))[1]
+            if not norm:
+                raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
+            cap = vp_int(norm, self.p) + 1
+            val = self._combination_mod(nums, max(base, cap))
+            if not val:
+                raise PrecisionCapExceeded(f"valuation passed its cap {cap}")
+        return vp_int(val, self.p) - vp_int(a.den, self.p)
 
     def omega(self, a: FieldElement) -> int:
         """Digit c0 of the expansion of ``a``: the floor of its head at
@@ -144,7 +138,7 @@ class Embedding:
         if m + t < 0:
             return QZERO
         mod = self.p ** (m + t + 1)
-        val = self._combination_mod(a.nums, m + t + 1) * inv_mod(d // self.p ** t, mod) % mod
+        val = self._combination_mod(a.nums, m + t + 1) * pow(d // self.p ** t, -1, mod) % mod
         return Q(val, self.p ** t)
 
     def t_b(self, a: FieldElement) -> FieldElement:

@@ -46,7 +46,7 @@ import random
 
 from .errors import CapExceeded, Reducible
 from .preduce import bareiss, scale_rows
-from .rationals import Q, QZERO, is_prime, inv_mod
+from .rationals import Q, QZERO, is_prime
 
 Poly = tuple
 
@@ -144,7 +144,7 @@ def _mmul(f, g, q):
 def _mdivmod(f, g, q):
     f = list(f)
     n = len(g) - 1
-    inv = inv_mod(g[-1], q)
+    inv = pow(g[-1], -1, q)
     quo = [0] * max(len(f) - n, 0)
     for k in range(len(f) - 1 - n, -1, -1):
         c = quo[k] = f[k + n] * inv % q
@@ -171,7 +171,7 @@ def _mgcd(f, g, q):
         f, g = g, _mrem(f, g, q)
     if not f:
         return []
-    inv = inv_mod(f[-1], q)
+    inv = pow(f[-1], -1, q)
     return _mtrim([c * inv % q for c in f], q)
 
 
@@ -181,7 +181,7 @@ def _minv(a, f, q):
     while len(r1) > 1:
         quo, rem = _mdivmod(r0, r1, q)
         r0, r1, s0, s1 = r1, rem, s1, _msub(s0, _mmul(quo, s1, q), q)
-    inv = inv_mod(r1[0], q)
+    inv = pow(r1[0], -1, q)
     return [c * inv % q for c in s1]
 
 
@@ -257,7 +257,7 @@ def irreducible_mod_q(f_int, q: int) -> bool:
     n = len(f) - 1
     if n <= 0:
         return False
-    inv = inv_mod(f[-1], q)
+    inv = pow(f[-1], -1, q)
     return _pattern(_ddf([c * inv % q for c in f], q)) == (n,)
 
 
@@ -354,7 +354,7 @@ def newton_lift(F, r, q, bound):
     dF = pderiv(F)
     m, s = q, None
     while m <= bound:
-        s = inv_mod(peval(dF, r), q) if s is None else s * (2 - peval(dF, r) * s) % m
+        s = pow(peval(dF, r), -1, q) if s is None else s * (2 - peval(dF, r) * s) % m
         m *= m
         r = (r - peval(F, r) * s) % m
     return r, m

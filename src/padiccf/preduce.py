@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .errors import NonSquare
-from .rationals import Q, QONE, QZERO, ordp, qpow, head_tail, qformat, qparse
+from .rationals import Q, QONE, QZERO, ordp, qpow, head_tail, qformat, qparse_list
 
 
 class RationalMatrix:
@@ -29,7 +29,7 @@ class RationalMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, rows):
-        self.entries = tuple(tuple(Q(c) for c in row) for row in rows)
+        self.entries = tuple(tuple(c if type(c) is Q else Q(c) for c in row) for row in rows)
         if self.entries:
             w = len(self.entries[0])
             if any(len(r) != w for r in self.entries):
@@ -101,22 +101,12 @@ class RationalMatrix:
         d, x = back_substitute(rows, pivots, n)
         return RationalMatrix([[Q(v, d) for v in row] for row in x])
 
-    def rank(self) -> int:
-        rows, _ = scale_rows(self.entries)
-        return len(bareiss(rows, self.ncols)[0])
-
-    def det(self):
-        if not self.is_square():
-            raise NonSquare("determinant of non-square matrix")
-        rows, scales = scale_rows(self.entries)
-        return Q(bareiss(rows, self.ncols)[1], math.prod(scales))
-
     def to_json(self):
         return [[qformat(c) for c in row] for row in self.entries]
 
     @classmethod
     def from_json(cls, data) -> "RationalMatrix":
-        return cls([[qparse(c) for c in row] for row in data])
+        return cls([qparse_list(row) for row in data])
 
 
 def scale_rows(rows):
@@ -200,67 +190,31 @@ def p_reduce(matrix: RationalMatrix, p: int):
     at or below the cursor row, the least row index attaining the maximal
     p-adic absolute value (minimal valuation).  Below-pivot entries are
     eliminated fully; above-pivot entries lose only the digit tail from the
-    pivot's valuation upward.
+    pivot's valuation upward.  Every row operation runs once, on the rows
+    of [M | I]; the right half ends as N.
     """
     if not matrix.is_square():
         raise NonSquare("p_reduce requires a square matrix")
     n = matrix.nrows
-    rows = [list(r) for r in matrix.entries]
-    acc = [list(r) for r in RationalMatrix.identity(n).entries]
-
-    def combine(dst, src, factor):
-        rows[dst] = [x - factor * y for x, y in zip(rows[dst], rows[src])]
-        acc[dst] = [x - factor * y for x, y in zip(acc[dst], acc[src])]
-
+    rows = [list(r) + [QONE if j == i else QZERO for j in range(n)] for i, r in enumerate(matrix.entries)]
     k1 = 0
     for k2 in range(n):
-        cands = [i for i in range(k1, n) if rows[i][k2]]
+        cands = [(ordp(rows[i][k2], p), i) for i in range(k1, n) if rows[i][k2]]
         if not cands:
             continue
-        best = min(ordp(rows[i][k2], p) for i in cands)
-        m = next(i for i in cands if ordp(rows[i][k2], p) == best)
-        if m != k1:
-            rows[k1], rows[m] = rows[m], rows[k1]
-            acc[k1], acc[m] = acc[m], acc[k1]
-        pivot = rows[k1][k2]
-        for i in range(k1 + 1, n):
-            if rows[i][k2]:
-                combine(i, k1, rows[i][k2] / pivot)
-        scale = qpow(p, best) / pivot
-        rows[k1] = [c * scale for c in rows[k1]]
-        acc[k1] = [c * scale for c in acc[k1]]
-        pivot = rows[k1][k2]  # now p**best
-        for i in range(k1):
-            t = head_tail(rows[i][k2], p, best - 1)[1]
-            if t:
-                combine(i, k1, t / pivot)
+        best, m = min(cands)
+        rows[k1], rows[m] = rows[m], rows[k1]
+        pk = qpow(p, best)
+        scale = pk / rows[k1][k2]
+        top = rows[k1] = [c * scale for c in rows[k1]]
+        # exact arithmetic: clearing with the scaled pivot row gives the
+        # same rows as clearing below before the scaling
+        for i in range(n):
+            c = rows[i][k2]
+            if i < k1:
+                c = head_tail(c, p, best - 1)[1]
+            if c and i != k1:
+                f = c / pk
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], top)]
         k1 += 1
-    return RationalMatrix(rows), RationalMatrix(acc)
-
-
-def is_p_reduced(matrix: RationalMatrix, p: int) -> bool:
-    """Literal check of the four normal-form clauses."""
-    if not matrix.is_square():
-        raise NonSquare("is_p_reduced requires a square matrix")
-    n = matrix.nrows
-    steps = []
-    for i in range(n):
-        row = matrix.entries[i]
-        u = 0
-        while u < n and not row[u]:
-            u += 1
-        # u is forced: entries before it vanish, and if u < n the next
-        # entry must be the pivot.
-        if u < n:
-            piv = row[u]
-            e = ordp(piv, p)
-            if piv != qpow(p, e):
-                return False
-            for k in range(i + 1, n):
-                if matrix.entries[k][u]:
-                    return False
-            for j in range(i):
-                if head_tail(matrix.entries[j][u], p, e - 1)[1]:
-                    return False
-        steps.append(u)
-    return all(steps[i] >= steps[i - 1] for i in range(1, n))
+    return RationalMatrix([r[:n] for r in rows]), RationalMatrix([r[n:] for r in rows])

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Q
 
+from .errors import RecordFormatError
+
 BACKEND = "fractions"  # the one scalar type; stamped on benchmark results
 
 
@@ -41,10 +43,6 @@ def qpow(p: int, e: int):
     if e >= 0:
         return Q(p ** e)
     return Q(1, p ** (-e))
-
-
-def inv_mod(a, m: int) -> int:
-    return pow(a, -1, m)
 
 
 def vp_int(n, p: int):
@@ -80,7 +78,7 @@ def omega(q, p: int) -> int:
     t = _vp_pos(den, p)
     pt = p ** t
     mod = pt * p
-    r = num % mod * inv_mod(den // pt, mod) % mod
+    r = num % mod * pow(den // pt, -1, mod) % mod
     return r // pt
 
 
@@ -98,17 +96,9 @@ def head_tail(q, p: int, m: int):
     num, den = q.numerator, q.denominator
     t = _vp_pos(den, p)
     mod = p ** (m + t + 1)
-    r = num % mod * inv_mod(den // p ** t, mod) % mod
+    r = num % mod * pow(den // p ** t, -1, mod) % mod
     head = Q(r, p ** t)
     return head, q - head
-
-
-def head(q, p: int, m: int = 0):
-    return head_tail(q, p, m)[0]
-
-
-def tail(q, p: int, m: int = 0):
-    return head_tail(q, p, m)[1]
 
 
 def height(q) -> int:
@@ -133,6 +123,14 @@ def qparse(s: str):
             raise ValueError(f"zero denominator in {s!r}")
         return Q(int(num), den)
     return Q(int(s))
+
+
+def qparse_list(data) -> list:
+    """:func:`qparse` over a JSON list of strings; any other shape is a
+    RecordFormatError, so a string is never read character by character."""
+    if not isinstance(data, list) or not all(isinstance(c, str) for c in data):
+        raise RecordFormatError(f"expected a list of rational strings, got {data!r}")
+    return [qparse(c) for c in data]
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -9,6 +9,7 @@ Expected values frozen into tests were produced by these.
 import math
 from fractions import Fraction
 
+from padiccf.errors import NonSquare
 from padiccf.field import denom_z
 from padiccf.rationals import Q
 
@@ -217,6 +218,16 @@ def _eval_int(coeffs, x):
     return acc
 
 
+def element_by_root(a, k):
+    """A rational congruent to the field element ``a`` at its embedded root
+    modulo p^(k - v_p(d)), d the lcm of a's coefficient denominators: the
+    cleared numerator polynomial evaluated at ``root_by_digits(f, k)``,
+    over d."""
+    den = math.lcm(*(c.denominator for c in a.coeffs))
+    root = root_by_digits(a.minpoly, k)
+    return Fraction(_eval_int([int(c * den) for c in a.coeffs], root), den)
+
+
 def ord_by_digits(a, root, m):
     """Valuation of a field element from its leading zero digits: clear the
     denominators, evaluate at the root known modulo p^m and count.  Raises
@@ -294,6 +305,33 @@ def inverse_step_closed_form(step, y):
         raise ClosedFormPole("inverse map at its pole")
     xj = k[j] / denom
     return tuple(xj if i == j else (w[i] + Fraction(step.shifts[i])) * xj / k[i] for i in range(s))
+
+
+# --- the p-reduced normal form ----------------------------------------------
+
+
+def is_p_reduced(matrix, p):
+    """Literal check of the four normal-form clauses of a square
+    ``RationalMatrix``, on digit streams: each pivot is a power of p,
+    entries below a pivot vanish, entries above it have no digit at or
+    past its valuation, and the pivot columns do not decrease."""
+    a = matrix.entries
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise NonSquare("is_p_reduced requires a square matrix")
+    steps = []
+    for i, row in enumerate(a):
+        u = next((j for j, c in enumerate(row) if c), n)
+        if u < n:
+            e = digit_stream(row[u], p, 1)[0]
+            if row[u] != Fraction(p) ** e:
+                return False
+            if any(a[k][u] for k in range(i + 1, n)):
+                return False
+            if any(a[j][u] != head_by_digits(a[j][u], p, e - 1) for j in range(i)):
+                return False
+        steps.append(u)
+    return steps == sorted(steps)
 
 
 # --- Gauss-Jordan and Euclid over Fractions ---------------------------------

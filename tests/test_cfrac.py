@@ -18,15 +18,16 @@ from padiccf.cfrac import (
     step_phi3,
 )
 from padiccf.errors import PadiccfError, PoleHit, RecordFormatError
-from padiccf.field import MinPoly, VectorElement, independent_with_one, validate_minpoly
+from padiccf.field import MinPoly, VectorElement, coeff_matrix, independent_with_one, validate_minpoly
 from padiccf.hensel import Embedding
-from padiccf.preduce import RationalMatrix, is_p_reduced
 from padiccf.rationals import ORD_INF, Q, ordp
 from oracles import (
     ClosedFormPole,
     brute_phi2_index,
     forward_step_closed_form,
+    gauss_det,
     inverse_step_closed_form,
+    is_p_reduced,
     schneider_orbit,
 )
 
@@ -217,8 +218,28 @@ class TestPhi3:
         assert r1 == k3.vector([z * z, z])
         step2, r2 = step_phi3(emb3, r1)
         assert r2 == r1
-        assert is_p_reduced(step.matrix.matmul(RationalMatrix.identity(2)), 2) or True
         assert forward_step(step, alpha) == r1
+
+    @pytest.mark.parametrize("p, cubics", [(2, ([0, 1, 4], [1, 3, 2], [-1, 3, 6])),
+                                           (3, ([0, 1, 3], [1, 2, 6], [2, -1, 3]))])
+    def test_steps_leave_z_parts_p_reduced(self, p, cubics, rng):
+        """Each phi3 step p-reduces the z-part of the next remainder, and its
+        matrix lies in GL(2, Z_p cap Q): p-free denominators, unit determinant."""
+        steps = 0
+        for coeffs in cubics:
+            mp = validate_minpoly(p, coeffs)
+            emb = Embedding(mp)
+            for _ in range(4):
+                alpha = mp.vector(
+                    [mp.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]) for _ in range(2)]
+                )
+                for _ in range(5):
+                    step, nxt = step_phi3(emb, alpha)
+                    assert is_p_reduced(coeff_matrix(nxt)[1], p)
+                    assert all(c.denominator % p for row in step.matrix.entries for c in row)
+                    assert ordp(gauss_det(step.matrix.entries), p) == 0
+                    alpha, steps = nxt, steps + 1
+        assert steps == 60
 
     def test_g_variant_agrees_on_nested_sum(self, k3, emb3):
         z = k3.gen()
@@ -487,14 +508,25 @@ class TestRecordJson:
         assert rec2.remainders == rec.remainders
         assert rec2.status == rec.status
 
+    @pytest.mark.parametrize("p, q", [(2, Q(2, 3)), (3, Q(5, 7)), (5, Q(-12, 25))])
+    def test_rational_field_round_trip(self, p, q):
+        rec = expand(MinPoly.rationals(p).vector([q]), "phi0", eps=1)
+        rec2 = ExpansionRecord.from_json(json.loads(json.dumps(rec.to_json())))
+        assert rec2.initial.minpoly == MinPoly.rationals(p)
+        assert expand(rec2.initial, "phi0", eps=1).to_json() == rec.to_json()
+
     def test_format_field(self, k2):
         rec = expand(k2.vector([k2.gen()]), "phi1")
         assert rec.to_json()["format"] == 1
 
     @pytest.mark.parametrize("case", ["missing key", "steps not a list", "remainders not a list",
-                                      "step without matrix", "int coefficient", "int matrix entry"])
+                                      "step without matrix", "int coefficient", "int matrix entry",
+                                      "string shifts", "string exps", "string minpoly coeffs",
+                                      "string element coeffs", "bad eps", "unknown algorithm",
+                                      "unknown kind"])
     def test_malformed_record_is_typed_error(self, k2, case):
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
+        step = data["steps"][0]
         if case == "missing key":
             data = {"format": 1}
         elif case == "steps not a list":
@@ -502,11 +534,25 @@ class TestRecordJson:
         elif case == "remainders not a list":
             data["remainders"] = {}
         elif case == "step without matrix":
-            del data["steps"][0]["matrix"]
+            del step["matrix"]
         elif case == "int coefficient":
             data["initial"][0]["coeffs"][0] = 0
+        elif case == "int matrix entry":
+            step["matrix"][0][0] = 1
+        elif case == "string shifts":
+            step["shifts"] = "11"
+        elif case == "string exps":
+            step["exps"] = "ab"
+        elif case == "string minpoly coeffs":
+            data["minpoly"]["coeffs"] = "".join(data["minpoly"]["coeffs"])
+        elif case == "string element coeffs":
+            data["initial"][0]["coeffs"] = "".join(data["initial"][0]["coeffs"])
+        elif case == "bad eps":
+            data["eps"] = "x"
+        elif case == "unknown algorithm":
+            data["algorithm"] = "nope"
         else:
-            data["steps"][0]["matrix"][0][0] = 1
+            data["status"]["kind"] = "bogus"
         with pytest.raises(RecordFormatError, match="malformed"):
             ExpansionRecord.from_json(data)
 

@@ -76,6 +76,41 @@ def test_lift_of_d_times_f_matches_digits(case):
     assert hensel_lift(mp, m) == root_by_digits(mp, m)
 
 
+@st.composite
+def admissible_elements(draw):
+    """An admissible monic f of degree 2-5 at p in {2, 3, 5}, integral or
+    over p-free denominators; an element whose coefficient denominators
+    are powers of p, prime to p or both; and an index m <= 40."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 5))
+    f_dens = st.integers(1, 12).filter(lambda d: d % p)
+    coeffs = [Q(draw(st.integers(-30, 30)), draw(f_dens)) for _ in range(n - 2)]
+    coeffs.append(Q(draw(st.integers(-30, 30).filter(lambda a: a % p)), draw(f_dens)))
+    coeffs.append(Q(p * draw(st.integers(-30, 30).filter(bool)), draw(f_dens)))  # an irreducible f has an != 0
+    mp = MinPoly(p, coeffs)
+    kind = draw(st.sampled_from(["p-power", "p-free", "mixed"]))
+    powers = st.integers(0, 4).map(lambda k: p ** k)
+    units = st.integers(1, 30).filter(lambda u: u % p)
+    dens = {"p-power": powers, "p-free": units,
+            "mixed": st.builds(lambda a, b: a * b, powers, units)}[kind]
+    a = mp.element([Q(draw(st.integers(-60, 60)), draw(dens)) for _ in range(n)])
+    return a, draw(st.integers(-2, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_elements())
+def test_head_and_omega_match_digits(case):
+    from padiccf.hensel import Embedding
+    from oracles import digit_at, element_by_root, head_by_digits, vp_by_division
+
+    a, m = case
+    p = a.minpoly.p
+    x = element_by_root(a, max(m, 0) + vp_by_division(a.den, p) + 2)
+    emb = Embedding(a.minpoly)
+    assert emb.head(a, m) == head_by_digits(x, p, m)
+    assert emb.omega(a) == digit_at(x, p, 0)
+
+
 class TestOrd:
     def test_worked_examples(self, emb2, k2):
         z = k2.gen()
@@ -193,7 +228,7 @@ class TestGeneratorSearch:
 
 
 class TestOrdNormCap:
-    """``Embedding.ord`` caps its precision ladder by v_p(Res(f, b)); its
+    """``Embedding.ord`` caps its precision by v_p(Res(f, b)); its
     values must match a digit-by-digit oracle and the former cap taken
     from the field inverse, far above the base precision too."""
 

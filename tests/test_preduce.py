@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from padiccf.errors import NonSquare
-from padiccf.preduce import RationalMatrix, is_p_reduced, p_reduce
+from padiccf.preduce import RationalMatrix, p_reduce
 from padiccf.rationals import Q, ordp
+from oracles import gauss_det, gauss_rank, is_p_reduced
 
 GOLDEN = Path(__file__).parent / "golden" / "preduce_example.json"
 
@@ -94,10 +95,10 @@ class TestRandomized:
             mp, n = p_reduce(m, p)
             assert n.matmul(m) == mp
             assert is_p_reduced(mp, p)
-            assert mp.rank() == m.rank()
+            assert gauss_rank(mp.entries) == gauss_rank(m.entries)
             assert entries_p_free(n, p)
             assert entries_p_free(n.inverse(), p)
-            assert ordp(n.det(), p) == 0
+            assert ordp(gauss_det(n.entries), p) == 0
 
     def test_uniqueness_under_unimodular_action(self, rng):
         for _ in range(30):
@@ -120,14 +121,14 @@ class TestRandomized:
             mp, n = p_reduce(m, 2)
             assert is_p_reduced(mp, 2)
             assert n.matmul(m) == mp
-            assert mp.rank() == m.rank() <= 2
+            assert gauss_rank(mp.entries) == gauss_rank(m.entries) <= 2
 
 
 class TestMatrixBasics:
     def test_inverse(self, rng):
         for _ in range(10):
             m = rand_matrix(rng, 3)
-            if not m.det():
+            if not gauss_det(m.entries):
                 continue
             assert m.matmul(m.inverse()) == RationalMatrix.identity(3)
 
