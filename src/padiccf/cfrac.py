@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import PoleHit, RecordFormatError
 from .field import FieldElement, MinPoly, VectorElement, coeff_matrix, denom_z, height_z
@@ -44,14 +44,19 @@ def _checked(data, key, ok):
     return value
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # not a bool, a float or a numeric string
+
+
 def _is_eps(v) -> bool:
-    return type(v) is int and v in (1, -1)
+    return _is_int(v) and v in (1, -1)
 
 
 def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(type(e) is int for e in v)
+    return isinstance(v, list) and all(map(_is_int, v))
 
 
+@lru_cache(maxsize=None)
 def shift_matrix(s: int) -> RationalMatrix:
     """Cyclic shift: (x1, .., xs) -> (x2, .., xs, x1); identity for s = 1."""
     return RationalMatrix(
@@ -60,26 +65,15 @@ def shift_matrix(s: int) -> RationalMatrix:
 
 
 @dataclass(frozen=True)
-class MapFragment:
-    """Fractional-map data for one step, before A and gamma are attached.
+class CMapStep:
+    """One recorded expansion step: the fractional map F, then A and gamma.
 
     For the pivot component j:   f_j(x) = c_j p^e_j / x_j - w_j
     for the others:              f_i(x) = c_i p^e_i x_i / x_j - w_i
-    Identity fragments (pivot component of the anchor is zero) leave x
-    unchanged.  ``image`` is F evaluated at the anchor.
+    with (c, e, w) = (``coeffs``, ``exps``, ``shifts``).  An identity map
+    (pivot component of the anchor is zero) leaves x unchanged.  The
+    fractional maps return their own step, with A = I and gamma = 0.
     """
-
-    pivot: int
-    identity: bool
-    coeffs: tuple
-    exps: tuple
-    shifts: tuple
-    image: tuple
-
-
-@dataclass(frozen=True)
-class CMapStep:
-    """One recorded expansion step: fragment parameters plus A and gamma."""
 
     p: int
     pivot: int
@@ -90,6 +84,11 @@ class CMapStep:
     shifts: tuple
     matrix: RationalMatrix
     gamma: tuple
+
+    def attach(self, matrix: RationalMatrix, gamma: tuple) -> "CMapStep":
+        """The same fractional map followed by ``matrix`` and ``gamma``."""
+        return CMapStep(self.p, self.pivot, self.eps, self.identity, self.coeffs,
+                        self.exps, self.shifts, matrix, gamma)
 
     @cached_property
     def forward_matrix(self) -> tuple:
@@ -143,18 +142,23 @@ class CMapStep:
         }
 
     @classmethod
-    def from_json(cls, data) -> "CMapStep":
-        return cls(
-            p=data["p"],
-            pivot=data["pivot"],
+    def from_json(cls, data, p: int, s: int) -> "CMapStep":
+        """A step of a record over the prime ``p`` on vectors of length s."""
+        step = cls(
+            p=_checked(data, "p", lambda v: _is_int(v) and v == p),
+            pivot=_checked(data, "pivot", lambda v: _is_int(v) and 1 <= v <= s),
             eps=_checked(data, "eps", _is_eps),
-            identity=data["identity"],
+            identity=_checked(data, "identity", lambda v: type(v) is bool),
             coeffs=tuple(qparse_list(data["coeffs"])),
             exps=tuple(_checked(data, "exps", _is_int_list)),
             shifts=tuple(qparse_list(data["shifts"])),
             matrix=RationalMatrix.from_json(data["matrix"]),
             gamma=tuple(qparse_list(data["gamma"])),
         )
+        m = step.matrix
+        if {len(step.coeffs), len(step.exps), len(step.shifts), len(step.gamma), m.nrows, m.ncols} != {s}:
+            raise RecordFormatError(f"a step on vectors of length {s} with parts of other lengths")
+        return step
 
 
 KINDS = ("finite", "periodic", "height_exceeded", "step_limit")
@@ -177,24 +181,40 @@ class Status:
         return out
 
     @classmethod
-    def from_json(cls, data) -> "Status":
-        return cls(_checked(data, "kind", KINDS.__contains__), data["index"],
-                   data.get("preperiod"), data.get("period"))
+    def from_json(cls, data, index: int) -> "Status":
+        """The status of a record of ``index`` steps.  A preperiod and a
+        period are present exactly when the kind is periodic, and then
+        they add up to the index."""
+        kind = _checked(data, "kind", KINDS.__contains__)
+        _checked(data, "index", lambda v: _is_int(v) and v == index)
+        if kind != "periodic" and not data.keys() & {"preperiod", "period"}:
+            return cls(kind, index)
+        # periodic, or a cycle on a status of another kind, which is refused
+        first = _checked(data, "preperiod", lambda v: kind == "periodic" and _is_int(v) and 0 <= v < index)
+        _checked(data, "period", lambda v: _is_int(v) and v == index - first)
+        return cls(kind, index, first, index - first)
 
 
 @dataclass
 class ExpansionRecord:
-    """Initial vector, recorded steps and remainders, terminal status."""
+    """Recorded steps, the remainders from the initial vector on (one more
+    than the steps), and the terminal status."""
 
     algorithm: str
     eps: int
     lookahead: int | None
     g_variant: bool
-    initial: VectorElement
     steps: list
     remainders: list
     status: Status
-    identity_steps: int = 0
+
+    @property
+    def initial(self) -> VectorElement:
+        return self.remainders[0]
+
+    @property
+    def identity_steps(self) -> int:
+        return sum(step.identity for step in self.steps)
 
     @property
     def identity_dominated(self) -> bool:
@@ -218,25 +238,35 @@ class ExpansionRecord:
 
     @classmethod
     def from_json(cls, data) -> "ExpansionRecord":
+        """Load a format-1 record.  The copies it carries of derived values
+        (``initial``, ``identity_steps``, the status index) must agree with
+        its steps and remainders."""
         fmt = data.get("format") if isinstance(data, dict) else None
-        if fmt != 1:
+        if not _is_int(fmt) or fmt != 1:
             raise RecordFormatError(f"unsupported record format {fmt!r}; this version reads format 1")
         try:
+            _checked(data["minpoly"], "p", _is_int)
             mp = MinPoly.from_json(data["minpoly"])
             steps, remainders = data["steps"], data["remainders"]
             if not isinstance(steps, list) or not isinstance(remainders, list):
                 raise TypeError("'steps' and 'remainders' must be lists")
-            return cls(
-                algorithm=_checked(data, "algorithm", ALGORITHMS.__contains__),
+            if len(remainders) != len(steps) + 1 or len({len(r) for r in remainders}) != 1:
+                raise RecordFormatError("a record has one more remainder than steps, all of one length")
+            algorithm = _checked(data, "algorithm", ALGORITHMS.__contains__)
+            rec = cls(
+                algorithm=algorithm,
                 eps=_checked(data, "eps", _is_eps),
-                lookahead=data["lookahead"],
-                g_variant=data["g_variant"],
-                initial=VectorElement.from_json(mp, data["initial"]),
-                steps=[CMapStep.from_json(s) for s in steps],
+                lookahead=_checked(data, "lookahead",
+                                   lambda v: (_is_int(v) and v >= 1) if algorithm == "phi2" else v is None),
+                g_variant=_checked(data, "g_variant", lambda v: type(v) is bool),
+                steps=[CMapStep.from_json(step, mp.p, len(remainders[0])) for step in steps],
                 remainders=[VectorElement.from_json(mp, r) for r in remainders],
-                status=Status.from_json(data["status"]),
-                identity_steps=data.get("identity_steps", 0),
+                status=Status.from_json(data["status"], len(steps)),
             )
+            if VectorElement.from_json(mp, data["initial"]) != rec.initial:
+                raise RecordFormatError("'initial' differs from the first remainder")
+            _checked(data, "identity_steps", lambda v: _is_int(v) and v == rec.identity_steps)
+            return rec
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             # a missing key, a wrong type, a value the checks reject (a
             # RecordFormatError is a ValueError) or an unparsable one
@@ -253,18 +283,18 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     at the anchor; the others get eps p^k x_i/x_j with k chosen so the
     anchor value is p-integral, minus its digit.  Every image component
     of the anchor lands in pZ_p.  A zero pivot yields the identity.
+    Returns (step, F(alpha)), the step with A = I and gamma = 0.
     """
     comps = alpha.components
     aj = comps[j - 1]
     s = len(comps)
+    eye, zero = RationalMatrix.identity(s), (QZERO,) * s
     if aj.is_zero():
-        triv = (Q(1),) * s
-        zero = (QZERO,) * s
-        return MapFragment(j, True, triv, (0,) * s, zero, comps)
+        return CMapStep(emb.p, j, eps, True, (QONE,) * s, (0,) * s, zero, eye, zero), alpha
     p = emb.p
     m = emb.ord(aj)
     inv_aj = aj.inverse()
-    coeffs, exps, shifts, image = [], [], [], []
+    exps, shifts, image = [], [], []
     for i, ai in enumerate(comps, start=1):
         if i == j:
             val = inv_aj * (qpow(p, m) * eps)
@@ -274,11 +304,11 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
             e = max(m - oi, 0) if oi is not ORD_INF else 0
             val = ai * inv_aj * (qpow(p, e) * eps)
         om = Q(emb.omega(val))
-        coeffs.append(Q(eps))
         exps.append(e)
         shifts.append(om)
         image.append(val - om)
-    return MapFragment(j, False, tuple(coeffs), tuple(exps), tuple(shifts), tuple(image))
+    step = CMapStep(p, j, eps, False, (Q(eps),) * s, tuple(exps), tuple(shifts), eye, zero)
+    return step, VectorElement(image)
 
 
 def _unit_normalizer(elem: FieldElement, p: int) -> int:
@@ -300,40 +330,38 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     the p-free gcd of its z-coefficient numerators, and the digit tail of
     the resulting constant coefficient is subtracted.  Keeps images in
     pZ_p while shrinking coefficient denominators."""
-    frag = g_map(emb, alpha, eps, j)
-    if frag.identity:
-        return frag
+    g_step, g_image = g_map(emb, alpha, eps, j)
+    if g_step.identity:
+        return g_step, g_image
     p = emb.p
     coeffs, shifts, image = [], [], []
-    for c, w, g_img in zip(frag.coeffs, frag.shifts, frag.image):
+    for c, w, g_img in zip(g_step.coeffs, g_step.shifts, g_image):
         ap = _unit_normalizer(g_img, p)
         scaled = g_img / ap if ap != 1 else g_img
         tl = head_tail(Q(scaled.nums[0], scaled.den), p, 0)[1]
         coeffs.append(c / ap)
         shifts.append(w / ap + tl)
         image.append(scaled - tl)
-    return MapFragment(frag.pivot, False, tuple(coeffs), frag.exps, tuple(shifts), tuple(image))
+    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step.gamma)
+    return step, VectorElement(image)
 
 
 # --- the four step builders --------------------------------------------------
 
 
+def _rotated(step: CMapStep, image: VectorElement):
+    """Attach the cyclic shift to a pivot-1 map (gamma stays 0) and rotate
+    its image to match."""
+    comps = image.components
+    return step.attach(shift_matrix(len(comps)), step.gamma), VectorElement(comps[1:] + comps[:1])
+
+
 def step_phi0(emb: Embedding, alpha: VectorElement, eps: int):
-    frag = g_map(emb, alpha, eps, 1)
-    s = len(alpha)
-    step = CMapStep(emb.p, 1, eps, frag.identity, frag.coeffs, frag.exps,
-                    frag.shifts, shift_matrix(s), (QZERO,) * s)
-    nxt = VectorElement(frag.image[1:] + frag.image[:1])
-    return step, nxt
+    return _rotated(*g_map(emb, alpha, eps, 1))
 
 
 def step_phi1(emb: Embedding, alpha: VectorElement, eps: int):
-    frag = h_map(emb, alpha, eps, 1)
-    s = len(alpha)
-    step = CMapStep(emb.p, 1, eps, frag.identity, frag.coeffs, frag.exps,
-                    frag.shifts, shift_matrix(s), (QZERO,) * s)
-    nxt = VectorElement(frag.image[1:] + frag.image[:1])
-    return step, nxt
+    return _rotated(*h_map(emb, alpha, eps, 1))
 
 
 def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None):
@@ -342,7 +370,9 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
     The product of denom_z along each branch of candidate images is
     minimized recursively; ties break to the least index.  Memoization is
     keyed on canonical remainders so repeated subtrees are shared (and can
-    be shared across the steps of one expansion via ``memo``).
+    be shared across the steps of one expansion via ``memo``).  Only the
+    images are kept, not the steps, which would hold every candidate's
+    matrix for the whole expansion.
     """
     if n < 1:
         raise ValueError("lookahead depth must be >= 1")
@@ -355,9 +385,7 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
         key = ("img", vec)
         out = memo.get(key)
         if out is None:
-            out = tuple(
-                VectorElement(h_map(emb, vec, eps, i).image) for i in range(1, s + 1)
-            )
+            out = tuple(h_map(emb, vec, eps, i)[1] for i in range(1, s + 1))
             memo[key] = out
         return out
 
@@ -379,12 +407,7 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
 
 
 def step_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None):
-    j = lookahead_phi2(emb, alpha, eps, n, memo)
-    frag = h_map(emb, alpha, eps, j)
-    s = len(alpha)
-    step = CMapStep(emb.p, j, eps, frag.identity, frag.coeffs, frag.exps,
-                    frag.shifts, RationalMatrix.identity(s), (QZERO,) * s)
-    return step, VectorElement(frag.image)
+    return h_map(emb, alpha, eps, lookahead_phi2(emb, alpha, eps, n, memo))
 
 
 def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
@@ -393,19 +416,16 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     the resulting constant column.  The normalized map is the default;
     ``g_variant`` runs the raw digit-subtracting map instead."""
     s = len(alpha)
-    frag = (g_map if g_variant else h_map)(emb, alpha, 1, s)
-    m_full, m_sq = coeff_matrix(VectorElement(frag.image))
+    step, image = (g_map if g_variant else h_map)(emb, alpha, 1, s)
+    m_full, m_sq = coeff_matrix(image)
     reduced, a_mat = p_reduce(m_sq, emb.p)
     # A beta + gamma: z-parts from the reduced rows; gamma cuts the constant
     # column A c down to its head
     split = [head_tail(c, emb.p, 0) for c in a_mat.apply([row[s] for row in m_full.entries])]
-    gamma = tuple(-tl for _, tl in split)
     nxt = VectorElement(tuple(
         alpha.minpoly.element((hd,) + row[::-1]) for (hd, _), row in zip(split, reduced.entries)
     ))
-    step = CMapStep(emb.p, s, 1, frag.identity, frag.coeffs, frag.exps,
-                    frag.shifts, a_mat, gamma)
-    return step, nxt
+    return step.attach(a_mat, tuple(-tl for _, tl in split)), nxt
 
 
 # --- forward / inverse evaluation -------------------------------------------
@@ -516,7 +536,6 @@ def expand(
     remainders = [alpha]
     steps: list = []
     seen = {alpha: 0}
-    identity_steps = 0
     status = None
 
     if alpha.is_zero():
@@ -531,8 +550,6 @@ def expand(
         step, nxt = advance(remainders[-1])
         steps.append(step)
         remainders.append(nxt)
-        if step.identity:
-            identity_steps += 1
         n = len(steps)
         if nxt.is_zero():
             status = Status("finite", n)
@@ -550,11 +567,9 @@ def expand(
         eps=eps,
         lookahead=lookahead if algorithm == "phi2" else None,
         g_variant=g_variant if algorithm == "phi3" else False,
-        initial=alpha,
         steps=steps,
         remainders=remainders,
         status=status,
-        identity_steps=identity_steps,
     )
 
 

@@ -129,6 +129,29 @@ class MinPoly:
                    certificate_prime=data.get("certificate_prime"))
 
 
+CLAUSES = {
+    "degree": "degree must be at least 2",
+    "integrality": "coefficients must be p-integral",
+    "unit-subleading": "x^1 coefficient must be a p-adic unit",
+    "divisible-constant": "constant term must lie in pZ_p",
+}
+
+
+def failed_clause(f, p: int):
+    """Name of the first admissibility clause (a key of ``CLAUSES``) that the
+    monic polynomial f, an ascending coefficient tuple, fails; None if it
+    passes them all."""
+    if len(f) < 3:
+        return "degree"
+    if any(c and ordp(c, p) < 0 for c in f):
+        return "integrality"
+    if not f[1] or ordp(f[1], p) != 0:
+        return "unit-subleading"
+    if f[0] and ordp(f[0], p) <= 0:
+        return "divisible-constant"
+    return None
+
+
 def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     """Certify a candidate minimal polynomial x^n + a1 x^(n-1) + .. + an.
 
@@ -140,19 +163,11 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     IrreducibilityUnknown unless ``force`` is set.
     """
     check_prime(p)
-    mp = MinPoly(p, coeffs)
-    n = mp.degree
-    if n < 2:
-        raise HViolation("degree", "degree must be at least 2")
-    for i, a in enumerate(mp.coeffs):
-        if a and ordp(a, p) < 0:
-            raise HViolation("integrality", f"coefficient a{i + 1} is not p-integral")
-    a_n1, a_n = mp.coeffs[-2], mp.coeffs[-1]
-    if not a_n1 or ordp(a_n1, p) != 0:
-        raise HViolation("unit-subleading", "x^1 coefficient must be a p-adic unit")
-    if a_n and ordp(a_n, p) <= 0:
-        raise HViolation("divisible-constant", "constant term must lie in pZ_p")
-    cert = polys.certify(mp.ascending(), p)
+    f = MinPoly(p, coeffs).ascending()
+    clause = failed_clause(f, p)
+    if clause:
+        raise HViolation(clause, CLAUSES[clause])
+    cert = polys.certify(f, p)
     if cert is None and not force:
         raise IrreducibilityUnknown(
             f"no certificate among the first {polys.CERTIFICATE_TRIES} candidate primes"
@@ -392,36 +407,22 @@ def multiplication_rows(mp: MinPoly, nums):
 def element_minpoly(a: FieldElement):
     """Lowest-degree monic rational polynomial annihilating ``a``.
 
-    Computed from the kernel of the coordinate matrix of 1, a, a^2, ...;
-    returned as an ascending coefficient tuple with leading 1.
+    The coordinates of 1, a, .., a^n over one common denominator are the
+    columns of one fraction-free elimination.  A power independent of the
+    lower ones gets a pivot, and past the first dependent power a^r none
+    does, so r is the number of pivots; back substitution writes a^r in
+    the first r powers.  Returned as an ascending coefficient tuple with
+    leading 1.
     """
     n = a.minpoly.degree
     powers = [a.minpoly.one()]
     for _ in range(n):
         powers.append(powers[-1] * a)
-    rows = [list(p.coeffs) for p in powers]
-    # least r with a^r a combination of lower powers
-    for r in range(1, n + 1):
-        sol = _solve(rows[:r], rows[r])
-        if sol is not None:
-            return tuple(-c for c in sol) + (QONE,)
-    raise AssertionError("no annihilating polynomial within field degree")
-
-
-def _solve(rows, target):
-    """Solve sum x_i rows[i] = target over Q; None when inconsistent.
-
-    Unknowns off the pivot columns are set to 0."""
-    m = len(rows)
-    eqs, _ = scale_rows([[r[j] for r in rows] + [t] for j, t in enumerate(target)])
-    pivots, _ = bareiss(eqs, m)
-    if any(row[m] for row in eqs[len(pivots):]):
-        return None
-    d, x = back_substitute(eqs, pivots, m)
-    sol = [QZERO] * m
-    for c, xc in zip(pivots, x):
-        sol[c] = Q(xc[0], d)
-    return tuple(sol)
+    den = math.lcm(*(x.den for x in powers))
+    rows = [[x.nums[j] * (den // x.den) for x in powers] for j in range(n)]
+    pivots, _ = bareiss(rows, n + 1)
+    d, x = back_substitute(rows, pivots, len(pivots))
+    return tuple(Q(-xi[0], d) for xi in x) + (QONE,)
 
 
 def denom_z(value) -> int:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded
-from .field import FieldElement, MinPoly, VectorElement, element_minpoly, multiplication_rows
+from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded, Reducible
+from .field import FieldElement, MinPoly, VectorElement, element_minpoly, failed_clause, multiplication_rows
 from .polys import newton_lift
 from .preduce import bareiss
 from .rationals import (
@@ -62,9 +62,11 @@ class Embedding:
         self._precision = self._residue = 0
         if minpoly.is_rational_field:
             self._base_precision = 1
+        elif not minpoly.coeffs[-1]:
+            raise Reducible("x divides a minimal polynomial with zero constant term")
         else:
             an_ord = ordp(minpoly.coeffs[-1], minpoly.p)
-            self._base_precision = 2 * (1 + int(an_ord) * minpoly.degree)
+            self._base_precision = 2 * (1 + an_ord * minpoly.degree)
 
     # --- integer-combination view -------------------------------------
     def _combination_mod(self, nums, m: int) -> int:
@@ -156,17 +158,7 @@ class Embedding:
         """Admissibility of ``a``'s own minimal polynomial, plus a in pZ_p."""
         if a.is_zero() or a.is_rational():
             return False
-        g = element_minpoly(a)
-        n = len(g) - 1
-        if n < 2:
-            return False
-        if any(c and ordp(c, self.p) < 0 for c in g[:-1]):
-            return False
-        if not g[1] or ordp(g[1], self.p) != 0:
-            return False
-        if g[0] and ordp(g[0], self.p) <= 0:
-            return False
-        return self.ord(a) >= 1
+        return failed_clause(element_minpoly(a), self.p) is None and self.ord(a) >= 1
 
     def find_H_generator(self, a: FieldElement, cap: int = 64):
         """Iterate digit stripping until the orbit member is admissible.

@@ -18,13 +18,15 @@ exercises directly.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import NonSquare
 from .rationals import Q, QONE, QZERO, ordp, qpow, head_tail, qformat, qparse_list
 
 
 class RationalMatrix:
-    """Immutable rectangular matrix of rationals."""
+    """Immutable rectangular matrix of rationals; shared constants such as
+    ``identity(n)`` rely on that."""
 
     __slots__ = ("entries",)
 
@@ -44,6 +46,7 @@ class RationalMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[QONE if i == j else QZERO for j in range(n)] for i in range(n)])
 

@@ -420,6 +420,22 @@ def gauss_solve(rows, target):
     return tuple(sol)
 
 
+def element_minpoly_by_solves(a):
+    """Reference for ``field.element_minpoly``: the least r for which a^r
+    is a rational combination of 1, a, .., a^(r-1), found by one
+    Gauss-Jordan solve per r; ascending coefficients with leading 1."""
+    n = a.minpoly.degree
+    powers = [a.minpoly.one()]
+    for _ in range(n):
+        powers.append(powers[-1] * a)
+    rows = [list(x.coeffs) for x in powers]
+    for r in range(1, n + 1):
+        sol = gauss_solve(rows[:r], rows[r])
+        if sol is not None:
+            return tuple(-c for c in sol) + (Fraction(1),)
+    raise AssertionError("no annihilating polynomial within the ring's degree")
+
+
 def _ptrim(f):
     f = [Fraction(c) for c in f]
     while f and not f[-1]:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padiccf.cfrac import (
     ExpansionRecord,
@@ -20,6 +21,7 @@ from padiccf.cfrac import (
 from padiccf.errors import PadiccfError, PoleHit, RecordFormatError
 from padiccf.field import MinPoly, VectorElement, coeff_matrix, independent_with_one, validate_minpoly
 from padiccf.hensel import Embedding
+from padiccf.preduce import RationalMatrix
 from padiccf.rationals import ORD_INF, Q, ordp
 from oracles import (
     ClosedFormPole,
@@ -52,9 +54,9 @@ def rand_in_pzp(rng, p, span=40):
 class TestGMap:
     def test_one_dimensional_example(self, kq):
         emb = Embedding(kq)
-        frag = g_map(emb, kq.vector([Q(2, 3)]), 1, 1)
-        assert frag.image[0] == kq.rational(2)
-        assert frag.exps == (1,) and frag.shifts == (Q(1),)
+        step, image = g_map(emb, kq.vector([Q(2, 3)]), 1, 1)
+        assert image[0] == kq.rational(2)
+        assert step.exps == (1,) and step.shifts == (Q(1),)
 
     def test_cubic_closed_form(self, k3a):
         # pivot component equals -eps(z^2 + a1 z + a2)/a3 minus a digit,
@@ -62,27 +64,27 @@ class TestGMap:
         emb = Embedding(k3a)
         z = k3a.gen()
         for eps in (1, -1):
-            frag = g_map(emb, k3a.vector([z, z * z]), eps, 1)
+            _, image = g_map(emb, k3a.vector([z, z * z]), eps, 1)
             core = (z * z + z + 1) * Q(-eps)  # a1 = a2 = a3 = 1
-            digit = core - frag.image[0]
+            digit = core - image[0]
             assert digit.is_rational()
             assert 0 <= digit.rational_value() < 2
-            assert emb.ord(frag.image[0]) >= 1
+            assert emb.ord(image[0]) >= 1
 
     def test_zero_pivot_identity(self, k3a):
         emb = Embedding(k3a)
         alpha = k3a.vector([k3a.zero(), k3a.gen()])
-        frag = g_map(emb, alpha, 1, 1)
-        assert frag.identity and frag.image == alpha.components
+        step, image = g_map(emb, alpha, 1, 1)
+        assert step.identity and image == alpha
 
     def test_nonpivot_exponent(self, k3a):
         # k = max(ord(a_j) - ord(a_i), 0)
         emb = Embedding(k3a)
         z = k3a.gen()
         alpha = k3a.vector([z * z, z])  # ord 4 and 2
-        frag = g_map(emb, alpha, 1, 1)
-        assert frag.exps[0] == 4  # pivot ord
-        assert frag.exps[1] == 2  # 4 - 2
+        step, _ = g_map(emb, alpha, 1, 1)
+        assert step.exps[0] == 4  # pivot ord
+        assert step.exps[1] == 2  # 4 - 2
 
 
 class TestHMap:
@@ -90,26 +92,26 @@ class TestHMap:
         # v1 = 1: image of (z) is (-z), image of (-z) is (z)
         emb = Embedding(k2)
         z = k2.gen()
-        frag = h_map(emb, k2.vector([z]), 1, 1)
-        assert frag.image[0] == -z
-        frag2 = h_map(emb, k2.vector([-z]), 1, 1)
-        assert frag2.image[0] == z
+        _, image = h_map(emb, k2.vector([z]), 1, 1)
+        assert image[0] == -z
+        _, image2 = h_map(emb, k2.vector([-z]), 1, 1)
+        assert image2[0] == z
 
     def test_divisor_ladder(self, k2_v3):
         # x^2+x+6: v1 = 3; q = 1 gives -eps z/3, q = 1/3 gives -eps z
         emb = Embedding(k2_v3)
         z = k2_v3.gen()
-        assert h_map(emb, k2_v3.vector([z]), 1, 1).image[0] == z * Q(-1, 3)
-        assert h_map(emb, k2_v3.vector([z * Q(1, 3)]), 1, 1).image[0] == -z
+        assert h_map(emb, k2_v3.vector([z]), 1, 1)[1][0] == z * Q(-1, 3)
+        assert h_map(emb, k2_v3.vector([z * Q(1, 3)]), 1, 1)[1][0] == -z
         # with eps = -1 the signs cancel: z -> z/3 -> z
-        assert h_map(emb, k2_v3.vector([z]), -1, 1).image[0] == z * Q(1, 3)
-        assert h_map(emb, k2_v3.vector([z * Q(1, 3)]), -1, 1).image[0] == z
+        assert h_map(emb, k2_v3.vector([z]), -1, 1)[1][0] == z * Q(1, 3)
+        assert h_map(emb, k2_v3.vector([z * Q(1, 3)]), -1, 1)[1][0] == z
 
     def test_rational_input_maps_to_zero(self, k2):
         emb = Embedding(k2)
         for q in (Q(2, 3), Q(4), Q(-6, 5)):
-            frag = h_map(emb, k2.vector([q]), 1, 1)
-            assert frag.image[0].is_zero()
+            _, image = h_map(emb, k2.vector([q]), 1, 1)
+            assert image[0].is_zero()
 
     def test_images_in_pzp(self, k3, emb3, rng):
         z = k3.gen()
@@ -122,9 +124,40 @@ class TestHMap:
             )
             if alpha[0].is_zero():
                 continue
-            frag = h_map(emb3, alpha, 1, 1)
-            for c in frag.image:
+            _, image = h_map(emb3, alpha, 1, 1)
+            for c in image:
                 assert c.is_zero() or emb3.ord(c) >= 1
+
+
+class TestMapSteps:
+    """Each fractional map returns its own step, with A = I and gamma = 0,
+    together with F(alpha)."""
+
+    # (p, a1..an): p in {2, 3}, degrees 2 to 4
+    FIELDS = [(2, [1, 2]), (2, [0, 1, 4]), (2, [1, 0, 1, 2]),
+              (3, [1, 3]), (3, [0, 1, 3]), (3, [1, 0, 1, 3])]
+
+    @pytest.mark.parametrize("p, coeffs", FIELDS)
+    def test_forward_step_is_image(self, p, coeffs, rng):
+        mp = validate_minpoly(p, coeffs)
+        emb = Embedding(mp)
+        s = mp.s
+        identities = 0
+        for trial in range(12):
+            comps = [mp.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(mp.degree)])
+                     for _ in range(s)]
+            if trial < 2:
+                comps[trial % s] = mp.zero()  # identity maps at that pivot
+            alpha = VectorElement(comps)
+            for fmap in (g_map, h_map):
+                for eps in (1, -1):
+                    for j in range(1, s + 1):
+                        step, image = fmap(emb, alpha, eps, j)
+                        assert (step.p, step.pivot, step.eps) == (p, j, eps)
+                        assert step.matrix == RationalMatrix.identity(s) and not any(step.gamma)
+                        assert forward_step(step, alpha) == image
+                        identities += step.identity
+        assert identities
 
 
 class TestPhi0:
@@ -138,10 +171,10 @@ class TestPhi0:
     def test_shift_semantics(self, k3, emb3):
         z = k3.gen()
         alpha = k3.vector([z, z * z])
-        frag = g_map(emb3, alpha, 1, 1)
+        _, image = g_map(emb3, alpha, 1, 1)
         _, nxt = step_phi0(emb3, alpha, 1)
-        assert nxt[1] == frag.image[0]
-        assert nxt[0] == frag.image[1]
+        assert nxt[1] == image[0]
+        assert nxt[0] == image[1]
 
     def test_matches_generic_forward(self, k3, emb3):
         z = k3.gen()
@@ -194,12 +227,21 @@ class TestPhi2:
             k3.vector([k3.element([2, Q(1, 3), 4]), k3.element([0, 1, 1])]),
         ]
         def h_image(vec, i):
-            return VectorElement(h_map(emb3, vec, 1, i).image)
+            return h_map(emb3, vec, 1, i)[1]
 
         for alpha in seeds:
             got = lookahead_phi2(emb3, alpha, 1, n)
             want = brute_phi2_index(emb3, alpha, 1, n, h_image)
             assert got == want
+
+    def test_step_is_h_map_at_lookahead_index(self, k3, emb3, rng):
+        for _ in range(6):
+            alpha = k3.vector(
+                [k3.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]) for _ in range(2)]
+            )
+            for eps, n in ((1, 1), (-1, 2)):
+                j = lookahead_phi2(emb3, alpha, eps, n)
+                assert step_phi2(emb3, alpha, eps, n) == h_map(emb3, alpha, eps, j)
 
     def test_identity_step_freezes(self, k3, emb3):
         # pivot chosen at a zero component with A = id leaves the remainder
@@ -488,14 +530,60 @@ class TestSchneider:
 
 
 class TestWarningFlag:
-    def test_identity_domination_threshold(self, k2):
+    def test_identity_domination_threshold(self, k2, emb2):
         rec = expand(k2.vector([k2.gen()]), "phi1")
         assert not rec.identity_dominated
-        rec.steps = [None] * 8
-        rec.identity_steps = 5
-        assert rec.identity_dominated
-        rec.identity_steps = 4
+        identity, proper = step_phi1(emb2, k2.vector([k2.zero()]), 1)[0], rec.steps[0]
+        assert identity.identity and not proper.identity
+        rec.steps = [identity] * 5 + [proper] * 3
+        assert rec.identity_steps == 5 and rec.identity_dominated
+        rec.steps = [identity] * 4 + [proper] * 4
         assert not rec.identity_dominated
+
+
+def _json_fields(data):
+    """The scalar-holding parts of a record's JSON: the record itself, its
+    status, its minimal polynomial and its first step."""
+    return {"record": data, "status": data["status"], "minpoly": data["minpoly"], "step": data["steps"][0]}
+
+
+# malformed cases that replace one field of a 2-step periodic phi1 record over
+# x^2 + x + 2, p = 2: (part, key, value)
+REPLACED = {
+    "string identity": ("step", "identity", "no"),
+    "string pivot": ("step", "pivot", "1"),
+    "pivot past s": ("step", "pivot", 2),
+    "step of another prime": ("step", "p", 3),
+    "string index": ("status", "index", "x"),
+    "index past the steps": ("status", "index", 40),
+    "string preperiod": ("status", "preperiod", "0"),
+    "period past the index": ("status", "period", 3),
+    "cycle on a finite status": ("status", "kind", "finite"),
+    "string lookahead": ("record", "lookahead", "y"),
+    "lookahead off phi2": ("record", "lookahead", 1),
+    "string g_variant": ("record", "g_variant", "yes"),
+    "float minpoly p": ("minpoly", "p", 2.0),
+    "identity_steps disagree": ("record", "identity_steps", 9),
+    "bool identity_steps": ("record", "identity_steps", False),
+    "initial disagrees": ("record", "initial", [{"coeffs": ["0", "-1"]}]),
+}
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 45), st.floats(allow_nan=False),
+                         st.text(max_size=4), st.sampled_from(["1", "phi2", "finite", "periodic"]))
+
+
+@pytest.fixture(scope="module")
+def record_blobs(k2, k3, kq):
+    """JSON texts of valid records: periodic phi1, phi2 at lookahead 1,
+    g-variant phi3 and finite phi0 over Q."""
+    z2, z3 = k2.gen(), k3.gen()
+    recs = [
+        expand(k2.vector([z2]), "phi1"),
+        expand(k3.vector([z3, z3 * z3]), "phi2", max_steps=3),
+        expand(k3.vector([z3 * z3 + z3, z3]), "phi3", g_variant=True, max_steps=3),
+        expand(kq.vector([Q(2, 3)]), "phi0"),
+    ]
+    return [json.dumps(r.to_json()) for r in recs]
 
 
 class TestRecordJson:
@@ -523,7 +611,7 @@ class TestRecordJson:
                                       "step without matrix", "int coefficient", "int matrix entry",
                                       "string shifts", "string exps", "string minpoly coeffs",
                                       "string element coeffs", "bad eps", "unknown algorithm",
-                                      "unknown kind"])
+                                      "unknown kind", "remainder missing", *REPLACED])
     def test_malformed_record_is_typed_error(self, k2, case):
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
         step = data["steps"][0]
@@ -551,10 +639,34 @@ class TestRecordJson:
             data["eps"] = "x"
         elif case == "unknown algorithm":
             data["algorithm"] = "nope"
-        else:
+        elif case == "unknown kind":
             data["status"]["kind"] = "bogus"
+        elif case == "remainder missing":
+            data["remainders"].pop()
+        else:
+            part, key, value = REPLACED[case]
+            _json_fields(data)[part][key] = value
         with pytest.raises(RecordFormatError, match="malformed"):
             ExpansionRecord.from_json(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_replaced_scalar_loads_as_given_or_is_typed_error(self, record_blobs, data):
+        blob = json.loads(data.draw(st.sampled_from(record_blobs)))
+        part = _json_fields(blob)[data.draw(st.sampled_from(["record", "status", "minpoly", "step"]))]
+        part[data.draw(st.sampled_from(sorted(part)))] = data.draw(JSON_SCALARS)
+        try:
+            rec = ExpansionRecord.from_json(blob)
+        except RecordFormatError:
+            return
+        assert json.dumps(rec.to_json(), sort_keys=True) == json.dumps(blob, sort_keys=True)
+
+    def test_zero_constant_term_is_typed_error(self, k2):
+        data = expand(k2.vector([k2.gen()]), "phi1").to_json()
+        data["minpoly"]["coeffs"][-1] = "0"
+        rec = ExpansionRecord.from_json(data)
+        with pytest.raises(PadiccfError):
+            expand(rec.initial, "phi1")
 
     @pytest.mark.parametrize("data", [{"format": 2}, {"format": 2, "minpoly": {}}, {}, []])
     def test_unknown_format_is_typed_error(self, data):

@@ -10,17 +10,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from padiccf import polys
 from padiccf.errors import NonSquare
-from padiccf.field import MinPoly, _solve, multiplication_rows
+from padiccf.field import MinPoly, element_minpoly, multiplication_rows
 from padiccf.preduce import RationalMatrix, back_substitute, bareiss, p_reduce, scale_rows
 from padiccf.rationals import Q
 from oracles import (
     convolution_product,
+    element_minpoly_by_solves,
     euclid_inverse,
     euclid_resultant,
     gauss_det,
     gauss_jordan_inverse,
     gauss_rank,
-    gauss_solve,
 )
 
 CHECKS = settings(max_examples=150, deadline=None)
@@ -109,18 +109,6 @@ class TestRationalMatrix:
     @given(low_rank_matrices())
     def test_rank_rectangular(self, a):
         assert len(bareiss(scale_rows(a)[0], len(a[0]))[0]) == gauss_rank(a)
-
-    @CHECKS
-    @given(st.data())
-    def test_solve(self, data):
-        m, width = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 5))
-        rows = data.draw(matrices(m, width))
-        if data.draw(st.booleans()):
-            coeffs = data.draw(st.lists(entries, min_size=m, max_size=m))
-            target = [sum((c * r[j] for c, r in zip(coeffs, rows)), Q(0)) for j in range(width)]
-        else:
-            target = data.draw(st.lists(entries, min_size=width, max_size=width))
-        assert _solve(rows, target) == gauss_solve(rows, target)
 
     def test_non_square(self):
         m = RationalMatrix([[1, 2, 3], [4, 5, 6]])
@@ -228,6 +216,40 @@ class TestFieldProduct:
         assert mp._int_f[0] == 45
         assert (a * b).coeffs == tuple(convolution_product(mp, a.coeffs, b.coeffs))
         assert (a * b) * b.inverse() == a
+
+
+class TestElementMinpoly:
+    """One elimination over the columns 1, a, .., a^n against one solve per
+    candidate degree."""
+
+    @CHECKS
+    @given(st.data())
+    def test_matches_power_by_power_solves(self, data):
+        field = data.draw(st.sampled_from(["integral", "odd_denominator", "even", "rationals", "ring_cubic"]))
+        if field == "rationals":
+            mp = MinPoly.rationals(2)
+        elif field == "ring_cubic":
+            mp = MinPoly(2, [0, 1, 2])  # (x + 1)(x^2 - x + 2): zero divisors, lower degrees
+        else:
+            n = data.draw(st.integers(2, 5))
+            kind = odd_denominator_coeffs if field == "odd_denominator" else integral_coeffs
+            coeffs = data.draw(st.lists(kind, min_size=n, max_size=n))
+            if field == "even":  # f(x) = g(x^2): z^2 generates a proper subring
+                n = 2 * (n // 2)
+                coeffs = [c if i % 2 else Q(0) for i, c in enumerate(coeffs[:n])]
+            mp = MinPoly(2, coeffs)
+        n = mp.degree
+        shape = data.draw(st.sampled_from(["dense", "rational", "power of generator", "ring factor"]))
+        if shape == "rational" or n == 1:
+            a = mp.rational(data.draw(entries))
+        elif shape == "power of generator":
+            a = mp.gen() ** data.draw(st.integers(1, 3))
+        elif shape == "ring factor" and field == "ring_cubic":
+            z = mp.gen()
+            a = (z * z - z + 2) * data.draw(entries) + data.draw(entries)
+        else:
+            a = mp.element(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        assert element_minpoly(a) == element_minpoly_by_solves(a)
 
 
 class TestResultant:

@@ -32,22 +32,29 @@ class TestValidate:
         assert mp.certificate_prime == 3
 
     def test_h_violation(self):
-        with pytest.raises(HViolation):
+        with pytest.raises(HViolation) as info:
             validate_minpoly(2, [2, 2])  # x^2+2x+2: subleading not a unit
+        assert info.value.clause == "unit-subleading"
+        with pytest.raises(HViolation) as info:
+            validate_minpoly(2, [2])  # x + 2: degree 1
+        assert info.value.clause == "degree"
 
     def test_reducible_rejected(self):
-        with pytest.raises((HViolation, Reducible)):
+        with pytest.raises(HViolation) as info:
             validate_minpoly(2, [0, -4])  # x^2-4
+        assert info.value.clause == "unit-subleading"
         with pytest.raises(Reducible):
             validate_minpoly(2, [3, 2])  # (x+1)(x+2)
 
     def test_unit_constant_rejected(self):
-        with pytest.raises(HViolation):
+        with pytest.raises(HViolation) as info:
             validate_minpoly(2, [1, 3])  # constant term a unit
+        assert info.value.clause == "divisible-constant"
 
     def test_non_integral_rejected(self):
-        with pytest.raises(HViolation):
+        with pytest.raises(HViolation) as info:
             validate_minpoly(2, [Q(1, 2), 2])
+        assert info.value.clause == "integrality"
 
     def test_force_accepts_uncertified(self):
         # A4 quartic: irreducible but with no single-prime certificate

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padiccf.errors import CapExceeded, NotPrimitive
+from padiccf.errors import CapExceeded, NotPrimitive, PadiccfError
 from padiccf.field import MinPoly, element_minpoly
-from padiccf.hensel import hensel_lift
+from padiccf.hensel import Embedding, hensel_lift
 from padiccf.rationals import ORD_INF, Q, head_tail, ordp
 from oracles import hensel_root_search, root_by_digits
 
@@ -34,6 +34,11 @@ class TestLifting:
     def test_extension_determinism(self, k3):
         # truncation of a deeper lift agrees with a shallower one
         assert hensel_lift(k3, 40) % 2**11 == hensel_lift(k3, 11)
+
+    def test_zero_constant_term_is_typed_error(self):
+        # x divides x^2 + x: no admissible field, and no finite base precision
+        with pytest.raises(PadiccfError):
+            Embedding(MinPoly(2, [1, 0]))
 
     def test_rational_sentinel_has_no_residue(self):
         from padiccf.field import MinPoly
