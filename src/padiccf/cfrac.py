@@ -16,6 +16,14 @@ way, forward with M and backward with its inverse; a last homogeneous
 coordinate of 0 is the pole of that direction.  The integer matrices are
 derived from the recorded parameters on first use and never serialized.
 
+The fractional maps and the phi3 step work on the integer numerators and
+the denominator of each component: ``h_map`` normalizes and takes digit
+heads on them, and ``step_phi3`` p-reduces the z-parts of the image as
+integer rows (``RationalMatrix``), applies the transformer to the
+constant column by integer dot products and builds the next remainder
+from the reduced rows.  Only the recorded parameters (coefficients,
+shifts, gamma) are ``Fraction``s.
+
 All remainders from index 1 on lie componentwise in pZ_p; remainders are
 compared structurally on their canonical integer numerators and
 denominators, so cycle detection is sound and complete up to the step
@@ -30,10 +38,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import PoleHit, RecordFormatError
-from .field import FieldElement, MinPoly, VectorElement, coeff_matrix, denom_z, height_z
+from .field import FieldElement, MinPoly, VectorElement, _reduced, denom_z, height_z
 from .hensel import Embedding
 from .preduce import RationalMatrix, back_substitute, bareiss, p_reduce
-from .rationals import ORD_INF, Q, QONE, QZERO, head_tail, qformat, qparse_list, qpow
+from .rationals import ORD_INF, Q, QONE, QZERO, head_num, qformat, qparse_list, qpow
 
 
 def _checked(data, key, ok):
@@ -59,9 +67,7 @@ def _is_int_list(v) -> bool:
 @lru_cache(maxsize=None)
 def shift_matrix(s: int) -> RationalMatrix:
     """Cyclic shift: (x1, .., xs) -> (x2, .., xs, x1); identity for s = 1."""
-    return RationalMatrix(
-        [[Q(1) if j == (i + 1) % s else QZERO for j in range(s)] for i in range(s)]
-    )
+    return RationalMatrix([[int(j == (i + 1) % s) for j in range(s)] for i in range(s)])
 
 
 @dataclass(frozen=True)
@@ -240,7 +246,11 @@ class ExpansionRecord:
     def from_json(cls, data) -> "ExpansionRecord":
         """Load a format-1 record.  The copies it carries of derived values
         (``initial``, ``identity_steps``, the status index) must agree with
-        its steps and remainders."""
+        its steps and remainders, and the record must be the one it
+        serializes to (full coefficient lists, canonical rationals).  Each
+        step must map its remainder to the next one; a finite record must
+        end at zero and a periodic one return to its preperiod's
+        remainder."""
         fmt = data.get("format") if isinstance(data, dict) else None
         if not _is_int(fmt) or fmt != 1:
             raise RecordFormatError(f"unsupported record format {fmt!r}; this version reads format 1")
@@ -266,11 +276,31 @@ class ExpansionRecord:
             if VectorElement.from_json(mp, data["initial"]) != rec.initial:
                 raise RecordFormatError("'initial' differs from the first remainder")
             _checked(data, "identity_steps", lambda v: _is_int(v) and v == rec.identity_steps)
+            if rec.to_json() != data:
+                raise RecordFormatError("the record is not in the canonical form it loads as")
+            rec._replay()
             return rec
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             # a missing key, a wrong type, a value the checks reject (a
             # RecordFormatError is a ValueError) or an unparsable one
             raise RecordFormatError(f"malformed format-1 record: {exc!r}") from exc
+
+    def _replay(self):
+        """RecordFormatError unless every step maps its remainder to the
+        next one and the last remainder is what the status says."""
+        rems = self.remainders
+        for k, step in enumerate(self.steps):
+            try:
+                image = forward_step(step, rems[k])
+            except (PoleHit, ZeroDivisionError) as exc:
+                raise RecordFormatError(f"step {k} is undefined at remainder {k}: {exc}") from exc
+            if image != rems[k + 1]:
+                raise RecordFormatError(f"remainder {k + 1} is not the image of remainder {k} under step {k}")
+        st = self.status
+        if st.kind == "finite" and not rems[-1].is_zero():
+            raise RecordFormatError("a finite record ends at a nonzero remainder")
+        if st.kind == "periodic" and rems[st.index] != rems[st.preperiod]:
+            raise RecordFormatError("a periodic record does not return to its preperiod's remainder")
 
 
 # --- fractional maps ---------------------------------------------------------
@@ -329,7 +359,12 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     """Normalized variant of :func:`g_map`: each component is divided by
     the p-free gcd of its z-coefficient numerators, and the digit tail of
     the resulting constant coefficient is subtracted.  Keeps images in
-    pZ_p while shrinking coefficient denominators."""
+    pZ_p while shrinking coefficient denominators.
+
+    Both run on numerators: nums/den over a unit a shares with it only
+    factors of the nums, which one gcd removes, and the head of the
+    constant coefficient nums_0/den, den = p^t u, is (r u)/den for its
+    digits r/p^t, so the image keeps den and takes r u as nums_0."""
     g_step, g_image = g_map(emb, alpha, eps, j)
     if g_step.identity:
         return g_step, g_image
@@ -337,11 +372,15 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     coeffs, shifts, image = [], [], []
     for c, w, g_img in zip(g_step.coeffs, g_step.shifts, g_image):
         ap = _unit_normalizer(g_img, p)
-        scaled = g_img / ap if ap != 1 else g_img
-        tl = head_tail(Q(scaled.nums[0], scaled.den), p, 0)[1]
-        coeffs.append(c / ap)
-        shifts.append(w / ap + tl)
-        image.append(scaled - tl)
+        nums, den = g_img.nums, g_img.den
+        if ap != 1:
+            g = math.gcd(ap, *nums)
+            nums, den = tuple(x // g for x in nums), den * (ap // g)
+            c, w = c / ap, w / ap
+        hd = head_num(nums[0], den, p, 0)
+        coeffs.append(c)
+        shifts.append(w + Q(nums[0] - hd, den) if nums[0] != hd else w)
+        image.append(_reduced(g_img.minpoly, (hd,) + nums[1:], den))
     step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step.gamma)
     return step, VectorElement(image)
 
@@ -414,18 +453,29 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     """Pivot-s step whose matrix renormalizes the image to the row normal
     form of its coefficient matrix; the shift clears the digit tails of
     the resulting constant column.  The normalized map is the default;
-    ``g_variant`` runs the raw digit-subtracting map instead."""
+    ``g_variant`` runs the raw digit-subtracting map instead.
+
+    The step stays on integers: the z-parts of the image (z^s .. z, one
+    row per component over its ``den``) are p-reduced as they are, A c
+    for the constant column c is one integer dot product per row over a
+    common denominator, and each next component is the reduced row plus
+    the head of its entry of A c."""
     s = len(alpha)
+    p = emb.p
     step, image = (g_map if g_variant else h_map)(emb, alpha, 1, s)
-    m_full, m_sq = coeff_matrix(image)
-    reduced, a_mat = p_reduce(m_sq, emb.p)
-    # A beta + gamma: z-parts from the reduced rows; gamma cuts the constant
-    # column A c down to its head
-    split = [head_tail(c, emb.p, 0) for c in a_mat.apply([row[s] for row in m_full.entries])]
-    nxt = VectorElement(tuple(
-        alpha.minpoly.element((hd,) + row[::-1]) for (hd, _), row in zip(split, reduced.entries)
-    ))
-    return step.attach(a_mat, tuple(-tl for _, tl in split)), nxt
+    comps = image.components
+    zparts = RationalMatrix.from_ints([c.nums[:0:-1] for c in comps], [c.den for c in comps])
+    reduced, a_mat = p_reduce(zparts, p)
+    den = math.lcm(*(c.den for c in comps))
+    col = [c.nums[0] * (den // c.den) for c in comps]
+    gamma, nxt = [], []
+    for zs, zd, row, ad in zip(reduced.nums, reduced.dens, a_mat.nums, a_mat.dens):
+        num, cd = sum(map(operator.mul, row, col)), ad * den  # (A c)_r = num / cd
+        hd = head_num(num, cd, p, 0)
+        gamma.append(Q(hd - num, cd))
+        d = math.lcm(cd, zd)
+        nxt.append(_reduced(alpha.minpoly, (hd * (d // cd),) + tuple(x * (d // zd) for x in zs[::-1]), d))
+    return step.attach(a_mat, tuple(gamma)), VectorElement(nxt)
 
 
 # --- forward / inverse evaluation -------------------------------------------

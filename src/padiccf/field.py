@@ -27,7 +27,7 @@ import math
 
 from . import polys
 from .errors import HViolation, IrreducibilityUnknown, MixedField
-from .preduce import RationalMatrix, back_substitute, bareiss, scale_rows
+from .preduce import RationalMatrix, back_substitute, bareiss, canonical, scale_rows
 from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
 
 
@@ -344,13 +344,7 @@ class FieldElement:
 def _reduced(mp: MinPoly, nums: tuple, den: int, bound: int | None = None) -> FieldElement:
     """The canonical element nums/den for any nonzero int den; ``bound``,
     when given, is a multiple of every factor nums and den can share."""
-    g = math.gcd(den if bound is None else bound, *nums)
-    if den < 0:
-        g = -g
-    if g != 1:
-        nums = tuple(x // g for x in nums)
-        den //= g
-    return FieldElement(mp, nums, den)
+    return FieldElement(mp, *canonical(nums, den, bound))
 
 
 def _sum(a: FieldElement, b: FieldElement, sign: int) -> FieldElement:
@@ -445,12 +439,13 @@ def height_z(value) -> int:
 
 def coeff_matrix(vec: "VectorElement"):
     """(M, M') with row i the coefficients of component i in descending
-    power order z^s, ..., z, 1; M' keeps the first s columns."""
+    power order z^s, ..., z, 1, as its ``nums`` over its ``den``; M' keeps
+    the first s columns."""
     s = vec.s
-    pad = (QZERO,) * (s + 1 - vec.minpoly.degree)  # one for the degree-1 sentinel
-    m = RationalMatrix([(comp.coeffs + pad)[::-1] for comp in vec.components])
-    msq = RationalMatrix([row[:s] for row in m.entries])
-    return m, msq
+    pad = (0,) * (s + 1 - vec.minpoly.degree)  # one for the degree-1 sentinel
+    rows = [(comp.nums + pad)[::-1] for comp in vec.components]
+    dens = [comp.den for comp in vec.components]
+    return RationalMatrix.from_ints(rows, dens), RationalMatrix.from_ints([row[:s] for row in rows], dens)
 
 
 def independent_with_one(elements) -> bool:

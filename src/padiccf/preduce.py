@@ -6,59 +6,106 @@ elimination: determinants, ranks, matrix inverses, linear solves, field
 inverses, norms and resultants all scale their rationals to integers and
 go through them.
 
+A ``RationalMatrix`` has the representation of a field element: each row
+is a tuple of integer numerators over one positive denominator, with the
+content removed, and its ``Fraction`` entries are a derived view for
+serialization, printing and tests.
+
 The normal form is an echelon-like shape over Q whose pivots are powers of
 p and whose above-pivot entries keep only digits below the pivot's
 valuation.  It is computed by row operations that stay inside
 GL(n, Z_p cap Q) (unit scalings, p-integral row additions, swaps), so the
 transformer matrix and its inverse both have p-free denominators and unit
-determinant.  The form is unique per row space, which the test suite
-exercises directly.
+determinant.  ``p_reduce`` runs them on the integer rows of [M | I]: a
+pivot's valuation is read off its numerator and denominator, and each row
+operation is one integer combination reduced by one gcd.  The form is
+unique per row space, which the test suite exercises directly, against
+the ``Fraction`` routine kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from .errors import NonSquare
-from .rationals import Q, QONE, QZERO, ordp, qpow, head_tail, qformat, qparse_list
+from .rationals import Q, head_num, qformat, qparse_list, vp_int
+
+
+def canonical(nums: tuple, den: int, bound: int | None = None):
+    """(nums / g, den / g) for g = +-gcd(den, *nums), its sign making the
+    denominator positive: rationals nums_i / den over one denominator with
+    the content removed, the form of a matrix row and of a field element.
+    ``bound``, when given, is a multiple of every factor nums and den can
+    share."""
+    g = math.gcd(den if bound is None else bound, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = tuple(x // g for x in nums)
+        den //= g
+    return nums, den
 
 
 class RationalMatrix:
-    """Immutable rectangular matrix of rationals; shared constants such as
-    ``identity(n)`` rely on that."""
+    """Immutable rectangular matrix of rationals, stored as integer rows:
+    row i is ``nums[i]`` (a tuple of ints) over ``dens[i]`` (an int > 0),
+    with the content removed, gcd(den, *nums) = 1, the form of a
+    ``FieldElement``.  Equality and hashing compare these fields, and
+    ``entries`` is a derived view as ``Fraction`` rows.  Shared constants
+    such as ``identity(n)`` rely on the immutability."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("nums", "dens")
 
     def __init__(self, rows):
-        self.entries = tuple(tuple(c if type(c) is Q else Q(c) for c in row) for row in rows)
-        if self.entries:
-            w = len(self.entries[0])
-            if any(len(r) != w for r in self.entries):
-                raise ValueError("ragged rows")
+        """From rows of rationals (ints, ``Fraction``s, or anything
+        ``Fraction`` accepts)."""
+        rows = [[c if type(c) is int or type(c) is Q else Q(c) for c in row] for row in rows]
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        nums, dens = scale_rows(rows)
+        self.nums = tuple(map(tuple, nums))
+        self.dens = tuple(dens)
+
+    @classmethod
+    def from_ints(cls, rows, dens) -> "RationalMatrix":
+        """The matrix whose row i is rows[i] / dens[i], for integer rows and
+        nonzero integer denominators of any sign and content."""
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        pairs = [canonical(tuple(row), den) for row, den in zip(rows, dens, strict=True)]
+        m = object.__new__(cls)
+        m.nums, m.dens = tuple(r for r, _ in pairs), tuple(d for _, d in pairs)
+        return m
+
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of canonical ``Fraction``s."""
+        return tuple(tuple(Q(x, d) for x in row) for row, d in zip(self.nums, self.dens))
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.dens)
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.nums[0]) if self.nums else 0
 
     @classmethod
     @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[QONE if i == j else QZERO for j in range(n)] for i in range(n)])
+        return cls.from_ints([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return Q(self.nums[i][j], self.dens[i])
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return isinstance(other, RationalMatrix) and self.nums == other.nums and self.dens == other.dens
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.nums, self.dens))
 
     def __repr__(self):
         rows = "; ".join(" ".join(qformat(c) for c in row) for row in self.entries)
@@ -68,41 +115,44 @@ class RationalMatrix:
         return self.nrows == self.ncols
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Row i of the product is nums[i] times ``other``'s rows brought to
+        the lcm L of their denominators, over dens[i] L."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries))
-        return RationalMatrix(
-            [[sum((a * b for a, b in zip(row, col)), QZERO) for col in ot] for row in self.entries]
+        den = math.lcm(*other.dens)
+        cols = list(zip(*([x * (den // d) for x in row] for row, d in zip(other.nums, other.dens))))
+        return RationalMatrix.from_ints(
+            [[sum(map(operator.mul, row, col)) for col in cols] for row in self.nums],
+            [d * den for d in self.dens],
         )
 
     def apply(self, vector):
-        """Row-wise linear combination; works for any scalar-multipliable
-        vector entries (rationals or field elements)."""
+        """Row-wise linear combination; works for any vector entries that
+        take int products and int division (rationals or field elements)."""
         if len(vector) != self.ncols:
             raise ValueError("shape mismatch")
         out = []
-        for row in self.entries:
+        for row, d in zip(self.nums, self.dens):
             acc = None
             for c, x in zip(row, vector):
                 term = x * c
                 acc = term if acc is None else acc + term
-            out.append(acc)
+            out.append(acc / d if d != 1 else acc)
         return tuple(out)
 
     def inverse(self) -> "RationalMatrix":
-        """Eliminating [A' | S], with A' = S A the row-scaled integer
-        matrix, gives d A'^-1 S = d A^-1."""
+        """Eliminating [A' | S], with A' = S A the integer rows and S the
+        diagonal of their denominators, gives d A'^-1 S = d A^-1."""
         if not self.is_square():
             raise NonSquare("inverse of non-square matrix")
         n = self.nrows
-        rows, scales = scale_rows(self.entries)
-        for i, (row, s) in enumerate(zip(rows, scales)):
-            row.extend(s if j == i else 0 for j in range(n))
+        rows = [list(row) + [d if j == i else 0 for j in range(n)]
+                for i, (row, d) in enumerate(zip(self.nums, self.dens))]
         pivots, _ = bareiss(rows, n)
         if len(pivots) < n:
             raise ZeroDivisionError("singular matrix")
         d, x = back_substitute(rows, pivots, n)
-        return RationalMatrix([[Q(v, d) for v in row] for row in x])
+        return RationalMatrix.from_ints(x, [d] * n)
 
     def to_json(self):
         return [[qformat(c) for c in row] for row in self.entries]
@@ -193,31 +243,45 @@ def p_reduce(matrix: RationalMatrix, p: int):
     at or below the cursor row, the least row index attaining the maximal
     p-adic absolute value (minimal valuation).  Below-pivot entries are
     eliminated fully; above-pivot entries lose only the digit tail from the
-    pivot's valuation upward.  Every row operation runs once, on the rows
-    of [M | I]; the right half ends as N.
+    pivot's valuation upward.
+
+    Every row operation runs once, on the integer rows of [M | I], each
+    carried over its own denominator: the pivot row is scaled to put p^v on
+    the pivot, and clearing c/d from row i against the pivot row T/d_T
+    (whose pivot entry is T_k = p^v d_T) is the one combination
+    (R_i T_k - c T) / (d T_k), reduced by one gcd.  The right half ends as N.
     """
     if not matrix.is_square():
         raise NonSquare("p_reduce requires a square matrix")
     n = matrix.nrows
-    rows = [list(r) + [QONE if j == i else QZERO for j in range(n)] for i, r in enumerate(matrix.entries)]
+    dens = list(matrix.dens)
+    rows = [r + tuple(d if j == i else 0 for j in range(n)) for i, (r, d) in enumerate(zip(matrix.nums, dens))]
     k1 = 0
     for k2 in range(n):
-        cands = [(ordp(rows[i][k2], p), i) for i in range(k1, n) if rows[i][k2]]
+        cands = [(vp_int(rows[i][k2], p) - vp_int(dens[i], p), i) for i in range(k1, n) if rows[i][k2]]
         if not cands:
             continue
         best, m = min(cands)
         rows[k1], rows[m] = rows[m], rows[k1]
-        pk = qpow(p, best)
-        scale = pk / rows[k1][k2]
-        top = rows[k1] = [c * scale for c in rows[k1]]
-        # exact arithmetic: clearing with the scaled pivot row gives the
-        # same rows as clearing below before the scaling
+        dens[k1], dens[m] = dens[m], dens[k1]
+        # the pivot row times p^best / pivot: T / a with a = pivot / p^best
+        top, a = rows[k1], rows[k1][k2]
+        if best >= 0:
+            top = tuple(x * p ** best for x in top)
+        else:
+            a *= p ** -best
+        rows[k1], dens[k1] = canonical(top, a)
+        top = rows[k1]
+        tk = top[k2]
         for i in range(n):
             c = rows[i][k2]
-            if i < k1:
-                c = head_tail(c, p, best - 1)[1]
+            if i < k1 and c:
+                c -= head_num(c, dens[i], p, best - 1)
             if c and i != k1:
-                f = c / pk
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], top)]
+                g = math.gcd(c, tk)
+                f, c = tk // g, c // g
+                rows[i], dens[i] = canonical(tuple(f * x - c * y for x, y in zip(rows[i], top)), dens[i] * f)
         k1 += 1
-    return RationalMatrix([r[:n] for r in rows]), RationalMatrix([r[n:] for r in rows])
+    return (RationalMatrix.from_ints([r[:n] for r in rows], dens),
+            RationalMatrix.from_ints([r[n:] for r in rows], dens))
+

@@ -82,6 +82,18 @@ def omega(q, p: int) -> int:
     return r // pt
 
 
+def head_num(num: int, den: int, p: int, m: int) -> int:
+    """The head of num/den at digit index m (see :func:`head_tail`) as a
+    numerator over den, for any int num and int den > 0: with den = p^t u
+    and u prime to p, the head r/p^t is r u/den."""
+    t = _vp_pos(den, p)
+    if m + t < 0:
+        return 0  # every digit of num/den lies at index -t > m or above
+    u = den // p ** t
+    mod = p ** (m + t + 1)
+    return num * pow(u, -1, mod) % mod * u
+
+
 def head_tail(q, p: int, m: int):
     """Split q into (head, tail) at digit index m.
 
@@ -89,16 +101,11 @@ def head_tail(q, p: int, m: int):
     denominator is a power of p); tail = q - head has valuation > m.
     The unindexed floor/tail notation corresponds to m = 0.
     """
-    if not q:
-        return QZERO, QZERO
-    if ordp(q, p) > m:
-        return QZERO, q
     num, den = q.numerator, q.denominator
-    t = _vp_pos(den, p)
-    mod = p ** (m + t + 1)
-    r = num % mod * pow(den // p ** t, -1, mod) % mod
-    head = Q(r, p ** t)
-    return head, q - head
+    h = head_num(num, den, p, m)
+    if not h:
+        return QZERO, q
+    return Q(h, den), Q(num - h, den)
 
 
 def height(q) -> int:

@@ -9,8 +9,10 @@ Expected values frozen into tests were produced by these.
 import math
 from fractions import Fraction
 
+from padiccf.cfrac import CMapStep, g_map
 from padiccf.errors import NonSquare
-from padiccf.field import denom_z
+from padiccf.field import VectorElement, coeff_matrix, denom_z
+from padiccf.preduce import RationalMatrix
 from padiccf.rationals import Q
 
 
@@ -332,6 +334,73 @@ def is_p_reduced(matrix, p):
                 return False
         steps.append(u)
     return steps == sorted(steps)
+
+
+def p_reduce_by_fractions(matrix, p):
+    """(M', N) of ``p_reduce`` in ``Fraction`` arithmetic: the routine the
+    package ran before its rows became integers over one denominator.
+    Every row operation runs once, on the rows of [M | I]."""
+    if not matrix.is_square():
+        raise NonSquare("p_reduce requires a square matrix")
+    n = matrix.nrows
+    rows = [list(r) + [Fraction(int(j == i)) for j in range(n)] for i, r in enumerate(matrix.entries)]
+    k1 = 0
+    for k2 in range(n):
+        cands = [(digit_stream(rows[i][k2], p, 1)[0], i) for i in range(k1, n) if rows[i][k2]]
+        if not cands:
+            continue
+        best, m = min(cands)
+        rows[k1], rows[m] = rows[m], rows[k1]
+        pk = Fraction(p) ** best
+        scale = pk / rows[k1][k2]
+        top = rows[k1] = [c * scale for c in rows[k1]]
+        for i in range(n):
+            c = rows[i][k2]
+            if i < k1:
+                c -= head_by_digits(c, p, best - 1)
+            if c and i != k1:
+                f = c / pk
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        k1 += 1
+    return RationalMatrix([r[:n] for r in rows]), RationalMatrix([r[n:] for r in rows])
+
+
+def h_map_by_fractions(emb, alpha, eps, j):
+    """``h_map`` as the package ran it on ``Fraction`` coefficients: the
+    ``g_map`` image divided by its unit normalizer as a field element, less
+    the digit tail of its constant coefficient."""
+    g_step, g_image = g_map(emb, alpha, eps, j)
+    if g_step.identity:
+        return g_step, g_image
+    p = emb.p
+    coeffs, shifts, image = [], [], []
+    for c, w, g_img in zip(g_step.coeffs, g_step.shifts, g_image):
+        ap = unit_normalizer_by_coeffs(g_img, p)
+        scaled = g_img / ap
+        c0 = scaled.coeffs[0]
+        tl = c0 - head_by_digits(c0, p, 0)
+        coeffs.append(c / ap)
+        shifts.append(w / ap + tl)
+        image.append(scaled - tl)
+    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step.gamma)
+    return step, VectorElement(image)
+
+
+def step_phi3_by_fractions(emb, alpha, g_variant=False):
+    """``step_phi3`` built from rational parts: the coefficient matrix of
+    the image, :func:`p_reduce_by_fractions`, ``RationalMatrix.apply`` on
+    the constant column and ``MinPoly.element`` on the reduced rows."""
+    s = len(alpha)
+    fmap = g_map if g_variant else h_map_by_fractions
+    step, image = fmap(emb, alpha, 1, s)
+    m_full, m_sq = coeff_matrix(image)
+    reduced, a_mat = p_reduce_by_fractions(m_sq, emb.p)
+    consts = a_mat.apply([row[s] for row in m_full.entries])
+    heads = [head_by_digits(c, emb.p, 0) for c in consts]
+    nxt = VectorElement(tuple(
+        alpha.minpoly.element((hd,) + row[::-1]) for hd, row in zip(heads, reduced.entries)
+    ))
+    return step.attach(a_mat, tuple(hd - c for hd, c in zip(heads, consts))), nxt
 
 
 # --- Gauss-Jordan and Euclid over Fractions ---------------------------------

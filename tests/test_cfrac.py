@@ -21,6 +21,7 @@ from padiccf.cfrac import (
 from padiccf.errors import PadiccfError, PoleHit, RecordFormatError
 from padiccf.field import MinPoly, VectorElement, coeff_matrix, independent_with_one, validate_minpoly
 from padiccf.hensel import Embedding
+from padiccf.lab import _suite_coefficients, build_z_set
 from padiccf.preduce import RationalMatrix
 from padiccf.rationals import ORD_INF, Q, ordp
 from oracles import (
@@ -28,9 +29,11 @@ from oracles import (
     brute_phi2_index,
     forward_step_closed_form,
     gauss_det,
+    h_map_by_fractions,
     inverse_step_closed_form,
     is_p_reduced,
     schneider_orbit,
+    step_phi3_by_fractions,
 )
 
 
@@ -312,6 +315,30 @@ class TestPhi3:
             for g in step.gamma:
                 assert not g or ordp(g, 2) >= 1
             assert in_E(emb3, nxt)
+
+
+def _suite_vectors(mp, degree, size):
+    return [mp.vector([mp.element(c) for c in cs]) for cs in _suite_coefficients(degree, size)]
+
+
+class TestPhi3AgainstFractionOracle:
+    @pytest.mark.parametrize("g_variant", [False, True])
+    @pytest.mark.parametrize("p, degree", [(2, 3), (3, 3), (2, 4), (3, 4)])
+    def test_steps_equal_oracle_steps(self, p, degree, g_variant):
+        """Every step of phi3 expansions equals the step built from rational
+        parts (coefficient matrix, Fraction p-reduction, ``apply``,
+        ``element``), and h_map at every pivot equals its Fraction form."""
+        steps = 0
+        for mp in build_z_set(p, degree)[:3]:
+            emb = Embedding(mp)
+            for alpha in _suite_vectors(mp, degree, 4):
+                rec = expand(alpha, "phi3", g_variant=g_variant, max_steps=10, embedding=emb)
+                for k, rem in enumerate(rec.remainders[:-1]):
+                    assert step_phi3_by_fractions(emb, rem, g_variant) == (rec.steps[k], rec.remainders[k + 1])
+                    for j in range(1, len(rem) + 1):
+                        assert h_map(emb, rem, 1, j) == h_map_by_fractions(emb, rem, 1, j)
+                    steps += 1
+        assert steps >= 24
 
 
 class TestInverse:
@@ -611,7 +638,10 @@ class TestRecordJson:
                                       "step without matrix", "int coefficient", "int matrix entry",
                                       "string shifts", "string exps", "string minpoly coeffs",
                                       "string element coeffs", "bad eps", "unknown algorithm",
-                                      "unknown kind", "remainder missing", *REPLACED])
+                                      "unknown kind", "remainder missing", "short remainder",
+                                      "remainder not an image", "finite at a nonzero remainder",
+                                      "cycle to another remainder", "unreduced rational",
+                                      "unreduced matrix entry", "extra key", *REPLACED])
     def test_malformed_record_is_typed_error(self, k2, case):
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
         step = data["steps"][0]
@@ -643,6 +673,21 @@ class TestRecordJson:
             data["status"]["kind"] = "bogus"
         elif case == "remainder missing":
             data["remainders"].pop()
+        elif case == "short remainder":  # loads as ["7", "0"], which it is not
+            data["remainders"][1] = [{"coeffs": ["7"]}]
+        elif case == "remainder not an image":
+            data["remainders"][1] = [{"coeffs": ["7", "0"]}]
+        elif case == "finite at a nonzero remainder":
+            data["status"] = {"kind": "finite", "index": 2}
+        elif case == "cycle to another remainder":
+            # remainders z, -z, z: a cycle from index 1 would need -z again
+            data["status"].update(preperiod=1, period=1)
+        elif case == "unreduced rational":  # loads as "-1"
+            data["remainders"][1][0]["coeffs"][1] = "-2/2"
+        elif case == "unreduced matrix entry":
+            step["matrix"][0][0] = "2/2"
+        elif case == "extra key":
+            step["note"] = "x"
         else:
             part, key, value = REPLACED[case]
             _json_fields(data)[part][key] = value
@@ -661,9 +706,32 @@ class TestRecordJson:
             return
         assert json.dumps(rec.to_json(), sort_keys=True) == json.dumps(blob, sort_keys=True)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_expanded_records_load_as_themselves(self, p):
+        """Records of every algorithm and status kind replay on load and
+        serialize back to the bytes they were loaded from."""
+        kinds = set()
+        for mp in build_z_set(p, 3)[:2]:
+            emb = Embedding(mp)
+            for alpha in _suite_vectors(mp, 3, 3):
+                for algo, kw in [("phi0", {"height_exponent": 4}), ("phi0", {"max_steps": 2}),
+                                 ("phi1", {"eps": -1}), ("phi2", {"lookahead": 1}), ("phi3", {}),
+                                 ("phi3", {"g_variant": True})]:
+                    rec = expand(alpha, algo, embedding=emb, **{"max_steps": 12, **kw})
+                    kinds.add(rec.status.kind)
+                    blob = json.dumps(rec.to_json())
+                    assert json.dumps(ExpansionRecord.from_json(json.loads(blob)).to_json()) == blob
+        assert {"periodic", "height_exceeded", "step_limit"} <= kinds
+
     def test_zero_constant_term_is_typed_error(self, k2):
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
         data["minpoly"]["coeffs"][-1] = "0"
+        # z is a zero divisor modulo x^2 + x, so the first step no longer replays
+        with pytest.raises(RecordFormatError, match="undefined"):
+            ExpansionRecord.from_json(data)
+        # a record without steps still loads, and expanding it is the typed error
+        data.update(steps=[], remainders=data["remainders"][:1], identity_steps=0,
+                    status={"kind": "step_limit", "index": 0})
         rec = ExpansionRecord.from_json(data)
         with pytest.raises(PadiccfError):
             expand(rec.initial, "phi1")

@@ -1,12 +1,14 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padiccf.errors import NonSquare
 from padiccf.preduce import RationalMatrix, p_reduce
 from padiccf.rationals import Q, ordp
-from oracles import gauss_det, gauss_rank, is_p_reduced
+from oracles import gauss_det, gauss_rank, is_p_reduced, p_reduce_by_fractions
 
 GOLDEN = Path(__file__).parent / "golden" / "preduce_example.json"
 
@@ -139,3 +141,63 @@ class TestMatrixBasics:
     def test_apply(self):
         m = RationalMatrix([[1, 2], [3, 4]])
         assert m.apply((Q(1), Q(1))) == (Q(3), Q(7))
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equals_oracle(self, data):
+        """Exact (M', N) equality with the Fraction routine, over entries
+        with p-power and p-free denominators and valuations from -3 to 3,
+        including singular, zero-row and zero matrices."""
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        n = data.draw(st.integers(1, 4))
+        dens = [d for d in range(1, 12) if d % p]
+        entry = st.builds(lambda a, e, u: Q(a, u) * Q(p) ** e,
+                          st.integers(-30, 30), st.integers(-3, 3), st.sampled_from(dens))
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        shape = data.draw(st.sampled_from(["any", "dependent", "zero row", "zero"]))
+        if shape == "dependent":
+            k = data.draw(entry)
+            rows[-1] = [c * k for c in rows[0]]
+        elif shape == "zero row":
+            rows[data.draw(st.integers(0, n - 1))] = [Q(0)] * n
+        elif shape == "zero":
+            rows = [[Q(0)] * n for _ in range(n)]
+        m = RationalMatrix(rows)
+        assert p_reduce(m, p) == p_reduce_by_fractions(m, p)
+
+    def test_oracle_on_worked_example(self):
+        blob = json.loads(GOLDEN.read_text())
+        m = RationalMatrix.from_json(blob["input"])
+        assert p_reduce_by_fractions(m, blob["p"]) == p_reduce(m, blob["p"])
+
+
+class TestCanonicalForm:
+    def test_fraction_and_integer_rows_agree(self):
+        fr = RationalMatrix([[Q(1, 2), Q(-3, 4)], [0, 0], [Q(2, 3), 2]])
+        # a negative denominator, a zero row over 7, a row with content 2
+        ints = RationalMatrix.from_ints([[-2, 3], [0, 0], [4, 12]], [-4, 7, 6])
+        assert fr == ints and hash(fr) == hash(ints)
+        assert ints.nums == ((2, -3), (0, 0), (2, 6)) and ints.dens == (4, 1, 3)
+        assert ints.entries == ((Q(1, 2), Q(-3, 4)), (Q(0), Q(0)), (Q(2, 3), Q(2)))
+        assert ints[2, 1] == Q(2)
+        assert json.dumps(ints.to_json()) == json.dumps(fr.to_json()) == '[["1/2", "-3/4"], ["0", "0"], ["2/3", "2"]]'
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(-50, 50), min_size=3, max_size=3), min_size=1, max_size=3),
+           data=st.data())
+    def test_any_integer_rows_canonicalise(self, rows, data):
+        dens = [data.draw(st.integers(1, 40)) * data.draw(st.sampled_from([1, -1])) for _ in rows]
+        ks = [data.draw(st.integers(1, 6)) * data.draw(st.sampled_from([1, -1])) for _ in rows]
+        fr = RationalMatrix([[Q(x, d) for x in row] for row, d in zip(rows, dens)])
+        ints = RationalMatrix.from_ints([[k * x for x in row] for row, k in zip(rows, ks)],
+                                        [k * d for k, d in zip(ks, dens)])
+        assert fr == ints and hash(fr) == hash(ints)
+        assert all(d > 0 and math.gcd(d, *row) == 1 for row, d in zip(ints.nums, ints.dens))
+        assert ints.entries == tuple(tuple(Q(x, d) for x in row) for row, d in zip(rows, dens))
+
+    def test_json_bytes_unchanged(self):
+        blob = json.loads(GOLDEN.read_text())
+        for key in ("input", "reduced", "transformer"):
+            assert json.dumps(RationalMatrix.from_json(blob[key]).to_json()) == json.dumps(blob[key])

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -16,3 +18,44 @@ def test_src_lines_counts_every_module_and_sums_to_the_total():
     assert label == "total"
     assert {name for _, name in modules} == {p.stem for p in (ROOT / "src" / "padiccf").glob("*.py")}
     assert sum(int(n) for n, _ in modules) == int(total) > 0
+
+
+def _load_pairs():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import pairs
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    return pairs
+
+
+def test_pairs_scales_to_the_benchmark_reference_probe():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import run
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    assert _load_pairs().PROBE_REF_S == run.PROBE_REF_S
+
+
+def test_pairs_summary_on_fixed_passes():
+    pairs = _load_pairs()
+    ref = pairs.PROBE_REF_S
+
+    def one(pass_s, lat_ms, rss):
+        # probes at twice the reference time: every time is scaled by 1/2
+        return {"probes": [2 * ref] * 4, "pass_s": pass_s + 8 * ref, "lat": [lat_ms / 1e3, None, lat_ms / 1e3],
+                "rss_mb": rss}
+
+    parent = [one(2.0, 4.0, 20.0), one(2.2, 4.4, 20.0), one(2.4, 4.0, 20.0), one(2.0, 4.2, 20.0)]
+    change = [one(1.4, 3.0, 20.0), one(1.6, 5.0, 20.0), one(1.4, 3.0, 20.0), one(1.5, 3.2, 21.0)]
+    got = pairs.summarize([(pairs.pass_metrics(a), pairs.pass_metrics(b)) for a, b in zip(parent, change)])
+    assert pairs.pass_metrics(parent[1]) == pytest.approx({"pass_s": 1.1, "op_p50_ms": 2.2, "rss_mb": 20.0})
+    # inclusive quartiles of 1.0, 1.0, 1.1, 1.2 and of 0.7, 0.7, 0.75, 0.8
+    assert got["pass_s"]["parent"] == pytest.approx((1.0, 1.05, 1.125))
+    assert got["pass_s"]["change"] == pytest.approx((0.7, 0.725, 0.7625))
+    assert (got["pass_s"]["won"], got["pass_s"]["lost"], got["pass_s"]["gain"]) == (4, 0, True)
+    # one pair lost: 3 of 4 is under nine tenths, so no gain
+    assert (got["op_p50_ms"]["won"], got["op_p50_ms"]["lost"], got["op_p50_ms"]["gain"]) == (3, 1, False)
+    # ties count for neither side
+    assert (got["rss_mb"]["won"], got["rss_mb"]["lost"], got["rss_mb"]["gain"]) == (0, 1, False)
