@@ -20,7 +20,6 @@ from .field import (
     FieldElement,
     MinPoly,
     VectorElement,
-    coeff_matrix,
     denom_z,
     element_minpoly,
     height_z,

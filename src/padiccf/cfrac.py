@@ -17,12 +17,13 @@ coordinate of 0 is the pole of that direction.  The integer matrices are
 derived from the recorded parameters on first use and never serialized.
 
 The fractional maps and the phi3 step work on the integer numerators and
-the denominator of each component: ``h_map`` normalizes and takes digit
-heads on them, and ``step_phi3`` p-reduces the z-parts of the image as
-integer rows (``RationalMatrix``), applies the transformer to the
-constant column by integer dot products and builds the next remainder
-from the reduced rows.  Only the recorded parameters (coefficients,
-shifts, gamma) are ``Fraction``s.
+the denominator of each component: ``g_map`` scales them by eps p^e with
+one gcd and subtracts the integer digit from the constant numerator,
+``h_map`` normalizes and takes digit heads on them, and ``step_phi3``
+p-reduces the z-parts of the image as integer rows (``RationalMatrix``),
+applies the transformer to the constant column by integer dot products
+and builds the next remainder from the reduced rows.  Only the recorded
+parameters (coefficients, shifts, gamma) are ``Fraction``s.
 
 All remainders from index 1 on lie componentwise in pZ_p; remainders are
 compared structurally on their canonical integer numerators and
@@ -37,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import PoleHit, RecordFormatError
+from .errors import CapExceeded, PoleHit, RecordFormatError
 from .field import FieldElement, MinPoly, VectorElement, _reduced, denom_z, height_z
 from .hensel import Embedding
 from .preduce import RationalMatrix, back_substitute, bareiss, p_reduce
@@ -314,6 +315,12 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     anchor value is p-integral, minus its digit.  Every image component
     of the anchor lands in pZ_p.  A zero pivot yields the identity.
     Returns (step, F(alpha)), the step with A = I and gamma = 0.
+
+    The map runs on numerators.  Scaling nums/den by eps p^e takes one
+    gcd: p^e can share factors only with den, and p^-e only with the nums.
+    The integer digit om leaves den as it is (nums_0 - om den over den),
+    and gcd(den, nums) does not change, so the image needs no reduction;
+    only the recorded shift is a ``Fraction``.
     """
     comps = alpha.components
     aj = comps[j - 1]
@@ -321,22 +328,31 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     eye, zero = RationalMatrix.identity(s), (QZERO,) * s
     if aj.is_zero():
         return CMapStep(emb.p, j, eps, True, (QONE,) * s, (0,) * s, zero, eye, zero), alpha
-    p = emb.p
+    p, mp = emb.p, alpha.minpoly
     m = emb.ord(aj)
     inv_aj = aj.inverse()
     exps, shifts, image = [], [], []
     for i, ai in enumerate(comps, start=1):
         if i == j:
-            val = inv_aj * (qpow(p, m) * eps)
-            e = m
+            val, e = inv_aj, m
         else:
             oi = emb.ord(ai)
             e = max(m - oi, 0) if oi is not ORD_INF else 0
-            val = ai * inv_aj * (qpow(p, e) * eps)
-        om = Q(emb.omega(val))
+            val = ai * inv_aj
+        nums, den = val.nums, val.den
+        if e >= 0:
+            pe = p ** e
+            g = math.gcd(pe, den)
+            k = eps * (pe // g)
+            nums, den = tuple(x * k for x in nums), den // g
+        else:
+            pe = p ** -e
+            g = math.gcd(pe, *nums)
+            nums, den = tuple(x // g * eps for x in nums), den * (pe // g)
+        om = emb.omega(FieldElement(mp, nums, den))
         exps.append(e)
-        shifts.append(om)
-        image.append(val - om)
+        shifts.append(Q(om))
+        image.append(FieldElement(mp, (nums[0] - om * den,) + nums[1:], den))
     step = CMapStep(p, j, eps, False, (Q(eps),) * s, tuple(exps), tuple(shifts), eye, zero)
     return step, VectorElement(image)
 
@@ -364,22 +380,23 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     Both run on numerators: nums/den over a unit a shares with it only
     factors of the nums, which one gcd removes, and the head of the
     constant coefficient nums_0/den, den = p^t u, is (r u)/den for its
-    digits r/p^t, so the image keeps den and takes r u as nums_0."""
+    digits r/p^t, so the image keeps den and takes r u as nums_0.  The
+    recorded coefficient is eps/a and the shift om/a + (nums_0 - r u)/den
+    for g's integer digit om, each one ``Fraction`` constructor."""
     g_step, g_image = g_map(emb, alpha, eps, j)
     if g_step.identity:
         return g_step, g_image
     p = emb.p
     coeffs, shifts, image = [], [], []
-    for c, w, g_img in zip(g_step.coeffs, g_step.shifts, g_image):
+    for w, g_img in zip(g_step.shifts, g_image):
         ap = _unit_normalizer(g_img, p)
         nums, den = g_img.nums, g_img.den
         if ap != 1:
             g = math.gcd(ap, *nums)
             nums, den = tuple(x // g for x in nums), den * (ap // g)
-            c, w = c / ap, w / ap
         hd = head_num(nums[0], den, p, 0)
-        coeffs.append(c)
-        shifts.append(w + Q(nums[0] - hd, den) if nums[0] != hd else w)
+        coeffs.append(Q(eps, ap))
+        shifts.append(Q(w.numerator * den + ap * (nums[0] - hd), ap * den))
         image.append(_reduced(g_img.minpoly, (hd,) + nums[1:], den))
     step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step.gamma)
     return step, VectorElement(image)
@@ -401,6 +418,16 @@ def step_phi0(emb: Embedding, alpha: VectorElement, eps: int):
 
 def step_phi1(emb: Embedding, alpha: VectorElement, eps: int):
     return _rotated(*h_map(emb, alpha, eps, 1))
+
+
+LOOKAHEAD_BUDGET = 4096  # images a phi2 step's lookahead tree may hold
+
+
+def lookahead_fits(s: int, n: int) -> bool:
+    """True iff a depth-(n+1) lookahead tree over s pivots, s^(n+1)
+    images, is within LOOKAHEAD_BUDGET; decided without building a power
+    above the budget."""
+    return s < 2 or (n + 1 < LOOKAHEAD_BUDGET.bit_length() and s ** (n + 1) <= LOOKAHEAD_BUDGET)
 
 
 def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None):
@@ -556,6 +583,8 @@ def expand(
     above 10**height_exponent (height exceeded); the step budget bounds
     everything else.  ``detect_cycles=False`` disables the recurrence
     check, which is useful for studying convergents past the first cycle.
+    A phi2 lookahead whose tree exceeds LOOKAHEAD_BUDGET images raises
+    CapExceeded before the first step.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -565,6 +594,12 @@ def expand(
         raise ValueError(f"{algorithm} requires a proper extension field")
     if height_exponent < 0:
         raise ValueError("height_exponent must be >= 0")
+    if algorithm == "phi2":
+        if lookahead < 1:
+            raise ValueError("lookahead depth must be >= 1")
+        if not lookahead_fits(len(alpha), lookahead):
+            raise CapExceeded(f"phi2 lookahead {lookahead} over {len(alpha)} components evaluates "
+                              f"more than {LOOKAHEAD_BUDGET} images per step")
     emb = embedding if embedding is not None else Embedding(alpha.minpoly)
     memo = {} if algorithm == "phi2" else None
 

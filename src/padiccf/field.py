@@ -15,10 +15,10 @@ Number Theory*, 4.2).  Products and inverses are one integer
 matrix-vector product or one fraction-free elimination on the
 multiplication matrix; sums follow Knuth, TAOCP vol. 2, 4.5.1, and
 reduce only by the gcd of the two denominators.  ``Fraction``
-coefficients are a derived view (``.coeffs``) for serialization,
-printing and the rational coefficient matrices.  The degenerate degree-1
-case (K = Q, still with s = 1) is represented by the
-``MinPoly.rationals`` sentinel; its elements carry a single coefficient.
+coefficients are a derived view (``.coeffs``) for serialization and
+printing.  The degenerate degree-1 case (K = Q, still with s = 1) is
+represented by the ``MinPoly.rationals`` sentinel; its elements carry a
+single coefficient.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 
 from . import polys
 from .errors import HViolation, IrreducibilityUnknown, MixedField
-from .preduce import RationalMatrix, back_substitute, bareiss, canonical, scale_rows
+from .preduce import back_substitute, bareiss, canonical, scale_rows
 from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
 
 
@@ -435,17 +435,6 @@ def height_z(value) -> int:
         return max(height_z(c) for c in value.components)
     d = value.den  # x/d in lowest terms has height (|x| + d) / gcd(x, d)
     return max((abs(x) + d) // math.gcd(x, d) for x in value.nums)
-
-
-def coeff_matrix(vec: "VectorElement"):
-    """(M, M') with row i the coefficients of component i in descending
-    power order z^s, ..., z, 1, as its ``nums`` over its ``den``; M' keeps
-    the first s columns."""
-    s = vec.s
-    pad = (0,) * (s + 1 - vec.minpoly.degree)  # one for the degree-1 sentinel
-    rows = [(comp.nums + pad)[::-1] for comp in vec.components]
-    dens = [comp.den for comp in vec.components]
-    return RationalMatrix.from_ints(rows, dens), RationalMatrix.from_ints([row[:s] for row in rows], dens)
 
 
 def independent_with_one(elements) -> bool:

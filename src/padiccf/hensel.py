@@ -16,21 +16,11 @@ needs more digits than it holds.
 
 from __future__ import annotations
 
-import math
-
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded, Reducible
 from .field import FieldElement, MinPoly, VectorElement, element_minpoly, failed_clause, multiplication_rows
 from .polys import newton_lift
 from .preduce import bareiss
-from .rationals import (
-    ORD_INF,
-    Q,
-    QZERO,
-    head_tail,
-    ordp,
-    qpow,
-    vp_int,
-)
+from .rationals import ORD_INF, Q, ordp, qpow, vp_int
 
 
 def hensel_lift(minpoly: MinPoly, m: int) -> int:
@@ -124,24 +114,30 @@ class Embedding:
                 raise PrecisionCapExceeded(f"valuation passed its cap {cap}")
         return vp_int(val, self.p) - vp_int(a.den, self.p)
 
+    def _digits(self, a: FieldElement, m: int) -> tuple:
+        """(r, p^t) with r / p^t the head of ``a`` up to index m, r an int in
+        [0, p^(m+t+1)) and den = p^t u, u prime to p: the residue of the
+        numerators at the root, times u^-1.  A rational element reads its
+        constant numerator, so the degree-1 sentinel never lifts."""
+        d, p = a.den, self.p
+        t = vp_int(d, p)
+        pt = p ** t
+        if m + t < 0:
+            return 0, pt  # every digit of a lies at index -t > m or above
+        mod = p ** (m + t + 1)
+        nums = a.nums
+        r = nums[0] % mod if not any(nums[1:]) else self._combination_mod(nums, m + t + 1)
+        return r * pow(d // pt, -1, mod) % mod, pt
+
     def omega(self, a: FieldElement) -> int:
-        """Digit c0 of the expansion of ``a``: the floor of its head at
-        index 0; 0 for the zero element."""
-        return math.floor(self.head(a))
+        """Digit c0 of the expansion of ``a``, as an int: the floor of its
+        head at index 0; 0 for the zero element."""
+        r, pt = self._digits(a, 0)
+        return r // pt
 
     def head(self, a: FieldElement, m: int = 0):
         """Digit head up to index m as an exact rational."""
-        if a.is_zero():
-            return QZERO
-        if a.is_rational():
-            return head_tail(a.rational_value(), self.p, m)[0]
-        d = a.den
-        t = vp_int(d, self.p)
-        if m + t < 0:
-            return QZERO
-        mod = self.p ** (m + t + 1)
-        val = self._combination_mod(a.nums, m + t + 1) * pow(d // self.p ** t, -1, mod) % mod
-        return Q(val, self.p ** t)
+        return Q(*self._digits(a, m))
 
     def t_b(self, a: FieldElement) -> FieldElement:
         """One digit-stripping step: p^ord(a)/a minus its unit digit.
@@ -151,7 +147,7 @@ class Embedding:
             return a
         e = self.ord(a)
         w = a.inverse() * qpow(self.p, e)
-        return w - self.minpoly.element((Q(self.omega(w)),))
+        return w - self.omega(w)
 
     # --- admissible generators ------------------------------------------
     def satisfies_H(self, a: FieldElement) -> bool:

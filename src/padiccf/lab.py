@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .cfrac import ALGORITHMS, expand
+from .cfrac import ALGORITHMS, LOOKAHEAD_BUDGET, expand, lookahead_fits
 from .errors import ConfigError, HViolation, Reducible, StreamExhausted
 from .field import MinPoly, VectorElement, independent_with_one, validate_minpoly
 from .hensel import Embedding
@@ -271,10 +271,15 @@ class RunConfig:
         specs = tuple(_algo_spec(a) for a in algos)
         if len(set(primes)) < len(primes) or len({algo_label(*s) for s in specs}) < len(specs):
             raise ConfigError("primes and algorithm columns must not repeat")
+        degree = _int_at_least(data["degree"], 2, "degree")
+        for algo, _, lookahead in specs:
+            if algo == "phi2" and not lookahead_fits(degree - 1, lookahead):
+                raise ConfigError(f"phi2 lookahead {lookahead} at degree {degree} evaluates "
+                                  f"more than {LOOKAHEAD_BUDGET} images per step")
         z_limit = data.get("z_limit")
         return cls(
             primes=tuple(primes),
-            degree=_int_at_least(data["degree"], 2, "degree"),
+            degree=degree,
             algorithms=specs,
             suite_size=_int_at_least(data.get("suite_size", 100), 1, "suite_size"),
             max_steps=_int_at_least(data.get("max_steps", 100_000), 1, "max_steps"),

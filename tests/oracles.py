@@ -9,11 +9,11 @@ Expected values frozen into tests were produced by these.
 import math
 from fractions import Fraction
 
-from padiccf.cfrac import CMapStep, g_map
+from padiccf.cfrac import CMapStep
 from padiccf.errors import NonSquare
-from padiccf.field import VectorElement, coeff_matrix, denom_z
+from padiccf.field import VectorElement, denom_z
 from padiccf.preduce import RationalMatrix
-from padiccf.rationals import Q
+from padiccf.rationals import ORD_INF, Q
 
 
 def digit_stream(q, p, count):
@@ -365,11 +365,61 @@ def p_reduce_by_fractions(matrix, p):
     return RationalMatrix([r[:n] for r in rows]), RationalMatrix([r[n:] for r in rows])
 
 
+def coeff_matrix(vec):
+    """(M, M') with row i the coefficients of component i in descending
+    power order z^s, ..., z, 1, as its ``nums`` over its ``den``; M' keeps
+    the first s columns."""
+    s = vec.s
+    pad = (0,) * (s + 1 - vec.minpoly.degree)  # one for the degree-1 sentinel
+    rows = [(comp.nums + pad)[::-1] for comp in vec.components]
+    dens = [comp.den for comp in vec.components]
+    return RationalMatrix.from_ints(rows, dens), RationalMatrix.from_ints([row[:s] for row in rows], dens)
+
+
+def omega_by_root(a):
+    """Digit c0 of a field element, read off a rational congruent to it at
+    the embedded root (:func:`element_by_root`) two digits past index 0."""
+    if a.is_zero():
+        return 0
+    p = a.minpoly.p
+    return digit_at(element_by_root(a, vp_by_division(a.den, p) + 2), p, 0)
+
+
+def g_map_by_fractions(emb, alpha, eps, j):
+    """``g_map`` as the package ran it on ``Fraction`` scalars: each
+    component times the rational eps p^e as a field element, less its digit
+    (from :func:`omega_by_root`) as a rational field element."""
+    comps = alpha.components
+    aj = comps[j - 1]
+    s = len(comps)
+    eye, zero = RationalMatrix.identity(s), (Q(0),) * s
+    if aj.is_zero():
+        return CMapStep(emb.p, j, eps, True, (Q(1),) * s, (0,) * s, zero, eye, zero), alpha
+    p = emb.p
+    m = emb.ord(aj)
+    inv_aj = aj.inverse()
+    exps, shifts, image = [], [], []
+    for i, ai in enumerate(comps, start=1):
+        if i == j:
+            e = m
+            val = inv_aj * (Fraction(p) ** e * eps)
+        else:
+            oi = emb.ord(ai)
+            e = max(m - oi, 0) if oi is not ORD_INF else 0
+            val = ai * inv_aj * (Fraction(p) ** e * eps)
+        om = Q(omega_by_root(val))
+        exps.append(e)
+        shifts.append(om)
+        image.append(val - om)
+    step = CMapStep(p, j, eps, False, (Q(eps),) * s, tuple(exps), tuple(shifts), eye, zero)
+    return step, VectorElement(image)
+
+
 def h_map_by_fractions(emb, alpha, eps, j):
     """``h_map`` as the package ran it on ``Fraction`` coefficients: the
-    ``g_map`` image divided by its unit normalizer as a field element, less
-    the digit tail of its constant coefficient."""
-    g_step, g_image = g_map(emb, alpha, eps, j)
+    :func:`g_map_by_fractions` image divided by its unit normalizer as a
+    field element, less the digit tail of its constant coefficient."""
+    g_step, g_image = g_map_by_fractions(emb, alpha, eps, j)
     if g_step.identity:
         return g_step, g_image
     p = emb.p
@@ -391,7 +441,7 @@ def step_phi3_by_fractions(emb, alpha, g_variant=False):
     the image, :func:`p_reduce_by_fractions`, ``RationalMatrix.apply`` on
     the constant column and ``MinPoly.element`` on the reduced rows."""
     s = len(alpha)
-    fmap = g_map if g_variant else h_map_by_fractions
+    fmap = g_map_by_fractions if g_variant else h_map_by_fractions
     step, image = fmap(emb, alpha, 1, s)
     m_full, m_sq = coeff_matrix(image)
     reduced, a_mat = p_reduce_by_fractions(m_sq, emb.p)

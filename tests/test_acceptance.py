@@ -29,16 +29,6 @@ from padiccf.preduce import RationalMatrix, p_reduce
 from padiccf.rationals import ORD_INF, Q, height, vp_int
 from oracles import bits_by_fraction, schneider_orbit
 
-_Z_CACHE = {}
-
-
-def zset(p, degree):
-    key = (p, degree)
-    if key not in _Z_CACHE:
-        _Z_CACHE[key] = build_z_set(p, degree)
-    return _Z_CACHE[key]
-
-
 _SUITE_CACHE = {}
 
 
@@ -86,7 +76,7 @@ def test_criterion_02_zset_counts():
         (2, 5): 88,
         (2, 6): 90,
     }
-    got = {key: len(zset(*key)) for key in wanted}
+    got = {key: len(build_z_set(*key)) for key in wanted}
     elapsed = time.perf_counter() - t0
     assert got == wanted
     assert elapsed < 100  # stated budget 10 s
@@ -99,7 +89,7 @@ def test_criterion_03_quadratic_lagrange():
     total = 0
     for p in (2, 3, 5):
         rationals = [Q(p, 3), Q(-p * p), Q(3, 7)]
-        for mp in zset(p, 2):
+        for mp in build_z_set(p, 2):
             emb = Embedding(mp)
             for cs in coeffs:
                 vec = bind(mp, cs)
@@ -124,7 +114,7 @@ def test_criterion_03_quadratic_lagrange():
 def test_criterion_04_purely_periodic_characterization():
     t0 = time.perf_counter()
     checked = 0
-    fields = [mp for mp in zset(2, 2) if abs(int(mp.coeffs[-1]) // 2 ** vp_int(int(mp.coeffs[-1]), 2)) > 1]
+    fields = [mp for mp in build_z_set(2, 2) if abs(int(mp.coeffs[-1]) // 2 ** vp_int(int(mp.coeffs[-1]), 2)) > 1]
     coeffs = suite_coeffs(2, 20)
     for mp in fields[:4]:
         emb = Embedding(mp)
@@ -158,7 +148,7 @@ def test_criterion_04_purely_periodic_characterization():
 
 def test_criterion_05_cubic_closed_forms():
     t0 = time.perf_counter()
-    for mp in zset(2, 3)[:10]:
+    for mp in build_z_set(2, 3)[:10]:
         emb = Embedding(mp)
         z = mp.gen()
         bp = int(mp.coeffs[-1])
@@ -189,7 +179,7 @@ def test_criterion_06_phi3_nested_sum_fixed_points():
     cases = 0
     for degree in (3, 4, 5, 6):
         s = degree - 1
-        for mp in zset(2, degree)[:3] + zset(3, degree)[:2]:
+        for mp in build_z_set(2, degree)[:3] + build_z_set(3, degree)[:2]:
             emb = Embedding(mp)
             z = mp.gen()
             u = [
@@ -248,7 +238,7 @@ def test_criterion_08_phi3_table_mirror():
         rows, errors = run_batch(cfg)
         assert not errors
         for row in rows:
-            expected = len(zset(row.prime, degree)) * 10
+            expected = len(build_z_set(row.prime, degree)) * 10
             assert sum(row.counts["phi3"].values()) == expected
             grand_expected += expected
             for col, n in row.counts["phi3"].items():
@@ -319,8 +309,8 @@ def _convergence_record(mp, emb, cs, algo, eps):
 def test_criterion_10_convergence_bound():
     t0 = time.perf_counter()
     jobs = []
-    quad = zset(2, 2)
-    cubic = zset(2, 3)
+    quad = build_z_set(2, 2)
+    cubic = build_z_set(2, 3)
     qc = suite_coeffs(2, 40)
     cc = suite_coeffs(3, 40)
     for i in range(30):
@@ -372,7 +362,7 @@ def test_criterion_11_roundtrip_and_E_membership():
     import random
 
     rng = random.Random(4242)
-    k3 = zset(2, 3)[0]
+    k3 = build_z_set(2, 3)[0]
     emb = Embedding(k3)
     sampled_independence = 0
     for algo, eps in (("phi0", 1), ("phi1", -1), ("phi2", 1), ("phi3", 1)):

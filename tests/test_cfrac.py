@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padiccf import cfrac
 from padiccf.cfrac import (
     ExpansionRecord,
     convergent,
@@ -12,14 +13,15 @@ from padiccf.cfrac import (
     h_map,
     in_E,
     inverse_step,
+    lookahead_fits,
     lookahead_phi2,
     step_phi0,
     step_phi1,
     step_phi2,
     step_phi3,
 )
-from padiccf.errors import PadiccfError, PoleHit, RecordFormatError
-from padiccf.field import MinPoly, VectorElement, coeff_matrix, independent_with_one, validate_minpoly
+from padiccf.errors import CapExceeded, PadiccfError, PoleHit, RecordFormatError
+from padiccf.field import MinPoly, VectorElement, independent_with_one, validate_minpoly
 from padiccf.hensel import Embedding
 from padiccf.lab import _suite_coefficients, build_z_set
 from padiccf.preduce import RationalMatrix
@@ -27,6 +29,7 @@ from padiccf.rationals import ORD_INF, Q, ordp
 from oracles import (
     ClosedFormPole,
     brute_phi2_index,
+    coeff_matrix,
     forward_step_closed_form,
     gauss_det,
     h_map_by_fractions,
@@ -236,6 +239,21 @@ class TestPhi2:
             got = lookahead_phi2(emb3, alpha, 1, n)
             want = brute_phi2_index(emb3, alpha, 1, n, h_image)
             assert got == want
+
+    def test_lookahead_budget(self):
+        assert lookahead_fits(2, 3) and lookahead_fits(5, 1)  # the lookaheads in use
+        assert lookahead_fits(2, 11) and not lookahead_fits(2, 12)  # 2^12 = LOOKAHEAD_BUDGET
+        assert lookahead_fits(1, 10 ** 12) and not lookahead_fits(3, 10 ** 12)
+
+    @pytest.mark.parametrize("lookahead", [12, 10 ** 12])
+    def test_over_budget_raises_before_any_map(self, k3, lookahead, monkeypatch):
+        def no_map(*args):
+            raise AssertionError("h_map ran")
+
+        monkeypatch.setattr(cfrac, "h_map", no_map)
+        z = k3.gen()
+        with pytest.raises(CapExceeded):
+            expand(k3.vector([z, z * z]), "phi2", lookahead=lookahead)
 
     def test_step_is_h_map_at_lookahead_index(self, k3, emb3, rng):
         for _ in range(6):

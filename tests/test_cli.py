@@ -220,3 +220,20 @@ def test_huge_height_exponent_builds_no_giant_cap():
     assert time.perf_counter() - t0 < 5
     assert res.returncode == 0
     assert res.stdout.splitlines()[0] == "status: periodic at step 2 preperiod=0 period=2"
+
+
+def test_phi2_lookahead_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    from padiccf import cfrac
+
+    def no_map(*args):
+        raise AssertionError("h_map ran")
+
+    monkeypatch.setattr(cfrac, "h_map", no_map)
+    args = ["expand", "--p", "2", "--minpoly", "0,1,4", "--algo", "phi2", "--lookahead", "12",
+            "--elem", '[{"coeffs": ["0", "1", "0"]}, {"coeffs": ["0", "0", "1"]}]']
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: phi2 lookahead 12")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"primes": [2], "degree": 3, "algorithms": [{"algo": "phi2", "lookahead": 12}]}))
+    assert main(["table", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: phi2 lookahead 12")

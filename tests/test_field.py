@@ -7,7 +7,6 @@ from padiccf.field import (
     FieldElement,
     MinPoly,
     VectorElement,
-    coeff_matrix,
     denom_z,
     element_minpoly,
     height_z,
@@ -15,7 +14,7 @@ from padiccf.field import (
     validate_minpoly,
 )
 from padiccf.rationals import Q
-from oracles import relation_search
+from oracles import coeff_matrix, relation_search
 
 
 def rand_q(rng, span=9):

@@ -281,6 +281,16 @@ class TestBatch:
         with pytest.raises(ConfigError):
             RunConfig.from_json(data)
 
+    @pytest.mark.parametrize("degree, lookahead, fits", [(3, 11, True), (3, 12, False), (6, 4, True), (6, 5, False)])
+    def test_config_lookahead_budget(self, degree, lookahead, fits):
+        # (degree - 1)^(lookahead + 1) images per step against LOOKAHEAD_BUDGET = 4096
+        data = {"primes": [2], "degree": degree, "algorithms": [{"algo": "phi2", "lookahead": lookahead}]}
+        if fits:
+            assert RunConfig.from_json(data).algorithms == (("phi2", 1, lookahead),)
+        else:
+            with pytest.raises(ConfigError, match="lookahead"):
+                RunConfig.from_json(data)
+
     @pytest.mark.parametrize("data", [[{"primes": [2]}], "cfg", None, {"degree": 3, "algorithms": [{"algo": "phi3"}]}])
     def test_config_json_rejects_shape(self, data):
         with pytest.raises(ConfigError):
