@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 from .errors import CapExceeded, PoleHit, RecordFormatError
 from .field import FieldElement, MinPoly, VectorElement, _reduced, denom_z, height_z
 from .hensel import Embedding
-from .preduce import RationalMatrix, back_substitute, bareiss, p_reduce
+from .preduce import RationalMatrix, p_reduce, solve
 from .rationals import ORD_INF, Q, QONE, QZERO, head_num, qformat, qparse_list, qpow
 
 
@@ -130,10 +130,7 @@ class CMapStep:
         fwd = self.forward_matrix
         n = len(fwd)
         rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(fwd)]
-        pivots, _ = bareiss(rows, n)
-        if len(pivots) < n:
-            raise ZeroDivisionError("singular step matrix")
-        return _integer_rows(back_substitute(rows, pivots, n)[1])
+        return _integer_rows(solve(rows, n, "singular step matrix")[1])
 
     def to_json(self):
         return {
@@ -287,14 +284,16 @@ class ExpansionRecord:
             raise RecordFormatError(f"malformed format-1 record: {exc!r}") from exc
 
     def _replay(self):
-        """RecordFormatError unless every step maps its remainder to the
-        next one and the last remainder is what the status says."""
+        """RecordFormatError unless every step is invertible and maps its
+        remainder to the next one, and the last remainder is what the
+        status says."""
         rems = self.remainders
         for k, step in enumerate(self.steps):
             try:
                 image = forward_step(step, rems[k])
+                step.inverse_matrix  # a convergent pulls back through every step
             except (PoleHit, ZeroDivisionError) as exc:
-                raise RecordFormatError(f"step {k} is undefined at remainder {k}: {exc}") from exc
+                raise RecordFormatError(f"step {k} is undefined at remainder {k} or not invertible: {exc}") from exc
             if image != rems[k + 1]:
                 raise RecordFormatError(f"remainder {k + 1} is not the image of remainder {k} under step {k}")
         st = self.status
@@ -465,11 +464,8 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
             memo[key] = out
         return out
 
-    target = v(alpha, n + 1)
-    for i, img in enumerate(images(alpha), start=1):
-        if denom_z(img) * v(img, n) == target:
-            return i
-    raise AssertionError("minimizing index must exist")
+    costs = [denom_z(img) * v(img, n) for img in images(alpha)]
+    return costs.index(min(costs)) + 1
 
 
 def step_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None):

@@ -27,7 +27,7 @@ import math
 
 from . import polys
 from .errors import HViolation, IrreducibilityUnknown, MixedField
-from .preduce import back_substitute, bareiss, canonical, scale_rows
+from .preduce import back_substitute, bareiss, canonical, scale_rows, solve
 from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
 
 
@@ -86,8 +86,7 @@ class MinPoly:
         coeffs = [Q(c) for c in coeffs]
         if len(coeffs) > self.degree:
             raise ValueError("too many coefficients")
-        den = math.lcm(*(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        (nums,), (den,) = scale_rows([coeffs])
         return FieldElement(self, tuple(nums) + (0,) * (self.degree - len(nums)), den)
 
     def rational(self, q) -> "FieldElement":
@@ -309,10 +308,7 @@ class FieldElement:
         rows = multiplication_rows(mp, self.nums)
         for i, row in enumerate(rows):
             row.append(0 if i else 1)
-        pivots, _ = bareiss(rows, n)
-        if len(pivots) < n:
-            raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
-        det, x = back_substitute(rows, pivots, n)
+        det, x = solve(rows, n, "zero divisor modulo a reducible polynomial")
         den = mp._int_f[0]
         return _reduced(mp, tuple(self.den * den ** j * xj[0] for j, xj in enumerate(x)), det)
 

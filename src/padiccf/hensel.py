@@ -7,7 +7,9 @@ requested precision.  Valuations, digits and digit heads of arbitrary
 field elements are then exact integer computations against that residue:
 for a = (1/d) * sum(b_i z^i), stored as its integer numerators b_i over
 d, evaluate the integer combination at the residue modulo a suitable
-power of p, and shift by the valuation of d.
+power of p, and shift by the valuation of d.  Digits and heads take that
+residue through ``rationals.head_num``, the package's one digit-head
+routine.
 
 ``Embedding`` is the workhorse used by the expansion engine; it keeps one
 residue, an int, and lifts it again from scratch whenever a computation
@@ -20,7 +22,7 @@ from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded, Reducible
 from .field import FieldElement, MinPoly, VectorElement, element_minpoly, failed_clause, multiplication_rows
 from .polys import newton_lift
 from .preduce import bareiss
-from .rationals import ORD_INF, Q, ordp, qpow, vp_int
+from .rationals import ORD_INF, Q, head_num, ordp, vp_int
 
 
 def hensel_lift(minpoly: MinPoly, m: int) -> int:
@@ -99,7 +101,7 @@ class Embedding:
         if a.is_zero():
             return ORD_INF
         if a.is_rational():
-            return ordp(a.rational_value(), self.p)
+            return vp_int(a.nums[0], self.p) - vp_int(a.den, self.p)
         nums = a.nums
         base = self._base_precision
         val = self._combination_mod(nums, base)
@@ -114,40 +116,34 @@ class Embedding:
                 raise PrecisionCapExceeded(f"valuation passed its cap {cap}")
         return vp_int(val, self.p) - vp_int(a.den, self.p)
 
-    def _digits(self, a: FieldElement, m: int) -> tuple:
-        """(r, p^t) with r / p^t the head of ``a`` up to index m, r an int in
-        [0, p^(m+t+1)) and den = p^t u, u prime to p: the residue of the
-        numerators at the root, times u^-1.  A rational element reads its
-        constant numerator, so the degree-1 sentinel never lifts."""
-        d, p = a.den, self.p
-        t = vp_int(d, p)
-        pt = p ** t
-        if m + t < 0:
-            return 0, pt  # every digit of a lies at index -t > m or above
-        mod = p ** (m + t + 1)
-        nums = a.nums
-        r = nums[0] % mod if not any(nums[1:]) else self._combination_mod(nums, m + t + 1)
-        return r * pow(d // pt, -1, mod) % mod, pt
+    def _head_num(self, a: FieldElement, m: int) -> int:
+        """The head of ``a`` up to index m as a numerator over a.den, by
+        :func:`rationals.head_num` on the residue of the numerators at the
+        root modulo p^(m + v_p(den) + 1), the precision the head needs (p^0
+        when m < -v_p(den), where the head is 0).  A rational element
+        passes its constant numerator, so the degree-1 sentinel never
+        lifts."""
+        nums, den, p = a.nums, a.den, self.p
+        r = self._combination_mod(nums, max(m + vp_int(den, p) + 1, 0)) if any(nums[1:]) else nums[0]
+        return head_num(r, den, p, m)
 
     def omega(self, a: FieldElement) -> int:
         """Digit c0 of the expansion of ``a``, as an int: the floor of its
         head at index 0; 0 for the zero element."""
-        r, pt = self._digits(a, 0)
-        return r // pt
+        return self._head_num(a, 0) // a.den
 
     def head(self, a: FieldElement, m: int = 0):
         """Digit head up to index m as an exact rational."""
-        return Q(*self._digits(a, m))
+        return Q(self._head_num(a, m), a.den)
 
     def t_b(self, a: FieldElement) -> FieldElement:
-        """One digit-stripping step: p^ord(a)/a minus its unit digit.
+        """One digit-stripping step: p^ord(a)/a minus its unit digit, which
+        is :func:`cfrac.g_map` at s = 1 (eps = 1, pivot 1).
 
         Fixed on zero; the image always lands in pZ_p."""
-        if a.is_zero():
-            return a
-        e = self.ord(a)
-        w = a.inverse() * qpow(self.p, e)
-        return w - self.omega(w)
+        from .cfrac import g_map  # cfrac imports this module
+
+        return g_map(self, VectorElement((a,)), 1, 1)[1][0]
 
     # --- admissible generators ------------------------------------------
     def satisfies_H(self, a: FieldElement) -> bool:

@@ -20,7 +20,7 @@ from .cfrac import ALGORITHMS, LOOKAHEAD_BUDGET, expand, lookahead_fits
 from .errors import ConfigError, HViolation, Reducible, StreamExhausted
 from .field import MinPoly, VectorElement, independent_with_one, validate_minpoly
 from .hensel import Embedding
-from .rationals import Q, is_prime, qformat, qparse
+from .rationals import Q, is_prime, qformat
 
 SELECTORS = {
     "x2+x-1": (1, 1),
@@ -71,10 +71,7 @@ class BitStream:
     def byte(self, i: int) -> int:
         """e_i = sum 2^(k-1) d_(8i+k), least significant bit first."""
         self._extend(8 * i + 8)
-        out = 0
-        for k in range(1, 9):
-            out |= self._bits[8 * i + k - 1] << (k - 1)
-        return out
+        return byte_stream(self._bits[8 * i:8 * i + 8])[0]
 
 
 def irrational_bits(selector, count: int):
@@ -126,7 +123,10 @@ def build_test_set(minpoly: MinPoly, s: int, size: int = 100, max_index: int = 1
     byte triple (denominator-1, numerator, sign) at offset 3(s+1)i + 3r.
     Vectors whose components are rationally dependent with 1 are rejected
     (for s = 1 that is exactly the rational draws); duplicates collapse.
+    An s outside 1 <= s < degree is a ValueError before any draw.
     """
+    if not 1 <= s < minpoly.degree:
+        raise ValueError(f"s must be at least 1 and below the degree {minpoly.degree}, got {s}")
     streams = [BitStream(sel) for sel in _stream_polys(s)]
     chosen: dict = {}
     rejected = []
@@ -302,15 +302,15 @@ def _suite_coefficients(degree: int, size: int):
     """Suite coefficient tuples for one degree; field-independent, since
     both the draws and the rejection rule live at coefficient level."""
     s = degree - 1
-    probe = MinPoly(2, [0] * (degree - 2) + [1, 2]) if degree >= 2 else MinPoly.rationals(2)
+    probe = MinPoly(2, [0] * (degree - 2) + [1, 2])
     suite = build_test_set(probe, s, size)
     return [[list(c.coeffs) for c in vec.components] for vec in suite.elements]
 
 
 def _z_task(args):
     """Classify every (element, algorithm) pair for one generator."""
-    p, coeff_strs, suite_coeffs, algo_specs, max_steps, height_exponent = args
-    mp = MinPoly(p, [qparse(c) for c in coeff_strs])
+    mp, suite_coeffs, algo_specs, max_steps, height_exponent = args
+    p = mp.p
     emb = Embedding(mp)
     counts = {
         algo_label(*spec): {c: 0 for c in COLUMNS} for spec in algo_specs
@@ -333,7 +333,7 @@ def _z_task(args):
                 )
                 counts[label][_KIND_TO_COL[rec.status.kind]] += 1
             except Exception as exc:  # collected, never aborts the batch
-                errors.append((p, tuple(coeff_strs), idx, label, repr(exc)))
+                errors.append((p, tuple(qformat(c) for c in mp.coeffs), idx, label, repr(exc)))
     return p, counts, errors
 
 
@@ -345,22 +345,8 @@ def run_batch(config: RunConfig):
     either way.
     """
     suite_coeffs = _suite_coefficients(config.degree, config.suite_size)
-    tasks = []
-    for p in sorted(config.primes):
-        zs = build_z_set(p, config.degree)
-        if config.z_limit is not None:
-            zs = zs[: config.z_limit]
-        for mp in zs:
-            tasks.append(
-                (
-                    p,
-                    tuple(qformat(c) for c in mp.coeffs),
-                    suite_coeffs,
-                    tuple(config.algorithms),
-                    config.max_steps,
-                    config.height_exponent,
-                )
-            )
+    tasks = [(mp, suite_coeffs, tuple(config.algorithms), config.max_steps, config.height_exponent)
+             for p in sorted(config.primes) for mp in build_z_set(p, config.degree)[:config.z_limit]]
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         import multiprocessing as mp_mod

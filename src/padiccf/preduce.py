@@ -4,7 +4,9 @@ row normal form.
 ``bareiss`` and ``back_substitute`` are the package's one exact
 elimination: determinants, ranks, matrix inverses, linear solves, field
 inverses, norms and resultants all scale their rationals to integers and
-go through them.
+go through them.  ``solve`` is the one entry point for a square solve or
+inverse: the matrix inverse, the inverse of a step's projective matrix and
+the field inverse all call it.
 
 A ``RationalMatrix`` has the representation of a field element: each row
 is a tuple of integer numerators over one positive denominator, with the
@@ -148,10 +150,7 @@ class RationalMatrix:
         n = self.nrows
         rows = [list(row) + [d if j == i else 0 for j in range(n)]
                 for i, (row, d) in enumerate(zip(self.nums, self.dens))]
-        pivots, _ = bareiss(rows, n)
-        if len(pivots) < n:
-            raise ZeroDivisionError("singular matrix")
-        d, x = back_substitute(rows, pivots, n)
+        d, x = solve(rows, n, "singular matrix")
         return RationalMatrix.from_ints(x, [d] * n)
 
     def to_json(self):
@@ -233,6 +232,17 @@ def back_substitute(rows, pivots, width: int):
             for k, b in enumerate(row[width:])
         ]
     return d, x
+
+
+def solve(rows, n: int, singular: str):
+    """Solve in place the n x n system whose integer rows are ``rows``,
+    their right-hand sides from column n on: :func:`bareiss`, then
+    :func:`back_substitute`, returning its (d, X), X = d A^-1 B.  A rank
+    below n raises ZeroDivisionError(``singular``)."""
+    pivots, _ = bareiss(rows, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError(singular)
+    return back_substitute(rows, pivots, n)
 
 
 def p_reduce(matrix: RationalMatrix, p: int):

@@ -70,16 +70,11 @@ def omega(q, p: int) -> int:
     """Digit c0 of the canonical expansion; 0 for the zero input.
 
     The convention omega(0) = 0 keeps the fractional maps total on exact
-    zeros produced mid-expansion.
+    zeros produced mid-expansion.  The digit is the floor of the head at
+    index 0, read off :func:`head_num` as its numerator over den.
     """
-    if not q:
-        return 0
-    num, den = q.numerator, q.denominator
-    t = _vp_pos(den, p)
-    pt = p ** t
-    mod = pt * p
-    r = num % mod * pow(den // pt, -1, mod) % mod
-    return r // pt
+    den = q.denominator
+    return head_num(q.numerator, den, p, 0) // den
 
 
 def head_num(num: int, den: int, p: int, m: int) -> int:

@@ -21,7 +21,7 @@ from padiccf.cfrac import (
     step_phi3,
 )
 from padiccf.errors import CapExceeded, PadiccfError, PoleHit, RecordFormatError
-from padiccf.field import MinPoly, VectorElement, independent_with_one, validate_minpoly
+from padiccf.field import MinPoly, VectorElement, denom_z, independent_with_one, validate_minpoly
 from padiccf.hensel import Embedding
 from padiccf.lab import _suite_coefficients, build_z_set
 from padiccf.preduce import RationalMatrix
@@ -239,6 +239,24 @@ class TestPhi2:
             got = lookahead_phi2(emb3, alpha, 1, n)
             want = brute_phi2_index(emb3, alpha, 1, n, h_image)
             assert got == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tie_breaks_to_least_index(self, n):
+        # (a, a) is symmetric under swapping the pivots, so both cost the same
+        mp = build_z_set(2, 3)[0]
+        a = mp.element([Q(1, 3), 1, 2])
+        alpha = mp.vector([a, a])
+        emb = Embedding(mp)
+
+        def images(vec):
+            return [h_map(emb, vec, 1, i)[1] for i in (1, 2)]
+
+        def cost(vec, depth):  # the least denominator product below vec
+            return 1 if depth == 0 else min(denom_z(img) * cost(img, depth - 1) for img in images(vec))
+
+        first, second = (denom_z(img) * cost(img, n) for img in images(alpha))
+        assert first == second
+        assert lookahead_phi2(emb, alpha, 1, n) == 1
 
     def test_lookahead_budget(self):
         assert lookahead_fits(2, 3) and lookahead_fits(5, 1)  # the lookaheads in use
@@ -659,7 +677,8 @@ class TestRecordJson:
                                       "unknown kind", "remainder missing", "short remainder",
                                       "remainder not an image", "finite at a nonzero remainder",
                                       "cycle to another remainder", "unreduced rational",
-                                      "unreduced matrix entry", "extra key", *REPLACED])
+                                      "unreduced matrix entry", "extra key", "singular step matrix",
+                                      *REPLACED])
     def test_malformed_record_is_typed_error(self, k2, case):
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
         step = data["steps"][0]
@@ -706,6 +725,11 @@ class TestRecordJson:
             step["matrix"][0][0] = "2/2"
         elif case == "extra key":
             step["note"] = "x"
+        elif case == "singular step matrix":
+            # x -> 0 x + 6 maps 2/7 to its phi0 image 6, but has no inverse
+            data = expand(MinPoly.rationals(2).vector([Q(2, 7)]), "phi0", max_steps=1).to_json()
+            assert data["remainders"][1] == [{"coeffs": ["6"]}]
+            data["steps"][0].update(matrix=[["0"]], gamma=["6"])
         else:
             part, key, value = REPLACED[case]
             _json_fields(data)[part][key] = value

@@ -129,6 +129,15 @@ class TestSuiteConstruction:
         with pytest.raises(StreamExhausted):
             build_test_set(k2, 1, 10, max_index=3)
 
+    @pytest.mark.parametrize("s", [0, 2, 1500])
+    def test_s_outside_the_field_fails_before_any_draw(self, k2, s, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a bit stream was built")
+
+        monkeypatch.setattr(lab, "BitStream", no_stream)
+        with pytest.raises(ValueError, match="below the degree"):
+            build_test_set(k2, s)
+
     def test_higher_dimension_components(self):
         k4 = validate_minpoly(2, [0, 0, 1, 6])
         suite = build_test_set(k4, 3, 4)

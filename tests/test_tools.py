@@ -1,5 +1,6 @@
 """Smoke test of the repository tools."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,22 @@ def test_src_lines_counts_every_module_and_sums_to_the_total():
     assert label == "total"
     assert {name for _, name in modules} == {p.stem for p in (ROOT / "src" / "padiccf").glob("*.py")}
     assert sum(int(n) for n, _ in modules) == int(total) > 0
+
+
+@pytest.mark.parametrize("path", [p for p in sorted((ROOT / "src" / "padiccf").glob("*.py"))
+                                  if p.stem != "__init__"], ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    """Every name a module imports (at any depth) is read somewhere in it;
+    ``__init__`` re-exports, so it is exempt."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def _load_pairs():
