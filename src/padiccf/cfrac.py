@@ -162,6 +162,8 @@ class CMapStep:
         m = step.matrix
         if {len(step.coeffs), len(step.exps), len(step.shifts), len(step.gamma), m.nrows, m.ncols} != {s}:
             raise RecordFormatError(f"a step on vectors of length {s} with parts of other lengths")
+        if not step.identity and any(c * step.eps <= 0 for c in step.coeffs):
+            raise RecordFormatError(f"a step's coefficients do not have the sign of its eps {step.eps}")
         return step
 
 
@@ -245,10 +247,12 @@ class ExpansionRecord:
         """Load a format-1 record.  The copies it carries of derived values
         (``initial``, ``identity_steps``, the status index) must agree with
         its steps and remainders, and the record must be the one it
-        serializes to (full coefficient lists, canonical rationals).  Each
-        step must map its remainder to the next one; a finite record must
-        end at zero and a periodic one return to its preperiod's
-        remainder."""
+        serializes to (full coefficient lists, canonical rationals).  It
+        carries only parameters its steps used: every step has the record's
+        eps, which is 1 for phi3, and only phi3 records may set
+        ``g_variant``.  Each step must map its
+        remainder to the next one; a finite record must end at zero and a
+        periodic one return to its preperiod's remainder."""
         fmt = data.get("format") if isinstance(data, dict) else None
         if not _is_int(fmt) or fmt != 1:
             raise RecordFormatError(f"unsupported record format {fmt!r}; this version reads format 1")
@@ -263,17 +267,17 @@ class ExpansionRecord:
             algorithm = _checked(data, "algorithm", ALGORITHMS.__contains__)
             rec = cls(
                 algorithm=algorithm,
-                eps=_checked(data, "eps", _is_eps),
+                eps=_checked(data, "eps", lambda v: _is_eps(v) and (algorithm != "phi3" or v == 1)),
                 lookahead=_checked(data, "lookahead",
                                    lambda v: (_is_int(v) and v >= 1) if algorithm == "phi2" else v is None),
-                g_variant=_checked(data, "g_variant", lambda v: type(v) is bool),
+                g_variant=_checked(data, "g_variant", lambda v: type(v) is bool and (algorithm == "phi3" or not v)),
                 steps=[CMapStep.from_json(step, mp.p, len(remainders[0])) for step in steps],
                 remainders=[VectorElement.from_json(mp, r) for r in remainders],
                 status=Status.from_json(data["status"], len(steps)),
             )
-            if VectorElement.from_json(mp, data["initial"]) != rec.initial:
-                raise RecordFormatError("'initial' differs from the first remainder")
             _checked(data, "identity_steps", lambda v: _is_int(v) and v == rec.identity_steps)
+            if any(step.eps != rec.eps for step in rec.steps):
+                raise RecordFormatError(f"a step's eps differs from the record's eps {rec.eps}")
             if rec.to_json() != data:
                 raise RecordFormatError("the record is not in the canonical form it loads as")
             rec._replay()
@@ -574,18 +578,29 @@ def expand(
 ) -> ExpansionRecord:
     """Iterate the chosen step map and classify the orbit.
 
-    Checks, in order, after each remainder: exact zero (finite), exact
-    recurrence of a previous remainder (periodic), coefficient height
-    above 10**height_exponent (height exceeded); the step budget bounds
-    everything else.  ``detect_cycles=False`` disables the recurrence
-    check, which is useful for studying convergents past the first cycle.
-    A phi2 lookahead whose tree exceeds LOOKAHEAD_BUDGET images raises
-    CapExceeded before the first step.
+    Checks, in order, on the initial vector and after each step: exact
+    zero (finite), exact recurrence of a previous remainder (periodic),
+    coefficient height above 10**height_exponent (height exceeded), then
+    ``max_steps`` steps taken (step limit).  ``detect_cycles=False``
+    disables the recurrence check, which is useful for studying
+    convergents past the first cycle.  A phi2 lookahead whose tree exceeds
+    LOOKAHEAD_BUDGET images raises CapExceeded before the first step.
+    A parameter the algorithm does not take must keep its default (eps 1
+    for phi3, lookahead 1 off phi2, no ``g_variant`` off phi3); any other
+    value is a ValueError.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
+    if algorithm == "phi3" and eps != 1:
+        raise ValueError("phi3 takes no eps")
+    if algorithm != "phi2" and lookahead != 1:
+        raise ValueError(f"{algorithm} takes no lookahead")
+    if g_variant and algorithm != "phi3":
+        raise ValueError(f"g_variant is a phi3 parameter, not a {algorithm} one")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     if algorithm != "phi0" and alpha.minpoly.is_rational_field:
         raise ValueError(f"{algorithm} requires a proper extension field")
     if height_exponent < 0:
@@ -616,38 +631,28 @@ def expand(
 
     remainders = [alpha]
     steps: list = []
-    seen = {alpha: 0}
+    seen: dict = {}
     status = None
-
-    if alpha.is_zero():
-        status = Status("finite", 0)
-    elif exceeds(alpha):
-        status = Status("height_exceeded", 0)
-
     while status is None:
-        if len(steps) >= max_steps:
-            status = Status("step_limit", len(steps))
-            break
-        step, nxt = advance(remainders[-1])
-        steps.append(step)
-        remainders.append(nxt)
-        n = len(steps)
-        if nxt.is_zero():
+        cur, n = remainders[-1], len(steps)
+        if cur.is_zero():
             status = Status("finite", n)
-        elif detect_cycles and nxt in seen:
-            first = seen[nxt]
+        elif detect_cycles and (first := seen.setdefault(cur, n)) != n:
             status = Status("periodic", n, preperiod=first, period=n - first)
+        elif exceeds(cur):
+            status = Status("height_exceeded", n)
+        elif n >= max_steps:
+            status = Status("step_limit", n)
         else:
-            if detect_cycles:
-                seen[nxt] = n
-            if exceeds(nxt):
-                status = Status("height_exceeded", n)
+            step, nxt = advance(cur)
+            steps.append(step)
+            remainders.append(nxt)
 
     return ExpansionRecord(
         algorithm=algorithm,
         eps=eps,
         lookahead=lookahead if algorithm == "phi2" else None,
-        g_variant=g_variant if algorithm == "phi3" else False,
+        g_variant=g_variant,
         steps=steps,
         remainders=remainders,
         status=status,

@@ -15,7 +15,7 @@ import sys
 from . import lab
 from .cfrac import expand
 from .errors import PadiccfError
-from .field import MinPoly, validate_minpoly
+from .field import MinPoly, VectorElement, validate_minpoly
 from .preduce import RationalMatrix, p_reduce
 from .rationals import Q, qformat, qparse
 
@@ -25,25 +25,12 @@ def _parse_minpoly(p: int, text: str, force: bool = False) -> MinPoly:
     return validate_minpoly(p, coeffs, force=force)
 
 
-def _parse_elements(text: str):
-    """Coefficient lists from --elem: one {"coeffs": ["num/den", ..]}
-    object or a list of them."""
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list) or not all(
-        isinstance(comp, dict)
-        and isinstance(comp.get("coeffs"), list)
-        and all(isinstance(c, str) for c in comp["coeffs"])
-        for comp in data
-    ):
-        raise ValueError('--elem must be {"coeffs": ["num/den", ...]} or a list of such objects')
-    return [[qparse(c) for c in comp["coeffs"]] for comp in data]
-
-
 def _cmd_expand(args) -> int:
+    if args.show < 0:
+        raise ValueError(f"--show must be >= 0, got {args.show}")
     mp = _parse_minpoly(args.p, args.minpoly, force=args.force)
-    vec = mp.vector(_parse_elements(args.elem))
+    elem = json.loads(args.elem)  # one element, or a list of them in the record format
+    vec = VectorElement.from_json(mp, [elem] if isinstance(elem, dict) else elem)
     rec = expand(
         vec,
         args.algo,

@@ -28,6 +28,11 @@ class IrreducibilityUnknown(PadiccfError, ValueError):
     """
 
 
+class NotPrime(PadiccfError, ValueError):
+    """A prime was required: the number is composite, or too large for the
+    primality test to decide."""
+
+
 class MixedField(PadiccfError, ValueError):
     """Operands belong to different ambient fields."""
 

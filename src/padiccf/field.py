@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 
 from . import polys
-from .errors import HViolation, IrreducibilityUnknown, MixedField
+from .errors import HViolation, IrreducibilityUnknown, MixedField, RecordFormatError
+from .polys import multiplication_rows
 from .preduce import back_substitute, bareiss, canonical, scale_rows, solve
 from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
 
@@ -43,14 +44,14 @@ class MinPoly:
 
     __slots__ = ("p", "coeffs", "degree", "s", "certificate_prime", "is_rational_field", "_key", "_int_f")
 
-    def __init__(self, p: int, coeffs, certificate_prime=None):
-        self.p = check_prime(int(p))
+    def __init__(self, p: int, coeffs):
+        self.p = check_prime(p)
         self.coeffs = tuple(Q(c) for c in coeffs)  # a1 .. an, descending powers
         self.degree = len(self.coeffs)
         if self.degree < 1:
             raise ValueError("empty coefficient list")
         self.s = self.degree - 1 if self.degree >= 2 else 1
-        self.certificate_prime = certificate_prime
+        self.certificate_prime = None  # set by validate_minpoly and from_json
         self.is_rational_field = self.coeffs == (QZERO,)
         self._key = (self.p, self.coeffs)
         # (D, (D a_n, .., D a_1)): the lower coefficients cleared by their lcm D
@@ -124,8 +125,15 @@ class MinPoly:
 
     @classmethod
     def from_json(cls, data) -> "MinPoly":
-        return cls(data["p"], qparse_list(data["coeffs"]),
-                   certificate_prime=data.get("certificate_prime"))
+        """The polynomial :meth:`to_json` writes.  Its certificate prime is
+        None or the one :func:`polys.certificate_prime` finds; any other
+        value is a RecordFormatError."""
+        mp = cls(data["p"], qparse_list(data["coeffs"]))
+        cert = data.get("certificate_prime")
+        if cert is not None and (type(cert) is not int or cert != polys.certificate_prime(mp.ascending(), mp.p)):
+            raise RecordFormatError(f"certificate_prime {cert!r} is not the certificate of {mp!r}")
+        mp.certificate_prime = cert
+        return mp
 
 
 CLAUSES = {
@@ -161,17 +169,17 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     irreducible candidate without a certificate raises
     IrreducibilityUnknown unless ``force`` is set.
     """
-    check_prime(p)
-    f = MinPoly(p, coeffs).ascending()
-    clause = failed_clause(f, p)
+    mp = MinPoly(p, coeffs)
+    f = mp.ascending()
+    clause = failed_clause(f, mp.p)
     if clause:
         raise HViolation(clause, CLAUSES[clause])
-    cert = polys.certify(f, p)
-    if cert is None and not force:
+    mp.certificate_prime = polys.certify(f, mp.p)
+    if mp.certificate_prime is None and not force:
         raise IrreducibilityUnknown(
             f"no certificate among the first {polys.CERTIFICATE_TRIES} candidate primes"
         )
-    return MinPoly(p, coeffs, certificate_prime=cert)
+    return mp
 
 
 def _is_scalar(x) -> bool:
@@ -292,7 +300,7 @@ class FieldElement:
         """Cramer's rule on the multiplication matrix.
 
         Write a = b(z)/d with integer b and let M be the integer matrix of
-        :func:`multiplication_rows`, whose column j is D^j (b z^j mod f).
+        :func:`polys.multiplication_rows`, whose column j is D^j (b z^j mod f).
         The inverse c of b solves M_b c = e_0, where M_b = M diag(D^-j);
         one fraction-free elimination of [M | e_0] gives det(M) and
         adj(M) e_0, so c_j = D^j (adj(M) e_0)_j / det(M) and a^-1 = d c.
@@ -305,7 +313,7 @@ class FieldElement:
         if self.is_rational():
             return mp.rational(Q(self.den, self.nums[0]))
         n = mp.degree
-        rows = multiplication_rows(mp, self.nums)
+        rows = multiplication_rows(mp._int_f, self.nums)
         for i, row in enumerate(rows):
             row.append(0 if i else 1)
         det, x = solve(rows, n, "zero divisor modulo a reducible polynomial")
@@ -334,6 +342,10 @@ class FieldElement:
 
     @classmethod
     def from_json(cls, minpoly: MinPoly, data) -> "FieldElement":
+        """The element {"coeffs": [..]} that :meth:`to_json` writes; any
+        other shape is a RecordFormatError."""
+        if not isinstance(data, dict) or "coeffs" not in data:
+            raise RecordFormatError(f'an element is {{"coeffs": [...]}}, got {data!r}')
         return minpoly.element(qparse_list(data["coeffs"]))
 
 
@@ -366,7 +378,7 @@ def _mul(a: FieldElement, b: FieldElement) -> FieldElement:
     """a b as one integer matrix-vector product.
 
     With a = b_a(z)/d_a and b = b_b(z)/d_b, column j of the matrix M of
-    :func:`multiplication_rows` for b_a is D^j (b_a z^j mod f), so
+    :func:`polys.multiplication_rows` for b_a is D^j (b_a z^j mod f), so
     b_a b_b = sum_j b_b,j M e_j / D^j = M w / D^(n-1) with the integer
     vector w_j = b_b,j D^(n-1-j); the product is M w over d_a d_b D^(n-1).
     """
@@ -374,24 +386,8 @@ def _mul(a: FieldElement, b: FieldElement) -> FieldElement:
     n = mp.degree
     den = mp._int_f[0]
     w = [x * den ** (n - 1 - j) for j, x in enumerate(b.nums)]
-    nums = tuple(sum(x * y for x, y in zip(row, w)) for row in multiplication_rows(mp, a.nums))
+    nums = tuple(sum(x * y for x, y in zip(row, w)) for row in multiplication_rows(mp._int_f, a.nums))
     return _reduced(mp, nums, a.den * b.den * den ** (n - 1))
-
-
-def multiplication_rows(mp: MinPoly, nums):
-    """Integer matrix, as lists of rows, whose column j is D^j (b z^j mod f)
-    over the basis 1, z, .., z^(n-1), for b = sum nums_i z^i and D the lcm
-    of the denominators of f's coefficients.  Its determinant is
-    D^(n(n-1)/2) N(b), and N(b) = Res(f, b) as f is monic."""
-    den, low = mp._int_f
-    col = list(nums)
-    cols = [col]
-    for _ in range(mp.degree - 1):
-        # D z (col) mod f: shift up, then z^n = -(a_n + .. + a_1 z^(n-1))
-        top = col[-1]
-        col = [-top * low[0]] + [den * x - top * c for x, c in zip(col, low[1:])]
-        cols.append(col)
-    return [list(row) for row in zip(*cols)]
 
 
 def element_minpoly(a: FieldElement):
@@ -495,4 +491,8 @@ class VectorElement:
 
     @classmethod
     def from_json(cls, minpoly: MinPoly, data) -> "VectorElement":
+        """The vector :meth:`to_json` writes, a list of elements; any other
+        shape is a RecordFormatError."""
+        if not isinstance(data, list):
+            raise RecordFormatError(f"a vector is a list of elements, got {data!r}")
         return cls(tuple(FieldElement.from_json(minpoly, e) for e in data))

@@ -19,8 +19,8 @@ needs more digits than it holds.
 from __future__ import annotations
 
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded, Reducible
-from .field import FieldElement, MinPoly, VectorElement, element_minpoly, failed_clause, multiplication_rows
-from .polys import newton_lift
+from .field import FieldElement, MinPoly, VectorElement, element_minpoly, failed_clause
+from .polys import multiplication_rows, newton_lift
 from .preduce import bareiss
 from .rationals import ORD_INF, Q, head_num, ordp, vp_int
 
@@ -106,7 +106,7 @@ class Embedding:
         base = self._base_precision
         val = self._combination_mod(nums, base)
         if not val:
-            rows = multiplication_rows(self.minpoly, nums)
+            rows = multiplication_rows(self.minpoly._int_f, nums)
             norm = bareiss(rows, len(rows))[1]
             if not norm:
                 raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
@@ -124,8 +124,9 @@ class Embedding:
         passes its constant numerator, so the degree-1 sentinel never
         lifts."""
         nums, den, p = a.nums, a.den, self.p
-        r = self._combination_mod(nums, max(m + vp_int(den, p) + 1, 0)) if any(nums[1:]) else nums[0]
-        return head_num(r, den, p, m)
+        t = vp_int(den, p)
+        r = self._combination_mod(nums, max(m + t + 1, 0)) if any(nums[1:]) else nums[0]
+        return head_num(r, den, p, m, t)
 
     def omega(self, a: FieldElement) -> int:
         """Digit c0 of the expansion of ``a``, as an int: the floor of its

@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass, fields
 
 from .cfrac import ALGORITHMS, LOOKAHEAD_BUDGET, expand, lookahead_fits
-from .errors import ConfigError, HViolation, Reducible, StreamExhausted
+from .errors import ConfigError, HViolation, NotPrime, Reducible, StreamExhausted
 from .field import MinPoly, VectorElement, independent_with_one, validate_minpoly
 from .hensel import Embedding
-from .rationals import Q, is_prime, qformat
+from .rationals import Q, check_prime, qformat
 
 SELECTORS = {
     "x2+x-1": (1, 1),
@@ -80,12 +80,10 @@ def irrational_bits(selector, count: int):
     return [st.bit(k) for k in range(1, count + 1)]
 
 
-def byte_stream(bits, count: int | None = None):
-    """Pack a bit sequence (d_1, d_2, ...) into bytes e_0, e_1, ..."""
-    n = len(bits) // 8 if count is None else count
-    if 8 * n > len(bits):
-        raise ValueError("not enough bits")
-    return [sum(bits[8 * i + k - 1] << (k - 1) for k in range(1, 9)) for i in range(n)]
+def byte_stream(bits):
+    """Pack a bit sequence (d_1, d_2, ...) into bytes e_0, e_1, ..., as
+    many as it holds whole."""
+    return [sum(bits[8 * i + k] << k for k in range(8)) for i in range(len(bits) // 8)]
 
 
 @dataclass(frozen=True)
@@ -123,10 +121,13 @@ def build_test_set(minpoly: MinPoly, s: int, size: int = 100, max_index: int = 1
     byte triple (denominator-1, numerator, sign) at offset 3(s+1)i + 3r.
     Vectors whose components are rationally dependent with 1 are rejected
     (for s = 1 that is exactly the rational draws); duplicates collapse.
-    An s outside 1 <= s < degree is a ValueError before any draw.
+    An s outside 1 <= s < degree or a size below 1 is a ValueError before
+    any draw.
     """
     if not 1 <= s < minpoly.degree:
         raise ValueError(f"s must be at least 1 and below the degree {minpoly.degree}, got {s}")
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     streams = [BitStream(sel) for sel in _stream_polys(s)]
     chosen: dict = {}
     rejected = []
@@ -264,8 +265,10 @@ class RunConfig:
         if not isinstance(primes, list) or not primes:
             raise ConfigError(f"primes must be a non-empty list, got {primes!r}")
         for q in primes:
-            if not is_prime(_int_at_least(q, 2, "a prime")):
-                raise ConfigError(f"{q} is not prime")
+            try:
+                check_prime(_int_at_least(q, 2, "a prime"))
+            except NotPrime as exc:
+                raise ConfigError(str(exc)) from None
         if not isinstance(algos, list) or not algos:
             raise ConfigError(f"algorithms must be a non-empty list, got {algos!r}")
         specs = tuple(_algo_spec(a) for a in algos)

@@ -84,26 +84,37 @@ def _pdivmod(f: Poly, g: Poly):
     return ptrim(quo), ptrim(r[: len(g) - 1])
 
 
-def resultant(f: Poly, g: Poly):
-    """res(f, g) as the determinant of the Sylvester matrix, exact over Q.
-
-    f and g are first cleared to integer polynomials F = u f and G = v g,
-    so res(f, g) = det Syl(F, G) / (u^deg g v^deg f)."""
-    if not f or not g:
-        return QZERO
-    m, n = pdeg(f), pdeg(g)
-    (fd, gd), (u, v) = scale_rows((f[::-1], g[::-1]))
-    rows = [[0] * i + fd + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + gd + [0] * (m - 1 - i) for i in range(m)]
-    return Q(bareiss(rows, m + n)[1], u ** n * v ** m)
+def multiplication_rows(int_f, nums):
+    """Integer matrix, as lists of rows, of multiplication by b = sum
+    nums_i z^i in Q[z]/(f), for the monic f of degree n whose cleared form
+    is int_f = (D, (D a_n, .., D a_1)) (``MinPoly._int_f``), D the lcm of
+    the denominators of f's coefficients: column j is D^j (b z^j mod f) over
+    the basis 1, z, .., z^(n-1).  Its determinant is D^(n(n-1)/2) N(b), and
+    the norm N(b) is Res(f, b) as f is monic."""
+    den, low = int_f
+    col = list(nums)
+    cols = [col]
+    for _ in range(len(low) - 1):
+        # D z (col) mod f: shift up, then z^n = -(a_n + .. + a_1 z^(n-1))
+        top = col[-1]
+        col = [-top * low[0]] + [den * x - top * c for x, c in zip(col, low[1:])]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
 
 
 def discriminant(f: Poly):
-    n = pdeg(f)
-    d = resultant(f, pderiv(f)) / f[-1]
-    if (n * (n - 1) // 2) % 2:
-        d = -d
-    return d
+    """disc(f) for f of degree n >= 1 with leading coefficient a.
+
+    For the monic m = f/a, disc(f) = a^(2n-2) disc(m) and disc(m) =
+    (-1)^(n(n-1)/2) N(m'), the norm taken in Q[z]/(m).  With D the lcm of
+    m's denominators, D m' has integer coefficients, and the determinant of
+    its :func:`multiplication_rows` is D^(n(n-1)/2) N(D m') =
+    D^(n(n+1)/2) N(m')."""
+    n, a = pdeg(f), f[-1]
+    (low,), (den,) = scale_rows([[Q(c, a) for c in f[:-1]]])
+    dm = [i * c for i, c in enumerate(low[1:], start=1)] + [n * den]
+    det = bareiss(multiplication_rows((den, low), dm), n)[1]
+    return Q(det * (-1) ** (n * (n - 1) // 2), den ** (n * (n + 1) // 2)) * a ** (2 * n - 2)
 
 
 def _monic_form(f: Poly):

@@ -3,7 +3,7 @@ row normal form.
 
 ``bareiss`` and ``back_substitute`` are the package's one exact
 elimination: determinants, ranks, matrix inverses, linear solves, field
-inverses, norms and resultants all scale their rationals to integers and
+inverses, norms and discriminants all scale their rationals to integers and
 go through them.  ``solve`` is the one entry point for a square solve or
 inverse: the matrix inverse, the inverse of a step's projective matrix and
 the field inverse all call it.
@@ -129,8 +129,9 @@ class RationalMatrix:
         )
 
     def apply(self, vector):
-        """Row-wise linear combination; works for any vector entries that
-        take int products and int division (rationals or field elements)."""
+        """Row-wise linear combination, exact for vector entries that take
+        int products and ``Fraction`` division: ints, rationals or field
+        elements."""
         if len(vector) != self.ncols:
             raise ValueError("shape mismatch")
         out = []
@@ -139,7 +140,7 @@ class RationalMatrix:
             for c, x in zip(row, vector):
                 term = x * c
                 acc = term if acc is None else acc + term
-            out.append(acc / d if d != 1 else acc)
+            out.append(acc / Q(d) if d != 1 else acc)
         return tuple(out)
 
     def inverse(self) -> "RationalMatrix":

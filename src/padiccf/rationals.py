@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Q
 
-from .errors import RecordFormatError
+from .errors import NotPrime, RecordFormatError
 
 BACKEND = "fractions"  # the one scalar type; stamped on benchmark results
 
@@ -77,11 +77,13 @@ def omega(q, p: int) -> int:
     return head_num(q.numerator, den, p, 0) // den
 
 
-def head_num(num: int, den: int, p: int, m: int) -> int:
+def head_num(num: int, den: int, p: int, m: int, t: int | None = None) -> int:
     """The head of num/den at digit index m (see :func:`head_tail`) as a
     numerator over den, for any int num and int den > 0: with den = p^t u
-    and u prime to p, the head r/p^t is r u/den."""
-    t = _vp_pos(den, p)
+    and u prime to p, the head r/p^t is r u/den.  A caller that has
+    already read t = v_p(den) passes it."""
+    if t is None:
+        t = _vp_pos(den, p)
     if m + t < 0:
         return 0  # every digit of num/den lies at index -t > m or above
     u = den // p ** t
@@ -135,11 +137,14 @@ def qparse_list(data) -> list:
     return [qparse(c) for c in data]
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base in _SMALL_PRIMES (Sorenson and
+# Webster, 2017): below it those bases decide primality.
+PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the word-sized range used here."""
+    """Miller-Rabin to the bases 2..41, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -150,7 +155,6 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # These witnesses decide primality for all n < 3.3e24.
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -165,6 +169,7 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """p if it is an int prime below PRIME_BOUND, else NotPrime."""
+    if type(p) is not int or p >= PRIME_BOUND or not is_prime(p):
+        raise NotPrime(f"{p!r} is not a prime below {PRIME_BOUND}")
     return p

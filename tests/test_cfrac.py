@@ -522,6 +522,17 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(kq.vector([Q(2, 3)]), "phi1")
 
+    @pytest.mark.parametrize("algo, kw", [("phi3", {"eps": -1}), ("phi0", {"g_variant": True}),
+                                          ("phi1", {"g_variant": True}), ("phi2", {"g_variant": True}),
+                                          ("phi1", {"lookahead": 2}), ("phi3", {"lookahead": -7}),
+                                          ("phi1", {"max_steps": -1})])
+    def test_parameters_the_algorithm_does_not_take(self, k3, algo, kw):
+        # phi3 at eps = -1 runs the steps of eps = +1, phi1 at any lookahead
+        # those of lookahead 1; g_variant only selects phi3's map
+        z = k3.gen()
+        with pytest.raises(ValueError):
+            expand(k3.vector([z, z * z]), algo, **kw)
+
 
 class TestConvergents:
     def test_finite_recovers_input(self, kq):
@@ -629,6 +640,16 @@ REPLACED = {
     "identity_steps disagree": ("record", "identity_steps", 9),
     "bool identity_steps": ("record", "identity_steps", False),
     "initial disagrees": ("record", "initial", [{"coeffs": ["0", "-1"]}]),
+    "g_variant off phi3": ("record", "g_variant", True),
+    "eps the steps did not use": ("record", "eps", -1),
+    "step eps against its coefficients": ("step", "eps", -1),
+    # the certificate of x^2 + x + 2 at p = 2 is 3
+    "string certificate_prime": ("minpoly", "certificate_prime", "bogus"),
+    "composite certificate_prime": ("minpoly", "certificate_prime", 4),
+    "another prime as certificate_prime": ("minpoly", "certificate_prime", 7),
+    "fractional certificate_prime": ("minpoly", "certificate_prime", 2.5),
+    "float certificate_prime": ("minpoly", "certificate_prime", 3.0),
+    "bool certificate_prime": ("minpoly", "certificate_prime", True),
 }
 
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 45), st.floats(allow_nan=False),
@@ -678,9 +699,10 @@ class TestRecordJson:
                                       "remainder not an image", "finite at a nonzero remainder",
                                       "cycle to another remainder", "unreduced rational",
                                       "unreduced matrix entry", "extra key", "singular step matrix",
-                                      *REPLACED])
+                                      "eps on phi3", *REPLACED])
     def test_malformed_record_is_typed_error(self, k2, case):
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
+        assert data["minpoly"]["certificate_prime"] == 3
         step = data["steps"][0]
         if case == "missing key":
             data = {"format": 1}
@@ -730,6 +752,9 @@ class TestRecordJson:
             data = expand(MinPoly.rationals(2).vector([Q(2, 7)]), "phi0", max_steps=1).to_json()
             assert data["remainders"][1] == [{"coeffs": ["6"]}]
             data["steps"][0].update(matrix=[["0"]], gamma=["6"])
+        elif case == "eps on phi3":
+            data = expand(k2.vector([k2.gen()]), "phi3").to_json()
+            data["eps"] = -1
         else:
             part, key, value = REPLACED[case]
             _json_fields(data)[part][key] = value
@@ -767,7 +792,7 @@ class TestRecordJson:
 
     def test_zero_constant_term_is_typed_error(self, k2):
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
-        data["minpoly"]["coeffs"][-1] = "0"
+        data["minpoly"].update(coeffs=["1", "0"], certificate_prime=None)  # x^2 + x has no certificate
         # z is a zero divisor modulo x^2 + x, so the first step no longer replays
         with pytest.raises(RecordFormatError, match="undefined"):
             ExpansionRecord.from_json(data)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padiccf.cli import main
 
@@ -148,7 +151,7 @@ def test_zset_degree_below_two_exit_code(degree, capsys):
 
 @pytest.mark.parametrize(
     "elem",
-    ['{"coeffs": [1]}', '{"x": 1}', '[{"coeffs": ["1"]}, 3]', '"1/2"', '{"coeffs": "1"}', "[]"],
+    ['{"coeffs": [1]}', '{"x": 1}', '[{"coeffs": ["1"]}, 3]', '"1/2"', '{"coeffs": "1"}', "[]", "3", "null"],
 )
 def test_malformed_elem_exit_code(elem, capsys):
     code = main(["expand", "--p", "2", "--minpoly", "1,2", "--elem", elem, "--algo", "phi1"])
@@ -170,6 +173,8 @@ def test_malformed_elem_exit_code(elem, capsys):
         {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}], "suite_size": -1},
         {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi9"}]},
         {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1", "eps": 5}]},
+        {"primes": [318665857834031151167461], "degree": 2, "algorithms": [{"algo": "phi1"}]},
+        {"primes": [3317044064679887385961981], "degree": 2, "algorithms": [{"algo": "phi1"}]},
     ],
 )
 def test_malformed_table_config_exit_code(config, tmp_path, capsys):
@@ -237,3 +242,38 @@ def test_phi2_lookahead_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     config.write_text(json.dumps({"primes": [2], "degree": 3, "algorithms": [{"algo": "phi2", "lookahead": 12}]}))
     assert main(["table", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("error: phi2 lookahead 12")
+
+
+# strong pseudoprimes to the bases 2..37 and to the bases 2..41
+@pytest.mark.parametrize("p", ["318665857834031151167461", "3317044064679887385961981"])
+def test_pseudoprime_is_refused(p, capsys):
+    assert main(["zset", "--p", p, "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def _run(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(max_steps=st.integers(-3, 4), show=st.integers(-3, 4), size=st.integers(-4, 3))
+def test_counts_run_or_exit_2(max_steps, show, size):
+    """A count below its least value is refused, never reinterpreted:
+    --max-steps or --show below 0 and --size below 1 exit 2."""
+    code, out, err = _run(["expand", "--p", "2", "--minpoly", "1,2", "--elem", '{"coeffs": ["0", "1"]}',
+                           "--algo", "phi1", "--max-steps", str(max_steps), "--show", str(show)])
+    if max_steps < 0 or show < 0:
+        assert (code, out) == (2, "") and err.startswith("error:")
+    else:
+        # z is periodic at step 2, so min(max_steps, 2) + 1 remainders are recorded
+        assert (code, err) == (0, "")
+        assert out.count("  remainder ") == min(show, min(max_steps, 2) + 1)
+    code, out, err = _run(["suite", "--p", "2", "--minpoly", "1,2", "--s", "1", "--size", str(size)])
+    if size < 1:
+        assert (code, out) == (2, "") and err.startswith("error:")
+    else:
+        assert (code, err) == (0, "") and len(json.loads(out)["elements"]) == size

@@ -14,9 +14,6 @@ class TestArithmetic:
         assert polys.peval(f, Q(2)) == Q(17)
         assert polys.pderiv(f) == P(2, 6)
 
-    def test_resultant_of_common_root(self):
-        assert polys.resultant(P(-1, 1), P(-1, 0, 1)) == 0
-
     def test_discriminant_quadratic(self):
         # x^2 + bx + c has discriminant b^2 - 4c
         for b, c in [(1, 2), (3, -5), (0, 7)]:

@@ -142,6 +142,14 @@ class TestMatrixBasics:
         m = RationalMatrix([[1, 2], [3, 4]])
         assert m.apply((Q(1), Q(1))) == (Q(3), Q(7))
 
+    def test_apply_divides_exactly(self, k2):
+        m = RationalMatrix([[Q(1, 2), 1], [0, Q(1, 3)]])
+        out = m.apply((1, 2))
+        assert out == (Q(5, 2), Q(2, 3)) and all(type(x) is Q for x in out)
+        assert m.apply((Q(1, 5), 2)) == (Q(21, 10), Q(2, 3))
+        z = k2.gen()
+        assert m.apply((z, k2.one())) == (z / 2 + 1, k2.rational(Q(1, 3)))
+
 
 class TestAgainstFractionOracle:
     @settings(max_examples=400, deadline=None)

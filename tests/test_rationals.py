@@ -1,11 +1,15 @@
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from padiccf.errors import NotPrime
 from padiccf.rationals import (
     ORD_INF,
+    PRIME_BOUND,
     Q,
     _vp_pos,
     absp,
+    check_prime,
     head_tail,
     height,
     is_prime,
@@ -145,3 +149,29 @@ def test_prime_checker():
     assert not is_prime(1)
     assert is_prime(2**31 - 1)
     assert not is_prime(561 * 997)
+
+
+def test_prime_checker_against_sympy():
+    assert [n for n in range(-3, 20_000) if is_prime(n)] == list(sympy.primerange(20_000))
+    assert not is_prime(318665857834031151167461)  # a strong pseudoprime to the bases 2..37
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, PRIME_BOUND - 1))
+def test_prime_checker_against_sympy_below_bound(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+# the least strong pseudoprimes to the bases 2..37 (399165290221 *
+# 798330580441) and to the bases 2..41, PRIME_BOUND itself
+@pytest.mark.parametrize("n", [318665857834031151167461, PRIME_BOUND])
+def test_strong_pseudoprimes_are_refused(n):
+    assert not sympy.isprime(n)
+    with pytest.raises(NotPrime):
+        check_prime(n)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, True, "2"])
+def test_check_prime_takes_only_ints(p):
+    with pytest.raises(NotPrime):
+        check_prime(p)
