@@ -437,11 +437,12 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
     """Index minimizing the depth-(n+1) denominator product tree.
 
     The product of denom_z along each branch of candidate images is
-    minimized recursively; ties break to the least index.  Memoization is
-    keyed on canonical remainders so repeated subtrees are shared (and can
-    be shared across the steps of one expansion via ``memo``).  Only the
-    images are kept, not the steps, which would hold every candidate's
-    matrix for the whole expansion.
+    minimized recursively; ties break to the least index.  ``memo`` maps
+    each remainder the tree visits to its s ``h_map`` (step, image) pairs
+    and its subtree costs by depth, so repeated subtrees are shared and,
+    through :func:`step_phi2`, the steps of one expansion share their
+    trees.  A step holds little of its own: ``h_map`` steps share the
+    cached identity matrix and the zero gamma.
     """
     if n < 1:
         raise ValueError("lookahead depth must be >= 1")
@@ -450,30 +451,44 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
         return 1
     memo = memo if memo is not None else {}
 
-    def images(vec):
-        key = ("img", vec)
-        out = memo.get(key)
+    def node(vec):
+        out = memo.get(vec)
         if out is None:
-            out = tuple(h_map(emb, vec, eps, i)[1] for i in range(1, s + 1))
-            memo[key] = out
+            out = memo[vec] = (tuple(h_map(emb, vec, eps, i) for i in range(1, s + 1)), {})
         return out
 
     def v(vec, depth):
         if depth == 0:
             return 1
-        key = (vec, depth)
-        out = memo.get(key)
+        pairs, costs = node(vec)
+        out = costs.get(depth)
         if out is None:
-            out = min(denom_z(img) * v(img, depth - 1) for img in images(vec))
-            memo[key] = out
+            out = costs[depth] = min(denom_z(img) * v(img, depth - 1) for _, img in pairs)
         return out
 
-    costs = [denom_z(img) * v(img, n) for img in images(alpha)]
+    costs = [denom_z(img) * v(img, n) for _, img in node(alpha)[0]]
     return costs.index(min(costs)) + 1
 
 
 def step_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None):
-    return h_map(emb, alpha, eps, lookahead_phi2(emb, alpha, eps, n, memo))
+    """The ``h_map`` step at the :func:`lookahead_phi2` index, read from
+    the lookahead's memo.  The memo is then pruned to the subtree of the
+    chosen image, the only part the next step's tree can reuse, so it
+    stays the size of one tree however many steps run."""
+    memo = memo if memo is not None else {}
+    j = lookahead_phi2(emb, alpha, eps, n, memo)
+    if len(alpha) == 1:  # one pivot and no tree
+        return h_map(emb, alpha, eps, j)
+    chosen = memo[alpha][0][j - 1]
+    keep, todo = set(), [chosen[1]]
+    while todo:
+        vec = todo.pop()
+        if vec not in keep and vec in memo:
+            keep.add(vec)
+            todo.extend(img for _, img in memo[vec][0])
+    for vec in memo.keys() - keep:
+        del memo[vec]
+    return chosen
 
 
 def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):

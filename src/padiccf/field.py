@@ -11,19 +11,20 @@ A field element is a vector of integer numerators over one positive
 denominator in the basis 1, z, ..., z^(n-1), ascending, with the content
 removed: gcd(den, *nums) = 1, so zero is (0, .., 0)/1, and equality and
 hashing are structural (Cohen, *A Course in Computational Algebraic
-Number Theory*, 4.2).  Products and inverses are one integer
-matrix-vector product or one fraction-free elimination on the
-multiplication matrix; sums follow Knuth, TAOCP vol. 2, 4.5.1, and
-reduce only by the gcd of the two denominators.  ``Fraction``
-coefficients are a derived view (``.coeffs``) for serialization and
-printing.  The degenerate degree-1 case (K = Q, still with s = 1) is
-represented by the ``MinPoly.rationals`` sentinel; its elements carry a
-single coefficient.
+Number Theory*, 4.2).  A product is one integer matrix-vector product
+with the multiplication matrix, and an inverse its first-row cofactors,
+written out at degree 2 and 3 and from one fraction-free elimination
+above; sums follow Knuth, TAOCP vol. 2, 4.5.1, and reduce only by the gcd
+of the two denominators.  ``Fraction`` coefficients are a derived view
+(``.coeffs``) for serialization and printing.  The degenerate degree-1
+case (K = Q, still with s = 1) is represented by the
+``MinPoly.rationals`` sentinel; its elements carry a single coefficient.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from . import polys
 from .errors import HViolation, IrreducibilityUnknown, MixedField, RecordFormatError
@@ -182,6 +183,9 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     return mp
 
 
+ZERO_DIVISOR = "zero divisor modulo a reducible polynomial"
+
+
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, Q))
 
@@ -301,11 +305,13 @@ class FieldElement:
 
         Write a = b(z)/d with integer b and let M be the integer matrix of
         :func:`polys.multiplication_rows`, whose column j is D^j (b z^j mod f).
-        The inverse c of b solves M_b c = e_0, where M_b = M diag(D^-j);
-        one fraction-free elimination of [M | e_0] gives det(M) and
-        adj(M) e_0, so c_j = D^j (adj(M) e_0)_j / det(M) and a^-1 = d c.
-        det(M) = 0 means b shares a root with f: a zero divisor of a
-        reducible f.
+        The inverse c of b solves M_b c = e_0, where M_b = M diag(D^-j), so
+        c_j = D^j (adj(M) e_0)_j / det(M) and a^-1 = d c; adj(M) e_0 is the
+        cofactor vector C_0j of M's first row, and det(M) = sum_j M_0j C_0j
+        (Cohen 4.2).  At degree 2 and 3 the cofactors are written out; from
+        degree 4 on one fraction-free elimination of [M | e_0] gives them up
+        to the sign it shares with det(M).  det(M) = 0 means b shares a root
+        with f: a zero divisor of a reducible f.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -314,11 +320,18 @@ class FieldElement:
             return mp.rational(Q(self.den, self.nums[0]))
         n = mp.degree
         rows = multiplication_rows(mp._int_f, self.nums)
-        for i, row in enumerate(rows):
-            row.append(0 if i else 1)
-        det, x = solve(rows, n, "zero divisor modulo a reducible polynomial")
+        if n <= 3:
+            cof = _first_row_cofactors(rows)
+            det = sum(map(operator.mul, rows[0], cof))
+            if not det:
+                raise ZeroDivisionError(ZERO_DIVISOR)
+        else:
+            for i, row in enumerate(rows):
+                row.append(0 if i else 1)
+            det, x = solve(rows, n, ZERO_DIVISOR)
+            cof = [xj[0] for xj in x]
         den = mp._int_f[0]
-        return _reduced(mp, tuple(self.den * den ** j * xj[0] for j, xj in enumerate(x)), det)
+        return _reduced(mp, tuple(self.den * den ** j * c for j, c in enumerate(cof)), det)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -347,6 +360,16 @@ class FieldElement:
         if not isinstance(data, dict) or "coeffs" not in data:
             raise RecordFormatError(f'an element is {{"coeffs": [...]}}, got {data!r}')
         return minpoly.element(qparse_list(data["coeffs"]))
+
+
+def _first_row_cofactors(rows) -> tuple:
+    """The cofactors C_00, .., C_0(n-1) of the first row of a 2 x 2 or
+    3 x 3 integer matrix, given as rows."""
+    if len(rows) == 2:
+        _, (c, d) = rows
+        return d, -c
+    _, (c, d, e), (f, g, h) = rows
+    return d * h - e * g, e * f - c * h, c * g - d * f
 
 
 def _reduced(mp: MinPoly, nums: tuple, den: int, bound: int | None = None) -> FieldElement:

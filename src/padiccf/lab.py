@@ -14,10 +14,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 
 from .cfrac import ALGORITHMS, LOOKAHEAD_BUDGET, expand, lookahead_fits
-from .errors import ConfigError, HViolation, NotPrime, Reducible, StreamExhausted
+from .errors import CapExceeded, ConfigError, HViolation, NotPrime, Reducible, StreamExhausted
 from .field import MinPoly, VectorElement, independent_with_one, validate_minpoly
 from .hensel import Embedding
 from .rationals import Q, check_prime, qformat
@@ -37,7 +38,7 @@ class BitStream:
     has no usable digit stream and is rejected.
     """
 
-    __slots__ = ("b", "c", "_bits", "_n")
+    __slots__ = ("b", "c", "_bits", "_n", "_r")
 
     def __init__(self, selector):
         if isinstance(selector, str):
@@ -51,17 +52,22 @@ class BitStream:
             b, c = b + 2, c - b - 1
         self.b, self.c = b, c
         self._bits = []  # d_1, d_2, ... (1-based in the formulas)
-        self._n = 0  # partial sum numerator: sum d_j 2^(k-j)
+        self._n = 0  # partial sum numerator N: sum d_j 2^(k-j)
+        self._r = c  # -4^k f(N/2^k) = c 4^k - N^2 - b N 2^k, positive
 
     def _extend(self, upto: int):
-        k = len(self._bits)
+        """Bit k is 1 iff 4^k f((2N+1)/2^k) < 0, that is iff s = 4r - 4N - 1
+        - b 2^k > 0 for the scaled remainder r of the first k-1 bits; the
+        next remainder is s after a 1 and 4r after a 0, so a bit costs a few
+        additions of k-bit integers."""
+        k, n, r, b = len(self._bits), self._n, self._r, self.b
         while k < upto:
             k += 1
-            t = 2 * self._n + 1
-            val = t * t + self.b * t * (1 << k) - self.c * (1 << (2 * k))
-            bit = 1 if val < 0 else 0
-            self._n = 2 * self._n + bit
+            s = 4 * r - 4 * n - 1 - (b << k)
+            bit = 1 if s > 0 else 0
+            n, r = 2 * n + bit, s if bit else 4 * r
             self._bits.append(bit)
+        self._n, self._r = n, r
 
     def bit(self, k: int) -> int:
         """d_k, 1-based."""
@@ -157,6 +163,10 @@ def build_test_set(minpoly: MinPoly, s: int, size: int = 100, max_index: int = 1
 
 Z_A_RANGE = (1, 10)
 Z_B_RANGE = (-10, 10)
+# Degree cap for z-sets and table configs: certifying the 200 candidates of
+# one z-set grows fast with the degree (about 2.5 s at 20 for p = 2 on a
+# 2-core host); the criteria go up to degree 6.
+MAX_DEGREE = 20
 
 
 @functools.lru_cache(maxsize=32)
@@ -164,9 +174,12 @@ def build_z_set(p: int, degree: int):
     """All certified generators with defining polynomial x^deg + a x + b p,
     a in Z_A_RANGE with ord_p(a) = 0, b in Z_B_RANGE, as a tuple in
     deterministic (a, b) order.  b = 0 drops out via reducibility.
-    Memoized per (p, degree): the ranges are module constants."""
+    Memoized per (p, degree): the ranges are module constants.  A degree
+    above MAX_DEGREE raises CapExceeded."""
     if degree < 2:
         raise HViolation("degree", "degree must be at least 2")
+    if degree > MAX_DEGREE:
+        raise CapExceeded(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
     out = []
     for a in range(Z_A_RANGE[0], Z_A_RANGE[1] + 1):
         if a % p == 0:
@@ -275,6 +288,8 @@ class RunConfig:
         if len(set(primes)) < len(primes) or len({algo_label(*s) for s in specs}) < len(specs):
             raise ConfigError("primes and algorithm columns must not repeat")
         degree = _int_at_least(data["degree"], 2, "degree")
+        if degree > MAX_DEGREE:
+            raise ConfigError(f"degree must be at most MAX_DEGREE = {MAX_DEGREE}, got {degree}")
         for algo, _, lookahead in specs:
             if algo == "phi2" and not lookahead_fits(degree - 1, lookahead):
                 raise ConfigError(f"phi2 lookahead {lookahead} at degree {degree} evaluates "
@@ -344,13 +359,13 @@ def run_batch(config: RunConfig):
     """Run the full grid and aggregate one row per prime.
 
     Returns (rows, errors).  Tasks are independent; with jobs > 1 they run
-    in a process pool, and aggregation order is fixed by sorted task keys
-    either way.
+    in a process pool of at most one worker per task and per CPU, and
+    aggregation order is fixed by sorted task keys either way.
     """
     suite_coeffs = _suite_coefficients(config.degree, config.suite_size)
     tasks = [(mp, suite_coeffs, tuple(config.algorithms), config.max_steps, config.height_exponent)
              for p in sorted(config.primes) for mp in build_z_set(p, config.degree)[:config.z_limit]]
-    workers = min(config.jobs, len(tasks))
+    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing as mp_mod
 

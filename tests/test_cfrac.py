@@ -212,6 +212,12 @@ class TestPhi1:
         assert rec.status.preperiod == 1 and rec.status.period == 3
 
 
+def _cubic_suite():
+    """The embedding of a z-set cubic over p = 2 and four suite vectors."""
+    mp = build_z_set(2, 3)[0]
+    return Embedding(mp), [mp.vector([mp.element(c) for c in cs]) for cs in _suite_coefficients(3, 4)]
+
+
 class TestPhi2:
     def test_one_dimensional_index(self, k2, emb2):
         assert lookahead_phi2(emb2, k2.vector([k2.gen()]), 1, 1) == 1
@@ -281,6 +287,79 @@ class TestPhi2:
             for eps, n in ((1, 1), (-1, 2)):
                 j = lookahead_phi2(emb3, alpha, eps, n)
                 assert step_phi2(emb3, alpha, eps, n) == h_map(emb3, alpha, eps, j)
+
+    @pytest.mark.parametrize("n, eps", [(1, 1), (1, -1), (2, 1), (2, -1)])
+    def test_expansion_steps_are_h_map_at_brute_index(self, n, eps):
+        emb, vectors = _cubic_suite()
+        for alpha in vectors[:2]:
+            rec = expand(alpha, "phi2", eps=eps, lookahead=n, embedding=emb)
+            assert len(rec.steps) >= 8
+
+            def h_image(vec, i):
+                return h_map(emb, vec, eps, i)[1]
+
+            for k, step in enumerate(rec.steps):
+                cur = rec.remainders[k]
+                j = brute_phi2_index(emb, cur, eps, n, h_image)
+                assert (step, rec.remainders[k + 1]) == h_map(emb, cur, eps, j)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_memo_keeps_the_chosen_subtree(self, n):
+        """After a step the memo holds the remainders within n - 1 maps of
+        the new remainder, the nodes the next tree can reuse."""
+        emb, vectors = _cubic_suite()
+        alpha, memo = vectors[0], {}
+        for _ in range(8):
+            _, alpha = step_phi2(emb, alpha, 1, n, memo)
+            want, level = set(), {alpha}
+            for _ in range(n):
+                want |= level
+                level = {h_map(emb, vec, 1, i)[1] for vec in level for i in (1, 2)}
+            assert set(memo) == want
+
+    def test_step_is_read_from_the_lookahead(self, monkeypatch):
+        """Every h_map of a phi2 expansion runs inside a lookahead."""
+        emb, vectors = _cubic_suite()
+        real_lookahead, real_h_map = cfrac.lookahead_phi2, cfrac.h_map
+        inside, outside = [0], []
+
+        def lookahead(*args):
+            inside[0] += 1
+            try:
+                return real_lookahead(*args)
+            finally:
+                inside[0] -= 1
+
+        def counted(*args):
+            if not inside[0]:
+                outside.append(args)
+            return real_h_map(*args)
+
+        monkeypatch.setattr(cfrac, "lookahead_phi2", lookahead)
+        monkeypatch.setattr(cfrac, "h_map", counted)
+        rec = expand(vectors[0], "phi2", embedding=emb)
+        assert len(rec.steps) >= 8 and outside == []
+
+    @pytest.mark.parametrize("n, eps", [(1, 1), (1, -1), (2, 1), (2, -1)])
+    def test_h_map_once_per_vector_and_pivot(self, n, eps, monkeypatch):
+        """Each (remainder, pivot) map runs once, up to the step whose
+        tree reaches the remainder a periodic orbit returns to: that tree
+        revisits remainders whose subtrees earlier steps pruned and runs
+        their maps again."""
+        emb, vectors = _cubic_suite()
+        real_h_map = cfrac.h_map
+        for alpha in vectors:
+            full = expand(alpha, "phi2", eps=eps, lookahead=n, embedding=emb)
+            calls = []
+
+            def counted(emb_, vec, eps_, j):
+                calls.append((vec, j))
+                return real_h_map(emb_, vec, eps_, j)
+
+            monkeypatch.setattr(cfrac, "h_map", counted)
+            expand(alpha, "phi2", eps=eps, lookahead=n, embedding=emb, max_steps=full.status.index - n)
+            monkeypatch.setattr(cfrac, "h_map", real_h_map)
+            assert calls and len(calls) == len(set(calls))
 
     def test_identity_step_freezes(self, k3, emb3):
         # pivot chosen at a zero component with A = id leaves the remainder

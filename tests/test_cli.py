@@ -149,6 +149,22 @@ def test_zset_degree_below_two_exit_code(degree, capsys):
     assert "degree" in captured.err
 
 
+def test_zset_degree_above_cap_exit_code(capsys):
+    assert main(["zset", "--p", "2", "--degree", "21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "MAX_DEGREE" in captured.err
+
+
+def test_table_degree_above_cap_exit_code(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    # a small grid, so that a build without the cap runs it quickly
+    config.write_text(json.dumps({"primes": [2], "degree": 21, "algorithms": [{"algo": "phi1"}],
+                                  "suite_size": 1, "max_steps": 1, "z_limit": 1}))
+    assert main(["table", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "MAX_DEGREE" in captured.err
+
+
 @pytest.mark.parametrize(
     "elem",
     ['{"coeffs": [1]}', '{"x": 1}', '[{"coeffs": ["1"]}, 3]', '"1/2"', '{"coeffs": "1"}', "[]", "3", "null"],

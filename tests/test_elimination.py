@@ -3,12 +3,13 @@ matrix and everything built on them, against the Gauss-Jordan, Euclid and
 convolution references in ``oracles``."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from padiccf import polys
+from padiccf import field, polys
 from padiccf.errors import NonSquare
 from padiccf.field import MinPoly, element_minpoly
 from padiccf.preduce import RationalMatrix, back_substitute, bareiss, p_reduce, scale_rows
@@ -149,6 +150,35 @@ class TestFieldInverse:
         else:
             assert a.inverse().coeffs == tuple(want)
 
+    @pytest.mark.parametrize("coeffs", [[1, 2], [Q(1, 3), Q(-4, 5)], [1, 5, 4], [Q(1, 3), 7, Q(2, 9)]])
+    def test_large_entries_at_degree_two_and_three(self, coeffs, monkeypatch):
+        """The written-out cofactors on numerators of 10^60 over powers of
+        p, with no elimination."""
+
+        def no_solve(*args):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(field, "solve", no_solve)
+        mp = MinPoly(2, coeffs)
+        rng = random.Random(len(coeffs))
+        for _ in range(40):
+            b = [Q(rng.randint(-10**60, 10**60), 2 ** rng.randint(0, 60)) for _ in range(mp.degree)]
+            a = mp.element(b)
+            assert a.inverse().coeffs == tuple(euclid_inverse(mp, b))
+            assert a * a.inverse() == mp.one()
+
+    def test_solve_only_from_degree_four(self, monkeypatch):
+        calls, solve = [], field.solve
+
+        def counted(rows, n, singular):
+            calls.append(n)
+            return solve(rows, n, singular)
+
+        monkeypatch.setattr(field, "solve", counted)
+        for coeffs in ([1, 2], [0, 1, 2], [0, 0, 1, 2], [1, 0, 0, 3, 6]):
+            MinPoly(2, coeffs).element([2, 1]).inverse()
+        assert calls == [4, 5]
+
     @pytest.mark.parametrize("den", [1, 3])
     def test_zero_divisor(self, den):
         # f = (x + 1/den)(x^2 + 2) is reducible; z + 1/den divides zero
@@ -159,6 +189,13 @@ class TestFieldInverse:
             with pytest.raises(ZeroDivisionError):
                 euclid_inverse(mp, b)
         assert mp.element([0, 1]).inverse() * mp.gen() == mp.one()
+
+    # (x + 1)(x + 2), (x + 1)(x^2 + 2) and (x + 1)(x^3 + 2): z + 1 divides zero
+    @pytest.mark.parametrize("coeffs", [[3, 2], [1, 2, 2], [1, 0, 2, 2]])
+    def test_zero_divisor_message_at_every_degree(self, coeffs):
+        mp = MinPoly(2, coeffs)
+        with pytest.raises(ZeroDivisionError, match="^zero divisor modulo a reducible polynomial$"):
+            mp.element([1, 1]).inverse()
 
     def test_zero(self, k2):
         with pytest.raises(ZeroDivisionError):

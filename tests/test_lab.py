@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from padiccf import lab
-from padiccf.errors import ConfigError, HViolation, StreamExhausted
+from padiccf.errors import CapExceeded, ConfigError, HViolation, StreamExhausted
 from padiccf.field import independent_with_one, validate_minpoly
 from padiccf.lab import (
     BitStream,
@@ -36,7 +36,7 @@ class TestBits:
     @pytest.mark.parametrize("selector", ["x2+x-1", "x2+2x-1", "x2+2x-2"])
     def test_against_fraction_oracle(self, selector):
         b, c = lab.SELECTORS[selector]
-        assert irrational_bits(selector, 64) == bits_by_fraction(b, c, 64)
+        assert irrational_bits(selector, 3000) == bits_by_fraction(b, c, 3000)
 
     def test_bisection_brackets_root(self):
         # sum of the emitted digits must stay below the root, and within
@@ -63,6 +63,12 @@ class TestBits:
             frac += Fraction(d, 2**i)
         # fractional part of sqrt(5)-1 is sqrt(5)-2 ~ 0.2360679
         assert got[:4] == [0, 0, 1, 1]
+
+    # roots above 1, shifted to their fractional part once or more first
+    @pytest.mark.parametrize("selector", [(2, 4), (2, 5), (1, 5), (3, 11)])
+    def test_shifted_roots_against_fraction_oracle(self, selector):
+        st = BitStream(selector)
+        assert irrational_bits(selector, 3000) == bits_by_fraction(st.b, st.c, 3000)
 
     def test_rational_root_rejected(self):
         with pytest.raises(ValueError):
@@ -305,11 +311,13 @@ class TestBatch:
         with pytest.raises(ConfigError):
             RunConfig.from_json(data)
 
-    @pytest.mark.parametrize("jobs,workers", [(1, None), (2, 2), (8, 3)])
-    def test_pool_size_capped_by_tasks(self, jobs, workers, monkeypatch):
-        """At most one worker per task, none for a single job; a stand-in
-        pool maps in this process, so no worker is ever started."""
+    @staticmethod
+    def _pool_size(jobs, cpus, monkeypatch):
+        """Processes asked of the pool by a 3-task batch on a host of
+        ``cpus`` CPUs, None for no pool; a stand-in pool maps in this
+        process, so no worker is ever started."""
         import multiprocessing
+        import os
 
         started = []
 
@@ -327,13 +335,27 @@ class TestBatch:
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg = RunConfig.from_json(
             {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}], "suite_size": 2,
              "max_steps": 200, "height_exponent": 30, "jobs": jobs, "z_limit": 3}
         )
         rows, errors = run_batch(cfg)
         assert not errors and sum(rows[0].counts["phi1[+1]"].values()) == 3 * 2
-        assert started == ([] if workers is None else [workers])
+        assert len(started) <= 1
+        return started[0] if started else None
+
+    @pytest.mark.parametrize("jobs,workers", [(1, None), (2, 2), (8, 3)])
+    def test_pool_size_capped_by_tasks(self, jobs, workers, monkeypatch):
+        """At most one worker per task, none for a single job, on a host
+        with more CPUs than tasks."""
+        assert self._pool_size(jobs, 8, monkeypatch) == workers
+
+    @pytest.mark.parametrize("jobs,cpus,workers", [(8, 2, 2), (10**6, 2, 2), (8, 1, None), (8, None, None)])
+    def test_pool_size_capped_by_cpus(self, jobs, cpus, workers, monkeypatch):
+        """At most one worker per CPU, and one CPU when the count is
+        unknown."""
+        assert self._pool_size(jobs, cpus, monkeypatch) == workers
 
 
 class TestTables:
@@ -363,6 +385,22 @@ class TestTables:
     def test_byte_stable(self):
         rows = self._rows()
         assert emit_table(rows) == emit_table(self._rows())
+
+
+def test_z_set_refuses_degree_above_cap():
+    with pytest.raises(CapExceeded, match="MAX_DEGREE"):
+        build_z_set(2, lab.MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("excess", [0, 1, 10**9])
+def test_config_degree_cap(excess):
+    degree = lab.MAX_DEGREE + excess
+    data = {"primes": [2], "degree": degree, "algorithms": [{"algo": "phi1"}]}
+    if not excess:
+        assert RunConfig.from_json(data).degree == degree
+    else:
+        with pytest.raises(ConfigError, match="MAX_DEGREE"):
+            RunConfig.from_json(data)
 
 
 @pytest.mark.parametrize("degree", [0, 1])

@@ -76,3 +76,22 @@ def test_pairs_summary_on_fixed_passes():
     assert (got["op_p50_ms"]["won"], got["op_p50_ms"]["lost"], got["op_p50_ms"]["gain"]) == (3, 1, False)
     # ties count for neither side
     assert (got["rss_mb"]["won"], got["rss_mb"]["lost"], got["rss_mb"]["gain"]) == (0, 1, False)
+
+
+def test_pairs_passes_compile_from_source(monkeypatch, tmp_path):
+    """Each pass reads and writes bytecode only under its own fresh, empty
+    cache prefix and writes none, so both checkouts compile from source."""
+    pairs = _load_pairs()
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((prefix, prefix.is_dir() and not any(prefix.iterdir()), env["PYTHONDONTWRITEBYTECODE"], cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout='log\n{"pass_s": 1.0}\n', stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    assert pairs.run_pass(tmp_path, "census_phi3", 1) == {"pass_s": 1.0}
+    assert pairs.run_pass(tmp_path, "census_phi3", 1) == {"pass_s": 1.0}
+    (first, empty1, flag1, cwd), (second, empty2, flag2, _) = seen
+    assert cwd == tmp_path and empty1 and empty2 and flag1 == flag2 == "1"
+    assert first != second and not first.exists() and not second.exists()
