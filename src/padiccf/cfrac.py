@@ -65,6 +65,13 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(map(_is_int, v))
 
 
+def at_least(value, low: int, what: str) -> int:
+    """value if it is an int (not a bool or a float) >= low, else a ValueError."""
+    if not _is_int(value) or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def shift_matrix(s: int) -> RationalMatrix:
     """Cyclic shift: (x1, .., xs) -> (x2, .., xs, x1); identity for s = 1."""
@@ -247,12 +254,12 @@ class ExpansionRecord:
         """Load a format-1 record.  The copies it carries of derived values
         (``initial``, ``identity_steps``, the status index) must agree with
         its steps and remainders, and the record must be the one it
-        serializes to (full coefficient lists, canonical rationals).  It
-        carries only parameters its steps used: every step has the record's
-        eps, which is 1 for phi3, and only phi3 records may set
-        ``g_variant``.  Each step must map its
-        remainder to the next one; a finite record must end at zero and a
-        periodic one return to its preperiod's remainder."""
+        serializes to (full coefficient lists, canonical rationals).  Its
+        algorithm and parameters pass :func:`check_params` (a phi2 lookahead
+        over its budget included), its lookahead is null off phi2, and every
+        step has the record's eps.  Each step must map its remainder to the
+        next one; a finite record must end at zero and a periodic one return
+        to its preperiod's remainder."""
         fmt = data.get("format") if isinstance(data, dict) else None
         if not _is_int(fmt) or fmt != 1:
             raise RecordFormatError(f"unsupported record format {fmt!r}; this version reads format 1")
@@ -264,14 +271,16 @@ class ExpansionRecord:
                 raise TypeError("'steps' and 'remainders' must be lists")
             if len(remainders) != len(steps) + 1 or len({len(r) for r in remainders}) != 1:
                 raise RecordFormatError("a record has one more remainder than steps, all of one length")
-            algorithm = _checked(data, "algorithm", ALGORITHMS.__contains__)
+            s = len(remainders[0])
+            algorithm, eps, lookahead, g_variant = (data[k] for k in ("algorithm", "eps", "lookahead", "g_variant"))
+            phi2 = algorithm == "phi2"
+            check_params(algorithm, s, eps, lookahead if phi2 else 1, g_variant)
             rec = cls(
                 algorithm=algorithm,
-                eps=_checked(data, "eps", lambda v: _is_eps(v) and (algorithm != "phi3" or v == 1)),
-                lookahead=_checked(data, "lookahead",
-                                   lambda v: (_is_int(v) and v >= 1) if algorithm == "phi2" else v is None),
-                g_variant=_checked(data, "g_variant", lambda v: type(v) is bool and (algorithm == "phi3" or not v)),
-                steps=[CMapStep.from_json(step, mp.p, len(remainders[0])) for step in steps],
+                eps=eps,
+                lookahead=lookahead if phi2 else None,  # another value off phi2 is not canonical
+                g_variant=g_variant,
+                steps=[CMapStep.from_json(step, mp.p, s) for step in steps],
                 remainders=[VectorElement.from_json(mp, r) for r in remainders],
                 status=Status.from_json(data["status"], len(steps)),
             )
@@ -282,9 +291,10 @@ class ExpansionRecord:
                 raise RecordFormatError("the record is not in the canonical form it loads as")
             rec._replay()
             return rec
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, CapExceeded) as exc:
             # a missing key, a wrong type, a value the checks reject (a
-            # RecordFormatError is a ValueError) or an unparsable one
+            # RecordFormatError is a ValueError), an unparsable one or a
+            # phi2 lookahead over its budget
             raise RecordFormatError(f"malformed format-1 record: {exc!r}") from exc
 
     def _replay(self):
@@ -576,7 +586,34 @@ def inverse_step(step: CMapStep, y):
 
 # --- expansion driver ---------------------------------------------------------
 
-ALGORITHMS = ("phi0", "phi1", "phi2", "phi3")
+# the parameters each algorithm takes; every other one keeps its default
+TAKES = {"phi0": ("eps",), "phi1": ("eps",), "phi2": ("eps", "lookahead"), "phi3": ("g_variant",)}
+ALGORITHMS = tuple(TAKES)
+
+
+def check_params(algorithm, s: int, eps=1, lookahead=1, g_variant=False) -> None:
+    """The one rule for an algorithm's parameters over s components, which
+    ``expand``, records, table configs and the CLI all go through.
+
+    eps is the int 1 or -1, lookahead an int >= 1 (a bool or a float is
+    no int here) and g_variant a bool, and a parameter the algorithm does
+    not take (``TAKES``) keeps its default; any other value is a
+    ValueError.  A phi2 lookahead whose tree exceeds
+    LOOKAHEAD_BUDGET images raises CapExceeded.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if not _is_eps(eps):
+        raise ValueError(f"eps must be the integer 1 or -1, got {eps!r}")
+    at_least(lookahead, 1, "lookahead")
+    if type(g_variant) is not bool:
+        raise ValueError(f"g_variant must be a bool, got {g_variant!r}")
+    for key, value, default in (("eps", eps, 1), ("lookahead", lookahead, 1), ("g_variant", g_variant, False)):
+        if key not in TAKES[algorithm] and value != default:
+            raise ValueError(f"{algorithm} takes no {key}, got {value!r}")
+    if algorithm == "phi2" and not lookahead_fits(s, lookahead):
+        raise CapExceeded(f"phi2 lookahead {lookahead} over {s} components evaluates "
+                          f"more than {LOOKAHEAD_BUDGET} images per step")
 
 
 def expand(
@@ -598,34 +635,15 @@ def expand(
     coefficient height above 10**height_exponent (height exceeded), then
     ``max_steps`` steps taken (step limit).  ``detect_cycles=False``
     disables the recurrence check, which is useful for studying
-    convergents past the first cycle.  A phi2 lookahead whose tree exceeds
-    LOOKAHEAD_BUDGET images raises CapExceeded before the first step.
-    A parameter the algorithm does not take must keep its default (eps 1
-    for phi3, lookahead 1 off phi2, no ``g_variant`` off phi3); any other
-    value is a ValueError.
+    convergents past the first cycle.  The parameters go through
+    :func:`check_params` before the first step, and ``max_steps`` and
+    ``height_exponent`` must be ints >= 0 (ValueError).
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if algorithm == "phi3" and eps != 1:
-        raise ValueError("phi3 takes no eps")
-    if algorithm != "phi2" and lookahead != 1:
-        raise ValueError(f"{algorithm} takes no lookahead")
-    if g_variant and algorithm != "phi3":
-        raise ValueError(f"g_variant is a phi3 parameter, not a {algorithm} one")
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    check_params(algorithm, len(alpha), eps, lookahead, g_variant)
+    at_least(max_steps, 0, "max_steps")
+    at_least(height_exponent, 0, "height_exponent")
     if algorithm != "phi0" and alpha.minpoly.is_rational_field:
         raise ValueError(f"{algorithm} requires a proper extension field")
-    if height_exponent < 0:
-        raise ValueError("height_exponent must be >= 0")
-    if algorithm == "phi2":
-        if lookahead < 1:
-            raise ValueError("lookahead depth must be >= 1")
-        if not lookahead_fits(len(alpha), lookahead):
-            raise CapExceeded(f"phi2 lookahead {lookahead} over {len(alpha)} components evaluates "
-                              f"more than {LOOKAHEAD_BUDGET} images per step")
     emb = embedding if embedding is not None else Embedding(alpha.minpoly)
     memo = {} if algorithm == "phi2" else None
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import lab
-from .cfrac import expand
+from .cfrac import ALGORITHMS, expand
 from .errors import PadiccfError
 from .field import MinPoly, VectorElement, validate_minpoly
 from .preduce import RationalMatrix, p_reduce
@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--p", type=int, required=True)
     ex.add_argument("--minpoly", required=True, help='coefficients "a1,...,an"')
     ex.add_argument("--elem", required=True, help="JSON element or list of elements")
-    ex.add_argument("--algo", choices=["phi0", "phi1", "phi2", "phi3"], required=True)
-    ex.add_argument("--eps", type=int, default=1, choices=[1, -1])
+    ex.add_argument("--algo", choices=ALGORITHMS, required=True)
+    ex.add_argument("--eps", type=int, default=1)
     ex.add_argument("--lookahead", type=int, default=1)
     ex.add_argument("--max-steps", type=int, default=100_000)
     ex.add_argument("--height-exp", type=int, default=60)

@@ -17,8 +17,8 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .cfrac import ALGORITHMS, LOOKAHEAD_BUDGET, expand, lookahead_fits
-from .errors import CapExceeded, ConfigError, HViolation, NotPrime, Reducible, StreamExhausted
+from .cfrac import ALGORITHMS, TAKES, at_least, check_params, expand
+from .errors import CapExceeded, ConfigError, HViolation, Reducible, StreamExhausted
 from .field import MinPoly, VectorElement, independent_with_one, validate_minpoly
 from .hensel import Embedding
 from .rationals import Q, check_prime, qformat
@@ -214,39 +214,25 @@ def algo_label(algo: str, eps, lookahead) -> str:
     return f"{base}[{'+1' if eps == 1 else '-1'}]"
 
 
-# parameters each algorithm takes, all defaulting to 1
-_ALGO_PARAMS = {"phi0": ("eps",), "phi1": ("eps",), "phi2": ("eps", "lookahead"), "phi3": ()}
-
-
-def _int_at_least(value, low: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
-    return value
-
-
-def _algo_spec(entry) -> tuple:
-    """(algo, eps, lookahead) from one config entry, with the defaults
-    filled in and None for what the algorithm does not take."""
+def _algo_spec(entry, s: int) -> tuple:
+    """(algo, eps, lookahead) from one config entry for s components, with
+    the defaults filled in and None for what the algorithm does not take,
+    which the entry leaves out or sets to null.  The values go through
+    :func:`cfrac.check_params`."""
     if not isinstance(entry, dict) or entry.get("algo") not in ALGORITHMS:
         raise ConfigError(f"an algorithm is an object with \"algo\" one of {ALGORITHMS}, got {entry!r}")
     algo = entry["algo"]
     unknown = set(entry) - {"algo", "eps", "lookahead"}
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {entry!r}")
-    spec = [algo]
+    spec = []
     for key in ("eps", "lookahead"):
         value = entry.get(key)
-        if key not in _ALGO_PARAMS[algo]:
-            if value is not None:
-                raise ConfigError(f"{algo} takes no {key}, got {entry!r}")
-        elif value is None:
-            value = 1
-        elif key == "lookahead":
-            _int_at_least(value, 1, key)
-        elif _int_at_least(value, -1, key) not in (1, -1):
-            raise ConfigError(f"eps must be 1 or -1, got {value!r}")
-        spec.append(value)
-    return tuple(spec)
+        if key not in TAKES[algo] and value is not None:
+            raise ConfigError(f"{algo} takes no {key}, got {entry!r}")
+        spec.append(1 if value is None and key in TAKES[algo] else value)
+    check_params(algo, s, *(1 if v is None else v for v in spec))
+    return (algo, *spec)
 
 
 @dataclass
@@ -267,44 +253,41 @@ class RunConfig:
         """Validate a ``padiccf table`` config; every defect is a ConfigError.
 
         eps defaults to +1 and phi2's lookahead to 1, so each column label
-        names what runs."""
-        if not isinstance(data, dict):
-            raise ConfigError(f"a config is a JSON object, got {type(data).__name__}")
-        missing = {"primes", "degree", "algorithms"} - set(data)
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if missing or unknown:
-            raise ConfigError(f"config keys missing: {sorted(missing)}, unknown: {sorted(unknown)}")
-        primes, algos = data["primes"], data["algorithms"]
-        if not isinstance(primes, list) or not primes:
-            raise ConfigError(f"primes must be a non-empty list, got {primes!r}")
-        for q in primes:
-            try:
-                check_prime(_int_at_least(q, 2, "a prime"))
-            except NotPrime as exc:
-                raise ConfigError(str(exc)) from None
-        if not isinstance(algos, list) or not algos:
-            raise ConfigError(f"algorithms must be a non-empty list, got {algos!r}")
-        specs = tuple(_algo_spec(a) for a in algos)
-        if len(set(primes)) < len(primes) or len({algo_label(*s) for s in specs}) < len(specs):
-            raise ConfigError("primes and algorithm columns must not repeat")
-        degree = _int_at_least(data["degree"], 2, "degree")
-        if degree > MAX_DEGREE:
-            raise ConfigError(f"degree must be at most MAX_DEGREE = {MAX_DEGREE}, got {degree}")
-        for algo, _, lookahead in specs:
-            if algo == "phi2" and not lookahead_fits(degree - 1, lookahead):
-                raise ConfigError(f"phi2 lookahead {lookahead} at degree {degree} evaluates "
-                                  f"more than {LOOKAHEAD_BUDGET} images per step")
-        z_limit = data.get("z_limit")
-        return cls(
-            primes=tuple(primes),
-            degree=degree,
-            algorithms=specs,
-            suite_size=_int_at_least(data.get("suite_size", 100), 1, "suite_size"),
-            max_steps=_int_at_least(data.get("max_steps", 100_000), 1, "max_steps"),
-            height_exponent=_int_at_least(data.get("height_exponent", 60), 0, "height_exponent"),
-            jobs=_int_at_least(data.get("jobs", 1), 1, "jobs"),
-            z_limit=None if z_limit is None else _int_at_least(z_limit, 1, "z_limit"),
-        )
+        names what runs.  The algorithm parameters go through
+        :func:`cfrac.check_params` at s = degree - 1."""
+        try:
+            if not isinstance(data, dict):
+                raise ConfigError(f"a config is a JSON object, got {type(data).__name__}")
+            missing = {"primes", "degree", "algorithms"} - set(data)
+            unknown = set(data) - {f.name for f in fields(cls)}
+            if missing or unknown:
+                raise ConfigError(f"config keys missing: {sorted(missing)}, unknown: {sorted(unknown)}")
+            primes, algos = data["primes"], data["algorithms"]
+            if not isinstance(primes, list) or not primes:
+                raise ConfigError(f"primes must be a non-empty list, got {primes!r}")
+            for q in primes:
+                check_prime(at_least(q, 2, "a prime"))
+            degree = at_least(data["degree"], 2, "degree")
+            if degree > MAX_DEGREE:
+                raise ConfigError(f"degree must be at most MAX_DEGREE = {MAX_DEGREE}, got {degree}")
+            if not isinstance(algos, list) or not algos:
+                raise ConfigError(f"algorithms must be a non-empty list, got {algos!r}")
+            specs = tuple(_algo_spec(a, degree - 1) for a in algos)
+            if len(set(primes)) < len(primes) or len({algo_label(*s) for s in specs}) < len(specs):
+                raise ConfigError("primes and algorithm columns must not repeat")
+            z_limit = data.get("z_limit")
+            return cls(
+                primes=tuple(primes),
+                degree=degree,
+                algorithms=specs,
+                suite_size=at_least(data.get("suite_size", 100), 1, "suite_size"),
+                max_steps=at_least(data.get("max_steps", 100_000), 1, "max_steps"),
+                height_exponent=at_least(data.get("height_exponent", 60), 0, "height_exponent"),
+                jobs=at_least(data.get("jobs", 1), 1, "jobs"),
+                z_limit=None if z_limit is None else at_least(z_limit, 1, "z_limit"),
+            )
+        except (ValueError, CapExceeded) as exc:  # a NotPrime and a ConfigError are ValueErrors
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass

@@ -392,21 +392,6 @@ def _integer_roots(G, disc):
     return roots
 
 
-def rational_roots(f: Poly):
-    """All rational roots, ascending: the integer roots of the monic
-    integer form of f's squarefree part, over a."""
-    f = ptrim(f)
-    if pdeg(f) < 1:
-        return []
-    G, a, disc = _monic_form(f)
-    if not disc:  # f / gcd(f, f') has the same roots, each once
-        g, h = f, pderiv(f)
-        while h:
-            g, h = h, _pdivmod(g, h)[1]
-        G, a, disc = _monic_form(_pdivmod(f, g)[0])
-    return sorted(Q(y, a) for y in _integer_roots(G, disc))
-
-
 def _recombine(G, q, degrees) -> bool:
     """Zassenhaus: False when a product of at most r/2 of the r lifted
     factors of G mod q, of a degree in ``degrees``, divides G."""

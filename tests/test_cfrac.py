@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from padiccf import cfrac
 from padiccf.cfrac import (
+    ALGORITHMS,
+    TAKES,
     ExpansionRecord,
     convergent,
     expand,
@@ -20,10 +22,10 @@ from padiccf.cfrac import (
     step_phi2,
     step_phi3,
 )
-from padiccf.errors import CapExceeded, PadiccfError, PoleHit, RecordFormatError
+from padiccf.errors import CapExceeded, ConfigError, PadiccfError, PoleHit, RecordFormatError
 from padiccf.field import MinPoly, VectorElement, denom_z, independent_with_one, validate_minpoly
 from padiccf.hensel import Embedding
-from padiccf.lab import _suite_coefficients, build_z_set
+from padiccf.lab import RunConfig, _suite_coefficients, build_z_set
 from padiccf.preduce import RationalMatrix
 from padiccf.rationals import ORD_INF, Q, ordp
 from oracles import (
@@ -597,6 +599,10 @@ class TestExpand:
             expand(k2.vector([k2.gen()]), "phi9")
         with pytest.raises(ValueError):
             expand(k2.vector([k2.gen()]), "phi0", eps=2)
+        # counts are ints: a float would carry into the exact engine
+        for kw in ({"height_exponent": 400.5}, {"max_steps": 2.5}, {"max_steps": True}, {"eps": 1.0}):
+            with pytest.raises(ValueError):
+                expand(k2.vector([k2.gen()]), "phi1", **kw)
         # the normalized maps need a generator; only the raw map runs on Q
         with pytest.raises(ValueError):
             expand(kq.vector([Q(2, 3)]), "phi1")
@@ -701,7 +707,7 @@ def _json_fields(data):
 
 
 # malformed cases that replace one field of a 2-step periodic phi1 record over
-# x^2 + x + 2, p = 2: (part, key, value)
+# x^2 + x + 2, p = 2: (part, key, value), or a list of them
 REPLACED = {
     "string identity": ("step", "identity", "no"),
     "string pivot": ("step", "pivot", "1"),
@@ -720,6 +726,8 @@ REPLACED = {
     "bool identity_steps": ("record", "identity_steps", False),
     "initial disagrees": ("record", "initial", [{"coeffs": ["0", "-1"]}]),
     "g_variant off phi3": ("record", "g_variant", True),
+    # at s = 1 the phi1 record is the phi2 record of lookahead 1 but for its algorithm
+    "phi2 lookahead 0": [("record", "algorithm", "phi2"), ("record", "lookahead", 0)],
     "eps the steps did not use": ("record", "eps", -1),
     "step eps against its coefficients": ("step", "eps", -1),
     # the certificate of x^2 + x + 2 at p = 2 is 3
@@ -731,6 +739,10 @@ REPLACED = {
     "bool certificate_prime": ("minpoly", "certificate_prime", True),
 }
 
+# algorithm parameters: ints around the legal values and past phi2's
+# lookahead budget at s = 2, bools, floats, null and short strings
+PARAMS = st.one_of(st.integers(-2, 13), st.booleans(), st.sampled_from([1.0, -1.0, 2.0, 0.5]), st.none(),
+                   st.sampled_from(["1", "x", ""]))
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 45), st.floats(allow_nan=False),
                          st.text(max_size=4), st.sampled_from(["1", "phi2", "finite", "periodic"]))
 
@@ -835,10 +847,46 @@ class TestRecordJson:
             data = expand(k2.vector([k2.gen()]), "phi3").to_json()
             data["eps"] = -1
         else:
-            part, key, value = REPLACED[case]
-            _json_fields(data)[part][key] = value
+            changes = REPLACED[case]
+            for part, key, value in changes if isinstance(changes, list) else [changes]:
+                _json_fields(data)[part][key] = value
         with pytest.raises(RecordFormatError, match="malformed"):
             ExpansionRecord.from_json(data)
+
+    def test_phi1_record_loads_as_phi2_at_one_component(self, k2):
+        data = expand(k2.vector([k2.gen()]), "phi1").to_json()
+        data.update(algorithm="phi2", lookahead=1)
+        assert ExpansionRecord.from_json(data).to_json() == data
+
+    @settings(max_examples=150, deadline=None)
+    @given(algorithm=st.sampled_from([*ALGORITHMS, "phi9", None, 0]), eps=PARAMS, lookahead=PARAMS,
+           g_variant=PARAMS)
+    def test_expand_records_and_configs_agree_on_parameters(self, k3, algorithm, eps, lookahead, g_variant):
+        """expand refuses a parameter or returns a record that loads again,
+        and a table config entry is accepted exactly when expand accepts the
+        same values (a config carries eps and lookahead where the algorithm
+        takes them, and a null there reads as absent)."""
+        z = k3.gen()
+        vec = k3.vector([z, z * z])  # s = 2, as in a degree-3 config
+
+        def expanded(**kw):
+            try:
+                return expand(vec, algorithm, max_steps=2, **kw)
+            except (ValueError, CapExceeded):
+                return None
+
+        rec = expanded(eps=eps, lookahead=lookahead, g_variant=g_variant)
+        if rec is not None:
+            blob = json.loads(json.dumps(rec.to_json()))
+            assert ExpansionRecord.from_json(blob).to_json() == blob
+        taken = {key: value for key, value in (("eps", eps), ("lookahead", lookahead))
+                 if key in TAKES.get(algorithm, ()) and value is not None}
+        try:
+            RunConfig.from_json({"primes": [2], "degree": 3, "algorithms": [{"algo": algorithm, **taken}]})
+        except ConfigError:
+            assert expanded(**taken) is None
+        else:
+            assert expanded(**taken) is not None
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

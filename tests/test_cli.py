@@ -271,7 +271,10 @@ def test_pseudoprime_is_refused(p, capsys):
 def _run(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(args)
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse refuses a value of the wrong type or out of its choices
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -293,3 +296,33 @@ def test_counts_run_or_exit_2(max_steps, show, size):
         assert (code, out) == (2, "") and err.startswith("error:")
     else:
         assert (code, err) == (0, "") and len(json.loads(out)["elements"]) == size
+
+
+# (p, minpoly, elem): a quadratic and a cubic field, one and two components
+FIELDS = [("2", "1,2", '{"coeffs": ["0", "1"]}'),
+          ("2", "0,1,4", '[{"coeffs": ["0", "1", "0"]}, {"coeffs": ["0", "0", "1"]}]')]
+# values of each expand flag, None for leaving it out; --max-steps is kept small
+FLAGS = {"--algo": ["phi0", "phi1", "phi2", "phi3", "phi9"],
+         "--eps": [None, None, "1", "-1", "2", "x"],
+         "--lookahead": [None, None, "1", "2", "0", "12", "2.5"],
+         "--max-steps": ["0", "2", "5", "5", "-1", "2.5"],
+         "--height-exp": [None, None, "10", "60", "-1", "x"]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(FIELDS), data=st.data())
+def test_expand_flags_run_or_exit_2(field, data):
+    """Every vector of expand flags gives a result or a refusal with exit
+    code 2, and never a traceback."""
+    p, minpoly, elem = field
+    argv = ["expand", "--p", p, "--minpoly", minpoly, "--elem", elem]
+    for flag, values in FLAGS.items():
+        value = data.draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    code, out, err = _run(argv)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out.startswith("status:") and err == ""
+    else:
+        assert (code, out) == (2, "") and "error:" in err

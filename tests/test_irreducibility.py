@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from padiccf import lab, polys
@@ -157,14 +157,30 @@ def test_distinct_degree_patterns_match_brute_force(q, data):
     c=st.integers(1, 10**30),
     repeat=st.booleans(),
 )
+@example(roots=[(2, 1), (-2, 1)], c=1, repeat=False)
+@example(roots=[(0, 1), (-1, 1)], c=1, repeat=False)
+@example(roots=[(1, 2), (-1, 1)], c=1, repeat=True)
+@example(roots=[], c=2, repeat=False)
 def test_rational_roots_of_constructed_products(roots, c, repeat):
-    # (x^2 + c) times (s x - r) for each root, squared when ``repeat``
+    # (x^2 + c) times (s x - r) for each root, squared when ``repeat``:
+    # certify finds a root (or a square factor) and refuses the product,
+    # and the rational-root stage finds exactly the roots, scaled by the
+    # leading coefficient, in the monic form of the squarefree product
     f = [c, 0, 1]
     for r, s in roots:
         for _ in range(1 + repeat):
             f = polys._zmul(f, [-r, s])
-    want = sorted({Fraction(r, s) for r, s in roots})
-    assert polys.rational_roots(F(f)) == want
+    want = {Fraction(r, s) for r, s in roots}
+    if want:
+        with pytest.raises(Reducible):
+            polys.certify(F(f), 2)
+    else:
+        polys.certify(F(f), 2)  # x^2 + c is irreducible: no Reducible
+    squarefree = [c, 0, 1]
+    for x in want:
+        squarefree = polys._zmul(squarefree, [-x.numerator, x.denominator])
+    G, a, disc = polys._monic_form(F(squarefree))
+    assert disc and sorted(polys._integer_roots(G, disc)) == sorted(a * x for x in want)
 
 
 def test_big_constant_quartic_is_reducible():

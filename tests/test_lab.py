@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padiccf import lab
+from padiccf.cfrac import ALGORITHMS
 from padiccf.errors import CapExceeded, ConfigError, HViolation, StreamExhausted
 from padiccf.field import independent_with_one, validate_minpoly
 from padiccf.lab import (
@@ -408,3 +410,34 @@ def test_z_set_rejects_degree_below_two(degree):
     with pytest.raises(HViolation) as info:
         build_z_set(2, degree)
     assert info.value.clause == "degree"
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 25), st.sampled_from([1.0, 2.5, -1.0]),
+                    st.text(max_size=3), st.sampled_from(ALGORITHMS))
+COUNTS = ("suite_size", "max_steps", "height_exponent", "jobs", "z_limit")
+ENTRIES = st.fixed_dictionaries({"algo": st.sampled_from(ALGORITHMS)},
+                                optional={key: st.one_of(st.sampled_from([1, -1, 2]), SCALARS)
+                                          for key in ("eps", "lookahead")})
+CONFIGS = st.fixed_dictionaries(
+    {"primes": st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=2, unique=True),
+     "degree": st.integers(2, 4),
+     "algorithms": st.lists(ENTRIES, min_size=1, max_size=2, unique_by=lambda e: e["algo"])},
+    optional={key: st.integers(1, 3) for key in COUNTS})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=CONFIGS, value=st.one_of(SCALARS, st.lists(SCALARS, max_size=2)),
+       target=st.sampled_from([None, "primes", "primes[0]", "degree", "algorithms", "algorithms[0]", "suite-size",
+                               *COUNTS]))
+def test_config_json_fuzz_gives_a_config_or_config_error(data, value, target):
+    """A config with one field or list item replaced by JSON-like junk
+    loads or is a ConfigError."""
+    if target is not None and target.endswith("[0]"):
+        data[target[:-3]][0] = value
+    elif target is not None:
+        data[target] = value
+    try:
+        cfg = RunConfig.from_json(data)
+    except ConfigError:
+        return
+    assert cfg.degree == data["degree"] and cfg.primes == tuple(data["primes"])

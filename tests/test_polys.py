@@ -68,12 +68,6 @@ class TestCertificates:
         assert polys.certificate_prime(f, 3) is None
         assert polys.is_irreducible_exact(f)
 
-    def test_rational_roots(self):
-        assert polys.rational_roots(P(-4, 0, 1)) == [Q(-2), Q(2)]
-        assert polys.rational_roots(P(0, 1, 1)) == [Q(-1), Q(0)]
-        assert polys.rational_roots(P(2, 1, 1)) == []
-        assert Q(1, 2) in polys.rational_roots(P(-1, 1, 2))  # (2x-1)(x+1)
-
     def test_exact_irreducibility_basics(self):
         assert polys.is_irreducible_exact(P(2, 1, 1))
         assert not polys.is_irreducible_exact(P(-4, 0, 1))
