@@ -8,7 +8,6 @@ from .rationals import (
     BACKEND,
     ORD_INF,
     Q,
-    absp,
     head_tail,
     height,
     omega,

@@ -15,6 +15,10 @@ T(x) = (M (x, 1))[:s] / (M (x, 1))[s].  Both directions evaluate the same
 way, forward with M and backward with its inverse; a last homogeneous
 coordinate of 0 is the pole of that direction.  The integer matrices are
 derived from the recorded parameters on first use and never serialized.
+A convergent replays the inverse steps on one primitive homogeneous
+integer point, from (0, .., 0, 1): each step is s + 1 integer dot products
+and one gcd against the step's scalar lambda (forward times inverse
+matrix is lambda I), and the rationals are built once, at the end.
 
 The fractional maps and the phi3 step work on the integer numerators and
 the denominator of each component: ``g_map`` scales them by eps p^e with
@@ -138,6 +142,13 @@ class CMapStep:
         n = len(fwd)
         rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(fwd)]
         return _integer_rows(solve(rows, n, "singular step matrix")[1])
+
+    @cached_property
+    def inverse_scale(self) -> int:
+        """The lambda of ``forward_matrix`` . ``inverse_matrix`` = lambda I.
+        The inverse matrix times a primitive integer point has content
+        dividing lambda, so one gcd against it makes the image primitive."""
+        return sum(map(operator.mul, self.forward_matrix[-1], (row[-1] for row in self.inverse_matrix)))
 
     def to_json(self):
         return {
@@ -542,21 +553,28 @@ def _integer_rows(rows) -> tuple:
     return tuple(tuple(c // g for c in row) for row in ints)
 
 
+def _homogeneous_apply(rows: tuple, point, pole: str) -> list:
+    """rows times an integer point; PoleHit when the image's last
+    (homogeneous) coordinate is 0."""
+    out = [sum(map(operator.mul, row, point)) for row in rows]
+    if not out[-1]:
+        raise PoleHit(pole)
+    return out
+
+
 def _projective_apply(rows: tuple, x, pole: str):
     """Evaluate a projective integer matrix at x, a VectorElement or a
     tuple of rationals or field elements: multiply by (x, 1) and divide by
     the last coordinate.  Rationals are first scaled to one integer
-    vector, which the projective map allows."""
+    point, which the projective map allows."""
     comps = x.components if isinstance(x, VectorElement) else tuple(x)
     field = next((c.minpoly for c in comps if isinstance(c, FieldElement)), None)
     if field is None:
         dens = [c.denominator for c in comps]
         den = math.lcm(*dens)
-        vec = [c.numerator * (den // d) for c, d in zip(comps, dens)]
-        vec.append(den)
-        *h, last = [sum(map(operator.mul, row, vec)) for row in rows]
-        if not last:
-            raise PoleHit(pole)
+        point = [c.numerator * (den // d) for c, d in zip(comps, dens)]
+        point.append(den)
+        *h, last = _homogeneous_apply(rows, point, pole)
         return tuple(Q(v, last) for v in h)
     vec = list(comps) + [field.one()]
     *h, last = [sum((v * m for m, v in zip(row, vec) if m), field.zero()) for row in rows]
@@ -578,10 +596,19 @@ def forward_step(step: CMapStep, x):
 def inverse_step(step: CMapStep, y):
     """Exact inverse of :func:`forward_step` on the image domain.
 
+    y is a vector as for :func:`forward_step`, or a primitive homogeneous
+    integer point: a list [h_1, .., h_s, h_0] standing for (h_i / h_0),
+    whose image is returned in the same form, primitive again.
+
     Raises PoleHit when the pivot coordinate hits the pole of the
     inverse fractional map.
     """
-    return _projective_apply(step.inverse_matrix, y, "inverse map evaluated at its pole")
+    pole = "inverse map evaluated at its pole"
+    if type(y) is not list:
+        return _projective_apply(step.inverse_matrix, y, pole)
+    out = _homogeneous_apply(step.inverse_matrix, y, pole)
+    g = math.gcd(step.inverse_scale, *out)
+    return [h // g for h in out] if g > 1 else out
 
 
 # --- expansion driver ---------------------------------------------------------
@@ -695,7 +722,10 @@ def expand(
 def convergent(record: ExpansionRecord, n: int):
     """Rational vector obtained by pulling 0 back through the first n
     inverse steps.  For finite expansions the sequence stabilizes, so n
-    past the recorded horizon is allowed there."""
+    past the recorded horizon is allowed there.
+
+    The pull-back carries one primitive homogeneous integer point, from
+    (0, .., 0, 1), and divides by its last coordinate once at the end."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > len(record.steps):
@@ -703,10 +733,11 @@ def convergent(record: ExpansionRecord, n: int):
             n = len(record.steps)
         else:
             raise ValueError("n exceeds the recorded steps")
-    y = tuple(QZERO for _ in record.initial.components)
+    point = [0] * len(record.initial.components) + [1]
     for k in range(n - 1, -1, -1):
-        y = inverse_step(record.steps[k], y)
-    return y
+        point = inverse_step(record.steps[k], point)
+    *h, last = point
+    return tuple(Q(v, last) for v in h)
 
 
 def in_E(emb: Embedding, vec: VectorElement) -> bool:

@@ -59,13 +59,6 @@ def ordp(q, p: int):
     return _vp_pos(q.numerator, p) - _vp_pos(q.denominator, p)
 
 
-def absp(q, p: int):
-    """p-adic absolute value p**(-ordp); 0 for the zero input."""
-    if not q:
-        return QZERO
-    return qpow(p, -ordp(q, p))
-
-
 def omega(q, p: int) -> int:
     """Digit c0 of the canonical expansion; 0 for the zero input.
 

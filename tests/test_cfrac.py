@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -647,6 +648,138 @@ class TestConvergents:
         rec = expand(k2.vector([k2.gen()]), "phi1")
         with pytest.raises(ValueError):
             convergent(rec, len(rec.steps) + 1)
+
+
+# s -> (p, minpoly coefficients) of a field of degree s + 1
+FIELDS = {1: (2, [1, 2]), 2: (2, [0, 1, 4]), 3: (2, [0, 0, 1, -20])}
+
+
+def _records_over(s, algo, eps, rng, steps=12):
+    """Two random records and one from (0, .., 0, z), whose zero components
+    make identity steps, run past any cycle."""
+    k = validate_minpoly(*FIELDS[s])
+    emb = Embedding(k)
+    vecs = [k.vector([k.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(s + 1)])
+                      for _ in range(s)]) for _ in range(2)]
+    vecs.append(k.vector([k.zero()] * (s - 1) + [k.gen()]))
+    return [expand(v, algo, eps=eps, max_steps=steps, height_exponent=200, embedding=emb, detect_cycles=False)
+            for v in vecs if not v.is_zero()]
+
+
+def _fold_closed_form(rec, n):
+    """0 pulled back through the first n steps by the closed-form inverse."""
+    y = (Q(0),) * len(rec.initial.components)
+    for step in reversed(rec.steps[:n]):
+        y = inverse_step_closed_form(step, y)
+    return y
+
+
+class TestConvergentsAgainstClosedForm:
+    @pytest.mark.parametrize("s", sorted(FIELDS))
+    @pytest.mark.parametrize("algo, eps", [("phi0", 1), ("phi1", -1), ("phi2", 1), ("phi3", 1)])
+    def test_every_horizon_equals_the_closed_form_fold(self, s, algo, eps, rng):
+        recs = _records_over(s, algo, eps, rng)
+        for rec in recs:
+            for n in range(len(rec.steps) + 1):
+                assert convergent(rec, n) == _fold_closed_form(rec, n), (s, algo, n)
+        if s > 1:
+            assert any(rec.identity_steps for rec in recs)
+        assert max(len(rec.steps) for rec in recs) >= 3
+
+    @pytest.mark.parametrize("s", sorted(FIELDS))
+    def test_homogeneous_point_agrees_with_its_affine_form(self, s, rng):
+        """inverse_step on a list (h_1, .., h_s, h_0) of ints returns a
+        primitive integer point whose ratios h_i / h_0 are the image of the
+        tuple (h_i / h_0)."""
+        for rec in _records_over(s, "phi1", 1, rng, steps=6):
+            for step in rec.steps:
+                for _ in range(4):
+                    point = [rng.randint(-50, 50) for _ in range(s)] + [rng.randint(1, 50)]
+                    point = [h // math.gcd(*point) for h in point]
+                    affine = tuple(Q(h, point[-1]) for h in point[:-1])
+                    try:
+                        want = inverse_step(step, affine)
+                    except PoleHit:
+                        with pytest.raises(PoleHit):
+                            inverse_step(step, point)
+                        continue
+                    got = inverse_step(step, point)
+                    assert type(got) is list and len(got) == s + 1
+                    assert math.gcd(*got) == 1
+                    assert tuple(Q(h, got[-1]) for h in got[:-1]) == want
+
+
+class TestIntermediatePole:
+    """A hand-built record over Q whose pull-back from 0 meets the inverse
+    pole at step 1 of 3: step 2 maps 0 to 1, and step 1's inverse
+    x = 1 / (y + w) has its pole at y = -w = 1.  Replay stops there with
+    PoleHit although the composed projective map is defined at 0."""
+
+    @staticmethod
+    def record(kq):
+        def step(w):
+            return cfrac.CMapStep(2, 1, 1, False, (Q(1),), (0,), (Q(w),), RationalMatrix([[1]]), (Q(0),))
+
+        steps = [step(2), step(-1), step(1)]
+        return ExpansionRecord("phi0", 1, None, False, steps, [kq.vector([Q(0)])] * 4,
+                               cfrac.Status("step_limit", 3))
+
+    def test_replay_and_closed_form_stop_at_the_same_step(self, kq, monkeypatch):
+        rec = self.record(kq)
+        assert convergent(rec, 1) == _fold_closed_form(rec, 1) == (Q(1, 2),)
+        assert convergent(rec, 2) == _fold_closed_form(rec, 2) == (Q(1),)
+        calls = []
+        real = cfrac.inverse_step
+
+        def spy(step, y):
+            calls.append(step)
+            return real(step, y)
+
+        monkeypatch.setattr(cfrac, "inverse_step", spy)
+        with pytest.raises(PoleHit):
+            convergent(rec, 3)
+        assert len(calls) == 2 and calls[-1] is rec.steps[1]
+        y = inverse_step_closed_form(rec.steps[2], (Q(0),))
+        assert y == (Q(1),)
+        with pytest.raises(ClosedFormPole):
+            inverse_step_closed_form(rec.steps[1], y)
+
+    def test_the_composed_map_is_defined_there(self, kq):
+        rec = self.record(kq)
+        point = (0, 1)
+        for step in reversed(rec.steps):
+            point = tuple(sum(a * b for a, b in zip(row, point)) for row in step.inverse_matrix)
+        assert point[1] and point[0] == 0
+
+
+class TestPeriodicity:
+    """The paper's Lagrange-type periodicity in matrix form: on a periodic
+    record, the product of the period's forward matrices fixes
+    (alpha_pre, 1) projectively.  Cycle detection compares canonical
+    remainders; this checks its verdicts by a different computation."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_period_product_fixes_the_preperiod_remainder(self, p):
+        periodic = 0
+        for mp in build_z_set(p, 3)[:3]:
+            emb = Embedding(mp)
+            for alpha in _suite_vectors(mp, 3, 4):
+                for algo in ("phi1", "phi3"):
+                    rec = expand(alpha, algo, max_steps=60, embedding=emb)
+                    st = rec.status
+                    if st.kind != "periodic":
+                        continue
+                    periodic += 1
+                    prod = None
+                    for step in rec.steps[st.preperiod:st.index]:
+                        m = step.forward_matrix
+                        prod = m if prod is None else tuple(
+                            tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*prod)) for row in m)
+                    v = list(rec.remainders[st.preperiod].components) + [mp.one()]
+                    *h, last = [sum((c * x for c, x in zip(row, v) if c), mp.zero()) for row in prod]
+                    assert not last.is_zero()
+                    assert all(hi == vi * last for hi, vi in zip(h, v)), (algo, st)
+        assert periodic >= 12
 
 
 class TestContraction:

@@ -8,7 +8,6 @@ from padiccf.rationals import (
     PRIME_BOUND,
     Q,
     _vp_pos,
-    absp,
     check_prime,
     head_tail,
     height,
@@ -39,10 +38,6 @@ class TestOrd:
         # p^3 * a/b with p coprime to ab
         for p in (2, 5):
             assert ordp(Q(p**3 * 3, 7), p) == 3
-
-    def test_absolute_value(self):
-        assert absp(Q(7, 2), 2) == Q(2)
-        assert absp(Q(0), 2) == 0
 
     @given(rationals.filter(bool), primes)
     def test_unit_part_has_valuation_zero(self, q, p):

@@ -1,6 +1,7 @@
 """Smoke test of the repository tools."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -95,3 +96,49 @@ def test_pairs_passes_compile_from_source(monkeypatch, tmp_path):
     (first, empty1, flag1, cwd), (second, empty2, flag2, _) = seen
     assert cwd == tmp_path and empty1 and empty2 and flag1 == flag2 == "1"
     assert first != second and not first.exists() and not second.exists()
+
+
+def test_pairs_digest_is_the_golden_digest():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import golden
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    output = [{"b": [1, 2], "a": "x"}, "2,3\n"]
+    assert _load_pairs().digest(output) == golden.digest(output)
+
+
+@pytest.mark.parametrize("differ", [False, True])
+def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, differ):
+    """``--out`` writes each pair's metrics and output digests on both
+    sides, who ran first, and the summary of those metrics; differing
+    outputs show as unequal digests and exit 1."""
+    pairs = _load_pairs()
+    ref = pairs.PROBE_REF_S
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    times = {parent: iter([2.0, 2.2, 2.4, 2.0]), change: iter([1.4, 1.6, 1.4, 1.5])}
+    calls = []
+
+    def fake_pass(checkout, workload, seed):
+        calls.append(checkout)
+        output = ["table", "other" if differ and checkout == change else "same"]
+        return {"probes": [ref] * 2, "pass_s": next(times[checkout]) + 2 * ref, "lat": [1e-3, None],
+                "rss_mb": 20.0, "errors": [], "output": output}
+
+    monkeypatch.setattr(pairs, "run_pass", fake_pass)
+    out = tmp_path / "BENCH_t.json"
+    argv = [str(parent), str(change), "--workload", "convergents", "--seed", "11", "--pairs", "4", "--out", str(out)]
+    assert pairs.main(argv) == int(differ)
+    assert calls == [parent, change, change, parent] * 2
+    doc = json.loads(out.read_text())
+    assert (doc["workload"], doc["seed"], doc["outputs_match"]) == ("convergents", 11, not differ)
+    assert [row["first"] for row in doc["pairs"]] == ["parent", "change"] * 2
+    for row in doc["pairs"]:
+        assert set(row["parent"]) == set(row["change"]) == {*pairs.METRICS, "errors", "digest"}
+        assert row["parent"]["digest"] == pairs.digest(["table", "same"])
+        assert (row["parent"]["digest"] == row["change"]["digest"]) is not differ
+    assert [row["parent"]["pass_s"] for row in doc["pairs"]] == pytest.approx([2.0, 2.2, 2.4, 2.0])
+    summary = doc["summary"]["pass_s"]
+    assert (summary["won"], summary["lost"], summary["gain"]) == (4, 0, True)
+    assert summary["parent"] == pytest.approx([2.0, 2.1, 2.25])
+    assert ("the outputs differ" in capsys.readouterr().err) is differ

@@ -1,6 +1,6 @@
 """Alternating pairs of benchmark passes between two checkouts.
 
-    python tools/pairs.py PARENT CHANGE --workload census_phi3 --seed 11 --pairs 10
+    python tools/pairs.py PARENT CHANGE --workload census_phi3 --seed 11 --pairs 10 [--out BENCH_tag.json]
 
 Each pair runs ``perfbench/onepass.py`` once in each checkout, in a fresh
 interpreter, and the side that runs first alternates from pair to pair.
@@ -19,6 +19,14 @@ metric, each side's median and quartiles and the pairs the change won
 change wins at least nine tenths of the pairs and its median beats the
 parent's by more than the distance between the parent's quartiles.
 
+With ``--out`` it also writes that evidence as JSON: for each pair, the
+side that ran first and both sides' metrics with the sha256 of the pass's
+output (as ``perfbench/golden.py`` digests it), and the summary above.
+Equal digests on both sides of every pair show the change left the
+outputs as they were.  A pass's full output and latencies are dropped as
+soon as its metrics and digest are read, so this process stays small: a
+pass's peak RSS counts this process's peak at spawn time.
+
 Exits 1 when a pass fails, reports op errors, or the two sides print
 different outputs.
 """
@@ -26,8 +34,10 @@ different outputs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -68,6 +78,17 @@ def pass_metrics(data: dict) -> dict:
     }
 
 
+def digest(output) -> str:
+    """sha256 of a pass's output, as ``perfbench/golden.py`` computes it."""
+    return hashlib.sha256(json.dumps(output, sort_keys=True).encode()).hexdigest()
+
+
+def kept(data: dict) -> dict:
+    """What is kept of one pass: its :func:`pass_metrics`, its op error
+    count and the digest of its output."""
+    return {**pass_metrics(data), "errors": len(data["errors"]), "digest": digest(data["output"])}
+
+
 def quartiles(xs) -> tuple:
     """(lower quartile, median, upper quartile)."""
     if len(xs) < 2:
@@ -96,35 +117,55 @@ def summarize(pairs) -> dict:
     return out
 
 
-def main() -> int:
+def evidence(workload: str, seed: int, rows) -> dict:
+    """The ``--out`` document over rows of (side run first, parent
+    :func:`kept`, change :func:`kept`)."""
+    return {
+        "workload": workload,
+        "seed": seed,
+        "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
+        "pairs": [{"first": first, "parent": old, "change": new} for first, old, new in rows],
+        "outputs_match": all(old["digest"] == new["digest"] for _, old, new in rows),
+        "summary": summarize([(old, new) for _, old, new in rows]),
+    }
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    args = ap.parse_args()
-    pairs, bad = [], False
+    ap.add_argument("--out", type=Path, help="write the pairs, digests and summary to this JSON file")
+    args = ap.parse_args(argv)
+    paths = {"parent": args.parent, "change": args.change}
+    rows, bad = [], False
     print("pair first   " + "  ".join(f"{m:>11} {m:>11}" for m in METRICS))
     for k in range(args.pairs):
-        order = [args.parent, args.change] if k % 2 == 0 else [args.change, args.parent]
-        got = {path: run_pass(path, args.workload, args.seed) for path in order}
-        pair = (got[args.parent], got[args.change])
-        for d in pair:
-            if d["errors"]:
-                print(f"errors: {d['errors'][:3]}", file=sys.stderr)
-                bad = True
-        if pair[0]["output"] != pair[1]["output"]:
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        got = {}
+        for name in order:
+            data = run_pass(paths[name], args.workload, args.seed)
+            for err in data["errors"][:3]:
+                print(f"{name}: {err}", file=sys.stderr)
+            got[name] = kept(data)
+            del data  # not held while the next pass spawns
+        old, new = got["parent"], got["change"]
+        first = order[0]
+        bad |= bool(old["errors"] or new["errors"])
+        if old["digest"] != new["digest"]:
             print(f"pair {k}: the outputs differ", file=sys.stderr)
             bad = True
-        old, new = (pass_metrics(d) for d in pair)
-        pairs.append((old, new))  # only the metrics, to keep this process small
-        first = "parent" if k % 2 == 0 else "change"
+        rows.append((first, old, new))
         print(f"{k:4d} {first:6} " + "  ".join(f"{old[m]:11.4f} {new[m]:11.4f}" for m in METRICS), flush=True)
-    for name, row in summarize(pairs).items():
+    doc = evidence(args.workload, args.seed, rows)
+    for name, row in doc["summary"].items():
         fmt = lambda q: "/".join(f"{x:.4f}" for x in q)  # noqa: E731
         print(f"{name}: parent {fmt(row['parent'])}  change {fmt(row['change'])}  (q1/median/q3)  "
-              f"won {row['won']}/{len(pairs)}, lost {row['lost']}  gain {'yes' if row['gain'] else 'no'}")
+              f"won {row['won']}/{len(rows)}, lost {row['lost']}  gain {'yes' if row['gain'] else 'no'}")
+    if args.out:
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 1 if bad else 0
 
 
