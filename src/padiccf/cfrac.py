@@ -21,9 +21,10 @@ and one gcd against the step's scalar lambda (forward times inverse
 matrix is lambda I), and the rationals are built once, at the end.
 
 The fractional maps and the phi3 step work on the integer numerators and
-the denominator of each component: ``g_map`` scales them by eps p^e with
-one gcd and subtracts the integer digit from the constant numerator,
-``h_map`` normalizes and takes digit heads on them, and ``step_phi3``
+the denominator of each component: ``g_map`` scales each component by
+eps p^e through ``field._scale`` and subtracts the integer digit from the
+constant numerator, ``h_map`` divides by the unit normalizer through the
+same routine and takes digit heads on the numerators, and ``step_phi3``
 p-reduces the z-parts of the image as integer rows (``RationalMatrix``),
 applies the transformer to the constant column by integer dot products
 and builds the next remainder from the reduced rows.  Only the recorded
@@ -42,11 +43,11 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import CapExceeded, PoleHit, RecordFormatError
-from .field import FieldElement, MinPoly, VectorElement, _reduced, denom_z, height_z
+from .errors import CapExceeded, PoleHit, RecordFormatError, Reducible
+from .field import FieldElement, MinPoly, VectorElement, _reduced, _scale, denom_z, height_z
 from .hensel import Embedding
-from .preduce import RationalMatrix, p_reduce, solve
-from .rationals import ORD_INF, Q, QONE, QZERO, head_num, qformat, qparse_list, qpow
+from .preduce import RationalMatrix, p_reduce, scale_rows, solve
+from .rationals import ORD_INF, Q, QONE, QZERO, head_num, qformat, qparse_list
 
 
 def _checked(data, key, ok):
@@ -124,7 +125,7 @@ class CMapStep:
             rows.append([QZERO] * s + [QONE])
         else:
             j = self.pivot - 1
-            k = [c * qpow(self.p, e) for c, e in zip(self.coeffs, self.exps)]
+            k = [c * Q(self.p) ** e for c, e in zip(self.coeffs, self.exps)]
             rows = []
             for row, g in zip(a, self.gamma):
                 out = [arc * kc for arc, kc in zip(row, k)] + [row[j] * k[j]]
@@ -311,13 +312,20 @@ class ExpansionRecord:
     def _replay(self):
         """RecordFormatError unless every step is invertible and maps its
         remainder to the next one, and the last remainder is what the
-        status says."""
-        rems = self.remainders
+        status says.  A step's identity flag and exponents must be the ones
+        :func:`g_map` assigns at its remainder, as every builder records
+        them; this is checked first, so a forged exponent never builds its
+        power of p."""
+        rems, emb = self.remainders, None
         for k, step in enumerate(self.steps):
             try:
+                emb = emb or Embedding(rems[0].minpoly)
+                g_step = g_map(emb, rems[k], step.eps, step.pivot)[0]
+                if (step.identity, step.exps) != (g_step.identity, g_step.exps):
+                    raise RecordFormatError(f"step {k}'s identity flag or exponents differ from g_map's at remainder {k}")
                 image = forward_step(step, rems[k])
                 step.inverse_matrix  # a convergent pulls back through every step
-            except (PoleHit, ZeroDivisionError) as exc:
+            except (PoleHit, ZeroDivisionError, Reducible) as exc:
                 raise RecordFormatError(f"step {k} is undefined at remainder {k} or not invertible: {exc}") from exc
             if image != rems[k + 1]:
                 raise RecordFormatError(f"remainder {k + 1} is not the image of remainder {k} under step {k}")
@@ -340,11 +348,10 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     of the anchor lands in pZ_p.  A zero pivot yields the identity.
     Returns (step, F(alpha)), the step with A = I and gamma = 0.
 
-    The map runs on numerators.  Scaling nums/den by eps p^e takes one
-    gcd: p^e can share factors only with den, and p^-e only with the nums.
-    The integer digit om leaves den as it is (nums_0 - om den over den),
-    and gcd(den, nums) does not change, so the image needs no reduction;
-    only the recorded shift is a ``Fraction``.
+    Each component is scaled by eps p^e with ``field._scale``.  The
+    integer digit om leaves den as it is (nums_0 - om den over den), and
+    gcd(den, nums) does not change, so the image needs no reduction; only
+    the recorded shift is a ``Fraction``.
     """
     comps = alpha.components
     aj = comps[j - 1]
@@ -352,7 +359,7 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     eye, zero = RationalMatrix.identity(s), (QZERO,) * s
     if aj.is_zero():
         return CMapStep(emb.p, j, eps, True, (QONE,) * s, (0,) * s, zero, eye, zero), alpha
-    p, mp = emb.p, alpha.minpoly
+    p = emb.p
     m = emb.ord(aj)
     inv_aj = aj.inverse()
     exps, shifts, image = [], [], []
@@ -363,20 +370,11 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
             oi = emb.ord(ai)
             e = max(m - oi, 0) if oi is not ORD_INF else 0
             val = ai * inv_aj
-        nums, den = val.nums, val.den
-        if e >= 0:
-            pe = p ** e
-            g = math.gcd(pe, den)
-            k = eps * (pe // g)
-            nums, den = tuple(x * k for x in nums), den // g
-        else:
-            pe = p ** -e
-            g = math.gcd(pe, *nums)
-            nums, den = tuple(x // g * eps for x in nums), den * (pe // g)
-        om = emb.omega(FieldElement(mp, nums, den))
+        val = _scale(val, eps * p ** max(e, 0), p ** max(-e, 0))
+        om = emb.omega(val)
         exps.append(e)
         shifts.append(Q(om))
-        image.append(FieldElement(mp, (nums[0] - om * den,) + nums[1:], den))
+        image.append(FieldElement(val.minpoly, (val.nums[0] - om * val.den,) + val.nums[1:], val.den))
     step = CMapStep(p, j, eps, False, (Q(eps),) * s, tuple(exps), tuple(shifts), eye, zero)
     return step, VectorElement(image)
 
@@ -401,8 +399,7 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     the resulting constant coefficient is subtracted.  Keeps images in
     pZ_p while shrinking coefficient denominators.
 
-    Both run on numerators: nums/den over a unit a shares with it only
-    factors of the nums, which one gcd removes, and the head of the
+    The division by the unit a is ``field._scale``.  The head of the
     constant coefficient nums_0/den, den = p^t u, is (r u)/den for its
     digits r/p^t, so the image keeps den and takes r u as nums_0.  The
     recorded coefficient is eps/a and the shift om/a + (nums_0 - r u)/den
@@ -414,10 +411,8 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     coeffs, shifts, image = [], [], []
     for w, g_img in zip(g_step.shifts, g_image):
         ap = _unit_normalizer(g_img, p)
+        g_img = _scale(g_img, 1, ap) if ap != 1 else g_img
         nums, den = g_img.nums, g_img.den
-        if ap != 1:
-            g = math.gcd(ap, *nums)
-            nums, den = tuple(x // g for x in nums), den * (ap // g)
         hd = head_num(nums[0], den, p, 0)
         coeffs.append(Q(eps, ap))
         shifts.append(Q(w.numerator * den + ap * (nums[0] - hd), ap * den))
@@ -459,11 +454,12 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
 
     The product of denom_z along each branch of candidate images is
     minimized recursively; ties break to the least index.  ``memo`` maps
-    each remainder the tree visits to its s ``h_map`` (step, image) pairs
-    and its subtree costs by depth, so repeated subtrees are shared and,
-    through :func:`step_phi2`, the steps of one expansion share their
-    trees.  A step holds little of its own: ``h_map`` steps share the
-    cached identity matrix and the zero gamma.
+    each remainder the tree visits to its s ``h_map`` (step, image) pairs,
+    so repeated subtrees map once and, through :func:`step_phi2`, the
+    steps of one expansion share their trees.  Subtree costs are not
+    kept: a remainder seldom recurs at the same depth.  A step holds
+    little of its own: ``h_map`` steps share the cached identity matrix
+    and the zero gamma.
     """
     if n < 1:
         raise ValueError("lookahead depth must be >= 1")
@@ -473,21 +469,17 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
     memo = memo if memo is not None else {}
 
     def node(vec):
-        out = memo.get(vec)
-        if out is None:
-            out = memo[vec] = (tuple(h_map(emb, vec, eps, i) for i in range(1, s + 1)), {})
-        return out
+        pairs = memo.get(vec)  # one hash per hit: a vector's hash is not cached
+        if pairs is None:
+            pairs = memo[vec] = tuple(h_map(emb, vec, eps, i) for i in range(1, s + 1))
+        return pairs
 
     def v(vec, depth):
         if depth == 0:
             return 1
-        pairs, costs = node(vec)
-        out = costs.get(depth)
-        if out is None:
-            out = costs[depth] = min(denom_z(img) * v(img, depth - 1) for _, img in pairs)
-        return out
+        return min(denom_z(img) * v(img, depth - 1) for _, img in node(vec))
 
-    costs = [denom_z(img) * v(img, n) for _, img in node(alpha)[0]]
+    costs = [denom_z(img) * v(img, n) for _, img in node(alpha)]
     return costs.index(min(costs)) + 1
 
 
@@ -500,13 +492,13 @@ def step_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None)
     j = lookahead_phi2(emb, alpha, eps, n, memo)
     if len(alpha) == 1:  # one pivot and no tree
         return h_map(emb, alpha, eps, j)
-    chosen = memo[alpha][0][j - 1]
+    chosen = memo[alpha][j - 1]
     keep, todo = set(), [chosen[1]]
     while todo:
         vec = todo.pop()
         if vec not in keep and vec in memo:
             keep.add(vec)
-            todo.extend(img for _, img in memo[vec][0])
+            todo.extend(img for _, img in memo[vec])
     for vec in memo.keys() - keep:
         del memo[vec]
     return chosen
@@ -570,10 +562,7 @@ def _projective_apply(rows: tuple, x, pole: str):
     comps = x.components if isinstance(x, VectorElement) else tuple(x)
     field = next((c.minpoly for c in comps if isinstance(c, FieldElement)), None)
     if field is None:
-        dens = [c.denominator for c in comps]
-        den = math.lcm(*dens)
-        point = [c.numerator * (den // d) for c, d in zip(comps, dens)]
-        point.append(den)
+        (point,), _ = scale_rows([list(comps) + [QONE]])
         *h, last = _homogeneous_apply(rows, point, pole)
         return tuple(Q(v, last) for v in h)
     vec = list(comps) + [field.one()]

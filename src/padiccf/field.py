@@ -269,7 +269,7 @@ class FieldElement:
             self._check(other)
             return _mul(self, other)
         if _is_scalar(other):
-            return _scale(self, Q(other))
+            return _scale(self, other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -279,12 +279,12 @@ class FieldElement:
             self._check(other)
             return _mul(self, other.inverse())
         if _is_scalar(other):
-            return _scale(self, QONE / other)
+            return self * (QONE / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if _is_scalar(other):
-            return _scale(self.inverse(), Q(other))
+            return _scale(self.inverse(), other.numerator, other.denominator)
         return NotImplemented
 
     def __pow__(self, e: int):
@@ -388,13 +388,16 @@ def _sum(a: FieldElement, b: FieldElement, sign: int) -> FieldElement:
     return _reduced(a.minpoly, tuple(x * ka + y * kb for x, y in zip(a.nums, b.nums)), da * ka, g)
 
 
-def _scale(a: FieldElement, c) -> FieldElement:
-    """a c for a rational c = u/v in lowest terms: u can share factors
-    only with d_a, and v only with the numerators of a."""
-    g1 = math.gcd(c.numerator, a.den)
-    g2 = math.gcd(c.denominator, *a.nums)
-    u, v = c.numerator // g1, c.denominator // g2
-    return FieldElement(a.minpoly, tuple(x // g2 * u for x in a.nums), a.den // g1 * v)
+def _scale(a: FieldElement, u: int, v: int) -> FieldElement:
+    """a u/v for coprime ints u and v > 0: u can share factors only with
+    d_a, and v only with the numerators of a.  The package's one scaling
+    of an element by a rational; a factor reduced to 1 makes no pass over
+    the numerators."""
+    g1 = math.gcd(u, a.den)
+    g2 = math.gcd(v, *a.nums)
+    u, v = u // g1, v // g2
+    nums = a.nums if g2 == 1 else tuple(x // g2 for x in a.nums)
+    return FieldElement(a.minpoly, nums if u == 1 else tuple(x * u for x in nums), a.den // g1 * v)
 
 
 def _mul(a: FieldElement, b: FieldElement) -> FieldElement:

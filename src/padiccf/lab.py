@@ -2,11 +2,10 @@
 batch classification and table emission.
 
 The pseudorandom source is the binary expansion of the positive real root
-of a fixed quadratic, computed by exact integer comparisons (no floating
-point anywhere): with partial sum N/2^k, the next bit is 1 exactly when
-the polynomial is still negative at (2N+1)/2^(k+1).  Bytes pack eight
-bits least-significant-first; test elements draw (denominator-1,
-numerator, sign) byte triples per basis coefficient.
+of a fixed quadratic, read exactly (no floating point anywhere) from one
+integer square root: the first k bits are floor(r 2^k) for the root r.
+Bytes pack eight bits least-significant-first; test elements draw
+(denominator-1, numerator, sign) byte triples per basis coefficient.
 """
 
 from __future__ import annotations
@@ -36,9 +35,16 @@ class BitStream:
     When the root exceeds 1 it is shifted to its fractional part first
     (x -> x + 1 substitutions keep the trinomial shape); a rational root
     has no usable digit stream and is rejected.
+
+    For the shifted root r = (sqrt(b^2 + 4c) - b)/2 in (0, 1), the first k
+    bits are the k binary digits of
+    floor(r 2^k) = (isqrt((b^2 + 4c) 4^k) - b 2^k) >> 1,
+    exact because floor(x/2) = floor(floor(x)/2) for real x.  Each
+    extension at least doubles k, so reading n bits one by one takes
+    about log2(n) square roots, the last of a 2n-bit integer.
     """
 
-    __slots__ = ("b", "c", "_bits", "_n", "_r")
+    __slots__ = ("b", "c", "_bits")
 
     def __init__(self, selector):
         if isinstance(selector, str):
@@ -51,33 +57,22 @@ class BitStream:
                 raise ValueError("rational root, degenerate bit stream")
             b, c = b + 2, c - b - 1
         self.b, self.c = b, c
-        self._bits = []  # d_1, d_2, ... (1-based in the formulas)
-        self._n = 0  # partial sum numerator N: sum d_j 2^(k-j)
-        self._r = c  # -4^k f(N/2^k) = c 4^k - N^2 - b N 2^k, positive
+        self._bits = ""  # d_1 d_2 .. d_k as the digits of floor(r 2^k)
 
     def _extend(self, upto: int):
-        """Bit k is 1 iff 4^k f((2N+1)/2^k) < 0, that is iff s = 4r - 4N - 1
-        - b 2^k > 0 for the scaled remainder r of the first k-1 bits; the
-        next remainder is s after a 1 and 4r after a 0, so a bit costs a few
-        additions of k-bit integers."""
-        k, n, r, b = len(self._bits), self._n, self._r, self.b
-        while k < upto:
-            k += 1
-            s = 4 * r - 4 * n - 1 - (b << k)
-            bit = 1 if s > 0 else 0
-            n, r = 2 * n + bit, s if bit else 4 * r
-            self._bits.append(bit)
-        self._n, self._r = n, r
+        if len(self._bits) < upto:
+            k, b = max(upto, 2 * len(self._bits)), self.b
+            self._bits = format((math.isqrt((b * b + 4 * self.c) << (2 * k)) - (b << k)) >> 1, f"0{k}b")
 
     def bit(self, k: int) -> int:
         """d_k, 1-based."""
         self._extend(k)
-        return self._bits[k - 1]
+        return int(self._bits[k - 1])
 
     def byte(self, i: int) -> int:
         """e_i = sum 2^(k-1) d_(8i+k), least significant bit first."""
         self._extend(8 * i + 8)
-        return byte_stream(self._bits[8 * i:8 * i + 8])[0]
+        return int(self._bits[8 * i:8 * i + 8][::-1], 2)
 
 
 def irrational_bits(selector, count: int):
@@ -120,15 +115,18 @@ def _stream_polys(s: int):
     return out
 
 
-def build_test_set(minpoly: MinPoly, s: int, size: int = 100, max_index: int = 100_000) -> TestSuite:
+MAX_DRAWS = 100_000  # draws a suite may take before StreamExhausted
+
+
+def build_test_set(minpoly: MinPoly, s: int, size: int = 100) -> TestSuite:
     """Draw vectors until ``size`` distinct admissible ones are collected.
 
     Component j comes from stream j; coefficient r of a component uses the
     byte triple (denominator-1, numerator, sign) at offset 3(s+1)i + 3r.
     Vectors whose components are rationally dependent with 1 are rejected
     (for s = 1 that is exactly the rational draws); duplicates collapse.
-    An s outside 1 <= s < degree or a size below 1 is a ValueError before
-    any draw.
+    More than MAX_DRAWS draws raise StreamExhausted.  An s outside
+    1 <= s < degree or a size below 1 is a ValueError before any draw.
     """
     if not 1 <= s < minpoly.degree:
         raise ValueError(f"s must be at least 1 and below the degree {minpoly.degree}, got {s}")
@@ -139,8 +137,8 @@ def build_test_set(minpoly: MinPoly, s: int, size: int = 100, max_index: int = 1
     rejected = []
     i = 0
     while len(chosen) < size:
-        if i > max_index:
-            raise StreamExhausted(f"no {size} elements within {max_index} draws")
+        if i > MAX_DRAWS:
+            raise StreamExhausted(f"no {size} elements within {MAX_DRAWS} draws")
         comps = []
         for stream in streams:
             coeffs = []

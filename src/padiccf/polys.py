@@ -261,17 +261,6 @@ def _edf(g, k, q, rng):
             return _edf(d, k, q, rng) + _edf(_mdivmod(g, d, q)[0], k, q, rng)
 
 
-def irreducible_mod_q(f_int, q: int) -> bool:
-    """Monic integer f irreducible over GF(q): distinct-degree
-    factorization finds no factor of degree below n."""
-    f = _mtrim(list(f_int), q)
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    inv = pow(f[-1], -1, q)
-    return _pattern(_ddf([c * inv % q for c in f], q)) == (n,)
-
-
 # --- certification -------------------------------------------------------------
 
 CERTIFICATE_TRIES = 25

@@ -38,13 +38,6 @@ QZERO = Q(0)
 QONE = Q(1)
 
 
-def qpow(p: int, e: int):
-    """p**e as an exact rational, e may be negative."""
-    if e >= 0:
-        return Q(p ** e)
-    return Q(1, p ** (-e))
-
-
 def vp_int(n, p: int):
     """p-adic valuation of an integer; ORD_INF for 0."""
     if n == 0:

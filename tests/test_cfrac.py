@@ -1063,6 +1063,28 @@ class TestRecordJson:
         with pytest.raises(PadiccfError):
             expand(rec.initial, "phi1")
 
+    @pytest.mark.parametrize("forged", [10**12, -10**12, "identity"])
+    def test_forged_exponent_or_identity_is_refused_before_the_step_matrix(self, k3_p3, monkeypatch, forged):
+        """A step's identity flag and exponents are checked against the ones
+        g_map assigns at its remainder before the step matrix, which holds
+        p^e, is built: a huge exponent costs no work."""
+        z = k3_p3.gen()
+        data = expand(k3_p3.vector([z, z * z]), "phi1", max_steps=3).to_json()
+        assert len(data["steps"]) == 3 and data["identity_steps"] == 0
+        step = data["steps"][0]
+        if forged == "identity":
+            step["identity"] = True
+            data["identity_steps"] = 1
+        else:
+            step["exps"][0] = forged
+
+        def no_matrix(self):
+            raise AssertionError("the step matrix was built")
+
+        monkeypatch.setattr(cfrac.CMapStep, "forward_matrix", property(no_matrix))
+        with pytest.raises(RecordFormatError, match="differ from g_map"):
+            ExpansionRecord.from_json(data)
+
     @pytest.mark.parametrize("data", [{"format": 2}, {"format": 2, "minpoly": {}}, {}, []])
     def test_unknown_format_is_typed_error(self, data):
         with pytest.raises(RecordFormatError, match="format") as info:

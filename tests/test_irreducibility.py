@@ -146,9 +146,10 @@ def test_distinct_degree_patterns_match_brute_force(q, data):
     degree = data.draw(st.integers(1, 5))
     f = [data.draw(st.integers(0, q - 1)) for _ in range(degree)] + [1]
     factors = oracles.brute_factors(f, q)
-    assert polys.irreducible_mod_q(f, q) == (len(factors) == 1)
+    pattern = polys._pattern(polys._ddf(f, q))  # f is monic mod q
+    assert (pattern == (degree,)) == (len(factors) == 1)
     assume(len(set(factors)) == len(factors))  # squarefree
-    assert polys._pattern(polys._ddf(f, q)) == tuple(sorted(len(g) - 1 for g in factors))
+    assert pattern == tuple(sorted(len(g) - 1 for g in factors))
 
 
 @settings(max_examples=60, deadline=None)

@@ -50,6 +50,19 @@ class TestBits:
         hi = q + Fraction(1, 2**40)
         assert hi * hi + b * hi - c > 0
 
+    @pytest.mark.parametrize("selector", list(dict.fromkeys([*lab.SELECTORS.values(), *lab._stream_polys(5)])))
+    def test_deep_bits_bracket_the_root(self, selector):
+        """The first k = 100000 bits N/2^k bracket the shifted root:
+        N^2 + b N 2^k - c 4^k < 0 < (N+1)^2 + b (N+1) 2^k - c 4^k, whether
+        the bits are read one at a time or in one jump."""
+        k = 100_000
+        step, jump = BitStream(selector), BitStream(selector)
+        bits = [step.bit(i) for i in range(1, k + 1)]
+        jump.bit(k)
+        assert [jump.bit(i) for i in range(1, k + 1)] == bits
+        n, b, c = int("".join(map(str, bits)), 2), step.b, step.c
+        assert n * n + b * n * 2**k - c * 4**k < 0 < (n + 1) ** 2 + b * (n + 1) * 2**k - c * 4**k
+
     def test_prefix_stability(self):
         st = BitStream("x2+x-1")
         early = [st.bit(k) for k in range(1, 17)]
@@ -133,9 +146,10 @@ class TestSuiteConstruction:
         suite = build_test_set(k2, 1, 1)
         assert suite.elements[0][0].coeffs == (t0_const, t0_z)
 
-    def test_stream_budget(self, k2):
+    def test_stream_budget(self, k2, monkeypatch):
+        monkeypatch.setattr(lab, "MAX_DRAWS", 3)
         with pytest.raises(StreamExhausted):
-            build_test_set(k2, 1, 10, max_index=3)
+            build_test_set(k2, 1, 10)
 
     @pytest.mark.parametrize("s", [0, 2, 1500])
     def test_s_outside_the_field_fails_before_any_draw(self, k2, s, monkeypatch):

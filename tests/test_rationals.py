@@ -16,7 +16,6 @@ from padiccf.rationals import (
     ordp,
     qformat,
     qparse,
-    qpow,
 )
 from oracles import digit_at, digit_stream, head_by_digits, vp_by_division
 
@@ -41,7 +40,7 @@ class TestOrd:
 
     @given(rationals.filter(bool), primes)
     def test_unit_part_has_valuation_zero(self, q, p):
-        assert ordp(q * qpow(p, -ordp(q, p)), p) == 0
+        assert ordp(q * Q(p) ** -ordp(q, p), p) == 0
 
     @given(rationals.filter(bool), primes)
     def test_matches_digit_oracle(self, q, p):
@@ -107,7 +106,7 @@ class TestHeadTail:
             while den % p == 0:
                 den //= p
             assert den == 1
-            assert 0 <= h < qpow(p, m + 1)
+            assert 0 <= h < Q(p) ** (m + 1)
 
 
 class TestHeight:

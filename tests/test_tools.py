@@ -4,6 +4,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,33 @@ def test_every_imported_name_is_used(path):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _referenced_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_package_definition_has_a_reference():
+    """Every function, method and class defined in the package (dunders
+    aside) is named, as a ``Name`` or an ``Attribute``, somewhere in
+    ``src/``, ``tests/``, ``perfbench/`` or ``tools/`` outside its own
+    definition: code without a caller is deleted, not kept."""
+    trees = {path: ast.parse(path.read_text())
+             for top in ("src", "tests", "perfbench", "tools") for path in sorted((ROOT / top).rglob("*.py"))}
+    refs = Counter(_referenced_name(node) for tree in trees.values() for node in ast.walk(tree))
+    unreferenced = []
+    for path, tree in trees.items():
+        if path.parent != ROOT / "src" / "padiccf":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("__"):
+                inside = sum(_referenced_name(sub) == node.name for sub in ast.walk(node))
+                if refs[node.name] == inside:
+                    unreferenced.append(f"{path.stem}.{node.name}")
+    assert unreferenced == []
 
 
 def _load_pairs():
