@@ -34,40 +34,30 @@ All remainders from index 1 on lie componentwise in pZ_p; remainders are
 compared structurally on their canonical integer numerators and
 denominators, so cycle detection is sound and complete up to the step
 limit.
+
+The engine is the one validator of its records: a record loads by
+running :func:`expand` again on its initial vector, with the record's
+parameters and stopping rules read from the record, and only if that
+writes the same JSON (``ExpansionRecord.from_json``).
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import CapExceeded, PoleHit, RecordFormatError, Reducible
+from .errors import CapExceeded, PadiccfError, PoleHit, RecordFormatError
 from .field import FieldElement, MinPoly, VectorElement, _reduced, _scale, denom_z, height_z
 from .hensel import Embedding
 from .preduce import RationalMatrix, p_reduce, scale_rows, solve
-from .rationals import ORD_INF, Q, QONE, QZERO, head_num, qformat, qparse_list
-
-
-def _checked(data, key, ok):
-    """data[key] if ``ok`` accepts it, else a RecordFormatError."""
-    value = data[key]
-    if not ok(value):
-        raise RecordFormatError(f"bad {key!r}: {value!r}")
-    return value
+from .rationals import ORD_INF, Q, QONE, QZERO, head_num, qformat
 
 
 def _is_int(v) -> bool:
     return type(v) is int  # not a bool, a float or a numeric string
-
-
-def _is_eps(v) -> bool:
-    return _is_int(v) and v in (1, -1)
-
-
-def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(map(_is_int, v))
 
 
 def at_least(value, low: int, what: str) -> int:
@@ -164,36 +154,12 @@ class CMapStep:
             "gamma": [qformat(g) for g in self.gamma],
         }
 
-    @classmethod
-    def from_json(cls, data, p: int, s: int) -> "CMapStep":
-        """A step of a record over the prime ``p`` on vectors of length s."""
-        step = cls(
-            p=_checked(data, "p", lambda v: _is_int(v) and v == p),
-            pivot=_checked(data, "pivot", lambda v: _is_int(v) and 1 <= v <= s),
-            eps=_checked(data, "eps", _is_eps),
-            identity=_checked(data, "identity", lambda v: type(v) is bool),
-            coeffs=tuple(qparse_list(data["coeffs"])),
-            exps=tuple(_checked(data, "exps", _is_int_list)),
-            shifts=tuple(qparse_list(data["shifts"])),
-            matrix=RationalMatrix.from_json(data["matrix"]),
-            gamma=tuple(qparse_list(data["gamma"])),
-        )
-        m = step.matrix
-        if {len(step.coeffs), len(step.exps), len(step.shifts), len(step.gamma), m.nrows, m.ncols} != {s}:
-            raise RecordFormatError(f"a step on vectors of length {s} with parts of other lengths")
-        if not step.identity and any(c * step.eps <= 0 for c in step.coeffs):
-            raise RecordFormatError(f"a step's coefficients do not have the sign of its eps {step.eps}")
-        return step
-
-
-KINDS = ("finite", "periodic", "height_exceeded", "step_limit")
-
 
 @dataclass(frozen=True)
 class Status:
     """Terminal classification of an expansion."""
 
-    kind: str  # one of KINDS
+    kind: str  # "finite", "periodic", "height_exceeded" or "step_limit"
     index: int
     preperiod: int | None = None
     period: int | None = None
@@ -204,20 +170,6 @@ class Status:
             out["preperiod"] = self.preperiod
             out["period"] = self.period
         return out
-
-    @classmethod
-    def from_json(cls, data, index: int) -> "Status":
-        """The status of a record of ``index`` steps.  A preperiod and a
-        period are present exactly when the kind is periodic, and then
-        they add up to the index."""
-        kind = _checked(data, "kind", KINDS.__contains__)
-        _checked(data, "index", lambda v: _is_int(v) and v == index)
-        if kind != "periodic" and not data.keys() & {"preperiod", "period"}:
-            return cls(kind, index)
-        # periodic, or a cycle on a status of another kind, which is refused
-        first = _checked(data, "preperiod", lambda v: kind == "periodic" and _is_int(v) and 0 <= v < index)
-        _checked(data, "period", lambda v: _is_int(v) and v == index - first)
-        return cls(kind, index, first, index - first)
 
 
 @dataclass
@@ -263,77 +215,73 @@ class ExpansionRecord:
 
     @classmethod
     def from_json(cls, data) -> "ExpansionRecord":
-        """Load a format-1 record.  The copies it carries of derived values
-        (``initial``, ``identity_steps``, the status index) must agree with
-        its steps and remainders, and the record must be the one it
-        serializes to (full coefficient lists, canonical rationals).  Its
-        algorithm and parameters pass :func:`check_params` (a phi2 lookahead
-        over its budget included), its lookahead is null off phi2, and every
-        step has the record's eps.  Each step must map its remainder to the
-        next one; a finite record must end at zero and a periodic one return
-        to its preperiod's remainder."""
+        """Load a format-1 record: the record :func:`expand` writes, or a
+        RecordFormatError.
+
+        Only the minimal polynomial, the initial vector, the parameters,
+        the status kind and the remainders are read.  ``expand`` runs on
+        the initial vector with those parameters, and the record loads if
+        and only if what it writes is the input, compared as sorted-key
+        JSON text (so a bool or a float where it writes an int differs
+        too).  The stopping rules come from the record, each reproducing
+        where its writer stopped:
+
+        - ``max_steps`` is the number of remainders less one.  A
+          step-limit record took exactly that many steps, and any other
+          record stopped at that index, where the zero, cycle and height
+          checks come before the step limit.
+        - ``detect_cycles`` is on only for a periodic status.  A periodic
+          record ends at its first recurrence; a record of another kind
+          written with cycle detection on has no recurrence, so turning
+          it off changes nothing, and one written with it off may hold
+          cycles that must not stop the replay.
+        - ``height_exponent`` is the least h with 10^h at or above the
+          largest remainder height, the last remainder left out for a
+          height-exceeded status (h = 0 when none is left).  The writer's
+          own h bounds every remainder it stepped from, so it is at least
+          this one, and a height-exceeded record's last remainder lies
+          above both.
+
+        So the work is bounded by the record: at most its number of
+        steps, from remainders below ten times its largest height.
+        """
         fmt = data.get("format") if isinstance(data, dict) else None
         if not _is_int(fmt) or fmt != 1:
             raise RecordFormatError(f"unsupported record format {fmt!r}; this version reads format 1")
         try:
-            _checked(data["minpoly"], "p", _is_int)
             mp = MinPoly.from_json(data["minpoly"])
-            steps, remainders = data["steps"], data["remainders"]
-            if not isinstance(steps, list) or not isinstance(remainders, list):
-                raise TypeError("'steps' and 'remainders' must be lists")
-            if len(remainders) != len(steps) + 1 or len({len(r) for r in remainders}) != 1:
-                raise RecordFormatError("a record has one more remainder than steps, all of one length")
-            s = len(remainders[0])
-            algorithm, eps, lookahead, g_variant = (data[k] for k in ("algorithm", "eps", "lookahead", "g_variant"))
-            phi2 = algorithm == "phi2"
-            check_params(algorithm, s, eps, lookahead if phi2 else 1, g_variant)
-            rec = cls(
-                algorithm=algorithm,
-                eps=eps,
-                lookahead=lookahead if phi2 else None,  # another value off phi2 is not canonical
-                g_variant=g_variant,
-                steps=[CMapStep.from_json(step, mp.p, s) for step in steps],
-                remainders=[VectorElement.from_json(mp, r) for r in remainders],
-                status=Status.from_json(data["status"], len(steps)),
+            kind, remainders = data["status"]["kind"], data["remainders"]
+            heights = [height_z(VectorElement.from_json(mp, r)) for r in remainders]
+            if kind == "height_exceeded":
+                heights.pop()
+            algorithm = data["algorithm"]
+            rec = expand(
+                VectorElement.from_json(mp, data["initial"]),
+                algorithm,
+                eps=data["eps"],
+                lookahead=data["lookahead"] if algorithm == "phi2" else 1,
+                g_variant=data["g_variant"],
+                max_steps=len(remainders) - 1,
+                height_exponent=_least_exponent(max(heights, default=1)),
+                detect_cycles=kind == "periodic",
             )
-            _checked(data, "identity_steps", lambda v: _is_int(v) and v == rec.identity_steps)
-            if any(step.eps != rec.eps for step in rec.steps):
-                raise RecordFormatError(f"a step's eps differs from the record's eps {rec.eps}")
-            if rec.to_json() != data:
-                raise RecordFormatError("the record is not in the canonical form it loads as")
-            rec._replay()
-            return rec
-        except (KeyError, TypeError, AttributeError, ValueError, CapExceeded) as exc:
-            # a missing key, a wrong type, a value the checks reject (a
-            # RecordFormatError is a ValueError), an unparsable one or a
-            # phi2 lookahead over its budget
+            written = json.dumps(rec.to_json(), sort_keys=True) == json.dumps(data, sort_keys=True)
+        except (PadiccfError, ValueError, ArithmeticError, LookupError, TypeError) as exc:
+            # a missing key, a value of the wrong type or out of range, a
+            # polynomial without an embedding, a lookahead over its budget
             raise RecordFormatError(f"malformed format-1 record: {exc!r}") from exc
+        if not written:
+            raise RecordFormatError("malformed format-1 record: expand writes another record for its initial vector")
+        return rec
 
-    def _replay(self):
-        """RecordFormatError unless every step is invertible and maps its
-        remainder to the next one, and the last remainder is what the
-        status says.  A step's identity flag and exponents must be the ones
-        :func:`g_map` assigns at its remainder, as every builder records
-        them; this is checked first, so a forged exponent never builds its
-        power of p."""
-        rems, emb = self.remainders, None
-        for k, step in enumerate(self.steps):
-            try:
-                emb = emb or Embedding(rems[0].minpoly)
-                g_step = g_map(emb, rems[k], step.eps, step.pivot)[0]
-                if (step.identity, step.exps) != (g_step.identity, g_step.exps):
-                    raise RecordFormatError(f"step {k}'s identity flag or exponents differ from g_map's at remainder {k}")
-                image = forward_step(step, rems[k])
-                step.inverse_matrix  # a convergent pulls back through every step
-            except (PoleHit, ZeroDivisionError, Reducible) as exc:
-                raise RecordFormatError(f"step {k} is undefined at remainder {k} or not invertible: {exc}") from exc
-            if image != rems[k + 1]:
-                raise RecordFormatError(f"remainder {k + 1} is not the image of remainder {k} under step {k}")
-        st = self.status
-        if st.kind == "finite" and not rems[-1].is_zero():
-            raise RecordFormatError("a finite record ends at a nonzero remainder")
-        if st.kind == "periodic" and rems[st.index] != rems[st.preperiod]:
-            raise RecordFormatError("a periodic record does not return to its preperiod's remainder")
+
+def _least_exponent(height: int) -> int:
+    """The least h >= 0 with 10^h >= height, for a height >= 1.  The start
+    is below it (0.30102 < log10 2) by a few steps at most."""
+    h = (height.bit_length() - 1) * 30102 // 100000
+    while 10 ** h < height:
+        h += 1
+    return h
 
 
 # --- fractional maps ---------------------------------------------------------
@@ -619,7 +567,7 @@ def check_params(algorithm, s: int, eps=1, lookahead=1, g_variant=False) -> None
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if not _is_eps(eps):
+    if not _is_int(eps) or eps not in (1, -1):
         raise ValueError(f"eps must be the integer 1 or -1, got {eps!r}")
     at_least(lookahead, 1, "lookahead")
     if type(g_variant) is not bool:
@@ -653,24 +601,31 @@ def expand(
     disables the recurrence check, which is useful for studying
     convergents past the first cycle.  The parameters go through
     :func:`check_params` before the first step, and ``max_steps`` and
-    ``height_exponent`` must be ints >= 0 (ValueError).
+    ``height_exponent`` must be ints >= 0 (ValueError).  The embedding,
+    when not given, is built at the first step.
     """
     check_params(algorithm, len(alpha), eps, lookahead, g_variant)
     at_least(max_steps, 0, "max_steps")
     at_least(height_exponent, 0, "height_exponent")
     if algorithm != "phi0" and alpha.minpoly.is_rational_field:
         raise ValueError(f"{algorithm} requires a proper extension field")
-    emb = embedding if embedding is not None else Embedding(alpha.minpoly)
     memo = {} if algorithm == "phi2" else None
 
-    def advance(cur):
-        if algorithm == "phi0":
-            return step_phi0(emb, cur, eps)
-        if algorithm == "phi1":
-            return step_phi1(emb, cur, eps)
-        if algorithm == "phi2":
-            return step_phi2(emb, cur, eps, lookahead, memo)
-        return step_phi3(emb, cur, g_variant=g_variant)
+    def first_step(cur):
+        # the embedding is built at the first step, so an orbit that takes
+        # none needs none (x^2 + x has no embedding, and its stepless
+        # records load); later steps call the algorithm's map directly
+        nonlocal advance
+        emb = embedding if embedding is not None else Embedding(alpha.minpoly)
+        advance = {
+            "phi0": lambda vec: step_phi0(emb, vec, eps),
+            "phi1": lambda vec: step_phi1(emb, vec, eps),
+            "phi2": lambda vec: step_phi2(emb, vec, eps, lookahead, memo),
+            "phi3": lambda vec: step_phi3(emb, vec, g_variant=g_variant),
+        }[algorithm]
+        return advance(cur)
+
+    advance = first_step
 
     def exceeds(vec) -> bool:
         # a height of at most 3h bits is below 2^(3h) <= 10^h, so the cap

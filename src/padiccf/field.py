@@ -126,10 +126,14 @@ class MinPoly:
 
     @classmethod
     def from_json(cls, data) -> "MinPoly":
-        """The polynomial :meth:`to_json` writes.  Its certificate prime is
-        None or the one :func:`polys.certificate_prime` finds; any other
-        value is a RecordFormatError."""
+        """The polynomial :meth:`to_json` writes.  It is the rational
+        sentinel x or passes every admissibility clause (HViolation
+        otherwise), and its certificate prime is None or the one
+        :func:`polys.certificate_prime` finds; any other value is a
+        RecordFormatError."""
         mp = cls(data["p"], qparse_list(data["coeffs"]))
+        if not mp.is_rational_field:
+            check_admissible(mp)
         cert = data.get("certificate_prime")
         if cert is not None and (type(cert) is not int or cert != polys.certificate_prime(mp.ascending(), mp.p)):
             raise RecordFormatError(f"certificate_prime {cert!r} is not the certificate of {mp!r}")
@@ -160,6 +164,13 @@ def failed_clause(f, p: int):
     return None
 
 
+def check_admissible(mp: MinPoly) -> None:
+    """HViolation naming the first admissibility clause ``mp`` fails."""
+    clause = failed_clause(mp.ascending(), mp.p)
+    if clause:
+        raise HViolation(clause, CLAUSES[clause])
+
+
 def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     """Certify a candidate minimal polynomial x^n + a1 x^(n-1) + .. + an.
 
@@ -171,11 +182,8 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     IrreducibilityUnknown unless ``force`` is set.
     """
     mp = MinPoly(p, coeffs)
-    f = mp.ascending()
-    clause = failed_clause(f, mp.p)
-    if clause:
-        raise HViolation(clause, CLAUSES[clause])
-    mp.certificate_prime = polys.certify(f, mp.p)
+    check_admissible(mp)
+    mp.certificate_prime = polys.certify(mp.ascending(), mp.p)
     if mp.certificate_prime is None and not force:
         raise IrreducibilityUnknown(
             f"no certificate among the first {polys.CERTIFICATE_TRIES} candidate primes"

@@ -23,7 +23,7 @@ from padiccf.cfrac import (
     step_phi2,
     step_phi3,
 )
-from padiccf.errors import CapExceeded, ConfigError, PadiccfError, PoleHit, RecordFormatError
+from padiccf.errors import CapExceeded, ConfigError, HViolation, PadiccfError, PoleHit, RecordFormatError
 from padiccf.field import MinPoly, VectorElement, denom_z, independent_with_one, validate_minpoly
 from padiccf.hensel import Embedding
 from padiccf.lab import RunConfig, _suite_coefficients, build_z_set
@@ -923,8 +923,9 @@ class TestRecordJson:
                                       "remainder not an image", "finite at a nonzero remainder",
                                       "cycle to another remainder", "unreduced rational",
                                       "unreduced matrix entry", "extra key", "singular step matrix",
-                                      "eps on phi3", *REPLACED])
-    def test_malformed_record_is_typed_error(self, k2, case):
+                                      "eps on phi3", "identity step past zero", "cycle relabelled",
+                                      *REPLACED])
+    def test_malformed_record_is_typed_error(self, k2, kq, case):
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
         assert data["minpoly"]["certificate_prime"] == 3
         step = data["steps"][0]
@@ -979,6 +980,18 @@ class TestRecordJson:
         elif case == "eps on phi3":
             data = expand(k2.vector([k2.gen()]), "phi3").to_json()
             data["eps"] = -1
+        elif case == "identity step past zero":
+            # 2/3 over Q reaches 0 at index 2; an identity step maps 0 to itself
+            data = expand(kq.vector([Q(2, 3)]), "phi0").to_json()
+            assert data["status"] == {"kind": "finite", "index": 2}
+            data["steps"].append(step_phi0(Embedding(kq), kq.vector([0]), 1)[0].to_json())
+            data["remainders"].append(data["remainders"][-1])
+            data.update(status={"kind": "finite", "index": 3}, identity_steps=1)
+        elif case == "cycle relabelled":
+            # remainders z, -z, z, -z: the cycle that returns at index 3 to
+            # index 1 is not the first one, which expand reports at index 2
+            data = expand(k2.vector([k2.gen()]), "phi1", max_steps=3, detect_cycles=False).to_json()
+            data["status"] = {"kind": "periodic", "index": 3, "preperiod": 1, "period": 2}
         else:
             changes = REPLACED[case]
             for part, key, value in changes if isinstance(changes, list) else [changes]:
@@ -1035,26 +1048,31 @@ class TestRecordJson:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_expanded_records_load_as_themselves(self, p):
-        """Records of every algorithm and status kind replay on load and
-        serialize back to the bytes they were loaded from."""
-        kinds = set()
+        """Records of every algorithm and status kind load and serialize
+        back to the bytes they were loaded from: among them height-exceeded
+        records at index 0, step-limit records past a cycle and phi2 at
+        lookahead 2."""
+        kinds, cycles = set(), 0
         for mp in build_z_set(p, 3)[:2]:
             emb = Embedding(mp)
             for alpha in _suite_vectors(mp, 3, 3):
                 for algo, kw in [("phi0", {"height_exponent": 4}), ("phi0", {"max_steps": 2}),
-                                 ("phi1", {"eps": -1}), ("phi2", {"lookahead": 1}), ("phi3", {}),
-                                 ("phi3", {"g_variant": True})]:
+                                 ("phi0", {"height_exponent": 0}), ("phi1", {"eps": -1}),
+                                 ("phi1", {"detect_cycles": False}), ("phi2", {"lookahead": 1}),
+                                 ("phi2", {"lookahead": 2}), ("phi3", {}), ("phi3", {"g_variant": True})]:
                     rec = expand(alpha, algo, embedding=emb, **{"max_steps": 12, **kw})
-                    kinds.add(rec.status.kind)
+                    kinds.add((rec.status.kind, rec.status.index))
+                    cycles += len(set(rec.remainders)) < len(rec.remainders) and rec.status.kind == "step_limit"
                     blob = json.dumps(rec.to_json())
                     assert json.dumps(ExpansionRecord.from_json(json.loads(blob)).to_json()) == blob
-        assert {"periodic", "height_exceeded", "step_limit"} <= kinds
+        assert {"periodic", "height_exceeded", "step_limit"} <= {kind for kind, _ in kinds}
+        assert ("height_exceeded", 0) in kinds and cycles
 
     def test_zero_constant_term_is_typed_error(self, k2):
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
         data["minpoly"].update(coeffs=["1", "0"], certificate_prime=None)  # x^2 + x has no certificate
-        # z is a zero divisor modulo x^2 + x, so the first step no longer replays
-        with pytest.raises(RecordFormatError, match="undefined"):
+        # x^2 + x has no embedding, so the first step cannot be taken again
+        with pytest.raises(RecordFormatError, match="zero constant term"):
             ExpansionRecord.from_json(data)
         # a record without steps still loads, and expanding it is the typed error
         data.update(steps=[], remainders=data["remainders"][:1], identity_steps=0,
@@ -1065,9 +1083,8 @@ class TestRecordJson:
 
     @pytest.mark.parametrize("forged", [10**12, -10**12, "identity"])
     def test_forged_exponent_or_identity_is_refused_before_the_step_matrix(self, k3_p3, monkeypatch, forged):
-        """A step's identity flag and exponents are checked against the ones
-        g_map assigns at its remainder before the step matrix, which holds
-        p^e, is built: a huge exponent costs no work."""
+        """A forged identity flag or exponent is refused without building
+        the step matrix, which holds p^e: a huge exponent costs no work."""
         z = k3_p3.gen()
         data = expand(k3_p3.vector([z, z * z]), "phi1", max_steps=3).to_json()
         assert len(data["steps"]) == 3 and data["identity_steps"] == 0
@@ -1082,7 +1099,43 @@ class TestRecordJson:
             raise AssertionError("the step matrix was built")
 
         monkeypatch.setattr(cfrac.CMapStep, "forward_matrix", property(no_matrix))
-        with pytest.raises(RecordFormatError, match="differ from g_map"):
+        with pytest.raises(RecordFormatError, match="expand writes another record"):
+            ExpansionRecord.from_json(data)
+
+    def test_load_work_is_bounded_by_the_record(self, k3_p3, monkeypatch):
+        """A forged record of 3005 steps, its last step and remainder
+        repeated, is refused after a few steps: its true orbit's heights
+        grow past the largest height the record holds."""
+        mp = k3_p3
+        vec = mp.vector([mp.element([1, 2]), mp.element([Q(-1, 2), 0, 1])])
+        data = expand(vec, "phi0", eps=-1, max_steps=5).to_json()
+        data["steps"] += [data["steps"][-1]] * 3000
+        data["remainders"] += [data["remainders"][-1]] * 3000
+        data["status"]["index"] = 3005
+        data["identity_steps"] = sum(step["identity"] for step in data["steps"])
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return step_phi0(*args)
+
+        monkeypatch.setattr(cfrac, "step_phi0", spy)
+        with pytest.raises(RecordFormatError, match="malformed"):
+            ExpansionRecord.from_json(data)
+        assert 5 < len(calls) < 20
+
+    @pytest.mark.parametrize("coeffs, clause", [([0, 1, 4], "divisible-constant"), ([0, 3, 3], "unit-subleading"),
+                                                ([0, Q(1, 3), 3], "integrality"), ([3], "degree")])
+    def test_inadmissible_minpoly_is_typed_error(self, coeffs, clause):
+        """A polynomial other than the rational sentinel x that fails an
+        admissibility clause does not load, nor does a stepless record over
+        it: without the clauses Hensel's lemma pins no root in pZ_p."""
+        mp = MinPoly(3, coeffs)
+        with pytest.raises(HViolation) as info:
+            MinPoly.from_json(mp.to_json())
+        assert info.value.clause == clause
+        data = expand(mp.vector([mp.one()] * mp.s), "phi0", max_steps=0).to_json()
+        with pytest.raises(RecordFormatError, match="malformed"):
             ExpansionRecord.from_json(data)
 
     @pytest.mark.parametrize("data", [{"format": 2}, {"format": 2, "minpoly": {}}, {}, []])

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from padiccf import lab
-from padiccf.cfrac import expand
+from padiccf.cfrac import ExpansionRecord, expand
 from padiccf.field import validate_minpoly
 from padiccf.rationals import Q
 
@@ -94,6 +94,7 @@ def table_csv() -> str:
 def test_record_bytes(name):
     rec = record(name)
     assert (rec.status.kind, record_digest(rec)) == GOLDEN[name]
+    assert record_digest(ExpansionRecord.from_json(json.loads(json.dumps(rec.to_json())))) == GOLDEN[name][1]
 
 
 def test_corpus_covers_outcomes_and_algorithms():
