@@ -13,13 +13,25 @@ routine.
 
 ``Embedding`` is the workhorse used by the expansion engine; it keeps one
 residue, an int, and lifts it again from scratch whenever a computation
-needs more digits than it holds.
+needs more digits than it holds.  It refuses a polynomial that fails an
+admissibility clause (HViolation), since every root of an admissible f is
+integral over Z_p, and that is what bounds a valuation.
+
+A valuation is found on a ladder: the integer combination is evaluated
+modulo p^m for m doubling from a base precision until it is nonzero, with
+m clamped to a cap from the Hadamard bound on the resultant of D f and the
+combination (von zur Gathen and Gerhard, Modern Computer Algebra, 6.8),
+which needs only the bit lengths of two integer norms.  The doubling keeps
+the work near the true valuation, which lies far below the cap for tall
+elements; the multiplication matrix and its determinant are built only
+when the cap is reached with the value still zero, to tell a zero divisor
+from a broken cap.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded, Reducible
-from .field import FieldElement, MinPoly, VectorElement, element_minpoly, failed_clause
+from .field import FieldElement, MinPoly, VectorElement, check_admissible, element_minpoly, failed_clause
 from .polys import multiplication_rows, newton_lift
 from .preduce import bareiss
 from .rationals import ORD_INF, Q, head_num, ordp, vp_int
@@ -54,11 +66,12 @@ class Embedding:
         self._precision = self._residue = 0
         if minpoly.is_rational_field:
             self._base_precision = 1
-        elif not minpoly.coeffs[-1]:
+            return
+        check_admissible(minpoly)
+        if not minpoly.coeffs[-1]:
             raise Reducible("x divides a minimal polynomial with zero constant term")
-        else:
-            an_ord = ordp(minpoly.coeffs[-1], minpoly.p)
-            self._base_precision = 2 * (1 + an_ord * minpoly.degree)
+        an_ord = ordp(minpoly.coeffs[-1], minpoly.p)
+        self._base_precision = 2 * (1 + an_ord * minpoly.degree)
 
     # --- integer-combination view -------------------------------------
     def _combination_mod(self, nums, m: int) -> int:
@@ -79,22 +92,29 @@ class Embedding:
         deg f.  The integer combination b(z0) at the embedded root z0 is
         evaluated modulo p^m; it is nonzero there as soon as m exceeds
         v_p(b(z0)), and then ord(a) is its valuation minus v_p(d).  The
-        first evaluation is at the base precision; if b(z0) vanishes there,
-        the second and last is at the larger of the base and a sound cap.
+        first evaluation is at the base precision; while b(z0) vanishes,
+        m doubles, clamped to a sound cap.  Jumping straight to the cap
+        would lift the root far past the true valuation of a tall element,
+        whose norm, and so its cap, grows with its coefficients.
 
-        The cap comes from the norm.  f is monic with p-integral
-        coefficients, so all its roots theta_1 = z0, ..., theta_n are
-        integral over Z_p and v(b(theta_i)) >= 0 for each.
-        Hence v_p(b(z0)) <= sum_i v(b(theta_i)) = v_p(N(b)), where
-        N(b) = prod_i b(theta_i) = Res(f, b) (f monic) is the determinant
-        of the matrix of multiplication by b on 1, z, .., z^(n-1).  That
-        matrix is built over the integers with column j scaled by D^j, D
-        the p-free lcm of f's denominators, so its determinant
-        D^(n(n-1)/2) N(b) has the same valuation; one fraction-free
-        elimination gives it, and the cap is that valuation plus one.  The
-        determinant vanishes only when b shares a root with f, which for
-        nonzero a of degree below n needs a reducible f: a zero divisor
-        of an uncertified ring, reported as ZeroDivisionError.
+        The cap is the resultant bound.  Let F = D f, D the lcm of f's
+        denominators (``MinPoly._int_f``), which admissibility makes prime
+        to p.  f is monic with p-integral coefficients, so all its roots
+        theta_1 = z0, .., theta_n are integral over Z_p and v(b(theta_i))
+        >= 0 for each.  Hence v_p(b(z0)) <= v_p(N(b)), N(b) = prod_i
+        b(theta_i), and Res(F, b) = D^deg(b) N(b) has the same valuation,
+        at most log_p |Res(F, b)| <= log_p(||F||^(n-1) ||b||^n) by
+        Hadamard's bound on the Sylvester matrix, ||.|| the Euclidean norm
+        of the coefficients (deg b < n and ||F|| >= 1).  With the
+        squared norms' bit lengths and floor(log2 p) that is the integer
+        ((n - 1) bitlen(||F||^2) + n bitlen(||b||^2)) // (2 floor(log2 p)),
+        and the cap is one more.  When b(z0) still vanishes at the cap,
+        N(b) is 0: b shares a root with f, which for nonzero a of degree
+        below n needs a reducible f, a zero divisor of an uncertified ring
+        reported as ZeroDivisionError.  The determinant of the
+        multiplication matrix (:func:`polys.multiplication_rows`), D^(n(n
+        - 1)/2) N(b), settles that; a nonzero one would mean a broken cap,
+        PrecisionCapExceeded.
         """
         if isinstance(a, VectorElement):
             return min(self.ord(c) for c in a.components)
@@ -102,19 +122,28 @@ class Embedding:
             return ORD_INF
         if a.is_rational():
             return vp_int(a.nums[0], self.p) - vp_int(a.den, self.p)
-        nums = a.nums
-        base = self._base_precision
-        val = self._combination_mod(nums, base)
+        nums, m = a.nums, self._base_precision
+        val = self._combination_mod(nums, m)
         if not val:
-            rows = multiplication_rows(self.minpoly._int_f, nums)
-            norm = bareiss(rows, len(rows))[1]
-            if not norm:
-                raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
-            cap = vp_int(norm, self.p) + 1
-            val = self._combination_mod(nums, max(base, cap))
+            cap = self._ord_cap(nums)
+            while not val and m < cap:
+                m = min(2 * m, cap)
+                val = self._combination_mod(nums, m)
             if not val:
+                if not bareiss(multiplication_rows(self.minpoly._int_f, nums), self.minpoly.degree)[1]:
+                    raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
                 raise PrecisionCapExceeded(f"valuation passed its cap {cap}")
         return vp_int(val, self.p) - vp_int(a.den, self.p)
+
+    def _ord_cap(self, nums) -> int:
+        """:meth:`ord`'s cap on the combination of the integer numerators
+        ``nums``: one more than the resultant bound
+        ((n - 1) bitlen(||D f||^2) + n bitlen(||b||^2)) // (2 floor(log2 p))."""
+        den, low = self.minpoly._int_f
+        f_bits = (den * den + sum(c * c for c in low)).bit_length()
+        b_bits = sum(b * b for b in nums).bit_length()
+        n = self.minpoly.degree
+        return ((n - 1) * f_bits + n * b_bits) // (2 * (self.p.bit_length() - 1)) + 1
 
     def _head_num(self, a: FieldElement, m: int) -> int:
         """The head of ``a`` up to index m as a numerator over a.den, by

@@ -1,7 +1,9 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+from collections import Counter
 
-from padiccf.errors import CapExceeded, NotPrimitive, PadiccfError
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from padiccf.errors import CapExceeded, HViolation, NotPrimitive, PadiccfError
 from padiccf.field import MinPoly, element_minpoly
 from padiccf.hensel import Embedding, hensel_lift
 from padiccf.rationals import ORD_INF, Q, head_tail, ordp
@@ -39,6 +41,25 @@ class TestLifting:
         # x divides x^2 + x: no admissible field, and no finite base precision
         with pytest.raises(PadiccfError):
             Embedding(MinPoly(2, [1, 0]))
+
+    @pytest.mark.parametrize("p, coeffs, clause", [
+        (3, [0, 1, 4], "divisible-constant"),  # x^3 + x + 4: no root in 3Z_3
+        (2, [Q(1, 2), 1, 2], "integrality"),
+        (2, [0, 2, 2], "unit-subleading"),
+        (2, [2], "degree"),
+    ])
+    def test_inadmissible_polynomial_is_refused(self, p, coeffs, clause):
+        with pytest.raises(HViolation) as info:
+            Embedding(MinPoly(p, coeffs))
+        assert info.value.clause == clause
+
+    def test_expand_refuses_an_inadmissible_field(self):
+        from padiccf.cfrac import expand
+
+        mp = MinPoly(3, [0, 1, 4])
+        z = mp.gen()
+        with pytest.raises(HViolation):
+            expand(mp.vector([z + z * z, z * z]), "phi1", max_steps=5)
 
     def test_rational_sentinel_has_no_residue(self):
         from padiccf.field import MinPoly
@@ -233,47 +254,49 @@ class TestGeneratorSearch:
 
 
 class TestOrdNormCap:
-    """``Embedding.ord`` caps its precision by v_p(Res(f, b)); its
-    values must match a digit-by-digit oracle and the former cap taken
-    from the field inverse, far above the base precision too."""
+    """``Embedding.ord`` climbs a doubling precision ladder clamped to the
+    resultant bound; its values must match a digit-by-digit oracle and the
+    former cap taken from the field inverse, far above the base precision
+    too, and the determinant is paid only at the cap."""
 
     ROOT_DIGITS = 900
 
     @staticmethod
-    def random_cubics(rng, p, count):
+    def random_minpolys(rng, p, n, count):
         from padiccf.errors import IrreducibilityUnknown, Reducible
         from padiccf.field import validate_minpoly
 
         out = []
         while len(out) < count:
-            a2 = rng.randint(-9, 9)
-            a1 = rng.choice([c for c in range(-9, 10) if c % p])
-            a0 = p * rng.choice([c for c in range(-9, 10) if c])
+            coeffs = [rng.randint(-9, 9) for _ in range(n - 2)]
+            coeffs.append(rng.choice([c for c in range(-9, 10) if c % p]))
+            coeffs.append(p * rng.choice([c for c in range(-9, 10) if c]))
             try:
-                out.append(validate_minpoly(p, [a2, a1, a0]))
+                out.append(validate_minpoly(p, coeffs))
             except (Reducible, IrreducibilityUnknown):
                 continue
         return out
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_digit_oracle_and_inverse_cap(self, p, rng):
         from padiccf.hensel import Embedding
         from oracles import ord_by_digits, ord_with_inverse_cap, root_by_digits
 
         tall = 0
-        for mp in self.random_cubics(rng, p, 4):
-            emb = Embedding(mp)
-            root = root_by_digits(mp, self.ROOT_DIGITS)
-            for _ in range(4):
-                alpha = rand_elem(mp, rng)
-                cases = [alpha] + [alpha - emb.head(alpha, k) for k in (emb._base_precision, 60, 250)]
-                for a in cases:
-                    if a.is_zero() or a.is_rational():
-                        continue
-                    got = emb.ord(a)
-                    assert got == ord_with_inverse_cap(emb, a) == ord_by_digits(a, root, self.ROOT_DIGITS)
-                    tall += got > 4 * emb._base_precision
-        assert tall >= 8
+        for n in range(2, 7):
+            for mp in self.random_minpolys(rng, p, n, 3):
+                emb = Embedding(mp)
+                root = root_by_digits(mp, self.ROOT_DIGITS)
+                for _ in range(3):
+                    alpha = rand_elem(mp, rng)
+                    cases = [alpha] + [alpha - emb.head(alpha, k) for k in (emb._base_precision, 60, 250)]
+                    for a in cases:
+                        if a.is_zero() or a.is_rational():
+                            continue
+                        got = emb.ord(a)
+                        assert got == ord_with_inverse_cap(emb, a) == ord_by_digits(a, root, self.ROOT_DIGITS)
+                        tall += got > 4 * emb._base_precision
+        assert tall >= 40
 
     def test_convergent_differences(self, k3, emb3):
         from padiccf.cfrac import convergent, expand
@@ -302,3 +325,92 @@ class TestOrdNormCap:
         with pytest.raises(ZeroDivisionError):
             ord_with_inverse_cap(emb, b)
         assert emb.ord(z + 1) == 0
+
+    def test_convergent_horizons_pay_no_determinant(self, k3, monkeypatch):
+        from padiccf import hensel
+        from padiccf.cfrac import convergent, expand
+        from oracles import ord_by_digits, root_by_digits
+
+        calls = Counter()
+        for name in ("bareiss", "multiplication_rows"):
+            def spy(*args, _name=name, _real=getattr(hensel, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(hensel, name, spy)
+        emb = Embedding(k3)
+        root = root_by_digits(k3, self.ROOT_DIGITS)
+        z = k3.gen()
+        rec = expand(k3.vector([z, z * z + z]), "phi1", embedding=emb, max_steps=30, detect_cycles=False)
+        vals = []
+        for n in range(1, 31):
+            for a, q in zip(rec.initial.components, convergent(rec, n)):
+                diff = a - k3.rational(q)
+                vals.append(emb.ord(diff))
+                assert vals[-1] == ord_by_digits(diff, root, self.ROOT_DIGITS)
+        assert max(vals) > 4 * emb._base_precision  # the ladder climbed
+        assert calls == Counter()
+
+    def test_tall_zero_divisor_pays_one_determinant_at_the_cap(self, ring_cubic, monkeypatch):
+        from padiccf import hensel
+
+        emb = Embedding(ring_cubic)
+        z = ring_cubic.gen()
+        b = (z * z - z + 2) * (1 + 2**200 * z)  # vanishes at the root, as z^2 - z + 2 does
+        base, cap = emb._base_precision, emb._ord_cap(b.nums)
+        precisions, dets = [], []
+        real_mod, real_det = emb._combination_mod, hensel.bareiss
+        monkeypatch.setattr(emb, "_combination_mod", lambda nums, m: precisions.append(m) or real_mod(nums, m))
+        monkeypatch.setattr(hensel, "bareiss", lambda rows, width: dets.append(width) or real_det(rows, width))
+        with pytest.raises(ZeroDivisionError):
+            emb.ord(b)
+        doublings = ((cap - 1) // base).bit_length()  # ceil(log2(cap / base))
+        assert cap > 8 * base and len(precisions) <= doublings + 1
+        assert precisions[0] == base and precisions[-1] == cap and precisions == sorted(set(precisions))
+        assert dets == [3]
+
+
+@st.composite
+def deep_differences(draw):
+    """An admissible monic f of degree 2-6 at p in {2, 3, 5, 7}, integral or
+    over p-free denominators and not certified, and alpha - head(alpha, k)
+    for a random alpha and k <= 300 (alpha itself when k is None)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 6))
+    f_dens = st.integers(1, 12).filter(lambda d: d % p)
+    coeffs = [Q(draw(st.integers(-30, 30)), draw(f_dens)) for _ in range(n - 2)]
+    coeffs.append(Q(draw(st.integers(-30, 30).filter(lambda a: a % p)), draw(f_dens)))
+    coeffs.append(Q(p * draw(st.integers(-30, 30).filter(bool)), draw(f_dens)))
+    mp = MinPoly(p, coeffs)
+    alpha = mp.element([Q(draw(st.integers(-60, 60)), draw(st.integers(1, 30))) for _ in range(n)])
+    k = draw(st.none() | st.integers(0, 300))
+    return alpha if k is None else alpha - Embedding(mp).head(alpha, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deep_differences())
+def test_ord_cap_exceeds_the_norm_valuation(a):
+    """The resultant bound is at least v_p of the determinant of the
+    multiplication matrix, D^(n(n-1)/2) N(b), plus one."""
+    from padiccf.polys import multiplication_rows
+    from padiccf.preduce import bareiss
+    from oracles import vp_by_division
+
+    assume(not a.is_zero() and not a.is_rational())
+    mp = a.minpoly
+    det = bareiss(multiplication_rows(mp._int_f, a.nums), mp.degree)[1]
+    assume(det)  # a zero divisor of a reducible f has no finite bound
+    assert Embedding(mp)._ord_cap(a.nums) >= vp_by_division(det, mp.p) + 1
+
+
+@pytest.mark.parametrize("k", [1, 5, 40, 200])
+def test_ord_cap_is_one_past_sharp_on_a_pure_power_norm(k):
+    """N(z) = 2^k for x^2 + x + 2^k at p = 2, so v_2(N(z)) = log_2 |N(z)|;
+    the bound floor((bitlen(2 + 4^k) + 2 bitlen(1)) / 2) = k + 1 is one
+    past it, from the bit lengths' rounding, and the cap one more."""
+    from padiccf.polys import multiplication_rows
+    from padiccf.preduce import bareiss
+
+    mp = MinPoly(2, [1, 2**k])
+    z = mp.gen()
+    assert bareiss(multiplication_rows(mp._int_f, z.nums), 2)[1] == 2**k
+    assert Embedding(mp)._ord_cap(z.nums) == k + 2

@@ -147,9 +147,11 @@ def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, diff
     times = {parent: iter([2.0, 2.2, 2.4, 2.0]), change: iter([1.4, 1.6, 1.4, 1.5])}
     calls = []
 
-    def fake_pass(checkout, workload, seed):
+    def fake_pass(checkout, workload, seed, traced=False):
         calls.append(checkout)
         output = ["table", "other" if differ and checkout == change else "same"]
+        if traced:
+            return {"trace": {"self_s": {}, "calls": {}}}
         return {"probes": [ref] * 2, "pass_s": next(times[checkout]) + 2 * ref, "lat": [1e-3, None],
                 "rss_mb": 20.0, "errors": [], "output": output}
 
@@ -157,7 +159,7 @@ def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, diff
     out = tmp_path / "BENCH_t.json"
     argv = [str(parent), str(change), "--workload", "convergents", "--seed", "11", "--pairs", "4", "--out", str(out)]
     assert pairs.main(argv) == int(differ)
-    assert calls == [parent, change, change, parent] * 2
+    assert calls == [parent, change, change, parent] * 2 + [parent, change]
     doc = json.loads(out.read_text())
     assert (doc["workload"], doc["seed"], doc["outputs_match"]) == ("convergents", 11, not differ)
     assert [row["first"] for row in doc["pairs"]] == ["parent", "change"] * 2
@@ -170,3 +172,37 @@ def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, diff
     assert (summary["won"], summary["lost"], summary["gain"]) == (4, 0, True)
     assert summary["parent"] == pytest.approx([2.0, 2.1, 2.25])
     assert ("the outputs differ" in capsys.readouterr().err) is differ
+
+
+def test_pairs_out_keeps_one_traced_pass_per_side(monkeypatch, tmp_path):
+    """``--out`` runs one traced pass per side after the untraced pairs and
+    writes both sides' per-layer self times and call counts; without
+    ``--out`` nothing runs traced."""
+    pairs = _load_pairs()
+    ref = pairs.PROBE_REF_S
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    ord_s = {parent: 0.19, change: 0.04}
+    calls = []
+
+    def fake_pass(checkout, workload, seed, traced=False):
+        calls.append((checkout, traced))
+        data = {"probes": [ref], "pass_s": 1.0 + ref, "lat": [1e-3], "rss_mb": 20.0, "errors": [], "output": []}
+        if traced:
+            data["trace"] = {"self_s": {"hensel.Embedding.ord": ord_s[checkout], "cfrac.h_map": 0.02},
+                             "calls": {"hensel.Embedding.ord": 3784}, "total_s": {}, "spans": 9}
+        return data
+
+    monkeypatch.setattr(pairs, "run_pass", fake_pass)
+    out = tmp_path / "BENCH_t.json"
+    argv = [str(parent), str(change), "--workload", "convergents", "--seed", "11", "--pairs", "2"]
+    assert pairs.main(argv + ["--out", str(out)]) == 0
+    assert calls == [(parent, False), (change, False), (change, False), (parent, False),
+                     (parent, True), (change, True)]
+    trace = json.loads(out.read_text())["trace"]
+    assert trace == {side: {"self_s": {"hensel.Embedding.ord": ord_s[path], "cfrac.h_map": 0.02},
+                            "calls": {"hensel.Embedding.ord": 3784}}
+                     for side, path in (("parent", parent), ("change", change))}
+    calls.clear()
+    assert pairs.main(argv) == 0
+    assert all(not traced for _, traced in calls) and len(calls) == 4
+

@@ -23,9 +23,12 @@ With ``--out`` it also writes that evidence as JSON: for each pair, the
 side that ran first and both sides' metrics with the sha256 of the pass's
 output (as ``perfbench/golden.py`` digests it), and the summary above.
 Equal digests on both sides of every pair show the change left the
-outputs as they were.  A pass's full output and latencies are dropped as
-soon as its metrics and digest are read, so this process stays small: a
-pass's peak RSS counts this process's peak at spawn time.
+outputs as they were.  After the pairs it runs one traced pass per side
+(``perfbench/onepass.py --spans``, spans to a temporary file) and writes
+both sides' per-layer self times and call counts, so the file shows which
+layer moved.  A pass's full output and latencies are dropped as soon as
+its metrics and digest are read, so this process stays small: a pass's
+peak RSS counts this process's peak at spawn time.
 
 Exits 1 when a pass fails, reports op errors, or the two sides print
 different outputs.
@@ -51,15 +54,17 @@ PROBE_REF_S = 6.2e-4
 METRICS = ("pass_s", "op_p50_ms", "rss_mb")
 
 
-def run_pass(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced pass in ``checkout``, compiled from source: the JSON
-    its onepass.py prints."""
-    with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as cache:
+def run_pass(checkout: Path, workload: str, seed: int, traced: bool = False) -> dict:
+    """One pass in ``checkout``, compiled from source: the JSON its
+    onepass.py prints.  A traced pass writes its spans to a temporary file
+    that goes with the pass."""
+    with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as cache, \
+            tempfile.TemporaryDirectory(prefix="pairs-spans-") as spans:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run(
-            [sys.executable, "perfbench/onepass.py", "--workload", workload, "--seed", str(seed)],
-            cwd=checkout, env=env, capture_output=True, text=True, check=False,
-        )
+        cmd = [sys.executable, "perfbench/onepass.py", "--workload", workload, "--seed", str(seed)]
+        if traced:
+            cmd += ["--spans", os.path.join(spans, "spans.jsonl")]
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if proc.returncode:
         raise RuntimeError(f"pass in {checkout} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
@@ -87,6 +92,11 @@ def kept(data: dict) -> dict:
     """What is kept of one pass: its :func:`pass_metrics`, its op error
     count and the digest of its output."""
     return {**pass_metrics(data), "errors": len(data["errors"]), "digest": digest(data["output"])}
+
+
+def layers(data: dict) -> dict:
+    """Per-layer self seconds and call counts of one traced pass."""
+    return {"self_s": data["trace"]["self_s"], "calls": data["trace"]["calls"]}
 
 
 def quartiles(xs) -> tuple:
@@ -117,9 +127,10 @@ def summarize(pairs) -> dict:
     return out
 
 
-def evidence(workload: str, seed: int, rows) -> dict:
+def evidence(workload: str, seed: int, rows, trace) -> dict:
     """The ``--out`` document over rows of (side run first, parent
-    :func:`kept`, change :func:`kept`)."""
+    :func:`kept`, change :func:`kept`) and, per side, the :func:`layers`
+    of its traced pass."""
     return {
         "workload": workload,
         "seed": seed,
@@ -127,6 +138,7 @@ def evidence(workload: str, seed: int, rows) -> dict:
         "pairs": [{"first": first, "parent": old, "change": new} for first, old, new in rows],
         "outputs_match": all(old["digest"] == new["digest"] for _, old, new in rows),
         "summary": summarize([(old, new) for _, old, new in rows]),
+        "trace": trace,
     }
 
 
@@ -159,7 +171,9 @@ def main(argv=None) -> int:
             bad = True
         rows.append((first, old, new))
         print(f"{k:4d} {first:6} " + "  ".join(f"{old[m]:11.4f} {new[m]:11.4f}" for m in METRICS), flush=True)
-    doc = evidence(args.workload, args.seed, rows)
+    trace = {name: layers(run_pass(paths[name], args.workload, args.seed, traced=True))
+             for name in paths} if args.out else None
+    doc = evidence(args.workload, args.seed, rows, trace)
     for name, row in doc["summary"].items():
         fmt = lambda q: "/".join(f"{x:.4f}" for x in q)  # noqa: E731
         print(f"{name}: parent {fmt(row['parent'])}  change {fmt(row['change'])}  (q1/median/q3)  "
