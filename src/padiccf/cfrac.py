@@ -27,8 +27,12 @@ constant numerator, ``h_map`` divides by the unit normalizer through the
 same routine and takes digit heads on the numerators, and ``step_phi3``
 p-reduces the z-parts of the image as integer rows (``RationalMatrix``),
 applies the transformer to the constant column by integer dot products
-and builds the next remainder from the reduced rows.  Only the recorded
-parameters (coefficients, shifts, gamma) are ``Fraction``s.
+and builds the next remainder from the reduced rows.  The recorded
+parameters stay integers too: each coefficient, shift and gamma entry is
+an int or an unreduced (numerator, denominator) pair, as the map computed
+it, and the step's integer matrix is built from those pairs.  A
+``Fraction`` is made only when a record is written (``to_json``) or a
+test reads a parameter.
 
 All remainders from index 1 on lie componentwise in pZ_p; remainders are
 compared structurally on their canonical integer numerators and
@@ -53,7 +57,7 @@ from .errors import CapExceeded, PadiccfError, PoleHit, RecordFormatError
 from .field import FieldElement, MinPoly, VectorElement, _reduced, _scale, denom_z, height_z
 from .hensel import Embedding
 from .preduce import RationalMatrix, p_reduce, scale_rows, solve
-from .rationals import ORD_INF, Q, QONE, QZERO, head_num, qformat
+from .rationals import ORD_INF, Q, QONE, head_num, qformat
 
 
 def _is_int(v) -> bool:
@@ -73,7 +77,18 @@ def shift_matrix(s: int) -> RationalMatrix:
     return RationalMatrix([[int(j == (i + 1) % s) for j in range(s)] for i in range(s)])
 
 
-@dataclass(frozen=True)
+def _rational(v) -> Q:
+    """A step parameter as a ``Fraction``: an int, an unreduced
+    (numerator, denominator) pair or a rational."""
+    return Q(*v) if type(v) is tuple else Q(v)
+
+
+def _ratio(v) -> tuple:
+    """A step parameter as an unreduced (numerator, denominator) pair."""
+    return v if type(v) is tuple else (v.numerator, v.denominator)
+
+
+@dataclass(frozen=True, eq=False)
 class CMapStep:
     """One recorded expansion step: the fractional map F, then A and gamma.
 
@@ -82,22 +97,51 @@ class CMapStep:
     with (c, e, w) = (``coeffs``, ``exps``, ``shifts``).  An identity map
     (pivot component of the anchor is zero) leaves x unchanged.  The
     fractional maps return their own step, with A = I and gamma = 0.
+
+    The step keeps c, w and gamma as the maps computed them, each entry an
+    int (g_map's digit and eps) or an unreduced (numerator, denominator)
+    pair; a ``Fraction`` is taken as well.  ``coeffs``, ``shifts`` and
+    ``gamma`` are uncached ``Fraction`` views, for ``to_json`` and tests,
+    and equality and hashing compare those values, so the same step built
+    from ``Fraction``s is equal.
     """
 
     p: int
     pivot: int
     eps: int
     identity: bool
-    coeffs: tuple
+    _coeffs: tuple
     exps: tuple
-    shifts: tuple
+    _shifts: tuple
     matrix: RationalMatrix
-    gamma: tuple
+    _gamma: tuple
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(map(_rational, self._coeffs))
+
+    @property
+    def shifts(self) -> tuple:
+        return tuple(map(_rational, self._shifts))
+
+    @property
+    def gamma(self) -> tuple:
+        return tuple(map(_rational, self._gamma))
+
+    def _key(self) -> tuple:
+        return (self.p, self.pivot, self.eps, self.identity, self.coeffs, self.exps,
+                self.shifts, self.matrix, self.gamma)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, CMapStep) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def attach(self, matrix: RationalMatrix, gamma: tuple) -> "CMapStep":
         """The same fractional map followed by ``matrix`` and ``gamma``."""
-        return CMapStep(self.p, self.pivot, self.eps, self.identity, self.coeffs,
-                        self.exps, self.shifts, matrix, gamma)
+        return CMapStep(self.p, self.pivot, self.eps, self.identity, self._coeffs,
+                        self.exps, self._shifts, matrix, gamma)
 
     @cached_property
     def forward_matrix(self) -> tuple:
@@ -107,22 +151,33 @@ class CMapStep:
 
         With k_i = c_i p^e_i, F(x) ~ (k_i x_i - w_i x_j for i != j,
         k_j - w_j x_j; x_j), so row r of A F + gamma is
-        (A_ri k_i for i != j, gamma_r - sum_i A_ri w_i at j, A_rj k_j)."""
-        s = len(self.gamma)
-        a = self.matrix.entries
+        (A_ri k_i for i != j, gamma_r - sum_i A_ri w_i at j, A_rj k_j).
+        The rows are built on integers from the parameter pairs: A over
+        the lcm D of its row denominators, and k, w and gamma over the lcm
+        L of theirs, which scales the whole matrix by D L."""
+        s, p = len(self._gamma), self.p
+        a = self.matrix
+        da = math.lcm(*a.dens)
+        rows = [[x * (da // d) for x in row] for row, d in zip(a.nums, a.dens)]
+        k = [(c * p ** e, d) if e >= 0 else (c, d * p ** -e)
+             for (c, d), e in zip(map(_ratio, self._coeffs), self.exps)]
+        w, g = list(map(_ratio, self._shifts)), list(map(_ratio, self._gamma))
+        den = math.lcm(*(d for _, d in k), *(d for _, d in w), *(d for _, d in g))
+        k, w = [x * (den // d) for x, d in k], [x * (den // d) for x, d in w]
+        g = [x * (da * den // d) for x, d in g]
+        last = [0] * (s + 1)
         if self.identity:
-            rows = [list(row) + [g] for row, g in zip(a, self.gamma)]
-            rows.append([QZERO] * s + [QONE])
+            rows = [[x * den for x in row] + [gr] for row, gr in zip(rows, g)]
+            last[s] = da * den
         else:
             j = self.pivot - 1
-            k = [c * Q(self.p) ** e for c, e in zip(self.coeffs, self.exps)]
-            rows = []
-            for row, g in zip(a, self.gamma):
-                out = [arc * kc for arc, kc in zip(row, k)] + [row[j] * k[j]]
-                out[j] = g - sum((arc * w for arc, w in zip(row, self.shifts)), QZERO)
-                rows.append(out)
-            rows.append([QONE if i == j else QZERO for i in range(s + 1)])
-        return _integer_rows(rows)
+            for r, (row, gr) in enumerate(zip(rows, g)):
+                out = [x * kc for x, kc in zip(row, k)] + [row[j] * k[j]]
+                out[j] = gr - sum(map(operator.mul, row, w))
+                rows[r] = out
+            last[j] = da * den
+        rows.append(last)
+        return _primitive(rows)
 
     @cached_property
     def inverse_matrix(self) -> tuple:
@@ -132,7 +187,7 @@ class CMapStep:
         fwd = self.forward_matrix
         n = len(fwd)
         rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(fwd)]
-        return _integer_rows(solve(rows, n, "singular step matrix")[1])
+        return _primitive(solve(rows, n, "singular step matrix")[1])
 
     @cached_property
     def inverse_scale(self) -> int:
@@ -298,15 +353,15 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
 
     Each component is scaled by eps p^e with ``field._scale``.  The
     integer digit om leaves den as it is (nums_0 - om den over den), and
-    gcd(den, nums) does not change, so the image needs no reduction; only
-    the recorded shift is a ``Fraction``.
+    gcd(den, nums) does not change, so the image needs no reduction.  The
+    step records the ints eps and om as its coefficients and shifts.
     """
     comps = alpha.components
     aj = comps[j - 1]
     s = len(comps)
-    eye, zero = RationalMatrix.identity(s), (QZERO,) * s
+    eye, zero = RationalMatrix.identity(s), (0,) * s
     if aj.is_zero():
-        return CMapStep(emb.p, j, eps, True, (QONE,) * s, (0,) * s, zero, eye, zero), alpha
+        return CMapStep(emb.p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
     p = emb.p
     m = emb.ord(aj)
     inv_aj = aj.inverse()
@@ -321,21 +376,26 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
         val = _scale(val, eps * p ** max(e, 0), p ** max(-e, 0))
         om = emb.omega(val)
         exps.append(e)
-        shifts.append(Q(om))
+        shifts.append(om)
         image.append(FieldElement(val.minpoly, (val.nums[0] - om * val.den,) + val.nums[1:], val.den))
-    step = CMapStep(p, j, eps, False, (Q(eps),) * s, tuple(exps), tuple(shifts), eye, zero)
+    step = CMapStep(p, j, eps, False, (eps,) * s, tuple(exps), tuple(shifts), eye, zero)
     return step, VectorElement(image)
 
 
 def _unit_normalizer(elem: FieldElement, p: int) -> int:
-    """p-free part of the gcd of the z-coefficient numerators; 1 if the
-    z-part vanishes.  Always a p-adic unit, so dividing by it keeps
-    p-integrality."""
-    d, g = elem.den, 0
-    for x in elem.nums[1:]:
-        g = math.gcd(g, x // math.gcd(x, d))  # the numerator of x/d in lowest terms
+    """p-free part of the gcd of the z-coefficient numerators in lowest
+    terms; 1 if the z-part vanishes.  Always a p-adic unit, so dividing by
+    it keeps p-integrality.
+
+    The numerator of x_i/d in lowest terms is x_i / gcd(x_i, d), and
+    gcd_i(x_i / gcd(x_i, d)) = g / gcd(g, d) for g = gcd(x_1, .., x_s):
+    at each prime r, min_i max(v_r(x_i) - v_r(d), 0) =
+    max(min_i v_r(x_i) - v_r(d), 0).  So one n-ary gcd and one more
+    suffice."""
+    g = math.gcd(*elem.nums[1:])
     if g == 0:
         return 1
+    g //= math.gcd(g, elem.den)
     while g % p == 0:
         g //= p
     return g
@@ -350,22 +410,23 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     The division by the unit a is ``field._scale``.  The head of the
     constant coefficient nums_0/den, den = p^t u, is (r u)/den for its
     digits r/p^t, so the image keeps den and takes r u as nums_0.  The
-    recorded coefficient is eps/a and the shift om/a + (nums_0 - r u)/den
-    for g's integer digit om, each one ``Fraction`` constructor."""
+    recorded coefficient is the pair (eps, a) and the shift the pair
+    (om den + a (nums_0 - r u), a den), om/a + (nums_0 - r u)/den for g's
+    integer digit om, neither reduced."""
     g_step, g_image = g_map(emb, alpha, eps, j)
     if g_step.identity:
         return g_step, g_image
     p = emb.p
     coeffs, shifts, image = [], [], []
-    for w, g_img in zip(g_step.shifts, g_image):
+    for om, g_img in zip(g_step._shifts, g_image):
         ap = _unit_normalizer(g_img, p)
         g_img = _scale(g_img, 1, ap) if ap != 1 else g_img
         nums, den = g_img.nums, g_img.den
         hd = head_num(nums[0], den, p, 0)
-        coeffs.append(Q(eps, ap))
-        shifts.append(Q(w.numerator * den + ap * (nums[0] - hd), ap * den))
+        coeffs.append((eps, ap))
+        shifts.append((om * den + ap * (nums[0] - hd), ap * den))
         image.append(_reduced(g_img.minpoly, (hd,) + nums[1:], den))
-    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step.gamma)
+    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step._gamma)
     return step, VectorElement(image)
 
 
@@ -376,7 +437,7 @@ def _rotated(step: CMapStep, image: VectorElement):
     """Attach the cyclic shift to a pivot-1 map (gamma stays 0) and rotate
     its image to match."""
     comps = image.components
-    return step.attach(shift_matrix(len(comps)), step.gamma), VectorElement(comps[1:] + comps[:1])
+    return step.attach(shift_matrix(len(comps)), step._gamma), VectorElement(comps[1:] + comps[:1])
 
 
 def step_phi0(emb: Embedding, alpha: VectorElement, eps: int):
@@ -462,7 +523,8 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     row per component over its ``den``) are p-reduced as they are, A c
     for the constant column c is one integer dot product per row over a
     common denominator, and each next component is the reduced row plus
-    the head of its entry of A c."""
+    the head of its entry of A c.  gamma is recorded as the unreduced
+    pairs (head - num, cd)."""
     s = len(alpha)
     p = emb.p
     step, image = (g_map if g_variant else h_map)(emb, alpha, 1, s)
@@ -475,7 +537,7 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     for zs, zd, row, ad in zip(reduced.nums, reduced.dens, a_mat.nums, a_mat.dens):
         num, cd = sum(map(operator.mul, row, col)), ad * den  # (A c)_r = num / cd
         hd = head_num(num, cd, p, 0)
-        gamma.append(Q(hd - num, cd))
+        gamma.append((hd - num, cd))
         d = math.lcm(cd, zd)
         nxt.append(_reduced(alpha.minpoly, (hd * (d // cd),) + tuple(x * (d // zd) for x in zs[::-1]), d))
     return step.attach(a_mat, tuple(gamma)), VectorElement(nxt)
@@ -484,13 +546,10 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
 # --- forward / inverse evaluation -------------------------------------------
 
 
-def _integer_rows(rows) -> tuple:
-    """Primitive integer multiple of a rational (or integer) matrix, as rows
-    of ints."""
-    den = math.lcm(*(c.denominator for row in rows for c in row))
-    ints = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
-    g = math.gcd(*(c for row in ints for c in row))
-    return tuple(tuple(c // g for c in row) for row in ints)
+def _primitive(rows) -> tuple:
+    """Integer rows divided by their content, as tuples."""
+    g = math.gcd(*(c for row in rows for c in row))
+    return tuple(tuple(c // g for c in row) for row in rows)
 
 
 def _homogeneous_apply(rows: tuple, point, pole: str) -> list:
@@ -599,10 +658,13 @@ def expand(
     coefficient height above 10**height_exponent (height exceeded), then
     ``max_steps`` steps taken (step limit).  ``detect_cycles=False``
     disables the recurrence check, which is useful for studying
-    convergents past the first cycle.  The parameters go through
-    :func:`check_params` before the first step, and ``max_steps`` and
-    ``height_exponent`` must be ints >= 0 (ValueError).  The embedding,
-    when not given, is built at the first step.
+    convergents past the first cycle.  The height check reads the plain
+    bound max |x| + den of each component first, which is at least the
+    height; only when it passes 3h bits, so it may exceed 10^h, does the
+    exact ``height_z`` run.  The parameters go through :func:`check_params`
+    before the first step, and ``max_steps`` and ``height_exponent`` must
+    be ints >= 0 (ValueError).  The embedding, when not given, is built at
+    the first step.
     """
     check_params(algorithm, len(alpha), eps, lookahead, g_variant)
     at_least(max_steps, 0, "max_steps")
@@ -627,11 +689,16 @@ def expand(
 
     advance = first_step
 
+    bits = 3 * height_exponent
+
     def exceeds(vec) -> bool:
-        # a height of at most 3h bits is below 2^(3h) <= 10^h, so the cap
-        # itself, a huge int for a huge h, is built only past that
+        # a value of at most 3h bits is below 2^(3h) <= 10^h, so the cap
+        # itself, a huge int for a huge h, is built only past that; the
+        # plain bound comes first, and height_z's gcds run only past it
+        if max(max(map(abs, c.nums)) + c.den for c in vec.components).bit_length() <= bits:
+            return False
         h = height_z(vec)
-        return h.bit_length() > 3 * height_exponent and h > 10 ** height_exponent
+        return h.bit_length() > bits and h > 10 ** height_exponent
 
     remainders = [alpha]
     steps: list = []

@@ -24,7 +24,7 @@ from padiccf.cfrac import (
     step_phi3,
 )
 from padiccf.errors import CapExceeded, ConfigError, HViolation, PadiccfError, PoleHit, RecordFormatError
-from padiccf.field import MinPoly, VectorElement, denom_z, independent_with_one, validate_minpoly
+from padiccf.field import MinPoly, VectorElement, denom_z, height_z, independent_with_one, validate_minpoly
 from padiccf.hensel import Embedding
 from padiccf.lab import RunConfig, _suite_coefficients, build_z_set
 from padiccf.preduce import RationalMatrix
@@ -552,6 +552,86 @@ class TestProjectiveAgainstClosedForm:
         assert inverse_step(step, (Q(1, 3),)) == inverse_step_closed_form(step, (Q(1, 3),))
 
 
+class TestStepParameters:
+    """A step keeps its parameters as the maps computed them: ints and
+    unreduced (numerator, denominator) pairs.  The ``Fraction`` views,
+    the JSON, the step matrix, equality and hashing read their values."""
+
+    MATRIX = RationalMatrix([[Q(1, 3), Q(2)], [Q(0), Q(5, 7)]])
+
+    def steps(self, identity=False):
+        # 6/4, -10/15 and 4/6 unreduced, a negative denominator, a negative
+        # exponent, and an A with row denominators
+        pairs = cfrac.CMapStep(2, 2, -1, identity, ((-6, 4), -1), (3, -2), ((10, -15), 7),
+                               self.MATRIX, ((4, 6), (0, 9)))
+        fracs = cfrac.CMapStep(2, 2, -1, identity, (Q(-3, 2), Q(-1)), (3, -2), (Q(-2, 3), Q(7)),
+                               self.MATRIX, (Q(2, 3), Q(0)))
+        return pairs, fracs
+
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_equal_and_hash_as_the_fraction_step(self, identity):
+        pairs, fracs = self.steps(identity)
+        assert pairs == fracs and hash(pairs) == hash(fracs)
+        assert pairs.coeffs == (Q(-3, 2), Q(-1)) and pairs.gamma == (Q(2, 3), Q(0))
+        assert pairs != pairs.attach(self.MATRIX, (1, 0)) and pairs != self.steps(not identity)[0]
+
+    def test_same_json_and_no_cached_view(self):
+        pairs, fracs = self.steps()
+        assert json.dumps(pairs.to_json()) == json.dumps(fracs.to_json())
+        assert pairs.to_json()["shifts"] == ["-2/3", "7"]
+        assert not {"coeffs", "shifts", "gamma"} & set(vars(pairs))
+        assert pairs._coeffs == ((-6, 4), -1) and pairs._shifts == ((10, -15), 7)
+
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_step_matrix_from_pairs(self, identity):
+        pairs, fracs = self.steps(identity)
+        assert pairs.forward_matrix == fracs.forward_matrix
+        assert math.gcd(*(c for row in pairs.forward_matrix for c in row)) == 1
+        for x in ((Q(1, 5), Q(-3, 2)), (Q(0), Q(7)), (Q(-4), Q(1, 9))):
+            assert forward_step(pairs, x) == forward_step_closed_form(fracs, x)
+            assert inverse_step(pairs, forward_step(pairs, x)) == x
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_pairs_read_as_their_values(self, data):
+        s = data.draw(st.integers(1, 3))
+        p = data.draw(st.sampled_from([2, 3]))
+        nonzero = st.integers(-30, 30).filter(bool)
+
+        def param(num):
+            # an int, or a pair whose terms share a factor of any sign
+            return st.one_of(num, st.builds(lambda n, d, f: (n * f, d * f), num, nonzero, nonzero))
+
+        def draw(num):
+            return tuple(data.draw(param(num)) for _ in range(s))
+
+        def as_fractions(v):
+            return tuple(Q(*c) if type(c) is tuple else Q(c) for c in v)
+
+        coeffs, shifts, gamma = draw(nonzero), draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+        exps = tuple(data.draw(st.integers(-3, 3)) for _ in range(s))
+        mat = RationalMatrix([[Q(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9))) for _ in range(s)]
+                              for _ in range(s)])
+        head = (p, data.draw(st.integers(1, s)), 1, data.draw(st.booleans()))
+        pairs = cfrac.CMapStep(*head, coeffs, exps, shifts, mat, gamma)
+        fracs = cfrac.CMapStep(*head, as_fractions(coeffs), exps, as_fractions(shifts), mat, as_fractions(gamma))
+        assert pairs == fracs and pairs.to_json() == fracs.to_json()
+        assert pairs.forward_matrix == fracs.forward_matrix
+        x = tuple(Q(data.draw(nonzero), data.draw(st.integers(1, 9))) for _ in range(s))
+        assert forward_step(pairs, x) == forward_step_closed_form(fracs, x)
+
+    def test_engine_steps_hold_ints_and_pairs(self, k3, emb3):
+        z = k3.gen()
+        alpha = k3.vector([z * z + Q(1, 3) * z, z + Q(5, 7)])
+        for algo in ALGORITHMS:
+            rec = expand(alpha, algo, max_steps=4, embedding=emb3)
+            assert rec.steps
+            for step in rec.steps:
+                for v in step._coeffs + step._shifts + step._gamma:
+                    assert type(v) is int or (type(v) is tuple and len(v) == 2
+                                              and all(type(x) is int for x in v) and v[1] > 0)
+
+
 class TestExpand:
     def test_zero_input_finite_immediately(self, k2):
         rec = expand(k2.vector([k2.zero()]), "phi1")
@@ -568,6 +648,23 @@ class TestExpand:
         for top, kind in ((10**h - 1, "step_limit"), (10**h, "height_exceeded")):
             rec = expand(k2.vector([k2.element([top, 1])]), "phi0", max_steps=0, height_exponent=h)
             assert (rec.status.kind, rec.status.index) == (kind, 0), (h, top)
+
+    @pytest.mark.parametrize("h", [0, 1, 2, 5, 30])
+    def test_plain_bound_past_the_cap_reads_the_reduced_height(self, k3, h):
+        """The coefficient 3t/3 = t: the plain bound max |x| + den = 3t + 3
+        passes 10^h at t = 10^h // 2 while the height t + 1 does not, so
+        expand goes on; t = 10^h - 1 is at the cap and t = 10^h past it.
+        At h = 0 every nonzero vector is past the cap.  Each outcome is
+        the exact height_z rule."""
+        z = k3.gen()
+        for t in (10 ** h // 2, 10 ** h - 1, 10 ** h):
+            a = k3.element([Q(1, 3), Q(t), Q(0)])
+            assert (a.nums, a.den) == ((1, 3 * t, 0), 3)
+            assert (3 * t + 3).bit_length() > 3 * h or h == 0
+            rec = expand(k3.vector([a, z]), "phi1", max_steps=0, height_exponent=h)
+            kind = "height_exceeded" if height_z(rec.initial) > 10 ** h else "step_limit"
+            assert (rec.status.kind, rec.status.index) == (kind, 0)
+            assert kind == ("height_exceeded" if h == 0 or t == 10 ** h else "step_limit")
 
     def test_step_limit(self, k2):
         rec = expand(k2.vector([k2.gen() + Q(1, 3)]), "phi0", eps=1, max_steps=3, height_exponent=60)

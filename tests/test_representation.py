@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiccf.cfrac import _unit_normalizer
-from padiccf.field import FieldElement, MinPoly, VectorElement, height_z
+from padiccf.field import FieldElement, MinPoly, VectorElement, _reduced, height_z
 from padiccf.rationals import Q
 from oracles import fraction_tuple_op, height_by_coeffs, unit_normalizer_by_coeffs
 
@@ -148,6 +148,31 @@ class TestAgainstFractionTuples:
             assert _unit_normalizer(a, p) == unit_normalizer_by_coeffs(a, p)
         vec = mp.vector([mp.element(x), mp.element(y)])
         assert height_z(vec) == max(height_by_coeffs(c) for c in vec)
+
+
+class TestUnitNormalizer:
+    """The one n-ary gcd g / gcd(g, den) against the gcd of the
+    z-coefficient numerators in lowest terms, on canonical elements built
+    to hit each case: a zero z-part, numerators sharing primes with den,
+    negative numerators and content that is a power of p."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_gcd_is_the_gcd_of_lowest_terms_numerators(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        n = data.draw(st.integers(1, 5))
+        mp = MinPoly(p, [1] * (n - 1) + [p])  # only nums and den are read
+        den = data.draw(st.builds(operator.mul, st.sampled_from([1, p, p ** 7, 6, 35, 2**10 * 3**4 * 5]),
+                                  st.integers(1, 10**6)))
+        content = data.draw(st.sampled_from([1, p, p ** 9, -1, -p ** 4]))
+        content *= math.gcd(den, data.draw(st.integers(1, 10**9)))  # shares primes with den
+        zpart = data.draw(st.one_of(
+            st.just([0] * (n - 1)),
+            st.lists(st.integers(-10**40, 10**40), min_size=n - 1, max_size=n - 1),
+        ))
+        const = data.draw(st.one_of(st.just(1), st.integers(-10**40, 10**40)))
+        a = _reduced(mp, (const,) + tuple(content * x for x in zpart), den)
+        assert _unit_normalizer(a, p) == unit_normalizer_by_coeffs(a, p)
 
 
 class TestCanonicalForm:
