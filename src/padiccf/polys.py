@@ -8,7 +8,8 @@ f, where A is f's cleared integer form and a its leading coefficient: G
 is irreducible exactly when f is, and its roots are a times those of f.
 A prime q is *good* when it does not divide disc(G); then G mod q is
 squarefree.  :func:`certify` makes the whole decision: it builds G and
-disc(G) once per polynomial and runs, cheapest first:
+disc(G) once per polynomial, the discriminant on integers as one Bareiss
+determinant (the norm of G' in Q[z]/(G)), and runs, cheapest first:
 
 1. **squarefree**: disc(f) = 0 means a repeated factor;
 2. **rational roots**: the roots of G modulo the least good prime,
@@ -19,7 +20,11 @@ disc(G) once per polynomial and runs, cheapest first:
    from the Frobenius matrix of x^q (Cohen, *A Course in Computational
    Algebraic Number Theory*, Alg. 3.4.3), records the degrees of the
    factors mod q; a single factor of degree n proves f irreducible over
-   Q, and the first such q is the certificate;
+   Q, and the first such q is the certificate.  x^q and each matrix row
+   cost one fused product mod (G, q), a convolution whose top terms fold
+   down by G's low coefficients.  The degrees depend on G mod q alone,
+   so they are memoized per (G mod q, q): a z-set meets the same residue
+   again and again;
 4. **sieve**: a factor of degree k over Q is a sub-multiset of degree k
    in every pattern, so when no k in 2..n/2 is a subset sum of all of
    them, f is irreducible (Musser 1978, *J. ACM* 25);
@@ -103,28 +108,25 @@ def multiplication_rows(int_f, nums):
 
 
 def discriminant(f: Poly):
-    """disc(f) for f of degree n >= 1 with leading coefficient a.
-
-    For the monic m = f/a, disc(f) = a^(2n-2) disc(m) and disc(m) =
-    (-1)^(n(n-1)/2) N(m'), the norm taken in Q[z]/(m).  With D the lcm of
-    m's denominators, D m' has integer coefficients, and the determinant of
-    its :func:`multiplication_rows` is D^(n(n-1)/2) N(D m') =
-    D^(n(n+1)/2) N(m')."""
-    n, a = pdeg(f), f[-1]
-    (low,), (den,) = scale_rows([[Q(c, a) for c in f[:-1]]])
-    dm = [i * c for i, c in enumerate(low[1:], start=1)] + [n * den]
-    det = bareiss(multiplication_rows((den, low), dm), n)[1]
-    return Q(det * (-1) ** (n * (n - 1) // 2), den ** (n * (n + 1) // 2)) * a ** (2 * n - 2)
+    """disc(f) for f of degree n >= 1 with leading coefficient c, scaled
+    from disc(G) of the :func:`_monic_form` (G, a, disc(G)): the roots of G
+    are a times those of f, so disc(f) = c^(2n-2) disc(G) / a^(n(n-1))."""
+    _, a, disc = _monic_form(f)
+    n = pdeg(f)
+    return Q(disc, a ** (n * (n - 1))) * Q(f[-1]) ** (2 * n - 2)
 
 
 def _monic_form(f: Poly):
     """(G, a, disc(G)) for f of degree >= 1: the monic integer
     G(y) = a^(n-1) A(y/a), A the cleared form of f with leading
-    coefficient a."""
+    coefficient a.  disc(G) = (-1)^(n(n-1)/2) N(G'), the norm in
+    Q[z]/(G), is the determinant of the integer :func:`multiplication_rows`
+    of G', as G is monic and integral."""
     (ints,), _ = scale_rows([f])
     n, a = len(ints) - 1, ints[-1]
     G = tuple(c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])) + (1,)
-    return G, a, int(discriminant(G))
+    det = bareiss(multiplication_rows((1, G[:-1]), [i * c for i, c in enumerate(G) if i]), n)[1]
+    return G, a, det * (-1) ** (n * (n - 1) // 2)
 
 
 # --- polynomials over GF(q): ascending int lists, reduced and trimmed ---------
@@ -196,13 +198,28 @@ def _minv(a, f, q):
     return [c * inv % q for c in s1]
 
 
+def _mulmod(a, b, f, q):
+    """a*b modulo (f, q) for monic f of degree n: one convolution, then each
+    term of degree k >= n, top first, folded down by
+    x^n = -(f_0 + .. + f_(n-1) x^(n-1))."""
+    prod = _zmul(a, b)
+    n = len(f) - 1
+    low = f[:-1]
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k] % q
+        if c:
+            for j, v in enumerate(low, k - n):
+                prod[j] -= c * v
+    return _mtrim(prod[:n], q)
+
+
 def _mpow(g, e, f, q):
-    """g**e modulo (f, q)."""
+    """g**e modulo (f, q), f monic."""
     result = [1]
     for bit in bin(e)[2:]:
-        result = _mrem(_mmul(result, result, q), f, q)
+        result = _mulmod(result, result, f, q)
         if bit == "1":
-            result = _mrem(_mmul(result, g, q), f, q)
+            result = _mulmod(result, g, f, q)
     return result
 
 
@@ -223,7 +240,7 @@ def _ddf(f, q):
     xq = _mpow(_X, q, f, q)
     frob = [[1]]
     for _ in range(n - 1):
-        frob.append(_mrem(_mmul(frob[-1], xq, q), f, q))
+        frob.append(_mulmod(frob[-1], xq, f, q))
     parts, rest, h, k = [], f, _X, 0
     while 2 * (k + 1) <= len(rest) - 1:
         k += 1
@@ -276,7 +293,15 @@ def _patterns(G, disc, p):
         if not is_prime(q) or q == p or disc % q == 0:
             continue
         seen += 1
-        yield q, _pattern(_ddf(_mtrim(G, q), q))
+        yield q, _residue_pattern(tuple(c % q for c in G), q)
+
+
+@functools.lru_cache(maxsize=4096)
+def _residue_pattern(Gq, q):
+    """The factor degrees of G mod q, from its residue Gq: the pattern
+    depends on nothing else, and a z-set meets the same residue often.
+    4096 entries hold every residue of the p in {2, 3} z-sets of degree 2-6."""
+    return _pattern(_ddf(list(Gq), q))
 
 
 def certify(f: Poly, p):
@@ -397,7 +422,7 @@ def _recombine(G, q, degrees) -> bool:
         prod = functools.reduce(_zmul, lifted)
         err = [(c - d) // m for c, d in zip(G, prod)]
         for u, e, v in zip(factors, inverses, lifted):
-            for j, c in enumerate(_mrem(_mmul(err, e, q), u, q)):
+            for j, c in enumerate(_mulmod(err, e, u, q)):
                 v[j] += m * c
         m *= q
     tries = 0

@@ -152,6 +152,46 @@ def test_distinct_degree_patterns_match_brute_force(q, data):
     assert pattern == tuple(sorted(len(g) - 1 for g in factors))
 
 
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 7, 31, 65537]), data=st.data())
+def test_fused_product_and_power_match_the_oracle(q, data):
+    # _mulmod and _mpow against the oracle's product, remainder and x-power;
+    # factors may reach degree n, as x does modulo a linear f
+    n = data.draw(st.integers(1, 8))
+    f = [data.draw(st.integers(0, q - 1)) for _ in range(n)] + [1]
+    residues = st.lists(st.integers(0, q - 1), max_size=n + 1).map(lambda c: polys._mtrim(c, q))
+    a, b = data.draw(residues), data.draw(residues)
+    assert polys._mulmod(a, b, f, q) == oracles._mrem(oracles._mmul(a, b, q), f, q)
+    e = data.draw(st.sampled_from([0, 1, q, q ** data.draw(st.integers(2, 4))]) | st.integers(0, 10**6))
+    assert polys._mpow([0, 1], e, f, q) == oracles._mpow_x(e, f, q)
+    power = [1]
+    for k in range(data.draw(st.integers(0, 12))):
+        assert polys._mpow(a, k, f, q) == oracles._mrem(power, f, q)
+        power = oracles._mmul(power, a, q)
+    if n == 1:
+        assert polys._ddf(f, q) == [(1, f)]
+
+
+def test_residue_memo_matches_cold_patterns(monkeypatch):
+    # every pattern a z-set build reads from the memo is the pattern a cold
+    # distinct-degree factorization of that residue gives
+    memo, seen = polys._residue_pattern, []
+
+    def recorded(Gq, q):
+        pattern = memo(Gq, q)
+        seen.append((Gq, q, pattern))
+        return pattern
+
+    memo.cache_clear()
+    monkeypatch.setattr(polys, "_residue_pattern", recorded)
+    for p in (2, 3):
+        for n in (2, 3, 4):
+            lab.build_z_set.__wrapped__(p, n)
+    assert memo.cache_info().hits > 0
+    for Gq, q, pattern in seen:
+        assert pattern == polys._pattern(polys._ddf(list(Gq), q)), (Gq, q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     roots=st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**6)), max_size=3),
