@@ -39,6 +39,15 @@ compared structurally on their canonical integer numerators and
 denominators, so cycle detection is sound and complete up to the step
 limit.
 
+The expansions of one generator share their closed cycles through the
+embedding they are given (``Embedding.cycles``): a periodic expansion
+stores its cycle, from the preperiod on, as each remainder's (step, next
+remainder), and a later expansion with the same step key reads a step
+from there instead of running the map.  The lookup sits where the step
+would run, after the zero, recurrence, height and step-limit checks, so
+every classification is computed as before; preperiods and orbits of any
+other ending are not stored.
+
 The engine is the one validator of its records: a record loads by
 running :func:`expand` again on its initial vector, with the record's
 parameters and stopping rules read from the record, and only if that
@@ -639,6 +648,9 @@ def check_params(algorithm, s: int, eps=1, lookahead=1, g_variant=False) -> None
                           f"more than {LOOKAHEAD_BUDGET} images per step")
 
 
+CYCLE_BUDGET = 4096  # steps an embedding's cycle memo may hold per step key
+
+
 def expand(
     alpha: VectorElement,
     algorithm: str,
@@ -665,6 +677,15 @@ def expand(
     before the first step, and ``max_steps`` and ``height_exponent`` must
     be ints >= 0 (ValueError).  The embedding, when not given, is built at
     the first step.
+
+    A given embedding's cycle memo (``Embedding.cycles``) for this
+    expansion's step key (algorithm, eps, lookahead, g_variant) is read
+    where a step would run: a remainder on a stored cycle takes the stored
+    (step, next remainder), the pair the map would compute; an empty memo
+    is not looked up.  A periodic ending stores its cycle, the remainders
+    from the preperiod on, unless it is stored already or would take the
+    memo past ``CYCLE_BUDGET`` steps; other endings store nothing.  An
+    expansion on its own embedding neither reads nor fills a memo.
     """
     check_params(algorithm, len(alpha), eps, lookahead, g_variant)
     at_least(max_steps, 0, "max_steps")
@@ -672,6 +693,8 @@ def expand(
     if algorithm != "phi0" and alpha.minpoly.is_rational_field:
         raise ValueError(f"{algorithm} requires a proper extension field")
     memo = {} if algorithm == "phi2" else None
+    key = (algorithm, eps, lookahead, g_variant)
+    cycles = embedding.cycles.get(key, {}) if embedding is not None else {}
 
     def first_step(cur):
         # the embedding is built at the first step, so an orbit that takes
@@ -715,9 +738,16 @@ def expand(
         elif n >= max_steps:
             status = Status("step_limit", n)
         else:
-            step, nxt = advance(cur)
+            hit = cycles.get(cur) if cycles else None
+            step, nxt = advance(cur) if hit is None else hit
             steps.append(step)
             remainders.append(nxt)
+
+    if status.kind == "periodic" and embedding is not None:
+        cycles = embedding.cycles.setdefault(key, cycles)
+        if remainders[status.preperiod] not in cycles and len(cycles) + status.period <= CYCLE_BUDGET:
+            for k in range(status.preperiod, status.index):
+                cycles[remainders[k]] = steps[k], remainders[k + 1]
 
     return ExpansionRecord(
         algorithm=algorithm,

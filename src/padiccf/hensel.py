@@ -58,11 +58,20 @@ class Embedding:
 
     Holds the residue of z modulo p^precision as an int; a request for more
     digits lifts it again from scratch, which is as cheap as extending.
+
+    ``cycles`` is the expansion engine's memo of closed cycles, one dict
+    per step key (algorithm, eps, lookahead, g_variant), each mapping a
+    remainder on a cycle to its (step, next remainder).  A step map is a
+    pure function of the field, the key and the remainder, so an entry is
+    what the map would compute.  :func:`cfrac.expand` fills it from its
+    periodic orbits and reads it where it would take a step; the memo
+    lives as long as the embedding.
     """
 
     def __init__(self, minpoly: MinPoly):
         self.minpoly = minpoly
         self.p = minpoly.p
+        self.cycles: dict = {}
         self._precision = self._residue = 0
         if minpoly.is_rational_field:
             self._base_precision = 1

@@ -348,7 +348,8 @@ class TestPhi2:
         """Each (remainder, pivot) map runs once, up to the step whose
         tree reaches the remainder a periodic orbit returns to: that tree
         revisits remainders whose subtrees earlier steps pruned and runs
-        their maps again."""
+        their maps again.  The counted run is on an embedding of its own,
+        so none of its steps is read from the cycle the full run stored."""
         emb, vectors = _cubic_suite()
         real_h_map = cfrac.h_map
         for alpha in vectors:
@@ -360,7 +361,8 @@ class TestPhi2:
                 return real_h_map(emb_, vec, eps_, j)
 
             monkeypatch.setattr(cfrac, "h_map", counted)
-            expand(alpha, "phi2", eps=eps, lookahead=n, embedding=emb, max_steps=full.status.index - n)
+            expand(alpha, "phi2", eps=eps, lookahead=n, embedding=Embedding(emb.minpoly),
+                   max_steps=full.status.index - n)
             monkeypatch.setattr(cfrac, "h_map", real_h_map)
             assert calls and len(calls) == len(set(calls))
 
@@ -877,6 +879,178 @@ class TestPeriodicity:
                     assert not last.is_zero()
                     assert all(hi == vi * last for hi, vi in zip(h, v)), (algo, st)
         assert periodic >= 12
+
+
+MEMO_SPECS = ([("phi0", eps, 1, False) for eps in (1, -1)] + [("phi1", eps, 1, False) for eps in (1, -1)]
+              + [("phi2", eps, n, False) for n in (1, 2) for eps in (1, -1)]
+              + [("phi3", 1, 1, g_variant) for g_variant in (False, True)])
+
+
+def _memo_kw(eps, n, g_variant):
+    return {"eps": eps, "lookahead": n, "g_variant": g_variant}
+
+
+def _count_steps(monkeypatch):
+    """A list that grows by one per call of step_phi0 .. step_phi3."""
+    calls = []
+    for name in ("step_phi0", "step_phi1", "step_phi2", "step_phi3"):
+        def spy(*args, _name=name, _real=getattr(cfrac, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(cfrac, name, spy)
+    return calls
+
+
+def _small_quadratic_vectors():
+    """A z-set quadratic and the vectors (a + b z), |a|, |b| <= 3: many of
+    their phi0 orbits close on the same cycles (the lab suites' phi0 orbits
+    do not close)."""
+    mp = build_z_set(2, 2)[0]
+    z = mp.gen()
+    return mp, [mp.vector([a + b * z]) for a in range(-3, 4) for b in range(-3, 4)]
+
+
+def _cycle_start(algo, eps, n, g_variant, vectors):
+    """The first cycle remainder of the first periodic orbit among ``vectors``,
+    expanded on its own embedding: a purely periodic vector."""
+    for vec in vectors:
+        rec = expand(vec, algo, max_steps=60, **_memo_kw(eps, n, g_variant))
+        if rec.status.kind == "periodic":
+            return rec.remainders[rec.status.preperiod]
+    raise AssertionError("no periodic orbit")
+
+
+def _memo_case(algo):
+    """A field and vectors with periodic ``algo`` orbits."""
+    if algo == "phi0":
+        return _small_quadratic_vectors()
+    mp = build_z_set(2, 3)[0]
+    return mp, _suite_vectors(mp, 3, 8)
+
+
+class TestCycleMemo:
+    """Expansions given one embedding share their closed cycles through
+    ``Embedding.cycles``: a step read from there is the step the map would
+    compute, so every record is the one a fresh embedding writes."""
+
+    @staticmethod
+    def grid():
+        yield _small_quadratic_vectors()
+        for p, count in ((2, 2), (3, 1)):
+            for mp in build_z_set(p, 3)[:count]:
+                yield mp, _suite_vectors(mp, 3, 6)
+
+    @pytest.mark.parametrize("algo, eps, n, g_variant", MEMO_SPECS)
+    def test_shared_embedding_writes_the_records_of_fresh_ones(self, algo, eps, n, g_variant, monkeypatch):
+        """Full expansions, then reruns of each periodic one cut by
+        max_steps inside its stored cycle (with and without cycle
+        detection) and under a height exponent below its cycle's heights,
+        each on the shared embedding and on a fresh one."""
+        kw = _memo_kw(eps, n, g_variant)
+        hits = height_cuts = 0
+        calls = _count_steps(monkeypatch)
+        for mp, vectors in self.grid():
+            emb = Embedding(mp)
+
+            def both(vec, **more):
+                nonlocal hits
+                before = len(calls)
+                shared = expand(vec, algo, embedding=emb, **kw, **more)
+                hits += len(shared.steps) - (len(calls) - before)
+                fresh = expand(vec, algo, embedding=Embedding(mp), **kw, **more)
+                assert json.dumps(shared.to_json()) == json.dumps(fresh.to_json()), (vec, more)
+                return shared
+
+            for rec in [both(vec, max_steps=60) for vec in vectors]:
+                st = rec.status
+                if st.kind != "periodic":
+                    continue
+                mid = st.preperiod + (st.period + 1) // 2
+                both(rec.initial, max_steps=mid)
+                both(rec.initial, max_steps=st.index + mid, detect_cycles=False)
+                h = cfrac._least_exponent(max(map(height_z, rec.remainders[st.preperiod:st.index])))
+                if h:
+                    low = both(rec.initial, max_steps=60, height_exponent=h - 1).status
+                    height_cuts += low.kind == "height_exceeded" and low.index >= st.preperiod
+        assert hits >= 20 and height_cuts >= 1
+
+    @pytest.mark.parametrize("algo, eps, n, g_variant", MEMO_SPECS)
+    def test_second_expansion_of_a_periodic_vector_runs_no_map(self, algo, eps, n, g_variant, monkeypatch):
+        mp, vectors = _memo_case(algo)
+        kw = _memo_kw(eps, n, g_variant)
+        start = _cycle_start(algo, eps, n, g_variant, vectors)
+        emb = Embedding(mp)
+        first = expand(start, algo, embedding=emb, **kw)
+        assert first.status.preperiod == 0 and len(emb.cycles[algo, eps, n, g_variant]) == first.status.period
+
+        def no_map(*args):
+            raise AssertionError("a fractional map ran")
+
+        monkeypatch.setattr(cfrac, "g_map", no_map)
+        monkeypatch.setattr(cfrac, "h_map", no_map)
+        again = expand(start, algo, embedding=emb, **kw)
+        assert again.to_json() == first.to_json()
+
+    @pytest.mark.parametrize("stored, other", [
+        (("phi0", 1, 1, False), ("phi0", -1, 1, False)),
+        (("phi1", 1, 1, False), ("phi1", -1, 1, False)),
+        (("phi2", 1, 1, False), ("phi2", 1, 2, False)),
+        (("phi3", 1, 1, False), ("phi3", 1, 1, True)),
+        (("phi1", 1, 1, False), ("phi2", 1, 1, False)),
+        (("phi1", 1, 1, False), ("phi3", 1, 1, False)),
+        (("phi0", 1, 1, False), ("phi1", 1, 1, False)),
+    ])
+    def test_keys_share_nothing(self, stored, other, monkeypatch):
+        """An expansion that starts on a cycle stored under another key
+        runs its map at every step."""
+        mp, vectors = _memo_case(stored[0])
+        start = _cycle_start(*stored, vectors)
+        emb = Embedding(mp)
+        expand(start, stored[0], embedding=emb, **_memo_kw(*stored[1:]))
+        assert start in emb.cycles[stored]
+        calls = _count_steps(monkeypatch)
+        rec = expand(start, other[0], embedding=emb, max_steps=30, **_memo_kw(*other[1:]))
+        assert len(rec.steps) >= 1 and len(calls) == len(rec.steps)
+
+    def test_only_a_periodic_ending_stores_and_only_its_cycle(self):
+        mp, _ = _small_quadratic_vectors()
+        z = mp.gen()
+        key = ("phi0", -1, 1, False)
+        emb = Embedding(mp)
+        finite = expand(mp.vector([mp.rational(3)]), "phi0", eps=-1, embedding=emb)
+        assert finite.status.kind == "finite" and len(finite.steps) >= 2 and emb.cycles == {}
+        periodic = expand(mp.vector([3 - z]), "phi0", eps=-1, max_steps=60)
+        st = periodic.status
+        assert st.kind == "periodic" and st.preperiod >= 2 and st.period >= 2
+        for more in ({"max_steps": st.index + st.period, "detect_cycles": False},
+                     {"height_exponent": 0}):
+            rec = expand(periodic.initial, "phi0", eps=-1, embedding=emb, **more)
+            assert rec.status.kind != "periodic" and emb.cycles == {}
+        rec = expand(periodic.initial, "phi0", eps=-1, embedding=emb, max_steps=60)
+        assert rec.to_json() == periodic.to_json()
+        assert emb.cycles == {key: {rec.remainders[k]: (rec.steps[k], rec.remainders[k + 1])
+                                    for k in range(st.preperiod, st.index)}}
+
+    def test_a_cycle_past_the_budget_is_not_stored(self, monkeypatch):
+        mp, vectors = _memo_case("phi3")
+        key = ("phi3", 1, 1, False)
+        recs = [expand(vec, "phi3", max_steps=60) for vec in vectors]
+        cycles = {}
+        for rec in recs:  # one orbit per distinct cycle
+            cycles.setdefault(frozenset(rec.remainders[rec.status.preperiod:rec.status.index]), rec)
+        first, second = list(cycles.values())[:2]
+        p1, p2 = first.status.period, second.status.period
+        monkeypatch.setattr(cfrac, "CYCLE_BUDGET", p1 - 1)
+        emb = Embedding(mp)
+        expand(first.initial, "phi3", embedding=emb)
+        assert emb.cycles.get(key, {}) == {}
+        monkeypatch.setattr(cfrac, "CYCLE_BUDGET", p1 + p2 - 1)
+        expand(first.initial, "phi3", embedding=emb)
+        expand(second.initial, "phi3", embedding=emb)
+        assert set(emb.cycles[key]) == set(first.remainders[first.status.preperiod:first.status.index])
+        monkeypatch.setattr(cfrac, "CYCLE_BUDGET", p1 + p2)
+        rec = expand(second.initial, "phi3", embedding=emb)
+        assert len(emb.cycles[key]) == p1 + p2 and rec.to_json() == second.to_json()
 
 
 class TestContraction:
