@@ -21,10 +21,15 @@ and one gcd against the step's scalar lambda (forward times inverse
 matrix is lambda I), and the rationals are built once, at the end.
 
 The fractional maps and the phi3 step work on the integer numerators and
-the denominator of each component: ``g_map`` scales each component by
-eps p^e through ``field._scale`` and subtracts the integer digit from the
-constant numerator, ``h_map`` divides by the unit normalizer through the
-same routine and takes digit heads on the numerators, and ``step_phi3``
+the denominator of each component.  ``g_map`` and ``h_map`` share one
+unreduced kernel, ``_map_images``: a_j's inverse is taken once, as
+numerators over a determinant (``field._inverse_nums``), each a_i a_j^-1
+is one product with its multiplication rows (``field._product_nums``),
+eps p^e is folded into the same integers, and each digit is read off the
+valuation residues of ``Embedding.ord_digit`` rather than off the image.
+``g_map`` reduces each image once; ``h_map`` reads the unit normalizer
+and the digit head off the unreduced image, both functions of its value,
+and then reduces once.  ``step_phi3``
 p-reduces the z-parts of the image as integer rows (``RationalMatrix``),
 applies the transformer to the constant column by integer dot products
 and builds the next remainder from the reduced rows.  The recorded
@@ -63,10 +68,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import CapExceeded, PadiccfError, PoleHit, RecordFormatError
-from .field import FieldElement, MinPoly, VectorElement, _reduced, _scale, denom_z, height_z
+from .field import FieldElement, MinPoly, VectorElement, _inverse_nums, _product_nums, _reduced, denom_z, height_z
 from .hensel import Embedding
+from .polys import multiplication_rows
 from .preduce import RationalMatrix, p_reduce, scale_rows, solve
-from .rationals import ORD_INF, Q, QONE, head_num, qformat
+from .rationals import Q, QONE, head_num, qformat
 
 
 def _is_int(v) -> bool:
@@ -351,6 +357,51 @@ def _least_exponent(height: int) -> int:
 # --- fractional maps ---------------------------------------------------------
 
 
+def _map_images(emb: Embedding, alpha: VectorElement, eps: int, j: int):
+    """The kernel every fractional map runs: (exps, digits, images) for
+    the digit-subtracting map with pivot j at alpha, each image the
+    unreduced pair (nums, den), den > 0, of eps p^e a_i / a_j less its
+    digit; None for a zero pivot.
+
+    a_j's inverse is taken once, unreduced (``field._inverse_nums``), and
+    its multiplication rows serve every a_i (``field._product_nums``); the
+    scaling by eps p^e is folded into the same integers.  The digits come
+    from ``Embedding.ord_digit``, not from the images: with a_i = p^o_i
+    u_i, the image value has valuation e + o_i - o_j, which is 0 for the
+    pivot and for o_i <= o_j and positive otherwise, so its digit is eps
+    u_i u_j^-1 mod p at valuation 0 and 0 above it."""
+    comps = alpha.components
+    aj = comps[j - 1]
+    if aj.is_zero():
+        return None
+    mp, p = alpha.minpoly, emb.p
+    inv, inv_den = _inverse_nums(aj)
+    rows = None  # the inverse's multiplication rows, built at the first product (s = 1 has none)
+    prod_den = inv_den * mp._int_f[0] ** (mp.degree - 1)
+    oj, uj = emb.ord_digit(aj)
+    unit = eps * pow(uj, -1, p)
+    exps, digits, images = [], [], []
+    for i, ai in enumerate(comps, start=1):
+        if i == j:
+            e, om, nums, den = oj, unit % p, inv, inv_den
+        else:
+            oi, ui = emb.ord_digit(ai)  # a zero a_i has ord inf: e = 0, digit 0
+            e = max(oj - oi, 0)
+            om = unit * ui % p if oi <= oj else 0
+            if rows is None:
+                rows = multiplication_rows(mp._int_f, inv)
+            nums, den = _product_nums(mp, rows, ai.nums), ai.den * prod_den
+        if e < 0:
+            den *= p ** -e
+        k = eps * p ** max(e, 0)
+        if k != 1:
+            nums = tuple(x * k for x in nums)
+        exps.append(e)
+        digits.append(om)
+        images.append(((nums[0] - om * den,) + nums[1:], den))
+    return exps, digits, images
+
+
 def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     """Digit-subtracting fractional map with pivot j, anchored at alpha.
 
@@ -360,54 +411,42 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     of the anchor lands in pZ_p.  A zero pivot yields the identity.
     Returns (step, F(alpha)), the step with A = I and gamma = 0.
 
-    Each component is scaled by eps p^e with ``field._scale``.  The
-    integer digit om leaves den as it is (nums_0 - om den over den), and
-    gcd(den, nums) does not change, so the image needs no reduction.  The
-    step records the ints eps and om as its coefficients and shifts.
+    Each image is :func:`_map_images`' pair reduced once.  The step
+    records the ints eps and the digits as its coefficients and shifts.
     """
-    comps = alpha.components
-    aj = comps[j - 1]
-    s = len(comps)
+    s, p = len(alpha), emb.p
     eye, zero = RationalMatrix.identity(s), (0,) * s
-    if aj.is_zero():
-        return CMapStep(emb.p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
-    p = emb.p
-    m = emb.ord(aj)
-    inv_aj = aj.inverse()
-    exps, shifts, image = [], [], []
-    for i, ai in enumerate(comps, start=1):
-        if i == j:
-            val, e = inv_aj, m
-        else:
-            oi = emb.ord(ai)
-            e = max(m - oi, 0) if oi is not ORD_INF else 0
-            val = ai * inv_aj
-        val = _scale(val, eps * p ** max(e, 0), p ** max(-e, 0))
-        om = emb.omega(val)
-        exps.append(e)
-        shifts.append(om)
-        image.append(FieldElement(val.minpoly, (val.nums[0] - om * val.den,) + val.nums[1:], val.den))
-    step = CMapStep(p, j, eps, False, (eps,) * s, tuple(exps), tuple(shifts), eye, zero)
-    return step, VectorElement(image)
+    fmap = _map_images(emb, alpha, eps, j)
+    if fmap is None:
+        return CMapStep(p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
+    exps, digits, images = fmap
+    mp = alpha.minpoly
+    step = CMapStep(p, j, eps, False, (eps,) * s, tuple(exps), tuple(digits), eye, zero)
+    return step, VectorElement([_reduced(mp, nums, den) for nums, den in images])
 
 
-def _unit_normalizer(elem: FieldElement, p: int) -> int:
-    """p-free part of the gcd of the z-coefficient numerators in lowest
-    terms; 1 if the z-part vanishes.  Always a p-adic unit, so dividing by
-    it keeps p-integrality.
+def _unit_normalizer(nums: tuple, den: int, p: int) -> tuple:
+    """(a, c) for the value nums/den, den > 0, in any representation.  a
+    is the p-free part of the gcd of the z-coefficient numerators in lowest
+    terms, 1 if the z-part vanishes: a p-adic unit, so dividing by it keeps
+    p-integrality.  c = gcd(g, den) for g = gcd(nums_1, .., nums_s), and a c
+    is a multiple of every factor (h, nums_1, .., nums_s) shares with a den,
+    whatever h.
 
     The numerator of x_i/d in lowest terms is x_i / gcd(x_i, d), and
-    gcd_i(x_i / gcd(x_i, d)) = g / gcd(g, d) for g = gcd(x_1, .., x_s):
-    at each prime r, min_i max(v_r(x_i) - v_r(d), 0) =
-    max(min_i v_r(x_i) - v_r(d), 0).  So one n-ary gcd and one more
-    suffice."""
-    g = math.gcd(*elem.nums[1:])
+    gcd_i(x_i / gcd(x_i, d)) = g / gcd(g, d): at each prime r,
+    min_i max(v_r(x_i) - v_r(d), 0) = max(min_i v_r(x_i) - v_r(d), 0).  So
+    one n-ary gcd and one more suffice, and a factor common to nums and den
+    cancels from g / gcd(g, d).  A factor shared with a den divides
+    gcd(g, a den), which divides gcd(g, den) gcd(g, a) = c a, as a divides g."""
+    g = math.gcd(*nums[1:])
+    c = math.gcd(g, den)
     if g == 0:
-        return 1
-    g //= math.gcd(g, elem.den)
-    while g % p == 0:
-        g //= p
-    return g
+        return 1, c
+    a = g // c
+    while a % p == 0:
+        a //= p
+    return a, c
 
 
 def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
@@ -416,26 +455,29 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     the resulting constant coefficient is subtracted.  Keeps images in
     pZ_p while shrinking coefficient denominators.
 
-    The division by the unit a is ``field._scale``.  The head of the
-    constant coefficient nums_0/den, den = p^t u, is (r u)/den for its
-    digits r/p^t, so the image keeps den and takes r u as nums_0.  The
-    recorded coefficient is the pair (eps, a) and the shift the pair
-    (om den + a (nums_0 - r u), a den), om/a + (nums_0 - r u)/den for g's
-    integer digit om, neither reduced."""
-    g_step, g_image = g_map(emb, alpha, eps, j)
-    if g_step.identity:
-        return g_step, g_image
-    p = emb.p
+    The unit normalizer a and the head depend only on the value, so both
+    are read off :func:`_map_images`' unreduced pair (nums, den): the
+    division by a makes it nums over a den, and the head of nums_0/(a den),
+    a den = p^t u, is (r u)/(a den) for its digits r/p^t.  The image takes
+    that head as its constant numerator and is reduced once.  The recorded
+    coefficient is the pair (eps, a) and the shift the pair
+    (om a den + a (nums_0 - r u), a a den), om/a + (nums_0 - r u)/(a den)
+    for g's integer digit om, neither reduced."""
+    fmap = _map_images(emb, alpha, eps, j)
+    if fmap is None:
+        return g_map(emb, alpha, eps, j)
+    exps, digits, images = fmap
+    mp, p = alpha.minpoly, emb.p
     coeffs, shifts, image = [], [], []
-    for om, g_img in zip(g_step._shifts, g_image):
-        ap = _unit_normalizer(g_img, p)
-        g_img = _scale(g_img, 1, ap) if ap != 1 else g_img
-        nums, den = g_img.nums, g_img.den
+    for om, (nums, den) in zip(digits, images):
+        ap, c = _unit_normalizer(nums, den, p)
+        den *= ap
         hd = head_num(nums[0], den, p, 0)
         coeffs.append((eps, ap))
         shifts.append((om * den + ap * (nums[0] - hd), ap * den))
-        image.append(_reduced(g_img.minpoly, (hd,) + nums[1:], den))
-    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step._gamma)
+        image.append(_reduced(mp, (hd,) + nums[1:], den, ap * c))
+    eye, zero = RationalMatrix.identity(len(alpha)), (0,) * len(alpha)
+    step = CMapStep(p, j, eps, False, tuple(coeffs), tuple(exps), tuple(shifts), eye, zero)
     return step, VectorElement(image)
 
 

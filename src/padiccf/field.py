@@ -14,10 +14,12 @@ hashing are structural (Cohen, *A Course in Computational Algebraic
 Number Theory*, 4.2).  A product is one integer matrix-vector product
 with the multiplication matrix, and an inverse its first-row cofactors,
 written out at degree 2 and 3 and from one fraction-free elimination
-above; sums follow Knuth, TAOCP vol. 2, 4.5.1, and reduce only by the gcd
-of the two denominators.  ``Fraction`` coefficients are a derived view
-(``.coeffs``) for serialization and printing.  The degenerate degree-1
-case (K = Q, still with s = 1) is represented by the
+above.  Both are unreduced helpers (``_product_nums``, ``_inverse_nums``)
+that the fractional maps of ``cfrac`` share; ``*`` and ``inverse`` reduce
+their result once.  Sums follow Knuth, TAOCP vol. 2, 4.5.1, and reduce
+only by the gcd of the two denominators.  ``Fraction`` coefficients are a
+derived view (``.coeffs``) for serialization and printing.  The
+degenerate degree-1 case (K = Q, still with s = 1) is represented by the
 ``MinPoly.rationals`` sentinel; its elements carry a single coefficient.
 """
 
@@ -309,37 +311,8 @@ class FieldElement:
         return acc
 
     def inverse(self) -> "FieldElement":
-        """Cramer's rule on the multiplication matrix.
-
-        Write a = b(z)/d with integer b and let M be the integer matrix of
-        :func:`polys.multiplication_rows`, whose column j is D^j (b z^j mod f).
-        The inverse c of b solves M_b c = e_0, where M_b = M diag(D^-j), so
-        c_j = D^j (adj(M) e_0)_j / det(M) and a^-1 = d c; adj(M) e_0 is the
-        cofactor vector C_0j of M's first row, and det(M) = sum_j M_0j C_0j
-        (Cohen 4.2).  At degree 2 and 3 the cofactors are written out; from
-        degree 4 on one fraction-free elimination of [M | e_0] gives them up
-        to the sign it shares with det(M).  det(M) = 0 means b shares a root
-        with f: a zero divisor of a reducible f.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        mp = self.minpoly
-        if self.is_rational():
-            return mp.rational(Q(self.den, self.nums[0]))
-        n = mp.degree
-        rows = multiplication_rows(mp._int_f, self.nums)
-        if n <= 3:
-            cof = _first_row_cofactors(rows)
-            det = sum(map(operator.mul, rows[0], cof))
-            if not det:
-                raise ZeroDivisionError(ZERO_DIVISOR)
-        else:
-            for i, row in enumerate(rows):
-                row.append(0 if i else 1)
-            det, x = solve(rows, n, ZERO_DIVISOR)
-            cof = [xj[0] for xj in x]
-        den = mp._int_f[0]
-        return _reduced(mp, tuple(self.den * den ** j * c for j, c in enumerate(cof)), det)
+        """The inverse: :func:`_inverse_nums` reduced once."""
+        return _reduced(self.minpoly, *_inverse_nums(self))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -380,6 +353,55 @@ def _first_row_cofactors(rows) -> tuple:
     return d * h - e * g, e * f - c * h, c * g - d * f
 
 
+def _inverse_nums(a: FieldElement) -> tuple:
+    """a^-1 as integer numerators over a positive denominator, unreduced:
+    Cramer's rule on the multiplication matrix.
+
+    Write a = b(z)/d with integer b and let M be the integer matrix of
+    :func:`polys.multiplication_rows`, whose column j is D^j (b z^j mod f).
+    The inverse c of b solves M_b c = e_0, where M_b = M diag(D^-j), so
+    c_j = D^j (adj(M) e_0)_j / det(M) and a^-1 = d c; adj(M) e_0 is the
+    cofactor vector C_0j of M's first row, and det(M) = sum_j M_0j C_0j
+    (Cohen 4.2).  At degree 2 and 3 the cofactors are written out; from
+    degree 4 on one fraction-free elimination of [M | e_0] gives them up
+    to the sign it shares with det(M).  det(M) = 0 means b shares a root
+    with f: a zero divisor of a reducible f.  A rational a is d / b_0.
+    """
+    mp, d, x0 = a.minpoly, a.den, a.nums[0]
+    if a.is_rational():
+        if not x0:
+            raise ZeroDivisionError("inverse of zero")
+        return (d if x0 > 0 else -d,) + (0,) * (mp.degree - 1), abs(x0)
+    n = mp.degree
+    rows = multiplication_rows(mp._int_f, a.nums)
+    if n <= 3:
+        cof = _first_row_cofactors(rows)
+        det = sum(map(operator.mul, rows[0], cof))
+        if not det:
+            raise ZeroDivisionError(ZERO_DIVISOR)
+    else:
+        for i, row in enumerate(rows):
+            row.append(0 if i else 1)
+        det, x = solve(rows, n, ZERO_DIVISOR)
+        cof = [xj[0] for xj in x]
+    if det < 0:
+        d, det = -d, -det
+    den = mp._int_f[0]
+    return tuple(d * den ** j * c for j, c in enumerate(cof)), det
+
+
+def _product_nums(mp: MinPoly, rows, nums) -> tuple:
+    """The integer numerators of b_a b_b over D^(n-1), for ``rows`` the
+    :func:`polys.multiplication_rows` of b_a and ``nums`` those of b_b.
+
+    Column j of that matrix M is D^j (b_a z^j mod f), so b_a b_b = sum_j
+    b_b,j M e_j / D^j = M w / D^(n-1) with the integer vector w_j = b_b,j
+    D^(n-1-j).  One matrix of b_a serves every b_b it multiplies."""
+    den, n = mp._int_f[0], mp.degree
+    w = nums if den == 1 else [x * den ** (n - 1 - j) for j, x in enumerate(nums)]
+    return tuple(sum(map(operator.mul, row, w)) for row in rows)
+
+
 def _reduced(mp: MinPoly, nums: tuple, den: int, bound: int | None = None) -> FieldElement:
     """The canonical element nums/den for any nonzero int den; ``bound``,
     when given, is a multiple of every factor nums and den can share."""
@@ -409,19 +431,10 @@ def _scale(a: FieldElement, u: int, v: int) -> FieldElement:
 
 
 def _mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """a b as one integer matrix-vector product.
-
-    With a = b_a(z)/d_a and b = b_b(z)/d_b, column j of the matrix M of
-    :func:`polys.multiplication_rows` for b_a is D^j (b_a z^j mod f), so
-    b_a b_b = sum_j b_b,j M e_j / D^j = M w / D^(n-1) with the integer
-    vector w_j = b_b,j D^(n-1-j); the product is M w over d_a d_b D^(n-1).
-    """
+    """a b: :func:`_product_nums` over d_a d_b D^(n-1), reduced once."""
     mp = a.minpoly
-    n = mp.degree
-    den = mp._int_f[0]
-    w = [x * den ** (n - 1 - j) for j, x in enumerate(b.nums)]
-    nums = tuple(sum(x * y for x, y in zip(row, w)) for row in multiplication_rows(mp._int_f, a.nums))
-    return _reduced(mp, nums, a.den * b.den * den ** (n - 1))
+    nums = _product_nums(mp, multiplication_rows(mp._int_f, a.nums), b.nums)
+    return _reduced(mp, nums, a.den * b.den * mp._int_f[0] ** (mp.degree - 1))
 
 
 def element_minpoly(a: FieldElement):

@@ -9,7 +9,9 @@ for a = (1/d) * sum(b_i z^i), stored as its integer numerators b_i over
 d, evaluate the integer combination at the residue modulo a suitable
 power of p, and shift by the valuation of d.  Digits and heads take that
 residue through ``rationals.head_num``, the package's one digit-head
-routine.
+routine.  ``ord_digit`` reads a valuation and the unit digit together off
+the one residue the valuation is found from, which is how the fractional
+maps take their digits without evaluating an image at the root.
 
 ``Embedding`` is the workhorse used by the expansion engine; it keeps one
 residue, an int, and lifts it again from scratch whenever a computation
@@ -129,9 +131,31 @@ class Embedding:
             return min(self.ord(c) for c in a.components)
         if a.is_zero():
             return ORD_INF
-        if a.is_rational():
-            return vp_int(a.nums[0], self.p) - vp_int(a.den, self.p)
-        nums, m = a.nums, self._base_precision
+        return vp_int(self._ladder(a), self.p) - vp_int(a.den, self.p)
+
+    def ord_digit(self, a: FieldElement) -> tuple:
+        """(ord(a), u) for u the unit digit of a, the first digit of
+        p^-ord(a) a, in 1..p-1; (ORD_INF, 0) for zero.
+
+        Both come from the one residue r of :meth:`ord`'s ladder: r = b(z0)
+        mod p^m with v = v_p(b(z0)) < m, so b(z0) / p^v = r / p^v mod p,
+        and with d = p^t u_d the digit is (r / p^v) u_d^-1 mod p."""
+        if a.is_zero():
+            return ORD_INF, 0
+        p, den = self.p, a.den
+        r = self._ladder(a)
+        v, t = vp_int(r, p), vp_int(den, p)
+        return v - t, r // p ** v * pow(den // p ** t, -1, p) % p
+
+    def _ladder(self, a: FieldElement) -> int:
+        """The residue :meth:`ord` reads its valuation from, for nonzero
+        ``a``: the constant numerator of a rational element, else the
+        combination b(z0) modulo the first p^m of the ladder where it is
+        nonzero."""
+        nums = a.nums
+        if not any(nums[1:]):
+            return nums[0]
+        m = self._base_precision
         val = self._combination_mod(nums, m)
         if not val:
             cap = self._ord_cap(nums)
@@ -142,7 +166,7 @@ class Embedding:
                 if not bareiss(multiplication_rows(self.minpoly._int_f, nums), self.minpoly.degree)[1]:
                     raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
                 raise PrecisionCapExceeded(f"valuation passed its cap {cap}")
-        return vp_int(val, self.p) - vp_int(a.den, self.p)
+        return val
 
     def _ord_cap(self, nums) -> int:
         """:meth:`ord`'s cap on the combination of the integer numerators
@@ -177,7 +201,8 @@ class Embedding:
 
     def t_b(self, a: FieldElement) -> FieldElement:
         """One digit-stripping step: p^ord(a)/a minus its unit digit, which
-        is :func:`cfrac.g_map` at s = 1 (eps = 1, pivot 1).
+        is :func:`cfrac.g_map` at s = 1 (eps = 1, pivot 1), the maps' one
+        kernel.
 
         Fixed on zero; the image always lands in pZ_p."""
         from .cfrac import g_map  # cfrac imports this module

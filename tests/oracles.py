@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from padiccf.cfrac import CMapStep
 from padiccf.errors import NonSquare
-from padiccf.field import VectorElement, denom_z
+from padiccf.field import FieldElement, VectorElement, _reduced, _scale, denom_z
 from padiccf.preduce import RationalMatrix
-from padiccf.rationals import ORD_INF, Q
+from padiccf.rationals import ORD_INF, Q, head_num
 
 
 def digit_stream(q, p, count):
@@ -433,6 +433,62 @@ def h_map_by_fractions(emb, alpha, eps, j):
         shifts.append(w / ap + tl)
         image.append(scaled - tl)
     step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step.gamma)
+    return step, VectorElement(image)
+
+
+# --- the fractional maps as a composition of canonical operations ---------
+# The chain the package ran before its fused kernel: every operation
+# returns a reduced element, and the digit is read off the image.
+
+
+def g_map_by_composition(emb, alpha, eps, j):
+    """``g_map`` as a chain of canonical operations: ``FieldElement.inverse``,
+    ``*``, ``field._scale`` by eps p^e and ``Embedding.omega`` on the scaled
+    image, whose integer digit is taken off the constant numerator."""
+    comps = alpha.components
+    aj = comps[j - 1]
+    s = len(comps)
+    eye, zero = RationalMatrix.identity(s), (0,) * s
+    if aj.is_zero():
+        return CMapStep(emb.p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
+    p = emb.p
+    m = emb.ord(aj)
+    inv_aj = aj.inverse()
+    exps, shifts, image = [], [], []
+    for i, ai in enumerate(comps, start=1):
+        if i == j:
+            val, e = inv_aj, m
+        else:
+            oi = emb.ord(ai)
+            e = max(m - oi, 0) if oi is not ORD_INF else 0
+            val = ai * inv_aj
+        val = _scale(val, eps * p ** max(e, 0), p ** max(-e, 0))
+        om = emb.omega(val)
+        exps.append(e)
+        shifts.append(om)
+        image.append(FieldElement(val.minpoly, (val.nums[0] - om * val.den,) + val.nums[1:], val.den))
+    step = CMapStep(p, j, eps, False, (eps,) * s, tuple(exps), tuple(shifts), eye, zero)
+    return step, VectorElement(image)
+
+
+def h_map_by_composition(emb, alpha, eps, j):
+    """``h_map`` on :func:`g_map_by_composition`'s reduced image: divide by
+    the unit normalizer with ``field._scale``, take the head of the
+    constant coefficient and reduce again."""
+    g_step, g_image = g_map_by_composition(emb, alpha, eps, j)
+    if g_step.identity:
+        return g_step, g_image
+    p = emb.p
+    coeffs, shifts, image = [], [], []
+    for om, g_img in zip(g_step._shifts, g_image):
+        ap = unit_normalizer_by_coeffs(g_img, p)
+        g_img = _scale(g_img, 1, ap) if ap != 1 else g_img
+        nums, den = g_img.nums, g_img.den
+        hd = head_num(nums[0], den, p, 0)
+        coeffs.append((eps, ap))
+        shifts.append((om * den + ap * (nums[0] - hd), ap * den))
+        image.append(_reduced(g_img.minpoly, (hd,) + nums[1:], den))
+    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step._gamma)
     return step, VectorElement(image)
 
 

@@ -145,7 +145,7 @@ class TestAgainstFractionTuples:
         p = data.draw(st.sampled_from([2, 3, 5]))
         for a in (mp.element(x), mp.element(x) + mp.element(y)):
             assert height_z(a) == height_by_coeffs(a)
-            assert _unit_normalizer(a, p) == unit_normalizer_by_coeffs(a, p)
+            assert _unit_normalizer(a.nums, a.den, p)[0] == unit_normalizer_by_coeffs(a, p)
         vec = mp.vector([mp.element(x), mp.element(y)])
         assert height_z(vec) == max(height_by_coeffs(c) for c in vec)
 
@@ -154,7 +154,8 @@ class TestUnitNormalizer:
     """The one n-ary gcd g / gcd(g, den) against the gcd of the
     z-coefficient numerators in lowest terms, on canonical elements built
     to hit each case: a zero z-part, numerators sharing primes with den,
-    negative numerators and content that is a power of p."""
+    negative numerators and content that is a power of p; and on the same
+    values unreduced by a common factor."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -172,7 +173,15 @@ class TestUnitNormalizer:
         ))
         const = data.draw(st.one_of(st.just(1), st.integers(-10**40, 10**40)))
         a = _reduced(mp, (const,) + tuple(content * x for x in zpart), den)
-        assert _unit_normalizer(a, p) == unit_normalizer_by_coeffs(a, p)
+        assert _unit_normalizer(a.nums, a.den, p)[0] == unit_normalizer_by_coeffs(a, p)
+        # the value decides it: an unreduced form of a gives the same unit,
+        # and unit * c bounds the content of (h, z-part) over unit * den
+        k = data.draw(st.sampled_from([1, p, p ** 5, 6, 35])) * data.draw(st.integers(1, 10**6))
+        nums, den = tuple(k * x for x in a.nums), k * a.den
+        unit, c = _unit_normalizer(nums, den, p)
+        assert unit == unit_normalizer_by_coeffs(a, p)
+        h = data.draw(st.integers(-10**40, 10**40))
+        assert (unit * c) % math.gcd(h, *nums[1:], unit * den) == 0
 
 
 class TestCanonicalForm:

@@ -206,3 +206,21 @@ def test_pairs_out_keeps_one_traced_pass_per_side(monkeypatch, tmp_path):
     assert pairs.main(argv) == 0
     assert all(not traced for _, traced in calls) and len(calls) == 4
 
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_file_shows_equal_outputs(path):
+    """Every ``BENCH_*.json`` at the repository root parses, names a
+    benchmark workload and shows the change left the outputs as they were:
+    ``outputs_match`` and equal digests on both sides of every pair."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    doc = json.loads(path.read_text())
+    assert doc["outputs_match"] is True
+    assert doc["workload"] in workloads.WORKLOADS
+    assert doc["pairs"]
+    for row in doc["pairs"]:
+        digest = row["parent"]["digest"]
+        assert len(digest) == 64 and int(digest, 16) >= 0 and digest == row["change"]["digest"]
