@@ -15,6 +15,9 @@ T(x) = (M (x, 1))[:s] / (M (x, 1))[s].  Both directions evaluate the same
 way, forward with M and backward with its inverse; a last homogeneous
 coordinate of 0 is the pole of that direction.  The integer matrices are
 derived from the recorded parameters on first use and never serialized.
+A vector of rationals or field elements is evaluated by
+``RationalMatrix.apply`` on (x, 1) and one division by the last
+coordinate.
 A convergent replays the inverse steps on one primitive homogeneous
 integer point, from (0, .., 0, 1): each step is s + 1 integer dot products
 and one gcd against the step's scalar lambda (forward times inverse
@@ -44,6 +47,11 @@ compared structurally on their canonical integer numerators and
 denominators, so cycle detection is sound and complete up to the step
 limit.
 
+The phi2 lookahead keeps its last tree as the memo of the next step:
+the remainders within n maps of the current one, each with its s
+``h_map`` (step, image) pairs.  The step is read from that tree, and the
+next tree maps only the remainders the last one did not reach.
+
 The expansions of one generator share their closed cycles through the
 embedding they are given (``Embedding.cycles``): a periodic expansion
 stores its cycle, from the preperiod on, as each remainder's (step, next
@@ -67,11 +75,11 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import CapExceeded, PadiccfError, PoleHit, RecordFormatError
-from .field import FieldElement, MinPoly, VectorElement, _inverse_nums, _product_nums, _reduced, denom_z, height_z
+from .errors import CapExceeded, MixedField, PadiccfError, PoleHit, RecordFormatError
+from .field import MinPoly, VectorElement, _inverse_nums, _product_nums, _reduced, denom_z, height_z
 from .hensel import Embedding
 from .polys import multiplication_rows
-from .preduce import RationalMatrix, p_reduce, scale_rows, solve
+from .preduce import RationalMatrix, p_reduce, solve
 from .rationals import Q, QONE, head_num, qformat
 
 
@@ -116,9 +124,9 @@ class CMapStep:
     The step keeps c, w and gamma as the maps computed them, each entry an
     int (g_map's digit and eps) or an unreduced (numerator, denominator)
     pair; a ``Fraction`` is taken as well.  ``coeffs``, ``shifts`` and
-    ``gamma`` are uncached ``Fraction`` views, for ``to_json`` and tests,
-    and equality and hashing compare those values, so the same step built
-    from ``Fraction``s is equal.
+    ``gamma`` are uncached ``Fraction`` views, for ``to_json`` and tests.
+    Equality and hashing compare ``to_json()``, the form a record loader
+    compares, so the same step built from ``Fraction``s is equal.
     """
 
     p: int
@@ -143,15 +151,11 @@ class CMapStep:
     def gamma(self) -> tuple:
         return tuple(map(_rational, self._gamma))
 
-    def _key(self) -> tuple:
-        return (self.p, self.pivot, self.eps, self.identity, self.coeffs, self.exps,
-                self.shifts, self.matrix, self.gamma)
-
     def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, CMapStep) else NotImplemented
+        return self.to_json() == other.to_json() if isinstance(other, CMapStep) else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(json.dumps(self.to_json(), sort_keys=True))
 
     def attach(self, matrix: RationalMatrix, gamma: tuple) -> "CMapStep":
         """The same fractional map followed by ``matrix`` and ``gamma``."""
@@ -509,59 +513,56 @@ def lookahead_fits(s: int, n: int) -> bool:
     return s < 2 or (n + 1 < LOOKAHEAD_BUDGET.bit_length() and s ** (n + 1) <= LOOKAHEAD_BUDGET)
 
 
+def _branch_cost(node, vec: VectorElement, depth: int) -> int:
+    """The least product of denom_z along the depth-``depth`` branches below
+    vec, each node's (step, image) pairs read through ``node``.  A
+    module-level function: a nested one calling itself would hold its
+    caller's tree in a reference cycle until the cycle collector ran."""
+    if depth == 0:
+        return 1
+    return min(denom_z(img) * _branch_cost(node, img, depth - 1) for _, img in node(vec))
+
+
 def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None):
     """Index minimizing the depth-(n+1) denominator product tree.
 
     The product of denom_z along each branch of candidate images is
-    minimized recursively; ties break to the least index.  ``memo`` maps
-    each remainder the tree visits to its s ``h_map`` (step, image) pairs,
-    so repeated subtrees map once and, through :func:`step_phi2`, the
-    steps of one expansion share their trees.  Subtree costs are not
-    kept: a remainder seldom recurs at the same depth.  A step holds
-    little of its own: ``h_map`` steps share the cached identity matrix
-    and the zero gamma.
+    minimized recursively; ties break to the least index.  One pivot has
+    nothing to choose, so at s = 1 the tree is the root alone.  The tree
+    maps each remainder it visits to its s ``h_map`` (step, image) pairs,
+    so a repeated subtree maps once.  ``memo`` holds the previous call's
+    tree: a remainder found there is not mapped again, and the call leaves
+    its own tree in ``memo``, the remainders within n maps of alpha.  So
+    through :func:`step_phi2` each step of one expansion maps only the
+    remainders its predecessor's tree did not reach, and the memo stays
+    the size of one tree.  Subtree costs are not kept: a remainder seldom
+    recurs at the same depth.  A step holds little of its own: ``h_map``
+    steps share the cached identity matrix and the zero gamma.
     """
     if n < 1:
         raise ValueError("lookahead depth must be >= 1")
     s = len(alpha)
-    if s == 1:
-        return 1
-    memo = memo if memo is not None else {}
+    prev, tree = memo if memo is not None else {}, {}
 
     def node(vec):
-        pairs = memo.get(vec)  # one hash per hit: a vector's hash is not cached
+        pairs = tree.get(vec)
         if pairs is None:
-            pairs = memo[vec] = tuple(h_map(emb, vec, eps, i) for i in range(1, s + 1))
+            pairs = tree[vec] = prev.get(vec) or tuple(h_map(emb, vec, eps, i) for i in range(1, s + 1))
         return pairs
 
-    def v(vec, depth):
-        if depth == 0:
-            return 1
-        return min(denom_z(img) * v(img, depth - 1) for _, img in node(vec))
-
-    costs = [denom_z(img) * v(img, n) for _, img in node(alpha)]
+    costs = [denom_z(img) * _branch_cost(node, img, n if s > 1 else 0) for _, img in node(alpha)]
+    if memo is not None:
+        memo.clear()
+        memo.update(tree)
     return costs.index(min(costs)) + 1
 
 
 def step_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None):
     """The ``h_map`` step at the :func:`lookahead_phi2` index, read from
-    the lookahead's memo.  The memo is then pruned to the subtree of the
-    chosen image, the only part the next step's tree can reuse, so it
-    stays the size of one tree however many steps run."""
+    the tree the lookahead leaves in ``memo``."""
     memo = memo if memo is not None else {}
     j = lookahead_phi2(emb, alpha, eps, n, memo)
-    if len(alpha) == 1:  # one pivot and no tree
-        return h_map(emb, alpha, eps, j)
-    chosen = memo[alpha][j - 1]
-    keep, todo = set(), [chosen[1]]
-    while todo:
-        vec = todo.pop()
-        if vec not in keep and vec in memo:
-            keep.add(vec)
-            todo.extend(img for _, img in memo[vec])
-    for vec in memo.keys() - keep:
-        del memo[vec]
-    return chosen
+    return memo[alpha][j - 1]
 
 
 def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
@@ -603,31 +604,15 @@ def _primitive(rows) -> tuple:
     return tuple(tuple(c // g for c in row) for row in rows)
 
 
-def _homogeneous_apply(rows: tuple, point, pole: str) -> list:
-    """rows times an integer point; PoleHit when the image's last
-    (homogeneous) coordinate is 0."""
-    out = [sum(map(operator.mul, row, point)) for row in rows]
-    if not out[-1]:
-        raise PoleHit(pole)
-    return out
-
-
 def _projective_apply(rows: tuple, x, pole: str):
     """Evaluate a projective integer matrix at x, a VectorElement or a
-    tuple of rationals or field elements: multiply by (x, 1) and divide by
-    the last coordinate.  Rationals are first scaled to one integer
-    point, which the projective map allows."""
+    tuple of rationals or field elements: multiply (x, 1) by it
+    (``RationalMatrix.apply``) and divide by the last coordinate, once."""
     comps = x.components if isinstance(x, VectorElement) else tuple(x)
-    field = next((c.minpoly for c in comps if isinstance(c, FieldElement)), None)
-    if field is None:
-        (point,), _ = scale_rows([list(comps) + [QONE]])
-        *h, last = _homogeneous_apply(rows, point, pole)
-        return tuple(Q(v, last) for v in h)
-    vec = list(comps) + [field.one()]
-    *h, last = [sum((v * m for m, v in zip(row, vec) if m), field.zero()) for row in rows]
-    if last.is_zero():
+    *h, last = RationalMatrix(rows).apply(comps + (1,))
+    if not last:
         raise PoleHit(pole)
-    inv = last.inverse()
+    inv = QONE / last  # a Fraction or a field element, never a float
     out = tuple(v * inv for v in h)
     return VectorElement(out) if isinstance(x, VectorElement) else out
 
@@ -653,7 +638,9 @@ def inverse_step(step: CMapStep, y):
     pole = "inverse map evaluated at its pole"
     if type(y) is not list:
         return _projective_apply(step.inverse_matrix, y, pole)
-    out = _homogeneous_apply(step.inverse_matrix, y, pole)
+    out = [sum(map(operator.mul, row, y)) for row in step.inverse_matrix]
+    if not out[-1]:
+        raise PoleHit(pole)
     g = math.gcd(step.inverse_scale, *out)
     return [h // g for h in out] if g > 1 else out
 
@@ -718,7 +705,7 @@ def expand(
     exact ``height_z`` run.  The parameters go through :func:`check_params`
     before the first step, and ``max_steps`` and ``height_exponent`` must
     be ints >= 0 (ValueError).  The embedding, when not given, is built at
-    the first step.
+    the first step; a given one of another field raises MixedField.
 
     A given embedding's cycle memo (``Embedding.cycles``) for this
     expansion's step key (algorithm, eps, lookahead, g_variant) is read
@@ -734,6 +721,8 @@ def expand(
     at_least(height_exponent, 0, "height_exponent")
     if algorithm != "phi0" and alpha.minpoly.is_rational_field:
         raise ValueError(f"{algorithm} requires a proper extension field")
+    if embedding is not None and embedding.minpoly is not alpha.minpoly and embedding.minpoly != alpha.minpoly:
+        raise MixedField(f"an embedding of {embedding.minpoly!r} cannot expand a vector over {alpha.minpoly!r}")
     memo = {} if algorithm == "phi2" else None
     key = (algorithm, eps, lookahead, g_variant)
     cycles = embedding.cycles.get(key, {}) if embedding is not None else {}

@@ -177,7 +177,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (PadiccfError, ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
+    # a JSONDecodeError is a ValueError; JSON nested too deep is a RecursionError
+    except (PadiccfError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ import math
 import operator
 
 from . import polys
-from .errors import HViolation, IrreducibilityUnknown, MixedField, RecordFormatError
+from .errors import CapExceeded, HViolation, IrreducibilityUnknown, MixedField, RecordFormatError
 from .polys import multiplication_rows
 from .preduce import back_substitute, bareiss, canonical, scale_rows, solve
 from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
@@ -132,8 +132,10 @@ class MinPoly:
         sentinel x or passes every admissibility clause (HViolation
         otherwise), and its certificate prime is None or the one
         :func:`polys.certificate_prime` finds; any other value is a
-        RecordFormatError."""
+        RecordFormatError.  A degree above MAX_DEGREE raises CapExceeded
+        before any certification work."""
         mp = cls(data["p"], qparse_list(data["coeffs"]))
+        check_degree(mp.degree)
         if not mp.is_rational_field:
             check_admissible(mp)
         cert = data.get("certificate_prime")
@@ -141,6 +143,19 @@ class MinPoly:
             raise RecordFormatError(f"certificate_prime {cert!r} is not the certificate of {mp!r}")
         mp.certificate_prime = cert
         return mp
+
+
+# Degree cap of every certified polynomial: certification grows fast with
+# the degree (one `padiccf expand` at degree 80 takes about 1.2 s on a
+# 2-core host), and the 200 candidates of one z-set take about 2.5 s at 20
+# for p = 2; the criteria go up to degree 6.
+MAX_DEGREE = 20
+
+
+def check_degree(degree: int) -> None:
+    """CapExceeded when a degree is above MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise CapExceeded(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
 
 
 CLAUSES = {
@@ -176,7 +191,8 @@ def check_admissible(mp: MinPoly) -> None:
 def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     """Certify a candidate minimal polynomial x^n + a1 x^(n-1) + .. + an.
 
-    Checks the admissibility clauses (p-integral coefficients, unit x^1
+    Refuses a degree above MAX_DEGREE (CapExceeded), checks the
+    admissibility clauses (p-integral coefficients, unit x^1
     coefficient, non-unit constant term), then makes the irreducibility
     decision with one call to :func:`polys.certify`, which raises
     Reducible (or CapExceeded) and returns the certificate prime.  An
@@ -184,6 +200,7 @@ def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
     IrreducibilityUnknown unless ``force`` is set.
     """
     mp = MinPoly(p, coeffs)
+    check_degree(mp.degree)
     check_admissible(mp)
     mp.certificate_prime = polys.certify(mp.ascending(), mp.p)
     if mp.certificate_prime is None and not force:
@@ -419,15 +436,9 @@ def _sum(a: FieldElement, b: FieldElement, sign: int) -> FieldElement:
 
 
 def _scale(a: FieldElement, u: int, v: int) -> FieldElement:
-    """a u/v for coprime ints u and v > 0: u can share factors only with
-    d_a, and v only with the numerators of a.  The package's one scaling
-    of an element by a rational; a factor reduced to 1 makes no pass over
-    the numerators."""
-    g1 = math.gcd(u, a.den)
-    g2 = math.gcd(v, *a.nums)
-    u, v = u // g1, v // g2
-    nums = a.nums if g2 == 1 else tuple(x // g2 for x in a.nums)
-    return FieldElement(a.minpoly, nums if u == 1 else tuple(x * u for x in nums), a.den // g1 * v)
+    """a u/v for ints u and v > 0, reduced once: the package's one scaling
+    of an element by a rational."""
+    return _reduced(a.minpoly, tuple(x * u for x in a.nums), a.den * v)
 
 
 def _mul(a: FieldElement, b: FieldElement) -> FieldElement:

@@ -12,6 +12,9 @@ residue through ``rationals.head_num``, the package's one digit-head
 routine.  ``ord_digit`` reads a valuation and the unit digit together off
 the one residue the valuation is found from, which is how the fractional
 maps take their digits without evaluating an image at the root.
+``omega`` and ``head`` stay the public digit API, for callers and the
+tests that read an element's digits; the engine itself reads
+``ord_digit``.
 
 ``Embedding`` is the workhorse used by the expansion engine; it keeps one
 residue, an int, and lifts it again from scratch whenever a computation

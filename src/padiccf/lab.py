@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 from .cfrac import ALGORITHMS, TAKES, at_least, check_params, expand
 from .errors import CapExceeded, ConfigError, HViolation, Reducible, StreamExhausted
-from .field import MinPoly, VectorElement, independent_with_one, validate_minpoly
+from .field import MAX_DEGREE, MinPoly, VectorElement, check_degree, independent_with_one, validate_minpoly
 from .hensel import Embedding
 from .rationals import Q, check_prime, qformat
 
@@ -161,10 +161,6 @@ def build_test_set(minpoly: MinPoly, s: int, size: int = 100) -> TestSuite:
 
 Z_A_RANGE = (1, 10)
 Z_B_RANGE = (-10, 10)
-# Degree cap for z-sets and table configs: certifying the 200 candidates of
-# one z-set grows fast with the degree (about 2.5 s at 20 for p = 2 on a
-# 2-core host); the criteria go up to degree 6.
-MAX_DEGREE = 20
 
 
 @functools.lru_cache(maxsize=32)
@@ -173,11 +169,10 @@ def build_z_set(p: int, degree: int):
     a in Z_A_RANGE with ord_p(a) = 0, b in Z_B_RANGE, as a tuple in
     deterministic (a, b) order.  b = 0 drops out via reducibility.
     Memoized per (p, degree): the ranges are module constants.  A degree
-    above MAX_DEGREE raises CapExceeded."""
+    above MAX_DEGREE raises CapExceeded before any candidate is built."""
     if degree < 2:
         raise HViolation("degree", "degree must be at least 2")
-    if degree > MAX_DEGREE:
-        raise CapExceeded(f"degree {degree} is above MAX_DEGREE = {MAX_DEGREE}")
+    check_degree(degree)
     out = []
     for a in range(Z_A_RANGE[0], Z_A_RANGE[1] + 1):
         if a % p == 0:
@@ -377,16 +372,10 @@ def emit_table(rows, fmt: str = "csv") -> str:
         raise ValueError(f"unknown format {fmt!r}")
     if not rows:
         return "prime\n"
-    labels = list(rows[0].counts)
-    head = ["prime"]
-    head += [f"{lab}:{c}" for lab in labels for c in ("P", "H")]
-    head += [f"{lab}:{c}" for lab in labels for c in ("F", "L")]
-    lines = [",".join(head)]
-    for row in rows:
-        cells = [str(row.prime)]
-        cells += [str(row.counts[lab][c]) for lab in labels for c in ("P", "H")]
-        cells += [str(row.counts[lab][c]) for lab in labels for c in ("F", "L")]
-        lines.append(",".join(cells))
+    # every label's P and H, then every label's F and L
+    cols = [(lab, c) for pair in (("P", "H"), ("F", "L")) for lab in rows[0].counts for c in pair]
+    lines = [",".join(["prime"] + [f"{lab}:{c}" for lab, c in cols])]
+    lines += [",".join([str(row.prime)] + [str(row.counts[lab][c]) for lab, c in cols]) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padiccf import cfrac
+from padiccf import cfrac, polys
 from padiccf.cfrac import (
     ALGORITHMS,
     TAKES,
@@ -23,8 +23,10 @@ from padiccf.cfrac import (
     step_phi2,
     step_phi3,
 )
-from padiccf.errors import CapExceeded, ConfigError, HViolation, PadiccfError, PoleHit, RecordFormatError
-from padiccf.field import MinPoly, VectorElement, denom_z, height_z, independent_with_one, validate_minpoly
+from padiccf.errors import (CapExceeded, ConfigError, HViolation, MixedField, PadiccfError, PoleHit,
+                            RecordFormatError)
+from padiccf.field import (MAX_DEGREE, MinPoly, VectorElement, denom_z, height_z, independent_with_one,
+                           validate_minpoly)
 from padiccf.hensel import Embedding
 from padiccf.lab import RunConfig, _suite_coefficients, build_z_set
 from padiccf.preduce import RationalMatrix
@@ -306,19 +308,33 @@ class TestPhi2:
                 j = brute_phi2_index(emb, cur, eps, n, h_image)
                 assert (step, rec.remainders[k + 1]) == h_map(emb, cur, eps, j)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_memo_keeps_the_chosen_subtree(self, n):
-        """After a step the memo holds the remainders within n - 1 maps of
-        the new remainder, the nodes the next tree can reuse."""
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_memo_is_the_last_tree(self, n, monkeypatch):
+        """After a step the memo holds exactly the remainders within n maps
+        of that step's start, its lookahead tree; every later step maps
+        only the s^n remainders n maps below its own start, s^(n+1)
+        h_map calls, as the rest of its tree is the last one's."""
         emb, vectors = _cubic_suite()
-        alpha, memo = vectors[0], {}
-        for _ in range(8):
-            _, alpha = step_phi2(emb, alpha, 1, n, memo)
-            want, level = set(), {alpha}
-            for _ in range(n):
-                want |= level
-                level = {h_map(emb, vec, 1, i)[1] for vec in level for i in (1, 2)}
-            assert set(memo) == want
+        real_h_map, calls = cfrac.h_map, []
+
+        def counted(*args):
+            calls.append(args)
+            return real_h_map(*args)
+
+        monkeypatch.setattr(cfrac, "h_map", counted)
+        for alpha in vectors:
+            memo = {}
+            for k in range(6):
+                calls.clear()
+                _, nxt = step_phi2(emb, alpha, 1, n, memo)
+                if k:
+                    assert len(calls) == 2 ** (n + 1)
+                want, level = set(), {alpha}
+                for _ in range(n + 1):
+                    want |= level
+                    level = {h_map(emb, vec, 1, i)[1] for vec in level for i in (1, 2)}
+                assert set(memo) == want
+                alpha = nxt
 
     def test_step_is_read_from_the_lookahead(self, monkeypatch):
         """Every h_map of a phi2 expansion runs inside a lookahead."""
@@ -506,6 +522,41 @@ class TestInverse:
             forward_step(step, (Q(0),))
 
 
+class TestScalarPoints:
+    """forward_step and inverse_step on a tuple of ints or of Fractions:
+    Fractions out, never floats, the values the field-element path gives
+    on the rational sentinel, and PoleHit at a pole for either kind."""
+
+    @pytest.fixture(scope="class")
+    def sentinel_steps(self):
+        kq = MinPoly.rationals(3)
+        steps = [step for a in (Q(2, 3), Q(-5, 7), Q(7, 10))
+                 for step in expand(kq.vector([a]), "phi0", eps=-1).steps]
+        assert len(steps) == 11 and not any(step.identity for step in steps)
+        return kq, steps
+
+    @pytest.mark.parametrize("x", [-4, 5, Q(1, 5), Q(-9, 2)])
+    def test_fractions_equal_to_the_field_path(self, sentinel_steps, x):
+        kq, steps = sentinel_steps
+        for fn in (forward_step, inverse_step):
+            for step in steps:
+                got = fn(step, (x,))
+                assert type(got) is tuple and all(type(v) is Q for v in got)
+                assert fn(step, (Q(x),)) == got
+                assert tuple(c.rational_value() for c in fn(step, kq.vector([x]))) == got
+
+    def test_pole_for_either_kind(self, sentinel_steps):
+        _, steps = sentinel_steps
+        for step in steps:
+            (w,) = step.shifts  # F(x) = c p^e / x - w, so the inverse has its pole at -w
+            assert w.denominator == 1
+            for x, y in ((0, -w.numerator), (Q(0), -w)):
+                with pytest.raises(PoleHit):
+                    forward_step(step, (x,))
+                with pytest.raises(PoleHit):
+                    inverse_step(step, (y,))
+
+
 class TestProjectiveAgainstClosedForm:
     """The projective integer matrices of a step against the fractional
     map and its closed-form inverse, on rational points, poles included."""
@@ -635,6 +686,21 @@ class TestStepParameters:
 
 
 class TestExpand:
+    def test_embedding_of_another_field_is_refused(self, k2, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(cfrac, "step_phi1", no_step)
+        other = Embedding(validate_minpoly(3, [1, 3]))
+        with pytest.raises(MixedField):
+            expand(k2.vector([k2.gen()]), "phi1", embedding=other)
+
+    def test_embedding_of_an_equal_field_is_accepted(self, k2):
+        twin = MinPoly.from_json(k2.to_json())
+        assert twin is not k2 and twin == k2
+        vec = k2.vector([k2.gen() + 4])
+        assert expand(vec, "phi1", embedding=Embedding(twin)).to_json() == expand(vec, "phi1").to_json()
+
     def test_zero_input_finite_immediately(self, k2):
         rec = expand(k2.vector([k2.zero()]), "phi1")
         assert rec.status.kind == "finite" and rec.status.index == 0
@@ -1408,6 +1474,22 @@ class TestRecordJson:
         data = expand(mp.vector([mp.one()] * mp.s), "phi0", max_steps=0).to_json()
         with pytest.raises(RecordFormatError, match="malformed"):
             ExpansionRecord.from_json(data)
+
+    def test_minpoly_above_max_degree_is_typed_error(self, monkeypatch):
+        """A record over a degree above MAX_DEGREE is refused before its
+        certificate is checked; one at MAX_DEGREE loads."""
+        mp = MinPoly(2, [0] * (MAX_DEGREE - 2) + [1, 2])
+        data = expand(mp.vector([mp.one()]), "phi0", max_steps=0).to_json()
+        assert ExpansionRecord.from_json(data).initial.minpoly == mp
+
+        def no_certificate(*args):
+            raise AssertionError("certification ran")
+
+        monkeypatch.setattr(polys, "certificate_prime", no_certificate)
+        data["minpoly"] = {"p": 2, "coeffs": ["0"] * (MAX_DEGREE - 1) + ["1", "2"], "certificate_prime": 19}
+        with pytest.raises(RecordFormatError, match="MAX_DEGREE") as info:
+            ExpansionRecord.from_json(data)
+        assert isinstance(info.value.__cause__, CapExceeded)
 
     @pytest.mark.parametrize("data", [{"format": 2}, {"format": 2, "minpoly": {}}, {}, []])
     def test_unknown_format_is_typed_error(self, data):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padiccf import polys
 from padiccf.cli import main
 
 
@@ -163,6 +164,42 @@ def test_table_degree_above_cap_exit_code(tmp_path, capsys):
     assert main(["table", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:") and "MAX_DEGREE" in captured.err
+
+
+DEGREE_21 = ",".join(["0"] * 19 + ["1", "2"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--p", "2", "--minpoly", DEGREE_21, "--elem", '{"coeffs": ["0", "1"]}', "--algo", "phi1",
+     "--max-steps", "1"],
+    ["suite", "--p", "2", "--minpoly", DEGREE_21, "--s", "1", "--size", "1"],
+], ids=["expand", "suite"])
+def test_minpoly_degree_above_cap_exit_code(argv, capsys, monkeypatch):
+    def no_certification(*args):
+        raise AssertionError("certification ran")
+
+    monkeypatch.setattr(polys, "certify", no_certification)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "MAX_DEGREE" in captured.err
+
+
+NESTED = "[" * 3000 + "]" * 3000  # past the JSON decoder's recursion limit
+
+
+def test_deeply_nested_elem_exit_code(capsys):
+    assert main(["expand", "--p", "2", "--minpoly", "1,2", "--elem", NESTED, "--algo", "phi1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_deeply_nested_table_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(NESTED)
+    assert main(["table", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

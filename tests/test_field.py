@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from padiccf.errors import HViolation, IrreducibilityUnknown, MixedField, Reducible
+from padiccf import polys
+from padiccf.errors import CapExceeded, HViolation, IrreducibilityUnknown, MixedField, Reducible
 from padiccf.field import (
+    MAX_DEGREE,
     FieldElement,
     MinPoly,
     VectorElement,
@@ -65,6 +67,23 @@ class TestValidate:
     def test_prime_validated(self):
         with pytest.raises(ValueError):
             validate_minpoly(6, [1, 6])
+
+    def test_degree_cap(self, monkeypatch):
+        """MAX_DEGREE still validates; one more is refused by validate_minpoly
+        and by MinPoly.from_json before any certification work."""
+        mp = validate_minpoly(2, [0] * (MAX_DEGREE - 2) + [1, 2])
+        assert mp.degree == MAX_DEGREE and MinPoly.from_json(mp.to_json()) == mp
+
+        def no_certification(*args):
+            raise AssertionError("certification ran")
+
+        monkeypatch.setattr(polys, "certify", no_certification)
+        monkeypatch.setattr(polys, "certificate_prime", no_certification)
+        coeffs = [0] * (MAX_DEGREE - 1) + [1, 2]
+        with pytest.raises(CapExceeded, match="MAX_DEGREE"):
+            validate_minpoly(2, coeffs)
+        with pytest.raises(CapExceeded, match="MAX_DEGREE"):
+            MinPoly.from_json({"p": 2, "coeffs": [str(c) for c in coeffs], "certificate_prime": 19})
 
 
 class TestRingArithmetic:

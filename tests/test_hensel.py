@@ -79,18 +79,23 @@ class TestLifting:
             assert str(hensel_lift(mp, entry["precision"])) == entry["residue"]
 
 
+def p_free(a, b, p):
+    """The integers in [a, b] prime to p, drawn without rejection."""
+    return st.sampled_from([u for u in range(a, b + 1) if u % p])
+
+
 @st.composite
 def admissible_with_denominator(draw):
     """An admissible monic f of degree 2-5 whose coefficient denominators
     are prime to p with lcm D > 1, and a precision m <= 60."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(2, 5))
-    dens = st.integers(1, 40).filter(lambda d: d % p)
+    dens = p_free(1, 40, p)
     coeffs = [Q(draw(st.integers(-50, 50)), draw(dens)) for _ in range(n - 2)]
-    coeffs.append(Q(draw(st.integers(-50, 50).filter(lambda a: a % p)), draw(dens)))  # a unit
+    coeffs.append(Q(draw(p_free(-50, 50, p)), draw(dens)))  # a unit
     coeffs.append(Q(p * draw(st.integers(-50, 50)), draw(dens)))  # in pZ_p
     if all(c.denominator == 1 for c in coeffs):
-        coeffs[-2] += Q(p, draw(dens.filter(lambda d: d > 1)))  # still a unit, now over d
+        coeffs[-2] += Q(p, draw(p_free(2, 40, p)))  # still a unit, now over d
     return MinPoly(p, coeffs), draw(st.integers(1, 60))
 
 
@@ -109,14 +114,14 @@ def admissible_elements(draw):
     are powers of p, prime to p or both; and an index m <= 40."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(2, 5))
-    f_dens = st.integers(1, 12).filter(lambda d: d % p)
+    f_dens = p_free(1, 12, p)
     coeffs = [Q(draw(st.integers(-30, 30)), draw(f_dens)) for _ in range(n - 2)]
-    coeffs.append(Q(draw(st.integers(-30, 30).filter(lambda a: a % p)), draw(f_dens)))
+    coeffs.append(Q(draw(p_free(-30, 30, p)), draw(f_dens)))
     coeffs.append(Q(p * draw(st.integers(-30, 30).filter(bool)), draw(f_dens)))  # an irreducible f has an != 0
     mp = MinPoly(p, coeffs)
     kind = draw(st.sampled_from(["p-power", "p-free", "mixed"]))
     powers = st.integers(0, 4).map(lambda k: p ** k)
-    units = st.integers(1, 30).filter(lambda u: u % p)
+    units = p_free(1, 30, p)
     dens = {"p-power": powers, "p-free": units,
             "mixed": st.builds(lambda a, b: a * b, powers, units)}[kind]
     a = mp.element([Q(draw(st.integers(-60, 60)), draw(dens)) for _ in range(n)])
@@ -376,9 +381,9 @@ def deep_differences(draw):
     for a random alpha and k <= 300 (alpha itself when k is None)."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(2, 6))
-    f_dens = st.integers(1, 12).filter(lambda d: d % p)
+    f_dens = p_free(1, 12, p)
     coeffs = [Q(draw(st.integers(-30, 30)), draw(f_dens)) for _ in range(n - 2)]
-    coeffs.append(Q(draw(st.integers(-30, 30).filter(lambda a: a % p)), draw(f_dens)))
+    coeffs.append(Q(draw(p_free(-30, 30, p)), draw(f_dens)))
     coeffs.append(Q(p * draw(st.integers(-30, 30).filter(bool)), draw(f_dens)))
     mp = MinPoly(p, coeffs)
     alpha = mp.element([Q(draw(st.integers(-60, 60)), draw(st.integers(1, 30))) for _ in range(n)])

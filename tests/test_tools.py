@@ -66,6 +66,24 @@ def test_every_package_definition_has_a_reference():
     assert unreferenced == []
 
 
+def test_no_nested_function_names_itself():
+    """No function nested in another one in ``src/padiccf`` refers to its
+    own name: such a closure and its own cell form a reference cycle that
+    keeps the enclosing call's locals alive until the cycle collector
+    runs."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    found = set()
+    for path in sorted((ROOT / "src" / "padiccf").glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, funcs):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, funcs[:2]) and any(
+                        isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner)):
+                    found.add(f"{path.stem}.{inner.name}")
+    assert sorted(found) == []
+
+
 def _load_pairs():
     sys.path.insert(0, str(ROOT / "tools"))
     try:
