@@ -342,7 +342,7 @@ class ExpansionRecord:
             written = json.dumps(rec.to_json(), sort_keys=True) == json.dumps(data, sort_keys=True)
         except (PadiccfError, ValueError, ArithmeticError, LookupError, TypeError) as exc:
             # a missing key, a value of the wrong type or out of range, a
-            # polynomial without an embedding, a lookahead over its budget
+            # polynomial validate_minpoly refuses, a lookahead over its budget
             raise RecordFormatError(f"malformed format-1 record: {exc!r}") from exc
         if not written:
             raise RecordFormatError("malformed format-1 record: expand writes another record for its initial vector")
@@ -704,8 +704,10 @@ def expand(
     height; only when it passes 3h bits, so it may exceed 10^h, does the
     exact ``height_z`` run.  The parameters go through :func:`check_params`
     before the first step, and ``max_steps`` and ``height_exponent`` must
-    be ints >= 0 (ValueError).  The embedding, when not given, is built at
-    the first step; a given one of another field raises MixedField.
+    be ints >= 0 (ValueError).  The embedding, when not given, is built
+    before the first check, so a polynomial without one (HViolation,
+    Reducible) is refused even for an orbit that takes no step; a given
+    one of another field raises MixedField.
 
     A given embedding's cycle memo (``Embedding.cycles``) for this
     expansion's step key (algorithm, eps, lookahead, g_variant) is read
@@ -726,22 +728,13 @@ def expand(
     memo = {} if algorithm == "phi2" else None
     key = (algorithm, eps, lookahead, g_variant)
     cycles = embedding.cycles.get(key, {}) if embedding is not None else {}
-
-    def first_step(cur):
-        # the embedding is built at the first step, so an orbit that takes
-        # none needs none (x^2 + x has no embedding, and its stepless
-        # records load); later steps call the algorithm's map directly
-        nonlocal advance
-        emb = embedding if embedding is not None else Embedding(alpha.minpoly)
-        advance = {
-            "phi0": lambda vec: step_phi0(emb, vec, eps),
-            "phi1": lambda vec: step_phi1(emb, vec, eps),
-            "phi2": lambda vec: step_phi2(emb, vec, eps, lookahead, memo),
-            "phi3": lambda vec: step_phi3(emb, vec, g_variant=g_variant),
-        }[algorithm]
-        return advance(cur)
-
-    advance = first_step
+    emb = embedding if embedding is not None else Embedding(alpha.minpoly)
+    advance = {
+        "phi0": lambda vec: step_phi0(emb, vec, eps),
+        "phi1": lambda vec: step_phi1(emb, vec, eps),
+        "phi2": lambda vec: step_phi2(emb, vec, eps, lookahead, memo),
+        "phi3": lambda vec: step_phi3(emb, vec, g_variant=g_variant),
+    }[algorithm]
 
     bits = 3 * height_exponent
 

@@ -20,15 +20,14 @@ from .preduce import RationalMatrix, p_reduce
 from .rationals import Q, qformat, qparse
 
 
-def _parse_minpoly(p: int, text: str, force: bool = False) -> MinPoly:
-    coeffs = [qparse(tok) for tok in text.split(",")]
-    return validate_minpoly(p, coeffs, force=force)
+def _parse_minpoly(p: int, text: str) -> MinPoly:
+    return validate_minpoly(p, [qparse(tok) for tok in text.split(",")])
 
 
 def _cmd_expand(args) -> int:
     if args.show < 0:
         raise ValueError(f"--show must be >= 0, got {args.show}")
-    mp = _parse_minpoly(args.p, args.minpoly, force=args.force)
+    mp = _parse_minpoly(args.p, args.minpoly)
     elem = json.loads(args.elem)  # one element, or a list of them in the record format
     vec = VectorElement.from_json(mp, [elem] if isinstance(elem, dict) else elem)
     rec = expand(
@@ -65,7 +64,7 @@ def _cmd_zset(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    mp = _parse_minpoly(args.p, args.minpoly, force=args.force)
+    mp = _parse_minpoly(args.p, args.minpoly)
     suite = lab.build_test_set(mp, args.s, args.size)
     out = {
         "minpoly": mp.to_json(),
@@ -144,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--height-exp", type=int, default=60)
     ex.add_argument("--json", action="store_true")
     ex.add_argument("--show", type=int, default=8, help="remainders to print")
-    ex.add_argument("--force", action="store_true", help="accept uncertified minimal polynomials")
     ex.set_defaults(func=_cmd_expand)
 
     zs = sub.add_parser("zset", help="enumerate certified generators for a prime/degree")
@@ -158,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     su.add_argument("--minpoly", required=True)
     su.add_argument("--s", type=int, required=True)
     su.add_argument("--size", type=int, default=100)
-    su.add_argument("--force", action="store_true")
     su.set_defaults(func=_cmd_suite)
 
     tb = sub.add_parser("table", help="run a batch config and emit the table")

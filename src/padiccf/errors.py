@@ -17,15 +17,8 @@ class HViolation(PadiccfError, ValueError):
 
 
 class Reducible(PadiccfError, ValueError):
-    """The candidate polynomial has a proper factor over Q."""
-
-
-class IrreducibilityUnknown(PadiccfError, ValueError):
-    """No single-prime irreducibility certificate was found.
-
-    Callers that have established irreducibility by other means may
-    retry with ``force=True``.
-    """
+    """The candidate polynomial has a proper factor over Q; the one way a
+    polynomial enters, ``field.validate_minpoly``, refuses it."""
 
 
 class NotPrime(PadiccfError, ValueError):

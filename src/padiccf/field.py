@@ -29,7 +29,7 @@ import math
 import operator
 
 from . import polys
-from .errors import CapExceeded, HViolation, IrreducibilityUnknown, MixedField, RecordFormatError
+from .errors import CapExceeded, HViolation, MixedField, RecordFormatError
 from .polys import multiplication_rows
 from .preduce import back_substitute, bareiss, canonical, scale_rows, solve
 from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
@@ -38,11 +38,13 @@ from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
 class MinPoly:
     """Prime p plus the monic defining polynomial, coefficients a1..an.
 
-    Instances created through :func:`validate_minpoly` carry an
-    irreducibility certificate; direct construction skips certification
-    and yields plain quotient-ring semantics (used by tests and by the
-    degree-1 sentinel).  The polynomial x, coefficients (0,), is that
-    sentinel, K = Q, however it is built or loaded.
+    Instances created through :func:`validate_minpoly`, which
+    :meth:`from_json` goes through too, are proven irreducible and carry
+    the certificate prime (None when no one prime witnesses it); direct
+    construction skips certification and yields plain quotient-ring
+    semantics (used by tests and by the degree-1 sentinel).  The
+    polynomial x, coefficients (0,), is that sentinel, K = Q, however it
+    is built or loaded.
     """
 
     __slots__ = ("p", "coeffs", "degree", "s", "certificate_prime", "is_rational_field", "_key", "_int_f")
@@ -54,7 +56,7 @@ class MinPoly:
         if self.degree < 1:
             raise ValueError("empty coefficient list")
         self.s = self.degree - 1 if self.degree >= 2 else 1
-        self.certificate_prime = None  # set by validate_minpoly and from_json
+        self.certificate_prime = None  # set by validate_minpoly
         self.is_rational_field = self.coeffs == (QZERO,)
         self._key = (self.p, self.coeffs)
         # (D, (D a_n, .., D a_1)): the lower coefficients cleared by their lcm D
@@ -128,20 +130,16 @@ class MinPoly:
 
     @classmethod
     def from_json(cls, data) -> "MinPoly":
-        """The polynomial :meth:`to_json` writes.  It is the rational
-        sentinel x or passes every admissibility clause (HViolation
-        otherwise), and its certificate prime is None or the one
-        :func:`polys.certificate_prime` finds; any other value is a
-        RecordFormatError.  A degree above MAX_DEGREE raises CapExceeded
-        before any certification work."""
-        mp = cls(data["p"], qparse_list(data["coeffs"]))
-        check_degree(mp.degree)
-        if not mp.is_rational_field:
-            check_admissible(mp)
+        """The polynomial :meth:`to_json` writes: the rational sentinel x,
+        or one that :func:`validate_minpoly` admits (CapExceeded,
+        HViolation or Reducible otherwise).  The recorded certificate
+        prime must be the one certification finds, an int or None of the
+        same value; any other value is a RecordFormatError."""
+        p, coeffs = data["p"], qparse_list(data["coeffs"])
+        mp = cls.rationals(p) if coeffs == [QZERO] else validate_minpoly(p, coeffs)
         cert = data.get("certificate_prime")
-        if cert is not None and (type(cert) is not int or cert != polys.certificate_prime(mp.ascending(), mp.p)):
+        if type(cert) is not type(mp.certificate_prime) or cert != mp.certificate_prime:
             raise RecordFormatError(f"certificate_prime {cert!r} is not the certificate of {mp!r}")
-        mp.certificate_prime = cert
         return mp
 
 
@@ -188,25 +186,21 @@ def check_admissible(mp: MinPoly) -> None:
         raise HViolation(clause, CLAUSES[clause])
 
 
-def validate_minpoly(p: int, coeffs, *, force: bool = False) -> MinPoly:
-    """Certify a candidate minimal polynomial x^n + a1 x^(n-1) + .. + an.
+def validate_minpoly(p: int, coeffs) -> MinPoly:
+    """Certify a candidate minimal polynomial x^n + a1 x^(n-1) + .. + an:
+    the one way a defining polynomial enters the package.
 
     Refuses a degree above MAX_DEGREE (CapExceeded), checks the
     admissibility clauses (p-integral coefficients, unit x^1
     coefficient, non-unit constant term), then makes the irreducibility
     decision with one call to :func:`polys.certify`, which raises
-    Reducible (or CapExceeded) and returns the certificate prime.  An
-    irreducible candidate without a certificate raises
-    IrreducibilityUnknown unless ``force`` is set.
+    Reducible (or CapExceeded) and returns the certificate prime: None
+    when the polynomial is proven irreducible without a one-prime witness.
     """
     mp = MinPoly(p, coeffs)
     check_degree(mp.degree)
     check_admissible(mp)
     mp.certificate_prime = polys.certify(mp.ascending(), mp.p)
-    if mp.certificate_prime is None and not force:
-        raise IrreducibilityUnknown(
-            f"no certificate among the first {polys.CERTIFICATE_TRIES} candidate primes"
-        )
     return mp
 
 

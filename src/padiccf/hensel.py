@@ -191,7 +191,7 @@ class Embedding:
         nums, den, p = a.nums, a.den, self.p
         t = vp_int(den, p)
         r = self._combination_mod(nums, max(m + t + 1, 0)) if any(nums[1:]) else nums[0]
-        return head_num(r, den, p, m, t)
+        return head_num(r, den, p, m)
 
     def omega(self, a: FieldElement) -> int:
         """Digit c0 of the expansion of ``a``, as an int: the floor of its

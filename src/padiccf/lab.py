@@ -182,7 +182,7 @@ def build_z_set(p: int, degree: int):
                 continue
             coeffs = [0] * (degree - 2) + [a, b * p]
             try:
-                out.append(validate_minpoly(p, coeffs, force=True))
+                out.append(validate_minpoly(p, coeffs))
             except Reducible:
                 continue
     return tuple(out)

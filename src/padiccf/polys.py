@@ -37,8 +37,9 @@ determinant (the norm of G' in Q[z]/(G)), and runs, cheapest first:
 6. **budget**: recombination examines at most ``RECOMBINATION_TRIES``
    subsets and raises ``CapExceeded`` past that.
 
-:func:`certificate_prime` (stage 3 alone) and :func:`is_irreducible_exact`
-(the decision as a bool) are views of the same stages.
+:func:`certificate_prime` (the certificate or None) and
+:func:`is_irreducible_exact` (the decision as a bool) are views of
+:func:`certify`.
 :func:`newton_lift` is also the Hensel lift of ``hensel.hensel_lift``.
 """
 
@@ -337,17 +338,17 @@ def certify(f: Poly, p):
 
 
 def certificate_prime(f: Poly, p):
-    """The certificate stage of :func:`certify` alone: the first of the
-    first CERTIFICATE_TRIES good primes q != p with f mod q irreducible,
-    or None.  Soundness is one-sided: a witness proves irreducibility over
-    Q; absence proves nothing."""
+    """The certificate prime of :func:`certify`, None when it finds none:
+    f irreducible without a one-prime witness, reducible, or past the
+    recombination budget.  Soundness is one-sided: a witness proves
+    irreducibility over Q; absence proves nothing."""
     f = ptrim(f)
     if pdeg(f) < 1:
         return None
-    G, _, disc = _monic_form(f)
-    if not disc:
+    try:
+        return certify(f, p)
+    except (Reducible, CapExceeded):
         return None
-    return next((q for q, pattern in _patterns(G, disc, p) if pattern == (pdeg(G),)), None)
 
 
 def is_irreducible_exact(f: Poly) -> bool:

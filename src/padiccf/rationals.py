@@ -63,13 +63,11 @@ def omega(q, p: int) -> int:
     return head_num(q.numerator, den, p, 0) // den
 
 
-def head_num(num: int, den: int, p: int, m: int, t: int | None = None) -> int:
+def head_num(num: int, den: int, p: int, m: int) -> int:
     """The head of num/den at digit index m (see :func:`head_tail`) as a
     numerator over den, for any int num and int den > 0: with den = p^t u
-    and u prime to p, the head r/p^t is r u/den.  A caller that has
-    already read t = v_p(den) passes it."""
-    if t is None:
-        t = _vp_pos(den, p)
+    and u prime to p, the head r/p^t is r u/den."""
+    t = _vp_pos(den, p)
     if m + t < 0:
         return 0  # every digit of num/den lies at index -t > m or above
     u = den // p ** t

@@ -24,7 +24,7 @@ from padiccf.cfrac import (
     step_phi3,
 )
 from padiccf.errors import (CapExceeded, ConfigError, HViolation, MixedField, PadiccfError, PoleHit,
-                            RecordFormatError)
+                            RecordFormatError, Reducible)
 from padiccf.field import (MAX_DEGREE, MinPoly, VectorElement, denom_z, height_z, independent_with_one,
                            validate_minpoly)
 from padiccf.hensel import Embedding
@@ -1406,17 +1406,35 @@ class TestRecordJson:
         assert ("height_exceeded", 0) in kinds and cycles
 
     def test_zero_constant_term_is_typed_error(self, k2):
+        """x^2 + x has the root 0: neither its record nor a stepless one loads."""
         data = expand(k2.vector([k2.gen()]), "phi1").to_json()
-        data["minpoly"].update(coeffs=["1", "0"], certificate_prime=None)  # x^2 + x has no certificate
-        # x^2 + x has no embedding, so the first step cannot be taken again
-        with pytest.raises(RecordFormatError, match="zero constant term"):
+        data["minpoly"].update(coeffs=["1", "0"], certificate_prime=None)
+        with pytest.raises(RecordFormatError) as info:
             ExpansionRecord.from_json(data)
-        # a record without steps still loads, and expanding it is the typed error
+        assert isinstance(info.value.__cause__, Reducible)
         data.update(steps=[], remainders=data["remainders"][:1], identity_steps=0,
                     status={"kind": "step_limit", "index": 0})
-        rec = ExpansionRecord.from_json(data)
-        with pytest.raises(PadiccfError):
-            expand(rec.initial, "phi1")
+        with pytest.raises(RecordFormatError) as info:
+            ExpansionRecord.from_json(data)
+        assert isinstance(info.value.__cause__, Reducible)
+
+    def test_reducible_minpoly_without_certificate_is_typed_error(self):
+        """A null certificate does not skip certification: a record over
+        the admissible but reducible x^2 + 3x + 2 = (x + 1)(x + 2) at p = 2
+        is refused at its polynomial."""
+        mp = MinPoly(2, [3, 2])
+        data = expand(mp.vector([mp.gen()]), "phi1", max_steps=3).to_json()
+        assert data["minpoly"]["certificate_prime"] is None
+        with pytest.raises(RecordFormatError) as info:
+            ExpansionRecord.from_json(data)
+        assert isinstance(info.value.__cause__, Reducible)
+
+    def test_rational_sentinel_with_certificate_is_typed_error(self):
+        """The sentinel x is not certified: its certificate is null."""
+        data = expand(MinPoly.rationals(2).vector([Q(2, 3)]), "phi0").to_json()
+        data["minpoly"]["certificate_prime"] = 3
+        with pytest.raises(RecordFormatError, match="certificate_prime"):
+            ExpansionRecord.from_json(data)
 
     @pytest.mark.parametrize("forged", [10**12, -10**12, "identity"])
     def test_forged_exponent_or_identity_is_refused_before_the_step_matrix(self, k3_p3, monkeypatch, forged):
@@ -1466,25 +1484,33 @@ class TestRecordJson:
     def test_inadmissible_minpoly_is_typed_error(self, coeffs, clause):
         """A polynomial other than the rational sentinel x that fails an
         admissibility clause does not load, nor does a stepless record over
-        it: without the clauses Hensel's lemma pins no root in pZ_p."""
+        it, and expand refuses it before its first step: without the
+        clauses Hensel's lemma pins no root in pZ_p."""
         mp = MinPoly(3, coeffs)
         with pytest.raises(HViolation) as info:
             MinPoly.from_json(mp.to_json())
         assert info.value.clause == clause
-        data = expand(mp.vector([mp.one()] * mp.s), "phi0", max_steps=0).to_json()
-        with pytest.raises(RecordFormatError, match="malformed"):
+        vec = mp.vector([mp.one()] * mp.s)
+        with pytest.raises(HViolation):
+            expand(vec, "phi0", max_steps=0)
+        data = {"format": 1, "algorithm": "phi0", "eps": 1, "lookahead": None, "g_variant": False,
+                "minpoly": mp.to_json(), "initial": vec.to_json(), "steps": [], "remainders": [vec.to_json()],
+                "status": {"kind": "step_limit", "index": 0}, "identity_steps": 0}
+        with pytest.raises(RecordFormatError, match="malformed") as info:
             ExpansionRecord.from_json(data)
+        assert isinstance(info.value.__cause__, HViolation)
 
     def test_minpoly_above_max_degree_is_typed_error(self, monkeypatch):
         """A record over a degree above MAX_DEGREE is refused before its
-        certificate is checked; one at MAX_DEGREE loads."""
-        mp = MinPoly(2, [0] * (MAX_DEGREE - 2) + [1, 2])
+        polynomial is certified; one at MAX_DEGREE loads."""
+        mp = validate_minpoly(2, [0] * (MAX_DEGREE - 2) + [1, 2])
         data = expand(mp.vector([mp.one()]), "phi0", max_steps=0).to_json()
         assert ExpansionRecord.from_json(data).initial.minpoly == mp
 
         def no_certificate(*args):
             raise AssertionError("certification ran")
 
+        monkeypatch.setattr(polys, "certify", no_certificate)
         monkeypatch.setattr(polys, "certificate_prime", no_certificate)
         data["minpoly"] = {"p": 2, "coeffs": ["0"] * (MAX_DEGREE - 1) + ["1", "2"], "certificate_prime": 19}
         with pytest.raises(RecordFormatError, match="MAX_DEGREE") as info:

@@ -54,6 +54,15 @@ def test_expand_human_readable(capsys):
     assert "status: finite" in out
 
 
+def test_expand_uncertified_irreducible_quartic(capsys):
+    """x^4 + 8x + 12 at p = 3, a generator of the degree-4 z-set, is
+    irreducible with no one-prime certificate: it expands like any other."""
+    elem = json.dumps([{"coeffs": ["0"] * k + ["1"]} for k in (1, 2, 3)])
+    code = main(["expand", "--p", "3", "--minpoly", "0,0,8,12", "--elem", elem, "--algo", "phi3"])
+    assert code == 0
+    assert "status: periodic at step 4 preperiod=1 period=3" in capsys.readouterr().out
+
+
 def test_zset_counts(capsys):
     assert main(["zset", "--p", "2", "--degree", "2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from padiccf import polys
-from padiccf.errors import CapExceeded, HViolation, IrreducibilityUnknown, MixedField, Reducible
+from padiccf.errors import CapExceeded, HViolation, MixedField, Reducible
 from padiccf.field import (
     MAX_DEGREE,
     FieldElement,
@@ -57,12 +57,12 @@ class TestValidate:
             validate_minpoly(2, [Q(1, 2), 2])
         assert info.value.clause == "integrality"
 
-    def test_force_accepts_uncertified(self):
-        # A4 quartic: irreducible but with no single-prime certificate
-        with pytest.raises(IrreducibilityUnknown):
-            validate_minpoly(3, [0, 0, 8, 12])
-        mp = validate_minpoly(3, [0, 0, 8, 12], force=True)
+    def test_uncertified_irreducible_validates(self):
+        # A4 quartic: irreducible, proven by the degree sieve, but with no
+        # single-prime certificate
+        mp = validate_minpoly(3, [0, 0, 8, 12])
         assert mp.certificate_prime is None
+        assert MinPoly.from_json(mp.to_json()) == mp
 
     def test_prime_validated(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from padiccf import lab, polys
 from padiccf.cli import main
-from padiccf.errors import CapExceeded, IrreducibilityUnknown, Reducible
+from padiccf.errors import CapExceeded, Reducible
 from padiccf.field import validate_minpoly
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -42,11 +42,10 @@ def product(*factors):
 
 def outcome(p, coeffs):
     try:
-        return validate_minpoly(p, coeffs).certificate_prime
+        cert = validate_minpoly(p, coeffs).certificate_prime
     except Reducible:
         return "reducible"
-    except IrreducibilityUnknown:
-        return "unknown"
+    return "unknown" if cert is None else cert
 
 
 def oracle_outcome(p, coeffs):
