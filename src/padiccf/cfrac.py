@@ -33,9 +33,10 @@ valuation residues of ``Embedding.ord_digit`` rather than off the image.
 ``g_map`` reduces each image once; ``h_map`` reads the unit normalizer
 and the digit head off the unreduced image, both functions of its value,
 and then reduces once.  ``step_phi3``
-p-reduces the z-parts of the image as integer rows (``RationalMatrix``),
-applies the transformer to the constant column by integer dot products
-and builds the next remainder from the reduced rows.  The recorded
+p-reduces the image's own integer rows with their constant column
+carried along (``preduce.reduce_rows``), which yields the next remainder
+and gamma without forming the transformer A; A is built from the step's
+z-part rows only when read (``CMapStep.matrix``).  The recorded
 parameters stay integers too: each coefficient, shift and gamma entry is
 an int or an unreduced (numerator, denominator) pair, as the map computed
 it, and the step's integer matrix is built from those pairs.  A
@@ -79,7 +80,7 @@ from .errors import CapExceeded, MixedField, PadiccfError, PoleHit, RecordFormat
 from .field import MinPoly, VectorElement, _inverse_nums, _product_nums, _reduced, denom_z, height_z
 from .hensel import Embedding
 from .polys import multiplication_rows
-from .preduce import RationalMatrix, p_reduce, solve
+from .preduce import RationalMatrix, p_reduce, reduce_rows, solve
 from .rationals import Q, QONE, head_num, qformat
 
 
@@ -127,6 +128,11 @@ class CMapStep:
     ``gamma`` are uncached ``Fraction`` views, for ``to_json`` and tests.
     Equality and hashing compare ``to_json()``, the form a record loader
     compares, so the same step built from ``Fraction``s is equal.
+
+    A is built only when read (``matrix``): a phi3 step is given the
+    z-part rows (integer rows, their denominators) of its image, and its
+    transformer is ``p_reduce`` of those, run on the first read and kept;
+    any other step is given A itself.
     """
 
     p: int
@@ -136,8 +142,13 @@ class CMapStep:
     _coeffs: tuple
     exps: tuple
     _shifts: tuple
-    matrix: RationalMatrix
+    _matrix: RationalMatrix | tuple
     _gamma: tuple
+
+    @cached_property
+    def matrix(self) -> RationalMatrix:
+        m = self._matrix
+        return m if isinstance(m, RationalMatrix) else p_reduce(RationalMatrix.from_ints(*m), self.p)[1]
 
     @property
     def coeffs(self) -> tuple:
@@ -157,8 +168,9 @@ class CMapStep:
     def __hash__(self):
         return hash(json.dumps(self.to_json(), sort_keys=True))
 
-    def attach(self, matrix: RationalMatrix, gamma: tuple) -> "CMapStep":
-        """The same fractional map followed by ``matrix`` and ``gamma``."""
+    def attach(self, matrix: RationalMatrix | tuple, gamma: tuple) -> "CMapStep":
+        """The same fractional map followed by ``matrix`` (A, or a phi3
+        step's z-part rows) and ``gamma``."""
         return CMapStep(self.p, self.pivot, self.eps, self.identity, self._coeffs,
                         self.exps, self._shifts, matrix, gamma)
 
@@ -571,28 +583,28 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     the resulting constant column.  The normalized map is the default;
     ``g_variant`` runs the raw digit-subtracting map instead.
 
-    The step stays on integers: the z-parts of the image (z^s .. z, one
-    row per component over its ``den``) are p-reduced as they are, A c
-    for the constant column c is one integer dot product per row over a
-    common denominator, and each next component is the reduced row plus
-    the head of its entry of A c.  gamma is recorded as the unreduced
-    pairs (head - num, cd)."""
+    The step stays on integers: the image's own rows, each component's
+    numerators reversed (its z^s .. z coefficients, then its constant) over
+    its ``den``, already canonical, go through ``preduce.reduce_rows`` with
+    width s, so the constant column c ends as A c with no A formed.  Reduced row r gives
+    both outputs: with num its last entry and d its denominator, gamma_r
+    is the unreduced pair (head - num, d), and the next component is the
+    row's z-part with the head as its constant, over d.  The step keeps
+    the image's z-part rows, and A (``CMapStep.matrix``) is built from
+    them when first read."""
     s = len(alpha)
     p = emb.p
     step, image = (g_map if g_variant else h_map)(emb, alpha, 1, s)
     comps = image.components
-    zparts = RationalMatrix.from_ints([c.nums[:0:-1] for c in comps], [c.den for c in comps])
-    reduced, a_mat = p_reduce(zparts, p)
-    den = math.lcm(*(c.den for c in comps))
-    col = [c.nums[0] * (den // c.den) for c in comps]
+    rows, dens = [c.nums[::-1] for c in comps], [c.den for c in comps]
+    zparts = tuple(row[:s] for row in rows), tuple(dens)
+    reduce_rows(rows, dens, s, p)
     gamma, nxt = [], []
-    for zs, zd, row, ad in zip(reduced.nums, reduced.dens, a_mat.nums, a_mat.dens):
-        num, cd = sum(map(operator.mul, row, col)), ad * den  # (A c)_r = num / cd
-        hd = head_num(num, cd, p, 0)
-        gamma.append((hd - num, cd))
-        d = math.lcm(cd, zd)
-        nxt.append(_reduced(alpha.minpoly, (hd * (d // cd),) + tuple(x * (d // zd) for x in zs[::-1]), d))
-    return step.attach(a_mat, tuple(gamma)), VectorElement(nxt)
+    for row, d in zip(rows, dens):
+        hd = head_num(row[s], d, p, 0)
+        gamma.append((hd - row[s], d))
+        nxt.append(_reduced(alpha.minpoly, (hd,) + row[s - 1::-1], d))
+    return step.attach(zparts, tuple(gamma)), VectorElement(nxt)
 
 
 # --- forward / inverse evaluation -------------------------------------------

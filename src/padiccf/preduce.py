@@ -18,11 +18,16 @@ p and whose above-pivot entries keep only digits below the pivot's
 valuation.  It is computed by row operations that stay inside
 GL(n, Z_p cap Q) (unit scalings, p-integral row additions, swaps), so the
 transformer matrix and its inverse both have p-free denominators and unit
-determinant.  ``p_reduce`` runs them on the integer rows of [M | I]: a
-pivot's valuation is read off its numerator and denominator, and each row
-operation is one integer combination reduced by one gcd.  The form is
-unique per row space, which the test suite exercises directly, against
-the ``Fraction`` routine kept in ``tests/oracles.py``.
+determinant.  ``reduce_rows`` runs them in place on integer rows, each
+over its own denominator, pivoting in the first ``width`` columns and
+carrying the rest along: a pivot's valuation is read off its numerator
+and denominator, and each row operation is one integer combination
+reduced by one gcd.  ``p_reduce`` is that kernel on [M | I], the right
+half ending as the transformer; the phi3 step runs it on [M | c], the
+image's own rows with its constant column c, which ends as A c without A
+being formed.  The form is unique per row space, which the test suite
+exercises directly, against the ``Fraction`` routine kept in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import operator
 from functools import lru_cache
 
 from .errors import NonSquare
-from .rationals import Q, head_num, qformat, qparse_list, vp_int
+from .rationals import Q, head_num, qformat, vp_int
 
 
 def canonical(nums: tuple, den: int, bound: int | None = None):
@@ -157,10 +162,6 @@ class RationalMatrix:
     def to_json(self):
         return [[qformat(c) for c in row] for row in self.entries]
 
-    @classmethod
-    def from_json(cls, data) -> "RationalMatrix":
-        return cls([qparse_list(row) for row in data])
-
 
 def scale_rows(rows):
     """Each rational row times the lcm of its denominators: (integer rows
@@ -246,29 +247,26 @@ def solve(rows, n: int, singular: str):
     return back_substitute(rows, pivots, n)
 
 
-def p_reduce(matrix: RationalMatrix, p: int):
-    """Reduce a square matrix to its p-reduced form.
+def reduce_rows(rows: list, dens: list, width: int, p: int) -> None:
+    """The p-reduction's row operations, in place, on integer rows
+    ``rows[i]`` (tuples) over ``dens[i]`` > 0: pivots are taken in the
+    first ``width`` columns only, and the later columns ride along, so they
+    end as A times their input for the transformer A of the first
+    ``width``.
 
-    Returns (M', N) with M' = N @ matrix exactly, N invertible with
-    p-integral entries.  Pivot choice per column: among nonzero candidates
-    at or below the cursor row, the least row index attaining the maximal
-    p-adic absolute value (minimal valuation).  Below-pivot entries are
-    eliminated fully; above-pivot entries lose only the digit tail from the
-    pivot's valuation upward.
-
-    Every row operation runs once, on the integer rows of [M | I], each
-    carried over its own denominator: the pivot row is scaled to put p^v on
-    the pivot, and clearing c/d from row i against the pivot row T/d_T
-    (whose pivot entry is T_k = p^v d_T) is the one combination
-    (R_i T_k - c T) / (d T_k), reduced by one gcd.  The right half ends as N.
+    Pivot choice per column: among nonzero candidates at or below the
+    cursor row, the least row index attaining the maximal p-adic absolute
+    value (minimal valuation).  Below-pivot entries are eliminated fully;
+    above-pivot entries lose only the digit tail from the pivot's valuation
+    upward.  The pivot row is scaled to put p^v on the pivot, and clearing
+    c/d from row i against the pivot row T/d_T (whose pivot entry is
+    T_k = p^v d_T) is the one combination (R_i T_k - c T) / (d T_k),
+    reduced by one gcd, so a row that any operation touches ends
+    canonical.
     """
-    if not matrix.is_square():
-        raise NonSquare("p_reduce requires a square matrix")
-    n = matrix.nrows
-    dens = list(matrix.dens)
-    rows = [r + tuple(d if j == i else 0 for j in range(n)) for i, (r, d) in enumerate(zip(matrix.nums, dens))]
+    n = len(rows)
     k1 = 0
-    for k2 in range(n):
+    for k2 in range(width):
         cands = [(vp_int(rows[i][k2], p) - vp_int(dens[i], p), i) for i in range(k1, n) if rows[i][k2]]
         if not cands:
             continue
@@ -293,6 +291,20 @@ def p_reduce(matrix: RationalMatrix, p: int):
                 f, c = tk // g, c // g
                 rows[i], dens[i] = canonical(tuple(f * x - c * y for x, y in zip(rows[i], top)), dens[i] * f)
         k1 += 1
+
+
+def p_reduce(matrix: RationalMatrix, p: int):
+    """Reduce a square matrix to its p-reduced form.
+
+    Returns (M', N) with M' = N @ matrix exactly, N invertible with
+    p-integral entries: :func:`reduce_rows` on the integer rows of [M | I]
+    with width n, the right half ending as N.
+    """
+    if not matrix.is_square():
+        raise NonSquare("p_reduce requires a square matrix")
+    n = matrix.nrows
+    dens = list(matrix.dens)
+    rows = [r + tuple(d if j == i else 0 for j in range(n)) for i, (r, d) in enumerate(zip(matrix.nums, dens))]
+    reduce_rows(rows, dens, n, p)
     return (RationalMatrix.from_ints([r[:n] for r in rows], dens),
             RationalMatrix.from_ints([r[n:] for r in rows], dens))
-

@@ -13,7 +13,7 @@ from padiccf.cfrac import CMapStep
 from padiccf.errors import NonSquare
 from padiccf.field import FieldElement, VectorElement, _reduced, _scale, denom_z
 from padiccf.preduce import RationalMatrix
-from padiccf.rationals import ORD_INF, Q, head_num
+from padiccf.rationals import ORD_INF, Q, head_num, qparse_list
 
 
 def digit_stream(q, p, count):
@@ -310,6 +310,12 @@ def inverse_step_closed_form(step, y):
 
 
 # --- the p-reduced normal form ----------------------------------------------
+
+
+def matrix_from_json(data):
+    """The ``RationalMatrix`` whose ``to_json`` form is ``data``: rows of
+    rational strings."""
+    return RationalMatrix([qparse_list(row) for row in data])
 
 
 def is_p_reduced(matrix, p):

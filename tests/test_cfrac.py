@@ -28,7 +28,7 @@ from padiccf.errors import (CapExceeded, ConfigError, HViolation, MixedField, Pa
 from padiccf.field import (MAX_DEGREE, MinPoly, VectorElement, denom_z, height_z, independent_with_one,
                            validate_minpoly)
 from padiccf.hensel import Embedding
-from padiccf.lab import RunConfig, _suite_coefficients, build_z_set
+from padiccf.lab import RunConfig, _suite_coefficients, _z_task, build_z_set
 from padiccf.preduce import RationalMatrix
 from padiccf.rationals import ORD_INF, Q, ordp
 from oracles import (
@@ -459,22 +459,55 @@ def _suite_vectors(mp, degree, size):
 
 class TestPhi3AgainstFractionOracle:
     @pytest.mark.parametrize("g_variant", [False, True])
-    @pytest.mark.parametrize("p, degree", [(2, 3), (3, 3), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("p, degree", [(2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (3, 5), (2, 6), (3, 6)])
     def test_steps_equal_oracle_steps(self, p, degree, g_variant):
         """Every step of phi3 expansions equals the step built from rational
         parts (coefficient matrix, Fraction p-reduction, ``apply``,
-        ``element``), and h_map at every pivot equals its Fraction form."""
+        ``element``), and h_map at every pivot equals its Fraction form.
+        Degrees 5 and 6, where the census spends most of its time, take one
+        generator, two suite vectors and fewer steps, to stay quick."""
+        generators, size, max_steps = (3, 4, 10) if degree < 5 else (1, 2, 8)
         steps = 0
-        for mp in build_z_set(p, degree)[:3]:
+        for mp in build_z_set(p, degree)[:generators]:
             emb = Embedding(mp)
-            for alpha in _suite_vectors(mp, degree, 4):
-                rec = expand(alpha, "phi3", g_variant=g_variant, max_steps=10, embedding=emb)
+            for alpha in _suite_vectors(mp, degree, size):
+                rec = expand(alpha, "phi3", g_variant=g_variant, max_steps=max_steps, embedding=emb)
                 for k, rem in enumerate(rec.remainders[:-1]):
                     assert step_phi3_by_fractions(emb, rem, g_variant) == (rec.steps[k], rec.remainders[k + 1])
                     for j in range(1, len(rem) + 1):
                         assert h_map(emb, rem, 1, j) == h_map_by_fractions(emb, rem, 1, j)
                     steps += 1
-        assert steps >= 24
+        assert steps >= 8 * generators
+
+
+class TestLazyTransformer:
+    def test_census_runs_no_p_reduce_and_a_read_runs_one(self, monkeypatch):
+        """A phi3 census cell (``lab._z_task`` on one generator) and an
+        expansion on a given embedding form no transformer.  Reading a
+        step's ``matrix`` runs ``p_reduce`` once and keeps the result, which
+        is the Fraction oracle's A, and the step writes the oracle step's
+        JSON."""
+        calls = []
+        real = cfrac.p_reduce
+
+        def counted(matrix, p):
+            calls.append(p)
+            return real(matrix, p)
+
+        monkeypatch.setattr(cfrac, "p_reduce", counted)
+        mp = build_z_set(2, 4)[0]
+        _, counts, errors = _z_task((mp, _suite_coefficients(4, 3), (("phi3", None, None),), 30, 60))
+        assert not errors and sum(counts["phi3"].values()) == 3
+        emb = Embedding(mp)
+        rec = expand(_suite_vectors(mp, 4, 1)[0], "phi3", max_steps=5, embedding=emb)
+        assert len(rec.steps) == 5 and calls == []
+        for k, step in enumerate(rec.steps):
+            a = step.matrix
+            assert step.matrix is a and len(calls) == k + 1
+            oracle, _ = step_phi3_by_fractions(emb, rec.remainders[k])
+            assert a == oracle.matrix
+            assert json.dumps(step.to_json()) == json.dumps(oracle.to_json())
+        assert len(calls) == 5
 
 
 class TestInverse:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiccf.errors import NonSquare
-from padiccf.preduce import RationalMatrix, p_reduce
+from padiccf.preduce import RationalMatrix, p_reduce, reduce_rows
 from padiccf.rationals import Q, ordp
-from oracles import gauss_det, gauss_rank, is_p_reduced, p_reduce_by_fractions
+from oracles import gauss_det, gauss_rank, is_p_reduced, matrix_from_json, p_reduce_by_fractions
 
 GOLDEN = Path(__file__).parent / "golden" / "preduce_example.json"
 
@@ -47,10 +47,10 @@ def entries_p_free(m, p):
 class TestWorkedExample:
     def test_exact(self):
         blob = json.loads(GOLDEN.read_text())
-        m = RationalMatrix.from_json(blob["input"])
+        m = matrix_from_json(blob["input"])
         mp, n = p_reduce(m, blob["p"])
-        assert mp == RationalMatrix.from_json(blob["reduced"])
-        assert n == RationalMatrix.from_json(blob["transformer"])
+        assert mp == matrix_from_json(blob["reduced"])
+        assert n == matrix_from_json(blob["transformer"])
         assert n.matmul(m) == mp
 
     def test_identity_fixed(self):
@@ -136,7 +136,7 @@ class TestMatrixBasics:
 
     def test_json_round_trip(self, rng):
         m = rand_matrix(rng, 2)
-        assert RationalMatrix.from_json(m.to_json()) == m
+        assert matrix_from_json(m.to_json()) == m
 
     def test_apply(self):
         m = RationalMatrix([[1, 2], [3, 4]])
@@ -175,9 +175,31 @@ class TestAgainstFractionOracle:
         m = RationalMatrix(rows)
         assert p_reduce(m, p) == p_reduce_by_fractions(m, p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_ride_along_columns_end_as_transformer_times_them(self, data):
+        """``reduce_rows`` on [M | B] with width n gives [M' | A B] for the
+        (M', A) of the Fraction routine, whatever the k >= 0 columns B."""
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+        dens = [d for d in range(1, 12) if d % p]
+        entry = st.builds(lambda a, e, u: Q(a, u) * Q(p) ** e,
+                          st.integers(-30, 30), st.integers(-3, 3), st.sampled_from(dens))
+        m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        b = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            m[-1] = [c * 3 for c in m[0]]  # a singular M
+        full = RationalMatrix([mr + br for mr, br in zip(m, b)])
+        rows, row_dens = list(full.nums), list(full.dens)
+        reduce_rows(rows, row_dens, n, p)
+        reduced, a = p_reduce_by_fractions(RationalMatrix(m), p)
+        ab = [[sum(a[i, t] * b[t][j] for t in range(n)) for j in range(k)] for i in range(n)]
+        assert RationalMatrix.from_ints(rows, row_dens) == RationalMatrix(
+            [list(r) + abr for r, abr in zip(reduced.entries, ab)])
+
     def test_oracle_on_worked_example(self):
         blob = json.loads(GOLDEN.read_text())
-        m = RationalMatrix.from_json(blob["input"])
+        m = matrix_from_json(blob["input"])
         assert p_reduce_by_fractions(m, blob["p"]) == p_reduce(m, blob["p"])
 
 
@@ -208,4 +230,4 @@ class TestCanonicalForm:
     def test_json_bytes_unchanged(self):
         blob = json.loads(GOLDEN.read_text())
         for key in ("input", "reduced", "transformer"):
-            assert json.dumps(RationalMatrix.from_json(blob[key]).to_json()) == json.dumps(blob[key])
+            assert json.dumps(matrix_from_json(blob[key]).to_json()) == json.dumps(blob[key])
