@@ -76,7 +76,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import CapExceeded, MixedField, PadiccfError, PoleHit, RecordFormatError
+from .errors import CapExceeded, MixedField, NonSquare, PadiccfError, PoleHit, RecordFormatError
 from .field import MinPoly, VectorElement, _inverse_nums, _product_nums, _reduced, denom_z, height_z
 from .hensel import Embedding
 from .polys import multiplication_rows
@@ -131,8 +131,8 @@ class CMapStep:
 
     A is built only when read (``matrix``): a phi3 step is given the
     z-part rows (integer rows, their denominators) of its image, and its
-    transformer is ``p_reduce`` of those, run on the first read and kept;
-    any other step is given A itself.
+    transformer is ``p_reduce`` of those, run on the first read and kept
+    in their place; any other step is given A itself.
     """
 
     p: int
@@ -145,10 +145,11 @@ class CMapStep:
     _matrix: RationalMatrix | tuple
     _gamma: tuple
 
-    @cached_property
+    @property
     def matrix(self) -> RationalMatrix:
-        m = self._matrix
-        return m if isinstance(m, RationalMatrix) else p_reduce(RationalMatrix.from_ints(*m), self.p)[1]
+        if not isinstance(self._matrix, RationalMatrix):  # A replaces the rows
+            object.__setattr__(self, "_matrix", p_reduce(RationalMatrix.from_ints(*self._matrix), self.p)[1])
+        return self._matrix
 
     @property
     def coeffs(self) -> tuple:
@@ -591,9 +592,12 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     is the unreduced pair (head - num, d), and the next component is the
     row's z-part with the head as its constant, over d.  The step keeps
     the image's z-part rows, and A (``CMapStep.matrix``) is built from
-    them when first read."""
+    them when first read.  The z-part is square only for s = degree - 1
+    components; any other s raises NonSquare."""
     s = len(alpha)
     p = emb.p
+    if alpha.minpoly.degree != s + 1:
+        raise NonSquare(f"phi3 needs degree - 1 components, got {s} over degree {alpha.minpoly.degree}")
     step, image = (g_map if g_variant else h_map)(emb, alpha, 1, s)
     comps = image.components
     rows, dens = [c.nums[::-1] for c in comps], [c.den for c in comps]

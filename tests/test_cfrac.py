@@ -23,7 +23,7 @@ from padiccf.cfrac import (
     step_phi2,
     step_phi3,
 )
-from padiccf.errors import (CapExceeded, ConfigError, HViolation, MixedField, PadiccfError, PoleHit,
+from padiccf.errors import (CapExceeded, ConfigError, HViolation, MixedField, NonSquare, PadiccfError, PoleHit,
                             RecordFormatError, Reducible)
 from padiccf.field import (MAX_DEGREE, MinPoly, VectorElement, denom_z, height_z, independent_with_one,
                            validate_minpoly)
@@ -400,6 +400,16 @@ class TestPhi3:
         step2, r2 = step_phi3(emb3, r1)
         assert r2 == r1
         assert forward_step(step, alpha) == r1
+
+    @pytest.mark.parametrize("field, count", [("k3", 1), ("k2", 2), ("k2", 3)])
+    def test_refuses_a_vector_not_of_degree_minus_one(self, request, field, count):
+        """phi3 p-reduces a square z-part matrix: s components over a field
+        of degree other than s + 1 are refused with NonSquare, not expanded."""
+        mp = request.getfixturevalue(field)
+        z = mp.gen()
+        alpha = mp.vector([z + k for k in range(count)])
+        with pytest.raises(NonSquare, match="phi3 needs degree - 1 components"):
+            expand(alpha, "phi3", max_steps=3)
 
     @pytest.mark.parametrize("p, cubics", [(2, ([0, 1, 4], [1, 3, 2], [-1, 3, 6])),
                                            (3, ([0, 1, 3], [1, 2, 6], [2, -1, 3]))])

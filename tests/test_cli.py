@@ -63,6 +63,14 @@ def test_expand_uncertified_irreducible_quartic(capsys):
     assert "status: periodic at step 4 preperiod=1 period=3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("p, minpoly, count", [("3", "1,2,3", 1), ("2", "1,2", 2), ("2", "1,2", 3)])
+def test_expand_phi3_refuses_a_vector_not_of_degree_minus_one(p, minpoly, count, capsys):
+    elem = json.dumps([{"coeffs": [str(k), "1"]} for k in range(count)])
+    assert main(["expand", "--p", p, "--minpoly", minpoly, "--elem", elem, "--algo", "phi3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: phi3 needs degree - 1 components")
+
+
 def test_zset_counts(capsys):
     assert main(["zset", "--p", "2", "--degree", "2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
