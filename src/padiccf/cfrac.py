@@ -225,7 +225,11 @@ class CMapStep:
     def inverse_scale(self) -> int:
         """The lambda of ``forward_matrix`` . ``inverse_matrix`` = lambda I.
         The inverse matrix times a primitive integer point has content
-        dividing lambda, so one gcd against it makes the image primitive."""
+        dividing lambda, so one gcd against it makes the image primitive.
+        ``math.gcd(*out)`` alone gives the same image, but that gcd starts
+        from two entries as large as the point, while this one starts from
+        the small lambda and reduces each entry by it once; so lambda stays
+        while :func:`convergent` replays the steps one by one."""
         return sum(map(operator.mul, self.forward_matrix[-1], (row[-1] for row in self.inverse_matrix)))
 
     def to_json(self):
@@ -536,7 +540,7 @@ def _branch_cost(node, vec: VectorElement, depth: int) -> int:
     return min(denom_z(img) * _branch_cost(node, img, depth - 1) for _, img in node(vec))
 
 
-def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None):
+def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo: dict):
     """Index minimizing the depth-(n+1) denominator product tree.
 
     The product of denom_z along each branch of candidate images is
@@ -555,25 +559,23 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=
     if n < 1:
         raise ValueError("lookahead depth must be >= 1")
     s = len(alpha)
-    prev, tree = memo if memo is not None else {}, {}
+    tree = {}
 
     def node(vec):
         pairs = tree.get(vec)
         if pairs is None:
-            pairs = tree[vec] = prev.get(vec) or tuple(h_map(emb, vec, eps, i) for i in range(1, s + 1))
+            pairs = tree[vec] = memo.get(vec) or tuple(h_map(emb, vec, eps, i) for i in range(1, s + 1))
         return pairs
 
     costs = [denom_z(img) * _branch_cost(node, img, n if s > 1 else 0) for _, img in node(alpha)]
-    if memo is not None:
-        memo.clear()
-        memo.update(tree)
+    memo.clear()
+    memo.update(tree)
     return costs.index(min(costs)) + 1
 
 
-def step_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo=None):
+def step_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo: dict):
     """The ``h_map`` step at the :func:`lookahead_phi2` index, read from
     the tree the lookahead leaves in ``memo``."""
-    memo = memo if memo is not None else {}
     j = lookahead_phi2(emb, alpha, eps, n, memo)
     return memo[alpha][j - 1]
 
@@ -741,7 +743,7 @@ def expand(
         raise ValueError(f"{algorithm} requires a proper extension field")
     if embedding is not None and embedding.minpoly is not alpha.minpoly and embedding.minpoly != alpha.minpoly:
         raise MixedField(f"an embedding of {embedding.minpoly!r} cannot expand a vector over {alpha.minpoly!r}")
-    memo = {} if algorithm == "phi2" else None
+    memo = {}  # the phi2 lookahead tree
     key = (algorithm, eps, lookahead, g_variant)
     cycles = embedding.cycles.get(key, {}) if embedding is not None else {}
     emb = embedding if embedding is not None else Embedding(alpha.minpoly)

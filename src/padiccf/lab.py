@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 from .cfrac import ALGORITHMS, TAKES, at_least, check_params, expand
 from .errors import CapExceeded, ConfigError, HViolation, Reducible, StreamExhausted
-from .field import MAX_DEGREE, MinPoly, VectorElement, check_degree, independent_with_one, validate_minpoly
+from .field import CLAUSES, MinPoly, VectorElement, check_degree, independent_with_one, validate_minpoly
 from .hensel import Embedding
 from .rationals import Q, check_prime, qformat
 
@@ -171,7 +171,7 @@ def build_z_set(p: int, degree: int):
     Memoized per (p, degree): the ranges are module constants.  A degree
     above MAX_DEGREE raises CapExceeded before any candidate is built."""
     if degree < 2:
-        raise HViolation("degree", "degree must be at least 2")
+        raise HViolation("degree", CLAUSES["degree"])
     check_degree(degree)
     out = []
     for a in range(Z_A_RANGE[0], Z_A_RANGE[1] + 1):
@@ -261,8 +261,7 @@ class RunConfig:
             for q in primes:
                 check_prime(at_least(q, 2, "a prime"))
             degree = at_least(data["degree"], 2, "degree")
-            if degree > MAX_DEGREE:
-                raise ConfigError(f"degree must be at most MAX_DEGREE = {MAX_DEGREE}, got {degree}")
+            check_degree(degree)
             if not isinstance(algos, list) or not algos:
                 raise ConfigError(f"algorithms must be a non-empty list, got {algos!r}")
             specs = tuple(_algo_spec(a, degree - 1) for a in algos)

@@ -30,16 +30,20 @@ determinant (the norm of G' in Q[z]/(G)), and runs, cheapest first:
    them, f is irreducible (Musser 1978, *J. ACM* 25);
 5. **recombination**: otherwise G is factored modulo the odd tried prime
    with the fewest factors (distinct-degree split, then Cantor-Zassenhaus
-   with a fixed seed), the factors are Hensel-lifted past twice the
-   Mignotte bound, and products of up to r/2 of them are trial divisors
-   (Zassenhaus 1969; von zur Gathen and Gerhard, *Modern Computer
-   Algebra*, ch. 15);
+   with a fixed seed), the factors u are Hensel-lifted past twice the
+   Mignotte bound, with the inverse of G/u mod (u, q) a Fermat power as u
+   is irreducible mod q, and each product g of up to r/2 of them, centered
+   mod the lifted modulus m, is checked by one exact product: g divides G
+   exactly when g times the centered quotient of G by g mod m is G, as a
+   true cofactor's coefficients lie under the bound (Zassenhaus 1969; von
+   zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 15);
 6. **budget**: recombination examines at most ``RECOMBINATION_TRIES``
    subsets and raises ``CapExceeded`` past that.
 
 :func:`certificate_prime` (the certificate or None) and
 :func:`is_irreducible_exact` (the decision as a bool) are views of
-:func:`certify`.
+:func:`certify`.  Past the monic form, which clears f's denominators
+once, every stage computes on integers and residues alone.
 :func:`newton_lift` is also the Hensel lift of ``hensel.hensel_lift``.
 """
 
@@ -52,7 +56,7 @@ import random
 
 from .errors import CapExceeded, Reducible
 from .preduce import bareiss, scale_rows
-from .rationals import Q, QZERO, is_prime
+from .rationals import is_prime
 
 Poly = tuple
 
@@ -79,17 +83,6 @@ def pderiv(f: Poly) -> Poly:
     return ptrim(c * i for i, c in enumerate(f) if i)
 
 
-def _pdivmod(f: Poly, g: Poly):
-    """Quotient and remainder of f by g over Q."""
-    r = list(f)
-    quo = [QZERO] * max(len(f) - len(g) + 1, 0)
-    for k in range(len(f) - len(g), -1, -1):
-        c = quo[k] = Q(r[k + len(g) - 1]) / g[-1]
-        for j, b in enumerate(g):
-            r[k + j] -= c * b
-    return ptrim(quo), ptrim(r[: len(g) - 1])
-
-
 def multiplication_rows(int_f, nums):
     """Integer matrix, as lists of rows, of multiplication by b = sum
     nums_i z^i in Q[z]/(f), for the monic f of degree n whose cleared form
@@ -106,15 +99,6 @@ def multiplication_rows(int_f, nums):
         col = [-top * low[0]] + [den * x - top * c for x, c in zip(col, low[1:])]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
-
-
-def discriminant(f: Poly):
-    """disc(f) for f of degree n >= 1 with leading coefficient c, scaled
-    from disc(G) of the :func:`_monic_form` (G, a, disc(G)): the roots of G
-    are a times those of f, so disc(f) = c^(2n-2) disc(G) / a^(n(n-1))."""
-    _, a, disc = _monic_form(f)
-    n = pdeg(f)
-    return Q(disc, a ** (n * (n - 1))) * Q(f[-1]) ** (2 * n - 2)
 
 
 def _monic_form(f: Poly):
@@ -151,10 +135,6 @@ def _zmul(f, g):
     return out
 
 
-def _mmul(f, g, q):
-    return _mtrim(_zmul(f, g), q)
-
-
 def _mdivmod(f, g, q):
     f = list(f)
     n = len(g) - 1
@@ -187,16 +167,6 @@ def _mgcd(f, g, q):
         return []
     inv = pow(f[-1], -1, q)
     return _mtrim([c * inv % q for c in f], q)
-
-
-def _minv(a, f, q):
-    """a^-1 modulo (f, q) for a coprime to f, by extended Euclid."""
-    r0, r1, s0, s1 = f, _mrem(a, f, q), [], [1]
-    while len(r1) > 1:
-        quo, rem = _mdivmod(r0, r1, q)
-        r0, r1, s0, s1 = r1, rem, s1, _msub(s0, _mmul(quo, s1, q), q)
-    inv = pow(r1[0], -1, q)
-    return [c * inv % q for c in s1]
 
 
 def _mulmod(a, b, f, q):
@@ -416,8 +386,9 @@ def _recombine(G, q, degrees) -> bool:
     # every coefficient of a factor of degree < n is at most this in size
     bound = math.comb(n - 1, (n - 1) // 2) * (math.isqrt(sum(c * c for c in G)) + 1)
     # Hensel: sum e_i G/u_i = 1 mod q, so the error E = (G - prod u_i)/m
-    # is sum (E e_i mod u_i) G/u_i and each u_i gains m (E e_i mod u_i)
-    inverses = [_minv(_mdivmod(Gq, u, q)[0], u, q) for u in factors]
+    # is sum (E e_i mod u_i) G/u_i and each u_i gains m (E e_i mod u_i);
+    # u_i is irreducible mod q, so e_i = (G/u_i)^(q^deg(u_i) - 2) (Fermat)
+    inverses = [_mpow(_mdivmod(Gq, u, q)[0], q ** pdeg(u) - 2, u, q) for u in factors]
     lifted, m = [list(u) for u in factors], q
     while m <= 2 * bound:
         prod = functools.reduce(_zmul, lifted)
@@ -439,7 +410,9 @@ def _recombine(G, q, degrees) -> bool:
             g = [1]
             for i in subset:
                 g = [c % m for c in _zmul(g, lifted[i])]
+            # g is monic, so a true cofactor is the centered quotient mod m
             g = [c - m if 2 * c > m else c for c in g]
-            if not _pdivmod(G, g)[1]:
+            h = [c - m if 2 * c > m else c for c in _mdivmod(G, g, m)[0]]
+            if _zmul(g, h) == list(G):
                 return False
     return True

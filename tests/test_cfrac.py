@@ -225,7 +225,7 @@ def _cubic_suite():
 
 class TestPhi2:
     def test_one_dimensional_index(self, k2, emb2):
-        assert lookahead_phi2(emb2, k2.vector([k2.gen()]), 1, 1) == 1
+        assert lookahead_phi2(emb2, k2.vector([k2.gen()]), 1, 1, {}) == 1
 
     def test_quadratic_coincides_with_phi1(self, k2_v3):
         emb = Embedding(k2_v3)
@@ -247,7 +247,7 @@ class TestPhi2:
             return h_map(emb3, vec, 1, i)[1]
 
         for alpha in seeds:
-            got = lookahead_phi2(emb3, alpha, 1, n)
+            got = lookahead_phi2(emb3, alpha, 1, n, {})
             want = brute_phi2_index(emb3, alpha, 1, n, h_image)
             assert got == want
 
@@ -267,7 +267,7 @@ class TestPhi2:
 
         first, second = (denom_z(img) * cost(img, n) for img in images(alpha))
         assert first == second
-        assert lookahead_phi2(emb, alpha, 1, n) == 1
+        assert lookahead_phi2(emb, alpha, 1, n, {}) == 1
 
     def test_lookahead_budget(self):
         assert lookahead_fits(2, 3) and lookahead_fits(5, 1)  # the lookaheads in use
@@ -290,8 +290,8 @@ class TestPhi2:
                 [k3.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]) for _ in range(2)]
             )
             for eps, n in ((1, 1), (-1, 2)):
-                j = lookahead_phi2(emb3, alpha, eps, n)
-                assert step_phi2(emb3, alpha, eps, n) == h_map(emb3, alpha, eps, j)
+                j = lookahead_phi2(emb3, alpha, eps, n, {})
+                assert step_phi2(emb3, alpha, eps, n, {}) == h_map(emb3, alpha, eps, j)
 
     @pytest.mark.parametrize("n, eps", [(1, 1), (1, -1), (2, 1), (2, -1)])
     def test_expansion_steps_are_h_map_at_brute_index(self, n, eps):
@@ -386,7 +386,7 @@ class TestPhi2:
         # pivot chosen at a zero component with A = id leaves the remainder
         # fixed, which cycle detection reports as periodic
         alpha = k3.vector([k3.zero(), k3.gen()])
-        step, nxt = step_phi2(emb3, alpha, 1, 1)
+        step, nxt = step_phi2(emb3, alpha, 1, 1, {})
         if step.identity:
             assert nxt == alpha
 

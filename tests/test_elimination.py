@@ -4,7 +4,6 @@ convolution references in ``oracles``."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -290,20 +289,15 @@ class TestElementMinpoly:
 
 
 class TestResultant:
-    """The discriminant, a norm of f', against the Euclid resultant."""
+    """disc(G) of the monic form, a norm of G', against the Euclid resultant."""
 
     @CHECKS
     @given(f=st.lists(entries, min_size=2, max_size=8))
-    @pytest.mark.parametrize("form", ["rational", "monic integer"])
-    def test_discriminant(self, form, f):
+    def test_discriminant(self, f):
         f = polys.ptrim(f)
         assume(len(f) >= 2)
         n = len(f) - 1
-        if form == "rational":
-            got = polys.discriminant(f)
-        else:  # disc(G) of the monic form, whose roots are a times those of f
-            G, a, got = polys._monic_form(f)
-            assert all(c * a ** i * f[-1] == f[i] * a ** n for i, c in enumerate(G))
-            f = G
-        want = euclid_resultant(f, polys.pderiv(f)) / Fraction(f[-1]) * (-1) ** (n * (n - 1) // 2)
-        assert got == want
+        # G's roots are a times those of f
+        G, a, got = polys._monic_form(f)
+        assert all(c * a ** i * f[-1] == f[i] * a ** n for i, c in enumerate(G))
+        assert got == euclid_resultant(G, polys.pderiv(G)) * (-1) ** (n * (n - 1) // 2)

@@ -4,8 +4,9 @@ The digests below were recorded before the exact-elimination code behind
 field inverses, valuation caps and step matrices was rewritten; they pin
 the format-1 ``ExpansionRecord`` JSON of a fixed corpus and the CSV of a
 small ``emit_table`` run, so any change to those bytes fails here.  The
-z-set digest pins every generator and certificate prime of the full z-sets
-for p in {2, 3} at degrees 2-6.
+z-set digests pin every generator and certificate prime of the full z-sets
+at degrees 2-6, one digest for p in {2, 3} and one for p in {5, 7}; between
+them they cover every z-set that reaches factor recombination.
 
 To see the current digests: ``PYTHONPATH=src python tests/test_golden_digest.py``.
 """
@@ -70,7 +71,10 @@ GOLDEN = {
     "phi3_quartic_fixed_point": ("periodic", "a91669c379b44a808d6c71d3c9f6e46826997afc04cf5758911868871a2b073b"),
 }
 EXPECTED_TABLE = "4661a314a2c3a0180055d08b9b8e65a7cfcdd7cf1c33416262c53535f1b835c1"
-EXPECTED_Z_SETS = "96c364d8aa2b90f51255fc41a229d7be88580d045af48403e75344d387ee28a5"
+EXPECTED_Z_SETS = {
+    (2, 3): "96c364d8aa2b90f51255fc41a229d7be88580d045af48403e75344d387ee28a5",
+    (5, 7): "36330de35b1f6ebe25de7f93ccf05908f5779452089f22bdfe73c81a4eb78fba",
+}
 
 
 def record(name):
@@ -93,9 +97,9 @@ def table_csv() -> str:
     return lab.emit_table(rows)
 
 
-def z_sets_json() -> str:
+def z_sets_json(primes) -> str:
     return json.dumps({f"{p}/{n}": [mp.to_json() for mp in lab.build_z_set(p, n)]
-                       for p in (2, 3) for n in range(2, 7)}, sort_keys=True)
+                       for p in primes for n in range(2, 7)}, sort_keys=True)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -117,7 +121,7 @@ def test_table_bytes():
 
 
 def test_z_set_bytes():
-    assert digest(z_sets_json()) == EXPECTED_Z_SETS
+    assert {primes: digest(z_sets_json(primes)) for primes in EXPECTED_Z_SETS} == EXPECTED_Z_SETS
 
 
 if __name__ == "__main__":
@@ -125,4 +129,5 @@ if __name__ == "__main__":
         rec = record(name)
         print(f'    "{name}": ("{rec.status.kind}", "{record_digest(rec)}"),')
     print(f'table: "{digest(table_csv())}"')
-    print(f'z-sets: "{digest(z_sets_json())}"')
+    for primes in EXPECTED_Z_SETS:
+        print(f'z-sets {primes}: "{digest(z_sets_json(primes))}"')

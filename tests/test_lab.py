@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from padiccf import lab
 from padiccf.cfrac import ALGORITHMS
 from padiccf.errors import CapExceeded, ConfigError, HViolation, StreamExhausted
-from padiccf.field import independent_with_one, validate_minpoly
+from padiccf.field import MAX_DEGREE, independent_with_one, validate_minpoly
 from padiccf.lab import (
     BitStream,
     RunConfig,
@@ -405,12 +405,12 @@ class TestTables:
 
 def test_z_set_refuses_degree_above_cap():
     with pytest.raises(CapExceeded, match="MAX_DEGREE"):
-        build_z_set(2, lab.MAX_DEGREE + 1)
+        build_z_set(2, MAX_DEGREE + 1)
 
 
 @pytest.mark.parametrize("excess", [0, 1, 10**9])
 def test_config_degree_cap(excess):
-    degree = lab.MAX_DEGREE + excess
+    degree = MAX_DEGREE + excess
     data = {"primes": [2], "degree": degree, "algorithms": [{"algo": "phi1"}]}
     if not excess:
         assert RunConfig.from_json(data).degree == degree

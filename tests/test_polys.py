@@ -14,14 +14,6 @@ class TestArithmetic:
         assert polys.peval(f, Q(2)) == Q(17)
         assert polys.pderiv(f) == P(2, 6)
 
-    def test_discriminant_quadratic(self):
-        # x^2 + bx + c has discriminant b^2 - 4c
-        for b, c in [(1, 2), (3, -5), (0, 7)]:
-            assert polys.discriminant(P(c, b, 1)) == Q(b * b - 4 * c)
-
-    def test_discriminant_cubic(self):
-        # x^3 + px + q: -4p^3 - 27q^2
-        assert polys.discriminant(P(4, 1, 0, 1)) == Q(-4 - 27 * 16)
 
 
 def irreducible_mod_q(f, q):
