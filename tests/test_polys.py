@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from padiccf import polys
@@ -88,3 +90,45 @@ class TestCertificates:
                     cert = polys.certificate_prime(f, 2)
                     if cert is not None:
                         assert polys.is_irreducible_exact(f), (degree, a, b)
+
+
+class TestRecombination:
+    """Zassenhaus recombination on monic integer polynomials, called with
+    a prime q that does not divide the discriminant."""
+
+    def test_fermat_inverses_invert_cofactors(self):
+        # (G/u)^(q^deg(u) - 2) is the inverse of G/u modulo (u, q) for each
+        # irreducible factor u of G mod q
+        G = (12, 8, 0, 0, 1)  # x^4 + 8x + 12
+        for q in (5, 7, 11, 13):
+            if polys._monic_form(G)[2] % q == 0:
+                continue
+            Gq, rng = polys._mtrim(G, q), random.Random(0)
+            factors = [u for k, g in polys._ddf(Gq, q) for u in polys._edf(g, k, q, rng)]
+            assert len(factors) > 1, q
+            for u in factors:
+                a = polys._mdivmod(Gq, u, q)[0]
+                inv = polys._mpow(a, q ** polys.pdeg(u) - 2, u, q)
+                assert polys._mulmod(a, inv, u, q) == [1], (q, u)
+
+    def test_exact_product_check_finds_a_true_factor(self):
+        # (x^3 - 5x + 7)(x^2 + 4x - 3): the cubic and the quadratic are found,
+        # negative coefficients included; no product of degree 1 divides G
+        G = tuple(polys._zmul([7, -5, 0, 1], [-3, 4, 1]))
+        for q in (5, 7, 11, 13, 17):
+            if polys._monic_form(G)[2] % q == 0:
+                continue
+            assert not polys._recombine(G, q, {2, 3}), q
+            assert polys._recombine(G, q, {1}), q
+
+    def test_swinnerton_dyer_octic_has_no_factor(self):
+        # irreducible over Q, yet a product of factors of degree <= 2 mod
+        # every prime: every subset is rejected by the exact product check
+        G = (576, 0, -960, 0, 352, 0, -40, 0, 1)
+        tried = 0
+        for q in (7, 11, 13, 17, 19, 23):
+            if polys._monic_form(G)[2] % q == 0:
+                continue
+            assert polys._recombine(G, q, {1, 2, 3, 4}), q
+            tried += 1
+        assert tried >= 2
