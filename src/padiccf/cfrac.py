@@ -112,7 +112,7 @@ def _ratio(v) -> tuple:
     return v if type(v) is tuple else (v.numerator, v.denominator)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class CMapStep:
     """One recorded expansion step: the fractional map F, then A and gamma.
 
@@ -148,7 +148,7 @@ class CMapStep:
     @property
     def matrix(self) -> RationalMatrix:
         if not isinstance(self._matrix, RationalMatrix):  # A replaces the rows
-            object.__setattr__(self, "_matrix", p_reduce(RationalMatrix.from_ints(*self._matrix), self.p)[1])
+            self._matrix = p_reduce(RationalMatrix.from_ints(*self._matrix), self.p)[1]
         return self._matrix
 
     @property

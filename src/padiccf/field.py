@@ -13,7 +13,7 @@ removed: gcd(den, *nums) = 1, so zero is (0, .., 0)/1, and equality and
 hashing are structural (Cohen, *A Course in Computational Algebraic
 Number Theory*, 4.2).  A product is one integer matrix-vector product
 with the multiplication matrix, and an inverse its first-row cofactors,
-written out at degree 2 and 3 and from one fraction-free elimination
+written out through degree 4 and from one fraction-free elimination
 above.  Both are unreduced helpers (``_product_nums``, ``_inverse_nums``)
 that the fractional maps of ``cfrac`` share; ``*`` and ``inverse`` reduce
 their result once.  Sums follow Knuth, TAOCP vol. 2, 4.5.1, and reduce
@@ -31,7 +31,7 @@ import operator
 from . import polys
 from .errors import CapExceeded, HViolation, MixedField, RecordFormatError
 from .polys import multiplication_rows
-from .preduce import back_substitute, bareiss, canonical, scale_rows, solve
+from .preduce import back_substitute, bareiss, canonical, first_row_cofactors, scale_rows, solve
 from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
 
 
@@ -354,16 +354,6 @@ class FieldElement:
         return minpoly.element(qparse_list(data["coeffs"]))
 
 
-def _first_row_cofactors(rows) -> tuple:
-    """The cofactors C_00, .., C_0(n-1) of the first row of a 2 x 2 or
-    3 x 3 integer matrix, given as rows."""
-    if len(rows) == 2:
-        _, (c, d) = rows
-        return d, -c
-    _, (c, d, e), (f, g, h) = rows
-    return d * h - e * g, e * f - c * h, c * g - d * f
-
-
 def _inverse_nums(a: FieldElement) -> tuple:
     """a^-1 as integer numerators over a positive denominator, unreduced:
     Cramer's rule on the multiplication matrix.
@@ -373,10 +363,11 @@ def _inverse_nums(a: FieldElement) -> tuple:
     The inverse c of b solves M_b c = e_0, where M_b = M diag(D^-j), so
     c_j = D^j (adj(M) e_0)_j / det(M) and a^-1 = d c; adj(M) e_0 is the
     cofactor vector C_0j of M's first row, and det(M) = sum_j M_0j C_0j
-    (Cohen 4.2).  At degree 2 and 3 the cofactors are written out; from
-    degree 4 on one fraction-free elimination of [M | e_0] gives them up
-    to the sign it shares with det(M).  det(M) = 0 means b shares a root
-    with f: a zero divisor of a reducible f.  A rational a is d / b_0.
+    (Cohen 4.2).  Through degree 4 the cofactors are written out
+    (:func:`preduce.first_row_cofactors`); from degree 5 on one
+    fraction-free elimination of [M | e_0] gives them up to the sign it
+    shares with det(M).  det(M) = 0 means b shares a root with f: a zero
+    divisor of a reducible f.  A rational a is d / b_0.
     """
     mp, d, x0 = a.minpoly, a.den, a.nums[0]
     if a.is_rational():
@@ -385,8 +376,8 @@ def _inverse_nums(a: FieldElement) -> tuple:
         return (d if x0 > 0 else -d,) + (0,) * (mp.degree - 1), abs(x0)
     n = mp.degree
     rows = multiplication_rows(mp._int_f, a.nums)
-    if n <= 3:
-        cof = _first_row_cofactors(rows)
+    if n <= 4:
+        cof = first_row_cofactors(rows)
         det = sum(map(operator.mul, rows[0], cof))
         if not det:
             raise ZeroDivisionError(ZERO_DIVISOR)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded, Reducible
 from .field import FieldElement, MinPoly, VectorElement, check_admissible, element_minpoly, failed_clause
 from .polys import multiplication_rows, newton_lift
-from .preduce import bareiss
+from .preduce import det
 from .rationals import ORD_INF, Q, head_num, ordp, vp_int
 
 
@@ -166,7 +166,7 @@ class Embedding:
                 m = min(2 * m, cap)
                 val = self._combination_mod(nums, m)
             if not val:
-                if not bareiss(multiplication_rows(self.minpoly._int_f, nums), self.minpoly.degree)[1]:
+                if not det(multiplication_rows(self.minpoly._int_f, nums)):
                     raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
                 raise PrecisionCapExceeded(f"valuation passed its cap {cap}")
         return val

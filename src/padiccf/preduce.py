@@ -2,11 +2,15 @@
 row normal form.
 
 ``bareiss`` and ``back_substitute`` are the package's one exact
-elimination: determinants, ranks, matrix inverses, linear solves, field
-inverses, norms and discriminants all scale their rationals to integers and
-go through them.  ``solve`` is the one entry point for a square solve or
-inverse: the matrix inverse, the inverse of a step's projective matrix and
-the field inverse all call it.
+elimination: ranks, matrix inverses, linear solves and large determinants
+scale their rationals to integers and go through them.  ``solve`` is the
+one entry point for a square solve or inverse: the matrix inverse, the
+inverse of a step's projective matrix and the field inverse from degree 5
+on all call it.  Up to 4 x 4, ``first_row_cofactors`` writes the cofactors
+of the first row out, and ``det`` is the expansion along that row: field
+inverses through degree 4, discriminants and the valuation ladder's
+zero-divisor check take no elimination there (Cohen, *A Course in
+Computational Algebraic Number Theory*, 4.2).
 
 A ``RationalMatrix`` has the representation of a field element: each row
 is a tuple of integer numerators over one positive denominator, with the
@@ -234,6 +238,37 @@ def back_substitute(rows, pivots, width: int):
             for k, b in enumerate(row[width:])
         ]
     return d, x
+
+
+def first_row_cofactors(rows) -> tuple:
+    """The cofactors C_00, .., C_0(n-1) of the first row of an n x n
+    integer matrix with 1 <= n <= 4, given as rows, written out: at n = 4
+    the six 2 x 2 minors of the last two rows, then one 3-term expansion
+    per cofactor, 24 products in all."""
+    n = len(rows)
+    if n == 1:
+        return (1,)
+    if n == 2:
+        _, (c, d) = rows
+        return d, -c
+    if n == 3:
+        _, (c, d, e), (f, g, h) = rows
+        return d * h - e * g, e * f - c * h, c * g - d * f
+    _, (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+    m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+    m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+    return (a1 * m23 - a2 * m13 + a3 * m12, a2 * m03 - a0 * m23 - a3 * m02,
+            a0 * m13 - a1 * m03 + a3 * m01, a1 * m02 - a0 * m12 - a2 * m01)
+
+
+def det(rows) -> int:
+    """The determinant of a square integer matrix, given as rows: the
+    first-row expansion sum_j M_0j C_0j of :func:`first_row_cofactors` up
+    to 4 x 4, :func:`bareiss` on a copy of the row list beyond."""
+    n = len(rows)
+    if 1 <= n <= 4:
+        return sum(map(operator.mul, rows[0], first_row_cofactors(rows)))
+    return bareiss(list(rows), n)[1]
 
 
 def solve(rows, n: int, singular: str):

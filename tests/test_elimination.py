@@ -3,6 +3,7 @@ matrix and everything built on them, against the Gauss-Jordan, Euclid and
 convolution references in ``oracles``."""
 
 import math
+import operator
 import random
 
 import pytest
@@ -11,10 +12,20 @@ from hypothesis import assume, given, settings, strategies as st
 from padiccf import field, polys
 from padiccf.errors import NonSquare
 from padiccf.field import MinPoly, element_minpoly
-from padiccf.preduce import RationalMatrix, back_substitute, bareiss, p_reduce, scale_rows
+from padiccf.preduce import (
+    RationalMatrix,
+    back_substitute,
+    bareiss,
+    det,
+    first_row_cofactors,
+    p_reduce,
+    scale_rows,
+    solve,
+)
 from padiccf.rationals import Q
 from oracles import (
     convolution_product,
+    discriminant,
     element_minpoly_by_solves,
     euclid_inverse,
     euclid_resultant,
@@ -90,6 +101,55 @@ class TestRoutine:
         assert back_substitute([], [], 0) == (1, [])
 
 
+@st.composite
+def small_int_matrices(draw):
+    """n x n integer matrices for n = 1-4, entries up to 10^60 in size and
+    zero one time in three, often singular: a zero column or a last row
+    that combines two others."""
+    n = draw(st.integers(1, 4))
+    ints = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**60, 10**60))
+    rows = draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "dependent_row", "zero_column"]))
+    if shape == "dependent_row" and n > 1:
+        c, e = draw(ints), draw(ints)
+        rows[-1] = [c * x + e * y for x, y in zip(rows[0], rows[-2] if n > 2 else rows[0])]
+    elif shape == "zero_column":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+class TestCofactors:
+    """The written-out first-row cofactors and determinant up to 4 x 4,
+    against the elimination."""
+
+    @CHECKS
+    @given(small_int_matrices())
+    def test_det_and_cofactors_match_the_elimination(self, rows):
+        n = len(rows)
+        d = det(rows)
+        assert d == bareiss([list(r) for r in rows], n)[1]
+        cof = first_row_cofactors(rows)
+        # alien cofactors: every other row expands to zero along them
+        assert all(sum(map(operator.mul, row, cof)) == 0 for row in rows[1:])
+        if not d:
+            return
+        # solve gives d' A^-1 e_0 = (d' / det) adj(A) e_0 with d' = +-det
+        sd, x = solve([list(r) + [int(i == 0)] for i, r in enumerate(rows)], n, "singular")
+        assert abs(sd) == abs(d)
+        sign = 1 if sd == d else -1
+        assert list(cof) == [sign * xj[0] for xj in x]
+
+    def test_det_beyond_four_is_the_elimination(self):
+        rng = random.Random(5)
+        for n in (5, 6):
+            rows = [[rng.randint(-10**30, 10**30) for _ in range(n)] for _ in range(n)]
+            before = [list(r) for r in rows]
+            assert det(rows) == gauss_det([[Q(x) for x in r] for r in before])
+            assert rows == before  # the elimination ran on a copy
+
+
 class TestRationalMatrix:
     @CHECKS
     @given(square_matrices())
@@ -149,8 +209,9 @@ class TestFieldInverse:
         else:
             assert a.inverse().coeffs == tuple(want)
 
-    @pytest.mark.parametrize("coeffs", [[1, 2], [Q(1, 3), Q(-4, 5)], [1, 5, 4], [Q(1, 3), 7, Q(2, 9)]])
-    def test_large_entries_at_degree_two_and_three(self, coeffs, monkeypatch):
+    @pytest.mark.parametrize("coeffs", [[1, 2], [Q(1, 3), Q(-4, 5)], [1, 5, 4], [Q(1, 3), 7, Q(2, 9)],
+                                        [3, -1, 5, 2], [Q(1, 3), 7, Q(-4, 5), Q(2, 9)]])
+    def test_large_entries_at_degree_two_to_four(self, coeffs, monkeypatch):
         """The written-out cofactors on numerators of 10^60 over powers of
         p, with no elimination."""
 
@@ -166,7 +227,7 @@ class TestFieldInverse:
             assert a.inverse().coeffs == tuple(euclid_inverse(mp, b))
             assert a * a.inverse() == mp.one()
 
-    def test_solve_only_from_degree_four(self, monkeypatch):
+    def test_solve_only_from_degree_five(self, monkeypatch):
         calls, solve = [], field.solve
 
         def counted(rows, n, singular):
@@ -176,7 +237,7 @@ class TestFieldInverse:
         monkeypatch.setattr(field, "solve", counted)
         for coeffs in ([1, 2], [0, 1, 2], [0, 0, 1, 2], [1, 0, 0, 3, 6]):
             MinPoly(2, coeffs).element([2, 1]).inverse()
-        assert calls == [4, 5]
+        assert calls == [5]
 
     @pytest.mark.parametrize("den", [1, 3])
     def test_zero_divisor(self, den):
@@ -301,3 +362,13 @@ class TestResultant:
         G, a, got = polys._monic_form(f)
         assert all(c * a ** i * f[-1] == f[i] * a ** n for i, c in enumerate(G))
         assert got == euclid_resultant(G, polys.pderiv(G)) * (-1) ** (n * (n - 1) // 2)
+
+    @CHECKS
+    @given(st.integers(2, 6), st.sampled_from([2, 3]), st.integers(-10**20, 10**20), st.integers(-10**20, 10**20))
+    def test_trinomial_discriminant(self, n, p, a, b):
+        """x^n + a x + b p, the z-set's shape: the written-out determinant
+        through degree 4, the elimination at 5 and 6."""
+        f = [Q(b * p), Q(a)] + [Q(0)] * (n - 2) + [Q(1)]
+        G, lead, got = polys._monic_form(f)
+        assert (G, lead) == (tuple(f), 1)
+        assert got == discriminant(f)

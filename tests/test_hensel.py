@@ -339,7 +339,7 @@ class TestOrdNormCap:
         from oracles import ord_by_digits, root_by_digits
 
         calls = Counter()
-        for name in ("bareiss", "multiplication_rows"):
+        for name in ("det", "multiplication_rows"):
             def spy(*args, _name=name, _real=getattr(hensel, name)):
                 calls[_name] += 1
                 return _real(*args)
@@ -365,9 +365,9 @@ class TestOrdNormCap:
         b = (z * z - z + 2) * (1 + 2**200 * z)  # vanishes at the root, as z^2 - z + 2 does
         base, cap = emb._base_precision, emb._ord_cap(b.nums)
         precisions, dets = [], []
-        real_mod, real_det = emb._combination_mod, hensel.bareiss
+        real_mod, real_det = emb._combination_mod, hensel.det
         monkeypatch.setattr(emb, "_combination_mod", lambda nums, m: precisions.append(m) or real_mod(nums, m))
-        monkeypatch.setattr(hensel, "bareiss", lambda rows, width: dets.append(width) or real_det(rows, width))
+        monkeypatch.setattr(hensel, "det", lambda rows: dets.append(len(rows)) or real_det(rows))
         with pytest.raises(ZeroDivisionError):
             emb.ord(b)
         doublings = ((cap - 1) // base).bit_length()  # ceil(log2(cap / base))

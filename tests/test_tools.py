@@ -102,6 +102,26 @@ def test_pairs_scales_to_the_benchmark_reference_probe():
     assert _load_pairs().PROBE_REF_S == run.PROBE_REF_S
 
 
+@pytest.mark.parametrize("n", [1, 5, 11, 12, 40])
+def test_pairs_tail_is_the_benchmark_tail_rank(n):
+    """A pass's ``op_tail_ms`` is its latency at ``run.tail_rank``: ten
+    beyond it, or the least one when there are not that many; failed ops
+    (None) are left out, and the order of the ops does not matter."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import run
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    pairs = _load_pairs()
+    assert pairs.TAIL_BEYOND == run.TAIL_BEYOND
+    ref = pairs.PROBE_REF_S
+    lat_ms = [float(k + 1) for k in range(n)]
+    lat = [x / 1e3 for x in lat_ms[1::2]] + [None] + [x / 1e3 for x in lat_ms[::2]]
+    got = pairs.pass_metrics({"probes": [ref], "pass_s": 1.0 + ref, "lat": lat, "rss_mb": 20.0})
+    assert got["op_tail_ms"] == pytest.approx(lat_ms[run.tail_rank(n)])
+    assert got["op_tail_ms"] == pytest.approx(max(1.0, n - 10.0))
+
+
 def test_pairs_summary_on_fixed_passes():
     pairs = _load_pairs()
     ref = pairs.PROBE_REF_S
@@ -114,7 +134,8 @@ def test_pairs_summary_on_fixed_passes():
     parent = [one(2.0, 4.0, 20.0), one(2.2, 4.4, 20.0), one(2.4, 4.0, 20.0), one(2.0, 4.2, 20.0)]
     change = [one(1.4, 3.0, 20.0), one(1.6, 5.0, 20.0), one(1.4, 3.0, 20.0), one(1.5, 3.2, 21.0)]
     got = pairs.summarize([(pairs.pass_metrics(a), pairs.pass_metrics(b)) for a, b in zip(parent, change)])
-    assert pairs.pass_metrics(parent[1]) == pytest.approx({"pass_s": 1.1, "op_p50_ms": 2.2, "rss_mb": 20.0})
+    assert pairs.pass_metrics(parent[1]) == pytest.approx({"pass_s": 1.1, "op_p50_ms": 2.2, "op_tail_ms": 2.2,
+                                                           "rss_mb": 20.0})
     # inclusive quartiles of 1.0, 1.0, 1.1, 1.2 and of 0.7, 0.7, 0.75, 0.8
     assert got["pass_s"]["parent"] == pytest.approx((1.0, 1.05, 1.125))
     assert got["pass_s"]["change"] == pytest.approx((0.7, 0.725, 0.7625))
@@ -123,6 +144,9 @@ def test_pairs_summary_on_fixed_passes():
     assert (got["op_p50_ms"]["won"], got["op_p50_ms"]["lost"], got["op_p50_ms"]["gain"]) == (3, 1, False)
     # ties count for neither side
     assert (got["rss_mb"]["won"], got["rss_mb"]["lost"], got["rss_mb"]["gain"]) == (0, 1, False)
+    # a pass's two latencies are equal, so its tail is its median
+    assert {k: got["op_tail_ms"][k] for k in ("won", "lost", "gain")} == \
+        {k: got["op_p50_ms"][k] for k in ("won", "lost", "gain")}
 
 
 def test_pairs_passes_compile_from_source(monkeypatch, tmp_path):

@@ -11,13 +11,15 @@ Cached bytecode lowers peak RSS well past the benchmark's 5% bound: a
 seed-11 ``census_contrast`` pass peaked at 17.3 MB reading it and 21.4 MB
 compiling (Python 3.11, 2-core host).
 Only the JSON line a pass prints is read.  For every pass it prints the
-pass time less the probes and the median op latency, both scaled by the
-pass's median probe time to the benchmark's reference host speed (as
-``perfbench/run.py`` scales them), and the peak RSS.  It then prints, per
-metric, each side's median and quartiles and the pairs the change won
-(lower is better; ties count for neither side).  A gain holds when the
-change wins at least nine tenths of the pairs and its median beats the
-parent's by more than the distance between the parent's quartiles.
+pass time less the probes, the median op latency and the tail op latency
+(at ``perfbench/run.py``'s tail rank: the value with ten beyond it), all
+scaled by the pass's median probe time to the benchmark's reference host
+speed (as ``perfbench/run.py`` scales them), and the peak RSS.  It then
+prints, per metric, each side's median and quartiles and the pairs the
+change won (lower is better; ties count for neither side).  A gain holds
+when the change wins at least nine tenths of the pairs and its median
+beats the parent's by more than the distance between the parent's
+quartiles.
 
 With ``--out`` it also writes that evidence as JSON: for each pair, the
 side that ran first and both sides' metrics with the sha256 of the pass's
@@ -47,11 +49,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-# ``perfbench/run.py``'s reference probe time, copied rather than imported:
-# importing run.py loads the recorded outputs, and a pass's peak RSS counts
-# this process's peak at spawn time, so this process has to stay small.
+# ``perfbench/run.py``'s reference probe time and tail rank, copied rather
+# than imported: importing run.py loads the recorded outputs, and a pass's
+# peak RSS counts this process's peak at spawn time, so this process has to
+# stay small.
 PROBE_REF_S = 6.2e-4
-METRICS = ("pass_s", "op_p50_ms", "rss_mb")
+TAIL_BEYOND = 10
+METRICS = ("pass_s", "op_p50_ms", "op_tail_ms", "rss_mb")
 
 
 def run_pass(checkout: Path, workload: str, seed: int, traced: bool = False) -> dict:
@@ -71,14 +75,16 @@ def run_pass(checkout: Path, workload: str, seed: int, traced: bool = False) -> 
 
 
 def pass_metrics(data: dict) -> dict:
-    """Probe-scaled pass time less the probes (s), probe-scaled median op
-    latency (ms) and peak RSS (MB) of one pass."""
+    """Probe-scaled pass time less the probes (s), probe-scaled median and
+    tail op latency (ms) and peak RSS (MB) of one pass; the tail is the
+    latency with ``TAIL_BEYOND`` ops beyond it, or the least one."""
     probes = data["probes"]
     scale = PROBE_REF_S / statistics.median(probes) if probes else 1.0
-    lat = [x for x in data["lat"] if x is not None]
+    lat = sorted(x for x in data["lat"] if x is not None)
     return {
         "pass_s": scale * (data["pass_s"] - sum(probes)),
         "op_p50_ms": 1e3 * scale * statistics.median(lat),
+        "op_tail_ms": 1e3 * scale * lat[max(0, len(lat) - TAIL_BEYOND - 1)],
         "rss_mb": data["rss_mb"],
     }
 
