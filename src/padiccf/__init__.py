@@ -55,7 +55,6 @@ from .lab import (
     byte_stream,
     emit_table,
     irrational_bits,
-    parse_table,
     run_batch,
 )
 from . import errors

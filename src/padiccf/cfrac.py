@@ -284,11 +284,6 @@ class ExpansionRecord:
     def identity_steps(self) -> int:
         return sum(step.identity for step in self.steps)
 
-    @property
-    def identity_dominated(self) -> bool:
-        """Warning flag: convergence claims need infinitely many proper steps."""
-        return len(self.steps) >= 4 and 2 * self.identity_steps > len(self.steps)
-
     def to_json(self):
         return {
             "format": 1,
@@ -556,8 +551,7 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo:
     recurs at the same depth.  A step holds little of its own: ``h_map``
     steps share the cached identity matrix and the zero gamma.
     """
-    if n < 1:
-        raise ValueError("lookahead depth must be >= 1")
+    at_least(n, 1, "lookahead depth")
     s = len(alpha)
     tree = {}
 
@@ -696,6 +690,8 @@ def check_params(algorithm, s: int, eps=1, lookahead=1, g_variant=False) -> None
 
 
 CYCLE_BUDGET = 4096  # steps an embedding's cycle memo may hold per step key
+MAX_STEPS = 100_000  # expand's default step limit
+HEIGHT_EXPONENT = 60  # expand's default height cap, 10**60
 
 
 def expand(
@@ -704,8 +700,8 @@ def expand(
     *,
     eps: int = 1,
     lookahead: int = 1,
-    max_steps: int = 100_000,
-    height_exponent: int = 60,
+    max_steps: int = MAX_STEPS,
+    height_exponent: int = HEIGHT_EXPONENT,
     embedding: Embedding | None = None,
     g_variant: bool = False,
     detect_cycles: bool = True,
@@ -809,9 +805,7 @@ def convergent(record: ExpansionRecord, n: int):
 
     The pull-back carries one primitive homogeneous integer point, from
     (0, .., 0, 1), and divides by its last coordinate once at the end."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > len(record.steps):
+    if at_least(n, 0, "n") > len(record.steps):
         if record.status.kind == "finite":
             n = len(record.steps)
         else:

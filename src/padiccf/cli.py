@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import lab
-from .cfrac import ALGORITHMS, expand
+from .cfrac import ALGORITHMS, HEIGHT_EXPONENT, MAX_STEPS, at_least, expand
 from .errors import PadiccfError
 from .field import MinPoly, VectorElement, validate_minpoly
 from .preduce import RationalMatrix, p_reduce
@@ -25,8 +25,7 @@ def _parse_minpoly(p: int, text: str) -> MinPoly:
 
 
 def _cmd_expand(args) -> int:
-    if args.show < 0:
-        raise ValueError(f"--show must be >= 0, got {args.show}")
+    at_least(args.show, 0, "--show")
     mp = _parse_minpoly(args.p, args.minpoly)
     elem = json.loads(args.elem)  # one element, or a list of them in the record format
     vec = VectorElement.from_json(mp, [elem] if isinstance(elem, dict) else elem)
@@ -139,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--algo", choices=ALGORITHMS, required=True)
     ex.add_argument("--eps", type=int, default=1)
     ex.add_argument("--lookahead", type=int, default=1)
-    ex.add_argument("--max-steps", type=int, default=100_000)
-    ex.add_argument("--height-exp", type=int, default=60)
+    ex.add_argument("--max-steps", type=int, default=MAX_STEPS)
+    ex.add_argument("--height-exp", type=int, default=HEIGHT_EXPONENT)
     ex.add_argument("--json", action="store_true")
     ex.add_argument("--show", type=int, default=8, help="remainders to print")
     ex.set_defaults(func=_cmd_expand)
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     su.add_argument("--p", type=int, required=True)
     su.add_argument("--minpoly", required=True)
     su.add_argument("--s", type=int, required=True)
-    su.add_argument("--size", type=int, default=100)
+    su.add_argument("--size", type=int, default=lab.SUITE_SIZE)
     su.set_defaults(func=_cmd_suite)
 
     tb = sub.add_parser("table", help="run a batch config and emit the table")

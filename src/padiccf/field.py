@@ -367,7 +367,9 @@ def _inverse_nums(a: FieldElement) -> tuple:
     (:func:`preduce.first_row_cofactors`); from degree 5 on one
     fraction-free elimination of [M | e_0] gives them up to the sign it
     shares with det(M).  det(M) = 0 means b shares a root with f: a zero
-    divisor of a reducible f.  A rational a is d / b_0.
+    divisor of a reducible f, and the one place that is decided (the
+    valuation ladder of ``hensel.Embedding`` asks here too).  A rational a
+    is d / b_0.
     """
     mp, d, x0 = a.minpoly, a.den, a.nums[0]
     if a.is_rational():

@@ -28,17 +28,16 @@ m clamped to a cap from the Hadamard bound on the resultant of D f and the
 combination (von zur Gathen and Gerhard, Modern Computer Algebra, 6.8),
 which needs only the bit lengths of two integer norms.  The doubling keeps
 the work near the true valuation, which lies far below the cap for tall
-elements; the multiplication matrix and its determinant are built only
-when the cap is reached with the value still zero, to tell a zero divisor
-from a broken cap.
+elements; the field inverse (``field._inverse_nums``, the determinant of
+the multiplication matrix) runs only when the cap is reached with the
+value still zero, to tell a zero divisor from a broken cap.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded, Reducible
-from .field import FieldElement, MinPoly, VectorElement, check_admissible, element_minpoly, failed_clause
-from .polys import multiplication_rows, newton_lift
-from .preduce import det
+from .field import FieldElement, MinPoly, VectorElement, _inverse_nums, check_admissible, element_minpoly, failed_clause
+from .polys import newton_lift
 from .rationals import ORD_INF, Q, head_num, ordp, vp_int
 
 
@@ -99,8 +98,9 @@ class Embedding:
         return acc
 
     # --- p-adic functionals --------------------------------------------
-    def ord(self, a):
-        """Valuation of a field element (ORD_INF for zero), exact.
+    def ord(self, a: FieldElement):
+        """Valuation of one field element (ORD_INF for zero), exact; a
+        vector's valuation is the least over its components.
 
         Write a = b(z)/d with b an integer polynomial of degree below n =
         deg f.  The integer combination b(z0) at the embedded root z0 is
@@ -124,14 +124,12 @@ class Embedding:
         ((n - 1) bitlen(||F||^2) + n bitlen(||b||^2)) // (2 floor(log2 p)),
         and the cap is one more.  When b(z0) still vanishes at the cap,
         N(b) is 0: b shares a root with f, which for nonzero a of degree
-        below n needs a reducible f, a zero divisor of an uncertified ring
-        reported as ZeroDivisionError.  The determinant of the
-        multiplication matrix (:func:`polys.multiplication_rows`), D^(n(n
-        - 1)/2) N(b), settles that; a nonzero one would mean a broken cap,
-        PrecisionCapExceeded.
+        below n needs a reducible f, a zero divisor of an uncertified ring.
+        The field inverse settles that: it takes the determinant of the
+        multiplication matrix, D^(n(n - 1)/2) N(b), and raises
+        ZeroDivisionError when it is 0; a nonzero one would mean a broken
+        cap, PrecisionCapExceeded.
         """
-        if isinstance(a, VectorElement):
-            return min(self.ord(c) for c in a.components)
         if a.is_zero():
             return ORD_INF
         return vp_int(self._ladder(a), self.p) - vp_int(a.den, self.p)
@@ -166,8 +164,7 @@ class Embedding:
                 m = min(2 * m, cap)
                 val = self._combination_mod(nums, m)
             if not val:
-                if not det(multiplication_rows(self.minpoly._int_f, nums)):
-                    raise ZeroDivisionError("zero divisor modulo a reducible polynomial")
+                _inverse_nums(a)  # ZeroDivisionError for a zero divisor
                 raise PrecisionCapExceeded(f"valuation passed its cap {cap}")
         return val
 

@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .cfrac import ALGORITHMS, TAKES, at_least, check_params, expand
+from .cfrac import ALGORITHMS, HEIGHT_EXPONENT, MAX_STEPS, TAKES, at_least, check_params, expand
 from .errors import CapExceeded, ConfigError, HViolation, Reducible, StreamExhausted
 from .field import CLAUSES, MinPoly, VectorElement, check_degree, independent_with_one, validate_minpoly
 from .hensel import Embedding
@@ -116,22 +116,24 @@ def _stream_polys(s: int):
 
 
 MAX_DRAWS = 100_000  # draws a suite may take before StreamExhausted
+SUITE_SIZE = 100  # elements per suite unless a caller says otherwise
 
 
-def build_test_set(minpoly: MinPoly, s: int, size: int = 100) -> TestSuite:
+def build_test_set(minpoly: MinPoly, s: int, size: int = SUITE_SIZE) -> TestSuite:
     """Draw vectors until ``size`` distinct admissible ones are collected.
 
     Component j comes from stream j; coefficient r of a component uses the
     byte triple (denominator-1, numerator, sign) at offset 3(s+1)i + 3r.
     Vectors whose components are rationally dependent with 1 are rejected
     (for s = 1 that is exactly the rational draws); duplicates collapse.
-    More than MAX_DRAWS draws raise StreamExhausted.  An s outside
-    1 <= s < degree or a size below 1 is a ValueError before any draw.
+    More than MAX_DRAWS draws raise StreamExhausted.  An s that is not an
+    int in 1 <= s < degree or a size that is not an int >= 1 is a
+    ValueError before any draw.
     """
-    if not 1 <= s < minpoly.degree:
-        raise ValueError(f"s must be at least 1 and below the degree {minpoly.degree}, got {s}")
-    if size < 1:
-        raise ValueError(f"size must be at least 1, got {size}")
+    degree = minpoly.degree
+    if at_least(s, 1, f"s (below the degree {degree})") >= degree:
+        raise ValueError(f"s must be below the degree {degree}, got {s}")
+    at_least(size, 1, "size")
     streams = [BitStream(sel) for sel in _stream_polys(s)]
     chosen: dict = {}
     rejected = []
@@ -230,14 +232,16 @@ def _algo_spec(entry, s: int) -> tuple:
 
 @dataclass
 class RunConfig:
-    """Full description of one table run."""
+    """Full description of one table run.  The defaults are the run
+    defaults of the package: ``SUITE_SIZE`` elements per suite, and
+    ``cfrac.expand``'s own ``MAX_STEPS`` and ``HEIGHT_EXPONENT``."""
 
     primes: tuple
     degree: int
     algorithms: tuple  # entries (algo, eps, lookahead); eps/lookahead None where unused
-    suite_size: int = 100
-    max_steps: int = 100_000
-    height_exponent: int = 60
+    suite_size: int = SUITE_SIZE
+    max_steps: int = MAX_STEPS
+    height_exponent: int = HEIGHT_EXPONENT
     jobs: int = 1
     z_limit: int | None = None
 
@@ -245,8 +249,9 @@ class RunConfig:
     def from_json(cls, data) -> "RunConfig":
         """Validate a ``padiccf table`` config; every defect is a ConfigError.
 
-        eps defaults to +1 and phi2's lookahead to 1, so each column label
-        names what runs.  The algorithm parameters go through
+        An omitted optional key takes its field's default.  eps defaults
+        to +1 and phi2's lookahead to 1, so each column label names what
+        runs.  The algorithm parameters go through
         :func:`cfrac.check_params` at s = degree - 1."""
         try:
             if not isinstance(data, dict):
@@ -267,15 +272,16 @@ class RunConfig:
             specs = tuple(_algo_spec(a, degree - 1) for a in algos)
             if len(set(primes)) < len(primes) or len({algo_label(*s) for s in specs}) < len(specs):
                 raise ConfigError("primes and algorithm columns must not repeat")
-            z_limit = data.get("z_limit")
+            given = {f.name: data.get(f.name, f.default) for f in fields(cls)}
+            z_limit = given["z_limit"]
             return cls(
                 primes=tuple(primes),
                 degree=degree,
                 algorithms=specs,
-                suite_size=at_least(data.get("suite_size", 100), 1, "suite_size"),
-                max_steps=at_least(data.get("max_steps", 100_000), 1, "max_steps"),
-                height_exponent=at_least(data.get("height_exponent", 60), 0, "height_exponent"),
-                jobs=at_least(data.get("jobs", 1), 1, "jobs"),
+                suite_size=at_least(given["suite_size"], 1, "suite_size"),
+                max_steps=at_least(given["max_steps"], 1, "max_steps"),
+                height_exponent=at_least(given["height_exponent"], 0, "height_exponent"),
+                jobs=at_least(given["jobs"], 1, "jobs"),
                 z_limit=None if z_limit is None else at_least(z_limit, 1, "z_limit"),
             )
         except (ValueError, CapExceeded) as exc:  # a NotPrime and a ConfigError are ValueErrors
@@ -377,24 +383,3 @@ def emit_table(rows, fmt: str = "csv") -> str:
     lines += [",".join([str(row.prime)] + [str(row.counts[lab][c]) for lab, c in cols]) for row in rows]
     return "\n".join(lines) + "\n"
 
-
-def parse_table(text: str, fmt: str = "csv"):
-    """Inverse of :func:`emit_table`."""
-    if fmt == "jsonl":
-        rows = []
-        for line in text.splitlines():
-            if line.strip():
-                data = json.loads(line)
-                rows.append(TableRow(data["prime"], data["counts"]))
-        return rows
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        row = TableRow(int(cells[0]), {})
-        for name, cell in zip(header[1:], cells[1:]):
-            lab, col = name.rsplit(":", 1)
-            row.counts.setdefault(lab, {c: 0 for c in COLUMNS})[col] = int(cell)
-        rows.append(row)
-    return rows

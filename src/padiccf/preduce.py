@@ -8,9 +8,9 @@ one entry point for a square solve or inverse: the matrix inverse, the
 inverse of a step's projective matrix and the field inverse from degree 5
 on all call it.  Up to 4 x 4, ``first_row_cofactors`` writes the cofactors
 of the first row out, and ``det`` is the expansion along that row: field
-inverses through degree 4, discriminants and the valuation ladder's
-zero-divisor check take no elimination there (Cohen, *A Course in
-Computational Algebraic Number Theory*, 4.2).
+inverses through degree 4 (the valuation ladder's zero-divisor check
+among them) and discriminants take no elimination there (Cohen, *A
+Course in Computational Algebraic Number Theory*, 4.2).
 
 A ``RationalMatrix`` has the representation of a field element: each row
 is a tuple of integer numerators over one positive denominator, with the
@@ -107,10 +107,6 @@ class RationalMatrix:
     @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "RationalMatrix":
         return cls.from_ints([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return Q(self.nums[i][j], self.dens[i])
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.nums == other.nums and self.dens == other.dens

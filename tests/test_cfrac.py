@@ -227,6 +227,11 @@ class TestPhi2:
     def test_one_dimensional_index(self, k2, emb2):
         assert lookahead_phi2(emb2, k2.vector([k2.gen()]), 1, 1, {}) == 1
 
+    @pytest.mark.parametrize("depth", [0, True, 1.0])
+    def test_depth_is_an_int_at_least_one(self, k2, emb2, depth):
+        with pytest.raises(ValueError, match="lookahead depth must be an integer >= 1"):
+            lookahead_phi2(emb2, k2.vector([k2.gen()]), 1, depth, {})
+
     def test_quadratic_coincides_with_phi1(self, k2_v3):
         emb = Embedding(k2_v3)
         z = k2_v3.gen()
@@ -857,6 +862,13 @@ class TestConvergents:
         with pytest.raises(ValueError):
             convergent(rec, len(rec.steps) + 1)
 
+    @pytest.mark.parametrize("n", [-1, True, 1.0])
+    def test_horizon_is_an_int_at_least_zero(self, k2, n):
+        """A bool or a float is refused, not read as the horizon 1."""
+        rec = expand(k2.vector([k2.gen()]), "phi1")
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
+            convergent(rec, n)
+
 
 # s -> (p, minpoly coefficients) of a field of degree s + 1
 FIELDS = {1: (2, [1, 2]), 2: (2, [0, 1, 4]), 3: (2, [0, 0, 1, -20])}
@@ -1170,7 +1182,7 @@ class TestContraction:
             for algo in ("phi1", "phi3"):
                 rec = expand(alpha, algo, eps=1, embedding=emb3, max_steps=6)
                 for k, step in enumerate(rec.steps):
-                    j = emb3.ord(rec.remainders[k])
+                    j = min(emb3.ord(c) for c in rec.remainders[k].components)
                     if j is ORD_INF or step.identity:
                         continue
                     x = tuple(rand_in_pzp(rng, 2) for _ in range(2))
@@ -1201,16 +1213,13 @@ class TestSchneider:
             assert [Q(r.numerator, r.denominator) for r in rems] == got_rems
 
 
-class TestWarningFlag:
-    def test_identity_domination_threshold(self, k2, emb2):
+class TestIdentitySteps:
+    def test_identity_steps_counts_identity_steps(self, k2, emb2):
         rec = expand(k2.vector([k2.gen()]), "phi1")
-        assert not rec.identity_dominated
         identity, proper = step_phi1(emb2, k2.vector([k2.zero()]), 1)[0], rec.steps[0]
         assert identity.identity and not proper.identity
         rec.steps = [identity] * 5 + [proper] * 3
-        assert rec.identity_steps == 5 and rec.identity_dominated
-        rec.steps = [identity] * 4 + [proper] * 4
-        assert not rec.identity_dominated
+        assert rec.identity_steps == 5
 
 
 def _json_fields(data):

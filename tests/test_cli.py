@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiccf import polys
-from padiccf.cli import main
+from padiccf.cfrac import expand
+from padiccf.cli import build_parser, main
+from padiccf.lab import RunConfig, build_test_set
 
 
 def test_selftest_passes(capsys):
@@ -350,6 +354,23 @@ def test_counts_run_or_exit_2(max_steps, show, size):
         assert (code, out) == (2, "") and err.startswith("error:")
     else:
         assert (code, err) == (0, "") and len(json.loads(out)["elements"]) == size
+
+
+def test_run_defaults_agree_everywhere():
+    """A table config of the required keys alone takes the ``RunConfig``
+    field defaults, which are ``expand``'s and ``build_test_set``'s keyword
+    defaults and the defaults of the CLI flags."""
+    config = RunConfig.from_json({"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}]})
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.default is not dataclasses.MISSING}
+    assert {name: getattr(config, name) for name in defaults} == defaults
+    keywords = {**inspect.signature(expand).parameters, **inspect.signature(build_test_set).parameters}
+    assert (keywords["max_steps"].default, keywords["height_exponent"].default, keywords["size"].default) == \
+        (defaults["max_steps"], defaults["height_exponent"], defaults["suite_size"])
+    parser = build_parser()
+    ex = parser.parse_args(["expand", "--p", "2", "--minpoly", "1,2", "--elem", "{}", "--algo", "phi1"])
+    su = parser.parse_args(["suite", "--p", "2", "--minpoly", "1,2", "--s", "1"])
+    assert (ex.max_steps, ex.height_exp, su.size) == \
+        (defaults["max_steps"], defaults["height_exponent"], defaults["suite_size"])
 
 
 # (p, minpoly, elem): a quadratic and a cubic field, one and two components

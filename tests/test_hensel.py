@@ -1,10 +1,8 @@
-from collections import Counter
-
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from padiccf.errors import CapExceeded, HViolation, NotPrimitive, PadiccfError
-from padiccf.field import MinPoly, element_minpoly
+from padiccf.field import ZERO_DIVISOR, MinPoly, element_minpoly
 from padiccf.hensel import Embedding, hensel_lift
 from padiccf.rationals import ORD_INF, Q, head_tail, ordp
 from oracles import hensel_root_search, root_by_digits
@@ -168,7 +166,7 @@ class TestOrd:
     def test_vector_ord_is_min(self, emb3, k3):
         z = k3.gen()
         vec = k3.vector([z, k3.rational(Q(1, 3))])
-        assert emb3.ord(vec) == 0
+        assert min(emb3.ord(c) for c in vec.components) == 0
 
 
 class TestDigits:
@@ -327,23 +325,37 @@ class TestOrdNormCap:
         emb = Embedding(ring_cubic)
         z = ring_cubic.gen()
         b = z * z - z + 2
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match=ZERO_DIVISOR):
             emb.ord(b)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match=ZERO_DIVISOR):
             ord_with_inverse_cap(emb, b)
         assert emb.ord(z + 1) == 0
+
+    def test_zero_divisor_at_degree_five_is_decided_by_elimination(self, monkeypatch):
+        from padiccf import field
+
+        # (x^2 - x + 2)(x^3 + 1) = x^5 - x^4 + 2x^3 + x^2 - x + 2 is admissible
+        # at 2; its root in 2Z_2 is a root of the quadratic factor, and from
+        # degree 5 on the field inverse finds det = 0 by one elimination
+        ring = MinPoly(2, [-1, 2, 1, -1, 2])
+        emb = Embedding(ring)
+        z = ring.gen()
+        solves = []
+        real_solve = field.solve
+        monkeypatch.setattr(field, "solve", lambda rows, n, singular: solves.append(n) or real_solve(rows, n, singular))
+        with pytest.raises(ZeroDivisionError, match=ZERO_DIVISOR):
+            emb.ord(z * z - z + 2)
+        assert solves == [5]
+        assert emb.ord(z * z * z + 1) == 0
 
     def test_convergent_horizons_pay_no_determinant(self, k3, monkeypatch):
         from padiccf import hensel
         from padiccf.cfrac import convergent, expand
         from oracles import ord_by_digits, root_by_digits
 
-        calls = Counter()
-        for name in ("det", "multiplication_rows"):
-            def spy(*args, _name=name, _real=getattr(hensel, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(hensel, name, spy)
+        calls = []
+        real_inverse = hensel._inverse_nums
+        monkeypatch.setattr(hensel, "_inverse_nums", lambda a: calls.append(a) or real_inverse(a))
         emb = Embedding(k3)
         root = root_by_digits(k3, self.ROOT_DIGITS)
         z = k3.gen()
@@ -355,7 +367,7 @@ class TestOrdNormCap:
                 vals.append(emb.ord(diff))
                 assert vals[-1] == ord_by_digits(diff, root, self.ROOT_DIGITS)
         assert max(vals) > 4 * emb._base_precision  # the ladder climbed
-        assert calls == Counter()
+        assert calls == []
 
     def test_tall_zero_divisor_pays_one_determinant_at_the_cap(self, ring_cubic, monkeypatch):
         from padiccf import hensel
@@ -365,10 +377,10 @@ class TestOrdNormCap:
         b = (z * z - z + 2) * (1 + 2**200 * z)  # vanishes at the root, as z^2 - z + 2 does
         base, cap = emb._base_precision, emb._ord_cap(b.nums)
         precisions, dets = [], []
-        real_mod, real_det = emb._combination_mod, hensel.det
+        real_mod, real_inverse = emb._combination_mod, hensel._inverse_nums
         monkeypatch.setattr(emb, "_combination_mod", lambda nums, m: precisions.append(m) or real_mod(nums, m))
-        monkeypatch.setattr(hensel, "det", lambda rows: dets.append(len(rows)) or real_det(rows))
-        with pytest.raises(ZeroDivisionError):
+        monkeypatch.setattr(hensel, "_inverse_nums", lambda a: dets.append(a.minpoly.degree) or real_inverse(a))
+        with pytest.raises(ZeroDivisionError, match=ZERO_DIVISOR):
             emb.ord(b)
         doublings = ((cap - 1) // base).bit_length()  # ceil(log2(cap / base))
         assert cap > 8 * base and len(precisions) <= doublings + 1

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from padiccf.lab import (
     byte_stream,
     emit_table,
     irrational_bits,
-    parse_table,
     run_batch,
 )
 from padiccf.rationals import Q
@@ -150,6 +150,12 @@ class TestSuiteConstruction:
         monkeypatch.setattr(lab, "MAX_DRAWS", 3)
         with pytest.raises(StreamExhausted):
             build_test_set(k2, 1, 10)
+
+    @pytest.mark.parametrize("s,size", [(True, 2), (1, 2.0), (1, True), (1.0, 2)])
+    def test_counts_are_ints(self, k2, s, size):
+        """A bool or a float is refused, not read as the count it equals."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_test_set(k2, s, size)
 
     @pytest.mark.parametrize("s", [0, 2, 1500])
     def test_s_outside_the_field_fails_before_any_draw(self, k2, s, monkeypatch):
@@ -381,18 +387,21 @@ class TestTables:
             TableRow(3, {"phi0[+1]": {"P": 0, "H": 11700, "F": 0, "L": 0}}),
         ]
 
-    def test_csv_round_trip(self):
-        rows = self._rows()
-        text = emit_table(rows)
-        assert text.splitlines()[0] == "prime,phi0[+1]:P,phi0[+1]:H,phi0[+1]:F,phi0[+1]:L"
-        assert parse_table(text)[0].to_json() == rows[0].to_json()
+    def test_csv_header_and_cells(self):
+        assert emit_table(self._rows()) == (
+            "prime,phi0[+1]:P,phi0[+1]:H,phi0[+1]:F,phi0[+1]:L\n"
+            "2,0,7800,1,2\n"
+            "3,0,11700,0,0\n"
+        )
 
-    def test_jsonl_round_trip(self):
+    def test_jsonl_line_per_row(self):
         rows = self._rows()
         text = emit_table(rows, fmt="jsonl")
-        assert [r.to_json() for r in parse_table(text, fmt="jsonl")] == [
-            r.to_json() for r in rows
-        ]
+        assert text == (
+            '{"counts": {"phi0[+1]": {"F": 1, "H": 7800, "L": 2, "P": 0}}, "prime": 2}\n'
+            '{"counts": {"phi0[+1]": {"F": 0, "H": 11700, "L": 0, "P": 0}}, "prime": 3}\n'
+        )
+        assert [json.loads(line) for line in text.splitlines()] == [r.to_json() for r in rows]
 
     def test_empty_rows_header_only(self):
         assert emit_table([]) == "prime\n"

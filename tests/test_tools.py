@@ -147,6 +147,30 @@ def test_pairs_summary_on_fixed_passes():
     # a pass's two latencies are equal, so its tail is its median
     assert {k: got["op_tail_ms"][k] for k in ("won", "lost", "gain")} == \
         {k: got["op_p50_ms"][k] for k in ("won", "lost", "gain")}
+    assert not any(row["regression"] for row in got.values())
+
+
+@pytest.mark.parametrize("shift,lost_pairs,regression", [
+    (0.3, 10, True),    # lost every pair, median 0.3 worse against a spread of 0.1
+    (0.3, 9, True),     # nine tenths is enough
+    (0.3, 8, False),    # eight tenths is not
+    (0.05, 10, False),  # lost every pair, but by less than the parent's spread
+])
+def test_pairs_regression_mirrors_gain(shift, lost_pairs, regression):
+    """A regression is the change losing at least nine tenths of the pairs
+    with its median worse than the parent's by more than the parent's
+    quartile spread; swapping the sides turns it into a gain."""
+    pairs = _load_pairs()
+    parent = [1.0, 1.1] * 5  # quartiles 1.0 / 1.05 / 1.1
+    change = [x + shift if k < lost_pairs else x - shift for k, x in enumerate(parent)]
+    metrics = lambda x: dict.fromkeys(pairs.METRICS, x)  # noqa: E731
+    got = pairs.summarize([(metrics(a), metrics(b)) for a, b in zip(parent, change)])
+    swapped = pairs.summarize([(metrics(b), metrics(a)) for a, b in zip(parent, change)])
+    for name in pairs.METRICS:
+        assert got[name]["lost"] == lost_pairs
+        assert (got[name]["regression"], got[name]["gain"]) == (regression, False)
+        assert (swapped[name]["won"], swapped[name]["gain"], swapped[name]["regression"]) == \
+            (lost_pairs, regression, False)
 
 
 def test_pairs_passes_compile_from_source(monkeypatch, tmp_path):
@@ -211,7 +235,7 @@ def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, diff
         assert (row["parent"]["digest"] == row["change"]["digest"]) is not differ
     assert [row["parent"]["pass_s"] for row in doc["pairs"]] == pytest.approx([2.0, 2.2, 2.4, 2.0])
     summary = doc["summary"]["pass_s"]
-    assert (summary["won"], summary["lost"], summary["gain"]) == (4, 0, True)
+    assert (summary["won"], summary["lost"], summary["gain"], summary["regression"]) == (4, 0, True, False)
     assert summary["parent"] == pytest.approx([2.0, 2.1, 2.25])
     assert ("the outputs differ" in capsys.readouterr().err) is differ
 

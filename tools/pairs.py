@@ -19,7 +19,9 @@ prints, per metric, each side's median and quartiles and the pairs the
 change won (lower is better; ties count for neither side).  A gain holds
 when the change wins at least nine tenths of the pairs and its median
 beats the parent's by more than the distance between the parent's
-quartiles.
+quartiles; a regression is the mirror image, the change losing at least
+nine tenths of the pairs with its median worse than the parent's by more
+than that distance.
 
 With ``--out`` it also writes that evidence as JSON: for each pair, the
 side that ran first and both sides' metrics with the sha256 of the pass's
@@ -116,19 +118,21 @@ def quartiles(xs) -> tuple:
 def summarize(pairs) -> dict:
     """Per metric, over pairs of (parent, change) :func:`pass_metrics`
     dicts: each side's quartiles, the pairs the change won and lost, and
-    whether that makes a gain."""
+    whether that makes a gain or a regression."""
     out = {}
     for name in METRICS:
         old, new = ([m[name] for m in side] for side in zip(*pairs))
         q_old, q_new = quartiles(old), quartiles(new)
         won = sum(b < a for a, b in zip(old, new))
         lost = sum(b > a for a, b in zip(old, new))
+        spread = q_old[2] - q_old[0]
         out[name] = {
             "parent": q_old,
             "change": q_new,
             "won": won,
             "lost": lost,
-            "gain": won >= 0.9 * len(old) and q_old[1] - q_new[1] > q_old[2] - q_old[0],
+            "gain": won >= 0.9 * len(old) and q_old[1] - q_new[1] > spread,
+            "regression": lost >= 0.9 * len(old) and q_new[1] - q_old[1] > spread,
         }
     return out
 
@@ -183,7 +187,8 @@ def main(argv=None) -> int:
     for name, row in doc["summary"].items():
         fmt = lambda q: "/".join(f"{x:.4f}" for x in q)  # noqa: E731
         print(f"{name}: parent {fmt(row['parent'])}  change {fmt(row['change'])}  (q1/median/q3)  "
-              f"won {row['won']}/{len(rows)}, lost {row['lost']}  gain {'yes' if row['gain'] else 'no'}")
+              f"won {row['won']}/{len(rows)}, lost {row['lost']}  gain {'yes' if row['gain'] else 'no'}  "
+              f"regression {'yes' if row['regression'] else 'no'}")
     if args.out:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 1 if bad else 0
