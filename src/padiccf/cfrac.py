@@ -77,11 +77,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import CapExceeded, MixedField, NonSquare, PadiccfError, PoleHit, RecordFormatError
-from .field import MinPoly, VectorElement, _inverse_nums, _product_nums, _reduced, denom_z, height_z
+from .field import FieldElement, MinPoly, VectorElement, _inverse_nums, _product_nums, _reduced, denom_z, height_z
 from .hensel import Embedding
 from .polys import multiplication_rows
 from .preduce import RationalMatrix, p_reduce, reduce_rows, solve
-from .rationals import Q, QONE, head_num, qformat
+from .rationals import Q, QONE, head_num, qexact, qformat
 
 
 def _is_int(v) -> bool:
@@ -618,15 +618,15 @@ def _primitive(rows) -> tuple:
 
 def _projective_apply(rows: tuple, x, pole: str):
     """Evaluate a projective integer matrix at x, a VectorElement or a
-    tuple of rationals or field elements: multiply (x, 1) by it
+    tuple of rationals (no floats) or field elements: multiply (x, 1) by it
     (``RationalMatrix.apply``) and divide by the last coordinate, once."""
-    comps = x.components if isinstance(x, VectorElement) else tuple(x)
-    *h, last = RationalMatrix(rows).apply(comps + (1,))
+    if isinstance(x, VectorElement):
+        return VectorElement(_projective_apply(rows, x.components, pole))
+    *h, last = RationalMatrix(rows).apply([c if isinstance(c, FieldElement) else qexact(c) for c in x] + [1])
     if not last:
         raise PoleHit(pole)
     inv = QONE / last  # a Fraction or a field element, never a float
-    out = tuple(v * inv for v in h)
-    return VectorElement(out) if isinstance(x, VectorElement) else out
+    return tuple(v * inv for v in h)
 
 
 def forward_step(step: CMapStep, x):

@@ -12,11 +12,11 @@ denominator in the basis 1, z, ..., z^(n-1), ascending, with the content
 removed: gcd(den, *nums) = 1, so zero is (0, .., 0)/1, and equality and
 hashing are structural (Cohen, *A Course in Computational Algebraic
 Number Theory*, 4.2).  A product is one integer matrix-vector product
-with the multiplication matrix, and an inverse its first-row cofactors,
-written out through degree 4 and from one fraction-free elimination
-above.  Both are unreduced helpers (``_product_nums``, ``_inverse_nums``)
-that the fractional maps of ``cfrac`` share; ``*`` and ``inverse`` reduce
-their result once.  Sums follow Knuth, TAOCP vol. 2, 4.5.1, and reduce
+with the multiplication matrix, and an inverse its first-row cofactors
+over its determinant (``preduce.first_row_expansion``).  Both are
+unreduced helpers (``_product_nums``, ``_inverse_nums``) that the
+fractional maps of ``cfrac`` share; ``*`` and ``inverse`` reduce their
+result once.  Sums follow Knuth, TAOCP vol. 2, 4.5.1, and reduce
 only by the gcd of the two denominators.  ``Fraction`` coefficients are a
 derived view (``.coeffs``) for serialization and printing.  The
 degenerate degree-1 case (K = Q, still with s = 1) is represented by the
@@ -31,8 +31,8 @@ import operator
 from . import polys
 from .errors import CapExceeded, HViolation, MixedField, RecordFormatError
 from .polys import multiplication_rows
-from .preduce import back_substitute, bareiss, canonical, first_row_cofactors, scale_rows, solve
-from .rationals import Q, QONE, QZERO, check_prime, ordp, qformat, qparse_list
+from .preduce import back_substitute, bareiss, canonical, first_row_expansion, scale_rows
+from .rationals import Q, QONE, QZERO, check_prime, ordp, qexact, qformat, qparse_list
 
 
 class MinPoly:
@@ -51,7 +51,7 @@ class MinPoly:
 
     def __init__(self, p: int, coeffs):
         self.p = check_prime(p)
-        self.coeffs = tuple(Q(c) for c in coeffs)  # a1 .. an, descending powers
+        self.coeffs = tuple(qexact(c) for c in coeffs)  # a1 .. an, descending powers
         self.degree = len(self.coeffs)
         if self.degree < 1:
             raise ValueError("empty coefficient list")
@@ -89,14 +89,14 @@ class MinPoly:
     def element(self, coeffs) -> "FieldElement":
         """The element sum c_i z^i; canonical Fractions scaled by the lcm of
         their denominators share no factor with it."""
-        coeffs = [Q(c) for c in coeffs]
+        coeffs = [qexact(c) for c in coeffs]
         if len(coeffs) > self.degree:
             raise ValueError("too many coefficients")
         (nums,), (den,) = scale_rows([coeffs])
         return FieldElement(self, tuple(nums) + (0,) * (self.degree - len(nums)), den)
 
     def rational(self, q) -> "FieldElement":
-        q = Q(q)
+        q = qexact(q)
         return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def zero(self) -> "FieldElement":
@@ -363,31 +363,19 @@ def _inverse_nums(a: FieldElement) -> tuple:
     The inverse c of b solves M_b c = e_0, where M_b = M diag(D^-j), so
     c_j = D^j (adj(M) e_0)_j / det(M) and a^-1 = d c; adj(M) e_0 is the
     cofactor vector C_0j of M's first row, and det(M) = sum_j M_0j C_0j
-    (Cohen 4.2).  Through degree 4 the cofactors are written out
-    (:func:`preduce.first_row_cofactors`); from degree 5 on one
-    fraction-free elimination of [M | e_0] gives them up to the sign it
-    shares with det(M).  det(M) = 0 means b shares a root with f: a zero
-    divisor of a reducible f, and the one place that is decided (the
-    valuation ladder of ``hensel.Embedding`` asks here too).  A rational a
-    is d / b_0.
+    (Cohen 4.2), both from :func:`preduce.first_row_expansion`.  det(M) = 0
+    means b shares a root with f: a zero divisor of a reducible f, and the
+    one place that is decided (the valuation ladder of ``hensel.Embedding``
+    asks here too).  A rational a is d / b_0.
     """
     mp, d, x0 = a.minpoly, a.den, a.nums[0]
     if a.is_rational():
         if not x0:
             raise ZeroDivisionError("inverse of zero")
         return (d if x0 > 0 else -d,) + (0,) * (mp.degree - 1), abs(x0)
-    n = mp.degree
-    rows = multiplication_rows(mp._int_f, a.nums)
-    if n <= 4:
-        cof = first_row_cofactors(rows)
-        det = sum(map(operator.mul, rows[0], cof))
-        if not det:
-            raise ZeroDivisionError(ZERO_DIVISOR)
-    else:
-        for i, row in enumerate(rows):
-            row.append(0 if i else 1)
-        det, x = solve(rows, n, ZERO_DIVISOR)
-        cof = [xj[0] for xj in x]
+    det, cof = first_row_expansion(multiplication_rows(mp._int_f, a.nums))
+    if not det:
+        raise ZeroDivisionError(ZERO_DIVISOR)
     if det < 0:
         d, det = -d, -det
     den = mp._int_f[0]

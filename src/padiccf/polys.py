@@ -9,8 +9,8 @@ is irreducible exactly when f is, and its roots are a times those of f.
 A prime q is *good* when it does not divide disc(G); then G mod q is
 squarefree.  :func:`certify` makes the whole decision: it builds G and
 disc(G) once per polynomial, the discriminant on integers as one
-determinant (the norm of G' in Q[z]/(G)), written out through degree 4 and
-one Bareiss elimination above, and runs, cheapest first:
+determinant (the norm of G' in Q[z]/(G), from
+``preduce.first_row_expansion``), and runs, cheapest first:
 
 1. **squarefree**: disc(f) = 0 means a repeated factor;
 2. **rational roots**: the roots of G modulo the least good prime,
@@ -56,7 +56,7 @@ import math
 import random
 
 from .errors import CapExceeded, Reducible
-from .preduce import det, scale_rows
+from .preduce import first_row_expansion, scale_rows
 from .rationals import is_prime
 
 Poly = tuple
@@ -106,12 +106,13 @@ def _monic_form(f: Poly):
     """(G, a, disc(G)) for f of degree >= 1: the monic integer
     G(y) = a^(n-1) A(y/a), A the cleared form of f with leading
     coefficient a.  disc(G) = (-1)^(n(n-1)/2) N(G'), the norm in
-    Q[z]/(G), is the :func:`preduce.det` of the integer
-    :func:`multiplication_rows` of G', as G is monic and integral."""
+    Q[z]/(G), is the determinant of the integer
+    :func:`multiplication_rows` of G', as G is monic and integral
+    (:func:`preduce.first_row_expansion`)."""
     (ints,), _ = scale_rows([f])
     n, a = len(ints) - 1, ints[-1]
     G = tuple(c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])) + (1,)
-    norm = det(multiplication_rows((1, G[:-1]), [i * c for i, c in enumerate(G) if i]))
+    norm = first_row_expansion(multiplication_rows((1, G[:-1]), [i * c for i, c in enumerate(G) if i]))[0]
     return G, a, norm * (-1) ** (n * (n - 1) // 2)
 
 

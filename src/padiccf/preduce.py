@@ -4,13 +4,12 @@ row normal form.
 ``bareiss`` and ``back_substitute`` are the package's one exact
 elimination: ranks, matrix inverses, linear solves and large determinants
 scale their rationals to integers and go through them.  ``solve`` is the
-one entry point for a square solve or inverse: the matrix inverse, the
-inverse of a step's projective matrix and the field inverse from degree 5
-on all call it.  Up to 4 x 4, ``first_row_cofactors`` writes the cofactors
-of the first row out, and ``det`` is the expansion along that row: field
-inverses through degree 4 (the valuation ladder's zero-divisor check
-among them) and discriminants take no elimination there (Cohen, *A
-Course in Computational Algebraic Number Theory*, 4.2).
+square solve or inverse of the matrix inverse and of a step's projective
+matrix.  ``first_row_expansion`` is the one determinant-and-cofactor
+kernel, behind field inverses (the valuation ladder's zero-divisor check
+among them) and discriminants; its docstring says which sizes it
+eliminates (Cohen, *A Course in Computational Algebraic Number Theory*,
+4.2).
 
 A ``RationalMatrix`` has the representation of a field element: each row
 is a tuple of integer numerators over one positive denominator, with the
@@ -41,7 +40,7 @@ import operator
 from functools import lru_cache
 
 from .errors import NonSquare
-from .rationals import Q, head_num, qformat, vp_int
+from .rationals import Q, head_num, qexact, qformat, vp_int
 
 
 def canonical(nums: tuple, den: int, bound: int | None = None):
@@ -71,8 +70,8 @@ class RationalMatrix:
 
     def __init__(self, rows):
         """From rows of rationals (ints, ``Fraction``s, or anything
-        ``Fraction`` accepts)."""
-        rows = [[c if type(c) is int or type(c) is Q else Q(c) for c in row] for row in rows]
+        ``Fraction`` accepts but a float)."""
+        rows = [[c if type(c) is int or type(c) is Q else qexact(c) for c in row] for row in rows]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         nums, dens = scale_rows(rows)
@@ -236,35 +235,42 @@ def back_substitute(rows, pivots, width: int):
     return d, x
 
 
-def first_row_cofactors(rows) -> tuple:
-    """The cofactors C_00, .., C_0(n-1) of the first row of an n x n
-    integer matrix with 1 <= n <= 4, given as rows, written out: at n = 4
-    the six 2 x 2 minors of the last two rows, then one 3-term expansion
-    per cofactor, 24 products in all."""
+def first_row_expansion(rows) -> tuple:
+    """(det, C) for an n x n integer matrix M, n >= 1, given as rows: its
+    determinant and the cofactors C_00, .., C_0(n-1) of its first row, so
+    det = sum_j M_0j C_0j and C is adj(M) e_0 (Cohen 4.2).
+
+    This is the one place that picks how.  Up to 4 x 4 the cofactors are
+    written out (at n = 4 the six 2 x 2 minors of the last two rows, then
+    one 3-term expansion per cofactor, 24 products in all) and det is the
+    expansion along the first row, with no elimination.  Beyond, one
+    :func:`bareiss` of a copy of [M | e_0] and :func:`back_substitute`
+    give d adj(M) e_0 / det, d = +-det, which the sign det // d turns into
+    the cofactors; a singular M beyond 4 x 4 gives (0, None).
+    """
     n = len(rows)
+    if n > 4:
+        ext = [list(row) + [int(i == 0)] for i, row in enumerate(rows)]
+        pivots, det = bareiss(ext, n)
+        if not det:
+            return 0, None
+        d, x = back_substitute(ext, pivots, n)
+        return det, tuple(det // d * xj[0] for xj in x)
     if n == 1:
-        return (1,)
-    if n == 2:
+        cof = (1,)
+    elif n == 2:
         _, (c, d) = rows
-        return d, -c
-    if n == 3:
+        cof = d, -c
+    elif n == 3:
         _, (c, d, e), (f, g, h) = rows
-        return d * h - e * g, e * f - c * h, c * g - d * f
-    _, (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
-    m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
-    m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
-    return (a1 * m23 - a2 * m13 + a3 * m12, a2 * m03 - a0 * m23 - a3 * m02,
-            a0 * m13 - a1 * m03 + a3 * m01, a1 * m02 - a0 * m12 - a2 * m01)
-
-
-def det(rows) -> int:
-    """The determinant of a square integer matrix, given as rows: the
-    first-row expansion sum_j M_0j C_0j of :func:`first_row_cofactors` up
-    to 4 x 4, :func:`bareiss` on a copy of the row list beyond."""
-    n = len(rows)
-    if 1 <= n <= 4:
-        return sum(map(operator.mul, rows[0], first_row_cofactors(rows)))
-    return bareiss(list(rows), n)[1]
+        cof = d * h - e * g, e * f - c * h, c * g - d * f
+    else:
+        _, (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        cof = (a1 * m23 - a2 * m13 + a3 * m12, a2 * m03 - a0 * m23 - a3 * m02,
+               a0 * m13 - a1 * m03 + a3 * m01, a1 * m02 - a0 * m12 - a2 * m01)
+    return sum(map(operator.mul, rows[0], cof)), cof
 
 
 def solve(rows, n: int, singular: str):

@@ -94,6 +94,15 @@ def height(q) -> int:
     return abs(q.numerator) + q.denominator
 
 
+def qexact(x) -> Q:
+    """``Fraction(x)``, for anything ``Fraction`` accepts but a float: a
+    float is a TypeError, since ``Fraction`` would read it as its binary
+    value (0.1 as 3602879701896397/36028797018963968)."""
+    if isinstance(x, float):
+        raise TypeError(f"a float is not an exact rational: {x!r}")
+    return Q(x)
+
+
 def qformat(q) -> str:
     """Canonical string: "num/den", den omitted when 1, sign on numerator."""
     if q.denominator == 1:

@@ -573,7 +573,8 @@ class TestInverse:
 class TestScalarPoints:
     """forward_step and inverse_step on a tuple of ints or of Fractions:
     Fractions out, never floats, the values the field-element path gives
-    on the rational sentinel, and PoleHit at a pole for either kind."""
+    on the rational sentinel, and PoleHit at a pole for either kind.  A
+    float is refused."""
 
     @pytest.fixture(scope="class")
     def sentinel_steps(self):
@@ -592,6 +593,14 @@ class TestScalarPoints:
                 assert type(got) is tuple and all(type(v) is Q for v in got)
                 assert fn(step, (Q(x),)) == got
                 assert tuple(c.rational_value() for c in fn(step, kq.vector([x]))) == got
+
+    @pytest.mark.parametrize("x", [0.5, 0.25, -4.0])
+    def test_floats_refused(self, sentinel_steps, x):
+        _, steps = sentinel_steps
+        for fn in (forward_step, inverse_step):
+            for step in steps:
+                with pytest.raises(TypeError, match="^a float is not an exact rational"):
+                    fn(step, (x,))
 
     def test_pole_for_either_kind(self, sentinel_steps):
         _, steps = sentinel_steps

@@ -9,15 +9,14 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from padiccf import field, polys
+from padiccf import polys, preduce
 from padiccf.errors import NonSquare
 from padiccf.field import MinPoly, element_minpoly
 from padiccf.preduce import (
     RationalMatrix,
     back_substitute,
     bareiss,
-    det,
-    first_row_cofactors,
+    first_row_expansion,
     p_reduce,
     scale_rows,
     solve,
@@ -103,10 +102,11 @@ class TestRoutine:
 
 @st.composite
 def small_int_matrices(draw):
-    """n x n integer matrices for n = 1-4, entries up to 10^60 in size and
-    zero one time in three, often singular: a zero column or a last row
-    that combines two others."""
-    n = draw(st.integers(1, 4))
+    """n x n integer matrices for n = 1-7, both sides of the kernel's
+    written-out sizes, entries up to 10^60 in size and zero one time in
+    three, often singular: a zero column or a last row that combines two
+    others."""
+    n = draw(st.integers(1, 7))
     ints = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**60, 10**60))
     rows = draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n))
     shape = draw(st.sampled_from(["plain", "dependent_row", "zero_column"]))
@@ -121,16 +121,21 @@ def small_int_matrices(draw):
 
 
 class TestCofactors:
-    """The written-out first-row cofactors and determinant up to 4 x 4,
-    against the elimination."""
+    """The determinant and first-row cofactors of ``first_row_expansion``,
+    written out up to 4 x 4 and eliminated beyond, against the elimination
+    and the Gauss reference."""
 
     @CHECKS
     @given(small_int_matrices())
     def test_det_and_cofactors_match_the_elimination(self, rows):
         n = len(rows)
-        d = det(rows)
+        d, cof = first_row_expansion(rows)
         assert d == bareiss([list(r) for r in rows], n)[1]
-        cof = first_row_cofactors(rows)
+        assert d == gauss_det(rows)
+        if cof is None:
+            assert n > 4 and d == 0
+            return
+        assert sum(map(operator.mul, rows[0], cof)) == d
         # alien cofactors: every other row expands to zero along them
         assert all(sum(map(operator.mul, row, cof)) == 0 for row in rows[1:])
         if not d:
@@ -146,8 +151,12 @@ class TestCofactors:
         for n in (5, 6):
             rows = [[rng.randint(-10**30, 10**30) for _ in range(n)] for _ in range(n)]
             before = [list(r) for r in rows]
-            assert det(rows) == gauss_det([[Q(x) for x in r] for r in before])
+            d, cof = first_row_expansion(rows)
+            assert d == gauss_det([[Q(x) for x in r] for r in before])
+            assert sum(map(operator.mul, before[0], cof)) == d
             assert rows == before  # the elimination ran on a copy
+        rows[2] = [3 * x - y for x, y in zip(rows[0], rows[4])]
+        assert first_row_expansion(rows[:5]) == (0, None)
 
 
 class TestRationalMatrix:
@@ -215,10 +224,10 @@ class TestFieldInverse:
         """The written-out cofactors on numerators of 10^60 over powers of
         p, with no elimination."""
 
-        def no_solve(*args):
-            raise AssertionError("solve ran")
+        def no_elimination(*args):
+            raise AssertionError("bareiss ran")
 
-        monkeypatch.setattr(field, "solve", no_solve)
+        monkeypatch.setattr(preduce, "bareiss", no_elimination)
         mp = MinPoly(2, coeffs)
         rng = random.Random(len(coeffs))
         for _ in range(40):
@@ -227,14 +236,14 @@ class TestFieldInverse:
             assert a.inverse().coeffs == tuple(euclid_inverse(mp, b))
             assert a * a.inverse() == mp.one()
 
-    def test_solve_only_from_degree_five(self, monkeypatch):
-        calls, solve = [], field.solve
+    def test_elimination_only_from_degree_five(self, monkeypatch):
+        calls, bareiss = [], preduce.bareiss
 
-        def counted(rows, n, singular):
-            calls.append(n)
-            return solve(rows, n, singular)
+        def counted(rows, width):
+            calls.append(width)
+            return bareiss(rows, width)
 
-        monkeypatch.setattr(field, "solve", counted)
+        monkeypatch.setattr(preduce, "bareiss", counted)
         for coeffs in ([1, 2], [0, 1, 2], [0, 0, 1, 2], [1, 0, 0, 3, 6]):
             MinPoly(2, coeffs).element([2, 1]).inverse()
         assert calls == [5]

@@ -15,6 +15,7 @@ from padiccf.field import (
     independent_with_one,
     validate_minpoly,
 )
+from padiccf.preduce import RationalMatrix
 from padiccf.rationals import Q
 from oracles import coeff_matrix, relation_search
 
@@ -128,6 +129,19 @@ class TestRingArithmetic:
         assert 2 * z == k2.element([0, 2])
         assert (2 / z) == z.inverse() * 2
         assert z - Q(1, 2) == k2.element([Q(-1, 2), 1])
+
+    @pytest.mark.parametrize("make", [
+        lambda k: MinPoly(2, [1.0, 2]),
+        lambda k: validate_minpoly(2, [1, 2.0]),
+        lambda k: k.element([0, 0.1]),
+        lambda k: k.rational(0.1),
+        lambda k: k.vector([0.5]),
+        lambda k: RationalMatrix([[1, Q(1, 2)], [0.5, 2]]),
+    ])
+    def test_constructors_refuse_floats(self, k2, make):
+        """A float is a TypeError, not its binary value as a Fraction."""
+        with pytest.raises(TypeError, match="^a float is not an exact rational"):
+            make(k2)
 
     def test_mixed_field_rejected(self, k2, k3):
         with pytest.raises(MixedField):

@@ -332,7 +332,7 @@ class TestOrdNormCap:
         assert emb.ord(z + 1) == 0
 
     def test_zero_divisor_at_degree_five_is_decided_by_elimination(self, monkeypatch):
-        from padiccf import field
+        from padiccf import preduce
 
         # (x^2 - x + 2)(x^3 + 1) = x^5 - x^4 + 2x^3 + x^2 - x + 2 is admissible
         # at 2; its root in 2Z_2 is a root of the quadratic factor, and from
@@ -340,12 +340,12 @@ class TestOrdNormCap:
         ring = MinPoly(2, [-1, 2, 1, -1, 2])
         emb = Embedding(ring)
         z = ring.gen()
-        solves = []
-        real_solve = field.solve
-        monkeypatch.setattr(field, "solve", lambda rows, n, singular: solves.append(n) or real_solve(rows, n, singular))
+        widths = []
+        real_bareiss = preduce.bareiss
+        monkeypatch.setattr(preduce, "bareiss", lambda rows, width: widths.append(width) or real_bareiss(rows, width))
         with pytest.raises(ZeroDivisionError, match=ZERO_DIVISOR):
             emb.ord(z * z - z + 2)
-        assert solves == [5]
+        assert widths == [5]
         assert emb.ord(z * z * z + 1) == 0
 
     def test_convergent_horizons_pay_no_determinant(self, k3, monkeypatch):

@@ -173,6 +173,18 @@ def test_pairs_regression_mirrors_gain(shift, lost_pairs, regression):
             (lost_pairs, regression, False)
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_pairs_refuses_fewer_than_one_pair(monkeypatch, capsys, value):
+    """``--pairs`` below 1, or not an int, is an argparse error with exit
+    code 2 before any pass runs, not a traceback from the summary."""
+    pairs = _load_pairs()
+    monkeypatch.setattr(pairs, "run_pass", lambda *args, **kwargs: pytest.fail("a pass ran"))
+    with pytest.raises(SystemExit) as info:
+        pairs.main(["A", "B", "--workload", "census_phi3", "--seed", "1", "--pairs", value])
+    assert info.value.code == 2
+    assert "argument --pairs" in capsys.readouterr().err
+
+
 def test_pairs_passes_compile_from_source(monkeypatch, tmp_path):
     """Each pass reads and writes bytecode only under its own fresh, empty
     cache prefix and writes none, so both checkouts compile from source."""

@@ -152,13 +152,21 @@ def evidence(workload: str, seed: int, rows, trace) -> dict:
     }
 
 
+def at_least_one(text: str) -> int:
+    """An argparse type: an int >= 1, so a run always has a pair to sum up."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=at_least_one, default=10)
     ap.add_argument("--out", type=Path, help="write the pairs, digests and summary to this JSON file")
     args = ap.parse_args(argv)
     paths = {"parent": args.parent, "change": args.change}
