@@ -30,6 +30,9 @@ numerators over a determinant (``field._inverse_nums``), each a_i a_j^-1
 is one product with its multiplication rows (``field._product_nums``),
 eps p^e is folded into the same integers, and each digit is read off the
 valuation residues of ``Embedding.ord_digit`` rather than off the image.
+The pivot and every other component go through the embedding's element
+memo (``Embedding.elements``, filled by ``_element``), so a short element
+met again takes no valuation, inverse or multiplication rows.
 ``g_map`` reduces each image once; ``h_map`` reads the unit normalizer
 and the digit head off the unreduced image, both functions of its value,
 and then reduces once.  ``step_phi3``
@@ -373,6 +376,30 @@ def _least_exponent(height: int) -> int:
 # --- fractional maps ---------------------------------------------------------
 
 
+def _element(emb: Embedding, a: FieldElement, pivot: bool = False) -> list:
+    """a's entry in the element memo (``Embedding.elements``), keyed by its
+    canonical (nums, den): the list [(ord, unit digit), inverse, inverse
+    rows] of ``Embedding.ord_digit``, ``field._inverse_nums`` (taken when
+    ``pivot``, else None until a pivot needs it) and the inverse's
+    ``multiplication_rows`` (None until a product needs them).
+
+    The admission test (the ``Embedding`` docstring states the memo's
+    limit and budget) comes before any hashing, so a tall element costs
+    that test and gets a fresh entry no one keeps.  A new entry is stored
+    only once all it was asked for is computed: a zero-divisor pivot,
+    whose inverse raises, leaves nothing behind."""
+    nums, den = a.nums, a.den
+    short = den < ELEMENT_LIMIT and max(nums) < ELEMENT_LIMIT and min(nums) > -ELEMENT_LIMIT
+    entry = emb.elements.get((nums, den)) if short else None
+    if entry is None:
+        entry = [emb.ord_digit(a), _inverse_nums(a) if pivot else None, None]
+        if short and len(emb.elements) < ELEMENT_BUDGET:
+            emb.elements[nums, den] = entry
+    elif pivot and entry[1] is None:
+        entry[1] = _inverse_nums(a)
+    return entry
+
+
 def _map_images(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     """The kernel every fractional map runs: (exps, digits, images) for
     the digit-subtracting map with pivot j at alpha, each image the
@@ -385,28 +412,29 @@ def _map_images(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     from ``Embedding.ord_digit``, not from the images: with a_i = p^o_i
     u_i, the image value has valuation e + o_i - o_j, which is 0 for the
     pivot and for o_i <= o_j and positive otherwise, so its digit is eps
-    u_i u_j^-1 mod p at valuation 0 and 0 above it."""
+    u_i u_j^-1 mod p at valuation 0 and 0 above it.  The pivot and every
+    other component are read through the element memo (:func:`_element`,
+    ``Embedding.elements``), which returns what those kernels compute."""
     comps = alpha.components
     aj = comps[j - 1]
     if aj.is_zero():
         return None
     mp, p = alpha.minpoly, emb.p
-    inv, inv_den = _inverse_nums(aj)
-    rows = None  # the inverse's multiplication rows, built at the first product (s = 1 has none)
+    pivot = _element(emb, aj, True)  # its rows are built at the first product (s = 1 has none)
+    (oj, uj), (inv, inv_den) = pivot[0], pivot[1]
     prod_den = inv_den * mp._int_f[0] ** (mp.degree - 1)
-    oj, uj = emb.ord_digit(aj)
     unit = eps * pow(uj, -1, p)
     exps, digits, images = [], [], []
     for i, ai in enumerate(comps, start=1):
         if i == j:
             e, om, nums, den = oj, unit % p, inv, inv_den
         else:
-            oi, ui = emb.ord_digit(ai)  # a zero a_i has ord inf: e = 0, digit 0
+            oi, ui = _element(emb, ai)[0]  # a zero a_i has ord inf: e = 0, digit 0
             e = max(oj - oi, 0)
             om = unit * ui % p if oi <= oj else 0
-            if rows is None:
-                rows = multiplication_rows(mp._int_f, inv)
-            nums, den = _product_nums(mp, rows, ai.nums), ai.den * prod_den
+            if pivot[2] is None:
+                pivot[2] = multiplication_rows(mp._int_f, inv)
+            nums, den = _product_nums(mp, pivot[2], ai.nums), ai.den * prod_den
         if e < 0:
             den *= p ** -e
         k = eps * p ** max(e, 0)
@@ -690,6 +718,8 @@ def check_params(algorithm, s: int, eps=1, lookahead=1, g_variant=False) -> None
 
 
 CYCLE_BUDGET = 4096  # steps an embedding's cycle memo may hold per step key
+ELEMENT_LIMIT = 1 << 16  # bound on |den| and |nums| of an element the element memo admits
+ELEMENT_BUDGET = 4096  # elements an embedding's element memo may hold
 MAX_STEPS = 100_000  # expand's default step limit
 HEIGHT_EXPONENT = 60  # expand's default height cap, 10**60
 

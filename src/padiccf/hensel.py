@@ -70,12 +70,26 @@ class Embedding:
     what the map would compute.  :func:`cfrac.expand` fills it from its
     periodic orbits and reads it where it would take a step; the memo
     lives as long as the embedding.
+
+    ``elements`` is the fractional maps' memo of short field elements,
+    keyed by an element's canonical (nums, den).  An entry holds
+    :meth:`ord_digit`'s (ord, unit digit) and, once the element has been
+    a pivot, its inverse (``field._inverse_nums``' numerators and
+    denominator) and the inverse's multiplication rows, those built at the
+    first product that needs them.  Each is what the kernel would compute,
+    so records and tables are the same with or without the memo.
+    ``cfrac._element`` fills and reads it.  It admits an element only when
+    its denominator and every numerator lie below ``cfrac.ELEMENT_LIMIT``
+    = 2^16 in absolute value, a test made before any lookup, and it holds
+    at most ``cfrac.ELEMENT_BUDGET`` = 4096 entries: repeats come from the
+    small elements of periodic orbits, and a tall element seldom recurs.
     """
 
     def __init__(self, minpoly: MinPoly):
         self.minpoly = minpoly
         self.p = minpoly.p
         self.cycles: dict = {}
+        self.elements: dict = {}
         self._precision = self._residue = 0
         if minpoly.is_rational_field:
             self._base_precision = 1

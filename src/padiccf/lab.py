@@ -336,22 +336,54 @@ def _z_task(args):
     return p, counts, errors
 
 
+def _pooled(tasks, workers: int) -> list:
+    """Each task's :func:`_z_task` result from one pool of ``workers``
+    processes, None for a task the pool lost: one whose worker died, or
+    one still unfinished when a worker died (``BrokenProcessPool``)."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    out = []
+    with ProcessPoolExecutor(workers) as pool:
+        for future in [pool.submit(_z_task, t) for t in tasks]:
+            try:
+                out.append(future.result())
+            except BrokenProcessPool:
+                out.append(None)
+    return out
+
+
+def _lost(task) -> tuple:
+    """The result of a task that broke a pool of its own: no counts, and
+    one error naming its prime, generator and algorithm labels."""
+    mp, _, algo_specs, _, _ = task
+    labels = [algo_label(*spec) for spec in algo_specs]
+    error = (mp.p, tuple(qformat(c) for c in mp.coeffs), None, ",".join(labels),
+             "BrokenProcessPool: the worker running this generator's task died")
+    return mp.p, {lab: {c: 0 for c in COLUMNS} for lab in labels}, [error]
+
+
 def run_batch(config: RunConfig):
     """Run the full grid and aggregate one row per prime.
 
     Returns (rows, errors).  Tasks are independent; with jobs > 1 they run
     in a process pool of at most one worker per task and per CPU, and
-    aggregation order is fixed by sorted task keys either way.
+    aggregation order is fixed by sorted task keys either way.  The batch
+    is fail-soft: when a worker dies (killed by the OS, say), each task
+    the pool lost runs again alone in a fresh one-worker pool, and a task
+    that breaks that pool too becomes an error (:func:`_lost`) while the
+    other tasks count as usual.
     """
     suite_coeffs = _suite_coefficients(config.degree, config.suite_size)
     tasks = [(mp, suite_coeffs, tuple(config.algorithms), config.max_steps, config.height_exponent)
              for p in sorted(config.primes) for mp in build_z_set(p, config.degree)[:config.z_limit]]
     workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        import multiprocessing as mp_mod
-
-        with mp_mod.Pool(workers) as pool:
-            results = pool.map(_z_task, tasks, chunksize=1)
+        results = _pooled(tasks, workers)
+        for k, res in enumerate(results):
+            if res is None:
+                res = _pooled([tasks[k]], 1)[0]
+                results[k] = _lost(tasks[k]) if res is None else res
     else:
         results = [_z_task(t) for t in tasks]
 

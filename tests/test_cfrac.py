@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -25,7 +26,7 @@ from padiccf.cfrac import (
 )
 from padiccf.errors import (CapExceeded, ConfigError, HViolation, MixedField, NonSquare, PadiccfError, PoleHit,
                             RecordFormatError, Reducible)
-from padiccf.field import (MAX_DEGREE, MinPoly, VectorElement, denom_z, height_z, independent_with_one,
+from padiccf.field import (MAX_DEGREE, FieldElement, MinPoly, VectorElement, denom_z, height_z, independent_with_one,
                            validate_minpoly)
 from padiccf.hensel import Embedding
 from padiccf.lab import RunConfig, _suite_coefficients, _z_task, build_z_set
@@ -1181,6 +1182,168 @@ class TestCycleMemo:
         monkeypatch.setattr(cfrac, "CYCLE_BUDGET", p1 + p2)
         rec = expand(second.initial, "phi3", embedding=emb)
         assert len(emb.cycles[key]) == p1 + p2 and rec.to_json() == second.to_json()
+
+
+def _short(a, limit) -> bool:
+    return a.den < limit and all(abs(x) < limit for x in a.nums)
+
+
+def _key(a) -> tuple:
+    """An element's key in ``Embedding.elements``: its canonical (nums, den)."""
+    return a.nums, a.den
+
+
+class TestElementMemo:
+    """The fractional maps read each short element's (ord, digit), and a
+    pivot's inverse and its rows, through ``Embedding.elements``: an entry
+    is what the kernels compute, so every record is the one written
+    without the memo."""
+
+    SPECS = [("phi1", 1, 1, False), ("phi1", -1, 1, False), ("phi2", 1, 1, False), ("phi3", 1, 1, False),
+             ("phi3", 1, 1, True)]
+
+    @staticmethod
+    def grid():
+        """Two z-set cubics and one quartic per prime in {2, 3}, with suite
+        vectors: periodic orbits of small elements and, under phi1 and
+        phi2, tall ones."""
+        for p in (2, 3):
+            for degree, count in ((3, 2), (4, 1)):
+                for mp in build_z_set(p, degree)[:count]:
+                    yield mp, _suite_vectors(mp, degree, 4)
+
+    @staticmethod
+    def memo_free(monkeypatch, vec, algo, **kw):
+        """The record of ``vec`` on a fresh embedding that admits no
+        element to its memo."""
+        with monkeypatch.context() as m:
+            m.setattr(cfrac, "ELEMENT_LIMIT", 0)
+            emb = Embedding(vec.minpoly)
+            rec = expand(vec, algo, embedding=emb, **kw)
+        assert emb.elements == {}
+        return rec
+
+    @pytest.mark.parametrize("algo, eps, n, g_variant", SPECS)
+    def test_shared_embedding_writes_the_records_of_memo_free_ones(self, algo, eps, n, g_variant, monkeypatch):
+        """Each vector's record on one embedding per field, shared by all
+        its vectors, is the memo-free record; the shared memo stores
+        entries and takes no more kernel inverses than the memo-free runs."""
+        kw = {**_memo_kw(eps, n, g_variant), "max_steps": 40}
+        inverses = {"shared": 0, "free": 0}
+        side = "shared"
+        real = cfrac._inverse_nums
+
+        def counted(a):
+            inverses[side] += 1
+            return real(a)
+
+        monkeypatch.setattr(cfrac, "_inverse_nums", counted)
+        for mp, vectors in self.grid():
+            emb = Embedding(mp)
+            for vec in vectors:
+                side = "shared"
+                shared = expand(vec, algo, embedding=emb, **kw)
+                side = "free"
+                fresh = self.memo_free(monkeypatch, vec, algo, **kw)
+                assert json.dumps(shared.to_json()) == json.dumps(fresh.to_json()), vec
+            assert emb.elements
+        assert 0 < inverses["shared"] <= inverses["free"]
+
+    def test_hits_skip_the_kernels(self, monkeypatch):
+        """A second expansion of a vector on the same embedding takes no
+        inverse and no valuation for the short elements the first met."""
+        mp = build_z_set(2, 4)[0]
+        vec = _suite_vectors(mp, 4, 1)[0]
+        emb = Embedding(mp)
+        first = expand(vec, "phi3", embedding=emb, max_steps=12, detect_cycles=False)
+        short_pivots = {rem.components[-1] for rem in first.remainders[:-1]
+                        if _short(rem.components[-1], cfrac.ELEMENT_LIMIT)}
+        assert short_pivots
+        calls = []
+        real_inv, real_od = cfrac._inverse_nums, Embedding.ord_digit
+        monkeypatch.setattr(cfrac, "_inverse_nums", lambda a: calls.append(a) or real_inv(a))
+        monkeypatch.setattr(Embedding, "ord_digit", lambda self, a: calls.append(a) or real_od(self, a))
+        again = expand(vec, "phi3", embedding=emb, max_steps=12, detect_cycles=False)
+        assert again.to_json() == first.to_json()
+        assert not any(_short(a, cfrac.ELEMENT_LIMIT) for a in calls)
+
+    @pytest.mark.parametrize("budget", [0, 1, 7])
+    def test_the_memo_never_holds_more_than_its_budget(self, budget, monkeypatch):
+        monkeypatch.setattr(cfrac, "ELEMENT_BUDGET", budget)
+        mp, vectors = next(self.grid())
+        emb = Embedding(mp)
+        for vec in vectors:
+            for algo in ("phi1", "phi3"):
+                rec = expand(vec, algo, embedding=emb, max_steps=40)
+                assert len(emb.elements) <= budget
+                assert rec.to_json() == self.memo_free(monkeypatch, vec, algo, max_steps=40).to_json()
+        assert len(emb.elements) == budget
+
+    @pytest.mark.parametrize("limit", [1 << 12, None])
+    def test_tall_elements_are_never_stored(self, limit, monkeypatch):
+        """phi1 over cubics at a cap of 10^300 meets remainders far above
+        the limit (2^16, and 2^12 to make more elements tall); none of their
+        components is stored, and the records stay the memo-free ones."""
+        if limit is not None:
+            monkeypatch.setattr(cfrac, "ELEMENT_LIMIT", limit)
+        limit = cfrac.ELEMENT_LIMIT
+        mp = build_z_set(2, 3)[0]
+        emb = Embedding(mp)
+        tall = 0
+        for vec in _suite_vectors(mp, 3, 4):
+            rec = expand(vec, "phi1", embedding=emb, max_steps=40, height_exponent=300)
+            assert rec.to_json() == self.memo_free(monkeypatch, vec, "phi1", max_steps=40,
+                                                   height_exponent=300).to_json()
+            tall += sum(not _short(c, limit) for rem in rec.remainders[:-1] for c in rem.components)
+        assert tall >= 10 and emb.elements
+        assert all(_short(FieldElement(mp, nums, den), limit) for nums, den in emb.elements)
+
+    def test_a_zero_divisor_pivot_raises_and_leaves_no_inverse(self, ring_cubic):
+        """Over x^3 + x + 2 = (x + 1)(x^2 - x + 2), z + 1 is a zero divisor
+        with a unit value at the embedded root, and z^2 - z + 2 one that
+        vanishes there.  As a pivot each raises ZeroDivisionError, first
+        met or repeated, and no entry holds an inverse for it; z + 1, first
+        met as another component, keeps the (ord, digit) entry it had."""
+        z = ring_cubic.gen()
+        emb = Embedding(ring_cubic)
+        for bad in (z + 1, z * z - z + 2):
+            for _ in range(2):
+                with pytest.raises(ZeroDivisionError):
+                    g_map(emb, ring_cubic.vector([bad, z]), 1, 1)
+                assert _key(bad) not in emb.elements
+        h_map(emb, ring_cubic.vector([z, z + 1]), 1, 1)
+        entry = emb.elements[_key(z + 1)]
+        assert entry == [emb.ord_digit(z + 1), None, None]
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                h_map(emb, ring_cubic.vector([z, z + 1]), 1, 2)
+            assert emb.elements[_key(z + 1)] is entry and entry == [emb.ord_digit(z + 1), None, None]
+
+    def test_stored_entries_are_the_kernels_and_never_change(self):
+        """Every entry equals a fresh computation of (ord, digit), inverse
+        and rows, and a later expansion on the same embedding leaves what
+        was stored as it was (it may only fill an empty slot)."""
+        mp = build_z_set(3, 4)[0]
+        emb = Embedding(mp)
+        vectors = _suite_vectors(mp, 4, 6)
+        for vec in vectors[:3]:
+            expand(vec, "phi3", embedding=emb, max_steps=40)
+        snapshot = {key: copy.deepcopy(entry) for key, entry in emb.elements.items()}
+        assert any(entry[2] is not None for entry in snapshot.values())
+        for vec in vectors[3:]:
+            for algo in ("phi3", "phi2", "phi1"):
+                expand(vec, algo, embedding=emb, max_steps=40)
+        assert len(emb.elements) > len(snapshot)
+        fresh = Embedding(mp)
+        for (nums, den), entry in emb.elements.items():
+            a = FieldElement(mp, nums, den)
+            od, inv, rows = entry
+            assert type(od) is tuple and od == fresh.ord_digit(a)
+            assert inv is None or (type(inv) is tuple and inv == cfrac._inverse_nums(a))
+            assert rows is None or rows == polys.multiplication_rows(mp._int_f, inv[0])
+            if (nums, den) in snapshot:
+                for now, then in zip(entry, snapshot[nums, den]):
+                    assert then is None or now == then
 
 
 class TestContraction:

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,18 @@ from padiccf.lab import (
 )
 from padiccf.rationals import Q
 from oracles import bits_by_fraction
+
+_REAL_Z_TASK = lab._z_task
+
+
+def _z_task_dying_on_the_second_generator(args):
+    """``lab._z_task``, except that the worker running the task of the
+    second generator of its z-set dies; module-level, so a pool can send
+    it to its workers."""
+    mp = args[0]
+    if mp == build_z_set(mp.p, mp.degree)[1]:
+        os._exit(9)
+    return _REAL_Z_TASK(args)
 
 
 class TestBits:
@@ -336,16 +349,16 @@ class TestBatch:
     @staticmethod
     def _pool_size(jobs, cpus, monkeypatch):
         """Processes asked of the pool by a 3-task batch on a host of
-        ``cpus`` CPUs, None for no pool; a stand-in pool maps in this
+        ``cpus`` CPUs, None for no pool; a stand-in pool runs each task in this
         process, so no worker is ever started."""
-        import multiprocessing
+        import concurrent.futures
         import os
 
         started = []
 
         class SerialPool:
-            def __init__(self, processes):
-                started.append(processes)
+            def __init__(self, max_workers):
+                started.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -353,10 +366,12 @@ class TestBatch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return [fn(t) for t in tasks]
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg = RunConfig.from_json(
             {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}], "suite_size": 2,
@@ -378,6 +393,39 @@ class TestBatch:
         """At most one worker per CPU, and one CPU when the count is
         unknown."""
         assert self._pool_size(jobs, cpus, monkeypatch) == workers
+
+    def test_a_dead_worker_costs_its_task_alone(self, monkeypatch):
+        """Under the fork start method, the worker running one generator's
+        task ends by ``os._exit(9)``, as an OOM kill would end it.  The
+        batch returns within a bound, every other task counts exactly as
+        it does alone, and one error names the lost task's prime,
+        generator and label."""
+        import concurrent.futures
+        import functools
+        import multiprocessing
+        import threading
+
+        cfg = dict(primes=(2,), degree=2, algorithms=(("phi1", 1, None),), suite_size=3,
+                   max_steps=200, height_exponent=30, z_limit=4)
+        serial, _ = run_batch(RunConfig(**cfg))
+        doomed = build_z_set(2, 2)[1]
+        alone = lab._z_task((doomed, lab._suite_coefficients(2, 3), cfg["algorithms"], 200, 30))[1]
+        expected = {c: n - alone["phi1[+1]"][c] for c, n in serial[0].counts["phi1[+1]"].items()}
+        monkeypatch.setattr(lab, "_z_task", _z_task_dying_on_the_second_generator)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        out = []
+        batch = threading.Thread(target=lambda: out.append(run_batch(RunConfig(**cfg, jobs=2))), daemon=True)
+        batch.start()
+        batch.join(timeout=60)
+        assert not batch.is_alive() and len(out) == 1, "the batch did not return within 60 s"
+        rows, errors = out[0]
+        assert [r.prime for r in rows] == [2] and rows[0].counts["phi1[+1]"] == expected
+        assert sum(expected.values()) == 3 * 3
+        assert len(errors) == 1
+        p, coeffs, idx, label, message = errors[0]
+        assert (p, coeffs, idx, label) == (2, tuple(str(c) for c in doomed.coeffs), None, "phi1[+1]")
+        assert "BrokenProcessPool" in message
 
 
 class TestTables:

@@ -122,6 +122,32 @@ def test_pairs_tail_is_the_benchmark_tail_rank(n):
     assert got["op_tail_ms"] == pytest.approx(max(1.0, n - 10.0))
 
 
+def test_pairs_pooled_tail_is_the_benchmark_tail_of_per_op_medians():
+    """A side's pooled tail is ``perfbench/run.py``'s ``op_tail_ms`` over
+    its passes: each op's median over the probe-scaled passes, an op
+    failed in any pass left out, read at ``run.tail_rank``.  A slow op in
+    one pass moves that pass's own tail but not the pooled one."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import run
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    pairs = _load_pairs()
+    ref = pairs.PROBE_REF_S
+    base = [float(k + 1) for k in range(12)]  # ms at the reference speed
+    passes = []
+    for k in range(3):
+        lat_ms = base[:k] + [100.0] + base[k + 1:] + [None if k == 1 else 50.0]
+        # probes at k + 1 times the reference: the pass's times are divided by k + 1
+        passes.append({"probes": [(k + 1) * ref], "pass_s": 1.0,
+                       "lat": [None if x is None else (k + 1) * x / 1e3 for x in lat_ms], "rss_mb": 20.0})
+    arrays = [pairs.op_ms(data) for data in passes]
+    assert [x for x in arrays[1] if x == x] == pytest.approx([1.0, 100.0] + base[2:])
+    assert [pairs.pass_metrics(data)["op_tail_ms"] for data in passes] == pytest.approx([4.0, 3.0, 4.0])
+    assert pairs.pooled_tail(arrays) == pytest.approx(base[run.tail_rank(len(base))]) == 2.0
+    assert pairs.pooled_tail(arrays[:1]) == pytest.approx(pairs.pass_metrics(passes[0])["op_tail_ms"])
+
+
 def test_pairs_summary_on_fixed_passes():
     pairs = _load_pairs()
     ref = pairs.PROBE_REF_S
@@ -229,8 +255,9 @@ def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, diff
         calls.append(checkout)
         output = ["table", "other" if differ and checkout == change else "same"]
         if traced:
-            return {"trace": {"self_s": {}, "calls": {}}}
-        return {"probes": [ref] * 2, "pass_s": next(times[checkout]) + 2 * ref, "lat": [1e-3, None],
+            return {"probes": [ref], "trace": {"self_s": {}, "calls": {}}}
+        lat = [2e-3 if checkout == parent else 1e-3, None]
+        return {"probes": [ref] * 2, "pass_s": next(times[checkout]) + 2 * ref, "lat": lat,
                 "rss_mb": 20.0, "errors": [], "output": output}
 
     monkeypatch.setattr(pairs, "run_pass", fake_pass)
@@ -249,13 +276,17 @@ def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, diff
     summary = doc["summary"]["pass_s"]
     assert (summary["won"], summary["lost"], summary["gain"], summary["regression"]) == (4, 0, True, False)
     assert summary["parent"] == pytest.approx([2.0, 2.1, 2.25])
-    assert ("the outputs differ" in capsys.readouterr().err) is differ
+    # each side's pooled tail sits next to the per-pass op_tail_ms, and is printed
+    assert doc["summary"]["op_tail_ms"]["pooled"] == pytest.approx({"parent": 2.0, "change": 1.0})
+    printed = capsys.readouterr()
+    assert "op_tail_ms pooled over each side's passes: parent 2.0000  change 1.0000" in printed.out
+    assert ("the outputs differ" in printed.err) is differ
 
 
 def test_pairs_out_keeps_one_traced_pass_per_side(monkeypatch, tmp_path):
     """``--out`` runs one traced pass per side after the untraced pairs and
-    writes both sides' per-layer self times and call counts; without
-    ``--out`` nothing runs traced."""
+    writes both sides' per-layer self times, scaled by the traced pass's
+    own probes, and call counts; without ``--out`` nothing runs traced."""
     pairs = _load_pairs()
     ref = pairs.PROBE_REF_S
     parent, change = tmp_path / "parent", tmp_path / "change"
@@ -266,6 +297,7 @@ def test_pairs_out_keeps_one_traced_pass_per_side(monkeypatch, tmp_path):
         calls.append((checkout, traced))
         data = {"probes": [ref], "pass_s": 1.0 + ref, "lat": [1e-3], "rss_mb": 20.0, "errors": [], "output": []}
         if traced:
+            data["probes"] = [ref / 2] if checkout == change else [ref]  # the change's times are doubled
             data["trace"] = {"self_s": {"hensel.Embedding.ord": ord_s[checkout], "cfrac.h_map": 0.02},
                              "calls": {"hensel.Embedding.ord": 3784}, "total_s": {}, "spans": 9}
         return data
@@ -277,9 +309,9 @@ def test_pairs_out_keeps_one_traced_pass_per_side(monkeypatch, tmp_path):
     assert calls == [(parent, False), (change, False), (change, False), (parent, False),
                      (parent, True), (change, True)]
     trace = json.loads(out.read_text())["trace"]
-    assert trace == {side: {"self_s": {"hensel.Embedding.ord": ord_s[path], "cfrac.h_map": 0.02},
+    assert trace == {side: {"self_s": {"hensel.Embedding.ord": ord_s[path] * k, "cfrac.h_map": 0.02 * k},
                             "calls": {"hensel.Embedding.ord": 3784}}
-                     for side, path in (("parent", parent), ("change", change))}
+                     for side, path, k in (("parent", parent, 1), ("change", change, 2))}
     calls.clear()
     assert pairs.main(argv) == 0
     assert all(not traced for _, traced in calls) and len(calls) == 4
@@ -297,6 +329,9 @@ def test_committed_bench_file_shows_equal_outputs(path):
         sys.path.remove(str(ROOT / "perfbench"))
     doc = json.loads(path.read_text())
     assert doc["outputs_match"] is True
+    # files written before the pooled tail have none; later ones one per side
+    pooled = doc["summary"].get("op_tail_ms", {}).get("pooled", {"parent": 1.0, "change": 1.0})
+    assert set(pooled) == {"parent", "change"} and all(x > 0 for x in pooled.values())
     assert doc["workload"] in workloads.WORKLOADS
     assert doc["pairs"]
     for row in doc["pairs"]:

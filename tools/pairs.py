@@ -21,18 +21,24 @@ when the change wins at least nine tenths of the pairs and its median
 beats the parent's by more than the distance between the parent's
 quartiles; a regression is the mirror image, the change losing at least
 nine tenths of the pairs with its median worse than the parent's by more
-than that distance.
+than that distance.  Last it prints each side's pooled tail: each op's
+median latency over that side's passes, read at the same tail rank, the
+statistic ``perfbench/run.py`` reports as ``op_tail_ms``.  One pass's
+tail is its eleventh-slowest op, so a few slow ops in one pass move it;
+the pooled tail reads every pass.
 
 With ``--out`` it also writes that evidence as JSON: for each pair, the
 side that ran first and both sides' metrics with the sha256 of the pass's
-output (as ``perfbench/golden.py`` digests it), and the summary above.
+output (as ``perfbench/golden.py`` digests it), and the summary above,
+with the pooled tails under ``summary.op_tail_ms.pooled``.
 Equal digests on both sides of every pair show the change left the
 outputs as they were.  After the pairs it runs one traced pass per side
 (``perfbench/onepass.py --spans``, spans to a temporary file) and writes
-both sides' per-layer self times and call counts, so the file shows which
-layer moved.  A pass's full output and latencies are dropped as soon as
-its metrics and digest are read, so this process stays small: a pass's
-peak RSS counts this process's peak at spawn time.
+both sides' per-layer self times (probe-scaled) and call counts, so the
+file shows which layer moved.  A pass's full output is dropped as soon as its metrics and
+digest are read, and its latencies are kept as one array of scaled
+floats, so this process stays small: a pass's peak RSS counts this
+process's peak at spawn time.
 
 Exits 1 when a pass fails, reports op errors, or the two sides print
 different outputs.
@@ -43,12 +49,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+from array import array
 from pathlib import Path
 
 # ``perfbench/run.py``'s reference probe time and tail rank, copied rather
@@ -76,19 +84,41 @@ def run_pass(checkout: Path, workload: str, seed: int, traced: bool = False) -> 
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def probe_scale(data: dict) -> float:
+    """The factor that scales one pass's times to the reference host speed."""
+    probes = data["probes"]
+    return PROBE_REF_S / statistics.median(probes) if probes else 1.0
+
+
+def tail(ascending) -> float:
+    """The value with ``TAIL_BEYOND`` values beyond it, or the least one."""
+    return ascending[max(0, len(ascending) - TAIL_BEYOND - 1)]
+
+
+def op_ms(data: dict) -> array:
+    """One pass's probe-scaled op latencies (ms) in op order, NaN for a
+    failed op."""
+    scale = 1e3 * probe_scale(data)
+    return array("d", (math.nan if x is None else scale * x for x in data["lat"]))
+
+
 def pass_metrics(data: dict) -> dict:
     """Probe-scaled pass time less the probes (s), probe-scaled median and
-    tail op latency (ms) and peak RSS (MB) of one pass; the tail is the
-    latency with ``TAIL_BEYOND`` ops beyond it, or the least one."""
-    probes = data["probes"]
-    scale = PROBE_REF_S / statistics.median(probes) if probes else 1.0
-    lat = sorted(x for x in data["lat"] if x is not None)
+    :func:`tail` op latency (ms) and peak RSS (MB) of one pass."""
+    lat = sorted(x for x in op_ms(data) if not math.isnan(x))
     return {
-        "pass_s": scale * (data["pass_s"] - sum(probes)),
-        "op_p50_ms": 1e3 * scale * statistics.median(lat),
-        "op_tail_ms": 1e3 * scale * lat[max(0, len(lat) - TAIL_BEYOND - 1)],
+        "pass_s": probe_scale(data) * (data["pass_s"] - sum(data["probes"])),
+        "op_p50_ms": statistics.median(lat),
+        "op_tail_ms": tail(lat),
         "rss_mb": data["rss_mb"],
     }
+
+
+def pooled_tail(passes) -> float:
+    """The tail over one side's passes, each an :func:`op_ms` array, as
+    ``perfbench/run.py`` reads it: each op's median over the passes (an op
+    that failed in any pass left out), then the :func:`tail` of those."""
+    return tail(sorted(statistics.median(col) for col in zip(*passes) if not any(map(math.isnan, col))))
 
 
 def digest(output) -> str:
@@ -103,8 +133,11 @@ def kept(data: dict) -> dict:
 
 
 def layers(data: dict) -> dict:
-    """Per-layer self seconds and call counts of one traced pass."""
-    return {"self_s": data["trace"]["self_s"], "calls": data["trace"]["calls"]}
+    """Per-layer self seconds, probe-scaled as ``perfbench/run.py`` scales
+    a traced pass's, and call counts of one traced pass."""
+    scale = probe_scale(data)
+    return {"self_s": {name: scale * s for name, s in data["trace"]["self_s"].items()},
+            "calls": data["trace"]["calls"]}
 
 
 def quartiles(xs) -> tuple:
@@ -137,17 +170,19 @@ def summarize(pairs) -> dict:
     return out
 
 
-def evidence(workload: str, seed: int, rows, trace) -> dict:
+def evidence(workload: str, seed: int, rows, pooled, trace) -> dict:
     """The ``--out`` document over rows of (side run first, parent
-    :func:`kept`, change :func:`kept`) and, per side, the :func:`layers`
-    of its traced pass."""
+    :func:`kept`, change :func:`kept`), each side's :func:`pooled_tail`
+    and, per side, the :func:`layers` of its traced pass."""
+    summary = summarize([(old, new) for _, old, new in rows])
+    summary["op_tail_ms"]["pooled"] = pooled
     return {
         "workload": workload,
         "seed": seed,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "pairs": [{"first": first, "parent": old, "change": new} for first, old, new in rows],
         "outputs_match": all(old["digest"] == new["digest"] for _, old, new in rows),
-        "summary": summarize([(old, new) for _, old, new in rows]),
+        "summary": summary,
         "trace": trace,
     }
 
@@ -171,6 +206,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     paths = {"parent": args.parent, "change": args.change}
     rows, bad = [], False
+    lats = {name: [] for name in paths}
     print("pair first   " + "  ".join(f"{m:>11} {m:>11}" for m in METRICS))
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -180,6 +216,7 @@ def main(argv=None) -> int:
             for err in data["errors"][:3]:
                 print(f"{name}: {err}", file=sys.stderr)
             got[name] = kept(data)
+            lats[name].append(op_ms(data))
             del data  # not held while the next pass spawns
         old, new = got["parent"], got["change"]
         first = order[0]
@@ -191,12 +228,14 @@ def main(argv=None) -> int:
         print(f"{k:4d} {first:6} " + "  ".join(f"{old[m]:11.4f} {new[m]:11.4f}" for m in METRICS), flush=True)
     trace = {name: layers(run_pass(paths[name], args.workload, args.seed, traced=True))
              for name in paths} if args.out else None
-    doc = evidence(args.workload, args.seed, rows, trace)
+    pooled = {name: pooled_tail(lats[name]) for name in paths}
+    doc = evidence(args.workload, args.seed, rows, pooled, trace)
     for name, row in doc["summary"].items():
         fmt = lambda q: "/".join(f"{x:.4f}" for x in q)  # noqa: E731
         print(f"{name}: parent {fmt(row['parent'])}  change {fmt(row['change'])}  (q1/median/q3)  "
               f"won {row['won']}/{len(rows)}, lost {row['lost']}  gain {'yes' if row['gain'] else 'no'}  "
               f"regression {'yes' if row['regression'] else 'no'}")
+    print(f"op_tail_ms pooled over each side's passes: parent {pooled['parent']:.4f}  change {pooled['change']:.4f}")
     if args.out:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 1 if bad else 0
