@@ -40,14 +40,17 @@ class MinPoly:
 
     Instances created through :func:`validate_minpoly`, which
     :meth:`from_json` goes through too, are proven irreducible and carry
-    the certificate prime (None when no one prime witnesses it); direct
-    construction skips certification and yields plain quotient-ring
-    semantics (used by tests and by the degree-1 sentinel).  The
-    polynomial x, coefficients (0,), is that sentinel, K = Q, however it
-    is built or loaded.
+    the certificate prime (None when no one prime witnesses it).  When
+    the decision proved irreducibility before meeting the certificate,
+    they keep the pending (G, disc(G)) of ``polys.certify`` instead, a
+    pair of ints that pickles, and :attr:`certificate_prime` finds the
+    prime on its first read.  Direct construction skips certification and
+    yields plain quotient-ring semantics (used by tests and by the
+    degree-1 sentinel).  The polynomial x, coefficients (0,), is that
+    sentinel, K = Q, however it is built or loaded.
     """
 
-    __slots__ = ("p", "coeffs", "degree", "s", "certificate_prime", "is_rational_field", "_key", "_int_f")
+    __slots__ = ("p", "coeffs", "degree", "s", "is_rational_field", "_key", "_int_f", "_certificate", "_pending")
 
     def __init__(self, p: int, coeffs):
         self.p = check_prime(p)
@@ -56,12 +59,20 @@ class MinPoly:
         if self.degree < 1:
             raise ValueError("empty coefficient list")
         self.s = self.degree - 1 if self.degree >= 2 else 1
-        self.certificate_prime = None  # set by validate_minpoly
+        self._certificate = self._pending = None  # set by validate_minpoly
         self.is_rational_field = self.coeffs == (QZERO,)
         self._key = (self.p, self.coeffs)
         # (D, (D a_n, .., D a_1)): the lower coefficients cleared by their lcm D
         (low,), (den,) = scale_rows([self.coeffs[::-1]])
         self._int_f = (den, tuple(low))
+
+    @property
+    def certificate_prime(self):
+        """The certificate prime, found on the first read when the
+        decision stopped at a proof before meeting it."""
+        if self._pending:
+            self._certificate, self._pending = polys.find_certificate(*self._pending, self.p), None
+        return self._certificate
 
     @classmethod
     def rationals(cls, p: int) -> "MinPoly":
@@ -194,13 +205,17 @@ def validate_minpoly(p: int, coeffs) -> MinPoly:
     admissibility clauses (p-integral coefficients, unit x^1
     coefficient, non-unit constant term), then makes the irreducibility
     decision with one call to :func:`polys.certify`, which raises
-    Reducible (or CapExceeded) and returns the certificate prime: None
-    when the polynomial is proven irreducible without a one-prime witness.
+    Reducible (or CapExceeded) and stops at the first proof.  The
+    certificate prime is None when the polynomial is proven irreducible
+    without a one-prime witness.  When the proof came before the
+    certificate, the certificate is found on its first read
+    (:attr:`MinPoly.certificate_prime`), as when a record or z-set JSON
+    is written.
     """
     mp = MinPoly(p, coeffs)
     check_degree(mp.degree)
     check_admissible(mp)
-    mp.certificate_prime = polys.certify(mp.ascending(), mp.p)
+    mp._certificate, mp._pending = polys.certify(mp.ascending(), mp.p)
     return mp
 
 

@@ -16,35 +16,44 @@ determinant (the norm of G' in Q[z]/(G), from
 2. **rational roots**: the roots of G modulo the least good prime,
    lifted by :func:`newton_lift` past twice the Cauchy bound and tested
    exactly;
-3. **certificate**: one distinct-degree factorization of G mod q for each
-   of the first ``CERTIFICATE_TRIES`` good primes q != p, with x^(q^k)
-   from the Frobenius matrix of x^q (Cohen, *A Course in Computational
-   Algebraic Number Theory*, Alg. 3.4.3), records the degrees of the
-   factors mod q; a single factor of degree n proves f irreducible over
-   Q, and the first such q is the certificate.  x^q and each matrix row
-   cost one fused product mod (G, q), a convolution whose top terms fold
-   down by G's low coefficients.  The degrees depend on G mod q alone,
-   so they are memoized per (G mod q, q): a z-set meets the same residue
-   again and again;
+3. **patterns**: one distinct-degree factorization of G mod q for each
+   of the first ``CERTIFICATE_TRIES`` good primes q != p, in increasing
+   order, with x^(q^k) from the Frobenius matrix of x^q (Cohen, *A Course
+   in Computational Algebraic Number Theory*, Alg. 3.4.3), records the
+   degrees of the factors mod q.  x^q and each matrix row cost one fused
+   product mod (G, q), a convolution whose top terms fold down by G's low
+   coefficients.  The degrees depend on G mod q alone, so they are
+   memoized per (G mod q, q): a z-set meets the same residue again and
+   again;
 4. **sieve**: a factor of degree k over Q is a sub-multiset of degree k
-   in every pattern, so when no k in 2..n/2 is a subset sum of all of
-   them, f is irreducible (Musser 1978, *J. ACM* 25);
-5. **recombination**: otherwise G is factored modulo the odd tried prime
-   with the fewest factors (distinct-degree split, then Cantor-Zassenhaus
-   with a fixed seed), the factors u are Hensel-lifted past twice the
-   Mignotte bound, with the inverse of G/u mod (u, q) a Fermat power as u
-   is irreducible mod q, and each product g of up to r/2 of them, centered
-   mod the lifted modulus m, is checked by one exact product: g divides G
-   exactly when g times the centered quotient of G by g mod m is G, as a
-   true cofactor's coefficients lie under the bound (Zassenhaus 1969; von
-   zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 15);
+   in every pattern (Musser 1978, *J. ACM* 25), and with no rational
+   root k lies in 2..n-2.  The decision stops at the first proof: at a
+   single factor of degree n mod q, the *witness*, or at the first prime
+   after which no k in 2..n-2 is a subset sum of every pattern so far.
+   For n <= 3 that range is empty, so the rational-root stage ends the
+   decision and no pattern is computed;
+5. **recombination**: when all the tries leave a degree open and met no
+   witness, G is factored modulo the odd tried prime with the fewest
+   factors (distinct-degree split, then Cantor-Zassenhaus with a fixed
+   seed), the factors u are Hensel-lifted past twice the Mignotte bound,
+   with the inverse of G/u mod (u, q) a Fermat power as u is irreducible
+   mod q, and each product g of up to r/2 of them, centered mod the
+   lifted modulus m, is checked by one exact product: g divides G exactly
+   when g times the centered quotient of G by g mod m is G, as a true
+   cofactor's coefficients lie under the bound (Zassenhaus 1969; von zur
+   Gathen and Gerhard, *Modern Computer Algebra*, ch. 15);
 6. **budget**: recombination examines at most ``RECOMBINATION_TRIES``
    subsets and raises ``CapExceeded`` past that.
 
+:func:`certify` returns the decision with the *certificate prime*, the
+first witness among the tries, or None when there is none, as soon as
+the decision meets it.  When a proof came first, the certificate is
+found when it is read: :func:`find_certificate` runs the same prime
+sequence, and the memo answers for the patterns the decision computed.
 :func:`certificate_prime` (the certificate or None) and
-:func:`is_irreducible_exact` (the decision as a bool) are views of
-:func:`certify`.  Past the monic form, which clears f's denominators
-once, every stage computes on integers and residues alone.
+:func:`is_irreducible_exact` (the decision as a bool, no certificate)
+are views of :func:`certify`.  Past the monic form, which clears f's
+denominators once, every stage computes on integers and residues alone.
 :func:`newton_lift` is also the Hensel lift of ``hensel.hensel_lift``.
 """
 
@@ -204,25 +213,29 @@ def _ddf(f, q):
     (k, product of the irreducible factors of degree k), k ascending.
 
     x^(q^k) mod f comes from x^(q^(k-1)) by the Frobenius matrix, whose
-    row i is x^(iq) mod f.  For squarefree f the products multiply to f;
+    row i is x^(iq) mod f; k = 1 reads x^q alone, so the rows are built
+    when k reaches 2.  For squarefree f the products multiply to f;
     for any f, [(n, f)] means f is irreducible, since a reducible f has a
     factor of degree at most n/2 and the loop reaches that degree with
     f whole.
     """
     n = len(f) - 1
-    xq = _mpow(_X, q, f, q)
-    frob = [[1]]
-    for _ in range(n - 1):
-        frob.append(_mulmod(frob[-1], xq, f, q))
     parts, rest, h, k = [], f, _X, 0
     while 2 * (k + 1) <= len(rest) - 1:
         k += 1
-        acc = [0] * n
-        for c, row in zip(h, frob):
-            if c:
-                for j, v in enumerate(row):
-                    acc[j] += c * v
-        h = _mtrim(acc, q)
+        if k == 1:
+            h = xq = _mpow(_X, q, f, q)
+        else:
+            if k == 2:
+                frob = [[1]]
+                for _ in range(n - 1):
+                    frob.append(_mulmod(frob[-1], xq, f, q))
+            acc = [0] * n
+            for c, row in zip(h, frob):
+                if c:
+                    for j, v in enumerate(row):
+                        acc[j] += c * v
+            h = _mtrim(acc, q)
         g = _mgcd(rest, _msub(h, _X, q), q)
         if len(g) > 1:
             parts.append((k, g))
@@ -281,32 +294,46 @@ def certify(f: Poly, p):
     """Decide the irreducibility of f, of degree >= 1, over Q.
 
     Builds the monic integer form G and disc(G) once and runs the stages
-    of the module docstring in order.  Returns the certificate prime: the
-    first good prime q != p with G mod q irreducible among the first
-    CERTIFICATE_TRIES; None when f is irreducible without one.  Raises
-    Reducible when f factors over Q, and CapExceeded past
+    of the module docstring in order, up to the first proof.  Returns
+    (q, None) when the decision settled the certificate prime q: it met
+    the first witness, or tried CERTIFICATE_TRIES primes without one (q is
+    None).  Returns (None, (G, disc)) when a proof came before any
+    witness; the certificate is then ``find_certificate(G, disc, p)``.
+    Raises Reducible when f factors over Q, and CapExceeded past
     RECOMBINATION_TRIES subsets.
     """
     G, _, disc = _monic_form(ptrim(f))
     n = pdeg(G)
     if not disc or n > 1 and _integer_roots(G, disc):
         raise Reducible("polynomial factors over Q")
-    patterns, common = {}, -1  # bit k of common: every pattern has a sub-multiset of degree k
-    for q, pattern in _patterns(G, disc, p):
+    # no rational root, so a proper factor and its cofactor have degree >= 2:
+    # bit k of left is a degree in 2..n-2 that every pattern so far admits
+    left = sum(1 << k for k in range(2, n - 1))
+    patterns = {}
+    for q, pattern in _patterns(G, disc, p) if left else ():
         if pattern == (n,):
-            return q
+            return q, None
         patterns[q] = pattern
         sums = 1
         for k in pattern:
             sums |= sums << k
-        common &= sums
-    # no rational root, so a proper factor and its cofactor have degree >= 2
-    degrees = {k for k in range(2, n - 1) if common >> k & 1}
-    if degrees:
-        q = min((q for q in patterns if q % 2), key=lambda q: len(patterns[q]))
-        if not _recombine(G, q, degrees):
-            raise Reducible("polynomial factors over Q")
-    return None
+        left &= sums
+        if not left:
+            break
+    if not left:
+        return None, (G, disc)
+    q = min((q for q in patterns if q % 2), key=lambda q: len(patterns[q]))
+    if not _recombine(G, q, {k for k in range(n) if left >> k & 1}):
+        raise Reducible("polynomial factors over Q")
+    return None, None
+
+
+def find_certificate(G, disc, p):
+    """The certificate prime of the monic integer G with disc(G) = disc,
+    nonzero: the first good prime q != p among the first
+    CERTIFICATE_TRIES with G mod q irreducible, None when there is none."""
+    n = pdeg(G)
+    return next((q for q, pattern in _patterns(G, disc, p) if pattern == (n,)), None)
 
 
 def certificate_prime(f: Poly, p):
@@ -318,16 +345,17 @@ def certificate_prime(f: Poly, p):
     if pdeg(f) < 1:
         return None
     try:
-        return certify(f, p)
+        q, pending = certify(f, p)
     except (Reducible, CapExceeded):
         return None
+    return find_certificate(*pending, p) if pending else q
 
 
 def is_irreducible_exact(f: Poly) -> bool:
     """Exact irreducibility over Q: :func:`certify` without an excluded
-    prime, so CapExceeded passes through.  Some quartics (A4 Galois
-    group) are irreducible over Q yet reducible mod every prime; the
-    sieve settles them."""
+    prime, so CapExceeded passes through, and without looking for the
+    certificate.  Some quartics (A4 Galois group) are irreducible over Q
+    yet reducible mod every prime; the sieve settles them."""
     f = ptrim(f)
     if pdeg(f) < 1:
         return False

@@ -97,7 +97,10 @@ def height(q) -> int:
 def qexact(x) -> Q:
     """``Fraction(x)``, for anything ``Fraction`` accepts but a float: a
     float is a TypeError, since ``Fraction`` would read it as its binary
-    value (0.1 as 3602879701896397/36028797018963968)."""
+    value (0.1 as 3602879701896397/36028797018963968).  A ``Fraction``
+    is returned as it is."""
+    if type(x) is Q:
+        return x
     if isinstance(x, float):
         raise TypeError(f"a float is not an exact rational: {x!r}")
     return Q(x)

@@ -1,9 +1,10 @@
 import json
+import pickle
 
 import pytest
 
-from padiccf import polys
-from padiccf.errors import CapExceeded, HViolation, MixedField, Reducible
+from padiccf import lab, polys
+from padiccf.errors import CapExceeded, HViolation, MixedField, RecordFormatError, Reducible
 from padiccf.field import (
     MAX_DEGREE,
     FieldElement,
@@ -17,7 +18,7 @@ from padiccf.field import (
 )
 from padiccf.preduce import RationalMatrix
 from padiccf.rationals import Q
-from oracles import coeff_matrix, relation_search
+from oracles import certificate_prime, coeff_matrix, relation_search
 
 
 def rand_q(rng, span=9):
@@ -64,6 +65,30 @@ class TestValidate:
         mp = validate_minpoly(3, [0, 0, 8, 12])
         assert mp.certificate_prime is None
         assert MinPoly.from_json(mp.to_json()) == mp
+
+    @pytest.mark.parametrize("p, degree", [(2, 2), (3, 3), (2, 4), (3, 4)])
+    def test_pending_certificate_survives_pickling(self, p, degree):
+        """A polynomial decided before its certificate keeps it pending
+        through a pickle round trip, as run_batch sends it to a worker,
+        and both copies find the prime of the single-prime criterion."""
+        pending = [mp for mp in lab.build_z_set.__wrapped__(p, degree) if mp._pending][:12]
+        assert pending
+        for mp in pending:
+            copy = pickle.loads(pickle.dumps(mp))
+            assert copy == mp and copy._pending == mp._pending
+            want = certificate_prime(mp.ascending(), p)
+            assert copy.certificate_prime == mp.certificate_prime == want
+            assert copy._pending is mp._pending is None
+
+    @pytest.mark.parametrize("p, coeffs, cert", [(2, [1, 2], 3), (2, [0, 0, 1, 4], 5), (3, [0, 0, 8, 12], None)])
+    def test_from_json_checks_a_pending_certificate(self, p, coeffs, cert):
+        """Loading finds the certificate the decision left pending and
+        refuses any other value."""
+        data = {"p": p, "coeffs": [str(c) for c in coeffs]}
+        assert MinPoly.from_json({**data, "certificate_prime": cert}).certificate_prime == cert
+        for wrong in [w for w in (None, 7, 2) if w != cert]:
+            with pytest.raises(RecordFormatError, match="certificate_prime"):
+                MinPoly.from_json({**data, "certificate_prime": wrong})
 
     def test_prime_validated(self):
         with pytest.raises(ValueError):

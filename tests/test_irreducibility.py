@@ -84,6 +84,46 @@ def test_one_monic_form_per_candidate(monkeypatch, p, coeffs, result):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("p, coeffs", [
+    (2, [1, 2]), (3, [1, 3]),  # x^2 + x + 2 and x^2 + x + 3
+    (2, [0, 1, 2]), (3, [0, 1, 3]),  # x^3 + x + 2 and x^3 + x + 3
+    (2, [0, 3, -4]),  # x^3 + 3x - 4: the root 1
+])
+def test_quadratic_and_cubic_decisions_compute_no_pattern(monkeypatch, p, coeffs):
+    # without a rational root a quadratic or cubic is irreducible, so the
+    # rational-root stage ends the decision; the certificate is found on read
+    want = oracle_outcome(p, coeffs)
+    memo, calls = polys._residue_pattern, []
+    monkeypatch.setattr(polys, "_residue_pattern", lambda Gq, q: calls.append(q) or memo(Gq, q))
+    if want == "reducible":
+        with pytest.raises(Reducible):
+            validate_minpoly(p, coeffs)
+        assert calls == []
+        return
+    mp = validate_minpoly(p, coeffs)
+    assert polys.is_irreducible_exact(mp.ascending())
+    assert calls == []
+    assert mp.certificate_prime == want and calls
+
+
+def test_quartic_decision_stops_at_its_first_pattern(monkeypatch):
+    # x^4 + x + 4 splits as 1 + 3 mod 3, its least good prime at p = 2:
+    # with no rational root, no factor of degree 2 is left, so the sieve
+    # proves it irreducible there; its certificate, 5, is found on read
+    memo, seen = polys._residue_pattern, []
+
+    def recorded(Gq, q):
+        seen.append((q, memo(Gq, q)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(polys, "_residue_pattern", recorded)
+    f = F([4, 1, 0, 0, 1])
+    q, pending = polys.certify(f, 2)
+    assert (q, seen) == (None, [(3, (1, 3))])
+    assert polys.find_certificate(*pending, 2) == 5 == oracles.certificate_prime(f, 2)
+    assert polys.certificate_prime(f, 2) == 5
+
+
 def _monic(draw, degree, bound):
     return [draw(st.integers(-bound, bound)) for _ in range(degree)] + [1]
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padiccf import lab
+from padiccf import lab, polys
 from padiccf.cfrac import ALGORITHMS
 from padiccf.errors import CapExceeded, ConfigError, HViolation, StreamExhausted
 from padiccf.field import MAX_DEGREE, independent_with_one, validate_minpoly
@@ -227,6 +228,20 @@ class TestBatch:
         for row in rows:
             for counts in row.counts.values():
                 assert sum(counts.values()) == 5 * 4
+
+    def test_serial_batch_reads_no_certificate(self, monkeypatch):
+        """A table needs the irreducibility decision alone: a jobs = 1
+        batch over freshly built cubic z-sets, each decided before its
+        certificate, leaves every certificate pending."""
+        monkeypatch.setattr(lab, "build_z_set", functools.lru_cache()(lab.build_z_set.__wrapped__))
+        reads = []
+        monkeypatch.setattr(polys, "find_certificate", lambda *args: reads.append(args))
+        cfg = RunConfig(primes=(2, 3), degree=3, algorithms=(("phi1", 1, None),), suite_size=2,
+                        max_steps=200, height_exponent=30, z_limit=3)
+        rows, errors = run_batch(cfg)
+        assert not errors and [r.prime for r in rows] == [2, 3]
+        assert reads == []
+        assert all(mp._pending for p in (2, 3) for mp in lab.build_z_set(p, 3)[:3])
 
     def test_parallel_matches_serial(self):
         cfg = dict(

@@ -14,6 +14,7 @@ from padiccf.rationals import (
     is_prime,
     omega,
     ordp,
+    qexact,
     qformat,
     qparse,
 )
@@ -169,3 +170,12 @@ def test_strong_pseudoprimes_are_refused(n):
 def test_check_prime_takes_only_ints(p):
     with pytest.raises(NotPrime):
         check_prime(p)
+
+
+def test_qexact_keeps_a_fraction_and_refuses_a_float():
+    q = Q(-7, 12)
+    assert qexact(q) is q
+    assert type(qexact(3)) is Q and qexact(3) == 3
+    assert qexact("5/10") == Q(1, 2)
+    with pytest.raises(TypeError, match="^a float is not an exact rational"):
+        qexact(0.5)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -199,6 +200,25 @@ def test_pairs_regression_mirrors_gain(shift, lost_pairs, regression):
             (lost_pairs, regression, False)
 
 
+def test_pairs_rate_is_the_benchmark_rate():
+    """A side's ``ops_per_s`` is ``perfbench/run.py``'s ``rate`` over the
+    same passes: one pass's ops, failed ones too, over the median
+    probe-scaled pass time less the probes."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import run
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    pairs = _load_pairs()
+    ref = pairs.PROBE_REF_S
+    passes = [{"probes": [k * ref], "pass_s": t + k * ref, "lat": [1e-3, None, 2e-3], "rss_mb": 20.0}
+              for k, t in ((1, 0.9), (2, 2.4), (1, 1.3))]
+    pass_s = [pairs.pass_metrics(data)["pass_s"] for data in passes]
+    assert pass_s == pytest.approx([0.9, 1.2, 1.3])
+    scaled = [SimpleNamespace(lat=data["lat"], pass_s=s) for data, s in zip(passes, pass_s)]
+    assert pairs.ops_per_s(3, pass_s) == pytest.approx(run.rate(scaled)) == pytest.approx(3 / 1.2)
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "x"])
 def test_pairs_refuses_fewer_than_one_pair(monkeypatch, capsys, value):
     """``--pairs`` below 1, or not an int, is an argparse error with exit
@@ -278,8 +298,11 @@ def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, diff
     assert summary["parent"] == pytest.approx([2.0, 2.1, 2.25])
     # each side's pooled tail sits next to the per-pass op_tail_ms, and is printed
     assert doc["summary"]["op_tail_ms"]["pooled"] == pytest.approx({"parent": 2.0, "change": 1.0})
+    # each pass has two ops, one failed: the rate over each side's median pass_s
+    assert doc["ops_per_s"] == pytest.approx({"parent": 2 / 2.1, "change": 2 / 1.45})
     printed = capsys.readouterr()
     assert "op_tail_ms pooled over each side's passes: parent 2.0000  change 1.0000" in printed.out
+    assert "ops_per_s over each side's median pass_s: parent 1.0  change 1.4" in printed.out
     assert ("the outputs differ" in printed.err) is differ
 
 
@@ -332,6 +355,9 @@ def test_committed_bench_file_shows_equal_outputs(path):
     # files written before the pooled tail have none; later ones one per side
     pooled = doc["summary"].get("op_tail_ms", {}).get("pooled", {"parent": 1.0, "change": 1.0})
     assert set(pooled) == {"parent", "change"} and all(x > 0 for x in pooled.values())
+    # files written before the rate have none; later ones one per side
+    rates = doc.get("ops_per_s", {"parent": 1.0, "change": 1.0})
+    assert set(rates) == {"parent", "change"} and all(x > 0 for x in rates.values())
     assert doc["workload"] in workloads.WORKLOADS
     assert doc["pairs"]
     for row in doc["pairs"]:

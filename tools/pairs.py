@@ -25,12 +25,15 @@ than that distance.  Last it prints each side's pooled tail: each op's
 median latency over that side's passes, read at the same tail rank, the
 statistic ``perfbench/run.py`` reports as ``op_tail_ms``.  One pass's
 tail is its eleventh-slowest op, so a few slow ops in one pass move it;
-the pooled tail reads every pass.
+the pooled tail reads every pass.  Then it prints each side's
+``ops_per_s``, the ops of one pass over the side's median ``pass_s``, as
+``perfbench/run.py`` rates a run.
 
 With ``--out`` it also writes that evidence as JSON: for each pair, the
 side that ran first and both sides' metrics with the sha256 of the pass's
 output (as ``perfbench/golden.py`` digests it), and the summary above,
-with the pooled tails under ``summary.op_tail_ms.pooled``.
+with the pooled tails under ``summary.op_tail_ms.pooled`` and each side's
+rate under ``ops_per_s``.
 Equal digests on both sides of every pair show the change left the
 outputs as they were.  After the pairs it runs one traced pass per side
 (``perfbench/onepass.py --spans``, spans to a temporary file) and writes
@@ -121,6 +124,12 @@ def pooled_tail(passes) -> float:
     return tail(sorted(statistics.median(col) for col in zip(*passes) if not any(map(math.isnan, col))))
 
 
+def ops_per_s(ops: int, pass_s) -> float:
+    """One pass's op count over the median of one side's :func:`pass_metrics`
+    ``pass_s``: ``perfbench/run.py``'s ``ops_per_s``."""
+    return ops / statistics.median(pass_s)
+
+
 def digest(output) -> str:
     """sha256 of a pass's output, as ``perfbench/golden.py`` computes it."""
     return hashlib.sha256(json.dumps(output, sort_keys=True).encode()).hexdigest()
@@ -170,10 +179,11 @@ def summarize(pairs) -> dict:
     return out
 
 
-def evidence(workload: str, seed: int, rows, pooled, trace) -> dict:
+def evidence(workload: str, seed: int, rows, pooled, rates, trace) -> dict:
     """The ``--out`` document over rows of (side run first, parent
     :func:`kept`, change :func:`kept`), each side's :func:`pooled_tail`
-    and, per side, the :func:`layers` of its traced pass."""
+    and :func:`ops_per_s` and, per side, the :func:`layers` of its traced
+    pass."""
     summary = summarize([(old, new) for _, old, new in rows])
     summary["op_tail_ms"]["pooled"] = pooled
     return {
@@ -183,6 +193,7 @@ def evidence(workload: str, seed: int, rows, pooled, trace) -> dict:
         "pairs": [{"first": first, "parent": old, "change": new} for first, old, new in rows],
         "outputs_match": all(old["digest"] == new["digest"] for _, old, new in rows),
         "summary": summary,
+        "ops_per_s": rates,
         "trace": trace,
     }
 
@@ -207,6 +218,7 @@ def main(argv=None) -> int:
     paths = {"parent": args.parent, "change": args.change}
     rows, bad = [], False
     lats = {name: [] for name in paths}
+    times = {name: [] for name in paths}
     print("pair first   " + "  ".join(f"{m:>11} {m:>11}" for m in METRICS))
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -217,6 +229,7 @@ def main(argv=None) -> int:
                 print(f"{name}: {err}", file=sys.stderr)
             got[name] = kept(data)
             lats[name].append(op_ms(data))
+            times[name].append(got[name]["pass_s"])
             del data  # not held while the next pass spawns
         old, new = got["parent"], got["change"]
         first = order[0]
@@ -229,13 +242,15 @@ def main(argv=None) -> int:
     trace = {name: layers(run_pass(paths[name], args.workload, args.seed, traced=True))
              for name in paths} if args.out else None
     pooled = {name: pooled_tail(lats[name]) for name in paths}
-    doc = evidence(args.workload, args.seed, rows, pooled, trace)
+    rates = {name: ops_per_s(len(lats[name][0]), times[name]) for name in paths}
+    doc = evidence(args.workload, args.seed, rows, pooled, rates, trace)
     for name, row in doc["summary"].items():
         fmt = lambda q: "/".join(f"{x:.4f}" for x in q)  # noqa: E731
         print(f"{name}: parent {fmt(row['parent'])}  change {fmt(row['change'])}  (q1/median/q3)  "
               f"won {row['won']}/{len(rows)}, lost {row['lost']}  gain {'yes' if row['gain'] else 'no'}  "
               f"regression {'yes' if row['regression'] else 'no'}")
     print(f"op_tail_ms pooled over each side's passes: parent {pooled['parent']:.4f}  change {pooled['change']:.4f}")
+    print(f"ops_per_s over each side's median pass_s: parent {rates['parent']:.1f}  change {rates['change']:.1f}")
     if args.out:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 1 if bad else 0
