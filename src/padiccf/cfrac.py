@@ -24,8 +24,10 @@ and one gcd against the step's scalar lambda (forward times inverse
 matrix is lambda I), and the rationals are built once, at the end.
 
 The fractional maps and the phi3 step work on the integer numerators and
-the denominator of each component.  ``g_map`` and ``h_map`` share one
-unreduced kernel, ``_map_images``: a_j's inverse is taken once, as
+the denominator of each component.  ``g_map`` and ``h_map`` are one
+kernel, ``_fractional_map``, with a different function finishing each
+component; the kernel makes one pass over the components and builds the
+step once.  a_j's inverse is taken once, as
 numerators over a determinant (``field._inverse_nums``), each a_i a_j^-1
 is one product with its multiplication rows (``field._product_nums``),
 eps p^e is folded into the same integers, and each digit is read off the
@@ -33,9 +35,9 @@ valuation residues of ``Embedding.ord_digit`` rather than off the image.
 The pivot and every other component go through the embedding's element
 memo (``Embedding.elements``, filled by ``_element``), so a short element
 met again takes no valuation, inverse or multiplication rows.
-``g_map`` reduces each image once; ``h_map`` reads the unit normalizer
-and the digit head off the unreduced image, both functions of its value,
-and then reduces once.  ``step_phi3``
+``g_map``'s finish reduces each unreduced image once; ``h_map``'s reads
+the unit normalizer and the digit head off it, both functions of its
+value, and then reduces once.  ``step_phi3``
 p-reduces the image's own integer rows with their constant column
 carried along (``preduce.reduce_rows``), which yields the next remainder
 and gamma without forming the transformer A; A is built from the step's
@@ -400,11 +402,15 @@ def _element(emb: Embedding, a: FieldElement, pivot: bool = False) -> list:
     return entry
 
 
-def _map_images(emb: Embedding, alpha: VectorElement, eps: int, j: int):
-    """The kernel every fractional map runs: (exps, digits, images) for
-    the digit-subtracting map with pivot j at alpha, each image the
-    unreduced pair (nums, den), den > 0, of eps p^e a_i / a_j less its
-    digit; None for a zero pivot.
+def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, finish):
+    """The kernel of both fractional maps: (step, F(alpha)) for the
+    digit-subtracting map with pivot j at alpha, each component finished
+    by ``finish``.  A zero pivot yields the identity step and alpha.
+
+    One pass over the components computes, for each a_i, its exponent e,
+    its digit om and the unreduced pair (nums, den), den > 0, of
+    eps p^e a_i / a_j less om; then ``finish(mp, p, eps, om, nums, den)``
+    gives the component's (coefficient, shift, image component).
 
     a_j's inverse is taken once, unreduced (``field._inverse_nums``), and
     its multiplication rows serve every a_i (``field._product_nums``); the
@@ -415,16 +421,17 @@ def _map_images(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     u_i u_j^-1 mod p at valuation 0 and 0 above it.  The pivot and every
     other component are read through the element memo (:func:`_element`,
     ``Embedding.elements``), which returns what those kernels compute."""
-    comps = alpha.components
+    comps, s, p = alpha.components, len(alpha), emb.p
+    eye, zero = RationalMatrix.identity(s), (0,) * s
     aj = comps[j - 1]
     if aj.is_zero():
-        return None
-    mp, p = alpha.minpoly, emb.p
+        return CMapStep(p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
+    mp = alpha.minpoly
     pivot = _element(emb, aj, True)  # its rows are built at the first product (s = 1 has none)
     (oj, uj), (inv, inv_den) = pivot[0], pivot[1]
     prod_den = inv_den * mp._int_f[0] ** (mp.degree - 1)
     unit = eps * pow(uj, -1, p)
-    exps, digits, images = [], [], []
+    coeffs, exps, shifts, image = [], [], [], []
     for i, ai in enumerate(comps, start=1):
         if i == j:
             e, om, nums, den = oj, unit % p, inv, inv_den
@@ -440,10 +447,17 @@ def _map_images(emb: Embedding, alpha: VectorElement, eps: int, j: int):
         k = eps * p ** max(e, 0)
         if k != 1:
             nums = tuple(x * k for x in nums)
+        c, w, x = finish(mp, p, eps, om, (nums[0] - om * den,) + nums[1:], den)
+        coeffs.append(c)
         exps.append(e)
-        digits.append(om)
-        images.append(((nums[0] - om * den,) + nums[1:], den))
-    return exps, digits, images
+        shifts.append(w)
+        image.append(x)
+    return CMapStep(p, j, eps, False, tuple(coeffs), tuple(exps), tuple(shifts), eye, zero), VectorElement(image)
+
+
+def _g_finish(mp: MinPoly, p: int, eps: int, om: int, nums: tuple, den: int) -> tuple:
+    """g's component: coefficient eps, shift the digit, the image reduced once."""
+    return eps, om, _reduced(mp, nums, den)
 
 
 def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
@@ -455,18 +469,11 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     of the anchor lands in pZ_p.  A zero pivot yields the identity.
     Returns (step, F(alpha)), the step with A = I and gamma = 0.
 
-    Each image is :func:`_map_images`' pair reduced once.  The step
-    records the ints eps and the digits as its coefficients and shifts.
+    :func:`_fractional_map` runs it; each image is the kernel's pair
+    reduced once, and the step records the ints eps and the digits as its
+    coefficients and shifts (:func:`_g_finish`).
     """
-    s, p = len(alpha), emb.p
-    eye, zero = RationalMatrix.identity(s), (0,) * s
-    fmap = _map_images(emb, alpha, eps, j)
-    if fmap is None:
-        return CMapStep(p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
-    exps, digits, images = fmap
-    mp = alpha.minpoly
-    step = CMapStep(p, j, eps, False, (eps,) * s, tuple(exps), tuple(digits), eye, zero)
-    return step, VectorElement([_reduced(mp, nums, den) for nums, den in images])
+    return _fractional_map(emb, alpha, eps, j, _g_finish)
 
 
 def _unit_normalizer(nums: tuple, den: int, p: int) -> tuple:
@@ -493,36 +500,32 @@ def _unit_normalizer(nums: tuple, den: int, p: int) -> tuple:
     return a, c
 
 
+def _h_finish(mp: MinPoly, p: int, eps: int, om: int, nums: tuple, den: int) -> tuple:
+    """h's component, all read off the kernel's unreduced pair (nums, den).
+
+    The unit normalizer a and the head depend only on the value: the
+    division by a makes it nums over a den, and the head of nums_0/(a den),
+    a den = p^t u, is (r u)/(a den) for its digits r/p^t.  The image takes
+    that head as its constant numerator and is reduced once.  The
+    coefficient is the pair (eps, a) and the shift the pair
+    (om a den + a (nums_0 - r u), a a den), om/a + (nums_0 - r u)/(a den)
+    for g's integer digit om, neither reduced."""
+    a, c = _unit_normalizer(nums, den, p)
+    den *= a
+    hd = head_num(nums[0], den, p, 0)
+    return (eps, a), (om * den + a * (nums[0] - hd), a * den), _reduced(mp, (hd,) + nums[1:], den, a * c)
+
+
 def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     """Normalized variant of :func:`g_map`: each component is divided by
     the p-free gcd of its z-coefficient numerators, and the digit tail of
     the resulting constant coefficient is subtracted.  Keeps images in
-    pZ_p while shrinking coefficient denominators.
+    pZ_p while shrinking coefficient denominators.  A zero pivot yields
+    the identity, as in :func:`g_map`.
 
-    The unit normalizer a and the head depend only on the value, so both
-    are read off :func:`_map_images`' unreduced pair (nums, den): the
-    division by a makes it nums over a den, and the head of nums_0/(a den),
-    a den = p^t u, is (r u)/(a den) for its digits r/p^t.  The image takes
-    that head as its constant numerator and is reduced once.  The recorded
-    coefficient is the pair (eps, a) and the shift the pair
-    (om a den + a (nums_0 - r u), a a den), om/a + (nums_0 - r u)/(a den)
-    for g's integer digit om, neither reduced."""
-    fmap = _map_images(emb, alpha, eps, j)
-    if fmap is None:
-        return g_map(emb, alpha, eps, j)
-    exps, digits, images = fmap
-    mp, p = alpha.minpoly, emb.p
-    coeffs, shifts, image = [], [], []
-    for om, (nums, den) in zip(digits, images):
-        ap, c = _unit_normalizer(nums, den, p)
-        den *= ap
-        hd = head_num(nums[0], den, p, 0)
-        coeffs.append((eps, ap))
-        shifts.append((om * den + ap * (nums[0] - hd), ap * den))
-        image.append(_reduced(mp, (hd,) + nums[1:], den, ap * c))
-    eye, zero = RationalMatrix.identity(len(alpha)), (0,) * len(alpha)
-    step = CMapStep(p, j, eps, False, tuple(coeffs), tuple(exps), tuple(shifts), eye, zero)
-    return step, VectorElement(image)
+    :func:`_fractional_map` runs it, each component finished by
+    :func:`_h_finish`."""
+    return _fractional_map(emb, alpha, eps, j, _h_finish)
 
 
 # --- the four step builders --------------------------------------------------

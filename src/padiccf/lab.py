@@ -209,25 +209,32 @@ def algo_label(algo: str, eps, lookahead) -> str:
     return f"{base}[{'+1' if eps == 1 else '-1'}]"
 
 
-def _algo_spec(entry, s: int) -> tuple:
-    """(algo, eps, lookahead) from one config entry for s components, with
-    the defaults filled in and None for what the algorithm does not take,
-    which the entry leaves out or sets to null.  The values go through
-    :func:`cfrac.check_params`."""
+def _algo_spec(entry) -> tuple:
+    """(algo, eps, lookahead) as one config entry gives them, None for a
+    key it leaves out or sets to null; ``RunConfig`` checks the values."""
     if not isinstance(entry, dict) or entry.get("algo") not in ALGORITHMS:
         raise ConfigError(f"an algorithm is an object with \"algo\" one of {ALGORITHMS}, got {entry!r}")
-    algo = entry["algo"]
     unknown = set(entry) - {"algo", "eps", "lookahead"}
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {entry!r}")
-    spec = []
-    for key in ("eps", "lookahead"):
-        value = entry.get(key)
+    return entry["algo"], entry.get("eps"), entry.get("lookahead")
+
+
+def _checked_spec(spec, s: int) -> tuple:
+    """spec = (algo, eps, lookahead) for s components, with the default 1
+    filled in where the algorithm takes the parameter (``cfrac.TAKES``)
+    and spec has None; a parameter it does not take stays None.  A value
+    given for a parameter the algorithm does not take, or refused by
+    :func:`cfrac.check_params`, is a ValueError."""
+    algo, eps, lookahead = spec
+    given = {"eps": eps, "lookahead": lookahead}
+    check_params(algo, s, **{key: 1 if v is None else v for key, v in given.items()})
+    for key, value in given.items():
         if key not in TAKES[algo] and value is not None:
-            raise ConfigError(f"{algo} takes no {key}, got {entry!r}")
-        spec.append(1 if value is None and key in TAKES[algo] else value)
-    check_params(algo, s, *(1 if v is None else v for v in spec))
-    return (algo, *spec)
+            raise ValueError(f"{algo} takes no {key}, got {value!r}")
+        if key in TAKES[algo] and value is None:
+            given[key] = 1
+    return algo, given["eps"], given["lookahead"]
 
 
 @dataclass
@@ -245,14 +252,23 @@ class RunConfig:
     jobs: int = 1
     z_limit: int | None = None
 
+    def __post_init__(self):
+        """Each algorithm entry is checked once, here, however the config
+        is built (:func:`_checked_spec` at s = degree - 1): eps defaults to
+        +1 and phi2's lookahead to 1, so each column label names what
+        runs.  A bad entry, or a repeated prime or column, is a ValueError
+        before any task starts."""
+        self.algorithms = tuple(_checked_spec(spec, self.degree - 1) for spec in self.algorithms)
+        labels = {algo_label(*spec) for spec in self.algorithms}
+        if len(set(self.primes)) < len(self.primes) or len(labels) < len(self.algorithms):
+            raise ValueError("primes and algorithm columns must not repeat")
+
     @classmethod
     def from_json(cls, data) -> "RunConfig":
         """Validate a ``padiccf table`` config; every defect is a ConfigError.
 
-        An omitted optional key takes its field's default.  eps defaults
-        to +1 and phi2's lookahead to 1, so each column label names what
-        runs.  The algorithm parameters go through
-        :func:`cfrac.check_params` at s = degree - 1."""
+        An omitted optional key takes its field's default, and the
+        algorithm entries get the check every ``RunConfig`` gets."""
         try:
             if not isinstance(data, dict):
                 raise ConfigError(f"a config is a JSON object, got {type(data).__name__}")
@@ -269,15 +285,12 @@ class RunConfig:
             check_degree(degree)
             if not isinstance(algos, list) or not algos:
                 raise ConfigError(f"algorithms must be a non-empty list, got {algos!r}")
-            specs = tuple(_algo_spec(a, degree - 1) for a in algos)
-            if len(set(primes)) < len(primes) or len({algo_label(*s) for s in specs}) < len(specs):
-                raise ConfigError("primes and algorithm columns must not repeat")
             given = {f.name: data.get(f.name, f.default) for f in fields(cls)}
             z_limit = given["z_limit"]
             return cls(
                 primes=tuple(primes),
                 degree=degree,
-                algorithms=specs,
+                algorithms=tuple(map(_algo_spec, algos)),
                 suite_size=at_least(given["suite_size"], 1, "suite_size"),
                 max_steps=at_least(given["max_steps"], 1, "max_steps"),
                 height_exponent=at_least(given["height_exponent"], 0, "height_exponent"),
@@ -324,8 +337,7 @@ def _z_task(args):
                 rec = expand(
                     vec,
                     algo,
-                    eps=eps if eps is not None else 1,
-                    lookahead=lookahead if lookahead is not None else 1,
+                    **{key: v for key, v in (("eps", eps), ("lookahead", lookahead)) if key in TAKES[algo]},
                     max_steps=max_steps,
                     height_exponent=height_exponent,
                     embedding=emb,
@@ -368,11 +380,13 @@ def run_batch(config: RunConfig):
 
     Returns (rows, errors).  Tasks are independent; with jobs > 1 they run
     in a process pool of at most one worker per task and per CPU, and
-    aggregation order is fixed by sorted task keys either way.  The batch
-    is fail-soft: when a worker dies (killed by the OS, say), each task
-    the pool lost runs again alone in a fresh one-worker pool, and a task
-    that breaks that pool too becomes an error (:func:`_lost`) while the
-    other tasks count as usual.
+    aggregation order is fixed by sorted task keys either way.  With
+    jobs > 1 the batch is fail-soft: when a worker dies (killed by the
+    OS, say), each task the pool lost runs again alone in a fresh
+    one-worker pool, and a task that breaks that pool too becomes an
+    error (:func:`_lost`) while the other tasks count as usual.  With
+    jobs = 1 (or one task, or one CPU) the tasks run in the calling
+    process, so a task the OS kills ends the batch with it.
     """
     suite_coeffs = _suite_coefficients(config.degree, config.suite_size)
     tasks = [(mp, suite_coeffs, tuple(config.algorithms), config.max_steps, config.height_exponent)

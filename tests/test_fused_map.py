@@ -1,14 +1,15 @@
 """The fused fractional-map kernel against the chain it replaced.
 
-``g_map`` and ``h_map`` run one unreduced integer kernel
-(``cfrac._map_images``): a_j's inverse is taken once, each component is
-one multiplication-rows product on it, and each digit is read off the
-valuation residues of ``Embedding.ord_digit``.  ``tests/oracles.py``
-keeps the chain of canonical operations the maps ran before
-(``FieldElement.inverse``, ``*``, ``field._scale``, ``Embedding.omega``,
-then h_map's normalize, head and reduce); images, steps and step JSON must
-agree on every degree from the rational sentinel to 6, so both inverse
-paths (cofactors to degree 3, elimination above) run.
+``g_map`` and ``h_map`` run one integer kernel
+(``cfrac._fractional_map``), each finishing the components its own way:
+a_j's inverse is taken once, each component is one multiplication-rows
+product on it, and each digit is read off the valuation residues of
+``Embedding.ord_digit``.  ``tests/oracles.py`` keeps the chain of
+canonical operations the maps ran before (``FieldElement.inverse``,
+``*``, ``field._scale``, ``Embedding.omega``, then h_map's normalize,
+head and reduce); images, steps and step JSON must agree on every degree
+from the rational sentinel to 6, so both inverse paths (cofactors
+written out through 4 x 4, elimination from 5 x 5 on) run.
 """
 
 import functools

@@ -307,6 +307,34 @@ class TestBatch:
         )
         assert again.algorithms == (("phi3", None, None),)
 
+    def test_direct_config_defaults_name_what_runs(self):
+        """A ``RunConfig`` built directly gets the check ``from_json`` gets:
+        a None eps or lookahead of an algorithm that takes it is 1."""
+        cfg = RunConfig(primes=(2,), degree=3, algorithms=(("phi1", None, None), ("phi2", None, None),
+                                                           ("phi3", None, None)))
+        assert cfg.algorithms == (("phi1", 1, None), ("phi2", 1, 1), ("phi3", None, None))
+        assert [lab.algo_label(*spec) for spec in cfg.algorithms] == ["phi1[+1]", "phi2(1)[+1]", "phi3"]
+        assert cfg == RunConfig.from_json(
+            {"primes": [2], "degree": 3, "algorithms": [{"algo": "phi1"}, {"algo": "phi2"}, {"algo": "phi3"}]})
+
+    def test_direct_config_runs_what_its_column_names(self):
+        """The phi1[+1] column of a direct (phi1, None, None) config counts
+        what eps = +1 gives: the rows of the explicit config."""
+        cfg = dict(primes=(2,), degree=2, suite_size=3, max_steps=200, height_exponent=30, z_limit=2)
+        rows, errors = run_batch(RunConfig(algorithms=(("phi1", None, None),), **cfg))
+        explicit, _ = run_batch(RunConfig(algorithms=(("phi1", 1, None),), **cfg))
+        assert not errors and list(rows[0].counts) == ["phi1[+1]"]
+        assert [r.to_json() for r in rows] == [r.to_json() for r in explicit]
+
+    @pytest.mark.parametrize("spec", [("phi0", 0, None), ("phi1", 1.0, None), ("phi1", None, 2), ("phi3", 1, None),
+                                      ("phi2", 1, 0), ("phi9", None, None)])
+    def test_direct_config_refuses_a_bad_entry_before_any_task(self, spec, monkeypatch):
+        tasks = []
+        monkeypatch.setattr(lab, "_z_task", tasks.append)
+        with pytest.raises(ValueError):
+            run_batch(RunConfig(primes=(2,), degree=2, algorithms=(spec,), suite_size=1, z_limit=1))
+        assert tasks == []
+
     @pytest.mark.parametrize(
         "change",
         [
