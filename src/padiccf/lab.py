@@ -237,11 +237,13 @@ def _checked_spec(spec, s: int) -> tuple:
     return algo, given["eps"], given["lookahead"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Full description of one table run.  The defaults are the run
     defaults of the package: ``SUITE_SIZE`` elements per suite, and
-    ``cfrac.expand``'s own ``MAX_STEPS`` and ``HEIGHT_EXPONENT``."""
+    ``cfrac.expand``'s own ``MAX_STEPS`` and ``HEIGHT_EXPONENT``.  Every
+    field is checked once, at construction, however the config is built;
+    a frozen config cannot be changed afterwards."""
 
     primes: tuple
     degree: int
@@ -253,22 +255,39 @@ class RunConfig:
     z_limit: int | None = None
 
     def __post_init__(self):
-        """Each algorithm entry is checked once, here, however the config
-        is built (:func:`_checked_spec` at s = degree - 1): eps defaults to
-        +1 and phi2's lookahead to 1, so each column label names what
-        runs.  A bad entry, or a repeated prime or column, is a ValueError
-        before any task starts."""
-        self.algorithms = tuple(_checked_spec(spec, self.degree - 1) for spec in self.algorithms)
+        """The one check of every field.  primes is a non-empty tuple of
+        primes below ``rationals.PRIME_BOUND`` (NotPrime otherwise);
+        degree is an int >= 2, and CapExceeded above ``field.MAX_DEGREE``;
+        suite_size, max_steps and jobs are ints >= 1, height_exponent an
+        int >= 0 and z_limit None or an int >= 1 (a bool or a float is no
+        int here).  Each algorithm entry goes through :func:`_checked_spec`
+        at s = degree - 1: eps defaults to +1 and phi2's lookahead to 1, so
+        each column label names what runs.  Any other defect, a repeated
+        prime or column included, is a ValueError before any task starts."""
+        if not self.primes or not self.algorithms:
+            raise ValueError(f"primes and algorithms must not be empty, got {self.primes!r}, {self.algorithms!r}")
+        for q in self.primes:
+            check_prime(at_least(q, 2, "a prime"))
+        check_degree(at_least(self.degree, 2, "degree"))
+        for name, low in (("suite_size", 1), ("max_steps", 1), ("height_exponent", 0), ("jobs", 1)):
+            at_least(getattr(self, name), low, name)
+        if self.z_limit is not None:
+            at_least(self.z_limit, 1, "z_limit")
+        object.__setattr__(self, "algorithms", tuple(_checked_spec(spec, self.degree - 1) for spec in self.algorithms))
         labels = {algo_label(*spec) for spec in self.algorithms}
         if len(set(self.primes)) < len(self.primes) or len(labels) < len(self.algorithms):
             raise ValueError("primes and algorithm columns must not repeat")
 
     @classmethod
     def from_json(cls, data) -> "RunConfig":
-        """Validate a ``padiccf table`` config; every defect is a ConfigError.
+        """Read a ``padiccf table`` config; every defect is a ConfigError.
 
-        An omitted optional key takes its field's default, and the
-        algorithm entries get the check every ``RunConfig`` gets."""
+        Only the JSON's shape is read here: an object with no missing or
+        unknown keys, ``primes`` and ``algorithms`` lists, each algorithm
+        entry an object (:func:`_algo_spec`).  An omitted optional key takes
+        its field's default, and the values get the check every
+        ``RunConfig`` gets, its ValueError or CapExceeded turned into a
+        ConfigError."""
         try:
             if not isinstance(data, dict):
                 raise ConfigError(f"a config is a JSON object, got {type(data).__name__}")
@@ -276,27 +295,11 @@ class RunConfig:
             unknown = set(data) - {f.name for f in fields(cls)}
             if missing or unknown:
                 raise ConfigError(f"config keys missing: {sorted(missing)}, unknown: {sorted(unknown)}")
-            primes, algos = data["primes"], data["algorithms"]
-            if not isinstance(primes, list) or not primes:
-                raise ConfigError(f"primes must be a non-empty list, got {primes!r}")
-            for q in primes:
-                check_prime(at_least(q, 2, "a prime"))
-            degree = at_least(data["degree"], 2, "degree")
-            check_degree(degree)
-            if not isinstance(algos, list) or not algos:
-                raise ConfigError(f"algorithms must be a non-empty list, got {algos!r}")
+            if not isinstance(data["primes"], list) or not isinstance(data["algorithms"], list):
+                raise ConfigError(f"primes and algorithms are lists, got {data['primes']!r}, {data['algorithms']!r}")
             given = {f.name: data.get(f.name, f.default) for f in fields(cls)}
-            z_limit = given["z_limit"]
-            return cls(
-                primes=tuple(primes),
-                degree=degree,
-                algorithms=tuple(map(_algo_spec, algos)),
-                suite_size=at_least(given["suite_size"], 1, "suite_size"),
-                max_steps=at_least(given["max_steps"], 1, "max_steps"),
-                height_exponent=at_least(given["height_exponent"], 0, "height_exponent"),
-                jobs=at_least(given["jobs"], 1, "jobs"),
-                z_limit=None if z_limit is None else at_least(z_limit, 1, "z_limit"),
-            )
+            return cls(**{**given, "primes": tuple(given["primes"]),
+                          "algorithms": tuple(map(_algo_spec, given["algorithms"]))})
         except (ValueError, CapExceeded) as exc:  # a NotPrime and a ConfigError are ValueErrors
             raise ConfigError(str(exc)) from None
 
@@ -337,7 +340,7 @@ def _z_task(args):
                 rec = expand(
                     vec,
                     algo,
-                    **{key: v for key, v in (("eps", eps), ("lookahead", lookahead)) if key in TAKES[algo]},
+                    **{key: v for key, v in (("eps", eps), ("lookahead", lookahead)) if v is not None},
                     max_steps=max_steps,
                     height_exponent=height_exponent,
                     embedding=emb,
@@ -366,13 +369,14 @@ def _pooled(tasks, workers: int) -> list:
 
 
 def _lost(task) -> tuple:
-    """The result of a task that broke a pool of its own: no counts, and
-    one error naming its prime, generator and algorithm labels."""
+    """The result of a task that broke a pool of its own: an empty count
+    table, which ``run_batch`` reads as zeros, and one error naming its
+    prime, generator and algorithm labels."""
     mp, _, algo_specs, _, _ = task
     labels = [algo_label(*spec) for spec in algo_specs]
     error = (mp.p, tuple(qformat(c) for c in mp.coeffs), None, ",".join(labels),
              "BrokenProcessPool: the worker running this generator's task died")
-    return mp.p, {lab: {c: 0 for c in COLUMNS} for lab in labels}, [error]
+    return mp.p, {}, [error]
 
 
 def run_batch(config: RunConfig):
@@ -389,7 +393,7 @@ def run_batch(config: RunConfig):
     process, so a task the OS kills ends the batch with it.
     """
     suite_coeffs = _suite_coefficients(config.degree, config.suite_size)
-    tasks = [(mp, suite_coeffs, tuple(config.algorithms), config.max_steps, config.height_exponent)
+    tasks = [(mp, suite_coeffs, config.algorithms, config.max_steps, config.height_exponent)
              for p in sorted(config.primes) for mp in build_z_set(p, config.degree)[:config.z_limit]]
     workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -408,9 +412,9 @@ def run_batch(config: RunConfig):
         row = rows.setdefault(
             p, TableRow(p, {lab: {c: 0 for c in COLUMNS} for lab in labels})
         )
-        for lab in labels:
-            for c in COLUMNS:
-                row.counts[lab][c] += counts[lab][c]
+        for lab, cols in counts.items():
+            for c, n in cols.items():
+                row.counts[lab][c] += n
         errors.extend(errs)
     return [rows[p] for p in sorted(rows)], errors
 

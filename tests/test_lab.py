@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -326,14 +327,28 @@ class TestBatch:
         assert not errors and list(rows[0].counts) == ["phi1[+1]"]
         assert [r.to_json() for r in rows] == [r.to_json() for r in explicit]
 
-    @pytest.mark.parametrize("spec", [("phi0", 0, None), ("phi1", 1.0, None), ("phi1", None, 2), ("phi3", 1, None),
-                                      ("phi2", 1, 0), ("phi9", None, None)])
-    def test_direct_config_refuses_a_bad_entry_before_any_task(self, spec, monkeypatch):
-        tasks = []
-        monkeypatch.setattr(lab, "_z_task", tasks.append)
-        with pytest.raises(ValueError):
-            run_batch(RunConfig(primes=(2,), degree=2, algorithms=(spec,), suite_size=1, z_limit=1))
-        assert tasks == []
+    BAD_SPECS = [("phi0", 0, None), ("phi1", 1.0, None), ("phi1", None, 2), ("phi3", 1, None), ("phi2", 1, 0),
+                 ("phi9", None, None)]
+    BAD_FIELDS = [("max_steps", -1), ("max_steps", 0), ("jobs", 0), ("jobs", True), ("z_limit", 0), ("suite_size", 0),
+                  ("height_exponent", -1), ("primes", ()), ("primes", (4,)), ("degree", 1),
+                  ("degree", MAX_DEGREE + 1)]
+
+    @pytest.mark.parametrize("field, value", [("algorithms", (spec,)) for spec in BAD_SPECS] + BAD_FIELDS,
+                             ids=[f"spec{i}" for i in range(len(BAD_SPECS))] + [f"{f}={v!r}" for f, v in BAD_FIELDS])
+    def test_direct_config_refuses_a_bad_entry_before_any_task(self, field, value):
+        """A bad algorithm entry or field of a directly built config is
+        refused by the construction itself, with the rule ``from_json``
+        applies: no task can start from it."""
+        cfg = dict(primes=(2,), degree=2, algorithms=(("phi1", 1, None),), suite_size=1, z_limit=1)
+        with pytest.raises((ValueError, CapExceeded)):
+            RunConfig(**{**cfg, field: value})
+
+    def test_a_built_config_cannot_be_changed(self):
+        """A config is frozen, so a field checked at construction cannot
+        be reassigned unchecked afterwards."""
+        cfg = RunConfig(primes=(2,), degree=2, algorithms=(("phi1", 1, None),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.max_steps = -1
 
     @pytest.mark.parametrize(
         "change",
@@ -390,12 +405,14 @@ class TestBatch:
             RunConfig.from_json(data)
 
     @staticmethod
-    def _pool_size(jobs, cpus, monkeypatch):
-        """Processes asked of the pool by a 3-task batch on a host of
-        ``cpus`` CPUs, None for no pool; a stand-in pool runs each task in this
-        process, so no worker is ever started."""
+    def _stand_in_pool(cpus, monkeypatch, lost=lambda task: False):
+        """Replace the process pool by one that runs each task in this
+        process, so no worker is ever started, on a host of ``cpus`` CPUs.
+        A task for which ``lost(task)`` holds fails as a dead worker's
+        task does, with ``BrokenProcessPool``.  Returns the list of pool
+        sizes asked for."""
         import concurrent.futures
-        import os
+        from concurrent.futures.process import BrokenProcessPool
 
         started = []
 
@@ -409,13 +426,23 @@ class TestBatch:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
+            def submit(self, fn, task):
                 future = concurrent.futures.Future()
-                future.set_result(fn(*args))
+                if lost(task):
+                    future.set_exception(BrokenProcessPool("a worker died"))
+                else:
+                    future.set_result(fn(task))
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return started
+
+    @classmethod
+    def _pool_size(cls, jobs, cpus, monkeypatch):
+        """Processes asked of the pool by a 3-task batch on a host of
+        ``cpus`` CPUs, None for no pool."""
+        started = cls._stand_in_pool(cpus, monkeypatch)
         cfg = RunConfig.from_json(
             {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}], "suite_size": 2,
              "max_steps": 200, "height_exponent": 30, "jobs": jobs, "z_limit": 3}
@@ -436,6 +463,25 @@ class TestBatch:
         """At most one worker per CPU, and one CPU when the count is
         unknown."""
         assert self._pool_size(jobs, cpus, monkeypatch) == workers
+
+    def test_lost_tasks_leave_a_zero_row_in_every_column(self, monkeypatch):
+        """Every task of one prime is lost, first in the shared pool and
+        again alone: that prime still gets a zero row for every column,
+        the other prime counts as in a serial batch, and each lost task
+        is one error naming both labels."""
+        cfg = dict(primes=(2, 3), degree=2, algorithms=(("phi1", 1, None), ("phi2", 1, 1)), suite_size=2,
+                   max_steps=200, height_exponent=30, z_limit=2)
+        serial, _ = run_batch(RunConfig(**cfg))
+        started = self._stand_in_pool(4, monkeypatch, lost=lambda task: task[0].p == 3)
+        rows, errors = run_batch(RunConfig(**cfg, jobs=4))
+        assert started == [4, 1, 1]
+        labels = ["phi1[+1]", "phi2(1)[+1]"]
+        assert [r.prime for r in rows] == [2, 3] and rows[0].to_json() == serial[0].to_json()
+        assert rows[1].counts == {lab: {"P": 0, "H": 0, "F": 0, "L": 0} for lab in labels}
+        lost = build_z_set(3, 2)[:2]
+        assert [e[:4] for e in errors] == [(3, tuple(str(c) for c in mp.coeffs), None, ",".join(labels))
+                                           for mp in lost]
+        assert all("BrokenProcessPool" in e[4] for e in errors)
 
     def test_a_dead_worker_costs_its_task_alone(self, monkeypatch):
         """Under the fork start method, the worker running one generator's
