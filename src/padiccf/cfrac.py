@@ -53,8 +53,11 @@ compared structurally on their canonical integer numerators and
 denominators, so cycle detection is sound and complete up to the step
 limit.
 
-The phi2 lookahead keeps its last tree as the memo of the next step:
-the remainders within n maps of the current one, each with its s
+The phi2 lookahead is a branch and bound over the depth-(n+1) tree: it
+visits children in increasing denom_z and maps no remainder whose own
+denominator already reaches the least product found, so it returns the
+full tree's index while mapping a pruned tree.  That pruned tree is the
+memo of the next step: each remainder the call mapped, with its s
 ``h_map`` (step, image) pairs.  The step is read from that tree, and the
 next tree maps only the remainders the last one did not reach.
 
@@ -532,10 +535,14 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
 
 
 def _rotated(step: CMapStep, image: VectorElement):
-    """Attach the cyclic shift to a pivot-1 map (gamma stays 0) and rotate
-    its image to match."""
+    """Give a pivot-1 map's own fresh step the cyclic shift as its A
+    (gamma stays 0) and rotate its image to match.  At s = 1 the shift is
+    the identity the step already holds, so both come back untouched."""
     comps = image.components
-    return step.attach(shift_matrix(len(comps)), step._gamma), VectorElement(comps[1:] + comps[:1])
+    if len(comps) == 1:
+        return step, image
+    step._matrix = shift_matrix(len(comps))
+    return step, VectorElement(comps[1:] + comps[:1])
 
 
 def step_phi0(emb: Embedding, alpha: VectorElement, eps: int):
@@ -556,14 +563,34 @@ def lookahead_fits(s: int, n: int) -> bool:
     return s < 2 or (n + 1 < LOOKAHEAD_BUDGET.bit_length() and s ** (n + 1) <= LOOKAHEAD_BUDGET)
 
 
-def _branch_cost(node, vec: VectorElement, depth: int) -> int:
+def _children(pairs) -> list:
+    """(denom_z, index, image) of a node's (step, image) pairs, in
+    increasing denom_z, ties by index."""
+    return sorted((denom_z(img), i, img) for i, (_, img) in enumerate(pairs, start=1))
+
+
+def _branch_cost(node, vec: VectorElement, depth: int, bound: int | None = None) -> int:
     """The least product of denom_z along the depth-``depth`` branches below
-    vec, each node's (step, image) pairs read through ``node``.  A
-    module-level function: a nested one calling itself would hold its
-    caller's tree in a reference cycle until the cycle collector ran."""
+    vec if it is below ``bound``, else some value at or above it (no bound
+    for None), each node's (step, image) pairs read through ``node``.
+
+    Branch and bound (Land and Doig, 1960): the children are visited in
+    increasing denom_z, and as every factor of a product is at least 1, a
+    child whose own denominator reaches the least product so far, best,
+    is not mapped; below a child of denominator d the bound is
+    ceil(best / d).  A module-level function: a nested one calling itself
+    would hold its caller's tree in a reference cycle until the cycle
+    collector ran."""
     if depth == 0:
         return 1
-    return min(denom_z(img) * _branch_cost(node, img, depth - 1) for _, img in node(vec))
+    best = bound
+    for den, _, img in _children(node(vec)):
+        if best is not None and den >= best:
+            break
+        cost = den * _branch_cost(node, img, depth - 1, None if best is None else -(-best // den))
+        if best is None or cost < best:
+            best = cost
+    return best
 
 
 def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo: dict):
@@ -571,16 +598,24 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo:
 
     The product of denom_z along each branch of candidate images is
     minimized recursively; ties break to the least index.  One pivot has
-    nothing to choose, so at s = 1 the tree is the root alone.  The tree
-    maps each remainder it visits to its s ``h_map`` (step, image) pairs,
-    so a repeated subtree maps once.  ``memo`` holds the previous call's
-    tree: a remainder found there is not mapped again, and the call leaves
-    its own tree in ``memo``, the remainders within n maps of alpha.  So
-    through :func:`step_phi2` each step of one expansion maps only the
-    remainders its predecessor's tree did not reach, and the memo stays
-    the size of one tree.  Subtree costs are not kept: a remainder seldom
-    recurs at the same depth.  A step holds little of its own: ``h_map``
-    steps share the cached identity matrix and the zero gamma.
+    nothing to choose, so at s = 1 the tree is the root alone.  The
+    minimum is a branch and bound (:func:`_branch_cost`): each subtree's
+    cost is exact only below the least product found so far, and a child
+    whose denominator reaches it is not mapped.  At the root, whose
+    children are visited the same way, a child of lower index than the
+    current choice wins on an equal product, so it is expanded when its
+    denominator equals the best product, and its bound admits that
+    product.
+
+    The tree maps each remainder it visits to its s ``h_map`` (step,
+    image) pairs, so a repeated subtree maps once.  ``memo`` holds the
+    previous call's tree: a remainder found there is not mapped again, and
+    the call leaves its own pruned tree in ``memo``, the remainders it
+    mapped.  So through :func:`step_phi2` each step of one expansion maps
+    only the remainders its predecessor's tree did not reach, and the memo
+    stays the size of one tree.  Subtree costs are not kept: a remainder
+    seldom recurs at the same depth.  A step holds little of its own:
+    ``h_map`` steps share the cached identity matrix and the zero gamma.
     """
     at_least(n, 1, "lookahead depth")
     s = len(alpha)
@@ -592,10 +627,17 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo:
             pairs = tree[vec] = memo.get(vec) or tuple(h_map(emb, vec, eps, i) for i in range(1, s + 1))
         return pairs
 
-    costs = [denom_z(img) * _branch_cost(node, img, n if s > 1 else 0) for _, img in node(alpha)]
+    best = choice = None
+    for den, i, img in _children(node(alpha)):
+        target = best if best is None or i > choice else best + 1  # a lower index wins a tie
+        if target is not None and den >= target:
+            continue
+        cost = den * _branch_cost(node, img, n if s > 1 else 0, None if target is None else -(-target // den))
+        if target is None or cost < target:
+            best, choice = cost, i
     memo.clear()
     memo.update(tree)
-    return costs.index(min(costs)) + 1
+    return choice
 
 
 def step_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo: dict):

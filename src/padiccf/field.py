@@ -13,7 +13,8 @@ removed: gcd(den, *nums) = 1, so zero is (0, .., 0)/1, and equality and
 hashing are structural (Cohen, *A Course in Computational Algebraic
 Number Theory*, 4.2).  A product is one integer matrix-vector product
 with the multiplication matrix, and an inverse its first-row cofactors
-over its determinant (``preduce.first_row_expansion``).  Both are
+over its determinant (``preduce.first_row_expansion``; at degree 2 read
+off the numerators, with no matrix).  Both are
 unreduced helpers (``_product_nums``, ``_inverse_nums``) that the
 fractional maps of ``cfrac`` share; ``*`` and ``inverse`` reduce their
 result once.  Sums follow Knuth, TAOCP vol. 2, 4.5.1, and reduce
@@ -382,18 +383,28 @@ def _inverse_nums(a: FieldElement) -> tuple:
     means b shares a root with f: a zero divisor of a reducible f, and the
     one place that is decided (the valuation ladder of ``hensel.Embedding``
     asks here too).  A rational a is d / b_0.
+
+    At degree 2 the rows are not built: with ``MinPoly._int_f`` = (D, (l0,
+    l1)), M is [[x0, -x1 l0], [x1, D x0 - x1 l1]], so the cofactors are
+    C0 = D x0 - x1 l1 and -x1, and det(M) = x0 C0 + x1^2 l0, the integers
+    the expansion gives.  This is the only route to a 2 x 2 inverse.
     """
     mp, d, x0 = a.minpoly, a.den, a.nums[0]
     if a.is_rational():
         if not x0:
             raise ZeroDivisionError("inverse of zero")
         return (d if x0 > 0 else -d,) + (0,) * (mp.degree - 1), abs(x0)
-    det, cof = first_row_expansion(multiplication_rows(mp._int_f, a.nums))
+    den, low = mp._int_f
+    if mp.degree == 2:
+        x1 = a.nums[1]
+        c0 = den * x0 - x1 * low[1]
+        det, cof = x0 * c0 + x1 * x1 * low[0], (c0, -x1)
+    else:
+        det, cof = first_row_expansion(multiplication_rows(mp._int_f, a.nums))
     if not det:
         raise ZeroDivisionError(ZERO_DIVISOR)
     if det < 0:
         d, det = -d, -det
-    den = mp._int_f[0]
     return tuple(d * den ** j * c for j, c in enumerate(cof)), det
 
 

@@ -6,8 +6,8 @@ elimination: ranks, matrix inverses, linear solves and large determinants
 scale their rationals to integers and go through them.  ``solve`` is the
 square solve or inverse of the matrix inverse and of a step's projective
 matrix.  ``first_row_expansion`` is the one determinant-and-cofactor
-kernel, behind field inverses (the valuation ladder's zero-divisor check
-among them) and discriminants; its docstring says which sizes it
+kernel, behind field inverses of degree 3 and up (the valuation ladder's
+zero-divisor check among them) and discriminants; its docstring says which sizes it
 eliminates (Cohen, *A Course in Computational Algebraic Number Theory*,
 4.2).
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -241,7 +242,7 @@ class TestPhi2:
         rec2 = expand(start, "phi2", eps=1, lookahead=3, embedding=emb)
         assert [r.key() for r in rec1.remainders] == [r.key() for r in rec2.remainders]
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_index_matches_brute_tree(self, k3, emb3, n, rng):
         z = k3.gen()
         seeds = [
@@ -314,33 +315,94 @@ class TestPhi2:
                 j = brute_phi2_index(emb, cur, eps, n, h_image)
                 assert (step, rec.remainders[k + 1]) == h_map(emb, cur, eps, j)
 
+    # the h_map calls of every step after the first on the four _cubic_suite
+    # vectors (6 steps each, eps = 1), against 80/160/320 for the full trees
+    LATER_STEP_MAPS = {1: 46, 2: 76, 3: 88}
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_memo_is_the_last_tree(self, n, monkeypatch):
-        """After a step the memo holds exactly the remainders within n maps
-        of that step's start, its lookahead tree; every later step maps
-        only the s^n remainders n maps below its own start, s^(n+1)
-        h_map calls, as the rest of its tree is the last one's."""
+        """After a step the memo holds exactly the remainders that step's
+        lookahead mapped, its pruned tree: the remainders a call with an
+        empty memo maps, each with its two pivots.  A later step maps only
+        the remainders of its tree that the last tree lacks, at most
+        2^(n+1) h_map calls, and the totals are pinned."""
         emb, vectors = _cubic_suite()
         real_h_map, calls = cfrac.h_map, []
 
-        def counted(*args):
-            calls.append(args)
-            return real_h_map(*args)
+        def counted(emb_, vec, eps_, j):
+            calls.append((vec, j))
+            return real_h_map(emb_, vec, eps_, j)
 
         monkeypatch.setattr(cfrac, "h_map", counted)
+        later = 0
         for alpha in vectors:
             memo = {}
             for k in range(6):
                 calls.clear()
+                lookahead_phi2(emb, alpha, 1, n, {})
+                fresh = list(calls)
+                tree = {vec for vec, _ in fresh}
+                assert sorted(j for vec, j in fresh) == sorted(j for vec in tree for j in (1, 2))
+                last = set(memo)
+                calls.clear()
                 _, nxt = step_phi2(emb, alpha, 1, n, memo)
+                assert set(memo) == tree
+                assert calls == [c for c in fresh if c[0] not in last]
                 if k:
-                    assert len(calls) == 2 ** (n + 1)
-                want, level = set(), {alpha}
-                for _ in range(n + 1):
-                    want |= level
-                    level = {h_map(emb, vec, 1, i)[1] for vec in level for i in (1, 2)}
-                assert set(memo) == want
+                    assert len(calls) <= 2 ** (n + 1)
+                    later += len(calls)
                 alpha = nxt
+        assert later == self.LATER_STEP_MAPS[n]
+
+    @staticmethod
+    def _stub_lookahead(monkeypatch, dens, n, s=2):
+        """lookahead_phi2 on a stub tree: the node at path (i1, .., ik) of
+        pivots has denom_z ``dens.get(path, 1)``.  Returns the index and the
+        paths of the nodes it mapped, one per h_map call."""
+
+        @dataclasses.dataclass(frozen=True)
+        class Node:
+            path: tuple
+            den: int = dataclasses.field(compare=False)
+
+            def __len__(self):
+                return s
+
+        mapped = []
+
+        def stub_h_map(emb_, vec, eps_, j):
+            mapped.append(vec.path)
+            path = vec.path + (j,)
+            return None, Node(path, dens.get(path, 1))
+
+        monkeypatch.setattr(cfrac, "h_map", stub_h_map)
+        index = lookahead_phi2(None, Node((), 1), 1, n, {})
+        return index, mapped[::s]
+
+    def test_equal_product_goes_to_the_least_index(self, monkeypatch):
+        # pivot 2 is visited first (den 2, product 2 * 2 = 4); pivot 1 has den
+        # 4, equal to that product, and product 4 * 1 = 4: it is expanded and wins
+        dens = {(1,): 4, (2,): 2, (2, 1): 2, (2, 2): 3}
+        index, mapped = self._stub_lookahead(monkeypatch, dens, 1)
+        assert index == 1 and mapped == [(), (2,), (1,)]
+
+    def test_lower_index_at_the_best_product_is_expanded(self, monkeypatch):
+        # as above, but below pivot 1 every product is 4 * 2 = 8 > 4
+        dens = {(1,): 4, (2,): 2, (2, 1): 2, (2, 2): 3, (1, 1): 2, (1, 2): 2}
+        index, mapped = self._stub_lookahead(monkeypatch, dens, 1)
+        assert index == 2 and mapped == [(), (2,), (1,)]
+
+    def test_child_above_the_best_product_is_never_mapped(self, monkeypatch):
+        # pivot 1 reaches product 2 * 1 * 1 = 2, so pivot 2 (den 3) is not
+        # mapped, nor, below pivot 1, child (1, 2), whose den 1 reaches the
+        # best product 1 that (1, 1) found there
+        dens = {(1,): 2, (2,): 3}
+        index, mapped = self._stub_lookahead(monkeypatch, dens, 2)
+        assert index == 1 and mapped == [(), (1,), (1, 1)]
+        # a later child whose denominator equals the best product, not of a
+        # lower index, is not mapped either
+        index, mapped = self._stub_lookahead(monkeypatch, {(1,): 2, (2,): 2}, 1)
+        assert index == 1 and mapped == [(), (1,)]
 
     def test_step_is_read_from_the_lookahead(self, monkeypatch):
         """Every h_map of a phi2 expansion runs inside a lookahead."""

@@ -2,11 +2,13 @@ import json
 import pickle
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
-from padiccf import lab, polys
+from padiccf import field, hensel, lab, polys
 from padiccf.errors import CapExceeded, HViolation, MixedField, RecordFormatError, Reducible
 from padiccf.field import (
     MAX_DEGREE,
+    ZERO_DIVISOR,
     FieldElement,
     MinPoly,
     VectorElement,
@@ -16,7 +18,8 @@ from padiccf.field import (
     independent_with_one,
     validate_minpoly,
 )
-from padiccf.preduce import RationalMatrix
+from padiccf.hensel import Embedding
+from padiccf.preduce import RationalMatrix, first_row_expansion
 from padiccf.rationals import Q
 from oracles import certificate_prime, coeff_matrix, relation_search
 
@@ -171,6 +174,53 @@ class TestRingArithmetic:
     def test_mixed_field_rejected(self, k2, k3):
         with pytest.raises(MixedField):
             k2.gen() + k3.gen()
+
+
+RATIONALS = st.builds(Q, st.integers(-40, 40), st.integers(1, 12))
+
+
+def _inverse_by_rows(a):
+    """_inverse_nums by the generic route: the first-row expansion of the
+    multiplication rows, the sign moved onto the numerators."""
+    mp = a.minpoly
+    det, cof = first_row_expansion(polys.multiplication_rows(mp._int_f, a.nums))
+    d = a.den if det > 0 else -a.den
+    return tuple(d * mp._int_f[0] ** j * c for j, c in enumerate(cof)), abs(det)
+
+
+class TestDegreeTwoInverse:
+    """At degree 2 ``_inverse_nums`` reads the adjugate off the numerators
+    and ``MinPoly._int_f``, with no multiplication rows."""
+
+    @given(p=st.sampled_from([2, 3, 5]), a1=RATIONALS, a2=RATIONALS, x0=RATIONALS, x1=RATIONALS)
+    @example(p=2, a1=Q(1, 3), a2=Q(-10, 9), x0=Q(1), x1=Q(2))  # D = 9, norm -37/9
+    @example(p=3, a1=Q(1), a2=Q(-3), x0=Q(1), x1=Q(1))  # real quadratic, norm -3
+    def test_matches_the_rows_integer_for_integer(self, p, a1, a2, x0, x1):
+        assume(x1 != 0)
+        mp = MinPoly(p, [a1, a2])
+        a = mp.element([x0, x1])
+        want = _inverse_by_rows(a)
+        assume(want[1] != 0)  # a zero divisor of a reducible x^2 + a1 x + a2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(field, "multiplication_rows", None)  # no rows are built
+            assert field._inverse_nums(a) == want
+        assert a * a.inverse() == mp.one()
+
+    @pytest.mark.parametrize("coeffs", [[-1, -2], [Q(-5, 3), Q(-2, 3)]])
+    def test_zero_divisor_raises(self, coeffs, monkeypatch):
+        # x^2 - x - 2 = (x - 2)(x + 1) and (x - 2)(x + 1/3), admissible at 2
+        # with the root 2 in 2Z_2, where z - 2 vanishes
+        mp = MinPoly(2, coeffs)
+        b = mp.gen() - 2
+        with pytest.raises(ZeroDivisionError, match=ZERO_DIVISOR):
+            field._inverse_nums(b)
+        with pytest.raises(ZeroDivisionError, match=ZERO_DIVISOR):
+            b.inverse()
+        emb, calls = Embedding(mp), []
+        monkeypatch.setattr(hensel, "_inverse_nums", lambda a: calls.append(a) or field._inverse_nums(a))
+        with pytest.raises(ZeroDivisionError, match=ZERO_DIVISOR):
+            emb._ladder(b)
+        assert calls == [b]  # the ladder asked the inverse once, at its cap
 
 
 class TestElementMinpoly:
