@@ -177,12 +177,6 @@ class CMapStep:
     def __hash__(self):
         return hash(json.dumps(self.to_json(), sort_keys=True))
 
-    def attach(self, matrix: RationalMatrix | tuple, gamma: tuple) -> "CMapStep":
-        """The same fractional map followed by ``matrix`` (A, or a phi3
-        step's z-part rows) and ``gamma``."""
-        return CMapStep(self.p, self.pivot, self.eps, self.identity, self._coeffs,
-                        self.exps, self._shifts, matrix, gamma)
-
     @cached_property
     def forward_matrix(self) -> tuple:
         """The step as a projective integer matrix: rows of ints acting on
@@ -659,9 +653,10 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     width s, so the constant column c ends as A c with no A formed.  Reduced row r gives
     both outputs: with num its last entry and d its denominator, gamma_r
     is the unreduced pair (head - num, d), and the next component is the
-    row's z-part with the head as its constant, over d.  The step keeps
-    the image's z-part rows, and A (``CMapStep.matrix``) is built from
-    them when first read.  The z-part is square only for s = degree - 1
+    row's z-part with the head as its constant, over d.  The map's own
+    fresh step is completed in place: it keeps the image's z-part rows
+    and gamma, and A (``CMapStep.matrix``) is built from the rows when
+    first read.  The z-part is square only for s = degree - 1
     components; any other s raises NonSquare."""
     s = len(alpha)
     p = emb.p
@@ -677,7 +672,8 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
         hd = head_num(row[s], d, p, 0)
         gamma.append((hd - row[s], d))
         nxt.append(_reduced(alpha.minpoly, (hd,) + row[s - 1::-1], d))
-    return step.attach(zparts, tuple(gamma)), VectorElement(nxt)
+    step._matrix, step._gamma = zparts, tuple(gamma)
+    return step, VectorElement(nxt)
 
 
 # --- forward / inverse evaluation -------------------------------------------

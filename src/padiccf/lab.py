@@ -313,27 +313,31 @@ class TableRow:
         return {"prime": self.prime, "counts": self.counts}
 
 
+@functools.lru_cache(maxsize=1)
 def _suite_coefficients(degree: int, size: int):
     """Suite coefficient tuples for one degree; field-independent, since
-    both the draws and the rejection rule live at coefficient level."""
+    both the draws and the rejection rule live at coefficient level.
+    Memoized per process with one entry, so every task of a batch reads
+    one suite; the list is shared, and no caller may change it."""
     s = degree - 1
     probe = MinPoly(2, [0] * (degree - 2) + [1, 2])
     suite = build_test_set(probe, s, size)
     return [[list(c.coeffs) for c in vec.components] for vec in suite.elements]
 
 
-def _z_task(args):
-    """Classify every (element, algorithm) pair for one generator."""
-    mp, suite_coeffs, algo_specs, max_steps, height_exponent = args
+def _z_task(task):
+    """Classify every (element, algorithm) pair for one generator; a task
+    is (generator, config)."""
+    mp, config = task
     p = mp.p
     emb = Embedding(mp)
     counts = {
-        algo_label(*spec): {c: 0 for c in COLUMNS} for spec in algo_specs
+        algo_label(*spec): {c: 0 for c in COLUMNS} for spec in config.algorithms
     }
     errors = []
-    for idx, comp_coeffs in enumerate(suite_coeffs):
+    for idx, comp_coeffs in enumerate(_suite_coefficients(config.degree, config.suite_size)):
         vec = mp.vector([mp.element(cs) for cs in comp_coeffs])
-        for spec in algo_specs:
+        for spec in config.algorithms:
             algo, eps, lookahead = spec
             label = algo_label(*spec)
             try:
@@ -341,8 +345,8 @@ def _z_task(args):
                     vec,
                     algo,
                     **{key: v for key, v in (("eps", eps), ("lookahead", lookahead)) if v is not None},
-                    max_steps=max_steps,
-                    height_exponent=height_exponent,
+                    max_steps=config.max_steps,
+                    height_exponent=config.height_exponent,
                     embedding=emb,
                 )
                 counts[label][_KIND_TO_COL[rec.status.kind]] += 1
@@ -372,8 +376,8 @@ def _lost(task) -> tuple:
     """The result of a task that broke a pool of its own: an empty count
     table, which ``run_batch`` reads as zeros, and one error naming its
     prime, generator and algorithm labels."""
-    mp, _, algo_specs, _, _ = task
-    labels = [algo_label(*spec) for spec in algo_specs]
+    mp, config = task
+    labels = [algo_label(*spec) for spec in config.algorithms]
     error = (mp.p, tuple(qformat(c) for c in mp.coeffs), None, ",".join(labels),
              "BrokenProcessPool: the worker running this generator's task died")
     return mp.p, {}, [error]
@@ -382,28 +386,24 @@ def _lost(task) -> tuple:
 def run_batch(config: RunConfig):
     """Run the full grid and aggregate one row per prime.
 
-    Returns (rows, errors).  Tasks are independent; with jobs > 1 they run
-    in a process pool of at most one worker per task and per CPU, and
-    aggregation order is fixed by sorted task keys either way.  With
-    jobs > 1 the batch is fail-soft: when a worker dies (killed by the
-    OS, say), each task the pool lost runs again alone in a fresh
-    one-worker pool, and a task that breaks that pool too becomes an
-    error (:func:`_lost`) while the other tasks count as usual.  With
-    jobs = 1 (or one task, or one CPU) the tasks run in the calling
-    process, so a task the OS kills ends the batch with it.
+    Returns (rows, errors).  Every task, one (generator, config) pair,
+    runs in a process pool of max(1, min(jobs, tasks, CPUs)) workers, and
+    aggregation order is fixed by sorted task keys.  The suite is read
+    once here, before any worker starts, so a bad suite raises before any
+    task runs and forked workers inherit it.  Every batch is fail-soft:
+    when a worker dies (killed by the OS, say), each task the pool lost
+    runs again alone in a fresh one-worker pool, and a task that breaks
+    that pool too becomes an error (:func:`_lost`) while the other tasks
+    count as usual.  Starting the pool costs a jobs = 1 batch about 40 ms
+    on a 2-core host.
     """
-    suite_coeffs = _suite_coefficients(config.degree, config.suite_size)
-    tasks = [(mp, suite_coeffs, config.algorithms, config.max_steps, config.height_exponent)
-             for p in sorted(config.primes) for mp in build_z_set(p, config.degree)[:config.z_limit]]
-    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        results = _pooled(tasks, workers)
-        for k, res in enumerate(results):
-            if res is None:
-                res = _pooled([tasks[k]], 1)[0]
-                results[k] = _lost(tasks[k]) if res is None else res
-    else:
-        results = [_z_task(t) for t in tasks]
+    _suite_coefficients(config.degree, config.suite_size)
+    tasks = [(mp, config) for p in sorted(config.primes) for mp in build_z_set(p, config.degree)[:config.z_limit]]
+    results = _pooled(tasks, max(1, min(config.jobs, len(tasks), os.cpu_count() or 1)))
+    for k, res in enumerate(results):
+        if res is None:
+            res = _pooled([tasks[k]], 1)[0]
+            results[k] = _lost(tasks[k]) if res is None else res
 
     rows: dict[int, TableRow] = {}
     errors = []

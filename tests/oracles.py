@@ -512,7 +512,8 @@ def step_phi3_by_fractions(emb, alpha, g_variant=False):
     nxt = VectorElement(tuple(
         alpha.minpoly.element((hd,) + row[::-1]) for hd, row in zip(heads, reduced.entries)
     ))
-    return step.attach(a_mat, tuple(hd - c for hd, c in zip(heads, consts))), nxt
+    gamma = tuple(hd - c for hd, c in zip(heads, consts))
+    return CMapStep(emb.p, s, 1, step.identity, step._coeffs, step.exps, step._shifts, a_mat, gamma), nxt
 
 
 # --- Gauss-Jordan and Euclid over Fractions ---------------------------------

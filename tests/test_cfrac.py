@@ -574,7 +574,9 @@ class TestLazyTransformer:
 
         monkeypatch.setattr(cfrac, "p_reduce", counted)
         mp = build_z_set(2, 4)[0]
-        _, counts, errors = _z_task((mp, _suite_coefficients(4, 3), (("phi3", None, None),), 30, 60))
+        config = RunConfig(primes=(2,), degree=4, algorithms=(("phi3", None, None),), suite_size=3,
+                           max_steps=30, height_exponent=60)
+        _, counts, errors = _z_task((mp, config))
         assert not errors and sum(counts["phi3"].values()) == 3
         emb = Embedding(mp)
         rec = expand(_suite_vectors(mp, 4, 1)[0], "phi3", max_steps=5, embedding=emb)
@@ -746,7 +748,8 @@ class TestStepParameters:
         pairs, fracs = self.steps(identity)
         assert pairs == fracs and hash(pairs) == hash(fracs)
         assert pairs.coeffs == (Q(-3, 2), Q(-1)) and pairs.gamma == (Q(2, 3), Q(0))
-        assert pairs != pairs.attach(self.MATRIX, (1, 0)) and pairs != self.steps(not identity)[0]
+        other_gamma = cfrac.CMapStep(2, 2, -1, identity, pairs._coeffs, pairs.exps, pairs._shifts, self.MATRIX, (1, 0))
+        assert pairs != other_gamma and pairs != self.steps(not identity)[0]
 
     def test_same_json_and_no_cached_view(self):
         pairs, fracs = self.steps()

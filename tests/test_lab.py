@@ -233,14 +233,16 @@ class TestBatch:
     def test_serial_batch_reads_no_certificate(self, monkeypatch):
         """A table needs the irreducibility decision alone: a jobs = 1
         batch over freshly built cubic z-sets, each decided before its
-        certificate, leaves every certificate pending."""
+        certificate, leaves every certificate pending.  The stand-in pool
+        runs the tasks in this process, where the reads are counted."""
         monkeypatch.setattr(lab, "build_z_set", functools.lru_cache()(lab.build_z_set.__wrapped__))
         reads = []
         monkeypatch.setattr(polys, "find_certificate", lambda *args: reads.append(args))
+        started = self._stand_in_pool(8, monkeypatch)
         cfg = RunConfig(primes=(2, 3), degree=3, algorithms=(("phi1", 1, None),), suite_size=2,
                         max_steps=200, height_exponent=30, z_limit=3)
         rows, errors = run_batch(cfg)
-        assert not errors and [r.prime for r in rows] == [2, 3]
+        assert not errors and [r.prime for r in rows] == [2, 3] and started == [1]
         assert reads == []
         assert all(mp._pending for p in (2, 3) for mp in lab.build_z_set(p, 3)[:3])
 
@@ -269,6 +271,7 @@ class TestBatch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(lab, "expand", flaky)
+        self._stand_in_pool(8, monkeypatch)  # flaky counts its calls in this process
         cfg = RunConfig(
             primes=(2,),
             degree=2,
@@ -282,6 +285,20 @@ class TestBatch:
         assert len(errors) == 1 and "injected" in errors[0][-1]
         total = sum(sum(c.values()) for r in rows for c in r.counts.values())
         assert total == 2 * 3 - 1
+
+    def test_tasks_of_one_config_build_the_suite_once(self, monkeypatch):
+        """A task reads its suite through a one-entry memo: two tasks of
+        one config in one process draw the suite once."""
+        builds = []
+        real = lab.build_test_set
+        monkeypatch.setattr(lab, "build_test_set", lambda *args: builds.append(args) or real(*args))
+        lab._suite_coefficients.cache_clear()
+        cfg = RunConfig(primes=(2,), degree=2, algorithms=(("phi1", 1, None),), suite_size=2,
+                        max_steps=200, height_exponent=30)
+        for mp in build_z_set(2, 2)[:2]:
+            _, counts, errors = lab._z_task((mp, cfg))
+            assert not errors and sum(counts["phi1[+1]"].values()) == 2
+        assert len(builds) == 1 and lab._suite_coefficients.cache_info().maxsize == 1
 
     def test_config_json(self):
         cfg = RunConfig.from_json(
@@ -441,7 +458,7 @@ class TestBatch:
     @classmethod
     def _pool_size(cls, jobs, cpus, monkeypatch):
         """Processes asked of the pool by a 3-task batch on a host of
-        ``cpus`` CPUs, None for no pool."""
+        ``cpus`` CPUs."""
         started = cls._stand_in_pool(cpus, monkeypatch)
         cfg = RunConfig.from_json(
             {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}], "suite_size": 2,
@@ -449,16 +466,16 @@ class TestBatch:
         )
         rows, errors = run_batch(cfg)
         assert not errors and sum(rows[0].counts["phi1[+1]"].values()) == 3 * 2
-        assert len(started) <= 1
-        return started[0] if started else None
+        assert len(started) == 1
+        return started[0]
 
-    @pytest.mark.parametrize("jobs,workers", [(1, None), (2, 2), (8, 3)])
+    @pytest.mark.parametrize("jobs,workers", [(1, 1), (2, 2), (8, 3)])
     def test_pool_size_capped_by_tasks(self, jobs, workers, monkeypatch):
-        """At most one worker per task, none for a single job, on a host
-        with more CPUs than tasks."""
+        """At most one worker per task, and one for a single job, on a
+        host with more CPUs than tasks."""
         assert self._pool_size(jobs, 8, monkeypatch) == workers
 
-    @pytest.mark.parametrize("jobs,cpus,workers", [(8, 2, 2), (10**6, 2, 2), (8, 1, None), (8, None, None)])
+    @pytest.mark.parametrize("jobs,cpus,workers", [(8, 2, 2), (10**6, 2, 2), (8, 1, 1), (8, None, 1)])
     def test_pool_size_capped_by_cpus(self, jobs, cpus, workers, monkeypatch):
         """At most one worker per CPU, and one CPU when the count is
         unknown."""
@@ -483,38 +500,51 @@ class TestBatch:
                                            for mp in lost]
         assert all("BrokenProcessPool" in e[4] for e in errors)
 
-    def test_a_dead_worker_costs_its_task_alone(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_dead_worker_costs_its_task_alone(self, jobs, tmp_path, monkeypatch, capsys):
         """Under the fork start method, the worker running one generator's
-        task ends by ``os._exit(9)``, as an OOM kill would end it.  The
-        batch returns within a bound, every other task counts exactly as
-        it does alone, and one error names the lost task's prime,
-        generator and label."""
+        task ends by ``os._exit(9)``, as an OOM kill would end it.  At
+        every ``jobs`` the batch returns within a bound, every other task
+        counts exactly as it does alone, and one error names the lost
+        task's prime, generator and label; ``padiccf table`` on the same
+        config prints that table and exits 3."""
         import concurrent.futures
-        import functools
         import multiprocessing
         import threading
 
-        cfg = dict(primes=(2,), degree=2, algorithms=(("phi1", 1, None),), suite_size=3,
-                   max_steps=200, height_exponent=30, z_limit=4)
-        serial, _ = run_batch(RunConfig(**cfg))
+        from padiccf import cli
+
+        def within_60_s(run):
+            out = []
+            thread = threading.Thread(target=lambda: out.append(run()), daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive() and len(out) == 1, "the batch did not return within 60 s"
+            return out[0]
+
+        data = {"primes": [2], "degree": 2, "algorithms": [{"algo": "phi1"}], "suite_size": 3,
+                "max_steps": 200, "height_exponent": 30, "jobs": jobs, "z_limit": 4}
+        config = RunConfig.from_json(data)
+        serial, _ = run_batch(config)
         doomed = build_z_set(2, 2)[1]
-        alone = lab._z_task((doomed, lab._suite_coefficients(2, 3), cfg["algorithms"], 200, 30))[1]
+        alone = lab._z_task((doomed, config))[1]
         expected = {c: n - alone["phi1[+1]"][c] for c, n in serial[0].counts["phi1[+1]"].items()}
         monkeypatch.setattr(lab, "_z_task", _z_task_dying_on_the_second_generator)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
             concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
-        out = []
-        batch = threading.Thread(target=lambda: out.append(run_batch(RunConfig(**cfg, jobs=2))), daemon=True)
-        batch.start()
-        batch.join(timeout=60)
-        assert not batch.is_alive() and len(out) == 1, "the batch did not return within 60 s"
-        rows, errors = out[0]
+        rows, errors = within_60_s(lambda: run_batch(config))
         assert [r.prime for r in rows] == [2] and rows[0].counts["phi1[+1]"] == expected
         assert sum(expected.values()) == 3 * 3
         assert len(errors) == 1
         p, coeffs, idx, label, message = errors[0]
         assert (p, coeffs, idx, label) == (2, tuple(str(c) for c in doomed.coeffs), None, "phi1[+1]")
         assert "BrokenProcessPool" in message
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert within_60_s(lambda: cli.main(["table", "--config", str(path)])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == emit_table(rows)
+        assert captured.err.count("\n") == 1 and "BrokenProcessPool" in captured.err
 
 
 class TestTables:
