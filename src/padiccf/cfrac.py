@@ -26,8 +26,10 @@ matrix is lambda I), and the rationals are built once, at the end.
 The fractional maps and the phi3 step work on the integer numerators and
 the denominator of each component.  ``g_map`` and ``h_map`` are one
 kernel, ``_fractional_map``, with a different function finishing each
-component; the kernel makes one pass over the components and builds the
-step once.  a_j's inverse is taken once, as
+component; the kernel finishes the pivot's component first, and a
+one-component vector (s = 1) ends there, with no pass over the others;
+otherwise it makes one pass over the rest, and it builds the step once.
+a_j's inverse is taken once, as
 numerators over a determinant (``field._inverse_nums``), each a_i a_j^-1
 is one product with its multiplication rows (``field._product_nums``),
 eps p^e is folded into the same integers, and each digit is read off the
@@ -399,19 +401,33 @@ def _element(emb: Embedding, a: FieldElement, pivot: bool = False) -> list:
     return entry
 
 
+def _component(finish, mp: MinPoly, p: int, eps: int, e: int, om: int, nums: tuple, den: int) -> tuple:
+    """``finish`` on the unreduced pair of eps p^e nums/den less om."""
+    if e < 0:
+        den *= p ** -e
+        k = eps
+    else:
+        k = eps * p ** e
+    if k != 1:
+        nums = tuple(x * k for x in nums)
+    return finish(mp, p, eps, om, (nums[0] - om * den,) + nums[1:], den)
+
+
 def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, finish):
     """The kernel of both fractional maps: (step, F(alpha)) for the
     digit-subtracting map with pivot j at alpha, each component finished
     by ``finish``.  A zero pivot yields the identity step and alpha.
 
-    One pass over the components computes, for each a_i, its exponent e,
-    its digit om and the unreduced pair (nums, den), den > 0, of
-    eps p^e a_i / a_j less om; then ``finish(mp, p, eps, om, nums, den)``
-    gives the component's (coefficient, shift, image component).
+    For each a_i the kernel computes its exponent e, its digit om and the
+    unreduced pair (nums, den), den > 0, of eps p^e a_i / a_j less om;
+    then ``finish(mp, p, eps, om, nums, den)`` gives the component's
+    (coefficient, shift, image component).  The pivot goes first, and a
+    one-component vector (s = 1) ends there: its step is built from that
+    one component, with no pass over the others and no product.
 
     a_j's inverse is taken once, unreduced (``field._inverse_nums``), and
-    its multiplication rows serve every a_i (``field._product_nums``); the
-    scaling by eps p^e is folded into the same integers.  The digits come
+    its multiplication rows serve every other a_i (``field._product_nums``);
+    the scaling by eps p^e is folded into the same integers.  The digits come
     from ``Embedding.ord_digit``, not from the images: with a_i = p^o_i
     u_i, the image value has valuation e + o_i - o_j, which is 0 for the
     pivot and for o_i <= o_j and positive otherwise, so its digit is eps
@@ -424,32 +440,27 @@ def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, fini
     if aj.is_zero():
         return CMapStep(p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
     mp = alpha.minpoly
-    pivot = _element(emb, aj, True)  # its rows are built at the first product (s = 1 has none)
+    pivot = _element(emb, aj, True)
     (oj, uj), (inv, inv_den) = pivot[0], pivot[1]
-    prod_den = inv_den * mp._int_f[0] ** (mp.degree - 1)
     unit = eps * pow(uj, -1, p)
-    coeffs, exps, shifts, image = [], [], [], []
-    for i, ai in enumerate(comps, start=1):
-        if i == j:
-            e, om, nums, den = oj, unit % p, inv, inv_den
-        else:
-            oi, ui = _element(emb, ai)[0]  # a zero a_i has ord inf: e = 0, digit 0
-            e = max(oj - oi, 0)
-            om = unit * ui % p if oi <= oj else 0
-            if pivot[2] is None:
-                pivot[2] = multiplication_rows(mp._int_f, inv)
-            nums, den = _product_nums(mp, pivot[2], ai.nums), ai.den * prod_den
-        if e < 0:
-            den *= p ** -e
-        k = eps * p ** max(e, 0)
-        if k != 1:
-            nums = tuple(x * k for x in nums)
-        c, w, x = finish(mp, p, eps, om, (nums[0] - om * den,) + nums[1:], den)
-        coeffs.append(c)
+    own = _component(finish, mp, p, eps, oj, unit % p, inv, inv_den)
+    if s == 1:
+        c, w, x = own
+        return CMapStep(p, j, eps, False, (c,), (oj,), (w,), eye, zero), VectorElement((x,))
+    if pivot[2] is None:  # the rows, built at the pivot's first product
+        pivot[2] = multiplication_rows(mp._int_f, inv)
+    prod_den = inv_den * mp._int_f[0] ** (mp.degree - 1)
+    parts, exps = [], []
+    for ai in comps[:j - 1] + comps[j:]:
+        oi, ui = _element(emb, ai)[0]  # a zero a_i has ord inf: e = 0, digit 0
+        e = max(oj - oi, 0)
+        om = unit * ui % p if oi <= oj else 0
+        parts.append(_component(finish, mp, p, eps, e, om, _product_nums(mp, pivot[2], ai.nums), ai.den * prod_den))
         exps.append(e)
-        shifts.append(w)
-        image.append(x)
-    return CMapStep(p, j, eps, False, tuple(coeffs), tuple(exps), tuple(shifts), eye, zero), VectorElement(image)
+    parts.insert(j - 1, own)
+    exps.insert(j - 1, oj)
+    coeffs, shifts, image = zip(*parts)
+    return CMapStep(p, j, eps, False, coeffs, tuple(exps), shifts, eye, zero), VectorElement(image)
 
 
 def _g_finish(mp: MinPoly, p: int, eps: int, om: int, nums: tuple, den: int) -> tuple:

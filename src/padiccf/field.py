@@ -387,24 +387,29 @@ def _inverse_nums(a: FieldElement) -> tuple:
     At degree 2 the rows are not built: with ``MinPoly._int_f`` = (D, (l0,
     l1)), M is [[x0, -x1 l0], [x1, D x0 - x1 l1]], so the cofactors are
     C0 = D x0 - x1 l1 and -x1, and det(M) = x0 C0 + x1^2 l0, the integers
-    the expansion gives.  This is the only route to a 2 x 2 inverse.
+    the expansion gives; the numerators (d C0, -d D x1) are returned as
+    they are.  This is the only route to a 2 x 2 inverse.  Zero and
+    rationality are read off the numerators.
     """
-    mp, d, x0 = a.minpoly, a.den, a.nums[0]
-    if a.is_rational():
+    mp, d, nums = a.minpoly, a.den, a.nums
+    x0 = nums[0]
+    if not any(nums[1:]):
         if not x0:
             raise ZeroDivisionError("inverse of zero")
         return (d if x0 > 0 else -d,) + (0,) * (mp.degree - 1), abs(x0)
     den, low = mp._int_f
     if mp.degree == 2:
-        x1 = a.nums[1]
+        x1 = nums[1]
         c0 = den * x0 - x1 * low[1]
-        det, cof = x0 * c0 + x1 * x1 * low[0], (c0, -x1)
+        det, cof = x0 * c0 + x1 * x1 * low[0], None
     else:
-        det, cof = first_row_expansion(multiplication_rows(mp._int_f, a.nums))
+        det, cof = first_row_expansion(multiplication_rows(mp._int_f, nums))
     if not det:
         raise ZeroDivisionError(ZERO_DIVISOR)
     if det < 0:
         d, det = -d, -det
+    if cof is None:
+        return (d * c0, -d * den * x1), det
     return tuple(d * den ** j * c for j, c in enumerate(cof)), det
 
 

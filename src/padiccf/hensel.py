@@ -155,7 +155,7 @@ class Embedding:
         Both come from the one residue r of :meth:`ord`'s ladder: r = b(z0)
         mod p^m with v = v_p(b(z0)) < m, so b(z0) / p^v = r / p^v mod p,
         and with d = p^t u_d the digit is (r / p^v) u_d^-1 mod p."""
-        if a.is_zero():
+        if not any(a.nums):
             return ORD_INF, 0
         p, den = self.p, a.den
         r = self._ladder(a)

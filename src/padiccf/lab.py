@@ -391,19 +391,27 @@ def run_batch(config: RunConfig):
     aggregation order is fixed by sorted task keys.  The suite is read
     once here, before any worker starts, so a bad suite raises before any
     task runs and forked workers inherit it.  Every batch is fail-soft:
-    when a worker dies (killed by the OS, say), each task the pool lost
-    runs again alone in a fresh one-worker pool, and a task that breaks
-    that pool too becomes an error (:func:`_lost`) while the other tasks
-    count as usual.  Starting the pool costs a jobs = 1 batch about 40 ms
-    on a 2-core host.
+    when a worker dies (killed by the OS, say), the pool loses every task
+    it had not finished.  A pool hands its tasks to its workers in
+    submission order, so the task whose worker died is among the first
+    ``workers`` lost ones.  Each of those runs again alone in a fresh
+    one-worker pool, and a task that breaks that pool too becomes an error
+    (:func:`_lost`); the rest run again together in one pool of the same
+    size, and so on until no task is lost.  Starting the pool costs a
+    jobs = 1 batch about 40 ms on a 2-core host.
     """
     _suite_coefficients(config.degree, config.suite_size)
     tasks = [(mp, config) for p in sorted(config.primes) for mp in build_z_set(p, config.degree)[:config.z_limit]]
-    results = _pooled(tasks, max(1, min(config.jobs, len(tasks), os.cpu_count() or 1)))
-    for k, res in enumerate(results):
-        if res is None:
+    workers = max(1, min(config.jobs, len(tasks), os.cpu_count() or 1))
+    results, pending = [None] * len(tasks), list(range(len(tasks)))
+    while pending:
+        for k, res in zip(pending, _pooled([tasks[k] for k in pending], workers)):
+            results[k] = res
+        lost = [k for k in pending if results[k] is None]
+        for k in lost[:workers]:
             res = _pooled([tasks[k]], 1)[0]
             results[k] = _lost(tasks[k]) if res is None else res
+        pending = lost[workers:]
 
     rows: dict[int, TableRow] = {}
     errors = []

@@ -21,7 +21,7 @@ from padiccf.field import (
 from padiccf.hensel import Embedding
 from padiccf.preduce import RationalMatrix, first_row_expansion
 from padiccf.rationals import Q
-from oracles import certificate_prime, coeff_matrix, relation_search
+from oracles import certificate_prime, coeff_matrix, euclid_inverse, relation_search
 
 
 def rand_q(rng, span=9):
@@ -205,6 +205,21 @@ class TestDegreeTwoInverse:
             patch.setattr(field, "multiplication_rows", None)  # no rows are built
             assert field._inverse_nums(a) == want
         assert a * a.inverse() == mp.one()
+
+    @pytest.mark.parametrize("p, coeffs, b", [
+        (2, [1, 2], [1, 1]),  # x^2 + x + 2: N(1 + z) = 2
+        (2, [1, -4], [1, 1]),  # x^2 + x - 4: N(1 + z) = -4
+        (3, [Q(1, 2), Q(-3, 5)], [Q(2, 7), Q(-4, 3)]),  # D = 10, N < 0
+        (2, [Q(1, 3), Q(2, 5)], [Q(-1, 4), Q(5, 9)]),  # D = 15, N > 0
+    ])
+    def test_equals_euclid_for_either_sign_of_the_norm(self, p, coeffs, b):
+        """The two numerators over a positive determinant, whatever the
+        sign of the norm, are the extended-Euclid inverse."""
+        mp = MinPoly(p, coeffs)
+        a = mp.element(b)
+        nums, det = field._inverse_nums(a)
+        assert det > 0 and len(nums) == 2
+        assert [Q(x, det) for x in nums] == euclid_inverse(mp, list(a.coeffs))
 
     @pytest.mark.parametrize("coeffs", [[-1, -2], [Q(-5, 3), Q(-2, 3)]])
     def test_zero_divisor_raises(self, coeffs, monkeypatch):

@@ -23,7 +23,8 @@ from padiccf.cfrac import g_map, h_map
 from padiccf.field import MinPoly, VectorElement, validate_minpoly
 from padiccf.hensel import Embedding
 from padiccf.rationals import ORD_INF, Q, ordp
-from oracles import digit_at, g_map_by_composition, h_map_by_composition, omega_by_root
+from oracles import (digit_at, g_map_by_composition, g_map_by_fractions, h_map_by_composition, h_map_by_fractions,
+                     omega_by_root)
 
 # degree -> (p, minimal polynomial coefficients a1 .. an); None is the
 # degree-1 sentinel K = Q.  Some polynomials have coefficient
@@ -207,3 +208,87 @@ def test_one_map_runs_no_canonical_chain(monkeypatch, degree, p, coeffs, fmap):
     assert not step.identity and len(image) == mp.s == degree - 1
     assert {k: v for k, v in calls.items() if k != "canonical"} == {"inverse": 0, "mul": 0, "scale": 0, "omega": 0}
     assert 1 <= calls["canonical"] <= mp.s
+
+
+# --- one component: the pivot alone -------------------------------------------
+
+# degree -> (p, coefficients) of the s = 1 cases; degrees 3 and 4 put one
+# component over a field of higher degree, so the pivot's inverse takes the
+# cofactor route there and the written-out 2 x 2 one at degree 2
+S1_FIELDS = {2: (3, (1, 3)), 3: (2, (1, 1, 2)), 4: (3, (0, Q(1, 2), 1, Q(3, 7)))}
+
+
+def _s1_pivot(mp, valuation, tall):
+    """p^valuation (1 + c z + z^(n-1)/7), a unit times p^valuation: c z lies
+    in pZ_p.  c is (p + 1)^40, its numerators past ``cfrac.ELEMENT_LIMIT``,
+    when ``tall``, and 5 otherwise."""
+    p, z = mp.p, mp.gen()
+    c = (p + 1) ** 40 if tall else 5
+    unit = 1 + c * z + z ** (mp.degree - 1) * Q(1, 7)
+    assert Embedding(mp).ord(unit) == 0
+    return unit * Fraction(p) ** valuation
+
+
+@pytest.mark.parametrize("degree", sorted(S1_FIELDS))
+@pytest.mark.parametrize("valuation", [-2, 0, 3])
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("tall", [True, False], ids=["tall", "short"])
+def test_one_component_maps_equal_the_fraction_maps(degree, valuation, eps, tall, monkeypatch):
+    """At s = 1 both maps finish the pivot and end: step JSON and image
+    equal the ``Fraction`` oracles' at pivot valuations below, at and
+    above 0, for either eps (k = eps p^e is 1 at valuation 0 and eps 1).
+    A short pivot met again is read from the element memo: the second call
+    takes no inverse and gives the same step and image."""
+    mp = field_of(*S1_FIELDS[degree])
+    a = _s1_pivot(mp, valuation, tall)
+    assert (max(map(abs, a.nums)) >= cfrac.ELEMENT_LIMIT) == tall
+    alpha = VectorElement([a])
+    for fused, oracle in ((g_map, g_map_by_fractions), (h_map, h_map_by_fractions)):
+        emb = Embedding(mp)
+        want_step, want_image = oracle(Embedding(mp), alpha, eps, 1)
+        step, image = fused(emb, alpha, eps, 1)
+        assert step.to_json() == want_step.to_json() and image == want_image
+        assert not step.identity and step.exps == (valuation,)
+        assert len(emb.elements) == (0 if tall else 1)
+        if not tall:
+            inverses = []
+            monkeypatch.setattr(cfrac, "_inverse_nums", lambda x: inverses.append(x) or field._inverse_nums(x))
+            again_step, again_image = fused(emb, alpha, eps, 1)
+            monkeypatch.undo()
+            assert inverses == [] and again_step.to_json() == want_step.to_json() and again_image == want_image
+
+
+@pytest.mark.parametrize("degree", sorted(S1_FIELDS))
+@pytest.mark.parametrize("fmap,oracle", [(g_map, g_map_by_fractions), (h_map, h_map_by_fractions)],
+                         ids=["g_map", "h_map"])
+def test_one_zero_component_is_the_identity_step(degree, fmap, oracle):
+    mp = field_of(*S1_FIELDS[degree])
+    alpha = VectorElement([mp.zero()])
+    step, image = fmap(Embedding(mp), alpha, -1, 1)
+    want_step, want_image = oracle(Embedding(mp), alpha, -1, 1)
+    assert step.identity and image is alpha and image == want_image
+    assert step.to_json() == want_step.to_json()
+
+
+# --- the base rung kept from the first lift -----------------------------------
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_ord_digit_after_a_deep_lift_equals_a_fresh_embedding(degree):
+    """A deep valuation lifts the root far past the base precision; a
+    later base rung reads that deep residue modulo p^base, so ``ord_digit``
+    of tall and short elements equals a fresh embedding's, and the lift
+    stays."""
+    mp = field_of(*FIELDS[degree][1])
+    z, p = mp.gen(), mp.p
+    probe = Embedding(mp)
+    a = z * Q(1, 9) + Q(5, 11)
+    deep = a - probe.head(a, 6 * probe._base_precision)
+    emb = Embedding(mp)
+    assert emb.ord(deep) > 6 * emb._base_precision
+    lifted = emb._precision
+    units = [1 + 5 * z, 1 + (p + 1) ** 60 * z + z ** (mp.degree - 1) * Q(3, 13)]
+    for u in units:
+        for x in (u, u * Fraction(p) ** 3, u * Q(1, p ** 2 * 7)):
+            assert emb.ord_digit(x) == Embedding(mp).ord_digit(x)
+    assert emb._precision == lifted > emb._base_precision

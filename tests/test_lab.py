@@ -422,12 +422,13 @@ class TestBatch:
             RunConfig.from_json(data)
 
     @staticmethod
-    def _stand_in_pool(cpus, monkeypatch, lost=lambda task: False):
+    def _stand_in_pool(cpus, monkeypatch, lost=lambda task: False, breaks=False):
         """Replace the process pool by one that runs each task in this
         process, so no worker is ever started, on a host of ``cpus`` CPUs.
         A task for which ``lost(task)`` holds fails as a dead worker's
-        task does, with ``BrokenProcessPool``.  Returns the list of pool
-        sizes asked for."""
+        task does, with ``BrokenProcessPool``; with ``breaks``, so does
+        every task submitted to that pool after it, as in a pool a dead
+        worker broke.  Returns the list of pool sizes asked for."""
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
@@ -436,6 +437,7 @@ class TestBatch:
         class SerialPool:
             def __init__(self, max_workers):
                 started.append(max_workers)
+                self.broken = False
 
             def __enter__(self):
                 return self
@@ -445,7 +447,8 @@ class TestBatch:
 
             def submit(self, fn, task):
                 future = concurrent.futures.Future()
-                if lost(task):
+                if self.broken or lost(task):
+                    self.broken = breaks
                     future.set_exception(BrokenProcessPool("a worker died"))
                 else:
                     future.set_result(fn(task))
@@ -499,6 +502,24 @@ class TestBatch:
         assert [e[:4] for e in errors] == [(3, tuple(str(c) for c in mp.coeffs), None, ",".join(labels))
                                            for mp in lost]
         assert all("BrokenProcessPool" in e[4] for e in errors)
+
+    def test_one_death_reruns_the_rest_in_one_pool(self, monkeypatch):
+        """A worker dies on the third of 20 tasks at jobs = 2, and its pool
+        loses that task and all the later ones.  The first two lost tasks
+        run alone, one of them breaking its pool again, and the other 16
+        share one pool of two: four pools in all, and the table and the one
+        error of the doomed task alone."""
+        cfg = dict(primes=(2, 3), degree=2, algorithms=(("phi1", 1, None),), suite_size=2,
+                   max_steps=200, height_exponent=30, z_limit=10)
+        serial, _ = run_batch(RunConfig(**cfg))
+        doomed = build_z_set(2, 2)[2]
+        alone = lab._z_task((doomed, RunConfig(**cfg)))[1]["phi1[+1]"]
+        started = self._stand_in_pool(4, monkeypatch, lost=lambda task: task[0] is doomed, breaks=True)
+        rows, errors = run_batch(RunConfig(**cfg, jobs=2))
+        assert started == [2, 1, 1, 2]
+        assert rows[1].to_json() == serial[1].to_json()
+        assert rows[0].counts["phi1[+1]"] == {c: n - alone[c] for c, n in serial[0].counts["phi1[+1]"].items()}
+        assert errors == lab._lost((doomed, RunConfig(**cfg, jobs=2)))[2]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_dead_worker_costs_its_task_alone(self, jobs, tmp_path, monkeypatch, capsys):
