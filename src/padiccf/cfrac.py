@@ -34,9 +34,10 @@ numerators over a determinant (``field._inverse_nums``), each a_i a_j^-1
 is one product with its multiplication rows (``field._product_nums``),
 eps p^e is folded into the same integers, and each digit is read off the
 valuation residues of ``Embedding.ord_digit`` rather than off the image.
-The pivot and every other component go through the embedding's element
-memo (``Embedding.elements``, filled by ``_element``), so a short element
-met again takes no valuation, inverse or multiplication rows.
+The pivot goes through the embedding's element memo (``Embedding.elements``,
+filled by ``_element``), so a short pivot met again takes no valuation,
+inverse or multiplication rows; every other component takes its
+valuation directly.
 ``g_map``'s finish reduces each unreduced image once; ``h_map``'s reads
 the unit normalizer and the digit head off it, both functions of its
 value, and then reduces once.  ``step_phi3``
@@ -64,13 +65,24 @@ memo of the next step: each remainder the call mapped, with its s
 next tree maps only the remainders the last one did not reach.
 
 The expansions of one generator share their closed cycles through the
-embedding they are given (``Embedding.cycles``): a periodic expansion
+embedding they run on (``Embedding.cycles``): a periodic expansion
 stores its cycle, from the preperiod on, as each remainder's (step, next
 remainder), and a later expansion with the same step key reads a step
 from there instead of running the map.  The lookup sits where the step
 would run, after the zero, recurrence, height and step-limit checks, so
 every classification is computed as before; preperiods and orbits of any
 other ending are not stored.
+
+Both memos of the embedding keep one policy.  A memo admits an element
+only if it is short (``_short``: its denominator and every numerator
+below ``ELEMENT_LIMIT`` in absolute value), since repeats come from the
+small elements of periodic orbits and a tall element seldom recurs.  A
+memo stores only what a later step reads: the element memo holds pivots,
+each with its inverse, and the cycle memo holds a cycle only when every
+component of every cycle remainder is short.  Each memo dict holds at
+most ``MEMO_BUDGET`` entries: an embedding's pivots, or one step key's
+cycle steps.  An entry is what the map would compute, so records and
+tables are the same with or without the memos.
 
 The engine is the one validator of its records: a record loads by
 running :func:`expand` again on its initial vector, with the record's
@@ -377,27 +389,31 @@ def _least_exponent(height: int) -> int:
 # --- fractional maps ---------------------------------------------------------
 
 
-def _element(emb: Embedding, a: FieldElement, pivot: bool = False) -> list:
-    """a's entry in the element memo (``Embedding.elements``), keyed by its
-    canonical (nums, den): the list [(ord, unit digit), inverse, inverse
-    rows] of ``Embedding.ord_digit``, ``field._inverse_nums`` (taken when
-    ``pivot``, else None until a pivot needs it) and the inverse's
-    ``multiplication_rows`` (None until a product needs them).
+def _short(a: FieldElement) -> bool:
+    """The admission test of both memos: a's denominator and every
+    numerator lie below ``ELEMENT_LIMIT`` in absolute value."""
+    return a.den < ELEMENT_LIMIT and max(a.nums) < ELEMENT_LIMIT and min(a.nums) > -ELEMENT_LIMIT
 
-    The admission test (the ``Embedding`` docstring states the memo's
-    limit and budget) comes before any hashing, so a tall element costs
-    that test and gets a fresh entry no one keeps.  A new entry is stored
-    only once all it was asked for is computed: a zero-divisor pivot,
-    whose inverse raises, leaves nothing behind."""
-    nums, den = a.nums, a.den
-    short = den < ELEMENT_LIMIT and max(nums) < ELEMENT_LIMIT and min(nums) > -ELEMENT_LIMIT
-    entry = emb.elements.get((nums, den)) if short else None
+
+def _element(emb: Embedding, a: FieldElement) -> list:
+    """The pivot a's entry in the element memo (``Embedding.elements``),
+    keyed by its canonical (nums, den): the list [(ord, unit digit),
+    inverse, inverse rows] of ``Embedding.ord_digit``,
+    ``field._inverse_nums`` and the inverse's ``multiplication_rows``
+    (None until the first product needs them).
+
+    The admission test (:func:`_short`) comes before any hashing, so a
+    tall pivot costs that test and gets a fresh entry no one keeps.  An
+    entry is stored with its inverse, while the memo holds fewer than
+    ``MEMO_BUDGET`` entries: a zero-divisor pivot, whose inverse raises,
+    leaves nothing behind."""
+    short = _short(a)
+    key = a.nums, a.den
+    entry = emb.elements.get(key) if short else None
     if entry is None:
-        entry = [emb.ord_digit(a), _inverse_nums(a) if pivot else None, None]
-        if short and len(emb.elements) < ELEMENT_BUDGET:
-            emb.elements[nums, den] = entry
-    elif pivot and entry[1] is None:
-        entry[1] = _inverse_nums(a)
+        entry = [emb.ord_digit(a), _inverse_nums(a), None]
+        if short and len(emb.elements) < MEMO_BUDGET:
+            emb.elements[key] = entry
     return entry
 
 
@@ -431,16 +447,16 @@ def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, fini
     from ``Embedding.ord_digit``, not from the images: with a_i = p^o_i
     u_i, the image value has valuation e + o_i - o_j, which is 0 for the
     pivot and for o_i <= o_j and positive otherwise, so its digit is eps
-    u_i u_j^-1 mod p at valuation 0 and 0 above it.  The pivot and every
-    other component are read through the element memo (:func:`_element`,
-    ``Embedding.elements``), which returns what those kernels compute."""
+    u_i u_j^-1 mod p at valuation 0 and 0 above it.  The pivot is read
+    through the element memo (:func:`_element`, ``Embedding.elements``),
+    which returns what those kernels compute."""
     comps, s, p = alpha.components, len(alpha), emb.p
     eye, zero = RationalMatrix.identity(s), (0,) * s
     aj = comps[j - 1]
     if aj.is_zero():
         return CMapStep(p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
     mp = alpha.minpoly
-    pivot = _element(emb, aj, True)
+    pivot = _element(emb, aj)
     (oj, uj), (inv, inv_den) = pivot[0], pivot[1]
     unit = eps * pow(uj, -1, p)
     own = _component(finish, mp, p, eps, oj, unit % p, inv, inv_den)
@@ -452,7 +468,7 @@ def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, fini
     prod_den = inv_den * mp._int_f[0] ** (mp.degree - 1)
     parts, exps = [], []
     for ai in comps[:j - 1] + comps[j:]:
-        oi, ui = _element(emb, ai)[0]  # a zero a_i has ord inf: e = 0, digit 0
+        oi, ui = emb.ord_digit(ai)  # a zero a_i has ord inf: e = 0, digit 0
         e = max(oj - oi, 0)
         om = unit * ui % p if oi <= oj else 0
         parts.append(_component(finish, mp, p, eps, e, om, _product_nums(mp, pivot[2], ai.nums), ai.den * prod_den))
@@ -769,9 +785,8 @@ def check_params(algorithm, s: int, eps=1, lookahead=1, g_variant=False) -> None
                           f"more than {LOOKAHEAD_BUDGET} images per step")
 
 
-CYCLE_BUDGET = 4096  # steps an embedding's cycle memo may hold per step key
-ELEMENT_LIMIT = 1 << 16  # bound on |den| and |nums| of an element the element memo admits
-ELEMENT_BUDGET = 4096  # elements an embedding's element memo may hold
+ELEMENT_LIMIT = 1 << 16  # bound on |den| and |nums| of an element a memo admits (_short)
+MEMO_BUDGET = 4096  # entries one memo dict may hold: an embedding's pivots, or one step key's cycle steps
 MAX_STEPS = 100_000  # expand's default step limit
 HEIGHT_EXPONENT = 60  # expand's default height cap, 10**60
 
@@ -805,26 +820,27 @@ def expand(
     Reducible) is refused even for an orbit that takes no step; a given
     one of another field raises MixedField.
 
-    A given embedding's cycle memo (``Embedding.cycles``) for this
-    expansion's step key (algorithm, eps, lookahead, g_variant) is read
-    where a step would run: a remainder on a stored cycle takes the stored
-    (step, next remainder), the pair the map would compute; an empty memo
-    is not looked up.  A periodic ending stores its cycle, the remainders
-    from the preperiod on, unless it is stored already or would take the
-    memo past ``CYCLE_BUDGET`` steps; other endings store nothing.  An
-    expansion on its own embedding neither reads nor fills a memo.
+    The cycle memo (``Embedding.cycles``) of the embedding the expansion
+    runs on, given or its own, is read for this expansion's step key
+    (algorithm, eps, lookahead, g_variant) where a step would run: a
+    remainder on a stored cycle takes the stored (step, next remainder),
+    the pair the map would compute; an empty memo is not looked up.  A
+    periodic ending stores its cycle, the remainders from the preperiod
+    on, unless it is stored already, would take the memo past
+    ``MEMO_BUDGET`` steps, or has a component that is not short
+    (:func:`_short`); other endings store nothing.
     """
     check_params(algorithm, len(alpha), eps, lookahead, g_variant)
     at_least(max_steps, 0, "max_steps")
     at_least(height_exponent, 0, "height_exponent")
     if algorithm != "phi0" and alpha.minpoly.is_rational_field:
         raise ValueError(f"{algorithm} requires a proper extension field")
-    if embedding is not None and embedding.minpoly is not alpha.minpoly and embedding.minpoly != alpha.minpoly:
-        raise MixedField(f"an embedding of {embedding.minpoly!r} cannot expand a vector over {alpha.minpoly!r}")
+    emb = Embedding(alpha.minpoly) if embedding is None else embedding
+    if emb.minpoly is not alpha.minpoly and emb.minpoly != alpha.minpoly:
+        raise MixedField(f"an embedding of {emb.minpoly!r} cannot expand a vector over {alpha.minpoly!r}")
     memo = {}  # the phi2 lookahead tree
     key = (algorithm, eps, lookahead, g_variant)
-    cycles = embedding.cycles.get(key, {}) if embedding is not None else {}
-    emb = embedding if embedding is not None else Embedding(alpha.minpoly)
+    cycles = emb.cycles.get(key, {})
     advance = {
         "phi0": lambda vec: step_phi0(emb, vec, eps),
         "phi1": lambda vec: step_phi1(emb, vec, eps),
@@ -863,11 +879,12 @@ def expand(
             steps.append(step)
             remainders.append(nxt)
 
-    if status.kind == "periodic" and embedding is not None:
-        cycles = embedding.cycles.setdefault(key, cycles)
-        if remainders[status.preperiod] not in cycles and len(cycles) + status.period <= CYCLE_BUDGET:
-            for k in range(status.preperiod, status.index):
-                cycles[remainders[k]] = steps[k], remainders[k + 1]
+    if status.kind == "periodic":
+        cycle = remainders[status.preperiod:-1]
+        if (cycle[0] not in cycles and len(cycles) + len(cycle) <= MEMO_BUDGET
+                and all(_short(c) for vec in cycle for c in vec.components)):
+            emb.cycles[key] = cycles
+            cycles.update(zip(cycle, zip(steps[status.preperiod:], remainders[status.preperiod + 1:])))
 
     return ExpansionRecord(
         algorithm=algorithm,

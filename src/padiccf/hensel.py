@@ -63,26 +63,13 @@ class Embedding:
     Holds the residue of z modulo p^precision as an int; a request for more
     digits lifts it again from scratch, which is as cheap as extending.
 
-    ``cycles`` is the expansion engine's memo of closed cycles, one dict
-    per step key (algorithm, eps, lookahead, g_variant), each mapping a
-    remainder on a cycle to its (step, next remainder).  A step map is a
-    pure function of the field, the key and the remainder, so an entry is
-    what the map would compute.  :func:`cfrac.expand` fills it from its
-    periodic orbits and reads it where it would take a step; the memo
-    lives as long as the embedding.
-
-    ``elements`` is the fractional maps' memo of short field elements,
-    keyed by an element's canonical (nums, den).  An entry holds
-    :meth:`ord_digit`'s (ord, unit digit) and, once the element has been
-    a pivot, its inverse (``field._inverse_nums``' numerators and
-    denominator) and the inverse's multiplication rows, those built at the
-    first product that needs them.  Each is what the kernel would compute,
-    so records and tables are the same with or without the memo.
-    ``cfrac._element`` fills and reads it.  It admits an element only when
-    its denominator and every numerator lie below ``cfrac.ELEMENT_LIMIT``
-    = 2^16 in absolute value, a test made before any lookup, and it holds
-    at most ``cfrac.ELEMENT_BUDGET`` = 4096 entries: repeats come from the
-    small elements of periodic orbits, and a tall element seldom recurs.
+    ``cycles`` (closed cycles: per step key (algorithm, eps, lookahead,
+    g_variant), each cycle remainder's (step, next remainder)) and
+    ``elements`` (pivots: per short element, keyed by its canonical
+    (nums, den), :meth:`ord_digit`'s (ord, unit digit), its inverse and
+    the inverse's multiplication rows) are the expansion engine's memos.
+    They live as long as the embedding; ``cfrac`` fills and reads them,
+    and its module docstring states what they admit and hold.
     """
 
     def __init__(self, minpoly: MinPoly):

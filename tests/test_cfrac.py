@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import json
@@ -1116,10 +1117,22 @@ def _cycle_start(algo, eps, n, g_variant, vectors):
     raise AssertionError("no periodic orbit")
 
 
+def _small_cubic_vectors():
+    """A z-set cubic and the vectors (a + b z, c + d z^2), |a|, |c| <= 2,
+    b, d in {1, 2}: many of their phi1 and phi2 orbits end periodic on
+    cycles of short remainders (the suite vectors' cycles are tall)."""
+    mp = build_z_set(2, 3)[0]
+    z = mp.gen()
+    return mp, [mp.vector([a + b * z, c + d * z * z])
+                for a in range(-2, 3) for b in (1, 2) for c in range(-2, 3) for d in (1, 2)]
+
+
 def _memo_case(algo):
-    """A field and vectors with periodic ``algo`` orbits."""
+    """A field and vectors with periodic ``algo`` orbits on short cycles."""
     if algo == "phi0":
         return _small_quadratic_vectors()
+    if algo in ("phi1", "phi2"):
+        return _small_cubic_vectors()
     mp = build_z_set(2, 3)[0]
     return mp, _suite_vectors(mp, 3, 8)
 
@@ -1227,6 +1240,40 @@ class TestCycleMemo:
         assert emb.cycles == {key: {rec.remainders[k]: (rec.steps[k], rec.remainders[k + 1])
                                     for k in range(st.preperiod, st.index)}}
 
+    def test_a_cycle_with_a_tall_remainder_is_not_stored(self):
+        """A periodic phi1 orbit of a suite vector closes on a cycle of tall
+        remainders: the memo admits none of it, and the record is the one a
+        fresh embedding writes."""
+        mp = build_z_set(2, 3)[0]
+        key = ("phi1", 1, 1, False)
+        for vec in _suite_vectors(mp, 3, 8):
+            fresh = expand(vec, "phi1", max_steps=60, embedding=Embedding(mp))
+            st = fresh.status
+            if st.kind == "periodic" and not all(_short(c, cfrac.ELEMENT_LIMIT)
+                                                 for rem in fresh.remainders[st.preperiod:st.index]
+                                                 for c in rem.components):
+                break
+        else:
+            raise AssertionError("no periodic orbit with a tall cycle remainder")
+        emb = Embedding(mp)
+        rec = expand(vec, "phi1", max_steps=60, embedding=emb)
+        assert emb.cycles.get(key, {}) == {}
+        assert json.dumps(rec.to_json()) == json.dumps(fresh.to_json())
+
+    def test_an_own_embedding_takes_the_one_memo_path(self, monkeypatch):
+        """Without a given embedding, ``expand`` fills the cycle memo of the
+        one it builds, as it fills a given one, and writes the same record."""
+        mp, vectors = _small_quadratic_vectors()
+        start = _cycle_start("phi0", 1, 1, False, vectors)
+        given = Embedding(mp)
+        want = expand(start, "phi0", embedding=given)
+        built = []
+        monkeypatch.setattr(cfrac, "Embedding", lambda minpoly: built.append(Embedding(minpoly)) or built[-1])
+        rec = expand(start, "phi0")
+        assert json.dumps(rec.to_json()) == json.dumps(want.to_json())
+        assert len(built) == 1 and built[0].cycles == given.cycles
+        assert set(given.cycles["phi0", 1, 1, False]) == set(rec.remainders[:-1])
+
     def test_a_cycle_past_the_budget_is_not_stored(self, monkeypatch):
         mp, vectors = _memo_case("phi3")
         key = ("phi3", 1, 1, False)
@@ -1236,15 +1283,15 @@ class TestCycleMemo:
             cycles.setdefault(frozenset(rec.remainders[rec.status.preperiod:rec.status.index]), rec)
         first, second = list(cycles.values())[:2]
         p1, p2 = first.status.period, second.status.period
-        monkeypatch.setattr(cfrac, "CYCLE_BUDGET", p1 - 1)
+        monkeypatch.setattr(cfrac, "MEMO_BUDGET", p1 - 1)
         emb = Embedding(mp)
         expand(first.initial, "phi3", embedding=emb)
         assert emb.cycles.get(key, {}) == {}
-        monkeypatch.setattr(cfrac, "CYCLE_BUDGET", p1 + p2 - 1)
+        monkeypatch.setattr(cfrac, "MEMO_BUDGET", p1 + p2 - 1)
         expand(first.initial, "phi3", embedding=emb)
         expand(second.initial, "phi3", embedding=emb)
         assert set(emb.cycles[key]) == set(first.remainders[first.status.preperiod:first.status.index])
-        monkeypatch.setattr(cfrac, "CYCLE_BUDGET", p1 + p2)
+        monkeypatch.setattr(cfrac, "MEMO_BUDGET", p1 + p2)
         rec = expand(second.initial, "phi3", embedding=emb)
         assert len(emb.cycles[key]) == p1 + p2 and rec.to_json() == second.to_json()
 
@@ -1316,25 +1363,29 @@ class TestElementMemo:
 
     def test_hits_skip_the_kernels(self, monkeypatch):
         """A second expansion of a vector on the same embedding takes no
-        inverse and no valuation for the short elements the first met."""
+        inverse and no valuation for the short pivots the first met; every
+        other component takes its valuation, as it did the first time."""
         mp = build_z_set(2, 4)[0]
         vec = _suite_vectors(mp, 4, 1)[0]
         emb = Embedding(mp)
         first = expand(vec, "phi3", embedding=emb, max_steps=12, detect_cycles=False)
-        short_pivots = {rem.components[-1] for rem in first.remainders[:-1]
-                        if _short(rem.components[-1], cfrac.ELEMENT_LIMIT)}
-        assert short_pivots
-        calls = []
+        pivots = [rem.components[-1] for rem in first.remainders[:-1] if not rem.components[-1].is_zero()]
+        assert any(_short(a, cfrac.ELEMENT_LIMIT) for a in pivots)
+        inverses, valuations = [], []
         real_inv, real_od = cfrac._inverse_nums, Embedding.ord_digit
-        monkeypatch.setattr(cfrac, "_inverse_nums", lambda a: calls.append(a) or real_inv(a))
-        monkeypatch.setattr(Embedding, "ord_digit", lambda self, a: calls.append(a) or real_od(self, a))
+        monkeypatch.setattr(cfrac, "_inverse_nums", lambda a: inverses.append(a) or real_inv(a))
+        monkeypatch.setattr(Embedding, "ord_digit", lambda self, a: valuations.append(a) or real_od(self, a))
         again = expand(vec, "phi3", embedding=emb, max_steps=12, detect_cycles=False)
         assert again.to_json() == first.to_json()
-        assert not any(_short(a, cfrac.ELEMENT_LIMIT) for a in calls)
+        tall = [a for a in pivots if not _short(a, cfrac.ELEMENT_LIMIT)]
+        others = [c for rem in first.remainders[:-1] if not rem.components[-1].is_zero()
+                  for c in rem.components[:-1]]
+        assert inverses == tall
+        assert collections.Counter(valuations) == collections.Counter(tall + others)
 
     @pytest.mark.parametrize("budget", [0, 1, 7])
     def test_the_memo_never_holds_more_than_its_budget(self, budget, monkeypatch):
-        monkeypatch.setattr(cfrac, "ELEMENT_BUDGET", budget)
+        monkeypatch.setattr(cfrac, "MEMO_BUDGET", budget)
         mp, vectors = next(self.grid())
         emb = Embedding(mp)
         for vec in vectors:
@@ -1367,8 +1418,8 @@ class TestElementMemo:
         """Over x^3 + x + 2 = (x + 1)(x^2 - x + 2), z + 1 is a zero divisor
         with a unit value at the embedded root, and z^2 - z + 2 one that
         vanishes there.  As a pivot each raises ZeroDivisionError, first
-        met or repeated, and no entry holds an inverse for it; z + 1, first
-        met as another component, keeps the (ord, digit) entry it had."""
+        met or repeated, and leaves no entry; z + 1, first met as another
+        component, gets none either, as only pivots are stored."""
         z = ring_cubic.gen()
         emb = Embedding(ring_cubic)
         for bad in (z + 1, z * z - z + 2):
@@ -1377,12 +1428,30 @@ class TestElementMemo:
                     g_map(emb, ring_cubic.vector([bad, z]), 1, 1)
                 assert _key(bad) not in emb.elements
         h_map(emb, ring_cubic.vector([z, z + 1]), 1, 1)
-        entry = emb.elements[_key(z + 1)]
-        assert entry == [emb.ord_digit(z + 1), None, None]
+        assert set(emb.elements) == {_key(z)}
         for _ in range(2):
             with pytest.raises(ZeroDivisionError):
                 h_map(emb, ring_cubic.vector([z, z + 1]), 1, 2)
-            assert emb.elements[_key(z + 1)] is entry and entry == [emb.ord_digit(z + 1), None, None]
+            assert set(emb.elements) == {_key(z)}
+
+    def test_a_mixed_run_stores_only_short_pivots_and_short_cycles(self):
+        """phi1 at a cap of 10^300 and phi3 on one embedding: every element
+        key and every stored cycle remainder passes the admission test,
+        every entry holds its inverse, and only pivots have entries."""
+        mp = build_z_set(2, 3)[0]
+        emb = Embedding(mp)
+        pivots = set()
+        for vec in _suite_vectors(mp, 3, 6):
+            for algo, more in (("phi1", {"height_exponent": 300}), ("phi3", {})):
+                rec = expand(vec, algo, embedding=emb, max_steps=40, **more)
+                pivots |= {_key(rem.components[step.pivot - 1])
+                           for rem, step in zip(rec.remainders, rec.steps) if not step.identity}
+        limit = cfrac.ELEMENT_LIMIT
+        assert emb.elements and emb.cycles
+        assert all(_short(FieldElement(mp, nums, den), limit) for nums, den in emb.elements)
+        assert all(_short(c, limit) for cycles in emb.cycles.values() for rem in cycles for c in rem.components)
+        assert all(entry[1] is not None for entry in emb.elements.values())
+        assert set(emb.elements) <= pivots
 
     def test_stored_entries_are_the_kernels_and_never_change(self):
         """Every entry equals a fresh computation of (ord, digit), inverse

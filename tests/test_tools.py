@@ -284,7 +284,8 @@ def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, diff
     out = tmp_path / "BENCH_t.json"
     argv = [str(parent), str(change), "--workload", "convergents", "--seed", "11", "--pairs", "4", "--out", str(out)]
     assert pairs.main(argv) == int(differ)
-    assert calls == [parent, change, change, parent] * 2 + [parent, change]
+    # four untraced pairs, then three traced passes per side in the same alternation
+    assert calls == [parent, change, change, parent] * 3 + [parent, change]
     doc = json.loads(out.read_text())
     assert (doc["workload"], doc["seed"], doc["outputs_match"]) == ("convergents", 11, not differ)
     assert [row["first"] for row in doc["pairs"]] == ["parent", "change"] * 2
@@ -306,14 +307,16 @@ def test_pairs_out_keeps_metrics_and_digests(monkeypatch, tmp_path, capsys, diff
     assert ("the outputs differ" in printed.err) is differ
 
 
-def test_pairs_out_keeps_one_traced_pass_per_side(monkeypatch, tmp_path):
-    """``--out`` runs one traced pass per side after the untraced pairs and
-    writes both sides' per-layer self times, scaled by the traced pass's
-    own probes, and call counts; without ``--out`` nothing runs traced."""
+def test_pairs_out_keeps_the_median_of_three_traced_passes_per_side(monkeypatch, tmp_path):
+    """``--out`` runs three traced passes per side after the untraced
+    pairs, the side that runs first alternating, and writes both sides'
+    per-layer self times, each pass scaled by its own probes and the median
+    of the three kept, and call counts; without ``--out`` nothing runs
+    traced."""
     pairs = _load_pairs()
     ref = pairs.PROBE_REF_S
     parent, change = tmp_path / "parent", tmp_path / "change"
-    ord_s = {parent: 0.19, change: 0.04}
+    ord_s = {parent: [0.19, 0.31, 0.17], change: [0.04, 0.02, 0.09]}  # medians 0.19 and 0.04
     calls = []
 
     def fake_pass(checkout, workload, seed, traced=False):
@@ -321,7 +324,8 @@ def test_pairs_out_keeps_one_traced_pass_per_side(monkeypatch, tmp_path):
         data = {"probes": [ref], "pass_s": 1.0 + ref, "lat": [1e-3], "rss_mb": 20.0, "errors": [], "output": []}
         if traced:
             data["probes"] = [ref / 2] if checkout == change else [ref]  # the change's times are doubled
-            data["trace"] = {"self_s": {"hensel.Embedding.ord": ord_s[checkout], "cfrac.h_map": 0.02},
+            k = sum(c == (checkout, True) for c in calls) - 1
+            data["trace"] = {"self_s": {"hensel.Embedding.ord": ord_s[checkout][k], "cfrac.h_map": 0.02},
                              "calls": {"hensel.Embedding.ord": 3784}, "total_s": {}, "spans": 9}
         return data
 
@@ -330,14 +334,38 @@ def test_pairs_out_keeps_one_traced_pass_per_side(monkeypatch, tmp_path):
     argv = [str(parent), str(change), "--workload", "convergents", "--seed", "11", "--pairs", "2"]
     assert pairs.main(argv + ["--out", str(out)]) == 0
     assert calls == [(parent, False), (change, False), (change, False), (parent, False),
-                     (parent, True), (change, True)]
+                     (parent, True), (change, True), (change, True), (parent, True), (parent, True), (change, True)]
     trace = json.loads(out.read_text())["trace"]
-    assert trace == {side: {"self_s": {"hensel.Embedding.ord": ord_s[path] * k, "cfrac.h_map": 0.02 * k},
+    assert trace == {side: {"self_s": {"hensel.Embedding.ord": pytest.approx(median * k), "cfrac.h_map": 0.02 * k},
                             "calls": {"hensel.Embedding.ord": 3784}}
-                     for side, path, k in (("parent", parent, 1), ("change", change, 2))}
+                     for side, median, k in (("parent", 0.19, 1), ("change", 0.04, 2))}
     calls.clear()
     assert pairs.main(argv) == 0
     assert all(not traced for _, traced in calls) and len(calls) == 4
+
+
+def test_pairs_exits_1_when_traced_passes_count_different_calls(monkeypatch, tmp_path, capsys):
+    """A side whose traced passes count different calls has no one count to
+    write: the run still writes its file, names the side and exits 1."""
+    pairs = _load_pairs()
+    ref = pairs.PROBE_REF_S
+    change = tmp_path / "change"
+    traced_runs = []
+
+    def fake_pass(checkout, workload, seed, traced=False):
+        data = {"probes": [ref], "pass_s": 1.0 + ref, "lat": [1e-3], "rss_mb": 20.0, "errors": [], "output": []}
+        if traced:
+            traced_runs.append(checkout)
+            n = 7 + (checkout == change and traced_runs.count(change) == 3)
+            data["trace"] = {"self_s": {"cfrac.h_map": 0.02}, "calls": {"cfrac.h_map": n}, "total_s": {}, "spans": n}
+        return data
+
+    monkeypatch.setattr(pairs, "run_pass", fake_pass)
+    out = tmp_path / "BENCH_t.json"
+    argv = [str(tmp_path / "parent"), str(change), "--workload", "convergents", "--seed", "11", "--pairs", "1"]
+    assert pairs.main(argv + ["--out", str(out)]) == 1
+    assert "change: the 3 traced passes counted different calls" in capsys.readouterr().err
+    assert json.loads(out.read_text())["trace"]["parent"]["calls"] == {"cfrac.h_map": 7}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

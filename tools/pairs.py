@@ -35,16 +35,18 @@ output (as ``perfbench/golden.py`` digests it), and the summary above,
 with the pooled tails under ``summary.op_tail_ms.pooled`` and each side's
 rate under ``ops_per_s``.
 Equal digests on both sides of every pair show the change left the
-outputs as they were.  After the pairs it runs one traced pass per side
-(``perfbench/onepass.py --spans``, spans to a temporary file) and writes
-both sides' per-layer self times (probe-scaled) and call counts, so the
-file shows which layer moved.  A pass's full output is dropped as soon as its metrics and
-digest are read, and its latencies are kept as one array of scaled
-floats, so this process stays small: a pass's peak RSS counts this
-process's peak at spawn time.
+outputs as they were.  After the pairs it runs three traced passes per
+side (``perfbench/onepass.py --spans``, spans to a temporary file), the
+side that runs first alternating as in the pairs, and writes both sides'
+per-layer self times (probe-scaled, the median of the three passes) and
+call counts, so the file shows which layer moved: a single traced
+pass's self times move with host noise.  A pass's full
+output is dropped as soon as its metrics and digest are read, and its
+latencies are kept as one array of scaled floats, so this process stays
+small: a pass's peak RSS counts this process's peak at spawn time.
 
-Exits 1 when a pass fails, reports op errors, or the two sides print
-different outputs.
+Exits 1 when a pass fails, reports op errors, the two sides print
+different outputs, or one side's traced passes count different calls.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ from pathlib import Path
 PROBE_REF_S = 6.2e-4
 TAIL_BEYOND = 10
 METRICS = ("pass_s", "op_p50_ms", "op_tail_ms", "rss_mb")
+TRACED = 3  # traced passes per side behind the per-layer evidence
+
+
+def sides(k: int) -> tuple:
+    """The order the two sides run in round k: the parent first in even
+    rounds, the change first in odd ones."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
 
 
 def run_pass(checkout: Path, workload: str, seed: int, traced: bool = False) -> dict:
@@ -149,6 +158,22 @@ def layers(data: dict) -> dict:
             "calls": data["trace"]["calls"]}
 
 
+def traced_layers(paths: dict, workload: str, seed: int) -> tuple:
+    """Each side's per-layer evidence from ``TRACED`` traced passes, in
+    :func:`sides` order: per layer, the median of the passes' probe-scaled
+    self times, and the call counts.  Returns that and the sides whose
+    passes counted different calls."""
+    runs = {name: [] for name in paths}
+    for k in range(TRACED):
+        for name in sides(k):
+            runs[name].append(layers(run_pass(paths[name], workload, seed, traced=True)))
+    trace = {name: {"self_s": {layer: statistics.median(one["self_s"].get(layer, 0.0) for one in passes)
+                               for layer in passes[0]["self_s"]},
+                    "calls": passes[0]["calls"]}
+             for name, passes in runs.items()}
+    return trace, [name for name, passes in runs.items() if any(one["calls"] != passes[0]["calls"] for one in passes)]
+
+
 def quartiles(xs) -> tuple:
     """(lower quartile, median, upper quartile)."""
     if len(xs) < 2:
@@ -182,8 +207,7 @@ def summarize(pairs) -> dict:
 def evidence(workload: str, seed: int, rows, pooled, rates, trace) -> dict:
     """The ``--out`` document over rows of (side run first, parent
     :func:`kept`, change :func:`kept`), each side's :func:`pooled_tail`
-    and :func:`ops_per_s` and, per side, the :func:`layers` of its traced
-    pass."""
+    and :func:`ops_per_s` and, per side, its :func:`traced_layers`."""
     summary = summarize([(old, new) for _, old, new in rows])
     summary["op_tail_ms"]["pooled"] = pooled
     return {
@@ -221,7 +245,7 @@ def main(argv=None) -> int:
     times = {name: [] for name in paths}
     print("pair first   " + "  ".join(f"{m:>11} {m:>11}" for m in METRICS))
     for k in range(args.pairs):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        order = sides(k)
         got = {}
         for name in order:
             data = run_pass(paths[name], args.workload, args.seed)
@@ -239,8 +263,10 @@ def main(argv=None) -> int:
             bad = True
         rows.append((first, old, new))
         print(f"{k:4d} {first:6} " + "  ".join(f"{old[m]:11.4f} {new[m]:11.4f}" for m in METRICS), flush=True)
-    trace = {name: layers(run_pass(paths[name], args.workload, args.seed, traced=True))
-             for name in paths} if args.out else None
+    trace, unsteady = traced_layers(paths, args.workload, args.seed) if args.out else (None, [])
+    for name in unsteady:
+        print(f"{name}: the {TRACED} traced passes counted different calls", file=sys.stderr)
+    bad |= bool(unsteady)
     pooled = {name: pooled_tail(lats[name]) for name in paths}
     rates = {name: ops_per_s(len(lats[name][0]), times[name]) for name in paths}
     doc = evidence(args.workload, args.seed, rows, pooled, rates, trace)
