@@ -38,13 +38,18 @@ The pivot goes through the embedding's element memo (``Embedding.elements``,
 filled by ``_element``), so a short pivot met again takes no valuation,
 inverse or multiplication rows; every other component takes its
 valuation directly.
-``g_map``'s finish reduces each unreduced image once; ``h_map``'s reads
-the unit normalizer and the digit head off it, both functions of its
-value, and then reduces once.  ``step_phi3``
-p-reduces the image's own integer rows with their constant column
-carried along (``preduce.reduce_rows``), which yields the next remainder
-and gamma without forming the transformer A; A is built from the step's
-z-part rows only when read (``CMapStep.matrix``).  The recorded
+Each map's one finish function hands its image component, an unreduced
+(nums, den) pair, to the maker its caller passes: ``g_map``'s finish the
+pair as the kernel computed it, ``h_map``'s after reading the unit
+normalizer and the digit head off it, both functions of its value.
+``g_map`` and ``h_map`` pass ``field._reduced``, which reduces each pair
+once, as the finish always did.  ``step_phi3`` passes ``_pair`` and makes
+no field element of the image: it p-reduces the pairs' own integer rows
+with their constant column carried along
+(``preduce.reduce_rows``), which yields the next remainder and gamma
+without forming the transformer A, and removes the rows' content once
+per next component; A is built from the step's z-part rows only when
+read (``CMapStep.matrix``).  The recorded
 parameters stay integers too: each coefficient, shift and gamma entry is
 an int or an unreduced (numerator, denominator) pair, as the map computed
 it, and the step's integer matrix is built from those pairs.  A
@@ -73,7 +78,7 @@ would run, after the zero, recurrence, height and step-limit checks, so
 every classification is computed as before; preperiods and orbits of any
 other ending are not stored.
 
-Both memos of the embedding keep one policy.  A memo admits an element
+The memos of the embedding keep one policy.  A memo admits an element
 only if it is short (``_short``: its denominator and every numerator
 below ``ELEMENT_LIMIT`` in absolute value), since repeats come from the
 small elements of periodic orbits and a tall element seldom recurs.  A
@@ -417,7 +422,7 @@ def _element(emb: Embedding, a: FieldElement) -> list:
     return entry
 
 
-def _component(finish, mp: MinPoly, p: int, eps: int, e: int, om: int, nums: tuple, den: int) -> tuple:
+def _component(finish, make, mp: MinPoly, p: int, eps: int, e: int, om: int, nums: tuple, den: int) -> tuple:
     """``finish`` on the unreduced pair of eps p^e nums/den less om."""
     if e < 0:
         den *= p ** -e
@@ -425,21 +430,32 @@ def _component(finish, mp: MinPoly, p: int, eps: int, e: int, om: int, nums: tup
     else:
         k = eps * p ** e
     if k != 1:
-        nums = tuple(x * k for x in nums)
-    return finish(mp, p, eps, om, (nums[0] - om * den,) + nums[1:], den)
+        nums = tuple([x * k for x in nums])
+    return finish(make, mp, p, eps, om, (nums[0] - om * den,) + nums[1:], den)
 
 
-def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, finish):
-    """The kernel of both fractional maps: (step, F(alpha)) for the
+def _pair(mp: MinPoly, nums: tuple, den: int, bound: int | None = None) -> tuple:
+    """The image component as its unreduced (nums, den) pair: ``step_phi3``'s
+    ``make``, where ``g_map`` and ``h_map`` take ``field._reduced``."""
+    return nums, den
+
+
+def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, finish, make):
+    """The kernel of both fractional maps: (step, image) for the
     digit-subtracting map with pivot j at alpha, each component finished
-    by ``finish``.  A zero pivot yields the identity step and alpha.
+    by ``finish`` and made by ``make``; the image is the tuple of the
+    components, and None for a zero pivot, whose step is the identity.
 
     For each a_i the kernel computes its exponent e, its digit om and the
     unreduced pair (nums, den), den > 0, of eps p^e a_i / a_j less om;
-    then ``finish(mp, p, eps, om, nums, den)`` gives the component's
-    (coefficient, shift, image component).  The pivot goes first, and a
-    one-component vector (s = 1) ends there: its step is built from that
-    one component, with no pass over the others and no product.
+    then ``finish(make, mp, p, eps, om, nums, den)`` gives the component's
+    (coefficient, shift, image component), the component being
+    ``make(mp, nums', den', bound)`` on the finished unreduced pair, with
+    ``bound`` a multiple of every factor nums' and den' can share or None:
+    ``field._reduced`` makes the field element of ``g_map`` and ``h_map``,
+    :func:`_pair` keeps the pair for ``step_phi3``.  The pivot goes first,
+    and a one-component vector (s = 1) ends there: its step is built from
+    that one component, with no pass over the others and no product.
 
     a_j's inverse is taken once, unreduced (``field._inverse_nums``), and
     its multiplication rows serve every other a_i (``field._product_nums``);
@@ -454,15 +470,15 @@ def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, fini
     eye, zero = RationalMatrix.identity(s), (0,) * s
     aj = comps[j - 1]
     if aj.is_zero():
-        return CMapStep(p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
+        return CMapStep(p, j, eps, True, (1,) * s, zero, zero, eye, zero), None
     mp = alpha.minpoly
     pivot = _element(emb, aj)
     (oj, uj), (inv, inv_den) = pivot[0], pivot[1]
     unit = eps * pow(uj, -1, p)
-    own = _component(finish, mp, p, eps, oj, unit % p, inv, inv_den)
+    own = _component(finish, make, mp, p, eps, oj, unit % p, inv, inv_den)
     if s == 1:
         c, w, x = own
-        return CMapStep(p, j, eps, False, (c,), (oj,), (w,), eye, zero), VectorElement((x,))
+        return CMapStep(p, j, eps, False, (c,), (oj,), (w,), eye, zero), (x,)
     if pivot[2] is None:  # the rows, built at the pivot's first product
         pivot[2] = multiplication_rows(mp._int_f, inv)
     prod_den = inv_den * mp._int_f[0] ** (mp.degree - 1)
@@ -471,17 +487,19 @@ def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, fini
         oi, ui = emb.ord_digit(ai)  # a zero a_i has ord inf: e = 0, digit 0
         e = max(oj - oi, 0)
         om = unit * ui % p if oi <= oj else 0
-        parts.append(_component(finish, mp, p, eps, e, om, _product_nums(mp, pivot[2], ai.nums), ai.den * prod_den))
+        parts.append(_component(finish, make, mp, p, eps, e, om,
+                                _product_nums(mp, pivot[2], ai.nums), ai.den * prod_den))
         exps.append(e)
     parts.insert(j - 1, own)
     exps.insert(j - 1, oj)
     coeffs, shifts, image = zip(*parts)
-    return CMapStep(p, j, eps, False, coeffs, tuple(exps), shifts, eye, zero), VectorElement(image)
+    return CMapStep(p, j, eps, False, coeffs, tuple(exps), shifts, eye, zero), image
 
 
-def _g_finish(mp: MinPoly, p: int, eps: int, om: int, nums: tuple, den: int) -> tuple:
-    """g's component: coefficient eps, shift the digit, the image reduced once."""
-    return eps, om, _reduced(mp, nums, den)
+def _g_finish(make, mp: MinPoly, p: int, eps: int, om: int, nums: tuple, den: int) -> tuple:
+    """g's component: coefficient eps, shift the digit, the image made of
+    the pair as it is."""
+    return eps, om, make(mp, nums, den)
 
 
 def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
@@ -497,7 +515,8 @@ def g_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     reduced once, and the step records the ints eps and the digits as its
     coefficients and shifts (:func:`_g_finish`).
     """
-    return _fractional_map(emb, alpha, eps, j, _g_finish)
+    step, image = _fractional_map(emb, alpha, eps, j, _g_finish, _reduced)
+    return step, alpha if image is None else VectorElement(image)
 
 
 def _unit_normalizer(nums: tuple, den: int, p: int) -> tuple:
@@ -524,20 +543,21 @@ def _unit_normalizer(nums: tuple, den: int, p: int) -> tuple:
     return a, c
 
 
-def _h_finish(mp: MinPoly, p: int, eps: int, om: int, nums: tuple, den: int) -> tuple:
+def _h_finish(make, mp: MinPoly, p: int, eps: int, om: int, nums: tuple, den: int) -> tuple:
     """h's component, all read off the kernel's unreduced pair (nums, den).
 
     The unit normalizer a and the head depend only on the value: the
     division by a makes it nums over a den, and the head of nums_0/(a den),
-    a den = p^t u, is (r u)/(a den) for its digits r/p^t.  The image takes
-    that head as its constant numerator and is reduced once.  The
-    coefficient is the pair (eps, a) and the shift the pair
-    (om a den + a (nums_0 - r u), a a den), om/a + (nums_0 - r u)/(a den)
-    for g's integer digit om, neither reduced."""
+    a den = p^t u, is (r u)/(a den) for its digits r/p^t.  The image is
+    made of the pair with that head as its constant numerator, over a den,
+    a c bounding its content.  The coefficient is the pair (eps, a) and
+    the shift the pair (om a den + a (nums_0 - r u), a a den),
+    om/a + (nums_0 - r u)/(a den) for g's integer digit om, neither
+    reduced."""
     a, c = _unit_normalizer(nums, den, p)
     den *= a
     hd = head_num(nums[0], den, p, 0)
-    return (eps, a), (om * den + a * (nums[0] - hd), a * den), _reduced(mp, (hd,) + nums[1:], den, a * c)
+    return (eps, a), (om * den + a * (nums[0] - hd), a * den), make(mp, (hd,) + nums[1:], den, a * c)
 
 
 def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
@@ -548,8 +568,9 @@ def h_map(emb: Embedding, alpha: VectorElement, eps: int, j: int):
     the identity, as in :func:`g_map`.
 
     :func:`_fractional_map` runs it, each component finished by
-    :func:`_h_finish`."""
-    return _fractional_map(emb, alpha, eps, j, _h_finish)
+    :func:`_h_finish` and reduced once."""
+    step, image = _fractional_map(emb, alpha, eps, j, _h_finish, _reduced)
+    return step, alpha if image is None else VectorElement(image)
 
 
 # --- the four step builders --------------------------------------------------
@@ -674,31 +695,34 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     the resulting constant column.  The normalized map is the default;
     ``g_variant`` runs the raw digit-subtracting map instead.
 
-    The step stays on integers: the image's own rows, each component's
-    numerators reversed (its z^s .. z coefficients, then its constant) over
-    its ``den``, already canonical, go through ``preduce.reduce_rows`` with
-    width s, so the constant column c ends as A c with no A formed.  Reduced row r gives
-    both outputs: with num its last entry and d its denominator, gamma_r
-    is the unreduced pair (head - num, d), and the next component is the
-    row's z-part with the head as its constant, over d.  The map's own
+    The step stays on integers from the map to the next remainder: the
+    kernel's image is one unreduced (nums, den) pair per component, and no
+    field element is made of it.  Its rows, each component's numerators
+    reversed (its z^s .. z coefficients, then its constant) over its den,
+    go through ``preduce.reduce_rows`` with width s, so the constant
+    column c ends as A c with no A formed; the rows end in no canonical
+    form.  Reduced row r gives both outputs: with num its last entry and d
+    its denominator, gamma_r is the unreduced pair (head - num, d), and
+    the next component is the row's z-part with the head as its constant,
+    over d, reduced once, the one removal of the row's content.  The map's own
     fresh step is completed in place: it keeps the image's z-part rows
     and gamma, and A (``CMapStep.matrix``) is built from the rows when
     first read.  The z-part is square only for s = degree - 1
     components; any other s raises NonSquare."""
-    s = len(alpha)
-    p = emb.p
-    if alpha.minpoly.degree != s + 1:
-        raise NonSquare(f"phi3 needs degree - 1 components, got {s} over degree {alpha.minpoly.degree}")
-    step, image = (g_map if g_variant else h_map)(emb, alpha, 1, s)
-    comps = image.components
-    rows, dens = [c.nums[::-1] for c in comps], [c.den for c in comps]
-    zparts = tuple(row[:s] for row in rows), tuple(dens)
+    s, p, mp = len(alpha), emb.p, alpha.minpoly
+    if mp.degree != s + 1:
+        raise NonSquare(f"phi3 needs degree - 1 components, got {s} over degree {mp.degree}")
+    step, image = _fractional_map(emb, alpha, 1, s, _g_finish if g_variant else _h_finish, _pair)
+    if image is None:  # the identity step: alpha's own rows
+        image = [(c.nums, c.den) for c in alpha.components]
+    rows, dens = [x[0][::-1] for x in image], [x[1] for x in image]
+    zparts = tuple([row[:s] for row in rows]), tuple(dens)
     reduce_rows(rows, dens, s, p)
     gamma, nxt = [], []
     for row, d in zip(rows, dens):
         hd = head_num(row[s], d, p, 0)
         gamma.append((hd - row[s], d))
-        nxt.append(_reduced(alpha.minpoly, (hd,) + row[s - 1::-1], d))
+        nxt.append(_reduced(mp, (hd,) + row[s - 1::-1], d))
     step._matrix, step._gamma = zparts, tuple(gamma)
     return step, VectorElement(nxt)
 

@@ -422,7 +422,7 @@ def _product_nums(mp: MinPoly, rows, nums) -> tuple:
     D^(n-1-j).  One matrix of b_a serves every b_b it multiplies."""
     den, n = mp._int_f[0], mp.degree
     w = nums if den == 1 else [x * den ** (n - 1 - j) for j, x in enumerate(nums)]
-    return tuple(sum(map(operator.mul, row, w)) for row in rows)
+    return tuple([sum(map(operator.mul, row, w)) for row in rows])
 
 
 def _reduced(mp: MinPoly, nums: tuple, den: int, bound: int | None = None) -> FieldElement:

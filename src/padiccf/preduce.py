@@ -22,15 +22,18 @@ valuation.  It is computed by row operations that stay inside
 GL(n, Z_p cap Q) (unit scalings, p-integral row additions, swaps), so the
 transformer matrix and its inverse both have p-free denominators and unit
 determinant.  ``reduce_rows`` runs them in place on integer rows, each
-over its own denominator, pivoting in the first ``width`` columns and
-carrying the rest along: a pivot's valuation is read off its numerator
-and denominator, and each row operation is one integer combination
-reduced by one gcd.  ``p_reduce`` is that kernel on [M | I], the right
-half ending as the transformer; the phi3 step runs it on [M | c], the
-image's own rows with its constant column c, which ends as A c without A
-being formed.  The form is unique per row space, which the test suite
-exercises directly, against the ``Fraction`` routine kept in
-``tests/oracles.py``.
+over its own denominator and of any content, pivoting in the first
+``width`` columns and carrying the rest along: a pivot's valuation is read
+off its numerator and denominator, the pivot row is reduced by one gcd,
+and each other row operation is one integer combination that removes no
+content.  So the rows end in no canonical form: each caller removes the
+content where it reads them.  ``p_reduce`` is that kernel on [M | I], the
+right half ending as the transformer, read through
+``RationalMatrix.from_ints``; the phi3 step runs it on [M | c], the map's
+unreduced rows with their constant column c, which ends as A c without A
+being formed, and reduces each row once.  The form is unique per row
+space, which the test suite exercises directly, against the ``Fraction``
+routine kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import operator
 from functools import lru_cache
 
 from .errors import NonSquare
-from .rationals import Q, head_num, qexact, qformat, vp_int
+from .rationals import Q, _vp_pos, head_num, qexact, qformat
 
 
 def canonical(nums: tuple, den: int, bound: int | None = None):
@@ -53,7 +56,7 @@ def canonical(nums: tuple, den: int, bound: int | None = None):
     if den < 0:
         g = -g
     if g != 1:
-        nums = tuple(x // g for x in nums)
+        nums = tuple([x // g for x in nums])  # a list builds a small tuple faster than a generator
         den //= g
     return nums, den
 
@@ -286,47 +289,61 @@ def solve(rows, n: int, singular: str):
 
 def reduce_rows(rows: list, dens: list, width: int, p: int) -> None:
     """The p-reduction's row operations, in place, on integer rows
-    ``rows[i]`` (tuples) over ``dens[i]`` > 0: pivots are taken in the
-    first ``width`` columns only, and the later columns ride along, so they
-    end as A times their input for the transformer A of the first
-    ``width``.
+    ``rows[i]`` (tuples) over ``dens[i]`` > 0, of any content: pivots are
+    taken in the first ``width`` columns only, and the later columns ride
+    along, so they end as A times their input for the transformer A of
+    the first ``width``.
 
-    Pivot choice per column: among nonzero candidates at or below the
-    cursor row, the least row index attaining the maximal p-adic absolute
-    value (minimal valuation).  Below-pivot entries are eliminated fully;
-    above-pivot entries lose only the digit tail from the pivot's valuation
-    upward.  The pivot row is scaled to put p^v on the pivot, and clearing
+    Pivot choice per column, found in one pass: among nonzero candidates at
+    or below the cursor row, the least row index attaining the maximal
+    p-adic absolute value (minimal valuation).  Below-pivot entries are
+    eliminated fully; above-pivot entries lose only the digit tail from the
+    pivot's valuation upward.  The pivot row is scaled to put p^v on the
+    pivot and reduced by one gcd, as it enters every other row; clearing
     c/d from row i against the pivot row T/d_T (whose pivot entry is
-    T_k = p^v d_T) is the one combination (R_i T_k - c T) / (d T_k),
-    reduced by one gcd, so a row that any operation touches ends
-    canonical.
+    T_k = p^v d_T) is the one combination (R_i T_k - c T) / (d T_k), c and
+    T_k first divided by their gcd, and removes no content.
+
+    So the rows end holding the values of the normal form, each over a
+    positive denominator, but not canonical: a caller removes the content
+    where it reads them, ``p_reduce`` through ``RationalMatrix.from_ints``
+    and the phi3 step once per next component.
     """
     n = len(rows)
     k1 = 0
     for k2 in range(width):
-        cands = [(vp_int(rows[i][k2], p) - vp_int(dens[i], p), i) for i in range(k1, n) if rows[i][k2]]
-        if not cands:
+        best = m = None
+        for i in range(k1, n):
+            x = rows[i][k2]
+            if x:
+                v = _vp_pos(x, p) - _vp_pos(dens[i], p)
+                if m is None or v < best:
+                    best, m = v, i
+        if m is None:
             continue
-        best, m = min(cands)
-        rows[k1], rows[m] = rows[m], rows[k1]
-        dens[k1], dens[m] = dens[m], dens[k1]
+        top, a = rows[m], rows[m][k2]
+        rows[m], dens[m] = rows[k1], dens[k1]
         # the pivot row times p^best / pivot: T / a with a = pivot / p^best
-        top, a = rows[k1], rows[k1][k2]
         if best >= 0:
-            top = tuple(x * p ** best for x in top)
+            q = p ** best
+            top = tuple([x * q for x in top])
         else:
             a *= p ** -best
-        rows[k1], dens[k1] = canonical(top, a)
-        top = rows[k1]
+        rows[k1], dens[k1] = top, a = canonical(top, a)
         tk = top[k2]
         for i in range(n):
-            c = rows[i][k2]
-            if i < k1 and c:
+            row = rows[i]
+            c = row[k2]
+            if not c or i == k1:
+                continue
+            if i < k1:
                 c -= head_num(c, dens[i], p, best - 1)
-            if c and i != k1:
-                g = math.gcd(c, tk)
-                f, c = tk // g, c // g
-                rows[i], dens[i] = canonical(tuple(f * x - c * y for x, y in zip(rows[i], top)), dens[i] * f)
+                if not c:
+                    continue
+            g = math.gcd(c, tk)
+            f, c = tk // g, c // g
+            rows[i] = tuple([f * x - c * y for x, y in zip(row, top)])
+            dens[i] *= f
         k1 += 1
 
 

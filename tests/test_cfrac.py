@@ -1195,8 +1195,8 @@ class TestCycleMemo:
         def no_map(*args):
             raise AssertionError("a fractional map ran")
 
-        monkeypatch.setattr(cfrac, "g_map", no_map)
-        monkeypatch.setattr(cfrac, "h_map", no_map)
+        # g_map, h_map and step_phi3 all map through the one kernel
+        monkeypatch.setattr(cfrac, "_fractional_map", no_map)
         again = expand(start, algo, embedding=emb, **kw)
         assert again.to_json() == first.to_json()
 

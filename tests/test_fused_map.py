@@ -22,6 +22,7 @@ from padiccf import cfrac, field, hensel, preduce
 from padiccf.cfrac import g_map, h_map
 from padiccf.field import MinPoly, VectorElement, validate_minpoly
 from padiccf.hensel import Embedding
+from padiccf.preduce import RationalMatrix
 from padiccf.rationals import ORD_INF, Q, ordp
 from oracles import (digit_at, g_map_by_composition, g_map_by_fractions, h_map_by_composition, h_map_by_fractions,
                      omega_by_root)
@@ -187,6 +188,7 @@ def test_one_map_runs_no_canonical_chain(monkeypatch, degree, p, coeffs, fmap):
     emb = Embedding(mp)
     for c in alpha.components:  # lift the root outside the spied call
         emb.ord(c)
+    RationalMatrix.identity(mp.s)  # the steps' shared A, built once per size, outside the spied call
     calls = {"inverse": 0, "mul": 0, "scale": 0, "omega": 0, "canonical": 0}
 
     def spy(name, fn):
@@ -208,6 +210,47 @@ def test_one_map_runs_no_canonical_chain(monkeypatch, degree, p, coeffs, fmap):
     assert not step.identity and len(image) == mp.s == degree - 1
     assert {k: v for k, v in calls.items() if k != "canonical"} == {"inverse": 0, "mul": 0, "scale": 0, "omega": 0}
     assert 1 <= calls["canonical"] <= mp.s
+
+
+@pytest.mark.parametrize("degree,p,coeffs", [(3, 2, (1, 1, 2)), (5, 3, (0, 0, 0, 1, 3))])
+@pytest.mark.parametrize("g_variant", [False, True], ids=["h", "g"])
+def test_one_phi3_step_stays_on_integer_rows(monkeypatch, degree, p, coeffs, g_variant):
+    """One phi3 step at degree 3 and at degree 5 makes no field element or
+    vector of the map's image: the map's unreduced pairs go to
+    ``reduce_rows`` as they are, and the only elements built are the next
+    components, one ``_reduced`` each.  The step and next remainder equal
+    a fresh embedding's, which ``TestPhi3AgainstFractionOracle`` checks
+    against the ``Fraction`` oracle."""
+    mp = field_of(p, coeffs)
+    z = mp.gen()
+    alpha = VectorElement([z ** i * Q(i + 2, p ** i * 5) + Q(i, 7) for i in range(1, mp.s + 1)])
+    want_step, want_next = cfrac.step_phi3(Embedding(mp), alpha, g_variant=g_variant)
+    emb = Embedding(mp)
+    for c in alpha.components:  # lift the root outside the spied call
+        emb.ord(c)
+    calls = {"element": 0, "vector": 0, "reduced": 0}
+    real_element, real_vector = field.FieldElement.__init__, field.VectorElement.__init__
+
+    def element(self, *args):
+        calls["element"] += 1
+        real_element(self, *args)
+
+    def vector(self, *args):
+        calls["vector"] += 1
+        real_vector(self, *args)
+
+    def reduced(*args):
+        calls["reduced"] += 1
+        return field._reduced(*args)
+
+    monkeypatch.setattr(field.FieldElement, "__init__", element)
+    monkeypatch.setattr(field.VectorElement, "__init__", vector)
+    monkeypatch.setattr(cfrac, "_reduced", reduced)
+    step, nxt = cfrac.step_phi3(emb, alpha, g_variant=g_variant)
+    monkeypatch.undo()
+    assert not step.identity and len(nxt) == mp.s == degree - 1
+    assert calls == {"element": mp.s, "vector": 1, "reduced": mp.s}
+    assert step.to_json() == want_step.to_json() and nxt == want_next
 
 
 # --- one component: the pivot alone -------------------------------------------

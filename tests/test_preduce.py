@@ -175,11 +175,10 @@ class TestAgainstFractionOracle:
         m = RationalMatrix(rows)
         assert p_reduce(m, p) == p_reduce_by_fractions(m, p)
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_ride_along_columns_end_as_transformer_times_them(self, data):
-        """``reduce_rows`` on [M | B] with width n gives [M' | A B] for the
-        (M', A) of the Fraction routine, whatever the k >= 0 columns B."""
+    @staticmethod
+    def augmented(data):
+        """(p, M, B, [M' | A B]): an n x n M, n x k ride-along columns B,
+        and the rows the Fraction routine's (M', A) make of them."""
         p = data.draw(st.sampled_from([2, 3, 5]))
         n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
         dens = [d for d in range(1, 12) if d % p]
@@ -189,14 +188,41 @@ class TestAgainstFractionOracle:
         b = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
         if data.draw(st.booleans()):
             m[-1] = [c * 3 for c in m[0]]  # a singular M
-        full = RationalMatrix([mr + br for mr, br in zip(m, b)])
-        rows, row_dens = list(full.nums), list(full.dens)
-        reduce_rows(rows, row_dens, n, p)
         reduced, a = p_reduce_by_fractions(RationalMatrix(m), p)
         a = a.entries
         ab = [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(k)] for i in range(n)]
-        assert RationalMatrix.from_ints(rows, row_dens) == RationalMatrix(
-            [list(r) + abr for r, abr in zip(reduced.entries, ab)])
+        return p, m, b, RationalMatrix([list(r) + abr for r, abr in zip(reduced.entries, ab)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_ride_along_columns_end_as_transformer_times_them(self, data):
+        """``reduce_rows`` on [M | B] with width n gives [M' | A B] for the
+        (M', A) of the Fraction routine, whatever the k >= 0 columns B."""
+        p, m, b, want = self.augmented(data)
+        full = RationalMatrix([mr + br for mr, br in zip(m, b)])
+        rows, row_dens = list(full.nums), list(full.dens)
+        reduce_rows(rows, row_dens, len(m), p)
+        assert RationalMatrix.from_ints(rows, row_dens) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_of_any_content_end_as_the_fraction_form(self, data):
+        """Rows that carry any positive content, row i's numerators and
+        denominator times k_i (a p-power times a p-free part, up to 2^80),
+        give after ``RationalMatrix.from_ints`` exactly the (M', A B) of the
+        Fraction routine, as the phi3 step's unreduced rows must: the
+        rows' values never depend on their content.  Every denominator
+        ends positive."""
+        p, m, b, want = self.augmented(data)
+        full = RationalMatrix([mr + br for mr, br in zip(m, b)])
+        content = st.builds(lambda e, u: p ** e * u, st.integers(0, 4), st.one_of(st.integers(1, 40),
+                                                                                  st.integers(1, 2 ** 80)))
+        ks = data.draw(st.lists(content, min_size=len(m), max_size=len(m)))
+        rows = [tuple(x * k for x in row) for row, k in zip(full.nums, ks)]
+        row_dens = [d * k for d, k in zip(full.dens, ks)]
+        reduce_rows(rows, row_dens, len(m), p)
+        assert all(d > 0 for d in row_dens)
+        assert RationalMatrix.from_ints(rows, row_dens) == want
 
     def test_oracle_on_worked_example(self):
         blob = json.loads(GOLDEN.read_text())

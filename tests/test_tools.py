@@ -391,3 +391,65 @@ def test_committed_bench_file_shows_equal_outputs(path):
     for row in doc["pairs"]:
         digest = row["parent"]["digest"]
         assert len(digest) == 64 and int(digest, 16) >= 0 and digest == row["change"]["digest"]
+
+
+def _load_legs():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import legs
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    return legs
+
+
+def test_legs_times_one_census_leg_in_each_checkout(tmp_path, capsys):
+    """Two rounds of a real leg, this checkout on both sides: the sides
+    alternate, both emit the same table, and ``--out`` holds each round's
+    CPU seconds and the summary."""
+    legs = _load_legs()
+    out = tmp_path / "legs.json"
+    argv = [str(ROOT), str(ROOT), "--workload", "census_phi3", "--leg", "phi3.d3", "--rounds", "2", "--out", str(out)]
+    assert legs.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["workload"], doc["leg"], doc["seed"], doc["tables_match"]) == ("census_phi3", "phi3.d3", 0, True)
+    assert [r["first"] for r in doc["rounds"]] == ["parent", "change"]
+    assert all(r["parent"] > 0 and r["change"] > 0 for r in doc["rounds"])
+    assert doc["summary"]["won"] + doc["summary"]["lost"] <= 2
+    assert "cpu_s: parent" in capsys.readouterr().out
+
+
+def test_legs_refuses_a_leg_the_workload_lacks(capsys):
+    legs = _load_legs()
+    assert legs.main([str(ROOT), str(ROOT), "--workload", "census_phi3", "--leg", "phi0", "--rounds", "1"]) == 1
+    assert "no census leg 'phi0' in workload 'census_phi3'" in capsys.readouterr().err
+
+
+def test_legs_summary_on_fixed_rounds():
+    legs = _load_legs()
+    rounds = [{"first": "parent", "parent": 2.0, "change": 1.0}, {"first": "change", "parent": 2.0, "change": 1.5},
+              {"first": "parent", "parent": 1.0, "change": 1.0}, {"first": "change", "parent": 1.0, "change": 1.2}]
+    got = legs.summarize(rounds)
+    assert got["parent"] == pytest.approx((1.0, 1.5, 2.0))
+    assert got["change"] == pytest.approx((1.0, 1.1, 1.275))
+    assert got["ratio"] == pytest.approx(0.875)  # the median of 0.5, 0.75, 1.0 and 1.2
+    assert (got["won"], got["lost"]) == (2, 1)
+
+
+@pytest.mark.parametrize("differ", [False, True])
+def test_legs_alternates_sides_and_exits_1_when_tables_differ(monkeypatch, tmp_path, capsys, differ):
+    legs = _load_legs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    calls = []
+
+    def fake_leg(checkout, workload, leg, seed):
+        calls.append((checkout, workload, leg, seed))
+        return {"cpu_s": 1.0 if checkout == parent else 0.8, "table": "b" if differ and checkout == change else "a"}
+
+    monkeypatch.setattr(legs, "run_leg", fake_leg)
+    argv = [str(parent), str(change), "--workload", "census_contrast", "--leg", "phi1", "--seed", "11", "--rounds", "3"]
+    assert legs.main(argv) == int(differ)
+    assert [c[0] for c in calls] == [parent, change, change, parent, parent, change]
+    assert {c[1:] for c in calls} == {("census_contrast", "phi1", 11)}
+    printed = capsys.readouterr()
+    assert "won 3/3, lost 0" in printed.out and "ratio 0.8000" in printed.out
+    assert ("the tables differ" in printed.err) is differ
