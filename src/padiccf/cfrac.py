@@ -59,7 +59,12 @@ test reads a parameter.
 All remainders from index 1 on lie componentwise in pZ_p; remainders are
 compared structurally on their canonical integer numerators and
 denominators, so cycle detection is sound and complete up to the step
-limit.
+limit.  With detection off, a remainder met again in the same expansion
+takes the (step, next remainder) of its first visit from the record and
+runs no map, as the map is a function of the remainder alone; from the
+first recurrence on every remainder recurs.  Such a record holds one step
+object at several indices, so the step's projective matrices, cached on
+the object, are built once per distinct step.
 
 The phi2 lookahead is a branch and bound over the depth-(n+1) tree: it
 visits children in increasing denom_z and maps no remainder whose own
@@ -834,12 +839,15 @@ def expand(
     coefficient height above 10**height_exponent (height exceeded), then
     ``max_steps`` steps taken (step limit).  ``detect_cycles=False``
     disables the recurrence check, which is useful for studying
-    convergents past the first cycle.  The height check reads the plain
-    bound max |x| + den of each component first, which is at least the
-    height; only when it passes 3h bits, so it may exceed 10^h, does the
-    exact ``height_z`` run.  The parameters go through :func:`check_params`
-    before the first step, and ``max_steps`` and ``height_exponent`` must
-    be ints >= 0 (ValueError).  The embedding, when not given, is built
+    convergents past the first cycle; a recurrence then replays its first
+    visit: it takes that visit's step object and next remainder from the
+    record, and the map does not run.  The record may so hold one step
+    object at several indices, whose projective matrices are built once.
+    The height check reads the plain bound max |x| + den of each
+    component first, which is at least the height; only when it passes 3h
+    bits, so it may exceed 10^h, does the exact ``height_z`` run.  The
+    parameters go through :func:`check_params` before the first step, and
+    ``max_steps`` and ``height_exponent`` must be ints >= 0 (ValueError).  The embedding, when not given, is built
     before the first check, so a polynomial without one (HViolation,
     Reducible) is refused even for an orbit that takes no step; a given
     one of another field raises MixedField.
@@ -889,14 +897,18 @@ def expand(
     status = None
     while status is None:
         cur, n = remainders[-1], len(steps)
+        first = seen.setdefault(cur, n)
         if cur.is_zero():
             status = Status("finite", n)
-        elif detect_cycles and (first := seen.setdefault(cur, n)) != n:
+        elif detect_cycles and first != n:
             status = Status("periodic", n, preperiod=first, period=n - first)
         elif exceeds(cur):
             status = Status("height_exceeded", n)
         elif n >= max_steps:
             status = Status("step_limit", n)
+        elif first != n:  # a recurrence replays its first visit
+            steps.append(steps[first])
+            remainders.append(remainders[first + 1])
         else:
             hit = cycles.get(cur) if cycles else None
             step, nxt = advance(cur) if hit is None else hit

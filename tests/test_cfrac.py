@@ -1165,7 +1165,8 @@ class TestCycleMemo:
                 nonlocal hits
                 before = len(calls)
                 shared = expand(vec, algo, embedding=emb, **kw, **more)
-                hits += len(shared.steps) - (len(calls) - before)
+                # a recurrence replays its first visit; only a first visit maps or hits
+                hits += len(set(shared.remainders[:len(shared.steps)])) - (len(calls) - before)
                 fresh = expand(vec, algo, embedding=Embedding(mp), **kw, **more)
                 assert json.dumps(shared.to_json()) == json.dumps(fresh.to_json()), (vec, more)
                 return shared
@@ -1305,6 +1306,47 @@ def _key(a) -> tuple:
     return a.nums, a.den
 
 
+class TestRecurrenceReplay:
+    """With cycle detection off, a remainder met again in the same
+    expansion takes the (step, next remainder) of its first visit from the
+    record, so the step map never runs on it again."""
+
+    @pytest.mark.parametrize("algo", ["phi1", "phi2", "phi3"])
+    def test_a_recurrence_replays_its_first_visit(self, algo, monkeypatch):
+        """Over a cubic, past two more periods than the detecting record:
+        the maps are those of the detecting record, one per distinct
+        remainder stepped from (for phi2, its lookahead trees'), every
+        recurrence's step is its first visit's step object, and from the
+        preperiod on the steps and remainders repeat the detecting record's
+        cycle."""
+        mp, vectors = _memo_case(algo)
+        maps = []
+        real = cfrac._fractional_map
+        monkeypatch.setattr(cfrac, "_fractional_map",
+                            lambda emb, alpha, *a: maps.append(alpha) or real(emb, alpha, *a))
+        for vec in vectors:
+            maps.clear()
+            periodic = expand(vec, algo, max_steps=60, embedding=Embedding(mp))
+            if periodic.status.kind == "periodic":
+                break
+        else:
+            raise AssertionError("no periodic orbit")
+        st, detected = periodic.status, list(maps)
+        maps.clear()
+        rec = expand(vec, algo, max_steps=st.index + 2 * st.period, embedding=Embedding(mp), detect_cycles=False)
+        assert rec.status.kind == "step_limit" and len(rec.steps) == st.index + 2 * st.period
+        assert maps == detected
+        distinct = periodic.remainders[:st.index]
+        if algo == "phi2":
+            assert set(distinct) <= set(maps)
+        else:
+            assert maps == distinct
+        for k, step in enumerate(rec.steps):
+            first = k if k < st.index else st.preperiod + (k - st.preperiod) % st.period
+            assert step is rec.steps[first] and step.to_json() == periodic.steps[first].to_json()
+            assert rec.remainders[k + 1] == periodic.remainders[first + 1]
+
+
 class TestElementMemo:
     """The fractional maps read each short element's (ord, digit), and a
     pivot's inverse and its rows, through ``Embedding.elements``: an entry
@@ -1364,12 +1406,17 @@ class TestElementMemo:
     def test_hits_skip_the_kernels(self, monkeypatch):
         """A second expansion of a vector on the same embedding takes no
         inverse and no valuation for the short pivots the first met; every
-        other component takes its valuation, as it did the first time."""
+        other component takes its valuation, as it did the first time.
+        The orbit recurs within its steps, and a recurrence replays its
+        first visit, so each distinct remainder is mapped once: its tall
+        pivot inverted once, each other component valued once."""
         mp = build_z_set(2, 4)[0]
         vec = _suite_vectors(mp, 4, 1)[0]
         emb = Embedding(mp)
         first = expand(vec, "phi3", embedding=emb, max_steps=12, detect_cycles=False)
-        pivots = [rem.components[-1] for rem in first.remainders[:-1] if not rem.components[-1].is_zero()]
+        mapped = list(dict.fromkeys(first.remainders[:-1]))
+        assert len(mapped) < len(first.steps)
+        pivots = [rem.components[-1] for rem in mapped if not rem.components[-1].is_zero()]
         assert any(_short(a, cfrac.ELEMENT_LIMIT) for a in pivots)
         inverses, valuations = [], []
         real_inv, real_od = cfrac._inverse_nums, Embedding.ord_digit
@@ -1378,8 +1425,7 @@ class TestElementMemo:
         again = expand(vec, "phi3", embedding=emb, max_steps=12, detect_cycles=False)
         assert again.to_json() == first.to_json()
         tall = [a for a in pivots if not _short(a, cfrac.ELEMENT_LIMIT)]
-        others = [c for rem in first.remainders[:-1] if not rem.components[-1].is_zero()
-                  for c in rem.components[:-1]]
+        others = [c for rem in mapped if not rem.components[-1].is_zero() for c in rem.components[:-1]]
         assert inverses == tall
         assert collections.Counter(valuations) == collections.Counter(tall + others)
 

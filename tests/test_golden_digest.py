@@ -3,7 +3,10 @@
 The digests below were recorded before the exact-elimination code behind
 field inverses, valuation caps and step matrices was rewritten; they pin
 the format-1 ``ExpansionRecord`` JSON of a fixed corpus and the CSV of a
-small ``emit_table`` run, so any change to those bytes fails here.  The
+small ``emit_table`` run, so any change to those bytes fails here.
+``phi1_cubic_recurring`` runs ``phi1_cubic_periodic``'s period-3 orbit to
+40 steps with cycle detection off, so its digest pins the steps a
+recurrence replays, on the write path and through ``from_json``.  The
 z-set digests pin every generator and certificate prime of the full z-sets
 at degrees 2-6, one digest for p in {2, 3} and one for p in {5, 7}; between
 them they cover every z-set that reaches factor recombination.
@@ -27,6 +30,7 @@ CORPUS = {
     "phi0_quadratic": (2, [1, 2], [[Q(1, 3), Q(2, 5)]], "phi0", {"max_steps": 40}),
     "phi0_cubic_eps_minus": (3, [0, 1, 3], [[1, 2], [Q(-1, 2), 0, 1]], "phi0", {"eps": -1, "max_steps": 25}),
     "phi1_cubic_periodic": (2, [0, 1, 4], [[0, 1], [0, 0, 1]], "phi1", {}),
+    "phi1_cubic_recurring": (2, [0, 1, 4], [[0, 1], [0, 0, 1]], "phi1", {"max_steps": 40, "detect_cycles": False}),
     "phi1_quadratic_finite": (2, [1, 2], [[Q(2, 3)]], "phi1", {}),
     "phi1_quartic": (3, [0, 0, 1, 3], [[Q(1, 2), 1], [0, Q(-2, 5), 1], [1, 0, 0, Q(1, 7)]], "phi1",
                      {"max_steps": 30}),
@@ -61,6 +65,7 @@ GOLDEN = {
     "phi0_cubic_eps_minus": ("step_limit", "7b4526420411aa778904f7fa0d4e5dca8c653d3626799387deb0694cdcb58b24"),
     "phi0_quadratic": ("step_limit", "5fe35a69f3fa57d3b34cc5b80d6ea6208070714e6b3ecd6b1248cb3f5d30c27b"),
     "phi1_cubic_periodic": ("periodic", "fbb44c2d5d11f33c02df73028cb69e34f4d95046c08ea2552a6c41e9b488e1bb"),
+    "phi1_cubic_recurring": ("step_limit", "e9a74d1984ca1060239ac3a2386ddc750406fa02ccddbdbaa195a9499d53c8fb"),
     "phi1_height_exceeded": ("height_exceeded", "47692efd78093634d686cb05d12e1fdf404eebd7b8a2f61030a1d1b73278cfc1"),
     "phi1_non_integral_minpoly": ("periodic", "a9c3620e1cd106f4e73b4f088c6e1cbacbf736d42efb3f367277690e8e22f2e0"),
     "phi1_quadratic_finite": ("finite", "81c20f4e9963acc0fab81fca1bd8dcaa098d475697fbd5861caa87812ea0ce80"),
