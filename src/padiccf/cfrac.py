@@ -6,7 +6,14 @@ One step of every algorithm has the same split shape: a fractional map F
 evaluated at the current remainder, then an invertible p-integral matrix A
 and a shift vector gamma with entries in pZ_p, giving the next remainder
 T(x) = A F(x) + gamma.  A step records the per-component parameters of F
-(unit factor, p-power exponent, shift) together with A and gamma.
+(unit factor, p-power exponent, shift) together with A and gamma, in one
+representation, on integers: each parameter and gamma entry is an int or
+an unreduced (numerator, denominator) pair, as the map computed it, and A
+is integer rows over their own denominators, the form
+``preduce.reduce_rows`` returns.  The identity and the cyclic shift are
+constant rows per s, and a phi3 A is built from its image's z-part rows
+when first read.  Steps are built from ints and pairs only; a
+``Fraction`` or a ``RationalMatrix`` is a view a reader derives.
 
 Every component of F is a ratio with the pivot coordinate x_j as its
 denominator, so T is projective-linear in (x, 1): a step is one
@@ -15,9 +22,8 @@ T(x) = (M (x, 1))[:s] / (M (x, 1))[s].  Both directions evaluate the same
 way, forward with M and backward with its inverse; a last homogeneous
 coordinate of 0 is the pole of that direction.  The integer matrices are
 derived from the recorded parameters on first use and never serialized.
-A vector of rationals or field elements is evaluated by
-``RationalMatrix.apply`` on (x, 1) and one division by the last
-coordinate.
+A vector of rationals or field elements is evaluated by the dot products
+of the rows with (x, 1) and one division by the last coordinate.
 A convergent replays the inverse steps on one primitive homogeneous
 integer point, from (0, .., 0, 1): each step is s + 1 integer dot products
 and one gcd against the step's scalar lambda (forward times inverse
@@ -49,12 +55,9 @@ with their constant column carried along
 (``preduce.reduce_rows``), which yields the next remainder and gamma
 without forming the transformer A, and removes the rows' content once
 per next component; A is built from the step's z-part rows only when
-read (``CMapStep.matrix``).  The recorded
-parameters stay integers too: each coefficient, shift and gamma entry is
-an int or an unreduced (numerator, denominator) pair, as the map computed
-it, and the step's integer matrix is built from those pairs.  A
-``Fraction`` is made only when a record is written (``to_json``) or a
-test reads a parameter.
+read (``CMapStep.rows``).  The step's projective integer matrix is built
+from the parameter pairs and A's rows, and ``to_json`` formats the same
+integers.
 
 All remainders from index 1 on lie componentwise in pZ_p; remainders are
 compared structurally on their canonical integer numerators and
@@ -128,20 +131,17 @@ def at_least(value, low: int, what: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def shift_matrix(s: int) -> RationalMatrix:
-    """Cyclic shift: (x1, .., xs) -> (x2, .., xs, x1); identity for s = 1."""
-    return RationalMatrix([[int(j == (i + 1) % s) for j in range(s)] for i in range(s)])
-
-
-def _rational(v) -> Q:
-    """A step parameter as a ``Fraction``: an int, an unreduced
-    (numerator, denominator) pair or a rational."""
-    return Q(*v) if type(v) is tuple else Q(v)
+def cyclic_rows(s: int, k: int) -> tuple:
+    """A of the cyclic shift by k, (x_1, .., x_s) -> (x_1+k, .., x_s+k)
+    with indices mod s, as (integer rows, their denominators): the identity
+    for k = 0, and (x2, .., xs, x1) for k = 1."""
+    return tuple(tuple(int(j == (i + k) % s) for j in range(s)) for i in range(s)), (1,) * s
 
 
 def _ratio(v) -> tuple:
-    """A step parameter as an unreduced (numerator, denominator) pair."""
-    return v if type(v) is tuple else (v.numerator, v.denominator)
+    """A step parameter, an int or an unreduced (numerator, denominator)
+    pair, as a pair."""
+    return v if type(v) is tuple else (v, 1)
 
 
 @dataclass(eq=False)
@@ -154,17 +154,20 @@ class CMapStep:
     (pivot component of the anchor is zero) leaves x unchanged.  The
     fractional maps return their own step, with A = I and gamma = 0.
 
-    The step keeps c, w and gamma as the maps computed them, each entry an
-    int (g_map's digit and eps) or an unreduced (numerator, denominator)
-    pair; a ``Fraction`` is taken as well.  ``coeffs``, ``shifts`` and
-    ``gamma`` are uncached ``Fraction`` views, for ``to_json`` and tests.
-    Equality and hashing compare ``to_json()``, the form a record loader
-    compares, so the same step built from ``Fraction``s is equal.
+    The step keeps every parameter on integers, as the maps computed it:
+    c, w and gamma hold ints (g_map's digit and eps) or unreduced
+    (numerator, denominator) pairs, and A is ``rows``, integer rows over
+    their own denominators, the form ``preduce.reduce_rows`` leaves.
+    ``coeffs``, ``shifts``, ``gamma`` and ``matrix`` are derived views
+    (``Fraction``s and a ``RationalMatrix``) for readers and tests; only
+    ``matrix`` is cached.  Equality and hashing compare ``to_json()``, the
+    form a record loader compares, so steps of the same values are equal.
 
-    A is built only when read (``matrix``): a phi3 step is given the
-    z-part rows (integer rows, their denominators) of its image, and its
-    transformer is ``p_reduce`` of those, run on the first read and kept
-    in their place; any other step is given A itself.
+    A fresh map's A is the identity, and phi0 and phi1 take the cyclic
+    shift, both constant rows per s (:func:`cyclic_rows`).  A phi3 step is
+    given the z-part rows (integer rows, their denominators) of its image
+    instead, and its A is ``p_reduce``'s transformer of those, built on the
+    first read of ``rows`` and kept in their place.
     """
 
     p: int
@@ -174,26 +177,33 @@ class CMapStep:
     _coeffs: tuple
     exps: tuple
     _shifts: tuple
-    _matrix: RationalMatrix | tuple
+    _rows: tuple | None
     _gamma: tuple
+    _zparts: tuple | None = None
 
     @property
+    def rows(self) -> tuple:
+        """A as (integer rows, their positive denominators)."""
+        if self._rows is None:
+            a = p_reduce(RationalMatrix.from_ints(*self._zparts), self.p)[1]
+            self._rows, self._zparts = (a.nums, a.dens), None  # A replaces the z-part rows
+        return self._rows
+
+    @cached_property
     def matrix(self) -> RationalMatrix:
-        if not isinstance(self._matrix, RationalMatrix):  # A replaces the rows
-            self._matrix = p_reduce(RationalMatrix.from_ints(*self._matrix), self.p)[1]
-        return self._matrix
+        return RationalMatrix.from_ints(*self.rows)
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(map(_rational, self._coeffs))
+        return tuple(Q(*_ratio(v)) for v in self._coeffs)
 
     @property
     def shifts(self) -> tuple:
-        return tuple(map(_rational, self._shifts))
+        return tuple(Q(*_ratio(v)) for v in self._shifts)
 
     @property
     def gamma(self) -> tuple:
-        return tuple(map(_rational, self._gamma))
+        return tuple(Q(*_ratio(v)) for v in self._gamma)
 
     def __eq__(self, other):
         return self.to_json() == other.to_json() if isinstance(other, CMapStep) else NotImplemented
@@ -210,13 +220,13 @@ class CMapStep:
         With k_i = c_i p^e_i, F(x) ~ (k_i x_i - w_i x_j for i != j,
         k_j - w_j x_j; x_j), so row r of A F + gamma is
         (A_ri k_i for i != j, gamma_r - sum_i A_ri w_i at j, A_rj k_j).
-        The rows are built on integers from the parameter pairs: A over
-        the lcm D of its row denominators, and k, w and gamma over the lcm
+        The rows are built on integers from the parameter pairs: A's rows
+        over the lcm D of their denominators, and k, w and gamma over the lcm
         L of theirs, which scales the whole matrix by D L."""
         s, p = len(self._gamma), self.p
-        a = self.matrix
-        da = math.lcm(*a.dens)
-        rows = [[x * (da // d) for x in row] for row, d in zip(a.nums, a.dens)]
+        a, dens = self.rows
+        da = math.lcm(*dens)
+        rows = [[x * (da // d) for x in row] for row, d in zip(a, dens)]
         k = [(c * p ** e, d) if e >= 0 else (c, d * p ** -e)
              for (c, d), e in zip(map(_ratio, self._coeffs), self.exps)]
         w, g = list(map(_ratio, self._shifts)), list(map(_ratio, self._gamma))
@@ -267,7 +277,7 @@ class CMapStep:
             "coeffs": [qformat(c) for c in self.coeffs],
             "exps": list(self.exps),
             "shifts": [qformat(w) for w in self.shifts],
-            "matrix": self.matrix.to_json(),
+            "matrix": [[qformat(Q(x, d)) for x in row] for row, d in zip(*self.rows)],
             "gamma": [qformat(g) for g in self.gamma],
         }
 
@@ -472,7 +482,7 @@ def _fractional_map(emb: Embedding, alpha: VectorElement, eps: int, j: int, fini
     through the element memo (:func:`_element`, ``Embedding.elements``),
     which returns what those kernels compute."""
     comps, s, p = alpha.components, len(alpha), emb.p
-    eye, zero = RationalMatrix.identity(s), (0,) * s
+    eye, zero = cyclic_rows(s, 0), (0,) * s
     aj = comps[j - 1]
     if aj.is_zero():
         return CMapStep(p, j, eps, True, (1,) * s, zero, zero, eye, zero), None
@@ -588,7 +598,7 @@ def _rotated(step: CMapStep, image: VectorElement):
     comps = image.components
     if len(comps) == 1:
         return step, image
-    step._matrix = shift_matrix(len(comps))
+    step._rows = cyclic_rows(len(comps), 1)
     return step, VectorElement(comps[1:] + comps[:1])
 
 
@@ -662,7 +672,7 @@ def lookahead_phi2(emb: Embedding, alpha: VectorElement, eps: int, n: int, memo:
     only the remainders its predecessor's tree did not reach, and the memo
     stays the size of one tree.  Subtree costs are not kept: a remainder
     seldom recurs at the same depth.  A step holds little of its own:
-    ``h_map`` steps share the cached identity matrix and the zero gamma.
+    ``h_map`` steps share the cached identity rows and the zero gamma.
     """
     at_least(n, 1, "lookahead depth")
     s = len(alpha)
@@ -711,8 +721,8 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
     the next component is the row's z-part with the head as its constant,
     over d, reduced once, the one removal of the row's content.  The map's own
     fresh step is completed in place: it keeps the image's z-part rows
-    and gamma, and A (``CMapStep.matrix``) is built from the rows when
-    first read.  The z-part is square only for s = degree - 1
+    and gamma, and A (``CMapStep.rows``) is built from the z-part rows
+    when first read.  The z-part is square only for s = degree - 1
     components; any other s raises NonSquare."""
     s, p, mp = len(alpha), emb.p, alpha.minpoly
     if mp.degree != s + 1:
@@ -728,7 +738,7 @@ def step_phi3(emb: Embedding, alpha: VectorElement, *, g_variant: bool = False):
         hd = head_num(row[s], d, p, 0)
         gamma.append((hd - row[s], d))
         nxt.append(_reduced(mp, (hd,) + row[s - 1::-1], d))
-    step._matrix, step._gamma = zparts, tuple(gamma)
+    step._rows, step._zparts, step._gamma = None, zparts, tuple(gamma)
     return step, VectorElement(nxt)
 
 
@@ -743,11 +753,12 @@ def _primitive(rows) -> tuple:
 
 def _projective_apply(rows: tuple, x, pole: str):
     """Evaluate a projective integer matrix at x, a VectorElement or a
-    tuple of rationals (no floats) or field elements: multiply (x, 1) by it
-    (``RationalMatrix.apply``) and divide by the last coordinate, once."""
+    tuple of rationals (no floats) or field elements: the dot product of
+    each row with (x, 1), then one division by the last coordinate."""
     if isinstance(x, VectorElement):
         return VectorElement(_projective_apply(rows, x.components, pole))
-    *h, last = RationalMatrix(rows).apply([c if isinstance(c, FieldElement) else qexact(c) for c in x] + [1])
+    x = [c if isinstance(c, FieldElement) else qexact(c) for c in x]
+    *h, last = [sum(map(operator.mul, x, row), row[-1]) for row in rows]  # row[-1] takes the 1
     if not last:
         raise PoleHit(pole)
     inv = QONE / last  # a Fraction or a field element, never a float

@@ -37,16 +37,17 @@ def _cmd_expand(args) -> int:
         max_steps=args.max_steps,
         height_exponent=args.height_exp,
     )
+    # the whole text is formatted before any of it is written, so a value
+    # that cannot be formatted leaves stdout empty
     if args.json:
-        json.dump(rec.to_json(), sys.stdout, indent=2)
-        print()
+        text = json.dumps(rec.to_json(), indent=2)
     else:
         st = rec.status
         extra = f" preperiod={st.preperiod} period={st.period}" if st.kind == "periodic" else ""
-        print(f"status: {st.kind} at step {st.index}{extra}")
-        print(f"steps recorded: {len(rec.steps)} (identity: {rec.identity_steps})")
-        for i, r in enumerate(rec.remainders[: args.show]):
-            print(f"  remainder {i}: {r}")
+        text = "\n".join([f"status: {st.kind} at step {st.index}{extra}",
+                          f"steps recorded: {len(rec.steps)} (identity: {rec.identity_steps})",
+                          *(f"  remainder {i}: {r}" for i, r in enumerate(rec.remainders[: args.show]))])
+    print(text)
     return 0
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 
 from .errors import NonSquare
 from .rationals import Q, _vp_pos, head_num, qexact, qformat
@@ -66,8 +65,7 @@ class RationalMatrix:
     row i is ``nums[i]`` (a tuple of ints) over ``dens[i]`` (an int > 0),
     with the content removed, gcd(den, *nums) = 1, the form of a
     ``FieldElement``.  Equality and hashing compare these fields, and
-    ``entries`` is a derived view as ``Fraction`` rows.  Shared constants
-    such as ``identity(n)`` rely on the immutability."""
+    ``entries`` is a derived view as ``Fraction`` rows."""
 
     __slots__ = ("nums", "dens")
 
@@ -104,11 +102,6 @@ class RationalMatrix:
     @property
     def ncols(self) -> int:
         return len(self.nums[0]) if self.nums else 0
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_ints([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.nums == other.nums and self.dens == other.dens

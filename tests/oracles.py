@@ -391,6 +391,18 @@ def omega_by_root(a):
     return digit_at(element_by_root(a, vp_by_division(a.den, p) + 2), p, 0)
 
 
+def identity_rows(s):
+    """The identity A as a step holds it: integer rows over denominators 1."""
+    return tuple(tuple(int(i == j) for j in range(s)) for i in range(s)), (1,) * s
+
+
+def as_pair(q):
+    """A rational step parameter as the (numerator, denominator) pair a step
+    holds."""
+    q = Fraction(q)
+    return q.numerator, q.denominator
+
+
 def g_map_by_fractions(emb, alpha, eps, j):
     """``g_map`` as the package ran it on ``Fraction`` scalars: each
     component times the rational eps p^e as a field element, less its digit
@@ -398,9 +410,9 @@ def g_map_by_fractions(emb, alpha, eps, j):
     comps = alpha.components
     aj = comps[j - 1]
     s = len(comps)
-    eye, zero = RationalMatrix.identity(s), (Q(0),) * s
+    eye, zero = identity_rows(s), (0,) * s
     if aj.is_zero():
-        return CMapStep(emb.p, j, eps, True, (Q(1),) * s, (0,) * s, zero, eye, zero), alpha
+        return CMapStep(emb.p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
     p = emb.p
     m = emb.ord(aj)
     inv_aj = aj.inverse()
@@ -413,11 +425,11 @@ def g_map_by_fractions(emb, alpha, eps, j):
             oi = emb.ord(ai)
             e = max(m - oi, 0) if oi is not ORD_INF else 0
             val = ai * inv_aj * (Fraction(p) ** e * eps)
-        om = Q(omega_by_root(val))
+        om = omega_by_root(val)
         exps.append(e)
         shifts.append(om)
         image.append(val - om)
-    step = CMapStep(p, j, eps, False, (Q(eps),) * s, tuple(exps), tuple(shifts), eye, zero)
+    step = CMapStep(p, j, eps, False, (eps,) * s, tuple(exps), tuple(shifts), eye, zero)
     return step, VectorElement(image)
 
 
@@ -435,10 +447,10 @@ def h_map_by_fractions(emb, alpha, eps, j):
         scaled = g_img / ap
         c0 = scaled.coeffs[0]
         tl = c0 - head_by_digits(c0, p, 0)
-        coeffs.append(c / ap)
-        shifts.append(w / ap + tl)
+        coeffs.append(as_pair(c / ap))
+        shifts.append(as_pair(w / ap + tl))
         image.append(scaled - tl)
-    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step.gamma)
+    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.rows, g_step._gamma)
     return step, VectorElement(image)
 
 
@@ -454,7 +466,7 @@ def g_map_by_composition(emb, alpha, eps, j):
     comps = alpha.components
     aj = comps[j - 1]
     s = len(comps)
-    eye, zero = RationalMatrix.identity(s), (0,) * s
+    eye, zero = identity_rows(s), (0,) * s
     if aj.is_zero():
         return CMapStep(emb.p, j, eps, True, (1,) * s, zero, zero, eye, zero), alpha
     p = emb.p
@@ -494,7 +506,7 @@ def h_map_by_composition(emb, alpha, eps, j):
         coeffs.append((eps, ap))
         shifts.append((om * den + ap * (nums[0] - hd), ap * den))
         image.append(_reduced(g_img.minpoly, (hd,) + nums[1:], den))
-    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.matrix, g_step._gamma)
+    step = CMapStep(p, j, eps, False, tuple(coeffs), g_step.exps, tuple(shifts), g_step.rows, g_step._gamma)
     return step, VectorElement(image)
 
 
@@ -512,8 +524,9 @@ def step_phi3_by_fractions(emb, alpha, g_variant=False):
     nxt = VectorElement(tuple(
         alpha.minpoly.element((hd,) + row[::-1]) for hd, row in zip(heads, reduced.entries)
     ))
-    gamma = tuple(hd - c for hd, c in zip(heads, consts))
-    return CMapStep(emb.p, s, 1, step.identity, step._coeffs, step.exps, step._shifts, a_mat, gamma), nxt
+    gamma = tuple(as_pair(hd - c) for hd, c in zip(heads, consts))
+    return CMapStep(emb.p, s, 1, step.identity, step._coeffs, step.exps, step._shifts,
+                    (a_mat.nums, a_mat.dens), gamma), nxt
 
 
 # --- Gauss-Jordan and Euclid over Fractions ---------------------------------

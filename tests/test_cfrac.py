@@ -36,11 +36,13 @@ from padiccf.preduce import RationalMatrix
 from padiccf.rationals import ORD_INF, Q, ordp
 from oracles import (
     ClosedFormPole,
+    as_pair,
     brute_phi2_index,
     coeff_matrix,
     forward_step_closed_form,
     gauss_det,
     h_map_by_fractions,
+    identity_rows,
     inverse_step_closed_form,
     is_p_reduced,
     schneider_orbit,
@@ -168,7 +170,7 @@ class TestMapSteps:
                     for j in range(1, s + 1):
                         step, image = fmap(emb, alpha, eps, j)
                         assert (step.p, step.pivot, step.eps) == (p, j, eps)
-                        assert step.matrix == RationalMatrix.identity(s) and not any(step.gamma)
+                        assert step.rows == identity_rows(s) and not any(step.gamma)
                         assert forward_step(step, alpha) == image
                         identities += step.identity
         assert identities
@@ -730,42 +732,46 @@ class TestProjectiveAgainstClosedForm:
 
 class TestStepParameters:
     """A step keeps its parameters as the maps computed them: ints and
-    unreduced (numerator, denominator) pairs.  The ``Fraction`` views,
-    the JSON, the step matrix, equality and hashing read their values."""
+    unreduced (numerator, denominator) pairs, and A as integer rows over
+    their own denominators.  The ``Fraction`` views, the JSON, the step
+    matrix, equality and hashing read their values."""
 
-    MATRIX = RationalMatrix([[Q(1, 3), Q(2)], [Q(0), Q(5, 7)]])
+    ROWS = ((1, 6), (0, 5)), (3, 7)  # A = [[1/3, 2], [0, 5/7]]
 
     def steps(self, identity=False):
         # 6/4, -10/15 and 4/6 unreduced, a negative denominator, a negative
-        # exponent, and an A with row denominators
+        # exponent, and an A with row denominators; then the same values
+        # in lowest terms
         pairs = cfrac.CMapStep(2, 2, -1, identity, ((-6, 4), -1), (3, -2), ((10, -15), 7),
-                               self.MATRIX, ((4, 6), (0, 9)))
-        fracs = cfrac.CMapStep(2, 2, -1, identity, (Q(-3, 2), Q(-1)), (3, -2), (Q(-2, 3), Q(7)),
-                               self.MATRIX, (Q(2, 3), Q(0)))
-        return pairs, fracs
+                               self.ROWS, ((4, 6), (0, 9)))
+        reduced = cfrac.CMapStep(2, 2, -1, identity, ((-3, 2), -1), (3, -2), ((-2, 3), 7),
+                                 self.ROWS, ((2, 3), 0))
+        return pairs, reduced
 
     @pytest.mark.parametrize("identity", [False, True])
-    def test_equal_and_hash_as_the_fraction_step(self, identity):
-        pairs, fracs = self.steps(identity)
-        assert pairs == fracs and hash(pairs) == hash(fracs)
+    def test_equal_and_hash_as_the_reduced_step(self, identity):
+        pairs, reduced = self.steps(identity)
+        assert pairs == reduced and hash(pairs) == hash(reduced)
         assert pairs.coeffs == (Q(-3, 2), Q(-1)) and pairs.gamma == (Q(2, 3), Q(0))
-        other_gamma = cfrac.CMapStep(2, 2, -1, identity, pairs._coeffs, pairs.exps, pairs._shifts, self.MATRIX, (1, 0))
+        assert pairs.matrix == RationalMatrix([[Q(1, 3), 2], [0, Q(5, 7)]])
+        other_gamma = cfrac.CMapStep(2, 2, -1, identity, pairs._coeffs, pairs.exps, pairs._shifts, self.ROWS, (1, 0))
         assert pairs != other_gamma and pairs != self.steps(not identity)[0]
 
     def test_same_json_and_no_cached_view(self):
-        pairs, fracs = self.steps()
-        assert json.dumps(pairs.to_json()) == json.dumps(fracs.to_json())
+        pairs, reduced = self.steps()
+        assert json.dumps(pairs.to_json()) == json.dumps(reduced.to_json())
         assert pairs.to_json()["shifts"] == ["-2/3", "7"]
+        assert pairs.to_json()["matrix"] == [["1/3", "2"], ["0", "5/7"]]
         assert not {"coeffs", "shifts", "gamma"} & set(vars(pairs))
         assert pairs._coeffs == ((-6, 4), -1) and pairs._shifts == ((10, -15), 7)
 
     @pytest.mark.parametrize("identity", [False, True])
     def test_step_matrix_from_pairs(self, identity):
-        pairs, fracs = self.steps(identity)
-        assert pairs.forward_matrix == fracs.forward_matrix
+        pairs, reduced = self.steps(identity)
+        assert pairs.forward_matrix == reduced.forward_matrix
         assert math.gcd(*(c for row in pairs.forward_matrix for c in row)) == 1
         for x in ((Q(1, 5), Q(-3, 2)), (Q(0), Q(7)), (Q(-4), Q(1, 9))):
-            assert forward_step(pairs, x) == forward_step_closed_form(fracs, x)
+            assert forward_step(pairs, x) == forward_step_closed_form(pairs, x)
             assert inverse_step(pairs, forward_step(pairs, x)) == x
 
     @settings(max_examples=60, deadline=None)
@@ -782,20 +788,24 @@ class TestStepParameters:
         def draw(num):
             return tuple(data.draw(param(num)) for _ in range(s))
 
-        def as_fractions(v):
-            return tuple(Q(*c) if type(c) is tuple else Q(c) for c in v)
+        def lowest(v):
+            return tuple(as_pair(Q(*c) if type(c) is tuple else c) for c in v)
+
+        def rows(k):
+            # each row's numerators and denominator times k: the same A
+            return tuple(tuple(x * k for x in row) for row in nums), tuple(d * k for d in dens)
 
         coeffs, shifts, gamma = draw(nonzero), draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
         exps = tuple(data.draw(st.integers(-3, 3)) for _ in range(s))
-        mat = RationalMatrix([[Q(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9))) for _ in range(s)]
-                              for _ in range(s)])
+        nums = [[data.draw(st.integers(-9, 9)) for _ in range(s)] for _ in range(s)]
+        dens = [data.draw(st.integers(1, 9)) for _ in range(s)]
         head = (p, data.draw(st.integers(1, s)), 1, data.draw(st.booleans()))
-        pairs = cfrac.CMapStep(*head, coeffs, exps, shifts, mat, gamma)
-        fracs = cfrac.CMapStep(*head, as_fractions(coeffs), exps, as_fractions(shifts), mat, as_fractions(gamma))
-        assert pairs == fracs and pairs.to_json() == fracs.to_json()
-        assert pairs.forward_matrix == fracs.forward_matrix
+        pairs = cfrac.CMapStep(*head, coeffs, exps, shifts, rows(data.draw(st.integers(1, 6))), gamma)
+        reduced = cfrac.CMapStep(*head, lowest(coeffs), exps, lowest(shifts), rows(1), lowest(gamma))
+        assert pairs == reduced and pairs.to_json() == reduced.to_json()
+        assert pairs.forward_matrix == reduced.forward_matrix
         x = tuple(Q(data.draw(nonzero), data.draw(st.integers(1, 9))) for _ in range(s))
-        assert forward_step(pairs, x) == forward_step_closed_form(fracs, x)
+        assert forward_step(pairs, x) == forward_step_closed_form(pairs, x)
 
     def test_engine_steps_hold_ints_and_pairs(self, k3, emb3):
         z = k3.gen()
@@ -1014,7 +1024,7 @@ class TestIntermediatePole:
     @staticmethod
     def record(kq):
         def step(w):
-            return cfrac.CMapStep(2, 1, 1, False, (Q(1),), (0,), (Q(w),), RationalMatrix([[1]]), (Q(0),))
+            return cfrac.CMapStep(2, 1, 1, False, (1,), (0,), (w,), (((1,),), (1,)), (0,))
 
         steps = [step(2), step(-1), step(1)]
         return ExpansionRecord("phi0", 1, None, False, steps, [kq.vector([Q(0)])] * 4,
@@ -1915,7 +1925,7 @@ class TestRecordJson:
             raise AssertionError("certification ran")
 
         monkeypatch.setattr(polys, "certify", no_certificate)
-        monkeypatch.setattr(polys, "certificate_prime", no_certificate)
+        monkeypatch.setattr(polys, "find_certificate", no_certificate)
         data["minpoly"] = {"p": 2, "coeffs": ["0"] * (MAX_DEGREE - 1) + ["1", "2"], "certificate_prime": 19}
         with pytest.raises(RecordFormatError, match="MAX_DEGREE") as info:
             ExpansionRecord.from_json(data)

@@ -301,6 +301,22 @@ def test_huge_height_exponent_builds_no_giant_cap():
     assert res.stdout.splitlines()[0] == "status: periodic at step 2 preperiod=0 period=2"
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_unprintable_result_exits_2_writing_nothing(mode, capsys):
+    """A first coefficient just below CPython's integer string limit reads,
+    and remainder 1 of its phi0 step lies above it: the command exits 2 and
+    writes no part of its output."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length to strings")
+    elem = json.dumps({"coeffs": [str(10 ** (limit - 300)), "1"]})
+    args = ["expand", "--p", "2", "--minpoly", "1,2", "--elem", elem, "--algo", "phi0", "--max-steps", "1",
+            "--height-exp", "100000", *mode]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_phi2_lookahead_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     from padiccf import cfrac
 

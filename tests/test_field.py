@@ -107,7 +107,7 @@ class TestValidate:
             raise AssertionError("certification ran")
 
         monkeypatch.setattr(polys, "certify", no_certification)
-        monkeypatch.setattr(polys, "certificate_prime", no_certification)
+        monkeypatch.setattr(polys, "find_certificate", no_certification)
         coeffs = [0] * (MAX_DEGREE - 1) + [1, 2]
         with pytest.raises(CapExceeded, match="MAX_DEGREE"):
             validate_minpoly(2, coeffs)

@@ -22,7 +22,6 @@ from padiccf import cfrac, field, hensel, preduce
 from padiccf.cfrac import g_map, h_map
 from padiccf.field import MinPoly, VectorElement, validate_minpoly
 from padiccf.hensel import Embedding
-from padiccf.preduce import RationalMatrix
 from padiccf.rationals import ORD_INF, Q, ordp
 from oracles import (digit_at, g_map_by_composition, g_map_by_fractions, h_map_by_composition, h_map_by_fractions,
                      omega_by_root)
@@ -188,7 +187,6 @@ def test_one_map_runs_no_canonical_chain(monkeypatch, degree, p, coeffs, fmap):
     emb = Embedding(mp)
     for c in alpha.components:  # lift the root outside the spied call
         emb.ord(c)
-    RationalMatrix.identity(mp.s)  # the steps' shared A, built once per size, outside the spied call
     calls = {"inverse": 0, "mul": 0, "scale": 0, "omega": 0, "canonical": 0}
 
     def spy(name, fn):

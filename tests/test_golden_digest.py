@@ -6,7 +6,11 @@ the format-1 ``ExpansionRecord`` JSON of a fixed corpus and the CSV of a
 small ``emit_table`` run, so any change to those bytes fails here.
 ``phi1_cubic_recurring`` runs ``phi1_cubic_periodic``'s period-3 orbit to
 40 steps with cycle detection off, so its digest pins the steps a
-recurrence replays, on the write path and through ``from_json``.  The
+recurrence replays, on the write path and through ``from_json``.
+``phi3_cubic_identity_step`` and ``phi0_cubic_identity_steps`` pin records
+holding identity steps (a zero pivot component): one phi3 step, whose A is
+built from the remainder's own rows, and ten phi0 steps beside the cyclic
+shift.  The
 z-set digests pin every generator and certificate prime of the full z-sets
 at degrees 2-6, one digest for p in {2, 3} and one for p in {5, 7}; between
 them they cover every z-set that reaches factor recombination.
@@ -29,6 +33,7 @@ from padiccf.rationals import Q
 CORPUS = {
     "phi0_quadratic": (2, [1, 2], [[Q(1, 3), Q(2, 5)]], "phi0", {"max_steps": 40}),
     "phi0_cubic_eps_minus": (3, [0, 1, 3], [[1, 2], [Q(-1, 2), 0, 1]], "phi0", {"eps": -1, "max_steps": 25}),
+    "phi0_cubic_identity_steps": (2, [0, 1, 4], [[0], [0, 1]], "phi0", {"max_steps": 20}),
     "phi1_cubic_periodic": (2, [0, 1, 4], [[0, 1], [0, 0, 1]], "phi1", {}),
     "phi1_cubic_recurring": (2, [0, 1, 4], [[0, 1], [0, 0, 1]], "phi1", {"max_steps": 40, "detect_cycles": False}),
     "phi1_quadratic_finite": (2, [1, 2], [[Q(2, 3)]], "phi1", {}),
@@ -37,6 +42,7 @@ CORPUS = {
     "phi2_cubic_lookahead2": (3, [0, 1, 3], [[Q(1, 4), 1], [2, Q(-1, 3), 1]], "phi2",
                               {"lookahead": 2, "max_steps": 30}),
     "phi3_cubic": (2, [0, 1, 4], [[Q(1, 3), 1], [1, Q(1, 5), Q(-1, 2)]], "phi3", {"max_steps": 30}),
+    "phi3_cubic_identity_step": (3, [0, 1, 3], [[0], [1, 1]], "phi3", {"max_steps": 30}),
     "phi3_quartic_fixed_point": (2, [0, 0, 1, 2], [[0, 0, 0, 1], [0, 0, 1], [0, 1]], "phi3", {}),
     "phi3_g_variant": (3, [0, 1, 3], [[Q(2, 7), 1], [Q(1, 2), 0, 1]], "phi3", {"g_variant": True, "max_steps": 25}),
     "phi1_height_exceeded": (2, [0, 1, 4], [[Q(3, 7), Q(1, 5), 1], [Q(-2, 9), 1, Q(4, 11)]], "phi1",
@@ -63,6 +69,7 @@ TABLE_CONFIG = {
 # name -> (status kind, sha256 of the compact sorted-key record JSON)
 GOLDEN = {
     "phi0_cubic_eps_minus": ("step_limit", "7b4526420411aa778904f7fa0d4e5dca8c653d3626799387deb0694cdcb58b24"),
+    "phi0_cubic_identity_steps": ("step_limit", "41846c99b46d3533a0cce71030335f3140b6b85120b97cada4b3f195e851b606"),
     "phi0_quadratic": ("step_limit", "5fe35a69f3fa57d3b34cc5b80d6ea6208070714e6b3ecd6b1248cb3f5d30c27b"),
     "phi1_cubic_periodic": ("periodic", "fbb44c2d5d11f33c02df73028cb69e34f4d95046c08ea2552a6c41e9b488e1bb"),
     "phi1_cubic_recurring": ("step_limit", "e9a74d1984ca1060239ac3a2386ddc750406fa02ccddbdbaa195a9499d53c8fb"),
@@ -72,6 +79,7 @@ GOLDEN = {
     "phi1_quartic": ("height_exceeded", "f39cbcaf8bf362638bc598c45cb66df1c3162df80eb53a99fc86bf50b5c2ad1c"),
     "phi2_cubic_lookahead2": ("periodic", "ee9b5e5b2c1bbcc8d2305e8df267c12e690b067d1cc4092d9b283f6ec9787333"),
     "phi3_cubic": ("periodic", "36a24b57a6d5dd6e4a453726e1fe21c3b493885aa64997db6c9481e79fee8b1b"),
+    "phi3_cubic_identity_step": ("periodic", "abdbf7e46aca44a8be6870fa94e0a50d4dff13e7138b714330a28c5f47f169af"),
     "phi3_g_variant": ("periodic", "fb8d40c1a105a05a9651de5f8fa4af9409ec04bedf028f3ebd9f5af92dc6fca6"),
     "phi3_quartic_fixed_point": ("periodic", "a91669c379b44a808d6c71d3c9f6e46826997afc04cf5758911868871a2b073b"),
 }
@@ -119,6 +127,8 @@ def test_corpus_covers_outcomes_and_algorithms():
     assert {spec[3] for spec in CORPUS.values()} == {"phi0", "phi1", "phi2", "phi3"}
     assert {len(spec[1]) for spec in CORPUS.values()} == {2, 3, 4}
     assert any(Q(c).denominator != 1 for spec in CORPUS.values() for c in spec[1])
+    assert record("phi3_cubic_identity_step").identity_steps == 1
+    assert record("phi0_cubic_identity_steps").identity_steps == 10
 
 
 def test_table_bytes():
