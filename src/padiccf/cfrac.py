@@ -754,9 +754,12 @@ def _primitive(rows) -> tuple:
 def _projective_apply(rows: tuple, x, pole: str):
     """Evaluate a projective integer matrix at x, a VectorElement or a
     tuple of rationals (no floats) or field elements: the dot product of
-    each row with (x, 1), then one division by the last coordinate."""
+    each row with (x, 1), then one division by the last coordinate.  An x
+    whose length is not the matrix's size less one is a ValueError."""
     if isinstance(x, VectorElement):
         return VectorElement(_projective_apply(rows, x.components, pole))
+    if len(x) != len(rows) - 1:
+        raise ValueError(f"shape mismatch: {len(x)} coordinates for a step on {len(rows) - 1}")
     x = [c if isinstance(c, FieldElement) else qexact(c) for c in x]
     *h, last = [sum(map(operator.mul, x, row), row[-1]) for row in rows]  # row[-1] takes the 1
     if not last:
@@ -781,12 +784,15 @@ def inverse_step(step: CMapStep, y):
     whose image is returned in the same form, primitive again.
 
     Raises PoleHit when the pivot coordinate hits the pole of the
-    inverse fractional map.
+    inverse fractional map, and ValueError on a y of the wrong length.
     """
     pole = "inverse map evaluated at its pole"
+    rows = step.inverse_matrix
     if type(y) is not list:
-        return _projective_apply(step.inverse_matrix, y, pole)
-    out = [sum(map(operator.mul, row, y)) for row in step.inverse_matrix]
+        return _projective_apply(rows, y, pole)
+    if len(y) != len(rows):
+        raise ValueError(f"shape mismatch: {len(y)} homogeneous coordinates for a step on {len(rows) - 1}")
+    out = [sum(map(operator.mul, row, y)) for row in rows]
     if not out[-1]:
         raise PoleHit(pole)
     g = math.gcd(step.inverse_scale, *out)

@@ -40,18 +40,17 @@ class MinPoly:
     """Prime p plus the monic defining polynomial, coefficients a1..an.
 
     Instances created through :func:`validate_minpoly`, which
-    :meth:`from_json` goes through too, are proven irreducible and carry
-    the certificate prime (None when no one prime witnesses it).  When
-    the decision proved irreducibility before meeting the certificate,
-    they keep the pending (G, disc(G)) of ``polys.certify`` instead, a
-    pair of ints that pickles, and :attr:`certificate_prime` finds the
-    prime on its first read.  Direct construction skips certification and
+    :meth:`from_json` goes through too, are proven irreducible and keep
+    the pending (G, disc(G)) that ``polys.certify`` returns, a pair of
+    ints that pickles; :attr:`certificate_prime` finds the certificate
+    prime from it on its first read (None when no one prime witnesses
+    irreducibility).  Direct construction skips certification and
     yields plain quotient-ring semantics (used by tests and by the
     degree-1 sentinel).  The polynomial x, coefficients (0,), is that
     sentinel, K = Q, however it is built or loaded.
     """
 
-    __slots__ = ("p", "coeffs", "degree", "s", "is_rational_field", "_key", "_int_f", "_certificate", "_pending")
+    __slots__ = ("p", "coeffs", "degree", "is_rational_field", "_key", "_int_f", "_certificate", "_pending")
 
     def __init__(self, p: int, coeffs):
         self.p = check_prime(p)
@@ -59,8 +58,7 @@ class MinPoly:
         self.degree = len(self.coeffs)
         if self.degree < 1:
             raise ValueError("empty coefficient list")
-        self.s = self.degree - 1 if self.degree >= 2 else 1
-        self._certificate = self._pending = None  # set by validate_minpoly
+        self._certificate = self._pending = None  # validate_minpoly sets _pending
         self.is_rational_field = self.coeffs == (QZERO,)
         self._key = (self.p, self.coeffs)
         # (D, (D a_n, .., D a_1)): the lower coefficients cleared by their lcm D
@@ -69,8 +67,8 @@ class MinPoly:
 
     @property
     def certificate_prime(self):
-        """The certificate prime, found on the first read when the
-        decision stopped at a proof before meeting it."""
+        """The certificate prime, found from the pending pair on the
+        first read (``polys.find_certificate``)."""
         if self._pending:
             self._certificate, self._pending = polys.find_certificate(*self._pending, self.p), None
         return self._certificate
@@ -206,17 +204,16 @@ def validate_minpoly(p: int, coeffs) -> MinPoly:
     admissibility clauses (p-integral coefficients, unit x^1
     coefficient, non-unit constant term), then makes the irreducibility
     decision with one call to :func:`polys.certify`, which raises
-    Reducible (or CapExceeded) and stops at the first proof.  The
-    certificate prime is None when the polynomial is proven irreducible
-    without a one-prime witness.  When the proof came before the
-    certificate, the certificate is found on its first read
-    (:attr:`MinPoly.certificate_prime`), as when a record or z-set JSON
-    is written.
+    Reducible (or CapExceeded) and stops at the first proof.  The pair
+    (G, disc(G)) it returns is kept pending, and the certificate prime is
+    found from it on its first read (:attr:`MinPoly.certificate_prime`),
+    as when a record or z-set JSON is written; it is None when the
+    polynomial is proven irreducible without a one-prime witness.
     """
     mp = MinPoly(p, coeffs)
     check_degree(mp.degree)
     check_admissible(mp)
-    mp._certificate, mp._pending = polys.certify(mp.ascending(), mp.p)
+    mp._pending = polys.certify(mp.ascending(), mp.p)
     return mp
 
 
@@ -521,10 +518,6 @@ class VectorElement:
     @property
     def minpoly(self) -> MinPoly:
         return self.components[0].minpoly
-
-    @property
-    def s(self) -> int:
-        return self.minpoly.s
 
     def __len__(self):
         return len(self.components)

@@ -3,18 +3,16 @@
 The admissibility clauses of the defining polynomial guarantee a unique
 root in pZ_p with unit derivative; Newton iteration (the one of
 ``polys.newton_lift``, shared with the rational-root test) lifts it to any
-requested precision.  Valuations, digits and digit heads of arbitrary
-field elements are then exact integer computations against that residue:
+requested precision.  Valuations and digits of arbitrary field
+elements are then exact integer computations against that residue:
 for a = (1/d) * sum(b_i z^i), stored as its integer numerators b_i over
 d, evaluate the integer combination at the residue modulo a suitable
-power of p, and shift by the valuation of d.  Digits and heads take that
-residue through ``rationals.head_num``, the package's one digit-head
-routine.  ``ord_digit`` reads a valuation and the unit digit together off
-the one residue the valuation is found from, which is how the fractional
-maps take their digits without evaluating an image at the root.
-``omega`` and ``head`` stay the public digit API, for callers and the
-tests that read an element's digits; the engine itself reads
-``ord_digit``.
+power of p, and shift by the valuation of d.  ``ord_digit`` reads a
+valuation and the unit digit together off the one residue the valuation
+is found from, which is how the fractional maps take their digits without
+evaluating an image at the root; the engine reads no other digit.
+``omega``, the digit c0, takes its residue through ``rationals.head_num``,
+the package's one digit-head routine.
 
 ``Embedding`` is the workhorse used by the expansion engine; it keeps one
 residue, an int, and lifts it again from scratch whenever a computation
@@ -38,7 +36,7 @@ from __future__ import annotations
 from .errors import CapExceeded, NotPrimitive, PrecisionCapExceeded, Reducible
 from .field import FieldElement, MinPoly, VectorElement, _inverse_nums, check_admissible, element_minpoly, failed_clause
 from .polys import newton_lift
-from .rationals import ORD_INF, Q, head_num, ordp, vp_int
+from .rationals import ORD_INF, head_num, ordp, vp_int
 
 
 def hensel_lift(minpoly: MinPoly, m: int) -> int:
@@ -179,26 +177,16 @@ class Embedding:
         n = self.minpoly.degree
         return ((n - 1) * f_bits + n * b_bits) // (2 * (self.p.bit_length() - 1)) + 1
 
-    def _head_num(self, a: FieldElement, m: int) -> int:
-        """The head of ``a`` up to index m as a numerator over a.den, by
-        :func:`rationals.head_num` on the residue of the numerators at the
-        root modulo p^(m + v_p(den) + 1), the precision the head needs (p^0
-        when m < -v_p(den), where the head is 0).  A rational element
+    def omega(self, a: FieldElement) -> int:
+        """Digit c0 of the expansion of ``a``, as an int: the floor of its
+        head at index 0, by :func:`rationals.head_num` on the residue of
+        the numerators at the root modulo p^(v_p(den) + 1), the precision
+        that head needs; 0 for the zero element.  A rational element
         passes its constant numerator, so the degree-1 sentinel never
         lifts."""
         nums, den, p = a.nums, a.den, self.p
-        t = vp_int(den, p)
-        r = self._combination_mod(nums, max(m + t + 1, 0)) if any(nums[1:]) else nums[0]
-        return head_num(r, den, p, m)
-
-    def omega(self, a: FieldElement) -> int:
-        """Digit c0 of the expansion of ``a``, as an int: the floor of its
-        head at index 0; 0 for the zero element."""
-        return self._head_num(a, 0) // a.den
-
-    def head(self, a: FieldElement, m: int = 0):
-        """Digit head up to index m as an exact rational."""
-        return Q(self._head_num(a, m), a.den)
+        r = self._combination_mod(nums, vp_int(den, p) + 1) if any(nums[1:]) else nums[0]
+        return head_num(r, den, p, 0) // den
 
     def t_b(self, a: FieldElement) -> FieldElement:
         """One digit-stripping step: p^ord(a)/a minus its unit digit, which

@@ -45,11 +45,11 @@ determinant (the norm of G' in Q[z]/(G), from
 6. **budget**: recombination examines at most ``RECOMBINATION_TRIES``
    subsets and raises ``CapExceeded`` past that.
 
-:func:`certify` returns the decision with the *certificate prime*, the
-first witness among the tries, or None when there is none, as soon as
-the decision meets it.  When a proof came first, the certificate is
-found when it is read: :func:`find_certificate` runs the same prime
-sequence, and the memo answers for the patterns the decision computed.
+:func:`certify` returns (G, disc(G)) whichever proof ended the
+decision.  The *certificate prime*, the first witness among the tries or
+None when there is none, is found from that pair when it is read:
+:func:`find_certificate` runs the same prime sequence, and the memo
+answers for the patterns the decision computed.
 :func:`certificate_prime` (the certificate or None) and
 :func:`is_irreducible_exact` (the decision as a bool, no certificate)
 are views of :func:`certify`.  Past the monic form, which clears f's
@@ -294,13 +294,10 @@ def certify(f: Poly, p):
     """Decide the irreducibility of f, of degree >= 1, over Q.
 
     Builds the monic integer form G and disc(G) once and runs the stages
-    of the module docstring in order, up to the first proof.  Returns
-    (q, None) when the decision settled the certificate prime q: it met
-    the first witness, or tried CERTIFICATE_TRIES primes without one (q is
-    None).  Returns (None, (G, disc)) when a proof came before any
-    witness; the certificate is then ``find_certificate(G, disc, p)``.
-    Raises Reducible when f factors over Q, and CapExceeded past
-    RECOMBINATION_TRIES subsets.
+    of the module docstring in order, up to the first proof, and returns
+    (G, disc), from which ``find_certificate(G, disc, p)`` reads the
+    certificate prime.  Raises Reducible when f factors over Q, and
+    CapExceeded past RECOMBINATION_TRIES subsets.
     """
     G, _, disc = _monic_form(ptrim(f))
     n = pdeg(G)
@@ -312,7 +309,7 @@ def certify(f: Poly, p):
     patterns = {}
     for q, pattern in _patterns(G, disc, p) if left else ():
         if pattern == (n,):
-            return q, None
+            return G, disc
         patterns[q] = pattern
         sums = 1
         for k in pattern:
@@ -320,12 +317,11 @@ def certify(f: Poly, p):
         left &= sums
         if not left:
             break
-    if not left:
-        return None, (G, disc)
-    q = min((q for q in patterns if q % 2), key=lambda q: len(patterns[q]))
-    if not _recombine(G, q, {k for k in range(n) if left >> k & 1}):
-        raise Reducible("polynomial factors over Q")
-    return None, None
+    if left:
+        q = min((q for q in patterns if q % 2), key=lambda q: len(patterns[q]))
+        if not _recombine(G, q, {k for k in range(n) if left >> k & 1}):
+            raise Reducible("polynomial factors over Q")
+    return G, disc
 
 
 def find_certificate(G, disc, p):
@@ -345,10 +341,10 @@ def certificate_prime(f: Poly, p):
     if pdeg(f) < 1:
         return None
     try:
-        q, pending = certify(f, p)
+        G, disc = certify(f, p)
     except (Reducible, CapExceeded):
         return None
-    return find_certificate(*pending, p) if pending else q
+    return find_certificate(G, disc, p)
 
 
 def is_irreducible_exact(f: Poly) -> bool:

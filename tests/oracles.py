@@ -375,7 +375,7 @@ def coeff_matrix(vec):
     """(M, M') with row i the coefficients of component i in descending
     power order z^s, ..., z, 1, as its ``nums`` over its ``den``; M' keeps
     the first s columns."""
-    s = vec.s
+    s = max(vec.minpoly.degree - 1, 1)
     pad = (0,) * (s + 1 - vec.minpoly.degree)  # one for the degree-1 sentinel
     rows = [(comp.nums + pad)[::-1] for comp in vec.components]
     dens = [comp.den for comp in vec.components]
@@ -389,6 +389,16 @@ def omega_by_root(a):
         return 0
     p = a.minpoly.p
     return digit_at(element_by_root(a, vp_by_division(a.den, p) + 2), p, 0)
+
+
+def head_by_root(a, m=0):
+    """Head of a field element up to index m as a Fraction, read off a
+    rational congruent to it at the embedded root (:func:`element_by_root`)
+    two digits past index m."""
+    if a.is_zero():
+        return Fraction(0)
+    p = a.minpoly.p
+    return head_by_digits(element_by_root(a, max(m, 0) + vp_by_division(a.den, p) + 2), p, m)
 
 
 def identity_rows(s):

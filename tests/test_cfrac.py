@@ -157,7 +157,7 @@ class TestMapSteps:
     def test_forward_step_is_image(self, p, coeffs, rng):
         mp = validate_minpoly(p, coeffs)
         emb = Embedding(mp)
-        s = mp.s
+        s = mp.degree - 1
         identities = 0
         for trial in range(12):
             comps = [mp.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(mp.degree)])
@@ -636,6 +636,21 @@ class TestInverse:
         step, _ = step_phi1(emb2, k2.vector([k2.gen()]), 1)
         with pytest.raises(PoleHit):
             forward_step(step, (Q(0),))
+
+    @pytest.mark.parametrize("fn", [forward_step, inverse_step], ids=["forward", "inverse"])
+    @pytest.mark.parametrize("kind", ["tuple", "vector", "list"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_wrong_length_is_refused(self, k3, emb3, fn, kind, extra):
+        """A step on s = 2 coordinates takes a point of s coordinates (s + 1
+        for the inverse's homogeneous list) and refuses any other length in
+        either direction."""
+        z = k3.gen()
+        step = expand(k3.vector([z, z * z]), "phi1", embedding=emb3).steps[0]
+        n = 2 + extra + (kind == "list" and fn is inverse_step)
+        point = {"tuple": tuple(Q(k, 3) for k in range(1, n + 1)), "vector": k3.vector([z] * n),
+                 "list": list(range(1, n + 1))}[kind]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            fn(step, point)
 
 
 class TestScalarPoints:
@@ -1904,7 +1919,7 @@ class TestRecordJson:
         with pytest.raises(HViolation) as info:
             MinPoly.from_json(mp.to_json())
         assert info.value.clause == clause
-        vec = mp.vector([mp.one()] * mp.s)
+        vec = mp.vector([mp.one()] * max(mp.degree - 1, 1))
         with pytest.raises(HViolation):
             expand(vec, "phi0", max_steps=0)
         data = {"format": 1, "algorithm": "phi0", "eps": 1, "lookahead": None, "g_variant": False,

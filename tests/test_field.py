@@ -71,10 +71,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("p, degree", [(2, 2), (3, 3), (2, 4), (3, 4)])
     def test_pending_certificate_survives_pickling(self, p, degree):
-        """A polynomial decided before its certificate keeps it pending
-        through a pickle round trip, as run_batch sends it to a worker,
-        and both copies find the prime of the single-prime criterion."""
-        pending = [mp for mp in lab.build_z_set.__wrapped__(p, degree) if mp._pending][:12]
+        """A validated polynomial keeps its certificate pending through a
+        pickle round trip, as run_batch sends it to a worker, and both
+        copies find the prime of the single-prime criterion."""
+        pending = lab.build_z_set.__wrapped__(p, degree)[:12]
         assert pending
         for mp in pending:
             copy = pickle.loads(pickle.dumps(mp))
@@ -85,8 +85,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("p, coeffs, cert", [(2, [1, 2], 3), (2, [0, 0, 1, 4], 5), (3, [0, 0, 8, 12], None)])
     def test_from_json_checks_a_pending_certificate(self, p, coeffs, cert):
-        """Loading finds the certificate the decision left pending and
-        refuses any other value."""
+        """Loading finds the certificate from the pending pair and refuses
+        any other value."""
         data = {"p": p, "coeffs": [str(c) for c in coeffs]}
         assert MinPoly.from_json({**data, "certificate_prime": cert}).certificate_prime == cert
         for wrong in [w for w in (None, 7, 2) if w != cert]:
@@ -285,7 +285,7 @@ class TestCoefficientFunctionals:
         for _ in range(25):
             vec = k3.vector([rand_elem(k3, rng) for _ in range(2)])
             m, _ = coeff_matrix(vec)
-            s = k3.s
+            s = k3.degree - 1
             basis = [k3.gen() ** (s - j) for j in range(s)] + [k3.one()]
             rebuilt = [
                 sum((b * c for b, c in zip(basis, row)), k3.zero())

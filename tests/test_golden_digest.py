@@ -10,7 +10,11 @@ recurrence replays, on the write path and through ``from_json``.
 ``phi3_cubic_identity_step`` and ``phi0_cubic_identity_steps`` pin records
 holding identity steps (a zero pivot component): one phi3 step, whose A is
 built from the remainder's own rows, and ten phi0 steps beside the cyclic
-shift.  The
+shift.  ``phi0_rational_periodic`` and ``phi0_rational_finite`` run over
+the degree-1 sentinel K = Q (coefficients [0], built by
+``MinPoly.rationals``), whose polynomial is written with a null
+certificate prime and read back through ``MinPoly.from_json``'s sentinel
+branch.  The
 z-set digests pin every generator and certificate prime of the full z-sets
 at degrees 2-6, one digest for p in {2, 3} and one for p in {5, 7}; between
 them they cover every z-set that reaches factor recombination.
@@ -25,7 +29,7 @@ import pytest
 
 from padiccf import lab
 from padiccf.cfrac import ExpansionRecord, expand
-from padiccf.field import validate_minpoly
+from padiccf.field import MinPoly, validate_minpoly
 from padiccf.rationals import Q
 
 # name -> (p, minpoly a1..an, elements as ascending coefficient lists,
@@ -49,6 +53,8 @@ CORPUS = {
                              {"height_exponent": 12}),
     "phi1_non_integral_minpoly": (2, [Q(1, 5), Q(1, 3), Q(2, 7)], [[Q(1, 2), 1], [1, 0, Q(1, 3)]], "phi1",
                                   {"max_steps": 30}),
+    "phi0_rational_periodic": (3, [0], [[Q(-5, 7)]], "phi0", {"max_steps": 40}),
+    "phi0_rational_finite": (2, [0], [[Q(13, 9)]], "phi0", {"eps": -1, "max_steps": 40}),
 }
 
 TABLE_CONFIG = {
@@ -71,6 +77,8 @@ GOLDEN = {
     "phi0_cubic_eps_minus": ("step_limit", "7b4526420411aa778904f7fa0d4e5dca8c653d3626799387deb0694cdcb58b24"),
     "phi0_cubic_identity_steps": ("step_limit", "41846c99b46d3533a0cce71030335f3140b6b85120b97cada4b3f195e851b606"),
     "phi0_quadratic": ("step_limit", "5fe35a69f3fa57d3b34cc5b80d6ea6208070714e6b3ecd6b1248cb3f5d30c27b"),
+    "phi0_rational_finite": ("finite", "24d1b2fd9a83058d8120c8cf7768fbdd19247a5f4761fb2e52a480be7be75b05"),
+    "phi0_rational_periodic": ("periodic", "4d12516003c0e74b896ea98663fb51a7c03252ce75b5692d0232aa18518dd55c"),
     "phi1_cubic_periodic": ("periodic", "fbb44c2d5d11f33c02df73028cb69e34f4d95046c08ea2552a6c41e9b488e1bb"),
     "phi1_cubic_recurring": ("step_limit", "e9a74d1984ca1060239ac3a2386ddc750406fa02ccddbdbaa195a9499d53c8fb"),
     "phi1_height_exceeded": ("height_exceeded", "47692efd78093634d686cb05d12e1fdf404eebd7b8a2f61030a1d1b73278cfc1"),
@@ -92,7 +100,7 @@ EXPECTED_Z_SETS = {
 
 def record(name):
     p, coeffs, elems, algo, kwargs = CORPUS[name]
-    mp = validate_minpoly(p, coeffs)
+    mp = MinPoly.rationals(p) if coeffs == [0] else validate_minpoly(p, coeffs)
     return expand(mp.vector([mp.element(e) for e in elems]), algo, **kwargs)
 
 
@@ -125,7 +133,7 @@ def test_record_bytes(name):
 def test_corpus_covers_outcomes_and_algorithms():
     assert {"finite", "periodic", "height_exceeded"} <= {kind for kind, _ in GOLDEN.values()}
     assert {spec[3] for spec in CORPUS.values()} == {"phi0", "phi1", "phi2", "phi3"}
-    assert {len(spec[1]) for spec in CORPUS.values()} == {2, 3, 4}
+    assert {len(spec[1]) for spec in CORPUS.values()} == {1, 2, 3, 4}
     assert any(Q(c).denominator != 1 for spec in CORPUS.values() for c in spec[1])
     assert record("phi3_cubic_identity_step").identity_steps == 1
     assert record("phi0_cubic_identity_steps").identity_steps == 10

@@ -118,10 +118,24 @@ def test_quartic_decision_stops_at_its_first_pattern(monkeypatch):
 
     monkeypatch.setattr(polys, "_residue_pattern", recorded)
     f = F([4, 1, 0, 0, 1])
-    q, pending = polys.certify(f, 2)
-    assert (q, seen) == (None, [(3, (1, 3))])
+    pending = polys.certify(f, 2)
+    assert seen == [(3, (1, 3))]
     assert polys.find_certificate(*pending, 2) == 5 == oracles.certificate_prime(f, 2)
     assert polys.certificate_prime(f, 2) == 5
+
+
+@pytest.mark.parametrize("coeffs, p, cert", [
+    ([1, 1, 0, 0, 1], 3, 2),  # x^4 + x + 1: the witness q = 2 ends the decision
+    ([4, 1, 0, 0, 1], 2, 5),  # x^4 + x + 4: the sieve ends it at q = 3
+    ([12, 8, 0, 0, 1], 3, None),  # the A4 quartic: the sieve, with no witness at all
+    (SWINNERTON_DYER, 2, None),  # recombination
+])
+def test_certify_returns_the_monic_form_whichever_proof_ends_it(coeffs, p, cert):
+    # one result shape: (G, disc(G)), from which the certificate is read
+    f = F(coeffs)
+    G, _, disc = polys._monic_form(f)
+    assert polys.certify(f, p) == (G, disc)
+    assert polys.find_certificate(G, disc, p) == cert == oracles.certificate_prime(f, p)
 
 
 def _monic(draw, degree, bound):

@@ -232,9 +232,9 @@ class TestBatch:
 
     def test_serial_batch_reads_no_certificate(self, monkeypatch):
         """A table needs the irreducibility decision alone: a jobs = 1
-        batch over freshly built cubic z-sets, each decided before its
-        certificate, leaves every certificate pending.  The stand-in pool
-        runs the tasks in this process, where the reads are counted."""
+        batch over freshly built cubic z-sets leaves every certificate
+        pending.  The stand-in pool runs the tasks in this process, where
+        the reads are counted."""
         monkeypatch.setattr(lab, "build_z_set", functools.lru_cache()(lab.build_z_set.__wrapped__))
         reads = []
         monkeypatch.setattr(polys, "find_certificate", lambda *args: reads.append(args))

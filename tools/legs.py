@@ -28,6 +28,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from pairs import at_least_one, quartiles, sides
+
 # the code of one run, in the checkout given as argv[1]
 RUN = """
 import hashlib, json, sys, time
@@ -62,12 +64,6 @@ print(json.dumps({"cpu_s": cpu, "table": hashlib.sha256(json.dumps(table, sort_k
 """
 
 
-def sides(k: int) -> tuple:
-    """The order the two sides run in round k: the parent first in even
-    rounds, the change first in odd ones."""
-    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
-
-
 def run_leg(checkout: Path, workload: str, leg: str, seed: int) -> dict:
     """One run of the leg in ``checkout``: {"cpu_s", "table"}, the table
     as its sha256."""
@@ -76,14 +72,6 @@ def run_leg(checkout: Path, workload: str, leg: str, seed: int) -> dict:
     if proc.returncode:
         raise RuntimeError(f"run in {checkout} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def quartiles(xs) -> tuple:
-    """(lower quartile, median, upper quartile)."""
-    if len(xs) < 2:
-        return (xs[0],) * 3
-    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q2, q3
 
 
 def summarize(rounds) -> dict:
@@ -98,14 +86,6 @@ def summarize(rounds) -> dict:
         "won": sum(b < a for a, b in zip(old, new)),
         "lost": sum(b > a for a, b in zip(old, new)),
     }
-
-
-def at_least_one(text: str) -> int:
-    """An argparse type: an int >= 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
 
 
 def main(argv=None) -> int:
