@@ -65,20 +65,22 @@ class BitStream:
             self._bits = format((math.isqrt((b * b + 4 * self.c) << (2 * k)) - (b << k)) >> 1, f"0{k}b")
 
     def bit(self, k: int) -> int:
-        """d_k, 1-based."""
-        self._extend(k)
+        """d_k, 1-based: k < 1 is a ValueError."""
+        self._extend(at_least(k, 1, "bit index"))
         return int(self._bits[k - 1])
 
     def byte(self, i: int) -> int:
-        """e_i = sum 2^(k-1) d_(8i+k), least significant bit first."""
-        self._extend(8 * i + 8)
+        """e_i = sum 2^(k-1) d_(8i+k), least significant bit first; i < 0
+        is a ValueError."""
+        self._extend(8 * at_least(i, 0, "byte index") + 8)
         return int(self._bits[8 * i:8 * i + 8][::-1], 2)
 
 
 def irrational_bits(selector, count: int):
-    """First ``count`` binary digits of the selector's root."""
+    """First ``count`` binary digits of the selector's root; count < 0 is
+    a ValueError."""
     st = BitStream(selector)
-    return [st.bit(k) for k in range(1, count + 1)]
+    return [st.bit(k) for k in range(1, at_least(count, 0, "count") + 1)]
 
 
 def byte_stream(bits):

@@ -12,9 +12,10 @@ zero input.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction as Q
 
-from .errors import NotPrime, RecordFormatError
+from .errors import CapExceeded, NotPrime, RecordFormatError
 
 BACKEND = "fractions"  # the one scalar type; stamped on benchmark results
 
@@ -106,23 +107,39 @@ def qexact(x) -> Q:
     return Q(x)
 
 
+def _past_str_limit(doing: str) -> CapExceeded:
+    return CapExceeded(f"cannot {doing} an integer of more than {sys.get_int_max_str_digits()} digits, "
+                       "the interpreter's limit (sys.get_int_max_str_digits())")
+
+
 def qformat(q) -> str:
-    """Canonical string: "num/den", den omitted when 1, sign on numerator."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical string: "num/den", den omitted when 1, sign on numerator.
+    A part longer than CPython's integer string limit is a CapExceeded."""
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # str() of an int fails only past the limit
+        raise _past_str_limit("write") from exc
 
 
 def qparse(s: str):
-    """Inverse of :func:`qformat`; a zero denominator is a ValueError."""
+    """Inverse of :func:`qformat`; a zero denominator is a ValueError, and
+    a part longer than CPython's integer string limit a CapExceeded."""
     s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        den = int(den)
-        if not den:
-            raise ValueError(f"zero denominator in {s!r}")
-        return Q(int(num), den)
-    return Q(int(s))
+    try:
+        if "/" in s:
+            num, den = s.split("/")
+            den = int(den)
+            if not den:
+                raise ValueError(f"zero denominator in {s!r}")
+            return Q(int(num), den)
+        return Q(int(s))
+    except ValueError as exc:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and any(len(part.strip().lstrip("+-")) > limit for part in s.split("/")):
+            raise _past_str_limit("read") from exc
+        raise
 
 
 def qparse_list(data) -> list:

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1680,6 +1681,19 @@ class TestRecordJson:
     def test_format_field(self, k2):
         rec = expand(k2.vector([k2.gen()]), "phi1")
         assert rec.to_json()["format"] == 1
+
+    def test_field_past_the_integer_string_limit_is_a_typed_error(self, k2):
+        """A record field one digit longer than CPython's integer string
+        limit is a RecordFormatError caused by a CapExceeded that says the
+        value was being read."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts strings of any length to integers")
+        data = expand(k2.vector([k2.gen()]), "phi1").to_json()
+        data["remainders"][1][0]["coeffs"][0] = "1" * (limit + 1)
+        with pytest.raises(RecordFormatError, match=f"cannot read an integer of more than {limit} digits") as info:
+            ExpansionRecord.from_json(data)
+        assert isinstance(info.value.__cause__, CapExceeded)
 
     @pytest.mark.parametrize("case", ["missing key", "steps not a list", "remainders not a list",
                                       "step without matrix", "int coefficient", "int matrix entry",

@@ -314,7 +314,27 @@ def test_unprintable_result_exits_2_writing_nothing(mode, capsys):
             "--height-exp", "100000", *mode]
     assert main(args) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write an integer of more than {limit} digits, "
+                            "the interpreter's limit (sys.get_int_max_str_digits())\n")
+
+
+@pytest.mark.parametrize("where", ["minpoly", "elem"])
+def test_input_past_the_integer_string_limit_is_a_typed_error(where, capsys):
+    """A coefficient one digit longer than CPython's integer string limit,
+    in ``--minpoly`` or in ``--elem``, exits 2 with a message that names
+    the limit and says the value was being read."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts strings of any length to integers")
+    tall = "1" * (limit + 1)
+    minpoly = f"1,{tall}" if where == "minpoly" else "1,2"
+    elem = json.dumps({"coeffs": [tall if where == "elem" else "0", "1"]})
+    assert main(["expand", "--p", "2", "--minpoly", minpoly, "--elem", elem, "--algo", "phi0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read an integer of more than {limit} digits, "
+                            "the interpreter's limit (sys.get_int_max_str_digits())\n")
 
 
 def test_phi2_lookahead_over_budget_exits_2(tmp_path, capsys, monkeypatch):

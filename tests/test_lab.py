@@ -100,6 +100,25 @@ class TestBits:
         st = BitStream(selector)
         assert irrational_bits(selector, 3000) == bits_by_fraction(st.b, st.c, 3000)
 
+    @pytest.mark.parametrize("extended", [False, True], ids=["fresh", "extended"])
+    def test_index_below_one_is_refused(self, extended):
+        """Bits are 1-based and bytes 0-based: an index below that is a
+        ValueError on a fresh stream and on one already read, never a
+        digit read from the far end of the stream."""
+        st = BitStream("x2+x-1")
+        if extended:
+            st.bit(8)
+        for k in (0, -3):
+            with pytest.raises(ValueError, match=f"bit index must be an integer >= 1, got {k}"):
+                st.bit(k)
+        with pytest.raises(ValueError, match="byte index must be an integer >= 0, got -1"):
+            st.byte(-1)
+        with pytest.raises(ValueError, match="count must be an integer >= 0, got -2"):
+            irrational_bits("x2+x-1", -2)
+        assert irrational_bits("x2+x-1", 0) == []
+        assert [st.bit(k) for k in range(1, 9)] == [1, 0, 0, 1, 1, 1, 1, 0]
+        assert st.byte(0) == 121
+
     def test_rational_root_rejected(self):
         with pytest.raises(ValueError):
             BitStream((2, 3))  # root exactly 1

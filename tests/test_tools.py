@@ -453,3 +453,29 @@ def test_legs_alternates_sides_and_exits_1_when_tables_differ(monkeypatch, tmp_p
     printed = capsys.readouterr()
     assert "won 3/3, lost 0" in printed.out and "ratio 0.8000" in printed.out
     assert ("the tables differ" in printed.err) is differ
+
+
+def _census_legs():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [(workload, leg.name) for workload in ("census_phi3", "census_contrast") for leg in workloads.CENSUS[workload]]
+
+
+@pytest.mark.parametrize("workload,leg", _census_legs())
+def test_legs_times_exactly_the_benchmark_leg(workload, leg):
+    """A run of each census leg at seed 1 emits the table the benchmark's
+    golden outputs give for that leg: the tool times the benchmark's own
+    leg, so any drift between the two fails here."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import golden
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    index = [each.name for each in workloads.CENSUS[workload]].index(leg)
+    got = _load_legs().run_leg(ROOT, workload, leg, 1)
+    assert got["cpu_s"] > 0
+    assert got["table"] == golden.digest(golden.expected(workload, 1)["output"][index])

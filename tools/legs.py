@@ -4,19 +4,22 @@
 
 Each round runs the leg once in each checkout, each run in a fresh
 interpreter, and the side that runs first alternates from round to round
-(the parent first in even rounds).  A run builds the leg as
-``perfbench/workloads.py`` builds it in its census pass: the seed's window
-of suite elements and, per prime, the z-set and the seed's window of its
-generators, each generator on its own embedding.  Every z-set is built
-before the clock starts, and ``time.process_time`` is summed over the
-leg's ``expand`` calls alone.  The run then emits the leg's table, and
-its sha256 goes with the time.
+(the parent first in even rounds).  A run is the benchmark's own census
+pass, ``perfbench/workloads.py``'s ``census_pass``, over the one leg: the
+run sets ``CENSUS`` to that leg alone, stubs ``probe`` and wraps
+``expand_census`` so that ``time.process_time`` is summed over the leg's
+expansions alone, leaving out the z-sets, the embeddings and the vectors
+the pass builds around them.  The run then emits the leg's table, the
+pass's output, and its sha256 goes with the time.  A change to how the
+benchmark builds a leg is timed here as well, and a run whose checkout
+has no ``census_pass``, ``CENSUS``, ``probe`` or ``expand_census`` fails.
 
 It prints each round's two times, then each side's median and quartiles,
 the median of the paired ratios change / parent and the rounds the
 change won (ties count for neither side).  With ``--out`` it writes the
-rounds and that summary as JSON.  Exits 1 when a run fails, the leg is
-not in the workload, or the two sides emit different tables.
+rounds and that summary as JSON.  Exits 1 when a run fails or records an
+op error, the leg is not in the workload, or the two sides emit
+different tables.
 """
 
 from __future__ import annotations
@@ -32,35 +35,26 @@ from pairs import at_least_one, quartiles, sides
 
 # the code of one run, in the checkout given as argv[1]
 RUN = """
-import hashlib, json, sys, time
+import hashlib, json, sys, time, types
 root, workload, name, seed = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
 sys.path[:0] = [root + "/src", root + "/perfbench"]
 import workloads
-from padiccf import lab
-from padiccf.hensel import Embedding
-legs = [leg for leg in workloads.CENSUS.get(workload, ()) if leg.name == name]
+census, expand, _ = workloads.CENSUS, workloads.expand_census, workloads.probe  # a renamed hook fails here
+legs = tuple(leg for leg in census.get(workload, ()) if leg.name == name)
 if not legs:
     sys.exit(f"no census leg {name!r} in workload {workload!r}")
-leg = legs[0]
-pool = lab._suite_coefficients(leg.degree, leg.suite_pool)
-elems = [pool[i] for i in workloads.window(seed, f"{workload}/{leg.name}/suite", leg.suite_pool, workloads.SUITE_SIZE)]
-zsets = {p: lab.build_z_set(p, leg.degree) for p in sorted(leg.primes)}
-label = lab.algo_label(leg.algo, leg.eps, leg.lookahead)
-rows, cpu = [], 0.0
-for p, zs in zsets.items():
-    row = lab.TableRow(p, {label: {c: 0 for c in lab.COLUMNS}})
-    for gi in workloads.window(seed, f"{workload}/{leg.name}/{p}", min(len(zs), leg.z_pool), leg.z_limit):
-        mp = zs[gi]
-        emb = Embedding(mp)
-        for cs in elems:
-            vec = mp.vector([mp.element(c) for c in cs])
-            t0 = time.process_time()
-            rec = workloads.expand_census(leg, vec, emb)
-            cpu += time.process_time() - t0
-            row.counts[label][workloads.KIND_COL[rec.status.kind]] += 1
-    rows.append(row)
-table = lab.emit_table(rows)
-print(json.dumps({"cpu_s": cpu, "table": hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()}))
+cpu = 0.0
+def timed(*args):
+    global cpu
+    t0 = time.process_time()
+    rec = expand(*args)
+    cpu += time.process_time() - t0
+    return rec
+workloads.CENSUS, workloads.expand_census, workloads.probe = {workload: legs}, timed, lambda: 0.0
+out = workloads.census_pass(workload, seed, types.SimpleNamespace(op=-1))
+if out["errors"]:
+    sys.exit("op errors: " + "; ".join(out["errors"]))
+print(json.dumps({"cpu_s": cpu, "table": hashlib.sha256(json.dumps(out["output"][0], sort_keys=True).encode()).hexdigest()}))
 """
 
 
